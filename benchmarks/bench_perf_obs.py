@@ -1,11 +1,15 @@
 """Observability overhead benchmark.
 
 Guards the tentpole's zero-overhead promise: with tracing disabled
-(the default), the instrumented hot paths — kernel event dispatch and
-per-packet network forwarding — must run within 5% of an
-uninstrumented baseline (the same code with the trace branches
-removed). With a :class:`RecordingTracer` attached, the run must
-actually record the events the instrumentation promises.
+(the default), the instrumented hot path — per-packet network
+forwarding — must run within 5% of an uninstrumented baseline (the
+same code with the trace branches removed). Kernel dispatch has no
+trace branch left to strip (an untraced ``Simulator.run`` pops and
+fires inline), so its gate is the other half of the promise: a
+control-tier tracer, which asks for no per-step events, must keep
+that inline loop and run within 5% of no tracer at all. With a
+:class:`RecordingTracer` attached, the run must actually record the
+events the instrumentation promises.
 
 Run standalone for a timing table:
 
@@ -21,16 +25,15 @@ threshold for noisy shared runners.
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
 from contextlib import contextmanager
 
-from repro.des import QueueFullError, Simulator
+from repro.des import Simulator
 from repro.net import Network, Packet
 from repro.net.link import Link
 from repro.net.topology import Node
-from repro.obs import RecordingTracer
+from repro.obs import FlightRecorder, RecordingTracer
 
 SMOKE = os.environ.get("OBS_BENCH_SMOKE", "") not in ("", "0")
 #: max tolerated slowdown of instrumented-but-disabled vs baseline
@@ -42,22 +45,18 @@ PACKETS = 1_000 if SMOKE else 5_000
 
 # -- uninstrumented twins of the hot paths -----------------------------------
 
-def _plain_step(self) -> None:
-    t, _, event = heapq.heappop(self._heap)
-    self._now = t
-    event._triggered = True
-    event._run_callbacks()
-
-
 def _plain_enqueue(self, pkt) -> bool:
-    try:
-        self.queue.put_nowait(pkt)
-        return True
-    except QueueFullError:
+    if not self._busy:
+        self._busy = True
+        self._start_tx(pkt)
+    elif len(self._queue) < self.queue_packets:
+        self._queue.append(pkt)
+    else:
         self.stats.queue_drops += 1
         if self.on_drop is not None:
             self.on_drop(pkt, "drop-queue")
         return False
+    return True
 
 
 def _plain_propagated(self, pkt) -> None:
@@ -85,16 +84,14 @@ def _plain_deliver(self, pkt) -> None:
 @contextmanager
 def uninstrumented():
     """Temporarily strip the trace branches from the hot paths."""
-    saved = (Simulator.step, Link.enqueue, Link._propagated, Node.deliver)
-    Simulator.step = _plain_step
+    saved = (Link.enqueue, Link._propagated, Node.deliver)
     Link.enqueue = _plain_enqueue
     Link._propagated = _plain_propagated
     Node.deliver = _plain_deliver
     try:
         yield
     finally:
-        (Simulator.step, Link.enqueue,
-         Link._propagated, Node.deliver) = saved
+        Link.enqueue, Link._propagated, Node.deliver = saved
 
 
 # -- workloads (mirroring bench_perf_substrate) ------------------------------
@@ -157,15 +154,23 @@ def measure(workload) -> tuple[float, float]:
     return baseline, disabled
 
 
+def measure_kernel() -> tuple[float, float]:
+    """(no tracer, control-tier tracer attached) on kernel dispatch."""
+    kernel_workload()  # warm-up outside timing
+    baseline = best_of(kernel_workload)
+    disabled = best_of(lambda: kernel_workload(FlightRecorder()))
+    return baseline, disabled
+
+
 # -- pytest entry points ------------------------------------------------------
 
 def test_disabled_tracing_kernel_overhead_under_threshold():
-    baseline, disabled = measure(kernel_workload)
+    baseline, disabled = measure_kernel()
     overhead = disabled / baseline - 1.0
     assert overhead < THRESHOLD, (
-        f"disabled tracing costs {overhead:.1%} on kernel dispatch "
-        f"(baseline {baseline * 1e3:.1f} ms, "
-        f"disabled {disabled * 1e3:.1f} ms)"
+        f"a control-tier tracer costs {overhead:.1%} on kernel dispatch "
+        f"(no tracer {baseline * 1e3:.1f} ms, "
+        f"attached {disabled * 1e3:.1f} ms)"
     )
 
 
@@ -183,8 +188,8 @@ def test_enabled_tracing_records_the_kernel_workload():
     tracer = RecordingTracer()
     assert kernel_workload(tracer) == KERNEL_EVENTS
     counts = tracer.kind_counts()
-    # One kernel.event per fired Timeout plus the final StopIteration
-    # bookkeeping of the ticker process.
+    # A detail tracer forces the step() path: one kernel.event per
+    # fired Timeout plus the ticker process's start and finish.
     assert counts["kernel.event"] >= KERNEL_EVENTS
     assert counts["process.spawn"] == 1
     assert counts["process.finish"] == 1
@@ -205,9 +210,10 @@ def main() -> int:
     from repro.analysis import render_table
 
     rows = []
-    for name, workload in (("kernel dispatch", kernel_workload),
-                           ("packet forwarding", network_workload)):
-        baseline, disabled = measure(workload)
+    for name, workload, (baseline, disabled) in (
+            ("kernel dispatch", kernel_workload, measure_kernel()),
+            ("packet forwarding", network_workload,
+             measure(network_workload))):
         tracer = RecordingTracer()
         t0 = time.perf_counter()
         workload(tracer)

@@ -6,7 +6,9 @@ The kernel is intentionally small and deterministic:
 * events scheduled for the same instant fire in schedule order
   (a monotonically increasing sequence number breaks ties);
 * processes are plain Python generators that ``yield`` events and are
-  resumed with the event's value when it triggers.
+  resumed with the event's value when it triggers;
+* one-shot actions (:meth:`Simulator.call_later`) are a bare
+  :class:`Call` on the heap — no event, no callback list, no process.
 
 Nothing here knows about networks or media — higher layers build on
 :class:`Simulator` only through :meth:`Simulator.process`,
@@ -23,6 +25,7 @@ from typing import Any
 
 __all__ = [
     "Event",
+    "Call",
     "Timeout",
     "Process",
     "Interrupt",
@@ -104,7 +107,11 @@ class Event:
         self.sim._enqueue_event(self)
         return self
 
-    def _run_callbacks(self) -> None:
+    def _fire(self) -> None:
+        """Run the callbacks; the kernel calls this at the fire instant."""
+        # Timeouts trigger here (succeed()/fail() set the flag eagerly
+        # for ordinary events).
+        self._triggered = True
         callbacks, self.callbacks = self.callbacks, None
         self._processed = True
         if callbacks:
@@ -114,6 +121,23 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self._triggered else "pending"
         return f"<{type(self).__name__} {state} at t={self.sim.now:.6f}>"
+
+
+class Call:
+    """A heap entry that calls ``fn(*args)`` when it fires.
+
+    What :meth:`Simulator.call_later` schedules: nothing can wait on
+    it, so it carries no state beyond the call itself.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Callable[..., object], args: tuple[Any, ...]) -> None:
+        self.fn = fn
+        self.args = args
+
+    def _fire(self) -> None:
+        self.fn(*self.args)
 
 
 class Timeout(Event):
@@ -308,9 +332,14 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Event | Call]] = []
         self._seq = itertools.count()
         self._running = False
+        #: The dispatch seam. ``None``: ``step()`` fires the popped
+        #: entry itself. An observer of single steps (the kernel
+        #: profiler) sets a callable that receives the entry and must
+        #: call its ``_fire()`` exactly once.
+        self._dispatch_hook: Callable[[Event | Call], None] | None = None
         # Tracing is opt-in and two-tier: `_tracing` guards
         # control-plane emits (faults, admission, drops, spans);
         # `_tracing_detail` guards the per-packet/per-frame firehose
@@ -342,7 +371,11 @@ class Simulator:
         Anything with the :class:`repro.obs.Tracer` emit/span API and
         an ``enabled`` flag works; the kernel deliberately doesn't
         import :mod:`repro.obs` so the DES layer stays dependency-free.
+        Attach between runs: :meth:`run` decides once, when it starts,
+        whether single steps are observed.
         """
+        if self._running:
+            raise RuntimeError("cannot change the tracer during run()")
         self._tracer = tracer
         self._tracing = tracer is not None and bool(
             getattr(tracer, "enabled", False)
@@ -363,15 +396,21 @@ class Simulator:
     ) -> Process:
         return Process(self, gen, name=name)
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> Timeout:
-        """Invoke ``fn()`` after ``delay`` seconds (fire-and-forget).
+    def call_later(self, delay: float, fn: Callable[..., object],
+                   *args: Any) -> None:
+        """Invoke ``fn(*args)`` after ``delay`` seconds (fire-and-forget).
 
-        Lighter than spawning a process for one-shot actions such as
-        a packet emerging from a propagation delay.
+        Pass the arguments here instead of closing over them: the heap
+        holds one :class:`Call` and nothing else is allocated. Nothing
+        is returned — the call cannot be waited on or cancelled (a
+        cancellable timer compares a token in ``fn``). Lighter than a
+        process for one-shot actions such as a packet emerging from a
+        propagation delay.
         """
-        t = Timeout(self, delay)
-        t.callbacks.append(lambda _ev: fn())
-        return t
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        heapq.heappush(
+            self._heap, (self._now + delay, next(self._seq), Call(fn, args)))
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -390,16 +429,20 @@ class Simulator:
 
     # -- execution ------------------------------------------------------
     def step(self) -> None:
-        """Process the single next event."""
-        time, _, event = heapq.heappop(self._heap)
+        """Process the single next heap entry, observably.
+
+        Emits ``kernel.event`` to a detail tracer and routes the entry
+        through the dispatch hook when one is installed.
+        """
+        time, _, entry = heapq.heappop(self._heap)
         self._now = time
         if self._tracing_detail:
             self._tracer.emit(time, "kernel.event",
-                              type(event).__name__)
-        # Timeouts trigger at their fire instant (succeed()/fail() set
-        # the flag eagerly for ordinary events).
-        event._triggered = True
-        event._run_callbacks()
+                              type(entry).__name__)
+        if self._dispatch_hook is None:
+            entry._fire()
+        else:
+            self._dispatch_hook(entry)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -411,18 +454,31 @@ class Simulator:
         ``until`` may be a time (run up to and including that instant),
         an :class:`Event` (run until it triggers; its value is
         returned), or ``None`` (drain the queue).
+
+        When nothing observes single steps — no detail tracer, no
+        dispatch hook; :meth:`set_tracer` and the profiler refuse to
+        attach during a run — entries are popped and fired inline;
+        otherwise every entry goes through :meth:`step`.
         """
         if self._running:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
+        heap = self._heap
+        pop = heapq.heappop
+        observed = self._tracing_detail or self._dispatch_hook is not None
         try:
             if isinstance(until, Event):
-                while not until.triggered or not until.processed:
-                    if not self._heap:
-                        raise RuntimeError(
-                            "event queue drained before `until` event triggered"
-                        )
-                    self.step()
+                if observed:
+                    while heap and not until._processed:
+                        self.step()
+                else:
+                    while heap and not until._processed:
+                        self._now, _, entry = pop(heap)
+                        entry._fire()
+                if not until._processed:
+                    raise RuntimeError(
+                        "event queue drained before `until` event triggered"
+                    )
                 if not until.ok:
                     raise until.value
                 return until.value
@@ -430,8 +486,13 @@ class Simulator:
             if deadline < self._now:
                 raise ValueError(
                     f"deadline {deadline} is in the past (now={self._now})")
-            while self._heap and self._heap[0][0] <= deadline:
-                self.step()
+            if observed:
+                while heap and heap[0][0] <= deadline:
+                    self.step()
+            else:
+                while heap and heap[0][0] <= deadline:
+                    self._now, _, entry = pop(heap)
+                    entry._fire()
             if until is not None:
                 self._now = max(self._now, deadline)
             return None

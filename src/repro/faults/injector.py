@@ -56,19 +56,14 @@ class FaultInjector:
                     sim.call_later(f.at + f.restart_after_s, ms.restart)
             elif f.kind == "control-partition":
                 state = self._ensure_control_state()
-                sim.call_later(f.at, lambda s=state: self._partition(s, True))
+                sim.call_later(f.at, self._partition, state, True)
                 sim.call_later(f.at + f.duration_s,
-                               lambda s=state: self._partition(s, False))
+                               self._partition, state, False)
             elif f.kind == "control-impair":
                 state = self._ensure_control_state()
-                sim.call_later(
-                    f.at,
-                    lambda s=state, f=f: s.impair(
-                        drop_prob=f.drop_prob, delay_s=f.delay_s,
-                        jitter_s=f.jitter_s),
-                )
-                sim.call_later(f.at + f.duration_s,
-                               lambda s=state: s.clear_impair())
+                sim.call_later(f.at, state.impair,
+                               f.drop_prob, f.delay_s, f.jitter_s)
+                sim.call_later(f.at + f.duration_s, state.clear_impair)
             else:  # pragma: no cover - plan validation catches this
                 raise ValueError(f"unknown fault kind {f.kind!r}")
 
@@ -100,8 +95,8 @@ class FaultInjector:
     def _schedule_outage(self, src: str, dst: str, at: float,
                          duration_s: float) -> None:
         sim = self.engine.sim
-        sim.call_later(at, lambda: self._set_link(src, dst, False))
-        sim.call_later(at + duration_s, lambda: self._set_link(src, dst, True))
+        sim.call_later(at, self._set_link, src, dst, False)
+        sim.call_later(at + duration_s, self._set_link, src, dst, True)
 
     def _set_link(self, src: str, dst: str, up: bool) -> None:
         links = self.engine.network.links

@@ -64,7 +64,7 @@ class MediaWatchdog:
 
     # -- crash / restart hooks ---------------------------------------------
     def _on_crash(self, ms: MediaServer) -> None:
-        self.sim.call_later(self.detect_delay_s, lambda: self._detect(ms))
+        self.sim.call_later(self.detect_delay_s, self._detect, ms)
 
     def _on_restart(self, ms: MediaServer) -> None:
         # The restarted server adopts whatever wreckage nobody else

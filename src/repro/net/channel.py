@@ -209,7 +209,7 @@ class ReliableSender:
     def _arm_timer(self) -> None:
         self._timer_token += 1
         token = self._timer_token
-        self.sim.call_later(self.rto_s, lambda: self._on_timer(token))
+        self.sim.call_later(self.rto_s, self._on_timer, token)
 
     def _on_timer(self, token: int) -> None:
         if token != self._timer_token or self._closed:

@@ -7,10 +7,11 @@ emerge here rather than being injected as closed-form noise.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.des import QueueFullError, Simulator, Store
+from repro.des import Simulator
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,11 +41,15 @@ class LinkStats:
 class Link:
     """Unidirectional link ``src -> dst``.
 
-    One transmitter process drains the drop-tail queue at
-    ``rate_bps``; after serialisation each packet propagates for
-    ``delay_s`` and is then handed to ``on_arrival`` (wired by the
-    :class:`~repro.net.topology.Network` to the next hop). Random
-    loss (e.g. a noisy last-mile) is modelled by an optional
+    A busy flag, a bounded drop-tail ``deque`` and two scheduled
+    calls per packet: an idle transmitter starts serialising at
+    :meth:`enqueue`, a busy one queues the packet (or drops it when
+    ``queue_packets`` are already waiting); ``_tx_done`` fires after
+    ``size * 8 / rate_bps``, counts the transmission, schedules
+    ``_propagated`` after ``delay_s`` and starts the next queued
+    packet; ``_propagated`` hands the packet to ``on_arrival`` (wired
+    by the :class:`~repro.net.topology.Network` to the next hop).
+    Random loss (e.g. a noisy last-mile) is modelled by an optional
     Gilbert–Elliott process applied after propagation.
     """
 
@@ -67,7 +72,13 @@ class Link:
         self.dst = dst
         self.rate_bps = float(rate_bps)
         self.delay_s = float(delay_s)
-        self.queue: Store = Store(sim, capacity=queue_packets)
+        if queue_packets <= 0:
+            raise ValueError(
+                f"queue_packets must be positive, got {queue_packets}")
+        #: packets waiting behind the one being serialised
+        self.queue_packets = queue_packets
+        self._queue: deque[Packet] = deque()
+        self._busy = False
         self.loss_model = loss_model
         #: administrative state; a downed link drops everything offered
         #: to it and everything still propagating when it went down
@@ -75,7 +86,6 @@ class Link:
         self.stats = LinkStats()
         self.on_arrival: Callable[[Packet], None] | None = None
         self.on_drop: Callable[[Packet, str], None] | None = None
-        sim.process(self._transmitter(), name=f"link:{src}->{dst}")
 
     @property
     def name(self) -> str:
@@ -110,16 +120,12 @@ class Link:
         if not self.up:
             self._drop_down(pkt)
             return False
-        try:
-            self.queue.put_nowait(pkt)
-            if self.sim._tracing_detail:
-                self.sim._tracer.emit(self.sim.now, "link.enqueue",
-                                      self.name, depth=self.queue.level,
-                                      flow=pkt.flow_id, seq=pkt.seq,
-                                      session=pkt.session,
-                                      frame=pkt.frame_seq)
-            return True
-        except QueueFullError:
+        if not self._busy:
+            self._busy = True
+            self._start_tx(pkt)
+        elif len(self._queue) < self.queue_packets:
+            self._queue.append(pkt)
+        else:
             self.stats.queue_drops += 1
             if self.sim._tracing:
                 self.sim._tracer.emit(self.sim.now, "link.drop", self.name,
@@ -130,17 +136,33 @@ class Link:
             if self.on_drop is not None:
                 self.on_drop(pkt, "drop-queue")
             return False
+        if self.sim._tracing_detail:
+            self.sim._tracer.emit(self.sim.now, "link.enqueue",
+                                  self.name, depth=len(self._queue),
+                                  flow=pkt.flow_id, seq=pkt.seq,
+                                  session=pkt.session,
+                                  frame=pkt.frame_seq)
+        return True
 
-    # -- transmitter process ----------------------------------------------
-    def _transmitter(self):
-        while True:
-            pkt: Packet = yield self.queue.get()
-            ser = self.serialization_delay(pkt.size_bytes)
-            yield self.sim.timeout(ser)
-            self.stats.busy_time += ser
-            self.stats.tx_packets += 1
-            self.stats.tx_bytes += pkt.size_bytes
-            self.sim.call_later(self.delay_s, lambda p=pkt: self._propagated(p))
+    # -- transmitter -------------------------------------------------------
+    def _start_tx(self, pkt: Packet) -> None:
+        ser = self.serialization_delay(pkt.size_bytes)
+        self.sim.call_later(ser, self._tx_done, pkt, ser)
+
+    def _tx_done(self, pkt: Packet, ser: float) -> None:
+        """``pkt`` has left the transmitter: count it, propagate it, and
+        start on the next queued packet."""
+        stats = self.stats
+        stats.busy_time += ser
+        stats.tx_packets += 1
+        stats.tx_bytes += pkt.size_bytes
+        # Propagation first: at equal fire times this packet's arrival
+        # precedes the next packet's _tx_done (digests depend on it).
+        self.sim.call_later(self.delay_s, self._propagated, pkt)
+        if self._queue:
+            self._start_tx(self._queue.popleft())
+        else:
+            self._busy = False
 
     def _propagated(self, pkt: Packet) -> None:
         if not self.up:
@@ -168,4 +190,4 @@ class Link:
 
     def sample_occupancy(self) -> None:
         """Record (now, queue length) for occupancy-trace experiments."""
-        self.stats.occupancy_samples.append((self.sim.now, self.queue.level))
+        self.stats.occupancy_samples.append((self.sim.now, len(self._queue)))

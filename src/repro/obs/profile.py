@@ -2,13 +2,17 @@
 """Opt-in DES kernel profiler: where does the wall time go?
 
 The kernel speed program (ROADMAP item 2) needs attribution before
-optimisation. A :class:`KernelProfiler` patches ``step``/``run`` on
-one :class:`~repro.des.kernel.Simulator` *instance* — an uninstalled
-simulator runs the original methods, so the hooks cost exactly
-nothing when off. Installed, every kernel step is timed and charged
-to its event kind (Timeout, Event, Process...), and every callback
-inside the step to its handler (``process:<name>`` for process
-resumptions, the callback's qualname otherwise).
+optimisation. A :class:`KernelProfiler` sets the dispatch hook of one
+:class:`~repro.des.kernel.Simulator` *instance* (and wraps its
+``run``) — the kernel's one seam for observers of single steps. An
+uninstalled simulator keeps its inline run loop, so the hook costs
+exactly nothing when off. Installed, ``run()`` falls back to
+``step()``, which pops, advances the clock and hands each heap entry
+here; the profiler fires it, times it and charges it to its entry
+kind (Timeout, Call, Process...) and to its handler: ``process:<name>``
+for a process resumption, otherwise the qualified name of the callback
+or of the function ``call_later`` scheduled (``Link._tx_done``,
+``ReliableSender._on_timer``).
 
 Wall-clock reads are deliberate here — a profiler measures real time
 by definition — and never feed back into simulation state, so
@@ -23,9 +27,10 @@ flamegraph.pl and speedscope ingest directly) and a
 
 from __future__ import annotations
 
-import heapq
 import time
 from typing import Any
+
+from repro.des.kernel import Call
 
 __all__ = ["KernelProfiler", "PROFILE_SCHEMA", "PROFILE_SCHEMA_VERSION"]
 
@@ -52,7 +57,6 @@ class KernelProfiler:
 
     def __init__(self) -> None:
         self._sim: Any = None
-        self._orig_step: Any = None
         self._orig_run: Any = None
         #: event kind -> [count, nanoseconds] (whole-step time)
         self.per_kind: dict[str, list[int]] = {}
@@ -72,61 +76,53 @@ class KernelProfiler:
         return self._sim is not None
 
     def install(self, sim: Any) -> "KernelProfiler":
-        """Patch one simulator instance; returns self for chaining."""
+        """Hook one simulator instance; returns self for chaining."""
         if self._sim is not None:
             raise RuntimeError("profiler is already installed")
+        if sim._running:
+            # run() decided at its start whether to observe steps.
+            raise RuntimeError("cannot install the profiler during run()")
         self._sim = sim
-        self._orig_step = sim.step
         self._orig_run = sim.run
-        sim.step = self._profiled_step
+        sim._dispatch_hook = self._dispatch
         sim.run = self._profiled_run
         return self
 
     def uninstall(self) -> None:
-        """Restore the simulator's original methods."""
+        """Clear the hook and restore the simulator's ``run``."""
         if self._sim is None:
             return
-        # Deleting the instance attributes re-exposes the class
-        # methods, leaving the simulator exactly as it was built.
-        del self._sim.step
+        self._sim._dispatch_hook = None
+        # Deleting the instance attribute re-exposes the class method,
+        # leaving the simulator exactly as it was built.
         del self._sim.run
         self._sim = None
-        self._orig_step = None
         self._orig_run = None
 
-    # -- patched kernel methods ---------------------------------------------
-    def _profiled_step(self) -> None:
-        """``Simulator.step`` with per-kind / per-handler timing.
+    # -- kernel hooks ---------------------------------------------------------
+    def _dispatch(self, entry: Any) -> None:
+        """The kernel's dispatch hook: fire ``entry`` and time it.
 
-        Mirrors the kernel's step semantics exactly (heap pop, clock
-        advance, optional trace emit, eager trigger, callback run) so
-        a profiled run is event-for-event identical to a bare one.
+        The whole firing is charged to the entry's handler; the rare
+        event with several callbacks gets their names joined by ``+``.
         """
-        sim = self._sim
-        t0 = time.perf_counter_ns()
+        kind = type(entry).__name__
+        handlers = ((entry.fn,) if type(entry) is Call
+                    else tuple(entry.callbacks or ()))
+        c0 = time.perf_counter_ns()
         # Charge from the previous step's end when inside run(), so
-        # the run loop's own bookkeeping lands on some event kind
-        # instead of vanishing from the attribution.
-        start = self._last_end if self._last_end is not None else t0
-        when, _, event = heapq.heappop(sim._heap)
-        sim._now = when
-        kind = type(event).__name__
-        if sim._tracing_detail:
-            sim._tracer.emit(when, "kernel.event", kind)
-        event._triggered = True
-        callbacks, event.callbacks = event.callbacks, None
-        event._processed = True
-        if callbacks:
-            for cb in callbacks:
-                c0 = time.perf_counter_ns()
-                cb(event)
-                c1 = time.perf_counter_ns()
-                rec = self.per_handler.get((kind, _handler_name(cb)))
-                if rec is None:
-                    rec = self.per_handler[(kind, _handler_name(cb))] = [0, 0]
-                rec[0] += 1
-                rec[1] += c1 - c0
+        # the heap pop and the run loop's own bookkeeping land on some
+        # entry kind instead of vanishing from the attribution.
+        start = self._last_end if self._last_end is not None else c0
+        entry._fire()
         t1 = time.perf_counter_ns()
+        if handlers:
+            key = (kind, "+".join(map(_handler_name, handlers)))
+            rec = self.per_handler.get(key)
+            if rec is None:
+                rec = self.per_handler[key] = [0, 0]
+            rec[0] += 1
+            rec[1] += t1 - c0
         krec = self.per_kind.get(kind)
         if krec is None:
             krec = self.per_kind[kind] = [0, 0]

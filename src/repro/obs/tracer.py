@@ -214,6 +214,11 @@ class RecordingTracer(Tracer):
     def __len__(self) -> int:
         return len(self.events)
 
+    def __bool__(self) -> bool:
+        # A tracer that has recorded nothing yet is still a tracer:
+        # without this, ``__len__`` makes ``if tracer:`` drop it.
+        return True
+
     def kind_counts(self) -> dict[str, int]:
         """Event count per kind, from the registry (includes shed events)."""
         return {

@@ -302,7 +302,7 @@ class SharedFlowManager:
             self._active.append(flow)
             self.flows_started += 1
             self.sim.call_later(self.batch_window_s,
-                                lambda: self._close_batch(key))
+                                self._close_batch, key)
         flow.add_subscriber(FlowSubscriber(
             session_id, stream_id, client_node, client_port, ssrc
         ))

@@ -120,7 +120,7 @@ class ControlEndpoint:
                     self.sim._tracer.emit(self.sim.now, "fault.ctl_delay",
                                           self.name, msg_type=msg.msg_type,
                                           req_id=msg.req_id, delay=delay_s)
-                self.sim.call_later(delay_s, lambda m=msg: self._dispatch(m))
+                self.sim.call_later(delay_s, self._dispatch, msg)
                 return
         self._dispatch(msg)
 

@@ -334,7 +334,7 @@ class ServerSessionHandler:
         self._suspend_token += 1
         token = self._suspend_token
         self.sim.call_later(self.suspend_grace_s,
-                            lambda: self._suspend_expire(token))
+                            self._suspend_expire, token)
         self.endpoint.reply(msg, "suspended", {"grace_s": self.suspend_grace_s})
 
     def _release_rtcp(self) -> None:

@@ -317,3 +317,132 @@ def test_deterministic_replay_of_interleaving():
         return trace
 
     assert run_once() == run_once()
+
+
+# -- inline run loop, step() fallback and the dispatch hook ---------------------
+
+class _StepCounter(Simulator):
+    """Counts how many entries ``run()`` sends through ``step()``."""
+
+    def __init__(self):
+        super().__init__()
+        self.stepped = 0
+
+    def step(self):
+        self.stepped += 1
+        super().step()
+
+
+class _Tracer:
+    enabled = True
+
+    def __init__(self, detail):
+        self.detail = detail
+        self.kinds = []
+
+    def emit(self, time, kind, subject="", **fields):
+        self.kinds.append((kind, subject))
+
+
+def _mixed_run(sim):
+    """A process, a timeout, a ``call_later`` and an ``until`` event."""
+    order = []
+    done = sim.event()
+
+    def proc():
+        yield sim.timeout(1.0)
+        order.append(("proc", sim.now))
+        yield sim.timeout(2.0)
+        done.succeed("finished")
+
+    sim.process(proc())
+    sim.call_later(1.0, order.append, ("call", 1.0))
+    sim.call_later(2.0, lambda: order.append(("late", sim.now)))
+    value = sim.run(until=done)
+    sim.run(until=10.0)
+    return order, value
+
+
+# the process asks for its first timeout only once it has started, after
+# both calls were scheduled
+EXPECTED_ORDER = [("call", 1.0), ("proc", 1.0), ("late", 2.0)]
+
+
+def test_untraced_run_dispatches_inline():
+    sim = _StepCounter()
+    assert _mixed_run(sim) == (EXPECTED_ORDER, "finished")
+    assert sim.stepped == 0
+    assert sim.now == 10.0
+
+
+def test_control_tier_tracer_keeps_the_inline_loop():
+    sim = _StepCounter()
+    tracer = _Tracer(detail=False)
+    sim.set_tracer(tracer)
+    assert _mixed_run(sim) == (EXPECTED_ORDER, "finished")
+    assert sim.stepped == 0
+    assert ("kernel.event", "Call") not in tracer.kinds
+
+
+def test_detail_tracer_sees_every_entry_through_step():
+    sim = _StepCounter()
+    tracer = _Tracer(detail=True)
+    sim.set_tracer(tracer)
+    assert _mixed_run(sim) == (EXPECTED_ORDER, "finished")
+    fired = [s for k, s in tracer.kinds if k == "kernel.event"]
+    assert sim.stepped == len(fired) > 0
+    assert fired.count("Call") == 2
+    assert fired.count("Timeout") == 2
+
+
+def test_dispatch_hook_receives_every_entry_and_must_fire_it():
+    sim = _StepCounter()
+    seen = []
+
+    def hook(entry):
+        seen.append(type(entry).__name__)
+        entry._fire()
+
+    sim._dispatch_hook = hook
+    assert _mixed_run(sim) == (EXPECTED_ORDER, "finished")
+    assert sim.stepped == len(seen) > 0
+    assert seen.count("Call") == 2
+    sim._dispatch_hook = None
+    sim.call_later(1.0, seen.append, "inline again")
+    sim.run()
+    assert seen[-1] == "inline again" and sim.stepped == len(seen) - 1
+
+
+def test_observers_cannot_attach_during_a_run():
+    """``run()`` picks its loop once, so a mid-run attach would be ignored."""
+    from repro.obs.profile import KernelProfiler
+
+    sim = Simulator()
+    errors = []
+
+    def attach(how):
+        try:
+            how()
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    profiler = KernelProfiler()
+    sim.call_later(1.0, attach, lambda: sim.set_tracer(_Tracer(detail=True)))
+    sim.call_later(2.0, attach, lambda: profiler.install(sim))
+    sim.run()
+    assert errors == ["cannot change the tracer during run()",
+                      "cannot install the profiler during run()"]
+    assert sim.tracer is None and not profiler.installed
+    # between runs both attach as before
+    sim.set_tracer(_Tracer(detail=True))
+    profiler.install(sim).uninstall()
+
+
+def test_call_later_ties_fire_in_schedule_order_with_events():
+    sim = Simulator()
+    order = []
+    sim.call_later(1.0, order.append, "call-1")
+    sim.timeout(1.0).callbacks.append(lambda ev: order.append("timeout"))
+    sim.call_later(1.0, order.append, "call-2")
+    sim.run()
+    assert order == ["call-1", "timeout", "call-2"]

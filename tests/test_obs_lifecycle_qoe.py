@@ -427,6 +427,9 @@ def test_compare_to_baseline_flags_regressions():
     assert any("completed" in p for p in problems)
     assert any("qoe.score.p50" in p for p in problems)
 
+    # fewer trace emits is what a cheaper data path looks like
+    assert compare_to_baseline(dict(base, events=500), base) == []
+
     # perf uses the looser threshold: a 20% dip passes, 60% fails
     assert compare_to_baseline(dict(base, events_per_sec=4000.0),
                                base) == []

@@ -34,11 +34,39 @@ def test_profiler_attributes_kernel_time():
     # every step lands on some event kind
     assert sum(c for c, _ in prof.per_kind.values()) == prof.steps
     assert "Timeout" in prof.per_kind
+    assert "Call" in prof.per_kind
     # acceptance: per-kind attribution covers >=95% of kernel time
     assert prof.coverage >= 0.95
     # handlers carry the process names the DES layer assigns
     handlers = {h for _, h in prof.per_handler}
     assert any(h.startswith("process:") for h in handlers)
+
+
+def test_call_later_is_charged_to_the_scheduled_function():
+    prof = KernelProfiler()
+    _run_population(prof)
+    calls = {h for kind, h in prof.per_handler if kind == "Call"}
+    assert {"Link._tx_done", "Link._propagated"} <= calls
+    # links are no longer processes, and no closure hides a handler
+    assert not any("<lambda>" in h for h in calls)
+    assert not any(h.startswith("process:link:")
+                   for _, h in prof.per_handler)
+    # one _tx_done and one _propagated per packet-hop
+    count = {h: c for (_, h), (c, _) in prof.per_handler.items()}
+    assert count["Link._tx_done"] == count["Link._propagated"]
+
+
+def test_profiler_times_direct_steps_and_plain_functions():
+    """``step()`` outside ``run()`` goes through the hook too."""
+    sim = Simulator()
+    fired = []
+    sim.call_later(1.0, fired.append, "x")
+    prof = KernelProfiler().install(sim)
+    sim.step()
+    prof.uninstall()
+    assert fired == ["x"]
+    assert prof.steps == 1
+    assert prof.per_handler[("Call", "list.append")][0] == 1
 
 
 def test_profiler_is_transparent_to_the_simulation():
@@ -50,10 +78,11 @@ def test_profiler_is_transparent_to_the_simulation():
 def test_profiler_uninstall_restores_the_kernel():
     sim = Simulator()
     prof = KernelProfiler().install(sim)
-    assert sim.step.__func__ is not Simulator.step
+    assert sim._dispatch_hook is not None
+    assert sim.run.__func__ is not Simulator.run
     prof.uninstall()
-    # back to the class methods: no instance attributes left behind
-    assert sim.step.__func__ is Simulator.step
+    # hook cleared, run back to the class method: the inline loop again
+    assert sim._dispatch_hook is None
     assert sim.run.__func__ is Simulator.run
     assert not prof.installed
 

@@ -96,6 +96,13 @@ def test_recording_tracer_counts_every_emit():
     assert t.select(kind="link.drop") == t.events[:2]
 
 
+def test_empty_recording_tracer_is_truthy():
+    """``__len__`` alone would make ``if tracer:`` drop a fresh tracer."""
+    t = RecordingTracer()
+    assert len(t) == 0
+    assert t
+
+
 def test_recording_tracer_max_events_degrades_to_ring():
     t = RecordingTracer(max_events=2)
     with pytest.warns(RuntimeWarning, match="max_events=2"):
