@@ -51,16 +51,19 @@ def run_traced_session():
         yield done
         trace.append((eng.sim.now, "presentation", "scenario completed"))
         box["comp"] = comp
+        # Counted here: disconnect tears the session down, and the
+        # handler closes its RTCP sink with it.
+        box["reports_received"] = len(handler.rtcp_sink.reports_received)
         yield from client.disconnect()
 
     proc = eng.sim.process(script())
     eng.sim.run(until=proc)
     eng.sim.run(until=eng.sim.now + 1.0)
-    return eng, handler, trace, box["comp"]
+    return eng, trace, box["comp"], box["reports_received"]
 
 
 def test_fig3_architecture_trace(report, once):
-    eng, handler, trace, comp = once(run_traced_session)
+    eng, trace, comp, reports_received = once(run_traced_session)
     # All Figure 3 components took part, in causal order.
     components = [c for _, c, _ in trace]
     for expected in ("multimedia database", "presentation scheduler",
@@ -71,8 +74,7 @@ def test_fig3_architecture_trace(report, once):
     assert times == sorted(times)
     # The feedback loop ran: client reporters sent, server sink received.
     assert comp.qos.reports_sent() > 0
-    assert handler.rtcp_sink is not None
-    assert len(handler.rtcp_sink.reports_received) > 0
+    assert 0 < reports_received <= comp.qos.reports_sent()
     # Media servers streamed in parallel (audio + video + images).
     protocols = eng.network.tap.bytes_by_protocol
     assert protocols.get("RTP", 0) > 0 and protocols.get("TCP", 0) > 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.builder import AccessLinkSpec
+from repro.net.layers import AccessLinkSpec
 from repro.server.qos_manager import GradingPolicy
 
 __all__ = ["TrafficConfig", "EngineConfig"]

@@ -10,9 +10,10 @@ Each multimedia server host carries the multimedia server and its
 media servers (the paper allows them to share a host); cross traffic
 loads the router→client access links, the paths all media share.
 
-The engine owns *construction*: a topology — the classic star via the
-:class:`~repro.net.builder.TopologyBuilder` facade, or any declarative
-layer stack from :mod:`repro.net.layers` passed as ``layers=`` —
+The engine owns *construction*: a topology — the classic star (a
+one-layer stack) or any declarative layer stack from
+:mod:`repro.net.layers` passed as ``layers=``, both rendered by the
+same :class:`~repro.net.layers.TopologyCompiler` call —
 plus servers, documents, per-POP media replicas and (optionally) the
 shared-flow delivery machinery. Session *orchestration* — scripted
 runs, concurrent viewers, autoplay, multi-client populations — lives
@@ -40,9 +41,13 @@ from repro.media.types import (
     MediaType,
 )
 from repro.model.scenario import PresentationScenario
-from repro.net.builder import AccessLinkSpec, TopologyBuilder
 from repro.net.channel import ReliableReceiver
 from repro.net.impairments import GilbertElliottLoss
+from repro.net.layers import (
+    AccessLinkSpec,
+    CoreNetworkLayer,
+    TopologyCompiler,
+)
 from repro.net.topology import Network
 from repro.net.traffic import OnOffTrafficSource, PoissonTrafficSource
 from repro.rtp.session import RtpReceiver
@@ -87,9 +92,7 @@ class ServiceEngine:
         #: fault-injection subsystem (None until install_faults)
         self._faults = None
         self._watchdogs: dict[str, Any] = {}
-        #: fleet telemetry (None until attach_service_monitor)
-        self._service_monitor = None
-        #: trajectory telemetry (None until attach_timeseries)
+        #: DES-clock telemetry (None until attach_timeseries)
         self._timeseries_sampler = None
         #: live (unclosed) client compositions, for buffer sampling
         self.compositions: list["ClientComposition"] = []
@@ -98,28 +101,25 @@ class ServiceEngine:
     # -- topology -----------------------------------------------------------
     def _build_backbone(self) -> None:
         cfg = self.config
-        if self._layers is None:
-            # The classic star: the legacy builder is a thin
-            # single-region stack, so this path compiles to the exact
-            # pre-layer topology (byte-identical digests).
-            self.topology = TopologyBuilder(
-                self.network, router=self.ROUTER,
+        layers = self._layers
+        if layers is None:
+            # The classic star is the one-layer stack: it compiles to
+            # the exact pre-layer topology (byte-identical digests).
+            layers = (CoreNetworkLayer(
+                router=self.ROUTER,
                 backbone_rate_bps=cfg.backbone_rate_bps,
                 backbone_delay_s=cfg.backbone_delay_s,
                 backbone_queue_packets=cfg.backbone_queue_packets,
-            )
-        else:
-            from repro.net.layers import TopologyCompiler
-
-            self.topology = TopologyCompiler(self._layers).compile(
-                self.network,
-                access_spec_for=lambda node_id: cfg.access_link_spec(
-                    self._access_loss(f"access-loss:{node_id}")
-                ),
-            )
-            # Population-layer viewers join the engine's client pool so
-            # orchestrated population runs reuse them in place.
-            self._population.extend(self.topology.clients)
+            ),)
+        self.topology = TopologyCompiler(layers).compile(
+            self.network,
+            access_spec_for=lambda node_id: cfg.access_link_spec(
+                self._access_loss(f"access-loss:{node_id}")
+            ),
+        )
+        # Population-layer viewers join the engine's client pool so
+        # orchestrated population runs reuse them in place.
+        self._population.extend(self.topology.clients)
         if not self.topology.clients:
             self.topology.add_client(
                 self.CLIENT,
@@ -369,32 +369,14 @@ class ServiceEngine:
         return self._watchdogs
 
     # -- service telemetry --------------------------------------------------
-    def attach_service_monitor(self, interval_s: float = 0.25):
-        """Start fleet-level telemetry sampling (idempotent).
-
-        The monitor ticks on the simulated clock, so an attached
-        engine stays deterministic; population runs pick the report
-        up automatically (``PopulationResult.service``).
-        """
-        if self._service_monitor is None:
-            from repro.obs.service_metrics import ServiceMonitor
-
-            self._service_monitor = ServiceMonitor(
-                self, interval_s=interval_s)
-            self._service_monitor.start()
-        return self._service_monitor
-
-    @property
-    def service_monitor(self):
-        """The attached :class:`ServiceMonitor`, or ``None``."""
-        return self._service_monitor
-
     def attach_timeseries(self, interval_s: float = 0.25):
-        """Start fixed-interval trajectory sampling (idempotent).
+        """Start DES-clock telemetry sampling (idempotent).
 
-        Like :meth:`attach_service_monitor`, the sampler ticks on the
-        simulated clock; population runs pick the series up
-        automatically (``PopulationResult.timeseries``).
+        One sampler process per engine, ticking on the simulated
+        clock, so an attached engine stays deterministic. Population
+        runs pick both documents up automatically: the trajectory
+        (``PopulationResult.timeseries``) and the fleet rollup
+        derived from it (``PopulationResult.service``).
         """
         if self._timeseries_sampler is None:
             from repro.obs.timeseries import TimeSeriesSampler
@@ -403,6 +385,9 @@ class ServiceEngine:
                 self, interval_s=interval_s)
             self._timeseries_sampler.start()
         return self._timeseries_sampler
+
+    #: the same call under its older name (external harnesses use both)
+    attach_service_monitor = attach_timeseries
 
     @property
     def timeseries_sampler(self):

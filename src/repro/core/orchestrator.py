@@ -69,11 +69,10 @@ class PopulationResult:
     #: run-wide metrics rollup (sum of per-session event counts plus
     #: any run-level instruments); filled when the engine is traced
     metrics: dict[str, Any] = field(default_factory=dict)
-    #: fleet-level ServiceReport dict; filled when the engine has a
-    #: service monitor attached (empty otherwise)
+    #: fleet-level ServiceReport dict and sampled TimeSeries dict;
+    #: both filled when the engine has its telemetry sampler attached
+    #: (empty otherwise)
     service: dict[str, Any] = field(default_factory=dict)
-    #: sampled TimeSeries dict; filled when the engine has a
-    #: timeseries sampler attached (empty otherwise)
     timeseries: dict[str, Any] = field(default_factory=dict)
 
     def aggregate_metrics(self) -> dict[str, int]:
@@ -134,8 +133,8 @@ class PopulationResult:
     def to_dict(self) -> dict:
         """Full JSON-serializable form (for determinism digests).
 
-        ``service`` and ``timeseries`` join the dict only when their
-        samplers produced one, so digests of monitor-less runs match
+        ``service`` and ``timeseries`` join the dict only when the
+        sampler produced them, so digests of unsampled runs match
         pre-telemetry builds.
         """
         doc = {
@@ -403,7 +402,10 @@ class SessionOrchestrator:
         self.sim.run(until=guard)
         self.sim.run(until=self.sim.now + 1.0)
         outcomes: list[SessionOutcome] = []
-        snapshot = tracing and hasattr(tracer, "session_snapshot")
+        # Per-session counts and QoE need the full recording: a
+        # control-tier recorder never saw the frames.
+        snapshot = (self.sim._tracing_detail
+                    and hasattr(tracer, "session_snapshot"))
         for spec, handler, box in entries:
             result = self._result_from_box(box, spec.document)
             if snapshot:
@@ -514,13 +516,11 @@ class SessionOrchestrator:
                             completed=len(result.completed()))
             result.metrics = result.aggregate_metrics()
             registry = getattr(tracer, "metrics", None)
-            if registry is not None:
+            if registry is not None and self.sim._tracing_detail:
                 result.metrics["_registry"] = registry.snapshot()
-        monitor = getattr(self.engine, "service_monitor", None)
-        if monitor is not None:
-            result.service = monitor.report().to_dict()
-        sampler = getattr(self.engine, "timeseries_sampler", None)
+        sampler = self.engine.timeseries_sampler
         if sampler is not None:
+            result.service = sampler.report().to_dict()
             result.timeseries = sampler.series.to_dict()
         return result
 

@@ -197,11 +197,12 @@ def run_chaos(
     defence while keeping the identical fault schedule — the control
     arm of the experiment.
 
-    ``flight_dump`` wraps the run's tracer in a
-    :class:`~repro.obs.flightrec.FlightRecorder` that auto-dumps the
-    trailing ``flight_window_s`` sim-seconds of events to that path
-    on the first injected fault; the dump metadata lands in the
-    artifact under ``flight_dump``.
+    ``flight_dump`` makes the run's tracer a
+    :class:`~repro.obs.flightrec.FlightRecorder` (an unbounded,
+    full-detail one when ``trace`` is on, the control-tier ring
+    otherwise) that auto-dumps the trailing ``flight_window_s``
+    sim-seconds of events to that path on the first injected fault;
+    the dump metadata lands in the artifact under ``flight_dump``.
     """
     from repro.core.config import EngineConfig
     from repro.core.engine import ServiceEngine
@@ -220,14 +221,17 @@ def run_chaos(
     seed = seed if seed is not None else scenario.seed
     use_retry = scenario.retry if retry is None else retry
 
-    tracer = RecordingTracer() if trace else None
-    recorder = None
+    tracer = recorder = None
     if flight_dump is not None:
         from repro.obs.flightrec import FlightRecorder
 
-        recorder = FlightRecorder(inner=tracer, dump_path=flight_dump,
-                                  window_s=flight_window_s)
-        tracer = recorder
+        # Traced: a complete recording with dumps on top; untraced:
+        # the default control-tier ring.
+        full: dict[str, Any] = {"max_events": None} if trace else {}
+        tracer = recorder = FlightRecorder(
+            dump_path=flight_dump, window_s=flight_window_s, **full)
+    elif trace:
+        tracer = RecordingTracer()
     layers = None
     if scenario.topology == "cdn":
         from repro.net import cdn_stack
@@ -239,7 +243,6 @@ def run_chaos(
         "srv1",
         documents={"doc": (chaos_markup(duration), "chaos")},
     )
-    eng.attach_service_monitor()
     eng.attach_timeseries()
     if scenario.replica:
         eng.add_media_replica("srv1", "media")

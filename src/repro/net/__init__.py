@@ -14,8 +14,8 @@ from repro.net.packet import Packet, PacketTap, TapRecord
 from repro.net.link import Link, LinkStats
 from repro.net.ports import PortAllocator, PortExhaustedError
 from repro.net.topology import Network, Node
-from repro.net.builder import AccessLinkSpec, TopologyBuilder
 from repro.net.layers import (
+    AccessLinkSpec,
     CompiledTopology,
     CoreNetworkLayer,
     MediaPlacement,
@@ -57,7 +57,6 @@ __all__ = [
     "ReliableReceiver",
     "ReliableSender",
     "TapRecord",
-    "TopologyBuilder",
     "TopologyCompiler",
     "TopologyLayer",
     "cdn_stack",

@@ -101,8 +101,8 @@ class RegionSpec:
     """One regional POP: a router linked into the backbone core.
 
     A *colocated* region has no POP of its own — its clients and hosts
-    attach straight to the core router. The thin single-region stack
-    the legacy builder compiles to is one colocated region.
+    attach straight to the core router, as everything does in the
+    engine's default one-layer star.
     """
 
     name: str
@@ -334,7 +334,7 @@ class CompiledTopology:
     # -- region registry ---------------------------------------------------
     @property
     def router(self) -> str:
-        """The core router id (legacy builder name)."""
+        """The core router id (its pre-layer name)."""
         return self.core
 
     def region_names(self) -> list[str]:
@@ -446,16 +446,14 @@ class TopologyCompiler:
         self,
         network: Network,
         *,
-        into: "CompiledTopology | None" = None,
         access_spec_for: Callable[[str], AccessLinkSpec] | None = None,
     ) -> "CompiledTopology":
         """Render the stack; returns the compiled topology.
 
-        ``into`` lets a facade subclass (the legacy builder) be the
-        compile target; ``access_spec_for`` supplies per-client access
-        specs (the engine hooks per-client loss streams through it).
+        ``access_spec_for`` supplies per-client access specs (the
+        engine hooks per-client loss streams through it).
         """
-        compiled = into if into is not None else CompiledTopology(network)
+        compiled = CompiledTopology(network)
         ctx = CompileContext(
             network, compiled,
             access_spec_for if access_spec_for is not None

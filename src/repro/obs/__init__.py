@@ -58,7 +58,6 @@ from repro.obs.service_metrics import (
     SERVICE_SCHEMA,
     SERVICE_SCHEMA_VERSION,
     ServerLoad,
-    ServiceMonitor,
     ServiceReport,
 )
 from repro.obs.slo import (
@@ -106,7 +105,6 @@ __all__ = [
     "SERVICE_SCHEMA",
     "SERVICE_SCHEMA_VERSION",
     "ServerLoad",
-    "ServiceMonitor",
     "ServiceReport",
     "SessionQoE",
     "SloCheck",

@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs.service_metrics import egress_by_host
+
 __all__ = ["BenchScenario", "SCENARIOS", "run_scenario",
            "run_benchmarks", "compare_to_baseline"]
 
@@ -80,20 +82,6 @@ SCENARIOS: dict[str, BenchScenario] = {
 }
 
 
-def _media_egress_bytes(eng: Any) -> int:
-    """Bytes transmitted off every serving media host (origin+replicas)."""
-    hosts = {
-        ms.node_id
-        for server in eng.servers.values()
-        for ms in server.all_media_servers()
-    }
-    return sum(
-        link.stats.tx_bytes
-        for (src, _dst), link in eng.network.links.items()
-        if src in hosts
-    )
-
-
 def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
               shared_flows: bool,
               profiler: "Any | None" = None) -> dict:
@@ -126,7 +114,6 @@ def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
         "srv1",
         documents={"doc": (av_markup(duration_s, with_images), "bench")},
     )
-    eng.attach_service_monitor()
     eng.attach_timeseries()
     if profiler is not None:
         profiler.install(eng.sim)
@@ -146,7 +133,9 @@ def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
         "sessions": len(pop),
         "completed": len(pop.completed()),
         "qoe": pop.qoe_summary(),
-        "origin_egress_bytes": _media_egress_bytes(eng),
+        # off every serving media host, origin and replicas alike
+        "origin_egress_bytes": sum(
+            entry["bytes"] for entry in egress_by_host(eng).values()),
         "service": pop.service,
         "timeseries": pop.timeseries,
     }

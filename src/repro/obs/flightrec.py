@@ -1,7 +1,7 @@
 """Always-on flight recorder: a bounded ring of trace events.
 
-The third :class:`~repro.obs.tracer.Tracer` beside no-op and
-recording. A production-shaped run can't afford full-trace recording
+The always-on configuration of the recording tracer. A
+production-shaped run can't afford full-trace recording
 (at 10⁶ clients the event log *is* the memory budget), but when a
 media server crashes the operator wants the last N sim-seconds of
 control-plane history. The flight recorder keeps exactly that: a
@@ -17,12 +17,13 @@ fires on the first fault-injection event (``trigger_kinds``), on an
 SLO violation (the CLI calls :meth:`FlightRecorder.dump`), or
 explicitly.
 
-Wrapping: ``FlightRecorder(inner=RecordingTracer())`` tees every
-event into the inner tracer first and inherits its ``detail`` tier,
-so a chaos run keeps full recording fidelity *and* gets incident
-dumps; attribute lookups (``metrics``, ``session_snapshot``, ...)
-delegate to the inner tracer, making the wrapper drop-in wherever a
-RecordingTracer is expected.
+The recorder *is* a :class:`~repro.obs.tracer.RecordingTracer` — same
+store, same registry counts, same query surface — configured as a
+ring, so wherever a RecordingTracer is expected a recorder drops in.
+Capacity decides the tier: a bounded ring stays on the control tier
+(4096 per-packet events would span milliseconds, not an incident),
+while ``FlightRecorder(max_events=None)`` is a complete recording
+with incident dumps on top — what a traced chaos run installs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterable
 
-from repro.obs.tracer import TraceEvent, Tracer
+from repro.obs.tracer import RecordingTracer, TraceEvent
 
 __all__ = ["FlightRecorder", "DEFAULT_TRIGGER_KINDS"]
 
@@ -40,86 +41,47 @@ DEFAULT_TRIGGER_KINDS = frozenset({
 })
 
 
-class FlightRecorder(Tracer):
+class FlightRecorder(RecordingTracer):
     """Bounded, always-on ring of control-plane trace events."""
 
-    enabled = True
+    #: shedding the oldest events is the point of a ring, not a
+    #: degradation worth the base class's warning
+    _warn_on_evict = False
 
-    def __init__(self, max_events: int = 4096, window_s: float = 30.0,
-                 inner: Tracer | None = None,
+    def __init__(self, max_events: int | None = 4096,
+                 window_s: float = 30.0,
                  dump_path: str | None = None,
                  trigger_kinds: Iterable[str] = DEFAULT_TRIGGER_KINDS,
-                 skip_kinds: Iterable[str] = ()) -> None:
-        if max_events <= 0:
-            raise ValueError("max_events must be > 0")
-        self.ring: deque[TraceEvent] = deque(maxlen=max_events)
+                 ) -> None:
+        super().__init__(max_events=max_events)
         self.window_s = window_s
-        self.inner = inner
-        # Standalone recorders stay on the cheap control tier; a
-        # wrapped tracer dictates the tier so its recording keeps
-        # full fidelity.
-        self.detail = (bool(getattr(inner, "detail", True))
-                       if inner is not None else False)
+        #: a ring stays on the cheap control tier; only an unbounded
+        #: recorder takes the per-packet firehose
+        self.detail = max_events is None
         self.dump_path = dump_path
         self.trigger_kinds = frozenset(trigger_kinds)
-        self.skip_kinds = frozenset(skip_kinds)
         #: metadata of the last dump ({} until one happens)
         self.last_dump: dict[str, Any] = {}
-        self.dropped_events = 0
 
-    # -- Tracer API ----------------------------------------------------------
-    def emit(self, time: float, kind: str, name: str = "", *,
-             session: str = "", node: str = "", **args: Any) -> None:
-        if self.inner is not None:
-            self.inner.emit(time, kind, name, session=session, node=node,
-                            **args)
-        self._record(TraceEvent(time=time, kind=kind, name=name, phase="i",
-                                session=session, node=node, args=args))
-
-    def span_begin(self, time: float, kind: str, name: str = "", *,
-                   session: str = "", node: str = "", **args: Any) -> None:
-        if self.inner is not None:
-            self.inner.span_begin(time, kind, name, session=session,
-                                  node=node, **args)
-        self._record(TraceEvent(time=time, kind=kind, name=name, phase="B",
-                                session=session, node=node, args=args))
-
-    def span_end(self, time: float, kind: str, name: str = "", *,
-                 session: str = "", node: str = "", **args: Any) -> None:
-        if self.inner is not None:
-            self.inner.span_end(time, kind, name, session=session,
-                                node=node, **args)
-        self._record(TraceEvent(time=time, kind=kind, name=name, phase="E",
-                                session=session, node=node, args=args))
+    @property
+    def ring(self) -> "list[TraceEvent] | deque[TraceEvent]":
+        """The event store (``events``) under its recorder name."""
+        return self.events
 
     def _record(self, event: TraceEvent) -> None:
-        if event.kind in self.skip_kinds:
-            return
-        if len(self.ring) == self.ring.maxlen:
-            self.dropped_events += 1
-        self.ring.append(event)
+        super()._record(event)
         if (self.dump_path is not None and not self.last_dump
                 and event.kind in self.trigger_kinds):
             self.dump(trigger=event.kind)
 
-    # -- delegation ----------------------------------------------------------
-    def __getattr__(self, name: str) -> Any:
-        # Only reached for attributes not set on the recorder itself:
-        # forwards inner-tracer surface (metrics, events,
-        # session_snapshot, ...) so the wrapper is drop-in.
-        inner = self.__dict__.get("inner")
-        if inner is None:
-            raise AttributeError(name)
-        return getattr(inner, name)
-
     # -- dumping -------------------------------------------------------------
     def window(self, window_s: float | None = None) -> list[TraceEvent]:
         """Ring contents from the trailing ``window_s`` sim-seconds."""
-        if not self.ring:
+        if not self.events:
             return []
         span = self.window_s if window_s is None else window_s
-        t_end = self.ring[-1].time
-        return [e for e in self.ring if e.time >= t_end - span]
+        t_end = self.events[-1].time
+        return [e for e in self.events if e.time >= t_end - span]
 
     def dump(self, path: str | None = None,
              window_s: float | None = None,

@@ -1,13 +1,15 @@
 """Fixed-interval time-series telemetry on the DES clock.
 
-:class:`ServiceMonitor` (PR 7) rolls a run up into end-of-run
-aggregates; this module keeps the *trajectory*. A
-:class:`TimeSeriesSampler` ticks every ``interval_s`` of simulated
-time and appends one row to a columnar :class:`TimeSeries`: per-media-
-server concurrent streams, per-host egress rate, peak link
-utilization, admission accept/block deltas, client buffer occupancy
-and DES event-queue depth. Because sampling rides the simulated
-clock, the series is exactly reproducible run-to-run.
+:class:`~repro.obs.service_metrics.ServiceReport` rolls a run up into
+end-of-run aggregates; this module keeps the *trajectory*, which is
+also where the report's sampled loads come from. A
+:class:`TimeSeriesSampler` — the engine's one telemetry process —
+ticks every ``interval_s`` of simulated time and appends one row to a
+columnar :class:`TimeSeries`: per-media-server concurrent streams,
+per-host egress rate, peak link utilization, admission accept/block
+deltas, client buffer occupancy and DES event-queue depth. Because
+sampling rides the simulated clock, the series is exactly
+reproducible run-to-run.
 
 Shard-merge contract (ROADMAP item 1): every column declares how it
 combines *across shards* (``merge``: level gauges and interval deltas
@@ -25,6 +27,8 @@ embedded in BENCH_*/CHAOS_* artifacts under the ``timeseries`` key.
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
+
+from repro.obs.service_metrics import ServiceReport, egress_by_host
 
 __all__ = ["Column", "TimeSeries", "TimeSeriesSampler",
            "TIMESERIES_SCHEMA", "TIMESERIES_SCHEMA_VERSION"]
@@ -234,9 +238,11 @@ class TimeSeries:
 
 
 class TimeSeriesSampler:
-    """Samples fleet trajectories on the DES clock.
+    """The engine's one telemetry process: samples on the DES clock.
 
-    Attach via ``engine.attach_timeseries()``. Columns:
+    Attach via ``engine.attach_timeseries()``; read the trajectory
+    from :attr:`series` and the fleet rollup from :meth:`report`.
+    Columns:
 
     ======================== ===== ======== ==============================
     column                   merge resample meaning (per tick)
@@ -251,7 +257,10 @@ class TimeSeriesSampler:
     ``admit_rejected.<srv>`` sum   sum      refusals during interval
     ``buffer_occupancy_s``   max   max      fullest client media buffer
                                             (engine-local gauge)
-    ``event_queue_depth``    max   max      DES heap size (engine-local)
+    ``event_queue_depth``    max   max      DES heap entries of the
+                                            *system* (engine-local): the
+                                            sampler's own timer is not
+                                            pending while it samples
     ======================== ===== ======== ==============================
 
     The two engine-local gauges describe *this* engine's internals, so
@@ -263,12 +272,10 @@ class TimeSeriesSampler:
     ENGINE_LOCAL = ("buffer_occupancy_s", "event_queue_depth")
 
     def __init__(self, engine: Any, interval_s: float = 0.25) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
         self.engine = engine
         self.sim = engine.sim
         self.interval_s = interval_s
-        self.series = TimeSeries(interval_s=interval_s)
+        self.series = TimeSeries(interval_s=interval_s)  # validates it
         self._started = False
         self._last_egress: dict[str, int] = {}
         self._last_busy: dict[Any, float] = {}
@@ -286,6 +293,14 @@ class TimeSeriesSampler:
             yield self.sim.timeout(self.interval_s)
             self.sample()
 
+    def report(self) -> ServiceReport:
+        """The fleet rollup as of the current simulated instant.
+
+        May be called at any time: only the concurrent-stream loads
+        need the ticks, everything else is read live off the engine.
+        """
+        return ServiceReport.from_engine(self.engine, self.series)
+
     # -- one tick ------------------------------------------------------------
     def sample(self) -> None:
         eng = self.engine
@@ -300,19 +315,10 @@ class TimeSeriesSampler:
                 row[col] = float(len(ms.streams))
 
         # Per-interval egress off each serving host (delta counter).
-        hosts = {
-            ms.node_id
-            for server in eng.servers.values()
-            for ms in server.all_media_servers()
-        }
-        tx_by_host: dict[str, int] = {h: 0 for h in hosts}
-        for (src, _dst), link in eng.network.links.items():
-            if src in tx_by_host:
-                tx_by_host[src] += link.stats.tx_bytes
-        for host in sorted(tx_by_host):
+        for host, entry in egress_by_host(eng).items():
             col = f"egress_bytes.{host}"
             series.ensure_column(col, merge="sum", resample="sum")
-            cur = tx_by_host[host]
+            cur = entry["bytes"]
             row[col] = float(cur - self._last_egress.get(host, 0))
             self._last_egress[host] = cur
 
@@ -349,7 +355,8 @@ class TimeSeriesSampler:
                     occupancy = buf.occupancy_s
         row["buffer_occupancy_s"] = occupancy
 
-        # DES heap size (engine-local gauge).
+        # DES heap size (engine-local gauge); this process's next
+        # timeout is scheduled only after the sample returns.
         series.ensure_column("event_queue_depth", merge="max",
                              resample="max")
         row["event_queue_depth"] = float(len(self.sim._heap))

@@ -155,43 +155,45 @@ class RecordingTracer(Tracer):
     reconciles with the registry snapshot — the invariant the
     observability tests assert.
 
-    ``max_events`` bounds memory on very long runs: past the cap the
-    tracer warns once and degrades to ring-buffer retention — the
-    *oldest* events are shed so the tail of the run stays inspectable
-    (``dropped_events`` says how many were evicted). Events always
-    count in the registry regardless of retention.
+    ``max_events`` bounds memory on very long runs: the store is then
+    a ring of that capacity and the *oldest* events are shed, so the
+    tail of the run stays inspectable (``dropped_events`` says how
+    many were evicted; the first eviction warns, because a tracer
+    asked to record everything no longer does). Events always count
+    in the registry regardless of retention. The always-on form of
+    the same ring is :class:`~repro.obs.flightrec.FlightRecorder`.
     """
 
     enabled = True
+    #: warn on the first eviction (cleared once it has)
+    _warn_on_evict = True
 
     def __init__(self, metrics: "MetricsRegistry | None" = None,
                  max_events: int | None = None) -> None:
         from repro.obs.metrics import MetricsRegistry
 
-        # A plain list until max_events is hit, then a bounded deque
-        # (ring) of the same capacity.
-        self.events: "list[TraceEvent] | deque[TraceEvent]" = []
+        if max_events is not None and max_events <= 0:
+            raise ValueError("max_events must be > 0")
+        # A plain list when unbounded, else a ring (bounded deque).
+        self.events: "list[TraceEvent] | deque[TraceEvent]" = (
+            [] if max_events is None else deque(maxlen=max_events))
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_events = max_events
         self.dropped_events = 0
-        self._cap_warned = False
 
     def _record(self, event: TraceEvent) -> None:
         self.metrics.counter("trace_events", kind=event.kind).inc()
         if event.session:
             self.metrics.counter("session_events", session=event.session,
                                  kind=event.kind).inc()
-        if self.max_events is not None and len(self.events) >= self.max_events:
-            if not self._cap_warned:
-                self._cap_warned = True
+        if self.max_events is not None and len(self.events) == self.max_events:
+            if self._warn_on_evict:
+                self._warn_on_evict = False
                 warnings.warn(
                     f"RecordingTracer hit max_events={self.max_events}; "
-                    "degrading to ring-buffer retention (oldest events "
-                    "dropped). Use FlightRecorder for always-on capture.",
+                    "keeping the newest events only (oldest dropped). "
+                    "Use FlightRecorder for always-on capture.",
                     RuntimeWarning, stacklevel=4)
-                # Swap the unbounded list for a ring of the same
-                # capacity; from here on appends evict the oldest.
-                self.events = deque(self.events, maxlen=self.max_events)
             self.dropped_events += 1
         self.events.append(event)
 

@@ -14,6 +14,17 @@ describes the rewrite itself, fails there)::
     git archive 09c8b7c src | tar -x -C /tmp/parent
     PYTHONPATH=/tmp/parent/src python -m pytest \
         tests/test_datapath_equivalence.py -p no:cacheprovider
+
+The ``chaos_crash``, ``chaos_crash_untraced`` and ``shard_k2`` pins are
+over the document minus ``timeseries.columns.event_queue_depth`` and
+were computed on ``e05449f`` ("PR 12", the commit before the two
+DES-clock samplers became one). That column is the one artifact value
+the fold moves: the gauge no longer counts the second sampler's pending
+timer, so it reads exactly 1.0 lower on every tick. Everything else in
+the three documents — the ``service`` report included — is pinned. To
+re-check, run the same recipe with ``e05449f``: the six pins hold there
+and the kernel-counter test fails by the 26 entries and 1 spawn it
+spells out.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from repro.faults import population_digest
 from repro.faults.scenarios import run_chaos
 from repro.net import cdn_stack
 from repro.shard.bench import run_sharded, shard_workload
+from repro.shard.merge import merged_digest
 
 SEED = 11
 
@@ -67,9 +79,16 @@ def _cdn_shared():
 KERNEL_COUNTERS = ("kind=kernel.event", "kind=process.spawn")
 
 
+def _without_queue_depth(doc):
+    """Drop the one column that counted the second sampler's timer."""
+    doc["timeseries"]["columns"].pop("event_queue_depth")
+    return doc
+
+
 def _chaos_crash_doc():
     """Traced, as ``repro chaos`` runs it; (document, kernel counters)."""
-    doc = run_chaos("crash", smoke=True).population.to_dict()
+    doc = _without_queue_depth(
+        run_chaos("crash", smoke=True).population.to_dict())
     emits = doc["metrics"]["_registry"]["trace_events"]
     return doc, {kind: emits.pop(kind) for kind in KERNEL_COUNTERS}
 
@@ -78,10 +97,24 @@ def _chaos_crash():
     """The traced document minus ``KERNEL_COUNTERS``.
 
     A traced population carries the tracer's per-kind emit counts, and
-    those two are exactly what event-driven links lower; they are
-    asserted on their own below instead of being re-pinned.
+    those two are exactly what event-driven links (and one sampler
+    process instead of two) lower; they are asserted on their own
+    below instead of being re-pinned.
     """
     return population_digest(_chaos_crash_doc()[0])
+
+
+def _chaos_crash_untraced():
+    return population_digest(_without_queue_depth(
+        run_chaos("crash", smoke=True, trace=False).population.to_dict()))
+
+
+def _shard_k2():
+    """``ShardedRunResult.digest`` over ``merged`` minus the column."""
+    merged = run_sharded(
+        8, 2, seed=7, cell_clients=4,
+        workload=shard_workload(duration_s=1.5, stagger_s=0.25)).merged
+    return merged_digest(_without_queue_depth(merged))
 
 
 PINS = {
@@ -96,15 +129,13 @@ PINS = {
         "cfd556b93268b8aff171841eb4c6ec81b26e3b725887afd2cc992555e4c96d41"),
     "chaos_crash": (
         _chaos_crash,
-        "12d1ae1a6afcf9818686e34b5b3cdaac9e4c521d6ece74c0275b1b79631a938d"),
+        "f4fd75656d9f248ef76e1bded2f57c6369a9101fe3df6090f43ed60ac47a73f3"),
     "chaos_crash_untraced": (
-        lambda: run_chaos("crash", smoke=True, trace=False).digest,
-        "c997a52df4e62ea71f15be159ce90e129c99380820f687c9bc616abfe2ed0405"),
+        _chaos_crash_untraced,
+        "b4038821e5de63163a2102209e11502ff87e83e3b8d1814c51a9ebe2f655ad10"),
     "shard_k2": (
-        lambda: run_sharded(
-            8, 2, seed=7, cell_clients=4,
-            workload=shard_workload(duration_s=1.5, stagger_s=0.25)).digest,
-        "3884505833aeb8771a8969b87b245e994f6e3410333870000c9b477b547aa271"),
+        _shard_k2,
+        "1c4489804558138a3e7837833a1093ecc3ab3eb8e3bc6fab9d129928a1956ceb"),
 }
 
 
@@ -121,14 +152,17 @@ def test_chaos_crash_kernel_counters_fell_by_the_link_machinery():
     processes. Each of its 14 links was a process (one spawn, one start
     entry) and each link transmission cost one ``StoreGet`` entry more
     than today; every packet a link accepts (``link.enqueue``) is
-    transmitted once in this run.
+    transmitted once in this run. Through ``e05449f`` a second DES-clock
+    sampler ran beside the first: one more spawn, one start entry and
+    one timer entry on each of the run's 25 ticks.
     """
     doc, kernel = _chaos_crash_doc()
     links = 14
+    second_sampler = 25 + 1  # ticks + the process's start entry
     transmissions = doc["metrics"]["_registry"]["trace_events"][
         "kind=link.enqueue"]
     assert transmissions == 5622
     assert kernel == {
-        "kind=kernel.event": 19503 - transmissions - links,
-        "kind=process.spawn": 52 - links,
+        "kind=kernel.event": 19503 - transmissions - links - second_sampler,
+        "kind=process.spawn": 52 - links - 1,
     }

@@ -1,4 +1,4 @@
-"""Declarative topology layers: specs, compiler, and the thin builder.
+"""Declarative topology layers: specs, compiler, and the one-layer star.
 
 The tentpole contract: the classic star is now a one-layer stack, and
 compiling it must be byte-identical (population digest) to the
@@ -14,13 +14,13 @@ from repro.faults import population_digest
 from repro.faults.scenarios import chaos_markup
 from repro.net import (
     AccessLinkSpec,
+    CompiledTopology,
     CoreNetworkLayer,
     MediaPlacementLayer,
     PopulationLayer,
     PopulationSpec,
     RegionLayer,
     RegionSpec,
-    TopologyBuilder,
     TopologyCompiler,
     cdn_stack,
 )
@@ -153,7 +153,7 @@ def test_cdn_stack_end_to_end_shape():
     assert topo.replica_regions() == ["east", "west"]
 
 
-# -- A/B: the thin builder vs an explicit one-layer stack ---------------------
+# -- A/B: the engine's default star vs an explicit one-layer stack ------------
 
 def _digest(layers):
     eng = ServiceEngine(EngineConfig(seed=11), layers=layers)
@@ -163,15 +163,16 @@ def _digest(layers):
 
 
 def test_single_region_stack_is_byte_identical_to_builder():
-    # layers=None routes through TopologyBuilder (the legacy surface);
-    # an explicit bare-core stack must compile the same topology,
-    # streams, and event order — the acceptance digest check.
+    # layers=None makes the engine build its own one-layer stack from
+    # the config; an explicit bare-core stack must compile the same
+    # topology, streams, and event order — the acceptance digest check.
     assert _digest(None) == _digest([CoreNetworkLayer()])
 
 
 def test_builder_is_a_compiled_topology():
     net = _network()
-    topo = TopologyBuilder(net)
+    topo = TopologyCompiler([CoreNetworkLayer()]).compile(net)
+    assert isinstance(topo, CompiledTopology)
     assert topo.router == "router"
     topo.add_client("c1", AccessLinkSpec())
     assert topo.clients == ["c1"]

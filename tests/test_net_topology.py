@@ -5,12 +5,13 @@ import pytest
 from repro.des import RngRegistry, Simulator
 from repro.net import (
     AccessLinkSpec,
+    CoreNetworkLayer,
     GilbertElliottLoss,
     Network,
     Packet,
     PortAllocator,
     PortExhaustedError,
-    TopologyBuilder,
+    TopologyCompiler,
 )
 
 
@@ -171,8 +172,9 @@ def test_port_allocator_exhaustion_is_explicit():
 def test_topology_builder_star():
     sim = Simulator()
     net = Network(sim)
-    tb = TopologyBuilder(net, router="r", backbone_rate_bps=50e6,
-                         backbone_delay_s=0.002)
+    tb = TopologyCompiler([CoreNetworkLayer(
+        router="r", backbone_rate_bps=50e6, backbone_delay_s=0.002,
+    )]).compile(net)
     tb.add_client("c1", AccessLinkSpec(rate_bps=5e6, delay_s=0.01))
     tb.add_client("c2", AccessLinkSpec(rate_bps=2e6, delay_s=0.02))
     tb.add_server_host("h1")

@@ -1,4 +1,4 @@
-"""Flight recorder: ring bounds, triggers, dumps, tracer delegation."""
+"""Flight recorder: ring bounds, triggers, dumps, the full-detail form."""
 
 import pytest
 
@@ -20,13 +20,6 @@ def test_ring_is_bounded_and_counts_drops():
     assert rec.dropped_events == 2
 
 
-def test_skip_kinds_filters_before_the_ring():
-    rec = FlightRecorder(skip_kinds=("noise",))
-    rec.emit(0.0, "noise", "x")
-    rec.emit(1.0, "session", "s")
-    assert [e.kind for e in rec.ring] == ["session"]
-
-
 def test_window_keeps_trailing_span_only():
     rec = FlightRecorder(window_s=2.0)
     for t in (0.0, 5.0, 8.5, 9.0, 10.0):
@@ -37,9 +30,11 @@ def test_window_keeps_trailing_span_only():
 
 def test_standalone_recorder_stays_on_control_tier():
     assert FlightRecorder().detail is False
-    # Wrapping inherits the inner tracer's tier so its recording
-    # keeps full fidelity.
-    assert FlightRecorder(inner=RecordingTracer()).detail is True
+    # Capacity decides the tier: only an unbounded recorder — a
+    # complete recording with incident dumps on top — takes the
+    # per-packet firehose.
+    assert FlightRecorder(max_events=100_000).detail is False
+    assert FlightRecorder(max_events=None).detail is True
 
 
 def test_explicit_dump_roundtrips_through_trace_tooling(tmp_path):
@@ -59,29 +54,43 @@ def test_dump_without_path_raises():
         FlightRecorder().dump()
 
 
-def test_wrapped_tracer_sees_everything_and_delegates(tmp_path):
-    inner = RecordingTracer()
-    rec = FlightRecorder(inner=inner, max_events=50)
+def test_full_detail_recorder_is_a_complete_recording():
+    rec = FlightRecorder(max_events=None)
+    assert isinstance(rec, RecordingTracer)
     eng = ServiceEngine(EngineConfig(seed=7), tracer=rec)
     eng.add_server("srv1",
                    documents={"doc": (av_markup(1.0, False), "t")})
     pop = eng.orchestrator.run_population(1, "srv1", "doc")
     assert len(pop.completed()) == 1
-    # The inner tracer recorded the full firehose...
-    assert inner.kind_counts().get("rtp.recv", 0) > 0
-    # ...and attribute access falls through to it (metrics registry,
-    # event list), making the wrapper drop-in for a RecordingTracer.
-    assert rec.metrics is inner.metrics
-    assert rec.events is inner.events
-    # QoE scoring reads the tracer through the orchestrator unchanged.
+    # The one recorder took the full firehose, unbounded...
+    assert rec.kind_counts().get("rtp.recv", 0) > 0
+    assert rec.dropped_events == 0
+    # ...into its own store and registry, which reconcile...
+    assert rec.ring is rec.events
+    assert sum(rec.kind_counts().values()) == len(rec.events)
+    assert pop.metrics["_registry"] == rec.metrics.snapshot()
+    # ...and QoE scoring reads it through the orchestrator unchanged.
     assert pop.qoe_summary()["sessions"] == 1
 
 
-def test_unwrapped_recorder_has_no_inner_surface():
+def test_control_tier_recorder_leaves_results_unscored():
+    """Without the frames there is nothing to score or snapshot."""
     rec = FlightRecorder()
-    with pytest.raises(AttributeError):
-        rec.kind_counts
-    assert getattr(rec, "metrics", None) is None
+    eng = ServiceEngine(EngineConfig(seed=7), tracer=rec)
+    eng.add_server("srv1",
+                   documents={"doc": (av_markup(1.0, False), "t")})
+    pop = eng.orchestrator.run_population(1, "srv1", "doc")
+    assert "session" in rec.kind_counts()
+    assert "rtp.recv" not in rec.kind_counts()
+    assert "_registry" not in pop.metrics
+    assert not pop.outcomes[0].result.qoe
+
+
+def test_recording_the_run_does_not_perturb_it(tmp_path):
+    plain = run_chaos("crash", smoke=True)
+    recorded = run_chaos("crash", smoke=True,
+                         flight_dump=str(tmp_path / "f.jsonl"))
+    assert recorded.digest == plain.digest
 
 
 def test_chaos_crash_auto_dumps_fault_window(tmp_path):

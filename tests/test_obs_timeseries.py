@@ -13,6 +13,7 @@ from repro.obs.timeseries import (
     TimeSeries,
     TimeSeriesSampler,
 )
+from repro.obs.tracer import RecordingTracer
 
 
 # -- building -----------------------------------------------------------------
@@ -179,6 +180,40 @@ def test_attach_timeseries_is_idempotent():
     s1 = eng.attach_timeseries()
     s2 = eng.attach_timeseries()
     assert s1 is s2
+
+
+@pytest.mark.parametrize("calls", [
+    ("attach_timeseries",),
+    ("attach_service_monitor",),
+    ("attach_service_monitor", "attach_timeseries"),
+    ("attach_timeseries", "attach_service_monitor", "attach_timeseries"),
+])
+def test_one_sampler_process_however_telemetry_is_attached(calls):
+    tracer = RecordingTracer()
+    eng = ServiceEngine(EngineConfig(seed=3), tracer=tracer)
+    samplers = {getattr(eng, call)() for call in calls}
+    assert samplers == {eng.timeseries_sampler}
+    spawned = [e.name for e in tracer.select(kind="process.spawn")]
+    assert spawned == ["timeseries-sampler"]
+    # The one sampler yields both documents.
+    eng.add_server("srv1",
+                   documents={"doc": (av_markup(1.0, False), "t")})
+    pop = eng.orchestrator.run_population(1, "srv1", "doc")
+    assert pop.service["schema"] == "repro.service"
+    assert pop.timeseries["schema"] == TIMESERIES_SCHEMA
+    assert pop.service["samples"] == pop.timeseries["ticks"] > 0
+    assert pop.service["interval_s"] == pop.timeseries["interval_s"]
+
+
+def test_idle_engine_reads_an_empty_event_queue():
+    """The gauge counts the system's heap entries, not the watcher's."""
+    eng = ServiceEngine(EngineConfig(seed=3))
+    eng.attach_service_monitor()
+    eng.attach_timeseries()
+    eng.sim.run(until=2.0)
+    depth = eng.timeseries_sampler.series.values("event_queue_depth")
+    assert len(depth) >= 7
+    assert set(depth) == {0.0}
 
 
 def test_sharded_population_merges_to_whole():
