@@ -33,10 +33,11 @@ def test_fig5_protocol_stack(report, once):
     svc, result = once(run_lesson_and_mail)
     tap = svc.engine.network.tap
     # Per-flow protocol assignment, straight from the packet log.
-    scenario_flows = {r.flow_id for r in tap.records if r.protocol == "TCP"}
-    rtp_flows = {r.flow_id for r in tap.records if r.protocol == "RTP"}
-    rtcp_flows = {r.flow_id for r in tap.records if r.protocol == "RTCP"}
-    smtp_flows = {r.flow_id for r in tap.records if r.protocol == "SMTP"}
+    records = tap.records
+    scenario_flows = {r.flow_id for r in records if r.protocol == "TCP"}
+    rtp_flows = {r.flow_id for r in records if r.protocol == "RTP"}
+    rtcp_flows = {r.flow_id for r in records if r.protocol == "RTCP"}
+    smtp_flows = {r.flow_id for r in records if r.protocol == "SMTP"}
     # Audio and video streams rode RTP...
     assert {"NARR1", "LA2", "LV2"} <= rtp_flows
     # ...and nothing discrete did.

@@ -46,9 +46,15 @@ PACKETS = 1_000 if SMOKE else 5_000
 # -- uninstrumented twins of the hot paths -----------------------------------
 
 def _plain_enqueue(self, pkt) -> bool:
+    if not self.up:
+        self._drop_down(pkt)
+        return False
     if not self._busy:
         self._busy = True
-        self._start_tx(pkt)
+        ser = (self.serialization_delay(pkt.size_bytes)
+               if self._ser_overridden
+               else pkt.size_bytes * 8.0 / self.rate_bps)
+        self.sim.call_later(ser, self._tx_done, pkt, ser)
     elif len(self._queue) < self.queue_packets:
         self._queue.append(pkt)
     else:
@@ -60,6 +66,9 @@ def _plain_enqueue(self, pkt) -> bool:
 
 
 def _plain_propagated(self, pkt) -> None:
+    if not self.up:
+        self._drop_down(pkt)
+        return
     if self.loss_model is not None and self.loss_model.is_lost():
         self.stats.loss_drops += 1
         if self.on_drop is not None:

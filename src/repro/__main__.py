@@ -89,6 +89,22 @@ FIGURES = {
 }
 
 
+class _UsageError(Exception):
+    """A flag's value is missing or malformed; ``main`` exits 2."""
+
+
+_VALUE_KINDS = {int: "an integer", float: "a number", str: "a value"}
+
+
+def _value(args: list[str], i: int, convert: type = str):
+    """The value at ``args[i]`` of the flag before it, converted."""
+    try:
+        return convert(args[i])
+    except (IndexError, ValueError):
+        raise _UsageError(
+            f"{args[i - 1]} needs {_VALUE_KINDS[convert]}") from None
+
+
 def _run_experiment(key: str, report: Reporter) -> int:
     import repro.core.experiments as exp
 
@@ -181,16 +197,16 @@ def _trace(args: list[str], report: Reporter) -> int:
         a = args[i]
         if a == "--record":
             i += 1
-            record_to = args[i]
+            record_to = _value(args, i)
         elif a == "--chrome":
             i += 1
-            chrome_to = args[i]
+            chrome_to = _value(args, i)
         elif a == "--top":
             i += 1
-            top = int(args[i])
+            top = _value(args, i, int)
         elif a == "--clients":
             i += 1
-            n_clients = int(args[i])
+            n_clients = _value(args, i, int)
         else:
             inputs.append(a)
         i += 1
@@ -253,41 +269,41 @@ def _bench(args: list[str], report: Reporter) -> int:
             update_baseline = True
         elif a == "--out":
             i += 1
-            out_dir = args[i]
+            out_dir = _value(args, i)
         elif a == "--baseline":
             i += 1
-            baseline_dir = args[i]
+            baseline_dir = _value(args, i)
         elif a == "--threshold":
             i += 1
-            threshold = float(args[i])
+            threshold = _value(args, i, float)
         elif a == "--perf-threshold":
             i += 1
-            perf_threshold = float(args[i])
+            perf_threshold = _value(args, i, float)
         elif a == "--scenario":
             i += 1
-            names.append(args[i])
+            names.append(_value(args, i))
         elif a == "--clients":
             i += 1
-            clients = int(args[i])
+            clients = _value(args, i, int)
         elif a == "--shards":
             i += 1
-            shards = int(args[i])
+            shards = _value(args, i, int)
         elif a == "--cell":
             i += 1
-            cell_clients = int(args[i])
+            cell_clients = _value(args, i, int)
         elif a == "--seed":
             i += 1
-            shard_seed = int(args[i])
+            shard_seed = _value(args, i, int)
         elif a == "--duration":
             i += 1
-            duration_s = float(args[i])
+            duration_s = _value(args, i, float)
         elif a == "--tolerate-shard-failures":
             tolerate = True
         elif a == "--scale-curve":
             scale_curve = True
         elif a == "--topology":
             i += 1
-            topology = args[i]
+            topology = _value(args, i)
             matching = [s.name for s in SCENARIOS.values()
                         if s.topology == topology]
             if not matching:
@@ -470,13 +486,13 @@ def _profile(args: list[str], report: Reporter) -> int:
             smoke = True
         elif a == "--scenario":
             i += 1
-            names.append(args[i])
+            names.append(_value(args, i))
         elif a == "--out":
             i += 1
-            out_dir = args[i]
+            out_dir = _value(args, i)
         elif a == "--top":
             i += 1
-            top = int(args[i])
+            top = _value(args, i, int)
         elif a in ("-h", "--help"):
             report.text(
                 "usage: python -m repro profile [--scenario NAME ...] "
@@ -546,27 +562,27 @@ def _slo(args: list[str], report: Reporter) -> int:
         a = args[i]
         if a == "--artifact":
             i += 1
-            artifact_path = args[i]
+            artifact_path = _value(args, i)
         elif a == "--scenario":
             i += 1
-            scenario = args[i]
+            scenario = _value(args, i)
         elif a == "--chaos":
             i += 1
-            chaos = args[i]
+            chaos = _value(args, i)
         elif a == "--spec":
             i += 1
-            spec_key = args[i]
+            spec_key = _value(args, i)
         elif a == "--spec-file":
             i += 1
-            spec_file = args[i]
+            spec_file = _value(args, i)
         elif a == "--rule":
             i += 1
-            rules_text.append(args[i])
+            rules_text.append(_value(args, i))
         elif a == "--smoke":
             smoke = True
         elif a == "--flight-dump":
             i += 1
-            flight_dump = args[i]
+            flight_dump = _value(args, i)
         elif a in ("-h", "--help"):
             report.text(
                 "usage: python -m repro slo (--artifact FILE | "
@@ -688,15 +704,15 @@ def _chaos(args: list[str], report: Reporter) -> int:
         a = args[i]
         if a == "--scenario":
             i += 1
-            name = args[i]
+            name = _value(args, i)
         elif a == "--smoke":
             smoke = True
         elif a == "--seed":
             i += 1
-            seed = int(args[i])
+            seed = _value(args, i, int)
         elif a == "--clients":
             i += 1
-            n_clients = int(args[i])
+            n_clients = _value(args, i, int)
         elif a == "--no-recovery":
             recovery = False
         elif a == "--no-retry":
@@ -705,19 +721,19 @@ def _chaos(args: list[str], report: Reporter) -> int:
             check_det = True
         elif a == "--min-delivered":
             i += 1
-            min_delivered = float(args[i])
+            min_delivered = _value(args, i, float)
         elif a == "--min-completed":
             i += 1
-            min_completed = float(args[i])
+            min_completed = _value(args, i, float)
         elif a == "--out":
             i += 1
-            out_path = args[i]
+            out_path = _value(args, i)
         elif a == "--flight-dump":
             i += 1
-            flight_dump = args[i]
+            flight_dump = _value(args, i)
         elif a == "--flight-window":
             i += 1
-            flight_window_s = float(args[i])
+            flight_window_s = _value(args, i, float)
         elif a in ("-h", "--help"):
             report.text(
                 "usage: python -m repro chaos [--scenario NAME] [--smoke] "
@@ -819,16 +835,16 @@ def _trend(args: list[str], report: Reporter) -> int:
         a = args[i]
         if a == "--history":
             i += 1
-            history_paths.append(args[i])
+            history_paths.append(_value(args, i))
         elif a == "--artifact":
             i += 1
-            artifact_paths.append(args[i])
+            artifact_paths.append(_value(args, i))
         elif a == "--threshold":
             i += 1
-            threshold = float(args[i])
+            threshold = _value(args, i, float)
         elif a == "--perf-threshold":
             i += 1
-            perf_threshold = float(args[i])
+            perf_threshold = _value(args, i, float)
         elif a in ("-h", "--help"):
             report.text(
                 "usage: python -m repro trend [--history DIR|FILE ...] "
@@ -901,13 +917,13 @@ def _report(args: list[str], report: Reporter) -> int:
         a = args[i]
         if a == "--artifact":
             i += 1
-            artifact_path = args[i]
+            artifact_path = _value(args, i)
         elif a == "--out":
             i += 1
-            out_path = args[i]
+            out_path = _value(args, i)
         elif a == "--history":
             i += 1
-            history_paths.append(args[i])
+            history_paths.append(_value(args, i))
         elif a in ("-h", "--help"):
             report.text(
                 "usage: python -m repro report --artifact FILE "
@@ -979,23 +995,23 @@ def _lint(args: list[str], report: Reporter) -> int:
             closed = True
         elif a == "--capacity-mbps":
             i += 1
-            capacity_bps = float(args[i]) * 1e6
+            capacity_bps = _value(args, i, float) * 1e6
         elif a == "--examples-dir":
             i += 1
-            examples_dir = args[i]
+            examples_dir = _value(args, i)
         elif a == "--format":
             i += 1
-            fmt = args[i]
+            fmt = _value(args, i)
             if fmt not in ("text", "github"):
                 report.text(f"unknown --format {fmt!r} "
                             "(want text or github)")
                 return 2
         elif a == "--baseline":
             i += 1
-            baseline_path = args[i]
+            baseline_path = _value(args, i)
         elif a == "--write-baseline":
             i += 1
-            write_baseline = args[i]
+            write_baseline = _value(args, i)
         elif a == "--list-rules":
             return list_rules(report)
         elif a in ("-h", "--help"):
@@ -1077,6 +1093,9 @@ def main(argv: list[str] | None = None) -> int:
                         "try 'python -m repro list'")
             return 2
         report.text(f"unknown command {cmd!r}; try 'python -m repro help'")
+        return 2
+    except _UsageError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
         return 2
     finally:
         report.close()

@@ -7,8 +7,10 @@ The kernel is intentionally small and deterministic:
   (a monotonically increasing sequence number breaks ties);
 * processes are plain Python generators that ``yield`` events and are
   resumed with the event's value when it triggers;
-* one-shot actions (:meth:`Simulator.call_later`) are a bare
-  :class:`Call` on the heap — no event, no callback list, no process.
+* a heap entry is ``(time, seq, fn, args)`` and firing it is
+  ``fn(*args)``: an event pushes its own ``_fire``, a one-shot action
+  (:meth:`Simulator.call_later`) pushes the caller's function — no
+  event, no callback list, no process, no wrapper object.
 
 Nothing here knows about networks or media — higher layers build on
 :class:`Simulator` only through :meth:`Simulator.process`,
@@ -18,20 +20,19 @@ classes in :mod:`repro.des.resources`.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections.abc import Callable, Generator, Iterable
+from heapq import heappop, heappush
 from typing import Any
 
 __all__ = [
     "Event",
-    "Call",
     "Timeout",
     "Process",
     "Interrupt",
     "AnyOf",
     "AllOf",
     "Simulator",
+    "entry_kind",
 ]
 
 
@@ -123,23 +124,6 @@ class Event:
         return f"<{type(self).__name__} {state} at t={self.sim.now:.6f}>"
 
 
-class Call:
-    """A heap entry that calls ``fn(*args)`` when it fires.
-
-    What :meth:`Simulator.call_later` schedules: nothing can wait on
-    it, so it carries no state beyond the call itself.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable[..., object], args: tuple[Any, ...]) -> None:
-        self.fn = fn
-        self.args = args
-
-    def _fire(self) -> None:
-        self.fn(*self.args)
-
-
 class Timeout(Event):
     """An event that triggers ``delay`` seconds in the future."""
 
@@ -151,7 +135,8 @@ class Timeout(Event):
         super().__init__(sim)
         self.delay = delay
         self._value = value
-        sim._schedule_at(sim.now + delay, self)
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now + delay, seq, self._fire, ()))
 
 
 class Process(Event):
@@ -212,10 +197,10 @@ class Process(Event):
     # -- internals ----------------------------------------------------
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        if event.ok:
-            self._step(send=event.value)
+        if event._ok:
+            self._step(send=event._value)
         else:
-            self._step(throw=event.value)
+            self._step(throw=event._value)
 
     def _step(self, send: Any = None, throw: BaseException | None = None) -> None:
         if self._triggered:
@@ -327,19 +312,36 @@ class AllOf(_Condition):
             self.succeed(self._collect())
 
 
+def entry_kind(fn: Any) -> str:
+    """The kind a heap entry is reported under, from its ``fn``.
+
+    An event pushes its own ``_fire``, so its kind is the event's class
+    (``Timeout``, ``Process``, ``Event``, ...); anything else was
+    scheduled by :meth:`Simulator.call_later` and reads ``"Call"``.
+    """
+    if getattr(fn, "__func__", None) is Event._fire:
+        return type(fn.__self__).__name__
+    return "Call"
+
+
 class Simulator:
     """The event queue and simulated clock."""
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Event | Call]] = []
-        self._seq = itertools.count()
+        #: ``(time, seq, fn, args)``; ``seq`` is unique, so ``fn`` and
+        #: ``args`` are never compared
+        self._heap: list[
+            tuple[float, int, Callable[..., object], tuple[Any, ...]]] = []
+        self._seq = 0
         self._running = False
         #: The dispatch seam. ``None``: ``step()`` fires the popped
         #: entry itself. An observer of single steps (the kernel
-        #: profiler) sets a callable that receives the entry and must
-        #: call its ``_fire()`` exactly once.
-        self._dispatch_hook: Callable[[Event | Call], None] | None = None
+        #: profiler) sets a callable that receives the entry's ``fn``
+        #: and ``args`` and must call ``fn(*args)`` exactly once;
+        #: :func:`entry_kind` names the entry.
+        self._dispatch_hook: Callable[
+            [Callable[..., object], tuple[Any, ...]], None] | None = None
         # Tracing is opt-in and two-tier: `_tracing` guards
         # control-plane emits (faults, admission, drops, spans);
         # `_tracing_detail` guards the per-packet/per-frame firehose
@@ -401,16 +403,16 @@ class Simulator:
         """Invoke ``fn(*args)`` after ``delay`` seconds (fire-and-forget).
 
         Pass the arguments here instead of closing over them: the heap
-        holds one :class:`Call` and nothing else is allocated. Nothing
-        is returned — the call cannot be waited on or cancelled (a
-        cancellable timer compares a token in ``fn``). Lighter than a
-        process for one-shot actions such as a packet emerging from a
-        propagation delay.
+        entry is the one tuple ``(time, seq, fn, args)`` and nothing
+        else is allocated. Nothing is returned — the call cannot be
+        waited on or cancelled (a cancellable timer compares a token in
+        ``fn``). Lighter than a process for one-shot actions such as a
+        packet emerging from a propagation delay.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        heapq.heappush(
-            self._heap, (self._now + delay, next(self._seq), Call(fn, args)))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self._now + delay, seq, fn, args))
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -419,13 +421,9 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------
-    def _schedule_at(self, time: float, event: Event) -> None:
-        if time < self._now:
-            raise ValueError(f"cannot schedule into the past: {time} < {self._now}")
-        heapq.heappush(self._heap, (time, next(self._seq), event))
-
     def _enqueue_event(self, event: Event) -> None:
-        heapq.heappush(self._heap, (self._now, next(self._seq), event))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self._now, seq, event._fire, ()))
 
     # -- execution ------------------------------------------------------
     def step(self) -> None:
@@ -434,15 +432,14 @@ class Simulator:
         Emits ``kernel.event`` to a detail tracer and routes the entry
         through the dispatch hook when one is installed.
         """
-        time, _, entry = heapq.heappop(self._heap)
+        time, _, fn, args = heappop(self._heap)
         self._now = time
         if self._tracing_detail:
-            self._tracer.emit(time, "kernel.event",
-                              type(entry).__name__)
+            self._tracer.emit(time, "kernel.event", entry_kind(fn))
         if self._dispatch_hook is None:
-            entry._fire()
+            fn(*args)
         else:
-            self._dispatch_hook(entry)
+            self._dispatch_hook(fn, args)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -464,7 +461,7 @@ class Simulator:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         observed = self._tracing_detail or self._dispatch_hook is not None
         try:
             if isinstance(until, Event):
@@ -473,8 +470,8 @@ class Simulator:
                         self.step()
                 else:
                     while heap and not until._processed:
-                        self._now, _, entry = pop(heap)
-                        entry._fire()
+                        self._now, _, fn, args = pop(heap)
+                        fn(*args)
                 if not until._processed:
                     raise RuntimeError(
                         "event queue drained before `until` event triggered"
@@ -491,8 +488,8 @@ class Simulator:
                     self.step()
             else:
                 while heap and heap[0][0] <= deadline:
-                    self._now, _, entry = pop(heap)
-                    entry._fire()
+                    self._now, _, fn, args = pop(heap)
+                    fn(*args)
             if until is not None:
                 self._now = max(self._now, deadline)
             return None

@@ -79,6 +79,11 @@ class Link:
         self.queue_packets = queue_packets
         self._queue: deque[Packet] = deque()
         self._busy = False
+        # The transmitter computes a plain link's delay inline, per
+        # packet; a subclass that overrides serialization_delay (ATM
+        # cells) is asked instead.
+        self._ser_overridden = (type(self).serialization_delay
+                                is not Link.serialization_delay)
         self.loss_model = loss_model
         #: administrative state; a downed link drops everything offered
         #: to it and everything still propagating when it went down
@@ -122,7 +127,10 @@ class Link:
             return False
         if not self._busy:
             self._busy = True
-            self._start_tx(pkt)
+            ser = (self.serialization_delay(pkt.size_bytes)
+                   if self._ser_overridden
+                   else pkt.size_bytes * 8.0 / self.rate_bps)
+            self.sim.call_later(ser, self._tx_done, pkt, ser)
         elif len(self._queue) < self.queue_packets:
             self._queue.append(pkt)
         else:
@@ -145,10 +153,6 @@ class Link:
         return True
 
     # -- transmitter -------------------------------------------------------
-    def _start_tx(self, pkt: Packet) -> None:
-        ser = self.serialization_delay(pkt.size_bytes)
-        self.sim.call_later(ser, self._tx_done, pkt, ser)
-
     def _tx_done(self, pkt: Packet, ser: float) -> None:
         """``pkt`` has left the transmitter: count it, propagate it, and
         start on the next queued packet."""
@@ -158,9 +162,14 @@ class Link:
         stats.tx_bytes += pkt.size_bytes
         # Propagation first: at equal fire times this packet's arrival
         # precedes the next packet's _tx_done (digests depend on it).
-        self.sim.call_later(self.delay_s, self._propagated, pkt)
+        sim = self.sim
+        sim.call_later(self.delay_s, self._propagated, pkt)
         if self._queue:
-            self._start_tx(self._queue.popleft())
+            pkt = self._queue.popleft()
+            ser = (self.serialization_delay(pkt.size_bytes)
+                   if self._ser_overridden
+                   else pkt.size_bytes * 8.0 / self.rate_bps)
+            sim.call_later(ser, self._tx_done, pkt, ser)
         else:
             self._busy = False
 

@@ -7,13 +7,10 @@ reproduction derives which stream type traversed which stack.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any
 
 __all__ = ["Packet", "TapRecord", "PacketTap"]
-
-_packet_ids = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -34,14 +31,13 @@ class Packet:
     dst_port: int
     payload: Any = None
     seq: int = 0
-    created_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    hops: int = 0
     #: correlation keys for frame-lifecycle tracing: the session the
     #: packet belongs to ("" for anonymous traffic) and the media
     #: frame it carries a fragment of (-1 for non-frame packets)
     session: str = ""
     frame_seq: int = -1
+    created_at: float = 0.0
+    hops: int = 0
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
@@ -62,56 +58,51 @@ class TapRecord:
     seq: int
 
 
+#: fields of one tap row, in :class:`TapRecord` order
+_ROW = len(fields(TapRecord))
+
+
 class PacketTap:
-    """Accumulates per-packet records and per-protocol aggregates."""
+    """Accumulates per-packet records and per-protocol aggregates.
+
+    The hot path appends one row's fields to a flat list (eight
+    references a packet, less than a record object);
+    :class:`TapRecord` views are built when :attr:`records` is read.
+    """
 
     def __init__(self) -> None:
-        self.records: list[TapRecord] = []
+        self._rows: list[Any] = []
         self.bytes_by_protocol: dict[str, int] = {}
         self.count_by_protocol: dict[str, int] = {}
         #: packets delivered to a node but addressed to an unbound port
         self.discards_by_node: dict[str, int] = {}
-        self.enabled_detail = True
 
     def record(self, time: float, event: str, pkt: Packet) -> None:
-        if self.enabled_detail:
-            self.records.append(
-                TapRecord(
-                    time=time,
-                    event=event,
-                    protocol=pkt.protocol,
-                    flow_id=pkt.flow_id,
-                    src=pkt.src,
-                    dst=pkt.dst,
-                    size_bytes=pkt.size_bytes,
-                    seq=pkt.seq,
-                )
-            )
+        protocol = pkt.protocol
+        size = pkt.size_bytes
+        self._rows.extend((time, event, protocol, pkt.flow_id, pkt.src,
+                           pkt.dst, size, pkt.seq))
         if event == "deliver":
-            self.bytes_by_protocol[pkt.protocol] = (
-                self.bytes_by_protocol.get(pkt.protocol, 0) + pkt.size_bytes
-            )
-            self.count_by_protocol[pkt.protocol] = (
-                self.count_by_protocol.get(pkt.protocol, 0) + 1
-            )
+            if protocol in self.count_by_protocol:
+                self.bytes_by_protocol[protocol] += size
+                self.count_by_protocol[protocol] += 1
+            else:
+                self.bytes_by_protocol[protocol] = size
+                self.count_by_protocol[protocol] = 1
 
     def record_discard(self, time: float, node_id: str, pkt: Packet) -> None:
         """An endpoint dropped a delivered packet: no handler on its port."""
         self.discards_by_node[node_id] = \
             self.discards_by_node.get(node_id, 0) + 1
-        if self.enabled_detail:
-            self.records.append(
-                TapRecord(
-                    time=time,
-                    event="rx-discard",
-                    protocol=pkt.protocol,
-                    flow_id=pkt.flow_id,
-                    src=pkt.src,
-                    dst=pkt.dst,
-                    size_bytes=pkt.size_bytes,
-                    seq=pkt.seq,
-                )
-            )
+        self._rows.extend((time, "rx-discard", pkt.protocol, pkt.flow_id,
+                           pkt.src, pkt.dst, pkt.size_bytes, pkt.seq))
+
+    @property
+    def records(self) -> list[TapRecord]:
+        """Every packet seen so far, in recording order."""
+        rows = self._rows
+        return [TapRecord(*rows[i:i + _ROW])
+                for i in range(0, len(rows), _ROW)]
 
     def rx_discarded(self, node_id: str | None = None) -> int:
         """Total unbound-port discards (optionally for one node)."""

@@ -81,6 +81,10 @@ class Network:
         self.links: dict[tuple[str, str], Link] = {}
         self.tap = PacketTap()
         self._next_hop: dict[tuple[str, str], str] | None = None
+        #: node -> {destination -> outgoing link}: what the data plane
+        #: reads per hop, filled from ``_routes()`` on first use and
+        #: emptied with it when the topology changes
+        self._out_links: dict[str, dict[str, Link]] = {}
 
     # -- construction ----------------------------------------------------
     def add_node(self, node_id: str) -> Node:
@@ -89,7 +93,8 @@ class Network:
         node = Node(self, node_id)
         self.nodes[node_id] = node
         self.graph.add_node(node_id)
-        self._next_hop = None
+        self._out_links[node_id] = {}
+        self._invalidate_routes()
         return node
 
     def add_link(
@@ -127,7 +132,7 @@ class Network:
         link.on_drop = self._on_link_drop
         self.links[(src, dst)] = link
         self.graph.add_edge(src, dst, weight=delay_s + 1e-9, link=link)
-        self._next_hop = None
+        self._invalidate_routes()
         return link
 
     def add_duplex_link(
@@ -171,53 +176,78 @@ class Network:
             self._next_hop = table
         return self._next_hop
 
+    def _invalidate_routes(self) -> None:
+        # The per-node tables are only ever filled through _routes(),
+        # so before the first packet there is nothing to clear.
+        if self._next_hop is not None:
+            self._next_hop = None
+            for table in self._out_links.values():
+                table.clear()
+
+    def _resolve(self, at: str, dst: str) -> Link:
+        """The link a packet at ``at`` leaves on towards ``dst``."""
+        nxt = self._routes().get((at, dst))
+        if nxt is None:
+            raise nx.NetworkXNoPath(f"no route {at} -> {dst}")
+        return self.links[(at, nxt)]
+
     def path(self, src: str, dst: str) -> list[str]:
         return nx.dijkstra_path(self.graph, src, dst, weight="weight")
 
     # -- data plane ----------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
         """Inject a packet at its source node. Returns admission result."""
-        if pkt.src not in self.nodes:
-            raise KeyError(f"unknown source node {pkt.src!r}")
-        if pkt.dst not in self.nodes:
-            raise KeyError(f"unknown destination node {pkt.dst!r}")
-        pkt.created_at = self.sim.now
-        if pkt.src == pkt.dst:
+        src = pkt.src
+        dst = pkt.dst
+        if src not in self.nodes:
+            raise KeyError(f"unknown source node {src!r}")
+        if dst not in self.nodes:
+            raise KeyError(f"unknown destination node {dst!r}")
+        sim = self.sim
+        pkt.created_at = sim._now
+        if src == dst:
             # Loopback: deliver immediately.
-            self.tap.record(self.sim.now, "deliver", pkt)
-            if self.sim._tracing_detail:
-                self.sim._tracer.emit(self.sim.now, "net.deliver",
-                                      node=pkt.dst, port=pkt.dst_port,
-                                      hops=0, flow=pkt.flow_id, seq=pkt.seq,
-                                      session=pkt.session,
-                                      frame=pkt.frame_seq)
-            self.nodes[pkt.dst].deliver(pkt)
+            self.tap.record(sim._now, "deliver", pkt)
+            if sim._tracing_detail:
+                sim._tracer.emit(sim.now, "net.deliver",
+                                 node=dst, port=pkt.dst_port,
+                                 hops=0, flow=pkt.flow_id, seq=pkt.seq,
+                                 session=pkt.session,
+                                 frame=pkt.frame_seq)
+            self.nodes[dst].deliver(pkt)
             return True
-        return self._forward(pkt, at=pkt.src)
-
-    def _forward(self, pkt: Packet, at: str) -> bool:
-        routes = self._routes()
-        nxt = routes.get((at, pkt.dst))
-        if nxt is None:
-            raise nx.NetworkXNoPath(f"no route {at} -> {pkt.dst}")
-        return self.links[(at, nxt)].enqueue(pkt)
+        out = self._out_links[src]
+        if dst in out:
+            link = out[dst]
+        else:
+            link = out[dst] = self._resolve(src, dst)
+        return link.enqueue(pkt)
 
     def _on_link_drop(self, pkt: Packet, kind: str) -> None:
         self.tap.record(self.sim.now, kind, pkt)
 
     def _wire(self, link: Link) -> None:
         """Route packets leaving this link: deliver locally or forward."""
-        def arrive(pkt: Packet, _dst: str = link.dst) -> None:
-            if _dst == pkt.dst:
-                self.tap.record(self.sim.now, "deliver", pkt)
-                if self.sim._tracing_detail:
-                    self.sim._tracer.emit(self.sim.now, "net.deliver",
-                                          node=_dst, port=pkt.dst_port,
-                                          hops=pkt.hops, flow=pkt.flow_id,
-                                          seq=pkt.seq, session=pkt.session,
-                                          frame=pkt.frame_seq)
-                self.nodes[_dst].deliver(pkt)
+        here = link.dst
+        out = self._out_links[here]
+        sim = self.sim
+
+        def arrive(pkt: Packet) -> None:
+            dst = pkt.dst
+            if dst == here:
+                self.tap.record(sim._now, "deliver", pkt)
+                if sim._tracing_detail:
+                    sim._tracer.emit(sim.now, "net.deliver",
+                                     node=here, port=pkt.dst_port,
+                                     hops=pkt.hops, flow=pkt.flow_id,
+                                     seq=pkt.seq, session=pkt.session,
+                                     frame=pkt.frame_seq)
+                self.nodes[here].deliver(pkt)
+                return
+            if dst in out:
+                nxt = out[dst]
             else:
-                self._forward(pkt, at=_dst)
+                nxt = out[dst] = self._resolve(here, dst)
+            nxt.enqueue(pkt)
 
         link.on_arrival = arrive

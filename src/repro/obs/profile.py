@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.des.kernel import Call
+from repro.des.kernel import entry_kind
 
 __all__ = ["KernelProfiler", "PROFILE_SCHEMA", "PROFILE_SCHEMA_VERSION"]
 
@@ -100,21 +100,21 @@ class KernelProfiler:
         self._orig_run = None
 
     # -- kernel hooks ---------------------------------------------------------
-    def _dispatch(self, entry: Any) -> None:
-        """The kernel's dispatch hook: fire ``entry`` and time it.
+    def _dispatch(self, fn: Any, args: tuple[Any, ...]) -> None:
+        """The kernel's dispatch hook: fire one heap entry and time it.
 
         The whole firing is charged to the entry's handler; the rare
         event with several callbacks gets their names joined by ``+``.
         """
-        kind = type(entry).__name__
-        handlers = ((entry.fn,) if type(entry) is Call
-                    else tuple(entry.callbacks or ()))
+        kind = entry_kind(fn)
+        handlers = ((fn,) if kind == "Call"
+                    else tuple(fn.__self__.callbacks or ()))
         c0 = time.perf_counter_ns()
         # Charge from the previous step's end when inside run(), so
         # the heap pop and the run loop's own bookkeeping land on some
         # entry kind instead of vanishing from the attribution.
         start = self._last_end if self._last_end is not None else c0
-        entry._fire()
+        fn(*args)
         t1 = time.perf_counter_ns()
         if handlers:
             key = (kind, "+".join(map(_handler_name, handlers)))

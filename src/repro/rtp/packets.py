@@ -8,8 +8,9 @@ delay, delay jitter and packet loss").
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = [
     "RTP_HEADER_BYTES",
@@ -26,15 +27,7 @@ RTCP_RR_BYTES = 52
 SEQ_MODULUS = 1 << 16
 
 
-@dataclass(frozen=True, slots=True)
-class RtpPacket:
-    """One RTP datagram (possibly a fragment of a media frame).
-
-    ``timestamp`` is in media clock ticks; all fragments of one frame
-    share it. ``marker`` is set on the final fragment of a frame
-    (standard RTP video usage).
-    """
-
+class _RtpFields(NamedTuple):
     ssrc: int
     payload_type: int
     seq: int
@@ -45,13 +38,37 @@ class RtpPacket:
     fragment_count: int = 1
     frame: Any = None  # carried on the last fragment only
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.seq < SEQ_MODULUS):
-            raise ValueError(f"seq must be in [0, {SEQ_MODULUS}), got {self.seq}")
-        if self.payload_bytes <= 0:
+
+class RtpPacket(_RtpFields):
+    """One RTP datagram (possibly a fragment of a media frame).
+
+    ``timestamp`` is in media clock ticks; all fragments of one frame
+    share it. ``marker`` is set on the final fragment of a frame
+    (standard RTP video usage).
+
+    An immutable record: a validated named tuple, one per packet on
+    the wire, so construction is a single ``tuple.__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ssrc: int, payload_type: int, seq: int, timestamp: int,
+                marker: bool, payload_bytes: int, fragment_index: int = 0,
+                fragment_count: int = 1, frame: Any = None) -> "RtpPacket":
+        if not (0 <= seq < SEQ_MODULUS):
+            raise ValueError(f"seq must be in [0, {SEQ_MODULUS}), got {seq}")
+        if payload_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
-        if not (0 <= self.fragment_index < self.fragment_count):
+        if not (0 <= fragment_index < fragment_count):
             raise ValueError("fragment_index out of range")
+        return tuple.__new__(cls, (
+            ssrc, payload_type, seq, timestamp, marker, payload_bytes,
+            fragment_index, fragment_count, frame))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "RtpPacket":
+        # _replace() builds through here: validate the copy as well.
+        return cls(*iterable)
 
     @property
     def size_bytes(self) -> int:

@@ -10,6 +10,7 @@ upstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from repro.des import Simulator
@@ -18,11 +19,24 @@ from repro.net.channel import DatagramSocket
 from repro.net.packet import Packet
 from repro.net.topology import Network
 from repro.rtp.jitter import InterarrivalJitterEstimator
-from repro.rtp.packets import SEQ_MODULUS, RtpPacket
+from repro.rtp.packets import RTP_HEADER_BYTES, SEQ_MODULUS, RtpPacket
 
-__all__ = ["RtpSender", "RtpReceiver", "RtpReceiverStats"]
+__all__ = ["RtpSender", "RtpReceiver", "RtpReceiverStats", "fragment_plan"]
 
 DEFAULT_MTU_PAYLOAD = 1400
+
+
+@lru_cache(maxsize=256)
+def fragment_plan(size_bytes: int, mtu_payload: int) -> tuple[int, ...]:
+    """Payload bytes of each fragment of a ``size_bytes`` frame.
+
+    Full ``mtu_payload`` fragments, then the remainder. A pure function
+    of two integers, memoised: a shared flow hands one frame to every
+    subscriber's sender, and each of them reads the same plan.
+    """
+    n_frags = max(1, -(-size_bytes // mtu_payload))
+    return (mtu_payload,) * (n_frags - 1) + (
+        size_bytes - mtu_payload * (n_frags - 1),)
 
 
 class RtpSender:
@@ -64,47 +78,29 @@ class RtpSender:
 
     def send_frame(self, frame: Frame) -> int:
         """Packetize and transmit one frame; returns packets sent."""
-        n_frags = max(1, -(-frame.size_bytes // self.mtu_payload))
-        remaining = frame.size_bytes
+        plan = fragment_plan(frame.size_bytes, self.mtu_payload)
+        n_frags = len(plan)
+        last = n_frags - 1
         seq0 = self._seq
-        sent_bytes = 0
-        for i in range(n_frags):
-            frag_bytes = min(self.mtu_payload, remaining)
-            remaining -= frag_bytes
-            last = i == n_frags - 1
-            rtp = RtpPacket(
-                ssrc=self.ssrc,
-                payload_type=self.payload_type,
-                seq=self._seq,
-                timestamp=frame.media_time,
-                marker=last,
-                payload_bytes=frag_bytes,
-                fragment_index=i,
-                fragment_count=n_frags,
-                frame=frame if last else None,
-            )
-            pkt = Packet(
-                src=self.node_id,
-                dst=self.dst,
-                size_bytes=rtp.size_bytes,
-                protocol="RTP",
-                flow_id=self.stream_id,
-                dst_port=self.dst_port,
-                payload=rtp,
-                seq=self._seq,
-                session=self.session,
-                frame_seq=frame.seq,
-            )
-            self.network.send(pkt)
-            self._seq = (self._seq + 1) % SEQ_MODULUS
+        for i, frag_bytes in enumerate(plan):
+            seq = self._seq
+            # Both records positionally, in field order: keyword calls
+            # cost as much again as building the packet.
+            rtp = RtpPacket(self.ssrc, self.payload_type, seq,
+                            frame.media_time, i == last, frag_bytes,
+                            i, n_frags, frame if i == last else None)
+            self.network.send(Packet(
+                self.node_id, self.dst, frag_bytes + RTP_HEADER_BYTES, "RTP",
+                self.stream_id, self.dst_port, rtp, seq,
+                self.session, frame.seq))
+            self._seq = (seq + 1) % SEQ_MODULUS
             self.packet_count += 1
             self.octet_count += frag_bytes
-            sent_bytes += frag_bytes
         if self.sim._tracing_detail:
             self.sim._tracer.emit(self.sim.now, "rtp.send", self.stream_id,
                                   session=self.session, frame=frame.seq,
                                   media_time=frame.media_time, seq0=seq0,
-                                  packets=n_frags, bytes=sent_bytes)
+                                  packets=n_frags, bytes=frame.size_bytes)
         return n_frags
 
     def close(self) -> None:
@@ -180,23 +176,26 @@ class RtpReceiver:
 
     # -- packet path ------------------------------------------------------
     def _unwrap(self, seq: int) -> int:
-        if self._unwrapped_high is None:
+        high = self._unwrapped_high
+        if high is None:
             self._unwrapped_high = seq
             return seq
-        high = self._unwrapped_high
-        candidate = (high - high % SEQ_MODULUS) + seq
-        # Choose the unwrapping closest to the previous highest.
-        alternatives = (candidate - SEQ_MODULUS, candidate, candidate + SEQ_MODULUS)
-        best = min(alternatives, key=lambda c: abs(c - high))
-        if best > high:
-            self._unwrapped_high = best
-        return best
+        # Choose the unwrapping closest to the previous highest: less
+        # than half the sequence space ahead of it (the in-order next
+        # packet is 1 ahead), otherwise behind it.
+        ahead = (seq - high) % SEQ_MODULUS
+        if ahead < SEQ_MODULUS // 2:
+            if ahead:
+                self._unwrapped_high = high + ahead
+            return high + ahead
+        return high + ahead - SEQ_MODULUS
 
     def _on_packet(self, pkt: Packet) -> None:
         rtp = pkt.payload
-        if not isinstance(rtp, RtpPacket):
+        if type(rtp) is not RtpPacket:
             return
-        now = self.sim.now
+        now = self.sim._now
+        timestamp = rtp.timestamp
         st = self.stats
         st.packets_received += 1
         st.interval_received += 1
@@ -204,13 +203,15 @@ class RtpReceiver:
         useq = self._unwrap(rtp.seq)
         if st.base_seq is None:
             st.base_seq = useq
-        st.highest_seq = max(st.highest_seq or useq, useq)
-        st.cumulative_lost = max(0, st.expected - st.packets_received)
+        if st.highest_seq is None or useq > st.highest_seq:
+            st.highest_seq = useq
+        lost = st.highest_seq - st.base_seq + 1 - st.packets_received
+        st.cumulative_lost = lost if lost > 0 else 0
         delay = now - pkt.created_at
         st.last_delay_s = delay
         st.delay_sum_s += delay
         st.delay_samples += 1
-        self.jitter.observe(now, rtp.timestamp)
+        self.jitter.observe(now, timestamp)
         if self.sim._tracing_detail:
             self.sim._tracer.emit(now, "rtp.recv", self.stream_id,
                                   session=pkt.session or self.session,
@@ -218,9 +219,9 @@ class RtpReceiver:
                                   delay_s=delay,
                                   jitter_s=self.jitter.jitter_s)
         # Frame reassembly.
-        seen = self._frag_seen.get(rtp.timestamp, 0) + 1
+        seen = self._frag_seen.get(timestamp, 0) + 1
         if seen == rtp.fragment_count and rtp.marker:
-            self._frag_seen.pop(rtp.timestamp, None)
+            self._frag_seen.pop(timestamp, None)
             st.frames_received += 1
             if self.sim._tracing_detail:
                 self.sim._tracer.emit(
@@ -228,12 +229,13 @@ class RtpReceiver:
                     session=pkt.session or self.session,
                     frame=rtp.frame.seq if rtp.frame is not None
                     else pkt.frame_seq,
-                    media_time=rtp.timestamp, delay_s=delay)
-            self._gc_stale_frames(rtp.timestamp)
+                    media_time=timestamp, delay_s=delay)
+            if self._frag_seen:
+                self._gc_stale_frames(timestamp)
             if self.on_frame is not None and rtp.frame is not None:
                 self.on_frame(rtp.frame, now)
         else:
-            self._frag_seen[rtp.timestamp] = seen
+            self._frag_seen[timestamp] = seen
 
     def _gc_stale_frames(self, completed_ts: int) -> None:
         """Frames older than a completed one can never finish: count them."""

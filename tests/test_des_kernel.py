@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import AllOf, AnyOf, Interrupt, Simulator
+from repro.des.kernel import entry_kind
 
 
 def test_clock_starts_at_zero():
@@ -399,14 +400,16 @@ def test_dispatch_hook_receives_every_entry_and_must_fire_it():
     sim = _StepCounter()
     seen = []
 
-    def hook(entry):
-        seen.append(type(entry).__name__)
-        entry._fire()
+    def hook(fn, args):
+        seen.append(entry_kind(fn))
+        fn(*args)
 
     sim._dispatch_hook = hook
     assert _mixed_run(sim) == (EXPECTED_ORDER, "finished")
     assert sim.stepped == len(seen) > 0
     assert seen.count("Call") == 2
+    assert seen.count("Timeout") == 2
+    assert {"Event", "Process"} <= set(seen)
     sim._dispatch_hook = None
     sim.call_later(1.0, seen.append, "inline again")
     sim.run()

@@ -1,5 +1,6 @@
 """Unit tests for links, routing and packet delivery."""
 
+import networkx as nx
 import pytest
 
 from repro.des import RngRegistry, Simulator
@@ -13,6 +14,7 @@ from repro.net import (
     PortExhaustedError,
     TopologyCompiler,
 )
+from repro.net.packet import TapRecord
 
 
 def simple_net(rate=1_000_000, delay=0.01, queue=100):
@@ -68,6 +70,58 @@ def test_routing_prefers_low_delay_path():
     assert net.path("a", "b") == ["a", "fast", "b"]
 
 
+def test_shorter_link_added_after_traffic_is_taken_by_later_packets():
+    """add_node/add_link invalidate every per-hop next-link table."""
+    sim = Simulator()
+    net = Network(sim)
+    for n in ("a", "r", "slow", "b"):
+        net.add_node(n)
+    net.add_duplex_link("a", "r", 10e6, 0.001)
+    net.add_duplex_link("r", "slow", 10e6, 0.050)
+    net.add_duplex_link("slow", "b", 10e6, 0.050)
+    hops = []
+    net.node("b").bind(1, lambda p: hops.append(p.hops))
+
+    def send(dst="b"):
+        net.send(Packet(src="a", dst=dst, size_bytes=1000, protocol="UDP",
+                        flow_id="f", dst_port=1))
+        sim.run()
+
+    send()
+    send()
+    assert net.link("r", "slow").stats.tx_packets == 2
+    # Both the source's table and the mid-path router's are warm now.
+    net.add_node("fast")
+    net.add_duplex_link("r", "fast", 10e6, 0.001)
+    net.add_duplex_link("fast", "b", 10e6, 0.001)
+    send()
+    assert net.link("r", "slow").stats.tx_packets == 2
+    assert net.link("r", "fast").stats.tx_packets == 1
+    # A direct link beats both, and the source's own table follows.
+    net.add_link("a", "b", 10e6, 0.0005)
+    send()
+    assert net.link("a", "r").stats.tx_packets == 3
+    assert net.link("a", "b").stats.tx_packets == 1
+    assert hops == [3, 3, 3, 1]
+    # A node added later is routable from warm tables too.
+    net.add_node("c")
+    net.add_duplex_link("b", "c", 10e6, 0.001)
+    net.node("c").bind(1, lambda p: hops.append(p.hops))
+    send("c")
+    assert hops[-1] == 2
+
+
+def test_no_route_raises_at_the_hop_that_has_none():
+    sim = Simulator()
+    net = Network(sim)
+    for n in ("a", "r", "island"):
+        net.add_node(n)
+    net.add_duplex_link("a", "r", 10e6, 0.001)
+    with pytest.raises(nx.NetworkXNoPath):
+        net.send(Packet(src="a", dst="island", size_bytes=100,
+                        protocol="UDP", flow_id="f", dst_port=1))
+
+
 def test_queue_overflow_drops_and_taps():
     sim, net = simple_net(rate=100_000, delay=0.0, queue=2)
     got = []
@@ -119,6 +173,43 @@ def test_unbound_port_discard_is_counted():
     discard_records = [r for r in net.tap.records if r.event == "rx-discard"]
     assert len(discard_records) == 1
     assert discard_records[0].dst == "b"
+
+
+def test_tap_record_views_of_deliveries_drops_and_a_discard():
+    """The rows the tap keeps read back as the records it used to build
+    eagerly: this is the recording of the same run at commit 1f2a874."""
+    sim = Simulator()
+    net = Network(sim)
+    for n in ("a", "r", "b"):
+        net.add_node(n)
+    net.add_duplex_link("a", "r", 100_000, 0.01, queue_packets=2)
+    net.add_duplex_link("r", "b", 1_000_000, 0.0)
+    net.node("b").bind(1, lambda p: None)
+    for i in range(5):
+        net.send(Packet(src="a", dst="b", size_bytes=250 * (i + 1),
+                        protocol="RTP" if i % 2 else "TCP",
+                        flow_id=f"f{i % 2}", dst_port=1 if i else 404,
+                        seq=i))
+    net.send(Packet(src="b", dst="b", size_bytes=40, protocol="RTCP",
+                    flow_id="loop", dst_port=1, seq=9))
+    sim.run()
+    assert net.tap.records == [TapRecord(*row) for row in (
+        (0.0, "drop-queue", "RTP", "f1", "a", "b", 1000, 3),
+        (0.0, "drop-queue", "TCP", "f0", "a", "b", 1250, 4),
+        (0.0, "deliver", "RTCP", "loop", "b", "b", 40, 9),
+        (0.032, "deliver", "TCP", "f0", "a", "b", 250, 0),
+        (0.032, "rx-discard", "TCP", "f0", "a", "b", 250, 0),
+        (0.074, "deliver", "RTP", "f1", "a", "b", 500, 1),
+        (0.136, "deliver", "TCP", "f0", "a", "b", 750, 2),
+    )]
+    assert net.tap.bytes_by_protocol == {"RTCP": 40, "TCP": 1000, "RTP": 500}
+    assert net.tap.count_by_protocol == {"RTCP": 1, "TCP": 2, "RTP": 1}
+    assert net.tap.discards_by_node == {"b": 1}
+    assert [r.seq for r in net.tap.delivered("f1")] == [1]
+    assert [r.seq for r in net.tap.drops()] == [3, 4]
+    assert net.tap.protocols_for_flow("f0") == {"TCP"}
+    with pytest.raises(AttributeError):
+        net.tap.records[0].seq = 1
 
 
 def test_bound_port_not_counted_as_discard():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.analysis import Reporter
 from repro.obs import read_jsonl
@@ -69,3 +71,45 @@ def test_cli_trace_usage_without_args(capsys):
 def test_cli_run_figure_still_works(capsys):
     assert main(["run", "table1"]) == 0
     assert "keywords" in capsys.readouterr().out
+
+
+_TEXT, _INT, _NUMBER = "a value", "an integer", "a number"
+#: every value-taking flag of every subcommand, with what it needs
+VALUE_FLAGS = [
+    (cmd, flag, kind)
+    for cmd, flags in {
+        "trace": {"--record": _TEXT, "--chrome": _TEXT, "--top": _INT,
+                  "--clients": _INT},
+        "bench": {"--out": _TEXT, "--baseline": _TEXT,
+                  "--threshold": _NUMBER, "--perf-threshold": _NUMBER,
+                  "--scenario": _TEXT, "--clients": _INT, "--shards": _INT,
+                  "--cell": _INT, "--seed": _INT, "--duration": _NUMBER,
+                  "--topology": _TEXT},
+        "profile": {"--scenario": _TEXT, "--out": _TEXT, "--top": _INT},
+        "slo": {"--artifact": _TEXT, "--scenario": _TEXT, "--chaos": _TEXT,
+                "--spec": _TEXT, "--spec-file": _TEXT, "--rule": _TEXT,
+                "--flight-dump": _TEXT},
+        "chaos": {"--scenario": _TEXT, "--seed": _INT, "--clients": _INT,
+                  "--min-delivered": _NUMBER, "--min-completed": _NUMBER,
+                  "--out": _TEXT, "--flight-dump": _TEXT,
+                  "--flight-window": _NUMBER},
+        "trend": {"--history": _TEXT, "--artifact": _TEXT,
+                  "--threshold": _NUMBER, "--perf-threshold": _NUMBER},
+        "report": {"--artifact": _TEXT, "--out": _TEXT, "--history": _TEXT},
+        "lint": {"--capacity-mbps": _NUMBER, "--examples-dir": _TEXT,
+                 "--format": _TEXT, "--baseline": _TEXT,
+                 "--write-baseline": _TEXT},
+    }.items()
+    for flag, kind in flags.items()
+]
+
+
+@pytest.mark.parametrize("cmd, flag, kind", VALUE_FLAGS)
+def test_cli_flag_with_bad_value_is_a_usage_error(cmd, flag, kind, capsys):
+    """No traceback: one line on stderr and exit status 2."""
+    argvs = [[cmd, flag]]
+    if kind != _TEXT:
+        argvs.append([cmd, flag, "x"])
+    for argv in argvs:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"repro: {flag} needs {kind}\n"

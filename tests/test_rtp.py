@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.des import RngRegistry, Simulator
 from repro.media import FrameKind
 from repro.media.types import Frame
-from repro.net import GilbertElliottLoss, Network
+from repro.net import GilbertElliottLoss, Network, Packet
 from repro.rtp import (
     InterarrivalJitterEstimator,
     RtcpReporter,
@@ -16,6 +16,8 @@ from repro.rtp import (
     RtpReceiver,
     RtpSender,
 )
+from repro.rtp.packets import SEQ_MODULUS
+from repro.rtp.session import fragment_plan
 
 CLOCK = 90_000
 
@@ -270,6 +272,93 @@ def test_rtp_packet_validation():
     p = RtpPacket(ssrc=1, payload_type=32, seq=0, timestamp=0, marker=True,
                   payload_bytes=100)
     assert p.size_bytes == 112
+
+
+def test_rtp_packet_is_immutable_and_copies_are_validated():
+    p = RtpPacket(1, 32, 7, 3600, True, 100, 1, 2, "frame")
+    assert (p.ssrc, p.payload_type, p.seq, p.timestamp, p.marker,
+            p.payload_bytes, p.fragment_index, p.fragment_count,
+            p.frame) == (1, 32, 7, 3600, True, 100, 1, 2, "frame")
+    with pytest.raises(AttributeError):
+        p.seq = 8
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert p._replace(seq=8).seq == 8
+    with pytest.raises(ValueError):
+        p._replace(seq=1 << 16)
+
+
+# ------------------------------------------------------------------ sequence
+def _reference_unwrap(high, seq):
+    """The closest-candidate search ``_unwrap`` replaced, verbatim."""
+    candidate = (high - high % SEQ_MODULUS) + seq
+    alternatives = (candidate - SEQ_MODULUS, candidate,
+                    candidate + SEQ_MODULUS)
+    return min(alternatives, key=lambda c: abs(c - high))
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=st.integers(0, SEQ_MODULUS - 1),
+       steps=st.lists(st.one_of(st.integers(-40_000, 40_000),
+                                st.sampled_from([1, 1, 1, -1, 0, 32_767,
+                                                 32_768, -32_768])),
+                      max_size=40))
+def test_property_unwrap_matches_the_closest_candidate_search(first, steps):
+    sim, net = build()
+    _tx, rx = endpoints(net)
+    assert rx._unwrap(first) == first
+    high, sent = first, first
+    for step in steps:
+        sent += step
+        if sent < 0:
+            sent = 0
+        expected = _reference_unwrap(high, sent % SEQ_MODULUS)
+        assert rx._unwrap(sent % SEQ_MODULUS) == expected
+        high = max(high, expected)
+        assert rx._unwrapped_high == high
+
+
+def test_late_packet_behind_sequence_zero_keeps_highest_seq():
+    """Seq 0 is a highest sequence like any other, not "unset"."""
+    sim, net = build()
+    _tx, rx = endpoints(net)
+    node = net.node("cli")
+    for seq in (0, SEQ_MODULUS - 1):  # 65535 is one *behind* 0
+        node.deliver(Packet(
+            "srv", "cli", 112, "RTP", "v", 5004,
+            RtpPacket(1, 32, seq, 0, True, 100), seq))
+    assert rx.stats.packets_received == 2
+    assert rx.stats.highest_seq == 0
+    assert rx.stats.base_seq == 0
+    assert rx.stats.expected == 1
+
+
+# ------------------------------------------------------------------ fragments
+@given(size=st.integers(1, 50_000), mtu=st.integers(1, 3_000))
+def test_property_fragment_plan_is_the_greedy_split(size, mtu):
+    plan = fragment_plan(size, mtu)
+    remaining, greedy = size, []
+    while remaining > 0:
+        greedy.append(min(mtu, remaining))
+        remaining -= greedy[-1]
+    assert list(plan) == greedy
+
+
+def test_fragment_plan_is_shared_by_every_sender_of_a_frame():
+    """A shared flow's fan-out computes a frame's plan once."""
+    sim, net = build(rate=100e6)
+    senders = [
+        RtpSender(net, "srv", 6000 + i, "cli", 7000 + i, ssrc=i,
+                  payload_type=32, clock_rate=CLOCK, stream_id=f"v{i}")
+        for i in range(12)
+    ]
+    big = frame(0, size=31_337)
+    before = fragment_plan.cache_info()
+    for tx in senders:
+        assert tx.send_frame(big) == 23
+    after = fragment_plan.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.hits - before.hits >= 11
 
 
 # ------------------------------------------------------------------ property
