@@ -36,6 +36,7 @@ from repro.analysis.shardrules import SHARD_RULES
 from repro.analysis.tracerules import TRACE_RULES
 from repro.hml.lexer import HmlSyntaxError
 from repro.hml.parser import parse
+from repro.ioutil import UsageError, atomic_write_json
 
 __all__ = [
     "self_lint_root",
@@ -162,6 +163,7 @@ def lint_python_program(
 
 def run_lint(
     reporter,
+    *,
     paths: list[str] | None = None,
     self_lint: bool = False,
     scenarios: bool = False,
@@ -171,8 +173,16 @@ def run_lint(
     fmt: str = "text",
     baseline_path: str | None = None,
     write_baseline: str | None = None,
+    rules_only: bool = False,
 ) -> int:
-    """Run the requested lint passes; returns the process exit code."""
+    """``repro lint``: run the requested passes; the process exit code.
+    ``--self`` defaults ``--baseline`` to ./lint-baseline.json if present."""
+    if rules_only:
+        return list_rules(reporter)
+    if self_lint and baseline_path is None:
+        default_baseline = os.path.join(os.getcwd(), "lint-baseline.json")
+        if os.path.exists(default_baseline):
+            baseline_path = default_baseline
     any_pass = False
     status = 0
     gh_lines: list[str] = []
@@ -188,7 +198,6 @@ def run_lint(
         diags = lint_python_program(py_paths, full=self_lint,
                                     baseline_path=baseline_path)
         if write_baseline is not None:
-            from repro.ioutil import atomic_write_json
             atomic_write_json(write_baseline, baseline_document(diags))
             reporter.value("baseline_written", write_baseline)
         render_diagnostics(reporter, diags, "determinism lint")
@@ -218,10 +227,7 @@ def run_lint(
         status = max(status, exit_code(all_diags))
 
     if not any_pass:
-        reporter.text(
-            "usage: python -m repro lint [PATH ...] [--self] [--scenarios] "
-            "[--capacity-mbps F] [--closed-set] [--list-rules]")
-        return 2
+        raise UsageError("nothing to lint: pass PATH, --self or --scenarios")
     if fmt == "github":
         for line in gh_lines:
             reporter.text(line)

@@ -1,9 +1,10 @@
-"""Canned experiment runners (E1–E9 of DESIGN.md).
+"""Canned experiment runners (E1–E13 of DESIGN.md) and their registry.
 
 Each function builds fresh engines, runs the sweep and returns
 ``(headers, rows)`` ready for :func:`repro.analysis.tables.render_table`.
 The benchmarks print these tables and assert the qualitative claims;
-EXPERIMENTS.md records paper-claim vs. measured outcome.
+EXPERIMENTS.md records paper-claim vs. measured outcome. ``python -m
+repro list`` / ``run <key>`` read :data:`EXPERIMENTS` and :data:`FIGURES`.
 """
 
 from __future__ import annotations
@@ -12,11 +13,18 @@ from repro.client.metrics import PlayoutEventKind
 from repro.core.config import EngineConfig, TrafficConfig
 from repro.core.engine import ServiceEngine
 from repro.hml import DocumentBuilder, serialize
+from repro.hml.examples import figure2_document
+from repro.hml.grammar import grammar_text
+from repro.hml.tokens import keyword_table_rows
+from repro.model import ascii_timeline, build_playout_schedule
 from repro.server.accounts import CONTRACT_CLASSES
 from repro.server.admission import AdmissionController, AdmissionRequest
 from repro.server.qos_manager import GradingPolicy
+from repro.service.states import transition_table_rows
 
 __all__ = [
+    "EXPERIMENTS",
+    "FIGURES",
     "av_markup",
     "run_time_window_sweep",
     "run_skew_control_matrix",
@@ -574,3 +582,40 @@ def run_interplay_experiment(duration_s: float = 25.0, seed: int = 9):
          len(long_term_times)],
     ]
     return headers, rows, (first_short, first_long)
+
+
+#: CLI key -> (runner, one-line title); ``run_*`` names above, once each
+EXPERIMENTS = {
+    "e1": (run_time_window_sweep, "media time window vs quality"),
+    "e2": (run_skew_control_matrix, "short-term skew control"),
+    "e3": (run_grading_comparison, "long-term quality grading"),
+    "e4": (run_admission_sweep, "admission by pricing class"),
+    "e5": (run_watermark_comparison, "buffer watermarks [LIT 92]"),
+    "e6": (run_navigation_grace, "suspend grace interval"),
+    "e7": (run_search_experiment, "distributed search"),
+    "e8": (run_grading_order_ablation, "degrade-order ablation"),
+    "e9": (run_interplay_experiment, "short- vs long-term timing"),
+    "e10": (run_scaling_experiment, "concurrent-session scaling"),
+    "e10b": (run_population_scaling, "population on per-client links"),
+    "e11": (run_atm_comparison, "ATM access link (future work)"),
+    "e12": (run_negotiation_experiment, "QoS negotiation at admission"),
+    "e13": (run_rtcp_interval_ablation, "RTCP feedback interval"),
+}
+
+#: CLI key -> (one-line title, heading, table headers or None for plain
+#: text, producer of the rows / the text)
+FIGURES = {
+    "table1": ("the keyword table",
+               "Table 1 — Description of basic keywords",
+               ["Keyword", "Description"], keyword_table_rows),
+    "fig1": ("the grammar BNF",
+             "Figure 1 — Grammar of the language in BNF notation",
+             None, grammar_text),
+    "fig2": ("the example scenario timeline",
+             "Figure 2 — the example scenario's playout timeline", None,
+             lambda: ascii_timeline(
+                 build_playout_schedule(figure2_document()))),
+    "fig4": ("the session state machine",
+             "Figure 4 — application state transitions",
+             ["state", "event", "next state"], transition_table_rows),
+}

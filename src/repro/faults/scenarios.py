@@ -11,7 +11,7 @@ all three exercise the identical code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.faults.control import RetryPolicy
 from repro.faults.digest import population_digest
@@ -22,6 +22,10 @@ from repro.faults.plan import (
     LinkFlapFault,
     ServerCrashFault,
 )
+from repro.ioutil import UsageError
+
+if TYPE_CHECKING:
+    from repro.analysis.report import Reporter
 
 __all__ = [
     "ChaosScenario",
@@ -31,6 +35,7 @@ __all__ = [
     "build_plan",
     "run_chaos",
     "check_determinism",
+    "chaos_command",
 ]
 
 CHAOS_SCHEMA = "repro.chaos"
@@ -203,6 +208,7 @@ def run_chaos(
     otherwise) that auto-dumps the trailing ``flight_window_s``
     sim-seconds of events to that path on the first injected fault;
     the dump metadata lands in the artifact under ``flight_dump``.
+    An unknown ``name`` is a :class:`~repro.ioutil.UsageError`.
     """
     from repro.core.config import EngineConfig
     from repro.core.engine import ServiceEngine
@@ -210,9 +216,9 @@ def run_chaos(
 
     scenario = CHAOS_SCENARIOS.get(name)
     if scenario is None:
-        raise KeyError(
+        raise UsageError(
             f"unknown chaos scenario {name!r}; available: "
-            f"{sorted(CHAOS_SCENARIOS)}"
+            f"{', '.join(sorted(CHAOS_SCENARIOS))}"
         )
     n = n_clients if n_clients is not None else (
         scenario.smoke_clients if smoke else scenario.n_clients)
@@ -305,3 +311,67 @@ def check_determinism(name: str = "crash", *, smoke: bool = True,
     a = run_chaos(name, smoke=smoke, seed=seed)
     b = run_chaos(name, smoke=smoke, seed=seed)
     return a.digest == b.digest, a.digest, b.digest
+
+
+def chaos_command(report: Reporter, *, scenario: str, smoke: bool,
+                  seed: int | None, clients: int | None, recovery: bool,
+                  retry: bool | None, check_det: bool,
+                  min_delivered: float | None, min_completed: float | None,
+                  out: str | None, flight_dump: str | None,
+                  flight_window: float) -> int:
+    """``repro chaos``: one fault-injection run plus its assertions."""
+    a = run_chaos(scenario, smoke=smoke, seed=seed, n_clients=clients,
+                  recovery=recovery, retry=retry, flight_dump=flight_dump,
+                  flight_window_s=flight_window).artifact
+    watchdog = a.get("watchdog", {})
+    report.table(
+        f"Chaos run — {scenario}" + (" (smoke)" if smoke else ""),
+        ["metric", "value"],
+        [
+            ["sessions", a["sessions"]],
+            ["completed", a["completed"]],
+            ["delivered", a["delivered"]],
+            ["control retries", a["retries"]],
+            ["stream recoveries", a["recoveries"]],
+            ["streams failed over", watchdog.get("streams_failed_over", 0)],
+            ["streams lost", watchdog.get("streams_lost", 0)],
+            ["sessions saved", watchdog.get("sessions_saved", 0)],
+            ["digest", a["digest"][:16]],
+        ],
+    )
+    if isinstance(a.get("service"), dict) and a["service"]:
+        report.service_report(a["service"])
+    if out:
+        report.artifact(f"chaos:{scenario}", out, a)
+    failed = False
+    if flight_dump is not None:
+        dump = a.get("flight_dump") or {}
+        if dump:
+            report.value("flight_dump", dump.get("path"))
+            report.value("flight_dump_events", dump.get("events"))
+            report.value("flight_dump_trigger", dump.get("trigger"))
+        elif a.get("faults", {}).get("faults"):
+            # Faults were scheduled but no trigger fired the recorder —
+            # the crash forensics the caller asked for don't exist.
+            report.value("failure",
+                         "flight recorder never dumped despite a "
+                         "non-empty fault plan")
+            failed = True
+    if check_det:
+        same, d1, d2 = check_determinism(scenario, smoke=smoke, seed=seed)
+        report.value("deterministic", same)
+        if not same:
+            report.value("digest_a", d1)
+            report.value("digest_b", d2)
+            failed = True
+    for key, floor in (("delivered", min_delivered),
+                       ("completed", min_completed)):
+        if floor is not None:
+            frac = a[key] / a["sessions"] if a["sessions"] else 0.0
+            report.value(f"{key}_fraction", round(frac, 3))
+            if frac < floor:
+                report.value(
+                    "failure",
+                    f"{key} {frac:.2f} < required {floor:.2f}")
+                failed = True
+    return 1 if failed else 0

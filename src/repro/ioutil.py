@@ -1,4 +1,4 @@
-"""Atomic artifact writes: temp file + ``os.replace``.
+"""Atomic artifact writes (temp file + ``os.replace``), checked reads.
 
 Every artifact the repo persists (``BENCH_*.json``, ``PROFILE_*``,
 flight-recorder dumps, history files, markdown reports) goes through
@@ -7,7 +7,9 @@ truncated file behind: the content lands in a temp file in the target
 directory, is flushed and fsynced, and only then renamed over the
 destination — a single atomic step on POSIX filesystems. On any
 failure the temp file is removed and the previous artifact (if one
-existed) is untouched.
+existed) is untouched. Reading a file the user named goes through
+:func:`read_json`, which turns "missing" and "not JSON" into a
+:class:`UsageError`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,22 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
-__all__ = ["atomic_open", "atomic_write_text", "atomic_write_json"]
+__all__ = ["UsageError", "read_json", "atomic_open", "atomic_write_text",
+           "atomic_write_json"]
+
+
+class UsageError(Exception):
+    """A flag value, scenario name or file from the command line is
+    unusable; ``python -m repro`` prints the message and exits 2."""
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON document in a file the user named."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
 
 
 @contextmanager

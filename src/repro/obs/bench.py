@@ -17,14 +17,20 @@ trajectory. Artifacts compare against checked-in baselines
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.ioutil import UsageError, read_json
 from repro.obs.service_metrics import egress_by_host
 
-__all__ = ["BenchScenario", "SCENARIOS", "run_scenario",
-           "run_benchmarks", "compare_to_baseline"]
+if TYPE_CHECKING:
+    from repro.analysis.report import Reporter
+
+__all__ = ["BenchScenario", "SCENARIOS", "bench_scenario", "thresholds",
+           "run_scenario", "run_benchmarks", "compare_to_baseline",
+           "bench_command"]
 
 BENCH_SCHEMA = "repro.bench"
 BENCH_SCHEMA_VERSION = 1
@@ -80,6 +86,23 @@ SCENARIOS: dict[str, BenchScenario] = {
         ),
     )
 }
+
+
+def thresholds(threshold: float | None,
+               perf_threshold: float | None) -> tuple[float, float]:
+    """The two gates, defaulted where the command line left them unset."""
+    return (DEFAULT_THRESHOLD if threshold is None else threshold,
+            DEFAULT_PERF_THRESHOLD if perf_threshold is None
+            else perf_threshold)
+
+
+def bench_scenario(name: str) -> BenchScenario:
+    """The shipped scenario a command line names; UsageError if none."""
+    scenario = SCENARIOS.get(name)
+    if scenario is None:
+        raise UsageError(f"unknown bench scenario {name!r}; "
+                         f"available: {', '.join(sorted(SCENARIOS))}")
+    return scenario
 
 
 def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
@@ -275,3 +298,71 @@ def compare_to_baseline(
     gate("egress_reduction", artifact.get("egress_reduction"),
          baseline.get("egress_reduction"), threshold)
     return problems
+
+
+def bench_command(report: Reporter, *, smoke: bool, profile: bool,
+                  update_baseline: bool, out: str, baseline: str,
+                  threshold: float | None, perf_threshold: float | None,
+                  scenario: list[str], topology: list[str],
+                  **sharded: Any) -> int:
+    """``repro bench``: run scenarios, emit BENCH_*.json, compare;
+    ``--clients`` / ``--scale-curve`` go to the sharded bench instead."""
+    if sharded["clients"] is not None or sharded["scale_curve"]:
+        from repro.shard.bench import sharded_bench_command
+
+        return sharded_bench_command(report, smoke=smoke, out=out,
+                                     **sharded)
+    names = [bench_scenario(name).name for name in scenario]
+    for wanted in topology:
+        matching = [s.name for s in SCENARIOS.values()
+                    if s.topology == wanted]
+        if not matching:
+            known = sorted({s.topology for s in SCENARIOS.values()})
+            raise UsageError(f"no scenarios with topology {wanted!r}; "
+                             f"known: {', '.join(known)}")
+        names.extend(matching)
+
+    threshold, perf_threshold = thresholds(threshold, perf_threshold)
+    os.makedirs(out, exist_ok=True)
+    artifacts = run_benchmarks(names or None, smoke=smoke,
+                               profile=profile)
+    problems: list[str] = []
+    rows = []
+    for name, artifact in artifacts.items():
+        out_path = os.path.join(out, f"BENCH_{name}.json")
+        report.artifact(f"artifact:{name}", out_path, artifact)
+        if profile and "profile" in artifact:
+            prof_path = os.path.join(out, f"PROFILE_{name}.json")
+            report.artifact(f"profile:{name}", prof_path,
+                            artifact["profile"])
+            report.value(f"profile_coverage:{name}",
+                         round(artifact["profile"]["coverage"], 4))
+        qoe = artifact.get("qoe") or {}
+        rows.append([
+            name, artifact["clients"],
+            f"{artifact['wall_s']:.3f}",
+            f"{artifact['events_per_sec']:.0f}",
+            f"{artifact['completed']}/{artifact['sessions']}",
+            f"{qoe.get('score', {}).get('p50', 0.0):.1f}",
+        ])
+        base_name = f"BENCH_{name}.smoke.json" if smoke \
+            else f"BENCH_{name}.json"
+        base_path = os.path.join(baseline, base_name)
+        if update_baseline:
+            os.makedirs(baseline, exist_ok=True)
+            report.artifact(f"baseline:{name}", base_path, artifact)
+        elif os.path.exists(base_path):
+            problems.extend(compare_to_baseline(
+                artifact, read_json(base_path),
+                threshold=threshold, perf_threshold=perf_threshold))
+        else:
+            report.value(f"baseline:{name}", "missing (not compared)")
+    report.table(
+        "Benchmark trajectory" + (" (smoke)" if smoke else ""),
+        ["scenario", "clients", "wall_s", "events/s", "completed",
+         "qoe_p50"],
+        rows,
+    )
+    for problem in problems:
+        report.value("regression", problem)
+    return 1 if problems else 0

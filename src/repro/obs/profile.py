@@ -27,12 +27,18 @@ flamegraph.pl and speedscope ingest directly) and a
 
 from __future__ import annotations
 
+import os
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.des.kernel import entry_kind
+from repro.ioutil import atomic_write_text
 
-__all__ = ["KernelProfiler", "PROFILE_SCHEMA", "PROFILE_SCHEMA_VERSION"]
+if TYPE_CHECKING:
+    from repro.analysis.report import Reporter
+
+__all__ = ["KernelProfiler", "PROFILE_SCHEMA", "PROFILE_SCHEMA_VERSION",
+           "profile_command"]
 
 PROFILE_SCHEMA = "repro.profile"
 PROFILE_SCHEMA_VERSION = 1
@@ -224,3 +230,41 @@ class KernelProfiler:
         if extra:
             doc.update(extra)
         return doc
+
+
+def profile_command(report: Reporter, *, smoke: bool, scenario: list[str],
+                    out: str, top: int) -> int:
+    """``repro profile``: kernel attribution over bench scenarios."""
+    from repro.obs.bench import bench_scenario, run_scenario
+
+    scenarios = [bench_scenario(name)
+                 for name in scenario or ["population_clean"]]
+    os.makedirs(out, exist_ok=True)
+    for bench in scenarios:
+        name = bench.name
+        prof = run_scenario(bench, smoke=smoke, profile=True)["profile"]
+        out_path = os.path.join(out, f"PROFILE_{name}.json")
+        report.artifact(f"profile:{name}", out_path, prof)
+        collapsed_path = os.path.join(out, f"PROFILE_{name}.collapsed.txt")
+        atomic_write_text(
+            collapsed_path,
+            "".join(line + "\n" for line in prof["collapsed_stacks"]))
+        report.value(f"collapsed:{name}", collapsed_path)
+        report.table(
+            f"Kernel time by event kind — {name}"
+            + (" (smoke)" if smoke else ""),
+            ["kind", "count", "total_us", "mean_us", "share"],
+            [[r["kind"], r["count"], f"{r['total_us']:.0f}",
+              f"{r['mean_us']:.2f}", f"{r['share']:.1%}"]
+             for r in prof["by_kind"]],
+        )
+        report.table(
+            f"Hot spots — {name}",
+            ["kind", "handler", "count", "total_us", "mean_us"],
+            [[r["kind"], r["handler"], r["count"],
+              f"{r['total_us']:.0f}", f"{r['mean_us']:.2f}"]
+             for r in prof["hotspots"][:top]],
+        )
+        report.value(f"kernel_ms:{name}", round(prof["kernel_ms"], 2))
+        report.value(f"coverage:{name}", round(prof["coverage"], 4))
+    return 0

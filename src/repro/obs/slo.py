@@ -21,11 +21,17 @@ jobs on service levels instead of ad-hoc thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+from repro.ioutil import UsageError, read_json
+
+if TYPE_CHECKING:
+    from repro.analysis.report import Reporter
 
 __all__ = ["SloRule", "SloCheck", "parse_rule", "parse_spec",
            "flatten_metrics", "timeseries_metrics", "evaluate",
-           "DEFAULT_SLOS", "METRIC_ALIASES"]
+           "load_artifact", "slo_command", "DEFAULT_SLOS",
+           "METRIC_ALIASES"]
 
 #: comparison operators, longest first so ``<=`` wins over ``<``
 _OPS: tuple[tuple[str, Any], ...] = (
@@ -260,3 +266,83 @@ def evaluate(rules: list[SloRule],
         checks.append(SloCheck(rule=rule, value=value,
                                ok=bool(fn(value, rule.threshold))))
     return checks
+
+
+def load_artifact(path: str) -> tuple[dict[str, Any], str | None]:
+    """A saved artifact and the key of its shipped default spec."""
+    artifact = read_json(path)
+    if not isinstance(artifact, dict):
+        raise UsageError(f"{path} is not a run artifact (a JSON object)")
+    if artifact.get("schema") == "repro.chaos":
+        return artifact, "chaos"
+    return artifact, artifact.get("name") or artifact.get("scenario")
+
+
+def slo_command(report: Reporter, *, artifact: str | None,
+                scenario: str | None, chaos: str | None, spec: str | None,
+                spec_file: str | None, rule: list[str], smoke: bool,
+                flight_dump: str | None) -> int:
+    """``repro slo``: evaluate SLO rules against a saved artifact or a
+    live run (exactly one source); 1 on any violated rule."""
+    if flight_dump is not None and chaos is None:
+        raise UsageError("--flight-dump needs a live --chaos run")
+    recorder = None
+    default_key: str | None
+    if artifact is not None:
+        doc, default_key = load_artifact(artifact)
+    elif scenario is not None:
+        from repro.obs.bench import bench_scenario, run_scenario
+
+        doc = run_scenario(bench_scenario(scenario), smoke=smoke)
+        default_key = scenario
+    else:
+        from repro.faults.scenarios import run_chaos
+
+        assert chaos is not None  # the parser requires one source
+        chaos_run = run_chaos(chaos, smoke=smoke, flight_dump=flight_dump)
+        doc, recorder = chaos_run.artifact, chaos_run.flight_recorder
+        default_key = "chaos"
+
+    try:
+        lines: list[str] = []
+        if spec_file is not None:
+            with open(spec_file, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        rules = parse_spec(lines + rule)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"unusable SLO rules: {exc}") from None
+    if not rules:
+        key = spec if spec is not None else default_key
+        shipped = DEFAULT_SLOS.get(key or "")
+        if shipped is None:
+            raise UsageError(
+                f"no SLO spec for {key!r}: pass --spec "
+                f"({', '.join(sorted(DEFAULT_SLOS))}), --spec-file or "
+                "--rule")
+        report.value("spec", key)
+        rules = parse_spec(shipped)
+
+    checks = evaluate(rules, doc)
+    report.table(
+        "SLO evaluation",
+        ["rule", "value", "status"],
+        [[c.rule.text,
+          "missing" if c.value is None else f"{c.value:g}",
+          "PASS" if c.ok else "FAIL"]
+         for c in checks],
+    )
+    service = doc.get("service")
+    if isinstance(service, dict) and service:
+        report.service_report(service)
+    violations = [c for c in checks if not c.ok]
+    if recorder is not None:
+        # A fault may already have dumped; otherwise a violated gate
+        # is itself the incident worth forensics.
+        if violations and not recorder.last_dump:
+            recorder.dump(trigger="slo.violation")
+        if recorder.last_dump:
+            report.value("flight_dump", recorder.last_dump["path"])
+            report.value("flight_dump_trigger",
+                         recorder.last_dump["trigger"])
+    report.value("violations", len(violations))
+    return 1 if violations else 0

@@ -7,9 +7,14 @@ what happened (top kinds), per-session lifelines, where packets died
 
 from __future__ import annotations
 
-from repro.obs.tracer import TraceEvent
+from typing import TYPE_CHECKING, Iterable
 
-__all__ = ["summarize_trace"]
+from repro.obs.tracer import RecordingTracer, TraceEvent
+
+if TYPE_CHECKING:
+    from repro.analysis.report import Reporter
+
+__all__ = ["summarize_trace", "trace_command"]
 
 #: kinds that count as a "drop" for the drop table
 DROP_KINDS = ("link.drop", "net.rx_discard", "playout.drop", "playout.gap")
@@ -256,3 +261,54 @@ def summarize_trace(events: list[TraceEvent], top: int = 12) -> list[dict]:
             "rows": qoe,
         })
     return sections
+
+
+def _export_chrome(report: Reporter, events: Iterable[TraceEvent],
+                   chrome_to: str | None) -> None:
+    if chrome_to:
+        from repro.obs.export import write_chrome_trace
+
+        report.value("chrome_records",
+                     write_chrome_trace(events, chrome_to))
+        report.value("chrome_path", chrome_to)
+
+
+def _record_trace(report: Reporter, out_path: str, chrome_to: str | None,
+                  n_clients: int) -> int:
+    """Run a traced population and export JSONL (+ Chrome trace)."""
+    from repro.core import ServiceEngine
+    from repro.core.config import EngineConfig
+    from repro.core.experiments import av_markup
+    from repro.obs.export import write_jsonl
+
+    tracer = RecordingTracer()
+    eng = ServiceEngine(EngineConfig(), tracer=tracer)
+    eng.add_server("srv1", documents={"doc": (av_markup(5.0, True), "demo")})
+    pop = eng.orchestrator.run_population(n_clients, "srv1", "doc",
+                                          stagger_s=0.5)
+    n = write_jsonl(tracer.events, out_path)
+    report.value("sessions_completed", len(pop.completed()))
+    report.value("jsonl_events", n)
+    report.value("jsonl_path", out_path)
+    _export_chrome(report, tracer.events, chrome_to)
+    return 0
+
+
+def trace_command(report: Reporter, *, usage: str, inputs: list[str],
+                  record: str | None, chrome: str | None, top: int,
+                  clients: int) -> int:
+    """``repro trace``: record a traced run, or summarize JSONL traces."""
+    from repro.obs.export import read_jsonl
+
+    if record is not None:
+        return _record_trace(report, record, chrome, clients)
+    if not inputs:
+        report.text(usage)
+        return 2
+    for path in inputs:
+        events = read_jsonl(path)
+        for section in summarize_trace(events, top=top):
+            report.table(section["title"], section["headers"],
+                         section["rows"])
+        _export_chrome(report, events, chrome)
+    return 0

@@ -24,17 +24,30 @@ into one markdown dashboard.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.obs.bench import DEFAULT_PERF_THRESHOLD, DEFAULT_THRESHOLD
-from repro.obs.slo import flatten_metrics
+from repro.ioutil import UsageError, atomic_write_text, read_json
+from repro.obs.bench import (
+    DEFAULT_PERF_THRESHOLD,
+    DEFAULT_THRESHOLD,
+    thresholds,
+)
+from repro.obs.slo import (
+    DEFAULT_SLOS,
+    evaluate,
+    flatten_metrics,
+    load_artifact,
+    parse_spec,
+)
+
+if TYPE_CHECKING:
+    from repro.analysis.report import Reporter
 
 __all__ = ["TrendMetric", "TrendRow", "TREND_METRICS", "load_history",
            "group_history", "analyze_group", "sparkline",
-           "render_markdown_report"]
+           "render_markdown_report", "trend_command", "report_command"]
 
 #: MAD -> sigma-equivalent scale for normally distributed noise
 _MAD_SCALE = 1.4826
@@ -118,8 +131,7 @@ def load_history(paths: list[str]) -> list[dict[str, Any]]:
             files.append(path)
     history = []
     for file in files:
-        with open(file, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(file)
         if isinstance(doc, dict) and isinstance(doc.get("schema"), str):
             doc["_path"] = file
             history.append(doc)
@@ -333,3 +345,72 @@ def render_markdown_report(artifact: dict[str, Any],
         lines.append("")
 
     return "\n".join(lines)
+
+
+# -- the two commands ---------------------------------------------------------
+
+def trend_command(report: Reporter, *, history: list[str],
+                  artifact: list[str], threshold: float | None,
+                  perf_threshold: float | None) -> int:
+    """``repro trend``: newest run vs history; 1 on any regression."""
+    if not history:
+        default_dir = os.path.join("benchmarks", "history")
+        if os.path.isdir(default_dir):
+            history = [default_dir]
+    # --artifact files load after the history so they land as the
+    # newest (judged) point of their scenario group.
+    docs = load_history(history + artifact)
+    if not docs:
+        raise UsageError("no artifacts found; pass --history DIR and/or "
+                         "--artifact FILE")
+
+    threshold, perf_threshold = thresholds(threshold, perf_threshold)
+    regressions = 0
+    rows = []
+    for (name, smoke), group in sorted(group_history(docs).items()):
+        label = name + (" (smoke)" if smoke else "")
+        for row in analyze_group(group, threshold=threshold,
+                                 perf_threshold=perf_threshold):
+            rows.append([
+                label, row.metric, sparkline(row.values),
+                f"{row.median:g}", f"{row.last:g}", row.verdict,
+            ])
+            if row.verdict == "regressed":
+                regressions += 1
+                report.value("regression", f"{label}: {row.detail}")
+    report.table(
+        "Trend verdicts (newest vs median ± MAD band)",
+        ["scenario", "metric", "history", "median", "last", "verdict"],
+        rows,
+    )
+    report.value("regressions", regressions)
+    return 1 if regressions else 0
+
+
+def report_command(report: Reporter, *, artifact: str | None,
+                   out: str | None, history: list[str]) -> int:
+    """``repro report``: the markdown dashboard for one artifact."""
+    if artifact is None:
+        raise UsageError("needs an artifact: --artifact BENCH_x.json")
+    doc, spec_key = load_artifact(artifact)
+    spec = DEFAULT_SLOS.get(spec_key or "")
+    slo_checks = evaluate(parse_spec(spec), doc) if spec else None
+
+    trend_rows = None
+    if history:
+        groups = group_history(load_history(history) + [doc])
+        # the artifact is the newest point of whichever group it joined
+        trend_rows = analyze_group(next(
+            group for group in groups.values() if group[-1] is doc))
+
+    markdown = render_markdown_report(doc, trend_rows=trend_rows,
+                                      slo_checks=slo_checks)
+    if out:
+        atomic_write_text(out, markdown + "\n")
+        report.value("report_path", out)
+    else:
+        report.text(markdown)
+    if slo_checks:
+        report.value("slo_violations",
+                     sum(1 for c in slo_checks if not c.ok))
+    return 0

@@ -16,14 +16,19 @@ path where one controller sees every session.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import os
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.shard.plan import ShardPlan, ShardWorkload
-from repro.shard.result import ShardedRunResult
+from repro.shard.result import ShardedRunResult, ShardFailure, ShardStatus
 from repro.shard.supervisor import ShardSupervisor
 
+if TYPE_CHECKING:
+    from repro.analysis.report import Reporter
+
 __all__ = ["shard_workload", "run_sharded", "sharded_artifact",
-           "run_scale_curve", "SCALE_POINTS", "SCALE_SMOKE_POINTS"]
+           "run_scale_curve", "sharded_bench_command", "SCALE_POINTS",
+           "SCALE_SMOKE_POINTS"]
 
 BENCH_SCHEMA = "repro.bench"
 BENCH_SCHEMA_VERSION = 1
@@ -202,3 +207,78 @@ def run_scale_curve(
         "completed": top["completed"],
         "completeness": top["completeness"],
     }
+
+
+def _shard_lifecycle_table(report: Reporter,
+                           shards: list[ShardStatus]) -> None:
+    report.table(
+        "Shard lifecycle",
+        ["shard", "cells", "status", "attempts", "retries", "failures"],
+        [[s.shard, len(s.cells), s.status, s.attempts, s.retries,
+          "; ".join(s.failures) or "-"] for s in shards],
+    )
+
+
+def sharded_bench_command(report: Reporter, *, clients: int | None,
+                          shards: int, cell: int, seed: int,
+                          duration: float, tolerate_shard_failures: bool,
+                          scale_curve: bool, smoke: bool, out: str) -> int:
+    """``repro bench --clients N`` / ``--scale-curve``: one supervised
+    sharded point, or the scaling curve."""
+    os.makedirs(out, exist_ok=True)
+    if scale_curve:
+        artifact = run_scale_curve(
+            n_shards=shards, seed=seed, cell_clients=cell,
+            smoke=smoke, tolerate_failures=tolerate_shard_failures)
+        out_path = os.path.join(out, "BENCH_population_scale.json")
+        report.artifact("artifact:population_scale", out_path, artifact)
+        report.table(
+            "Population scaling curve"
+            + (" (smoke)" if smoke else ""),
+            ["clients", "wall_s", "events/s", "completed",
+             "completeness", "digest"],
+            [[p["clients"], f"{p['wall_s']:.2f}",
+              f"{p['events_per_sec']:.0f}",
+              f"{p['completed']}/{p['sessions']}",
+              f"{p['completeness']:.2f}", p["digest"][:16]]
+             for p in artifact["points"]],
+        )
+        return 0
+
+    assert clients is not None
+    try:
+        result = run_sharded(
+            clients, shards, seed=seed, cell_clients=cell,
+            duration_s=duration,
+            tolerate_failures=tolerate_shard_failures)
+    except ShardFailure as exc:
+        result = exc.result
+        report.text(f"sharded run failed: {exc}")
+        _shard_lifecycle_table(report, result.shards)
+        return 1
+
+    artifact = sharded_artifact(result, smoke=smoke, duration_s=duration)
+    out_path = os.path.join(out, "BENCH_population_shard.json")
+    report.artifact("artifact:population_shard", out_path, artifact)
+    qoe = artifact.get("qoe") or {}
+    report.table(
+        "Sharded population" + (" (smoke)" if smoke else ""),
+        ["clients", "shards", "wall_s", "events/s", "completed",
+         "completeness", "qoe_p50", "digest"],
+        [[result.clients, result.n_shards, f"{result.wall_s:.3f}",
+          f"{artifact['events_per_sec']:.0f}",
+          f"{artifact['completed']}/{artifact['sessions']}",
+          f"{result.completeness:.2f}",
+          f"{qoe.get('score', {}).get('p50', 0.0):.1f}",
+          result.digest[:16]]],
+    )
+    _shard_lifecycle_table(report, result.shards)
+    if result.completeness < 1.0:
+        report.value("degraded",
+                     f"partial result: completeness "
+                     f"{result.completeness:.2f}, missing cells "
+                     f"{result.missing_cells}")
+    if result.interrupted:
+        report.value("interrupted", True)
+        return 130
+    return 0

@@ -1,0 +1,158 @@
+"""The ``argparse`` table in ``repro.__main__`` is the CLI's one source
+of truth: registry, documented command lines, flag set, error paths."""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shlex
+
+import pytest
+
+import repro.core.experiments as experiments
+from repro.__main__ import EXPERIMENTS, build_parser, main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    """``{name: subparser}`` of the table."""
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return dict(action.choices)
+
+
+# -- the registry -------------------------------------------------------------
+
+def test_every_runner_is_registered_exactly_once():
+    runners = [getattr(experiments, name) for name in experiments.__all__
+               if name.startswith("run_")]
+    registered = [fn for fn, _title in EXPERIMENTS.values()]
+    assert sorted(map(id, registered)) == sorted(map(id, runners))
+    assert len(EXPERIMENTS) == 14
+
+
+@pytest.mark.parametrize("key", ["e12", "e13"])
+def test_late_experiments_are_reachable(key, capsys):
+    assert main(["run", key]) == 0
+    assert key.upper() in capsys.readouterr().out
+    assert main(["list"]) == 0
+    assert f"\n{key} " in capsys.readouterr().out
+
+
+# -- help is generated --------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [[], ["help"], ["--help"]] + [
+    [cmd, "--help"] for cmd in subcommands(build_parser())])
+def test_help_exits_zero_and_says_something(argv, capsys):
+    assert main(argv) == 0
+    assert "usage: repro" in capsys.readouterr().out
+
+
+# -- outside input never ends in a traceback ----------------------------------
+
+@pytest.fixture
+def not_json(tmp_path):
+    path = tmp_path / "BENCH_broken.json"
+    path.write_text("{ not json")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--scenario", "bogus"],
+    ["bench", "--topology", "bogus"],
+    ["chaos", "--scenario", "bogus"],
+    ["slo", "--chaos", "bogus"],
+    ["slo", "--scenario", "bogus"],
+    ["profile", "--scenario", "bogus"],
+    ["trace", "--bogus"],
+    ["lint", "--bogus"],
+    ["slo", "--artifact", "/nonexistent.json"],
+    ["slo", "--artifact", "NOT_JSON"],
+    ["slo", "--artifact", "NOT_JSON", "--rule", "no operator here"],
+    ["report", "--artifact", "/nonexistent.json"],
+    ["report", "--artifact", "NOT_JSON"],
+    ["trend", "--history", "/nonexistent"],
+    ["trend", "--artifact", "NOT_JSON"],
+    ["bench", "--clients", "0"],
+    ["bench", "--clients", "8", "--shards", "0"],
+], ids=" ".join)
+def test_bad_outside_input_is_one_line_and_exit_2(argv, not_json, capsys):
+    argv = [not_json if a == "NOT_JSON" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# -- the documentation only shows command lines the table accepts -------------
+
+def documented_command_lines() -> list[list[str]]:
+    lines = []
+    for rel in ("README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"):
+        with open(os.path.join(REPO, rel), encoding="utf-8") as fh:
+            text = re.sub(r"\\\n\s*", " ", fh.read())
+        for match in re.finditer(r"python -m repro\b([^\n`]*)", text):
+            rest = re.split(r"\s#|\s>\s", match.group(1))[0]
+            if rest.strip() and not re.search(r"\[|<|\.\.\.|\$", rest):
+                lines.append(shlex.split(rest))
+    return lines
+
+
+def test_documented_command_lines_parse():
+    lines = documented_command_lines()
+    assert len(lines) >= 60  # the extractor still finds the docs
+    parser = build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv)  # UsageError names the stale line
+        except SystemExit as exc:  # a documented --help
+            assert exc.code == 0
+
+
+# -- the flag set is pinned ---------------------------------------------------
+
+FLAGS = {
+    "list": set(), "run": set(), "demo": set(),
+    "trace": {"--record", "--chrome", "--top", "--clients"},
+    "bench": {"--smoke", "--profile", "--update-baseline", "--out",
+              "--baseline", "--threshold", "--perf-threshold", "--scenario",
+              "--topology", "--clients", "--shards", "--cell", "--seed",
+              "--duration", "--tolerate-shard-failures", "--scale-curve"},
+    "profile": {"--smoke", "--scenario", "--out", "--top"},
+    "slo": {"--artifact", "--scenario", "--chaos", "--spec", "--spec-file",
+            "--rule", "--smoke", "--flight-dump"},
+    "chaos": {"--scenario", "--smoke", "--seed", "--clients",
+              "--no-recovery", "--no-retry", "--check-determinism",
+              "--min-delivered", "--min-completed", "--out",
+              "--flight-dump", "--flight-window"},
+    "trend": {"--history", "--artifact", "--threshold", "--perf-threshold"},
+    "report": {"--artifact", "--out", "--history"},
+    "lint": {"--self", "--scenarios", "--closed-set", "--capacity-mbps",
+             "--examples-dir", "--format", "--baseline", "--write-baseline",
+             "--list-rules"},
+}
+
+
+def test_flag_set_is_the_sixty_of_the_hand_rolled_loops():
+    table = {
+        cmd: {opt for action in sub._actions
+              for opt in action.option_strings} - {"-h", "--help", "--json"}
+        for cmd, sub in subcommands(build_parser()).items()
+    }
+    assert table == FLAGS
+    assert sum(map(len, FLAGS.values())) == 60
+
+
+def test_json_is_accepted_anywhere_on_the_line():
+    parser = build_parser()
+    for argv in (["--json", "list"], ["list", "--json"],
+                 ["slo", "--artifact", "F", "--json", "--rule", "x >= 1"]):
+        assert parser.parse_args(argv).json is True
+    assert not hasattr(parser.parse_args(["list"]), "json")
+
+
+def test_no_flag_abbreviations(capsys):
+    assert main(["bench", "--topo", "cdn"]) == 2
+    assert "--topo" in capsys.readouterr().err
