@@ -90,7 +90,8 @@ MANY: dict[str, Any] = {"action": "append", "default": []}
 
 def build_parser() -> argparse.ArgumentParser:
     """Every command and flag, once. A body is called with its flags as
-    keywords: ``--perf-threshold`` is ``perf_threshold=`` unless ``dest=``."""
+    keywords: ``--flight-dump`` is ``flight_dump=`` unless ``dest=``. A
+    flag left unset with ``default=SUPPRESS`` takes the body's default."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", default=argparse.SUPPRESS, **ON,
@@ -128,15 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(usage=trace.format_usage().strip())
 
     flag = command("bench", _lazy("repro.obs.bench", "bench_command"),
-                   "benchmark trajectory: BENCH_<name>.json, exit 1 on a "
-                   "regression against the baseline").add_argument
+                   "service-quality trajectory: BENCH_<name>.json, exit 1 "
+                   "on a regression against its reference").add_argument
     flag("--smoke", **ON, help="CI-sized run")
     flag("--profile", **ON, help="add PROFILE_<name>.json attribution")
     flag("--update-baseline", **ON)
     flag("--out", default=".", metavar="DIR")
-    flag("--baseline", default="benchmarks/baseline", metavar="DIR")
-    flag("--threshold", type=float)
-    flag("--perf-threshold", type=float)
+    flag("--baseline", default=argparse.SUPPRESS, metavar="DIR",
+         help="the reference store (default: benchmarks/baseline)")
+    flag("--threshold", type=float, default=argparse.SUPPRESS)
     flag("--scenario", **MANY)
     flag("--topology", **MANY, help="every scenario on star or cdn")
     flag("--clients", type=positive_int, help="instead: one sharded run")
@@ -193,11 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "judge each scenario's newest artifact against its "
                    "history; exit 1 on a regression").add_argument
     flag("--history", **MANY, metavar="DIR|FILE",
-         help="default: benchmarks/history")
+         help="default: benchmarks/baseline")
     flag("--artifact", **MANY, metavar="FILE",
          help="appended as the newest point of its group")
-    flag("--threshold", type=float)
-    flag("--perf-threshold", type=float)
+    flag("--threshold", type=float, default=argparse.SUPPRESS)
 
     flag = command("report", _lazy("repro.obs.trend", "report_command"),
                    "markdown dashboard of one artifact: QoE, service, "
@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     flag("artifact", nargs="?", default=argparse.SUPPRESS, metavar="FILE")
     flag("--artifact", metavar="FILE")
     flag("--out", metavar="FILE.md")
-    flag("--history", **MANY, metavar="DIR|FILE")
+    flag("--history", **MANY, metavar="DIR|FILE",
+         help="default: benchmarks/baseline")
 
     flag = command("lint", _lazy("repro.analysis.runner", "run_lint"),
                    "static analysis: Python trees to the determinism "

@@ -8,8 +8,8 @@ decisions — so every layer of the stack exposes trace hook points
 * :class:`Tracer` — the hook-point API. The default is *no tracer at
   all* (``Simulator.tracer is None``); every instrumented hot path
   guards on a single boolean, so a run without tracing pays only an
-  attribute check (< 5% on the substrate benchmarks —
-  ``benchmarks/bench_perf_obs.py`` enforces this).
+  attribute check and enters no function under ``repro/obs/`` (an
+  exact call count — ``tests/test_datapath_budget.py`` enforces it).
 * :class:`MetricsRegistry` — labelled counters, gauges and
   histograms. A :class:`RecordingTracer` counts every event it
   records, so exported streams always reconcile with the registry.

@@ -1,43 +1,43 @@
-"""Benchmark-trajectory harness behind ``python -m repro bench``.
+"""Service-quality trajectory harness behind ``python -m repro bench``.
 
-Each scenario runs a traced population, measures wall time and event
-throughput, rolls up the per-session QoE summaries and emits one
-``BENCH_<name>.json`` artifact — the repo's persisted perf/quality
-trajectory. Artifacts compare against checked-in baselines
-(``benchmarks/baseline/``) with configurable regression thresholds:
+Each scenario runs a traced population, rolls up the per-session QoE
+summaries and the service report, and emits one ``BENCH_<name>.json``
+artifact. Nothing in it is timed (host speed is ``benchmarks/e2e``'s
+job; only the sharded ``--clients`` / ``--scale-curve`` path keeps a
+wall clock), so the artifact is a pure function of code and seed and
+``--update-baseline`` is idempotent.
 
-* deterministic metrics (sessions completed, QoE score p50, trace
-  event count) use ``threshold`` (default 10%) — same seed, same
-  code, so any drift is a real behaviour change;
-* ``events_per_sec`` uses the looser ``perf_threshold`` (default
-  50%), because wall-clock throughput is machine-dependent and the
-  committed baseline was recorded on different hardware than a CI
-  runner. Tighten it when comparing runs from one machine.
+The regression gate is :func:`repro.obs.trend.analyze_group`, the one
+comparator: a fresh artifact is the newest point of its ``(scenario,
+smoke)`` group in the reference store (``benchmarks/baseline/``), whose
+checked-in reference is a history of length one.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.ioutil import UsageError, read_json
+from repro.ioutil import UsageError
 from repro.obs.service_metrics import egress_by_host
+from repro.obs.trend import (
+    DEFAULT_STORE,
+    DEFAULT_THRESHOLD,
+    analyze_group,
+    group_history,
+    load_history,
+)
 
 if TYPE_CHECKING:
     from repro.analysis.report import Reporter
 
-__all__ = ["BenchScenario", "SCENARIOS", "bench_scenario", "thresholds",
-           "run_scenario", "run_benchmarks", "compare_to_baseline",
-           "bench_command"]
+__all__ = ["BenchScenario", "SCENARIOS", "BENCH_SCHEMA",
+           "BENCH_SCHEMA_VERSION", "bench_scenario", "run_scenario",
+           "run_benchmarks", "bench_command"]
 
 BENCH_SCHEMA = "repro.bench"
 BENCH_SCHEMA_VERSION = 1
-
-#: default regression thresholds (fraction of the baseline value)
-DEFAULT_THRESHOLD = 0.10
-DEFAULT_PERF_THRESHOLD = 0.50
 
 
 @dataclass(slots=True)
@@ -88,14 +88,6 @@ SCENARIOS: dict[str, BenchScenario] = {
 }
 
 
-def thresholds(threshold: float | None,
-               perf_threshold: float | None) -> tuple[float, float]:
-    """The two gates, defaulted where the command line left them unset."""
-    return (DEFAULT_THRESHOLD if threshold is None else threshold,
-            DEFAULT_PERF_THRESHOLD if perf_threshold is None
-            else perf_threshold)
-
-
 def bench_scenario(name: str) -> BenchScenario:
     """The shipped scenario a command line names; UsageError if none."""
     scenario = SCENARIOS.get(name)
@@ -140,19 +132,14 @@ def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
     eng.attach_timeseries()
     if profiler is not None:
         profiler.install(eng.sim)
-    t0 = time.perf_counter()  # lint: allow(det-wall-clock)
     pop = eng.orchestrator.run_population(
         n_clients, "srv1", "doc", stagger_s=scenario.stagger_s
     )
-    wall_s = time.perf_counter() - t0  # lint: allow(det-wall-clock)
     if profiler is not None:
         profiler.uninstall()
-    events = sum(tracer.kind_counts().values())
     return {
-        "wall_s": wall_s,
         "sim_time_s": eng.sim.now,
-        "events": events,
-        "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
+        "events": sum(tracer.kind_counts().values()),
         "sessions": len(pop),
         "completed": len(pop.completed()),
         "qoe": pop.qoe_summary(),
@@ -227,85 +214,19 @@ def run_benchmarks(names: list[str] | None = None,
                    smoke: bool = False,
                    profile: bool = False) -> dict[str, dict]:
     """Run the named scenarios (default: all); {name: artifact}."""
-    selected = list(SCENARIOS) if not names else names
-    out: dict[str, dict] = {}
-    for name in selected:
-        scenario = SCENARIOS.get(name)
-        if scenario is None:
-            raise KeyError(
-                f"unknown bench scenario {name!r}; "
-                f"available: {sorted(SCENARIOS)}"
-            )
-        out[name] = run_scenario(scenario, smoke=smoke, profile=profile)
-    return out
-
-
-def _relative_drop(current: float, baseline: float) -> float:
-    """Fractional regression of a higher-is-better metric (>= 0)."""
-    if baseline <= 0:
-        return 0.0
-    return max(0.0, (baseline - current) / baseline)
-
-
-def compare_to_baseline(
-    artifact: dict,
-    baseline: dict,
-    threshold: float = DEFAULT_THRESHOLD,
-    perf_threshold: float = DEFAULT_PERF_THRESHOLD,
-) -> list[str]:
-    """Regression messages (empty list = within thresholds).
-
-    Both dicts are ``run_scenario`` artifacts. Only higher-is-better
-    metrics are gated; new metrics absent from an old baseline are
-    ignored, so baselines age gracefully across schema additions.
-    ``events`` counts trace emits, which a cheaper data path lowers,
-    so it stays in the artifact but is not gated.
-    """
-    if baseline.get("schema") not in (None, BENCH_SCHEMA):
-        raise ValueError(
-            f"baseline is not a {BENCH_SCHEMA} artifact: "
-            f"{baseline.get('schema')!r}"
-        )
-    if baseline.get("smoke") != artifact.get("smoke"):
-        return [
-            f"{artifact.get('name')}: baseline smoke="
-            f"{baseline.get('smoke')} does not match run smoke="
-            f"{artifact.get('smoke')}; regenerate the baseline"
-        ]
-    problems: list[str] = []
-    name = artifact.get("name", "?")
-
-    def gate(metric: str, current: float | None,
-             base: float | None, limit: float) -> None:
-        if current is None or base is None:
-            return
-        drop = _relative_drop(float(current), float(base))
-        if drop > limit:
-            problems.append(
-                f"{name}: {metric} regressed {drop:.1%} "
-                f"({base:g} -> {current:g}, threshold {limit:.0%})"
-            )
-
-    gate("completed", artifact.get("completed"),
-         baseline.get("completed"), threshold)
-    gate("qoe.score.p50",
-         (artifact.get("qoe") or {}).get("score", {}).get("p50"),
-         (baseline.get("qoe") or {}).get("score", {}).get("p50"),
-         threshold)
-    gate("events_per_sec", artifact.get("events_per_sec"),
-         baseline.get("events_per_sec"), perf_threshold)
-    # cdn scenarios only; absent from star artifacts and old baselines
-    gate("egress_reduction", artifact.get("egress_reduction"),
-         baseline.get("egress_reduction"), threshold)
-    return problems
+    return {name: run_scenario(bench_scenario(name), smoke=smoke,
+                               profile=profile)
+            for name in names or SCENARIOS}
 
 
 def bench_command(report: Reporter, *, smoke: bool, profile: bool,
-                  update_baseline: bool, out: str, baseline: str,
-                  threshold: float | None, perf_threshold: float | None,
+                  update_baseline: bool, out: str,
                   scenario: list[str], topology: list[str],
+                  baseline: str = DEFAULT_STORE,
+                  threshold: float = DEFAULT_THRESHOLD,
                   **sharded: Any) -> int:
-    """``repro bench``: run scenarios, emit BENCH_*.json, compare;
+    """``repro bench``: run scenarios, emit BENCH_*.json, judge each as
+    the newest point of its group in the ``baseline`` store;
     ``--clients`` / ``--scale-curve`` go to the sharded bench instead."""
     if sharded["clients"] is not None or sharded["scale_curve"]:
         from repro.shard.bench import sharded_bench_command
@@ -322,10 +243,14 @@ def bench_command(report: Reporter, *, smoke: bool, profile: bool,
                              f"known: {', '.join(known)}")
         names.extend(matching)
 
-    threshold, perf_threshold = thresholds(threshold, perf_threshold)
     os.makedirs(out, exist_ok=True)
-    artifacts = run_benchmarks(names or None, smoke=smoke,
-                               profile=profile)
+    artifacts = run_benchmarks(names, smoke=smoke, profile=profile)
+    if update_baseline:
+        os.makedirs(baseline, exist_ok=True)
+    # the store by (scenario, smoke); not read when it is being re-recorded
+    references = group_history(
+        load_history([baseline], schema=BENCH_SCHEMA)
+        if os.path.isdir(baseline) and not update_baseline else [])
     problems: list[str] = []
     rows = []
     for name, artifact in artifacts.items():
@@ -340,27 +265,27 @@ def bench_command(report: Reporter, *, smoke: bool, profile: bool,
         qoe = artifact.get("qoe") or {}
         rows.append([
             name, artifact["clients"],
-            f"{artifact['wall_s']:.3f}",
-            f"{artifact['events_per_sec']:.0f}",
             f"{artifact['completed']}/{artifact['sessions']}",
             f"{qoe.get('score', {}).get('p50', 0.0):.1f}",
         ])
-        base_name = f"BENCH_{name}.smoke.json" if smoke \
-            else f"BENCH_{name}.json"
-        base_path = os.path.join(baseline, base_name)
         if update_baseline:
-            os.makedirs(baseline, exist_ok=True)
-            report.artifact(f"baseline:{name}", base_path, artifact)
-        elif os.path.exists(base_path):
-            problems.extend(compare_to_baseline(
-                artifact, read_json(base_path),
-                threshold=threshold, perf_threshold=perf_threshold))
-        else:
+            suffix = ".smoke.json" if smoke else ".json"
+            report.artifact(f"baseline:{name}", os.path.join(
+                baseline, f"BENCH_{name}{suffix}"), artifact)
+            continue
+        # keyed by scale too: a smoke run never meets a full reference
+        history = references.get((name, smoke))
+        if not history:
             report.value(f"baseline:{name}", "missing (not compared)")
+            continue
+        problems.extend(
+            f"{name}: {row.detail}"
+            for row in analyze_group(history + [artifact],
+                                     threshold=threshold)
+            if row.verdict == "regressed")
     report.table(
         "Benchmark trajectory" + (" (smoke)" if smoke else ""),
-        ["scenario", "clients", "wall_s", "events/s", "completed",
-         "qoe_p50"],
+        ["scenario", "clients", "completed", "qoe_p50"],
         rows,
     )
     for problem in problems:

@@ -59,7 +59,6 @@ METRIC_ALIASES: dict[str, tuple[str, ...]] = {
     "origin_egress_bps": ("service.egress.origin_egress_bps",),
     "egress_reduction": ("egress_reduction",),
     "events": ("events",),
-    "events_per_sec": ("events_per_sec",),
 }
 
 #: shipped default specs, keyed by bench/chaos scenario name

@@ -1,20 +1,28 @@
 """Trend analytics over artifact histories, plus the markdown dashboard.
 
-``python -m repro bench`` compares one run against one baseline; this
-module reads the whole *trajectory* — a directory of BENCH_* /
-PROFILE_* / CHAOS_* artifacts in chronological order — and judges the
-newest point against the robust spread of its history. Per metric:
+This module is the repo's one regression comparator. It reads a
+*trajectory* — BENCH_* / CHAOS_* artifacts in chronological order —
+and judges the newest point of each ``(scenario, smoke)`` group
+against the robust spread of the points before it. Per metric of
+:data:`TREND_METRICS`:
 
 * the history (every point but the newest) yields a median and a MAD
   (median absolute deviation — outlier-proof, unlike stddev);
 * the tolerance band is ``max(3 * 1.4826 * MAD, floor * |median|)``
-  where the relative floor is the bench regression threshold (10%
-  deterministic, 50% wall-clock — same constants as
-  ``compare_to_baseline``), so an all-identical deterministic history
-  (MAD 0) still tolerates small drift instead of flagging noise;
+  with the relative floor ``threshold`` (default 10%), so an
+  all-identical history (MAD 0) still tolerates small drift;
 * the newest point regresses when it leaves the band in the metric's
   bad direction (``higher`` metrics flag drops, ``lower`` metrics
   flag rises, ``stable`` metrics flag both).
+
+A baseline is a history of length one: MAD is 0, the band is
+``threshold * |baseline|``, and a ``higher`` metric flags exactly
+``(baseline - run) / baseline > threshold``. That is how ``python -m
+repro bench`` gates a fresh run against its checked-in reference
+(``benchmarks/baseline/``, the one store ``trend`` and ``report`` read
+by default too). Every gated metric is simulated — the same on any
+host for a given seed and code; host speed is ``benchmarks/e2e``'s
+business.
 
 ``python -m repro trend`` renders the verdicts as a sparkline table
 and exits 1 on any regression; ``python -m repro report`` combines
@@ -29,11 +37,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.ioutil import UsageError, atomic_write_text, read_json
-from repro.obs.bench import (
-    DEFAULT_PERF_THRESHOLD,
-    DEFAULT_THRESHOLD,
-    thresholds,
-)
 from repro.obs.slo import (
     DEFAULT_SLOS,
     evaluate,
@@ -45,10 +48,15 @@ from repro.obs.slo import (
 if TYPE_CHECKING:
     from repro.analysis.report import Reporter
 
-__all__ = ["TrendMetric", "TrendRow", "TREND_METRICS", "load_history",
-           "group_history", "analyze_group", "sparkline",
-           "render_markdown_report", "trend_command", "report_command"]
+__all__ = ["TrendMetric", "TrendRow", "TREND_METRICS", "DEFAULT_THRESHOLD",
+           "DEFAULT_STORE", "load_history", "group_history", "analyze_group",
+           "sparkline", "render_markdown_report", "trend_command",
+           "report_command"]
 
+#: default relative floor of the band (fraction of the history median)
+DEFAULT_THRESHOLD = 0.10
+#: the checked-in reference store: one point per (scenario, smoke)
+DEFAULT_STORE = os.path.join("benchmarks", "baseline")
 #: MAD -> sigma-equivalent scale for normally distributed noise
 _MAD_SCALE = 1.4826
 #: how many robust sigmas of drift the band tolerates
@@ -65,9 +73,6 @@ class TrendMetric:
     #: "higher" = drop is a regression; "lower" = rise is;
     #: "stable" = any departure from the band is
     direction: str = "higher"
-    #: "det" metrics use the tight relative floor, "perf" the loose
-    #: one (wall-clock noise across machines)
-    kind: str = "det"
 
 
 #: the standard trajectory metrics, resolved via ``flatten_metrics``
@@ -75,11 +80,13 @@ TREND_METRICS: tuple[TrendMetric, ...] = (
     TrendMetric("completed_ratio", direction="higher"),
     TrendMetric("delivered_ratio", direction="higher"),
     TrendMetric("qoe_p50", direction="higher"),
-    TrendMetric("events", direction="stable"),
+    # cdn scenarios only: independent-flow over shared-flow egress
+    TrendMetric("egress_reduction", direction="higher"),
     TrendMetric("origin_egress_bytes", direction="stable"),
     TrendMetric("peak_link_utilization", direction="lower"),
     TrendMetric("max_queue_depth", direction="lower"),
-    TrendMetric("events_per_sec", direction="higher", kind="perf"),
+    # ``events`` (trace emits) stays in the artifact ungated: fewer
+    # emits is what a cheaper data path looks like
 )
 
 
@@ -110,14 +117,17 @@ class TrendRow:
 
 # -- history loading ---------------------------------------------------------
 
-def load_history(paths: list[str]) -> list[dict[str, Any]]:
+def load_history(paths: list[str],
+                 schema: str | None = None) -> list[dict[str, Any]]:
     """Load artifacts from files and/or directories, oldest first.
 
     Directories contribute their ``*.json`` files in name order —
     the convention is zero-padded sequence names
     (``BENCH_x.000.json`` < ``BENCH_x.001.json``), so lexicographic
     order *is* chronological. Non-artifact JSON (no recognised
-    schema) is skipped.
+    schema) is skipped, unless the caller says which ``schema`` its
+    store holds: then any other file is a usage error, not a
+    reference that silently stopped gating.
     """
     files: list[str] = []
     for path in paths:
@@ -132,7 +142,10 @@ def load_history(paths: list[str]) -> list[dict[str, Any]]:
     history = []
     for file in files:
         doc = read_json(file)
-        if isinstance(doc, dict) and isinstance(doc.get("schema"), str):
+        found = doc.get("schema") if isinstance(doc, dict) else None
+        if schema is not None and found != schema:
+            raise UsageError(f"{file} is not a {schema} artifact")
+        if isinstance(found, str):
             doc["_path"] = file
             history.append(doc)
     return history
@@ -167,9 +180,7 @@ def _median(values: list[float]) -> float:
 
 def analyze_group(artifacts: list[dict[str, Any]],
                   metrics: tuple[TrendMetric, ...] = TREND_METRICS,
-                  threshold: float = DEFAULT_THRESHOLD,
-                  perf_threshold: float = DEFAULT_PERF_THRESHOLD,
-                  ) -> list[TrendRow]:
+                  threshold: float = DEFAULT_THRESHOLD) -> list[TrendRow]:
     """Judge the newest artifact against its history, per metric.
 
     Metrics absent from every artifact in the group are skipped
@@ -193,8 +204,7 @@ def analyze_group(artifacts: list[dict[str, Any]],
         history = values[:-1]
         med = _median(history)
         mad = _median([abs(v - med) for v in history])
-        floor = threshold if metric.kind == "det" else perf_threshold
-        band = max(_BAND_SIGMAS * _MAD_SCALE * mad, floor * abs(med))
+        band = max(_BAND_SIGMAS * _MAD_SCALE * mad, threshold * abs(med))
         row.median = med
         row.band = band
         delta = values[-1] - med
@@ -206,7 +216,7 @@ def analyze_group(artifacts: list[dict[str, Any]],
         row.verdict = "regressed" if bad else "ok"
         if bad:
             row.detail = (
-                f"last {values[-1]:g} vs median {med:g} "
+                f"{metric.name} {values[-1]:g} vs median {med:g} "
                 f"(band ±{band:g}, direction {metric.direction})"
             )
         rows.append(row)
@@ -349,28 +359,29 @@ def render_markdown_report(artifact: dict[str, Any],
 
 # -- the two commands ---------------------------------------------------------
 
+def _or_default_store(history: list[str]) -> list[str]:
+    """``--history`` as given, else the checked-in store if present."""
+    if history or not os.path.isdir(DEFAULT_STORE):
+        return history
+    return [DEFAULT_STORE]
+
+
 def trend_command(report: Reporter, *, history: list[str],
-                  artifact: list[str], threshold: float | None,
-                  perf_threshold: float | None) -> int:
+                  artifact: list[str],
+                  threshold: float = DEFAULT_THRESHOLD) -> int:
     """``repro trend``: newest run vs history; 1 on any regression."""
-    if not history:
-        default_dir = os.path.join("benchmarks", "history")
-        if os.path.isdir(default_dir):
-            history = [default_dir]
     # --artifact files load after the history so they land as the
     # newest (judged) point of their scenario group.
-    docs = load_history(history + artifact)
+    docs = load_history(_or_default_store(history) + artifact)
     if not docs:
         raise UsageError("no artifacts found; pass --history DIR and/or "
                          "--artifact FILE")
 
-    threshold, perf_threshold = thresholds(threshold, perf_threshold)
     regressions = 0
     rows = []
     for (name, smoke), group in sorted(group_history(docs).items()):
         label = name + (" (smoke)" if smoke else "")
-        for row in analyze_group(group, threshold=threshold,
-                                 perf_threshold=perf_threshold):
+        for row in analyze_group(group, threshold=threshold):
             rows.append([
                 label, row.metric, sparkline(row.values),
                 f"{row.median:g}", f"{row.last:g}", row.verdict,
@@ -397,6 +408,7 @@ def report_command(report: Reporter, *, artifact: str | None,
     slo_checks = evaluate(parse_spec(spec), doc) if spec else None
 
     trend_rows = None
+    history = _or_default_store(history)
     if history:
         groups = group_history(load_history(history) + [doc])
         # the artifact is the newest point of whichever group it joined

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.obs.bench import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
 from repro.shard.plan import ShardPlan, ShardWorkload
 from repro.shard.result import ShardedRunResult, ShardFailure, ShardStatus
 from repro.shard.supervisor import ShardSupervisor
@@ -29,9 +30,6 @@ if TYPE_CHECKING:
 __all__ = ["shard_workload", "run_sharded", "sharded_artifact",
            "run_scale_curve", "sharded_bench_command", "SCALE_POINTS",
            "SCALE_SMOKE_POINTS"]
-
-BENCH_SCHEMA = "repro.bench"
-BENCH_SCHEMA_VERSION = 1
 
 #: default N sweep of the scaling curve (>= 10^4 at the top)
 SCALE_POINTS = (64, 256, 1024, 10240)

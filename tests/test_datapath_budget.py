@@ -1,4 +1,4 @@
-"""The per-packet call budget of the untraced data path.
+"""Call budgets: the untraced data path, and what watching it adds.
 
 A count, not a timing: ``sys.setprofile`` sees one ``call`` event per
 Python function entered (generator resumptions included), and a
@@ -7,32 +7,57 @@ Python calls per RTP packet delivered, over everything a small
 population run executes — kernel, links, RTP, media sources, playout —
 so a helper added back on the packet path (a wrapper object per heap
 entry, a ``_forward`` per hop, a property read per packet) shows up
-here as a number before it shows up in a benchmark as noise.
+here as a number before it shows up in a benchmark as noise. The
+observability hooks are budgeted the same way — calls added per ring
+event and per sampler tick over the untraced run — so nothing in CI
+asserts a measured time.
 """
 
+import gc
+import os
 import sys
 
+import repro.obs
 from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
+from repro.obs.flightrec import FlightRecorder
 
 #: Python calls per delivered RTP packet. 46.9 measured (35,847 calls,
 #: 764 packets); the same run made 79.3 before the heap held bare
 #: ``(time, seq, fn, args)`` entries and links scheduled themselves.
 BUDGET = 48.0
+#: extra Python calls per event a control-tier ring records. 13.86
+#: measured (+1,331 calls for 96 events): the emit, its ``TraceEvent``
+#: and the per-kind counter, and nothing on the per-packet path.
+RING_EVENT_BUDGET = 14.0
+#: extra Python calls per tick of the DES-clock sampler. 30.3 measured
+#: (+424 calls over 14 ticks of 0.25 s).
+SAMPLER_TICK_BUDGET = 31.0
+
+_OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 
 
-def _profiled_run() -> tuple[int, int]:
-    """(Python calls, RTP packets delivered) of a 2-viewer, 2 s star run."""
-    eng = ServiceEngine(EngineConfig(seed=7))
+def _profiled_run(tracer=None, sampler=False):
+    """Counts of a 2-viewer, 2 s star run: (Python calls, those whose
+    code lives under ``repro/obs/``, RTP packets delivered, sampler
+    ticks)."""
+    eng = ServiceEngine(EngineConfig(seed=7), tracer=tracer)
     eng.add_server("srv1", documents={"doc": (av_markup(2.0, False), "t")})
-    calls = 0
+    calls = obs_calls = 0
 
     def count(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, obs_calls
         if event == "call":
             calls += 1
+            if frame.f_code.co_filename.startswith(_OBS_DIR):
+                obs_calls += 1
 
+    if sampler:
+        eng.attach_timeseries()
+    # an earlier run's sampler is a suspended generator in a garbage
+    # cycle; closing it enters its frame, so collect it before counting
+    gc.collect()
     sys.setprofile(count)
     try:
         pop = eng.orchestrator.run_population(2, "srv1", "doc",
@@ -40,13 +65,37 @@ def _profiled_run() -> tuple[int, int]:
     finally:
         sys.setprofile(None)
     assert len(pop.completed()) == 2
-    return calls, eng.network.tap.count_by_protocol["RTP"]
+    ticks = eng.timeseries_sampler.series.ticks if sampler else 0
+    return (calls, obs_calls, eng.network.tap.count_by_protocol["RTP"],
+            ticks)
 
 
 def test_python_calls_per_delivered_rtp_packet_within_budget():
     _profiled_run()  # first use fills import-time and memo caches
-    calls, packets = _profiled_run()
+    calls, obs_calls, packets, _ = _profiled_run()
     assert packets == 764
     assert calls / packets <= BUDGET, (calls, packets)
+    # tracing off costs an attribute check, never a call into obs/
+    assert obs_calls == 0
     # and it is a count: the same run again enters the same functions
-    assert _profiled_run() == (calls, packets)
+    assert _profiled_run() == (calls, obs_calls, packets, 0)
+
+
+def test_watching_costs_a_counted_number_of_calls():
+    """What the 5% wall-clock overhead gates promised, as exact counts."""
+    _profiled_run(FlightRecorder(), sampler=True)  # fill the caches
+    plain, _, packets, _ = _profiled_run()
+
+    ring = FlightRecorder()
+    recorded = _profiled_run(ring)
+    assert recorded[2] == packets  # the run itself is the same run
+    assert len(ring.events) == 96 and ring.dropped_events == 0
+    per_event = (recorded[0] - plain) / len(ring.events)
+    assert per_event <= RING_EVENT_BUDGET, (recorded, plain)
+    assert _profiled_run(FlightRecorder()) == recorded
+
+    sampled = _profiled_run(sampler=True)
+    assert sampled[2:] == (packets, 14)
+    per_tick = (sampled[0] - plain) / sampled[3]
+    assert per_tick <= SAMPLER_TICK_BUDGET, (sampled, plain)
+    assert _profiled_run(sampler=True) == sampled

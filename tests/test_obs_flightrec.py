@@ -15,8 +15,8 @@ def test_ring_is_bounded_and_counts_drops():
     rec = FlightRecorder(max_events=3)
     for t in range(5):
         rec.emit(float(t), "session", "s")
-    assert len(rec.ring) == 3
-    assert [e.time for e in rec.ring] == [2.0, 3.0, 4.0]
+    assert len(rec.events) == 3
+    assert [e.time for e in rec.events] == [2.0, 3.0, 4.0]
     assert rec.dropped_events == 2
 
 
@@ -66,7 +66,6 @@ def test_full_detail_recorder_is_a_complete_recording():
     assert rec.kind_counts().get("rtp.recv", 0) > 0
     assert rec.dropped_events == 0
     # ...into its own store and registry, which reconcile...
-    assert rec.ring is rec.events
     assert sum(rec.kind_counts().values()) == len(rec.events)
     assert pop.metrics["_registry"] == rec.metrics.snapshot()
     # ...and QoE scoring reads it through the orchestrator unchanged.
@@ -82,6 +81,10 @@ def test_control_tier_recorder_leaves_results_unscored():
     pop = eng.orchestrator.run_population(1, "srv1", "doc")
     assert "session" in rec.kind_counts()
     assert "rtp.recv" not in rec.kind_counts()
+    # the ring holds the control plane and none of the detail firehose
+    ring_kinds = {e.kind for e in rec.events}
+    assert {"session", "admission.accept"} <= ring_kinds
+    assert not ring_kinds & {"kernel.event", "link.enqueue", "rtp.recv"}
     assert "_registry" not in pop.metrics
     assert not pop.outcomes[0].result.qoe
 

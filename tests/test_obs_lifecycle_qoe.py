@@ -37,12 +37,9 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.bench import (
-    SCENARIOS,
-    compare_to_baseline,
-    run_benchmarks,
-    run_scenario,
-)
+from repro.ioutil import UsageError
+from repro.obs.bench import SCENARIOS, run_benchmarks, run_scenario
+from repro.obs.trend import analyze_group, group_history
 
 
 # ---------------------------------------------------------------------------
@@ -402,50 +399,78 @@ def test_run_scenario_smoke_artifact_shape():
     artifact = run_scenario(SCENARIOS["population_clean"], smoke=True)
     assert artifact["schema"] == "repro.bench"
     assert artifact["smoke"] is True
-    assert artifact["wall_s"] > 0
     assert artifact["events"] > 0
-    assert artifact["events_per_sec"] > 0
     assert artifact["completed"] == artifact["sessions"]
     assert artifact["qoe"]["score"]["p50"] > 0
     json.dumps(artifact)  # artifact must be serializable as-is
 
 
+def test_run_scenario_artifact_is_a_pure_function_of_the_code():
+    """Nothing in it is timed, so a reference can be regenerated."""
+    scenario = SCENARIOS["population_clean"]
+    assert run_scenario(scenario, smoke=True) == \
+        run_scenario(scenario, smoke=True)
+
+
 def test_run_benchmarks_unknown_scenario():
-    with pytest.raises(KeyError):
+    with pytest.raises(UsageError, match="no_such_scenario"):
         run_benchmarks(["no_such_scenario"], smoke=True)
 
 
-def test_compare_to_baseline_flags_regressions():
-    base = {"schema": "repro.bench", "name": "x", "smoke": True,
-            "completed": 4, "events": 1000, "events_per_sec": 5000.0,
-            "qoe": {"score": {"p50": 90.0}}}
-    same = dict(base)
-    assert compare_to_baseline(same, base) == []
+def _regressed(baseline, run):
+    """Metrics the one comparator flags for ``run`` against a baseline
+    taken as a history of length one."""
+    return {row.metric for row in analyze_group([baseline, run])
+            if row.verdict == "regressed"}
 
-    worse = dict(base, completed=2, qoe={"score": {"p50": 40.0}})
-    problems = compare_to_baseline(worse, base)
-    assert any("completed" in p for p in problems)
-    assert any("qoe.score.p50" in p for p in problems)
+
+def test_baseline_is_a_one_point_history():
+    base = {"schema": "repro.bench", "name": "x", "smoke": True,
+            "sessions": 4, "completed": 4, "events": 1000,
+            "egress_reduction": 4.0, "qoe": {"score": {"p50": 90.0}}}
+    assert _regressed(base, dict(base)) == set()
+
+    worse = dict(base, completed=2, qoe={"score": {"p50": 40.0}},
+                 egress_reduction=2.0)
+    assert _regressed(base, worse) == {"completed_ratio", "qoe_p50",
+                                       "egress_reduction"}
+
+    # the band is threshold * |baseline|: a 10% drop passes, 11% fails
+    assert _regressed(base, dict(base, qoe={"score": {"p50": 81.0}})) \
+        == set()
+    assert _regressed(base, dict(base, qoe={"score": {"p50": 80.0}})) \
+        == {"qoe_p50"}
 
     # fewer trace emits is what a cheaper data path looks like
-    assert compare_to_baseline(dict(base, events=500), base) == []
-
-    # perf uses the looser threshold: a 20% dip passes, 60% fails
-    assert compare_to_baseline(dict(base, events_per_sec=4000.0),
-                               base) == []
-    slow = compare_to_baseline(dict(base, events_per_sec=1500.0), base)
-    assert any("events_per_sec" in p for p in slow)
+    assert _regressed(base, dict(base, events=500)) == set()
 
 
-def test_compare_to_baseline_smoke_mismatch_and_schema():
-    base = {"schema": "repro.bench", "name": "x", "smoke": False,
-            "completed": 4}
-    run = {"schema": "repro.bench", "name": "x", "smoke": True,
-           "completed": 4}
-    problems = compare_to_baseline(run, base)
-    assert problems and "regenerate" in problems[0]
-    with pytest.raises(ValueError):
-        compare_to_baseline(run, {"schema": "something.else"})
+def test_smoke_run_never_joins_a_full_baseline(tmp_path, capsys):
+    from repro.__main__ import main
+
+    base = {"schema": "repro.bench", "scenario": "population_clean",
+            "smoke": False, "sessions": 4, "completed": 400}
+    run = dict(base, smoke=True, completed=4)
+    groups = group_history([base, run])
+    assert groups[("population_clean", True)] == [run]
+
+    # on the command line: the full-scale reference is not this smoke
+    # run's history, so there is nothing to compare against ...
+    store = tmp_path / "store"
+    store.mkdir()
+    reference = store / "BENCH_population_clean.json"
+    reference.write_text(json.dumps(base))
+    argv = ["bench", "--smoke", "--scenario", "population_clean",
+            "--out", str(tmp_path), "--baseline", str(store)]
+    assert main(argv) == 0
+    assert "missing (not compared)" in capsys.readouterr().out
+
+    # ... and a reference that is no bench artifact is refused, not
+    # skipped: one line on stderr, exit 2
+    reference.write_text(json.dumps({"schema": "something.else"}))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(reference) in err and err.count("\n") == 1
 
 
 def test_bench_cli_smoke_emits_artifacts(tmp_path):

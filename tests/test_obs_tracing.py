@@ -11,6 +11,8 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
+from repro.des import Simulator
+from repro.net import Network, Packet
 from repro.obs import (
     MetricsRegistry,
     RecordingTracer,
@@ -209,6 +211,36 @@ def test_trace_covers_every_layer():
                      "playout.start", "playout.stop",
                      "session", "workload", "population"):
         assert expected in kinds, f"missing {expected}: {sorted(kinds)}"
+
+    # ...and the counts are exact where they can be said in one line: on
+    # a bare 3-hop path every packet is enqueued once per hop and
+    # delivered once, the sender is the only process, and each Timeout
+    # it waits on is a kernel.event.
+    tracer = RecordingTracer()
+    sim = Simulator()
+    sim.set_tracer(tracer)
+    net = Network(sim)
+    for node in ("a", "r1", "r2", "b"):
+        net.add_node(node)
+    for hop in (("a", "r1"), ("r1", "r2"), ("r2", "b")):
+        net.add_duplex_link(*hop, 100e6, 0.001)
+    net.node("b").bind(1, lambda pkt: None)
+    packets = 50
+
+    def sender():
+        for seq in range(packets):
+            net.send(Packet(src="a", dst="b", size_bytes=1000,
+                            protocol="UDP", flow_id="f", dst_port=1,
+                            seq=seq))
+            yield sim.timeout(1e-4)
+
+    sim.process(sender())
+    sim.run()
+    counts = tracer.kind_counts()
+    assert counts["net.deliver"] == packets
+    assert counts["link.enqueue"] == 3 * packets
+    assert counts["kernel.event"] >= packets
+    assert counts["process.spawn"] == counts["process.finish"] == 1
 
 
 def test_tracing_does_not_perturb_the_simulation():

@@ -1,4 +1,8 @@
-"""Trend analytics: history loading, MAD bands, CLI gate, dashboard."""
+"""Trend analytics: history loading, MAD bands, CLI gate, dashboard.
+
+The comparator's baseline-as-one-point-history cases sit with the bench
+harness tests in ``test_obs_lifecycle_qoe.py``.
+"""
 
 import json
 import os
@@ -13,8 +17,9 @@ from repro.obs.trend import (
     sparkline,
 )
 
-HISTORY_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
-                           "benchmarks", "history")
+#: the one checked-in reference store
+STORE_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
+                         "benchmarks", "baseline")
 
 
 def _bench_doc(**over):
@@ -26,7 +31,7 @@ def _bench_doc(**over):
         "sessions": 4,
         "completed": 4,
         "events": 1000,
-        "events_per_sec": 50_000.0,
+        "origin_egress_bytes": 1000,
         "qoe": {"score": {"p50": 95.0, "p95": 96.0}},
     }
     doc.update(over)
@@ -84,9 +89,9 @@ def test_identical_history_tolerates_small_drift():
     # MAD is 0 on an all-identical history; the relative floor keeps
     # sub-threshold drift from flagging.
     docs = [_bench_doc() for _ in range(5)]
-    docs.append(_bench_doc(events=1050))
+    docs.append(_bench_doc(origin_egress_bytes=1050))
     rows = {r.metric: r for r in analyze_group(docs)}
-    assert rows["events"].verdict == "ok"
+    assert rows["origin_egress_bytes"].verdict == "ok"
 
 
 def test_single_point_is_insufficient():
@@ -95,10 +100,12 @@ def test_single_point_is_insufficient():
 
 
 def test_absent_metrics_are_skipped():
-    docs = [{"schema": "repro.bench", "scenario": "x", "events": 1},
-            {"schema": "repro.bench", "scenario": "x", "events": 1}]
+    docs = [{"schema": "repro.bench", "scenario": "x", "events": 1,
+             "egress_reduction": 2.0},
+            {"schema": "repro.bench", "scenario": "x", "events": 1,
+             "egress_reduction": 2.0}]
     names = {r.metric for r in analyze_group(docs)}
-    assert names == {"events"}
+    assert names == {"egress_reduction"}  # and ``events`` is not gated
 
 
 # -- sparkline ----------------------------------------------------------------
@@ -123,7 +130,7 @@ def test_trend_cli_exits_one_on_synthetic_regression(tmp_path, capsys):
 
 
 def test_trend_cli_passes_on_checked_in_history(capsys):
-    assert main(["trend", "--history", HISTORY_DIR]) == 0
+    assert main(["trend", "--history", STORE_DIR]) == 0
     assert "population_clean" in capsys.readouterr().out
 
 
@@ -145,12 +152,12 @@ def test_trend_cli_errors_without_history(tmp_path, capsys):
 # -- the markdown dashboard ---------------------------------------------------
 
 def test_report_cli_renders_dashboard(tmp_path, capsys):
-    src = sorted(f for f in os.listdir(HISTORY_DIR)
+    src = sorted(f for f in os.listdir(STORE_DIR)
                  if "population_clean" in f)[-1]
     out = tmp_path / "report.md"
     assert main(["report",
-                 "--artifact", os.path.join(HISTORY_DIR, src),
-                 "--history", HISTORY_DIR,
+                 "--artifact", os.path.join(STORE_DIR, src),
+                 "--history", STORE_DIR,
                  "--out", str(out)]) == 0
     capsys.readouterr()
     md = out.read_text()
