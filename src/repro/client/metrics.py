@@ -10,11 +10,12 @@ delivered-quality profile.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["PlayoutEventKind", "PlayoutEvent", "PlayoutEventLog", "SkewSeries"]
+__all__ = ["PlayoutEventKind", "PlayoutEvent", "StreamTally", "PlayoutTally",
+           "PlayoutEventLog", "SkewSeries"]
 
 #: Lip-sync tolerance from the synchronization literature the paper
 #: builds on (Steinmetz): ±80 ms is where audio/video skew becomes
@@ -42,6 +43,55 @@ class PlayoutEvent:
     kind: PlayoutEventKind
     media_time_s: float = 0.0
     grade: int = 0
+    #: the frame presented or discarded (None: not a frame event, or a
+    #: caller that did not say which)
+    frame_seq: int | None = None
+
+
+@dataclass(slots=True)
+class StreamTally:
+    """One stream's share of a :class:`PlayoutTally`."""
+
+    frames: int = 0
+    gaps: int = 0
+    duplicates: int = 0
+    drops: int = 0
+    #: sum of the grades of the presented frames
+    grade_sum: int = 0
+    #: the frames presented and when, in log order (FRAME events whose
+    #: caller said which frame)
+    played_seqs: list[int] = field(default_factory=list)
+    played_at: list[float] = field(default_factory=list)
+
+    def summary(self) -> dict[str, float]:
+        total = self.frames + self.duplicates + self.gaps
+        return {
+            "frames": self.frames,
+            "gaps": self.gaps,
+            "duplicates": self.duplicates,
+            "drops": self.drops,
+            "gap_ratio": 0.0 if total == 0 else self.gaps / total,
+            "mean_grade": (self.grade_sum / self.frames
+                           if self.frames else 0.0),
+        }
+
+
+@dataclass(slots=True)
+class PlayoutTally:
+    """What one pass over a playout log yields (:meth:`PlayoutEventLog.tally`)."""
+
+    #: events covered; the log reuses the tally until it has grown
+    n_events: int = 0
+    streams: dict[str, StreamTally] = field(default_factory=dict)
+    #: earliest FRAME or SHOW: what startup latency is measured to
+    first_shown_s: float | None = None
+    #: earliest FRAME or START: where QoE's startup delay ends
+    first_play_s: float | None = None
+    #: instant of every GAP, any stream, in log order
+    gap_times: list[float] = field(default_factory=list)
+
+    def summary(self, stream_id: str) -> dict[str, float]:
+        return self.streams.get(stream_id, StreamTally()).summary()
 
 
 class PlayoutEventLog:
@@ -49,6 +99,7 @@ class PlayoutEventLog:
 
     def __init__(self) -> None:
         self.events: list[PlayoutEvent] = []
+        self._tally: PlayoutTally | None = None
         self._tracer = None
         self._session = ""
         self._tracing = False
@@ -83,8 +134,8 @@ class PlayoutEventLog:
         reason: str = "",
     ) -> None:
         self.events.append(
-            PlayoutEvent(time=time, stream_id=stream_id, kind=kind,
-                         media_time_s=media_time_s, grade=grade)
+            PlayoutEvent(time, stream_id, kind, media_time_s, grade,
+                         frame_seq)
         )
         if self._tracing:
             # Per-frame events are detail-tier: skipped for
@@ -133,21 +184,6 @@ class PlayoutEventLog:
         """Total presentation time covered by gaps."""
         return self.gap_count(stream_id) * frame_interval_s
 
-    def gap_ratio(self, stream_id: str) -> float:
-        frames = self.count(PlayoutEventKind.FRAME, stream_id)
-        dups = self.count(PlayoutEventKind.DUPLICATE, stream_id)
-        gaps = self.gap_count(stream_id)
-        total = frames + dups + gaps
-        return 0.0 if total == 0 else gaps / total
-
-    def mean_grade(self, stream_id: str) -> float:
-        grades = [
-            e.grade
-            for e in self.events
-            if e.stream_id == stream_id and e.kind is PlayoutEventKind.FRAME
-        ]
-        return float(np.mean(grades)) if grades else 0.0
-
     def grade_trajectory(self, stream_id: str) -> list[tuple[float, int]]:
         """(time, grade) at each grade change observed during playout."""
         out: list[tuple[float, int]] = []
@@ -159,15 +195,62 @@ class PlayoutEventLog:
                     last = e.grade
         return out
 
+    def tally(self) -> PlayoutTally:
+        """Everything result collection reads off the log, in one pass.
+
+        Kept until the log grows, so the per-stream summaries and the
+        QoE inputs of one session share a single walk.
+        """
+        events = self.events
+        tally = self._tally
+        if tally is not None and tally.n_events == len(events):
+            return tally
+        tally = self._tally = PlayoutTally(n_events=len(events))
+        streams = tally.streams
+        gap_times = tally.gap_times
+        kinds = PlayoutEventKind
+        # Branch on identity: an enum member hashes through a Python
+        # ``__hash__``, a call per event if kinds were dictionary keys.
+        frame, gap, duplicate, drop, start, show = (
+            kinds.FRAME, kinds.GAP, kinds.DUPLICATE, kinds.DROP,
+            kinds.START, kinds.SHOW)
+        inf = float("inf")
+        first_shown = first_play = inf
+        for e in events:
+            kind = e.kind
+            stream = streams.get(e.stream_id)
+            if stream is None:
+                stream = streams[e.stream_id] = StreamTally()
+            if kind is frame:
+                stream.frames += 1
+                stream.grade_sum += e.grade
+                if e.frame_seq is not None:
+                    stream.played_seqs.append(e.frame_seq)
+                    stream.played_at.append(e.time)
+                if e.time < first_shown:
+                    first_shown = e.time
+                if e.time < first_play:
+                    first_play = e.time
+            elif kind is gap:
+                stream.gaps += 1
+                gap_times.append(e.time)
+            elif kind is duplicate:
+                stream.duplicates += 1
+            elif kind is drop:
+                stream.drops += 1
+            elif kind is start:
+                if e.time < first_play:
+                    first_play = e.time
+            elif kind is show and e.time < first_shown:
+                first_shown = e.time
+        if first_shown < inf:
+            tally.first_shown_s = first_shown
+        if first_play < inf:
+            tally.first_play_s = first_play
+        return tally
+
     def summary(self, stream_id: str) -> dict[str, float]:
-        return {
-            "frames": self.count(PlayoutEventKind.FRAME, stream_id),
-            "gaps": self.gap_count(stream_id),
-            "duplicates": self.count(PlayoutEventKind.DUPLICATE, stream_id),
-            "drops": self.count(PlayoutEventKind.DROP, stream_id),
-            "gap_ratio": self.gap_ratio(stream_id),
-            "mean_grade": self.mean_grade(stream_id),
-        }
+        return self.tally().summary(stream_id)
 
 
 class SkewSeries:

@@ -306,16 +306,10 @@ class PresentationScheduler:
     # -- results ------------------------------------------------------------
     def startup_latency_s(self) -> float | None:
         """Time from scheduler start to the first presented event."""
-        if self.presentation_start is None:
+        first_shown_s = self.log.tally().first_shown_s
+        if self.presentation_start is None or first_shown_s is None:
             return None
-        starts = [
-            e.time
-            for e in self.log.events
-            if e.kind in (PlayoutEventKind.FRAME, PlayoutEventKind.SHOW)
-        ]
-        if not starts:
-            return None
-        return min(starts) - self._start_called_at
+        return first_shown_s - self._start_called_at
 
     def skew_series(self):
         return {g: c.series for g, c in self.skew_controllers.items()}

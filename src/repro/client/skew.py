@@ -43,6 +43,9 @@ class SkewControllerStats:
     duplicates: int = 0
     drops: int = 0
     decisions: int = 0
+    #: decisions that acted (one per ``skew.correct``; ``drops`` counts
+    #: frames, so it cannot be derived from the other two)
+    corrections: int = 0
 
 
 class SkewController:
@@ -120,6 +123,7 @@ class SkewController:
             return SkewDecision("play")
         if skew > self.threshold_s:
             self.stats.duplicates += 1
+            self.stats.corrections += 1
             if self._tracing:
                 self._tracer.emit(now, "skew.correct", stream_id,
                                   session=self._session, action="duplicate",
@@ -129,6 +133,7 @@ class SkewController:
             behind_frames = int(-skew / frame_interval_s)
             n = max(1, min(self.max_drops_per_tick, behind_frames))
             self.stats.drops += n
+            self.stats.corrections += 1
             if self._tracing:
                 self._tracer.emit(now, "skew.correct", stream_id,
                                   session=self._session, action="drop",

@@ -612,9 +612,10 @@ class ClientComposition:
             client_node=self.client_node,
             rx_discarded=self.network.node(self.client_node).rx_discarded,
         )
+        tally = self.log.tally()  # one pass, shared with startup and QoE
         for spec in self.scenario.streams:
             sid = spec.stream_id
-            summary = self.log.summary(sid)
+            summary = tally.summary(sid)
             sr = StreamResult(
                 stream_id=sid,
                 media_type=spec.media_type.value,
@@ -642,3 +643,62 @@ class ClientComposition:
         if grade_trajectories:
             result.grade_trajectories = dict(grade_trajectories)
         return result
+
+    def delivery_account(self, session: str) -> dict[str, Any]:
+        """What this session's endpoints hold of its frames' fates.
+
+        The client-side and network-side arguments of
+        :func:`repro.obs.qoe.score`, from the playout log's tally, the
+        skew controllers, receivers and buffers, and the session's
+        pages of the network's frame ledger — no trace involved. A
+        frame counts as lost when a link dropped a fragment of it and
+        the receiver neither reassembled it nor gave up on it.
+        """
+        tally = self.log.tally()
+        streams = tally.streams
+        receivers = self.receivers
+        lost = 0
+        hit = self.network.frames_hit.get(session)
+        if hit:
+            done = {flow: set(rx.frames_done)
+                    for flow, rx in receivers.items()}
+            for (flow, seq), timestamp in hit.items():
+                if flow not in done or (
+                        seq not in done[flow]
+                        and timestamp not in receivers[flow].frames_stale):
+                    lost += 1
+        # One ledger row per frame sent, in send order — the order the
+        # trace join adds latencies up in. The first send of a frame
+        # counts: a failover sender can repeat a frame seq.
+        rows = iter(self.network.frames_sent.get(session, ()))
+        played = {sid: dict(zip(stream.played_seqs, stream.played_at))
+                  for sid, stream in streams.items()}
+        sent: dict[str, set[int]] = {}
+        latencies: list[float] = []
+        for sid, seq, sent_s in zip(rows, rows, rows):
+            seqs = sent.get(sid)
+            if seqs is None:
+                seqs = sent[sid] = set()
+            if seq not in seqs:
+                seqs.add(seq)
+                played_s = played.get(sid, {}).get(seq)
+                if played_s is not None:
+                    latencies.append(played_s - sent_s)
+        return {
+            "first_play_s": tally.first_play_s,
+            "gap_times": tally.gap_times,
+            "skew_violations": sum(
+                c.stats.corrections
+                for c in self.scheduler.skew_controllers.values()),
+            "frames_sent": sum(map(len, sent.values())),
+            "frames_played": sum(len(s.played_seqs)
+                                 for s in streams.values()),
+            "frames_dropped": (
+                sum(s.drops for s in streams.values())
+                + sum(rx.stats.frames_dropped_fragments
+                      for rx in receivers.values())
+                + sum(buf.stats.overflow_drops
+                      for buf in self.scheduler.buffers.values())),
+            "frames_lost": lost,
+            "latencies": latencies,
+        }

@@ -86,27 +86,13 @@ class PopulationResult:
     def qoe_summary(self) -> dict[str, Any]:
         """Population QoE rollup (score/startup/latency percentiles).
 
-        Empty when the run was untraced (sessions carry no QoE dicts).
+        Empty when no outcome carries a QoE dict.
         """
         from repro.obs.qoe import SessionQoE, qoe_summary
 
-        qoes = []
-        for o in self.outcomes:
-            q = o.result.qoe
-            if not q:
-                continue
-            qoe = SessionQoE(session=q.get("session", o.session_id))
-            for key in ("score", "duration_s", "startup_s", "stall_count",
-                        "stall_time_s", "skew_violations",
-                        "degraded_time_s", "frames_sent", "frames_played",
-                        "frames_dropped", "frames_lost"):
-                if key in q:
-                    setattr(qoe, key, q[key])
-            qoe.latency = dict(q.get("latency", {}))
-            qoes.append(qoe)
-        if not qoes:
-            return {}
-        return qoe_summary(qoes)
+        qoes = [SessionQoE.from_dict(o.result.qoe, o.session_id)
+                for o in self.outcomes if o.result.qoe]
+        return qoe_summary(qoes) if qoes else {}
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -193,6 +179,7 @@ class SessionOrchestrator:
         tracing = self.sim._tracing
         session_id = handler.session_id
         node = client_node if client_node is not None else self.engine.CLIENT
+        result_box["begin_s"] = self.sim.now
         if tracing:
             self.sim._tracer.span_begin(
                 self.sim.now, "session", session_id, session=session_id,
@@ -207,6 +194,7 @@ class SessionOrchestrator:
             resp = yield from client.subscribe(form, contract=contract)
         if resp.msg_type != "connect-ok":
             result_box["error"] = resp.body.get("reason", "rejected")
+            result_box["end_s"] = self.sim.now
             if tracing:
                 self.sim._tracer.span_end(
                     self.sim.now, "session", session_id, session=session_id,
@@ -216,6 +204,7 @@ class SessionOrchestrator:
         resp = yield from client.request_document(document)
         if resp.msg_type != "scenario":
             result_box["error"] = resp.body.get("reason", "no scenario")
+            result_box["end_s"] = self.sim.now
             if tracing:
                 self.sim._tracer.span_end(
                     self.sim.now, "session", session_id, session=session_id,
@@ -232,6 +221,7 @@ class SessionOrchestrator:
         )
         if ready.msg_type != "streams-started":
             result_box["error"] = ready.body.get("reason", ready.msg_type)
+            result_box["end_s"] = self.sim.now
             if tracing:
                 self.sim._tracer.span_end(
                     self.sim.now, "session", session_id, session=session_id,
@@ -256,6 +246,7 @@ class SessionOrchestrator:
         comp.close()  # return the client's media ports to its node
         result_box["comp"] = comp
         result_box["charge"] = charge
+        result_box["end_s"] = self.sim.now
         if tracing:
             self.sim._tracer.span_end(
                 self.sim.now, "session", session_id, session=session_id,
@@ -402,24 +393,18 @@ class SessionOrchestrator:
         self.sim.run(until=guard)
         self.sim.run(until=self.sim.now + 1.0)
         outcomes: list[SessionOutcome] = []
-        # Per-session counts and QoE need the full recording: a
-        # control-tier recorder never saw the frames.
+        # Per-session event counts need the full recording (a
+        # control-tier recorder never saw the frames); QoE does not.
         snapshot = (self.sim._tracing_detail
                     and hasattr(tracer, "session_snapshot"))
         for spec, handler, box in entries:
             result = self._result_from_box(box, spec.document)
+            result.qoe = self._session_qoe(handler.session_id, box)
             if snapshot:
                 result.metrics = tracer.session_snapshot(handler.session_id)
-                begins = [e.time for e in tracer.select(
-                    kind="session", session=handler.session_id)
-                    if e.phase == "B"]
-                ends = [e.time for e in tracer.select(
-                    kind="session", session=handler.session_id)
-                    if e.phase == "E"]
-                if begins and ends:
+                if "end_s" in box:
                     tracer.metrics.histogram("session_duration_s").observe(
-                        max(ends) - min(begins)
-                    )
+                        box["end_s"] - box["begin_s"])
             outcomes.append(SessionOutcome(
                 session_id=handler.session_id,
                 client_node=(spec.client_node if spec.client_node is not None
@@ -435,21 +420,28 @@ class SessionOrchestrator:
             tracer.span_end(self.sim.now, "workload",
                             f"workload[{len(specs)}]",
                             completed=sum(o.completed for o in outcomes))
-        if snapshot and getattr(tracer, "events", None):
-            # One correlation pass over the trace serves every session:
-            # frame spans -> per-session QoE summaries on the results.
-            from repro.obs.lifecycle import correlate_frames
-            from repro.obs.qoe import score_session
-
-            spans = correlate_frames(tracer.events)
-            for outcome in outcomes:
-                sess = outcome.session_id
-                outcome.result.qoe = score_session(
-                    tracer.events, sess,
-                    spans={k: s for k, s in spans.items()
-                           if s.session == sess},
-                ).to_dict()
         return outcomes
+
+    def _session_qoe(self, session_id: str,
+                     box: dict[str, Any]) -> dict[str, Any]:
+        """The session's QoE dict from what its endpoints hold.
+
+        Begin and end are the script's own instants (a session still
+        running at the horizon ends now); a session that never got a
+        presentation scores on its duration alone.
+        """
+        from repro.obs.qoe import score
+
+        now = self.sim.now
+        comp = box.get("comp")
+        return score(
+            session_id,
+            begin_s=box.get("begin_s", now), end_s=box.get("end_s", now),
+            grade_changes=[(d.time, d.old_grade, d.new_grade)
+                           for d in box.get("decisions", ())],
+            **(comp.delivery_account(session_id) if comp is not None
+               else {}),
+        ).to_dict()
 
     # -- multi-client populations --------------------------------------------
     def run_population(

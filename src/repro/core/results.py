@@ -53,11 +53,12 @@ class SessionResult:
     #: unbound port — nonzero means a misrouted or late flow
     rx_discarded: int = 0
     #: per-session trace-event counts ({kind: count}) when the engine
-    #: ran with a recording tracer; empty otherwise
+    #: ran with a full-detail recording tracer; empty otherwise
     metrics: dict[str, int] = field(default_factory=dict)
     #: per-session QoE summary (score, startup, stalls, frame
-    #: accounting, latency percentiles — see :mod:`repro.obs.qoe`)
-    #: when the engine ran with a recording tracer; empty otherwise
+    #: accounting, latency percentiles — see :mod:`repro.obs.qoe`),
+    #: scored by ``run_workload`` from what the session's endpoints
+    #: hold, traced or not; empty on a single scripted session
     qoe: dict[str, Any] = field(default_factory=dict)
     #: control RPC retransmissions the client had to issue (nonzero
     #: only under a fault plan with a RetryPolicy installed)

@@ -356,6 +356,12 @@ class Simulator:
     def now(self) -> float:
         return self._now
 
+    @property
+    def events_fired(self) -> int:
+        """Heap entries fired so far: pushed minus still queued (nothing
+        leaves the heap except by firing, so no per-event counter)."""
+        return self._seq - len(self._heap)
+
     # -- observability -------------------------------------------------
     @property
     def tracer(self):

@@ -297,8 +297,7 @@ def run_chaos(
         artifact["service"] = pop.service
     if pop.timeseries:
         artifact["timeseries"] = pop.timeseries
-    if trace:
-        artifact["qoe"] = pop.qoe_summary()
+    artifact["qoe"] = pop.qoe_summary()
     if recorder is not None:
         artifact["flight_dump"] = dict(recorder.last_dump)
     return ChaosRun(scenario=name, population=pop, digest=digest,

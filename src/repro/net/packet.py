@@ -31,9 +31,10 @@ class Packet:
     dst_port: int
     payload: Any = None
     seq: int = 0
-    #: correlation keys for frame-lifecycle tracing: the session the
-    #: packet belongs to ("" for anonymous traffic) and the media
-    #: frame it carries a fragment of (-1 for non-frame packets)
+    #: correlation keys for frame-lifecycle tracing and for the
+    #: network's frame ledger: the session the packet belongs to (""
+    #: for anonymous traffic) and the media frame it carries a
+    #: fragment of (-1 for non-frame packets)
     session: str = ""
     frame_seq: int = -1
     created_at: float = 0.0

@@ -7,9 +7,12 @@ decisions — so every layer of the stack exposes trace hook points
 
 * :class:`Tracer` — the hook-point API. The default is *no tracer at
   all* (``Simulator.tracer is None``); every instrumented hot path
-  guards on a single boolean, so a run without tracing pays only an
-  attribute check and enters no function under ``repro/obs/`` (an
-  exact call count — ``tests/test_datapath_budget.py`` enforces it).
+  guards on a single boolean, so a simulation without tracing pays
+  only an attribute check and enters no function under ``repro/obs/``
+  while it runs; scoring a session's QoE when its result is collected
+  is the one thing it asks of this package, a fixed 17 calls per
+  session (exact call counts — ``tests/test_datapath_budget.py``
+  enforces them).
 * :class:`MetricsRegistry` — labelled counters, gauges and
   histograms. A :class:`RecordingTracer` counts every event it
   records, so exported streams always reconcile with the registry.
@@ -51,6 +54,7 @@ from repro.obs.profile import (
 from repro.obs.qoe import (
     SessionQoE,
     qoe_summary,
+    score,
     score_session,
     score_sessions,
 )
@@ -134,6 +138,7 @@ __all__ = [
     "read_chrome_trace",
     "read_jsonl",
     "render_markdown_report",
+    "score",
     "score_session",
     "score_sessions",
     "sparkline",

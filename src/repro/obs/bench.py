@@ -1,11 +1,12 @@
 """Service-quality trajectory harness behind ``python -m repro bench``.
 
-Each scenario runs a traced population, rolls up the per-session QoE
-summaries and the service report, and emits one ``BENCH_<name>.json``
-artifact. Nothing in it is timed (host speed is ``benchmarks/e2e``'s
-job; only the sharded ``--clients`` / ``--scale-curve`` path keeps a
-wall clock), so the artifact is a pure function of code and seed and
-``--update-baseline`` is idempotent.
+Each scenario runs a population (untraced: session results need no
+recorder), rolls up the per-session QoE summaries and the service
+report, and emits one ``BENCH_<name>.json`` artifact. Nothing in it is
+timed (host speed is ``benchmarks/e2e``'s job; only the sharded
+``--clients`` / ``--scale-curve`` path keeps a wall clock), so the
+artifact is a pure function of code and seed and ``--update-baseline``
+is idempotent.
 
 The regression gate is :func:`repro.obs.trend.analyze_group`, the one
 comparator: a fresh artifact is the newest point of its ``(scenario,
@@ -100,7 +101,8 @@ def bench_scenario(name: str) -> BenchScenario:
 def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
               shared_flows: bool,
               profiler: "Any | None" = None) -> dict:
-    """One traced population run; the raw measurements.
+    """One population run; the raw measurements (``events`` is the
+    kernel's own count of heap entries fired).
 
     Passing a :class:`~repro.obs.profile.KernelProfiler` installs it
     on the run's simulator (``bench --profile``); the caller reads
@@ -109,9 +111,7 @@ def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
     from repro.core.config import EngineConfig
     from repro.core.engine import ServiceEngine
     from repro.core.experiments import av_markup
-    from repro.obs.tracer import RecordingTracer
 
-    tracer = RecordingTracer()
     layers = None
     config = dict(scenario.config)
     with_images = True
@@ -121,10 +121,8 @@ def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
         layers = cdn_stack(clients_per_region=max(1, n_clients // 2))
         config["shared_flows"] = shared_flows
         with_images = False  # one hot continuous A/V document
-    eng = ServiceEngine(
-        EngineConfig(seed=scenario.seed, **config),
-        tracer=tracer, layers=layers,
-    )
+    eng = ServiceEngine(EngineConfig(seed=scenario.seed, **config),
+                        layers=layers)
     eng.add_server(
         "srv1",
         documents={"doc": (av_markup(duration_s, with_images), "bench")},
@@ -139,7 +137,7 @@ def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
         profiler.uninstall()
     return {
         "sim_time_s": eng.sim.now,
-        "events": sum(tracer.kind_counts().values()),
+        "events": eng.sim.events_fired,
         "sessions": len(pop),
         "completed": len(pop.completed()),
         "qoe": pop.qoe_summary(),

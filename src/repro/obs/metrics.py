@@ -11,8 +11,9 @@ without dragging the registry along.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "log_buckets"]
@@ -100,6 +101,25 @@ class Histogram:
             if value <= bound:
                 self.bucket_counts[i] += 1
                 break
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe a batch in one call; the state afterwards is exactly
+        what observing each value in turn leaves (``total`` adds in
+        the given order)."""
+        if not values:
+            return
+        self.count += len(values)
+        self.min = min(self.min, min(values))
+        self.max = max(self.max, max(values))
+        bounds = self.bounds
+        buckets = self.bucket_counts
+        total = self.total
+        for value in values:
+            total += value
+            i = bisect_left(bounds, value)
+            if i < len(buckets):
+                buckets[i] += 1
+        self.total = total
 
     @property
     def mean(self) -> float:

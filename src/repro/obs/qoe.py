@@ -1,11 +1,16 @@
-"""Per-session Quality-of-Experience scoring from trace events.
+"""Per-session Quality-of-Experience scoring.
 
-Turns the frame spans of :mod:`repro.obs.lifecycle` plus the
-skew-correction and grading events into one :class:`SessionQoE` per
-session: startup delay, stall count/duration, skew violations,
-grade-degradation time, frame delivery accounting, end-to-end latency
-percentiles (streaming log-bucketed histograms — no sample list is
-retained) and a composite 0–100 score.
+One :class:`SessionQoE` per session: startup delay, stall
+count/duration, skew violations, grade-degradation time, frame
+delivery accounting, end-to-end latency percentiles (log-bucketed
+histograms) and a composite 0–100 score. :func:`score` is the one
+scorer and takes plain numbers. A run feeds it what the session's
+endpoints already hold (the orchestrator does, traced or not — no
+recorder is needed for a result); :func:`score_session` feeds it the
+same numbers recovered from a trace through the frame spans of
+:mod:`repro.obs.lifecycle`, which is the only way to score a JSONL
+file (``repro trace``) and the reference the endpoint numbers are
+tested against.
 
 The score is a diagnostic ranking, not a perceptual model: it starts
 at 100 and subtracts bounded penalties for startup delay, stalls,
@@ -15,13 +20,15 @@ grade, so a clean run always ranks strictly above an impaired one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import itemgetter
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.lifecycle import FrameSpan, correlate_frames
 from repro.obs.metrics import Histogram, log_buckets
 from repro.obs.tracer import TraceEvent
 
-__all__ = ["SessionQoE", "score_session", "score_sessions",
+__all__ = ["SessionQoE", "score", "score_session", "score_sessions",
            "qoe_summary"]
 
 #: latency histogram bounds shared by all QoE scorers
@@ -74,8 +81,19 @@ class SessionQoE:
             "latency": dict(self.latency),
         }
 
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, Any],
+                  session: str = "") -> "SessionQoE":
+        """Inverse of :meth:`to_dict` (``delivery_ratio`` is derived);
+        ``session`` names a document that does not name itself."""
+        known = {f.name for f in fields(cls)}
+        qoe = cls(**{"session": session,
+                     **{k: v for k, v in doc.items() if k in known}})
+        qoe.latency = dict(qoe.latency)
+        return qoe
 
-def _stalls(gap_times: list[float]) -> tuple[int, float]:
+
+def _stalls(gap_times: Sequence[float]) -> tuple[int, float]:
     """Merge per-tick gap events into stalls: (count, total seconds).
 
     Consecutive gaps one frame interval apart are one stall; the
@@ -102,19 +120,23 @@ def _stalls(gap_times: list[float]) -> tuple[int, float]:
     return count, total
 
 
-def _degraded_time(grade_events: list[TraceEvent], end_s: float) -> float:
-    """Seconds spent above (worse than) the session's initial grade."""
-    if not grade_events:
+def _degraded_time(grade_changes: Sequence[tuple[float, int, int]],
+                   end_s: float) -> float:
+    """Seconds spent above (worse than) the session's initial grade.
+
+    ``grade_changes`` is ``(time, old grade, new grade)`` per grading
+    decision, in the order they were taken.
+    """
+    if not grade_changes:
         return 0.0
-    baseline = grade_events[0].args.get("old", 0)
+    baseline = grade_changes[0][1]
     degraded_since: float | None = None
     total = 0.0
-    for e in sorted(grade_events, key=lambda e: e.time):
-        grade = e.args.get("new", baseline)
+    for time, _old, grade in sorted(grade_changes, key=itemgetter(0)):
         if grade > baseline and degraded_since is None:
-            degraded_since = e.time
+            degraded_since = time
         elif grade <= baseline and degraded_since is not None:
-            total += e.time - degraded_since
+            total += time - degraded_since
             degraded_since = None
     if degraded_since is not None:
         total += max(0.0, end_s - degraded_since)
@@ -135,6 +157,44 @@ def _composite_score(q: SessionQoE) -> float:
     return max(0.0, 100.0 - penalty)
 
 
+def score(
+    session: str,
+    *,
+    begin_s: float,
+    end_s: float,
+    first_play_s: float | None = None,
+    gap_times: Sequence[float] = (),
+    skew_violations: int = 0,
+    grade_changes: Sequence[tuple[float, int, int]] = (),
+    frames_sent: int = 0,
+    frames_played: int = 0,
+    frames_dropped: int = 0,
+    frames_lost: int = 0,
+    latencies: Iterable[float] = (),
+) -> SessionQoE:
+    """One session's QoE from its numbers, wherever they were taken.
+
+    ``latencies`` are the send -> playout seconds of the played frames
+    in the order the frames were first sent (the histogram's ``sum``
+    adds in that order); the cost is a fixed number of calls, whatever
+    the session's length.
+    """
+    qoe = SessionQoE(
+        session=session, skew_violations=skew_violations,
+        frames_sent=frames_sent, frames_played=frames_played,
+        frames_dropped=frames_dropped, frames_lost=frames_lost)
+    qoe.duration_s = max(0.0, end_s - begin_s)
+    if first_play_s is not None:
+        qoe.startup_s = max(0.0, first_play_s - begin_s)
+    qoe.stall_count, qoe.stall_time_s = _stalls(gap_times)
+    qoe.degraded_time_s = _degraded_time(grade_changes, end_s)
+    latency = Histogram(bounds=LATENCY_BOUNDS)
+    latency.observe_many([v for v in latencies if v >= 0])
+    qoe.latency = latency.summary()
+    qoe.score = _composite_score(qoe)
+    return qoe
+
+
 def score_session(
     events: list[TraceEvent],
     session: str,
@@ -143,11 +203,11 @@ def score_session(
     """Score one session from a trace (and optionally pre-built spans)."""
     if spans is None:
         spans = correlate_frames(events, session=session)
-    qoe = SessionQoE(session=session)
 
     begin_s: float | None = None
     end_s: float | None = None
     first_play_s: float | None = None
+    skew_violations = 0
     gap_times: list[float] = []
     grade_events: list[TraceEvent] = []
     for e in events:
@@ -164,7 +224,7 @@ def score_session(
         elif e.kind == "playout.gap":
             gap_times.append(e.time)
         elif e.kind == "skew.correct":
-            qoe.skew_violations += 1
+            skew_violations += 1
         elif e.kind == "qos.grade":
             grade_events.append(e)
 
@@ -174,30 +234,26 @@ def score_session(
     if end_s is None:
         end_s = max((e.time for e in events if e.session == session),
                     default=begin_s)
-    qoe.duration_s = max(0.0, end_s - begin_s)
-    if first_play_s is not None:
-        qoe.startup_s = max(0.0, first_play_s - begin_s)
-    qoe.stall_count, qoe.stall_time_s = _stalls(gap_times)
-    qoe.degraded_time_s = _degraded_time(grade_events, end_s)
+    baseline = grade_events[0].args.get("old", 0) if grade_events else 0
 
-    latency = Histogram(bounds=LATENCY_BOUNDS)
+    terminals = {"played": 0, "dropped": 0, "lost": 0, "pending": 0}
+    latencies: list[float] = []
     for span in spans.values():
         if span.session != session:
             continue
-        qoe.frames_sent += 1
-        terminal = span.terminal
-        if terminal == "played":
-            qoe.frames_played += 1
-            total = span.total_s
-            if total is not None and total >= 0:
-                latency.observe(total)
-        elif terminal == "dropped":
-            qoe.frames_dropped += 1
-        elif terminal == "lost":
-            qoe.frames_lost += 1
-    qoe.latency = latency.summary()
-    qoe.score = _composite_score(qoe)
-    return qoe
+        terminals[span.terminal] += 1
+        total = span.total_s
+        if total is not None:
+            latencies.append(total)
+    return score(
+        session, begin_s=begin_s, end_s=end_s, first_play_s=first_play_s,
+        gap_times=gap_times, skew_violations=skew_violations,
+        grade_changes=[(e.time, e.args.get("old", 0),
+                        e.args.get("new", baseline)) for e in grade_events],
+        frames_sent=sum(terminals.values()),
+        frames_played=terminals["played"],
+        frames_dropped=terminals["dropped"], frames_lost=terminals["lost"],
+        latencies=latencies)
 
 
 def score_sessions(

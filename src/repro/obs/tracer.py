@@ -72,7 +72,11 @@ in the tree against it.
 
 Frame-lifecycle correlation: data-path events carry ``session`` and a
 ``frame`` arg (the frame's per-stream seq), letting
-:mod:`repro.obs.lifecycle` join a frame's journey across layers.
+:mod:`repro.obs.lifecycle` join a frame's journey across layers. A
+trace is an explanation, not a prerequisite: session results (QoE
+included) are produced from the endpoints' own numbers whether or not
+a tracer is attached; what a recording adds to a result is the
+per-session event counts (``session_snapshot``) and the registry.
 
 Detail vs control tier
 ----------------------

@@ -85,8 +85,8 @@ TREND_METRICS: tuple[TrendMetric, ...] = (
     TrendMetric("origin_egress_bytes", direction="stable"),
     TrendMetric("peak_link_utilization", direction="lower"),
     TrendMetric("max_queue_depth", direction="lower"),
-    # ``events`` (trace emits) stays in the artifact ungated: fewer
-    # emits is what a cheaper data path looks like
+    # ``events`` (kernel heap entries fired) stays in the artifact
+    # ungated: fewer entries is what a cheaper data path looks like
 )
 
 

@@ -9,6 +9,7 @@ upstream.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -75,6 +76,10 @@ class RtpSender:
         self._seq = first_seq % SEQ_MODULUS
         self.packet_count = 0
         self.octet_count = 0
+        # the session's page of the network's frame ledger, shared with
+        # its other senders (None: anonymous traffic is not ledgered)
+        self._sent = (network.frames_sent.setdefault(session, deque())
+                      if session else None)
 
     def send_frame(self, frame: Frame) -> int:
         """Packetize and transmit one frame; returns packets sent."""
@@ -82,6 +87,8 @@ class RtpSender:
         n_frags = len(plan)
         last = n_frags - 1
         seq0 = self._seq
+        if self._sent is not None:
+            self._sent.extend((self.stream_id, frame.seq, self.sim._now))
         for i, frag_bytes in enumerate(plan):
             seq = self._seq
             # Both records positionally, in field order: keyword calls
@@ -169,6 +176,10 @@ class RtpReceiver:
         self.jitter = InterarrivalJitterEstimator(clock_rate)
         self._unwrapped_high: int | None = None
         self._frag_seen: dict[int, int] = {}  # timestamp -> fragments seen
+        #: frame seqs reassembled, in order (a deque, as the ledger's
+        #: pages are), and RTP timestamps given up on
+        self.frames_done: deque[int] = deque()
+        self.frames_stale: set[int] = set()
         network.node(node_id).bind(port, self._on_packet)
 
     def close(self) -> None:
@@ -223,6 +234,7 @@ class RtpReceiver:
         if seen == rtp.fragment_count and rtp.marker:
             self._frag_seen.pop(timestamp, None)
             st.frames_received += 1
+            self.frames_done.append(pkt.frame_seq)
             if self.sim._tracing_detail:
                 self.sim._tracer.emit(
                     now, "rtp.frame", self.stream_id,
@@ -240,6 +252,7 @@ class RtpReceiver:
     def _gc_stale_frames(self, completed_ts: int) -> None:
         """Frames older than a completed one can never finish: count them."""
         stale = [ts for ts in self._frag_seen if ts < completed_ts]
+        self.frames_stale.update(stale)
         for ts in stale:
             del self._frag_seen[ts]
             self.stats.frames_dropped_fragments += 1

@@ -5,7 +5,9 @@ Backs ``python -m repro bench --clients N --shards K`` and
 and reports the merged metrics, digest, completeness and per-shard
 lifecycle; a *curve* sweeps N and emits the scaling artifact
 (``BENCH_population_scale.json``: events/sec and wall_s vs N) for the
-bench trajectory.
+bench trajectory. Cells run untraced, so ``events`` counts kernel heap
+entries fired, not trace emits, and QoE comes from the sessions'
+endpoints.
 
 Per-cell admission: each cell is its own engine, so the admission
 controller sees one cell's concurrency, not the population's. The
@@ -92,9 +94,10 @@ def sharded_artifact(result: ShardedRunResult, *, smoke: bool = False,
                      name: str = "population_shard") -> dict[str, Any]:
     """A ``repro.bench`` artifact for one sharded point.
 
-    Carries the standard trajectory keys (wall_s, events,
-    events_per_sec, sessions, completed, qoe, service, timeseries)
-    plus the sharding extras: digest, completeness, shard lifecycle.
+    Carries the standard trajectory keys (wall_s, events — kernel
+    heap entries fired across the cells —, events_per_sec, sessions,
+    completed, qoe, service, timeseries) plus the sharding extras:
+    digest, completeness, shard lifecycle.
     """
     from repro.shard.merge import qoe_summary_of
 

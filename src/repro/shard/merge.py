@@ -2,7 +2,8 @@
 
 Two layers, with different algebraic strength:
 
-* **Population documents** (outcome lists + integer metric counts)
+* **Population documents** (outcome lists + integer metric counts;
+  the counts are trace emits, so untraced cells bring none)
   merge exactly: outcomes concatenate and re-sort by global session
   index, counts add. Integer addition and sorted union are
   associative and commutative with :func:`empty_population_doc` as
@@ -123,27 +124,14 @@ def merged_digest(merged: dict[str, Any]) -> str:
 def qoe_summary_of(merged: dict[str, Any]) -> dict[str, Any]:
     """Population QoE rollup over a merged doc's outcome QoE dicts.
 
-    Mirrors :meth:`PopulationResult.qoe_summary` field for field, so
-    a sharded run reports the same percentiles a monolithic run
-    would. Empty when the outcomes carry no QoE (untraced cells).
+    :meth:`PopulationResult.qoe_summary` over outcome documents, so a
+    sharded run reports the same percentiles a monolithic run would.
+    Empty when no outcome carries a QoE dict.
     """
     from repro.obs.qoe import SessionQoE, qoe_summary
 
-    qoes = []
-    for outcome in merged.get("outcomes", []):
-        q = outcome.get("result", {}).get("qoe")
-        if not q:
-            continue
-        qoe = SessionQoE(session=q.get("session",
-                                       outcome.get("session_id", "")))
-        for key in ("score", "duration_s", "startup_s", "stall_count",
-                    "stall_time_s", "skew_violations", "degraded_time_s",
-                    "frames_sent", "frames_played", "frames_dropped",
-                    "frames_lost"):
-            if key in q:
-                setattr(qoe, key, q[key])
-        qoe.latency = dict(q.get("latency", {}))
-        qoes.append(qoe)
-    if not qoes:
-        return {}
-    return qoe_summary(qoes)
+    qoes = [SessionQoE.from_dict(o["result"]["qoe"],
+                                 o.get("session_id", ""))
+            for o in merged.get("outcomes", [])
+            if o.get("result", {}).get("qoe")]
+    return qoe_summary(qoes) if qoes else {}

@@ -56,6 +56,7 @@ class ShardedRunResult:
     cells_merged: int
     missing_cells: list[int]
     shards: list[ShardStatus]
+    #: kernel heap entries fired, summed over the merged cells
     events: int
     #: supervisor wall time (spawn -> merge), real parallel time
     wall_s: float

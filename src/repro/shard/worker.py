@@ -1,7 +1,9 @@
 # lint: allow-file(det-wall-clock)
 """Worker-process side of the sharded runner.
 
-A worker executes its shard's cells sequentially, sending each cell
+A worker executes its shard's cells sequentially (each an untraced
+engine: sessions are scored from their endpoints and ``events`` is the
+kernel's own count, so a worker carries no recorder), sending each cell
 document back over its private pipe the moment it completes, plus
 wall-clock heartbeats from a daemon thread so the supervisor can tell
 a slow shard from a dead one. Everything a worker computes is a pure
@@ -53,12 +55,8 @@ def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
     from repro.core.engine import ServiceEngine
     from repro.core.orchestrator import PopulationResult, SessionSpec
     from repro.faults.digest import population_digest
-    from repro.obs.tracer import RecordingTracer
 
-    tracer = RecordingTracer()
-    eng = ServiceEngine(
-        EngineConfig(seed=seed, **dict(workload.config)), tracer=tracer
-    )
+    eng = ServiceEngine(EngineConfig(seed=seed, **dict(workload.config)))
     eng.add_server(
         workload.server,
         documents={workload.document: (workload.markup, workload.topic)},
@@ -87,9 +85,7 @@ def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
     # session's global index so merged outcomes are unambiguous.
     for j, outcome in enumerate(pop.outcomes):
         outcome.session_id = f"sess-{lo + j + 1}"
-        if outcome.result.qoe:
-            outcome.result.qoe["session"] = outcome.session_id
-    pop.metrics = pop.aggregate_metrics()
+        outcome.result.qoe["session"] = outcome.session_id
     pop_doc = pop.to_dict()
     return {
         "cell": cell,
@@ -98,7 +94,7 @@ def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
         "population": pop_doc,
         "service": sampler.report().to_dict(),
         "timeseries": sampler.series.to_dict(),
-        "events": sum(tracer.kind_counts().values()),
+        "events": eng.sim.events_fired,
         "wall_s": wall_s,
         "digest": population_digest(pop_doc),
     }

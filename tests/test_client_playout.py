@@ -191,3 +191,32 @@ def test_synchronized_pair_stays_locked_with_controller():
     without = run(enabled=False)
     assert with_ctrl.max_abs_s < without.max_abs_s
     assert with_ctrl.fraction_out_of_sync < without.fraction_out_of_sync
+
+
+def test_tally_is_one_pass_over_the_log_and_follows_it():
+    """The tally agrees with the counting helpers, is reused while the
+    log stands still and retaken when it grows."""
+    log = PlayoutEventLog()
+    kinds = PlayoutEventKind
+    log.record(1.0, "v", kinds.START)
+    log.record(1.0, "v", kinds.FRAME, grade=0, frame_seq=0)
+    log.record(1.1, "a", kinds.START)
+    log.record(1.2, "v", kinds.GAP)
+    log.record(1.3, "v", kinds.FRAME, grade=2, frame_seq=2)
+    log.record(1.3, "v", kinds.DROP, frame_seq=1, reason="stale")
+    log.record(1.4, "v", kinds.DUPLICATE)
+    log.record(0.9, "i", kinds.SHOW)
+    tally = log.tally()
+    assert log.tally() is tally
+    assert log.summary("v") == {
+        "frames": log.count(kinds.FRAME, "v"), "gaps": log.gap_count("v"),
+        "duplicates": 1, "drops": 1, "gap_ratio": 0.25, "mean_grade": 1.0}
+    assert log.summary("nope")["frames"] == 0
+    assert tally.first_shown_s == 0.9  # SHOW counts, START does not
+    assert tally.first_play_s == 1.0   # START counts, SHOW does not
+    assert tally.gap_times == [1.2]
+    assert tally.streams["v"].played_seqs == [0, 2]
+    assert tally.streams["v"].played_at == [1.0, 1.3]
+    log.record(1.5, "v", kinds.GAP)
+    assert log.tally() is not tally
+    assert log.summary("v")["gaps"] == 2

@@ -394,6 +394,12 @@ def test_detail_tracer_sees_every_entry_through_step():
     assert sim.stepped == len(fired) > 0
     assert fired.count("Call") == 2
     assert fired.count("Timeout") == 2
+    # the kernel's own count (pushed minus still queued) is that number,
+    # and an unobserved run of the same script reaches it uncounted
+    assert sim.events_fired == len(fired)
+    plain = _StepCounter()
+    _mixed_run(plain)
+    assert plain.events_fired == len(fired)
 
 
 def test_dispatch_hook_receives_every_entry_and_must_fire_it():

@@ -25,6 +25,7 @@ from repro.obs import (
     TRACE_SCHEMA_VERSION,
     Histogram,
     RecordingTracer,
+    SessionQoE,
     TraceEvent,
     correlate_frames,
     hop_latency_summary,
@@ -108,6 +109,24 @@ def test_histogram_inf_bucket_reports_observed_max():
     for v in (0.5, 2.0, 40.0):
         hist.observe(v)
     assert hist.quantile(0.99) == pytest.approx(40.0)
+
+
+def test_histogram_batch_observe_is_observing_each_in_turn():
+    """Same state to the bit, ``total`` included, in one call; values
+    on a bucket bound and past the last bound land where observe puts
+    them."""
+    rng = random.Random(5)
+    values = [rng.lognormvariate(-2.0, 1.5) for _ in range(500)]
+    bounds = log_buckets(1e-3, 1.0)[:-1]  # no +inf: some fall off the end
+    values += [bounds[3], bounds[-1], 50.0]
+    one_by_one, batch = Histogram(bounds=bounds), Histogram(bounds=bounds)
+    for v in values:
+        one_by_one.observe(v)
+    batch.observe_many(values[:100])
+    batch.observe_many([])
+    batch.observe_many(values[100:])
+    assert batch == one_by_one
+    assert sum(batch.bucket_counts) < batch.count
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +319,17 @@ def test_score_session_penalizes_loss_stalls_and_skew():
     assert 0 <= impaired.score <= 100
 
 
+def test_session_qoe_survives_its_dict():
+    qoe = score_session(_session_trace(gaps=[3.0, 3.1], skews=2,
+                                       lossy=True), "s1")
+    doc = json.loads(json.dumps(qoe.to_dict()))
+    assert SessionQoE.from_dict(doc) == qoe
+    assert SessionQoE.from_dict(doc).delivery_ratio == doc["delivery_ratio"]
+    # a document that does not name its session takes the caller's word
+    del doc["session"]
+    assert SessionQoE.from_dict(doc, "s9").session == "s9"
+
+
 def test_score_sessions_and_summary_rollup():
     events = _session_trace("a") + _session_trace("b", lossy=True)
     qoes = score_sessions(events)
@@ -340,13 +370,19 @@ def test_qoe_clean_population_beats_lossy_population():
     assert clean_pop.qoe_summary()["sessions"] == 2
 
 
-def test_untraced_population_has_no_qoe():
+def test_untraced_population_has_qoe_and_no_trace_counters():
+    """A result needs no recorder; only the emit counts do."""
     eng = ServiceEngine(EngineConfig(seed=3))
     eng.add_server("srv1", documents={"doc": (av_markup(2.0), "x")})
     pop = eng.orchestrator.run_population(2, "srv1", "doc", stagger_s=0.3)
-    assert pop.qoe_summary() == {}
+    assert pop.qoe_summary()["sessions"] == 2
+    assert pop.metrics == {}
     for outcome in pop.outcomes:
-        assert outcome.result.qoe == {}
+        qoe = outcome.result.qoe
+        assert qoe["session"] == outcome.session_id
+        assert qoe["frames_played"] == qoe["latency"]["count"] > 0
+        assert qoe["score"] > 90
+        assert outcome.result.metrics == {}
 
 
 # ---------------------------------------------------------------------------

@@ -379,3 +379,48 @@ def test_property_lossless_path_delivers_every_frame(sizes):
     sim.run()
     assert got == sizes
     assert rx.stats.cumulative_lost == 0
+
+
+# ------------------------------------------------------------ frame ledger
+def test_frame_ledger_holds_what_no_endpoint_does():
+    """First send instants in send order, the frames a link hit, and at
+    the receiver which frames completed and which it gave up on: enough
+    to tell a lost frame from a dropped one without a trace."""
+    rng = RngRegistry(seed=8).stream("ge2")
+    ge = GilbertElliottLoss(rng, p_gb=0.4, p_bg=0.2, loss_bad=0.8)
+    sim, net = build(loss_model=ge)
+    rx = RtpReceiver(net, "cli", 5004, CLOCK, "v")
+    tx = RtpSender(net, "srv", 5005, "cli", 5004, ssrc=1, payload_type=32,
+                   clock_rate=CLOCK, stream_id="v", session="s1")
+
+    def sender():
+        for i in range(200):
+            tx.send_frame(frame(i, size=5000))  # 4 fragments each
+            yield sim.timeout(0.04)
+        tx.send_frame(frame(7, size=5000))  # a failover sender's repeat
+
+    sim.process(sender())
+    sim.run()
+    rows = list(net.frames_sent["s1"])  # flat: stream, seq, send instant
+    assert rows[::3] == ["v"] * 201
+    assert rows[1::3] == list(range(200)) + [7]
+    assert rows[2::3] == pytest.approx([i * 0.04 for i in range(201)])
+    hit = net.frames_hit["s1"]
+    assert hit and all(flow == "v" and ts == seq * 3600
+                       for (flow, seq), ts in hit.items())
+    assert len(rx.frames_done) == rx.stats.frames_received
+    assert list(rx.frames_done) == sorted(set(rx.frames_done))
+    assert len(rx.frames_stale) == rx.stats.frames_dropped_fragments > 0
+    # every frame is accounted for: whole, given up on, or lost outright
+    lost = [seq for _flow, seq in hit
+            if seq not in rx.frames_done and seq * 3600 not in rx.frames_stale]
+    assert lost
+    assert rx.stats.frames_received + len(rx.frames_stale) + len(lost) == 200
+
+
+def test_anonymous_sender_keeps_its_ledger_page_to_itself():
+    sim, net = build()
+    tx, _rx = endpoints(net)
+    tx.send_frame(frame(0))
+    sim.run()
+    assert net.frames_sent == {} and net.frames_hit == {}

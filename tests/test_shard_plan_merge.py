@@ -12,6 +12,7 @@ from repro.shard.merge import (
     merge_cell_docs,
     merge_population_docs,
     merged_digest,
+    qoe_summary_of,
     session_index,
 )
 from repro.shard.plan import ShardPlan
@@ -158,3 +159,42 @@ def test_real_cell_merge_is_order_independent():
     # canonical sort inside merge_cell_docs is what the supervisor
     # relies on when shards deliver cells in arbitrary order
     assert len({d["digest"] for d in docs}) == len(docs)
+
+
+# -- a cell carries no recorder ------------------------------------------------
+
+
+def test_cell_scores_its_sessions_without_a_tracer():
+    """QoE per outcome under the global session id, the kernel's own
+    event count, and not one call into the tracer module."""
+    import sys
+
+    import repro.obs.tracer
+
+    tracer_file = repro.obs.tracer.__file__
+    tracer_calls = 0
+
+    def count(frame, event, arg):
+        nonlocal tracer_calls
+        if event == "call" and frame.f_code.co_filename == tracer_file:
+            tracer_calls += 1
+
+    workload = shard_workload(duration_s=1.5, stagger_s=0.25,
+                              with_images=False)
+    sys.setprofile(count)
+    try:
+        doc = run_cell(workload, 3, 12, 16, seed=7)
+    finally:
+        sys.setprofile(None)
+    assert tracer_calls == 0
+    assert doc["events"] > 0
+    outcomes = doc["population"]["outcomes"]
+    assert [o["session_id"] for o in outcomes] == \
+        ["sess-13", "sess-14", "sess-15", "sess-16"]
+    for outcome in outcomes:
+        qoe = outcome["result"]["qoe"]
+        assert qoe["session"] == outcome["session_id"]
+        assert qoe["frames_played"] > 0 and qoe["score"] > 0
+        assert outcome["result"]["metrics"] == {}
+    assert doc["population"]["metrics"] == {}
+    assert qoe_summary_of(doc["population"])["sessions"] == 4
