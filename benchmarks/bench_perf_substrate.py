@@ -5,7 +5,7 @@ Not a paper figure — these track the simulation engine's own cost
 bound how large an experiment the harness can run.
 """
 
-from repro.des import RngRegistry, Simulator, Store
+from repro.des import RngRegistry, Simulator
 from repro.media import default_registry
 from repro.media.traces import FrameSource, VideoTraceGenerator
 from repro.net import Network, Packet
@@ -29,31 +29,6 @@ def test_kernel_event_throughput(benchmark):
         sim.process(ticker())
         sim.run()
         return count[0]
-
-    assert benchmark(run) == 10_000
-
-
-def test_store_throughput(benchmark):
-    """10k put/get pairs through a bounded store."""
-
-    def run():
-        sim = Simulator()
-        store = Store(sim, capacity=64)
-        got = [0]
-
-        def producer():
-            for i in range(10_000):
-                yield store.put(i)
-
-        def consumer():
-            for _ in range(10_000):
-                yield store.get()
-                got[0] += 1
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        return got[0]
 
     assert benchmark(run) == 10_000
 

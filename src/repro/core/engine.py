@@ -227,8 +227,7 @@ class ServiceEngine:
             from repro.server.shared_flow import SharedFlowManager
 
             server.shared_flows = SharedFlowManager(
-                self.sim, self.network,
-                fanout_node_for=self._fanout_node_for,
+                self.sim, fanout_node_for=self._fanout_node_for,
                 batch_window_s=self.config.shared_flow_window_s,
             )
         self.servers[name] = server
@@ -320,7 +319,8 @@ class ServiceEngine:
                 node_id = server.node_id
             store = MediaStore(self.codecs, self.rng)
             server.media_servers[media_name] = MediaServer(
-                self.sim, self.network, media_name, node_id, store
+                self.sim, self.network, media_name, node_id, store,
+                shared_flows=server.shared_flows,
             )
         return server.media_servers[media_name]
 
@@ -413,7 +413,8 @@ class ServiceEngine:
         if node_id not in self.network.nodes:
             self.topology.add_server_host(node_id, region=region)
         replica = MediaServer(self.sim, self.network, replica_name, node_id,
-                              primary.store, region=region)
+                              primary.store, region=region,
+                              shared_flows=server.shared_flows)
         server.add_replica(primary_media, replica)
         watchdog = self._watchdogs.get(server_name)
         if watchdog is not None:

@@ -19,7 +19,6 @@ from repro.des.kernel import (
     Simulator,
     Timeout,
 )
-from repro.des.resources import QueueFullError, Store
 from repro.des.rng import RngRegistry
 
 __all__ = [
@@ -28,9 +27,7 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "QueueFullError",
     "RngRegistry",
     "Simulator",
-    "Store",
     "Timeout",
 ]

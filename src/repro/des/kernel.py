@@ -14,8 +14,8 @@ The kernel is intentionally small and deterministic:
 
 Nothing here knows about networks or media — higher layers build on
 :class:`Simulator` only through :meth:`Simulator.process`,
-:meth:`Simulator.timeout`, :meth:`Simulator.event` and the resource
-classes in :mod:`repro.des.resources`.
+:meth:`Simulator.timeout`, :meth:`Simulator.event` and
+:meth:`Simulator.call_later`.
 """
 
 from __future__ import annotations

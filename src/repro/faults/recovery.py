@@ -136,7 +136,7 @@ class MediaWatchdog:
                   handler) -> None:
         origin = snap.origin
         now = self.sim.now
-        if (origin.session_id, origin.stream_id) in target.streams:
+        if origin.key in target.streams:
             return  # already restored (duplicate detection)
         # Skip the outage: resume where the stream *would* be now, so
         # only the missed window turns into gaps.

@@ -181,6 +181,8 @@ class ChaosRun:
     #: the FlightRecorder when ``flight_dump`` was requested — lets
     #: callers trigger a post-run dump (e.g. on an SLO violation)
     flight_recorder: Any = None
+    #: the engine the run used, for end-of-run invariant checks
+    engine: Any = None
 
 
 def run_chaos(
@@ -301,7 +303,7 @@ def run_chaos(
     if recorder is not None:
         artifact["flight_dump"] = dict(recorder.last_dump)
     return ChaosRun(scenario=name, population=pop, digest=digest,
-                    artifact=artifact, flight_recorder=recorder)
+                    artifact=artifact, flight_recorder=recorder, engine=eng)
 
 
 def check_determinism(name: str = "crash", *, smoke: bool = True,

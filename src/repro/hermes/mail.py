@@ -28,7 +28,6 @@ SUPPORTED_MIME = frozenset({
 })
 
 _mail_ids = itertools.count(1)
-_mail_ports = itertools.count(25_000)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,9 +92,10 @@ class MailService:
         self.hub_node = hub_node
         self._boxes: dict[str, Mailbox] = {}
         self._homes: dict[str, str] = {}  # address -> node
-        port = next(_mail_ports)
-        self._hub_port = port
-        self._rx = ReliableReceiver(network, hub_node, port,
+        # Hub and submission ports come from their node's allocator, so
+        # mail never collides with the control channels on a shared host.
+        self._hub_port = network.node(hub_node).ports.allocate("media")
+        self._rx = ReliableReceiver(network, hub_node, self._hub_port,
                                     on_message=self._on_delivery)
         self.delivered = 0
 
@@ -129,13 +129,20 @@ class MailService:
             in_reply_to=message.in_reply_to,
             message_id=message.message_id, sent_at=self.sim.now,
         )
+        ports = self.network.node(origin).ports
+        port = ports.allocate("media")
         tx = ReliableSender(
-            self.network, origin, next(_mail_ports),
+            self.network, origin, port,
             self.hub_node, self._hub_port,
             flow_id=f"mail-{message.message_id}", protocol="SMTP",
         )
         done = tx.send_message(message.size_bytes, payload=message)
-        done.callbacks.append(lambda ev: tx.close())
+
+        def close(_ev) -> None:
+            tx.close()
+            ports.release(port)
+
+        done.callbacks.append(close)
         return done
 
     def _on_delivery(self, payload, size, flow) -> None:

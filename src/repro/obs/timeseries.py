@@ -247,8 +247,8 @@ class TimeSeriesSampler:
     ======================== ===== ======== ==============================
     column                   merge resample meaning (per tick)
     ======================== ===== ======== ==============================
-    ``streams.<ms>``         sum   max      concurrent streams on one
-                                            media server (level)
+    ``streams.<ms>``         sum   max      viewer legs one media server
+                                            serves, shared or not (level)
     ``egress_bytes.<host>``  sum   sum      bytes leaving a serving host
                                             during the interval (delta)
     ``link_utilization``     max   max      busiest link's busy-time
@@ -307,7 +307,8 @@ class TimeSeriesSampler:
         series = self.series
         row: dict[str, float] = {}
 
-        # Concurrent streams per media server (level gauge).
+        # Viewer legs served per media server (level gauge): a shared
+        # pump is registered once per leg.
         for name in sorted(eng.servers):
             for ms in eng.servers[name].all_media_servers():
                 col = f"streams.{ms.name}"

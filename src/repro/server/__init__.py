@@ -30,7 +30,7 @@ from repro.server.quality_converter import MediaStreamQualityConverter
 from repro.server.qos_manager import GradingDecision, GradingPolicy, ServerQoSManager
 from repro.server.media_server import MediaServer, StreamHandler
 from repro.server.multimedia_server import MultimediaServer
-from repro.server.shared_flow import SharedFlow, SharedFlowManager
+from repro.server.shared_flow import SharedFlowManager
 from repro.server.broadcast import (
     BroadcastSchedule,
     HotSet,
@@ -42,7 +42,6 @@ __all__ = [
     "BroadcastSchedule",
     "HotSet",
     "PeriodicBroadcaster",
-    "SharedFlow",
     "SharedFlowManager",
     "quasi_harmonic_schedule",
     "AccountRegistry",

@@ -19,9 +19,12 @@ segment 1 streams at the full consumption rate ``b`` and segment
 :class:`PeriodicBroadcaster` runs the channels as carrier traffic
 origin → fan-out router (the POP keeps the cycling segments
 buffered), and serves joining viewers from the fan-out point after
-the bounded slot wait. The per-viewer leg reuses the shared-flow
-fan-out machinery: each viewer gets its own RTP sequence space from a
-POP-side sender fed by the POP's reconstructed copy.
+the bounded slot wait. A viewer is an ordinary stream of the media
+server, placed at the POP: ``join`` calls ``MediaServer.start_stream``
+with ``at_node`` set to the fan-out node and the slot wait as the send
+offset, so the viewer gets a one-leg pump there (its own RTP sequence
+space, fed by the POP's reconstructed copy) that is registered,
+stopped, crashed and failed over like any other stream.
 
 :class:`HotSet` picks *which* documents deserve a broadcast channel:
 a demand counter over document requests whose ``top(k)`` is the
@@ -30,13 +33,11 @@ broadcast set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from repro.des import Simulator
+from repro.des import Event, Simulator
 from repro.net.packet import Packet
 from repro.net.topology import Network
-from repro.rtp.session import RtpSender
 from repro.server.media_server import MediaServer
 
 __all__ = [
@@ -46,9 +47,6 @@ __all__ = [
     "PeriodicBroadcaster",
     "HotSet",
 ]
-
-#: broadcaster transmission ports, above every allocator range
-_bcast_ports = itertools.count(90_000)
 
 #: carrier packet size for channel traffic (MTU-ish)
 CARRIER_PACKET_BYTES = 1400
@@ -141,7 +139,7 @@ class PeriodicBroadcaster:
     A joining viewer waits until the next slot boundary (the bounded
     quasi-harmonic startup delay) and then receives the object's full
     frame sequence from the fan-out point, on its own RTP sequence
-    space, exactly as a shared-flow subscriber would.
+    space, exactly as a shared flow's viewer would.
     """
 
     def __init__(
@@ -170,10 +168,11 @@ class PeriodicBroadcaster:
         )
         self.viewers_served = 0
         self.carrier_bytes = 0
-        self._sink_port = next(_bcast_ports)
         # The POP-side sink that "buffers the cycling segments": we
         # model reception, not storage, so the handler only counts.
-        network.node(fanout_node).bind(self._sink_port, self._on_carrier)
+        sink = network.node(fanout_node)
+        self._sink_port = sink.ports.allocate("media")
+        sink.bind(self._sink_port, self._on_carrier)
         self._channel_procs = [
             sim.process(self._channel(ch), name=f"bcast:{object_path}:{ch.segment}")
             for ch in self.schedule.channels
@@ -231,47 +230,26 @@ class PeriodicBroadcaster:
         client_node: str,
         client_port: int,
         ssrc: int = 0,
-    ):
+    ) -> Event:
         """Serve one viewer from the fan-out point's buffered copy.
 
-        Returns the finished event of the viewer's delivery process.
-        The viewer's frames come from the POP (not the origin): origin
-        egress stays the schedule's constant carrier rate.
+        Returns the finished event of the viewer's pump. The viewer's
+        frames come from the POP (not the origin): origin egress stays
+        the schedule's constant carrier rate.
         """
-        sim = self.sim
-        codec = self.ms.store.codec_for(self.object_path)
-        source = self.ms.store.frame_source(self.object_path)
-        source.stream_id = stream_id
-        sender = RtpSender(
-            self.network, self.fanout_node, next(_bcast_ports),
-            client_node, client_port,
-            ssrc=ssrc, payload_type=codec.payload_type,
-            clock_rate=codec.clock_rate, stream_id=stream_id,
-            session=session_id,
-        )
         wait = self.wait_s()
         self.viewers_served += 1
-        if sim._tracing:
-            sim._tracer.emit(
-                sim.now, "bcast.join", stream_id, session=session_id,
+        if self.sim._tracing:
+            self.sim._tracer.emit(
+                self.sim.now, "bcast.join", stream_id, session=session_id,
                 node=self.fanout_node, wait_s=wait,
             )
-        finished = sim.event()
-
-        def deliver():
-            if wait > 0:
-                yield sim.timeout(wait)
-            while source.media_time_s < self.schedule.duration_s - 1e-9:
-                interval = source.frame_interval_s
-                frame = source.next_frame()
-                if frame is not None:
-                    sender.send_frame(frame)
-                yield sim.timeout(interval)
-            sender.close()
-            finished.succeed(source.media_time_s)
-
-        sim.process(deliver(), name=f"bcast-viewer:{session_id}:{stream_id}")
-        return finished
+        pump, _converter = self.ms.start_stream(
+            session_id, self.object_path, stream_id, client_node,
+            client_port, duration_s=self.schedule.duration_s,
+            send_offset_s=wait, ssrc=ssrc, at_node=self.fanout_node,
+        )
+        return pump.finished
 
     def stop(self) -> None:
         if self.sim._tracing:
@@ -283,7 +261,9 @@ class PeriodicBroadcaster:
         for proc in self._channel_procs:
             if proc.is_alive:
                 proc.interrupt("broadcast stopped")
-        self.network.node(self.fanout_node).unbind(self._sink_port)
+        sink = self.network.node(self.fanout_node)
+        sink.unbind(self._sink_port)
+        sink.ports.release(self._sink_port)
 
 
 class HotSet:

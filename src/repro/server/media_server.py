@@ -9,37 +9,40 @@ the presentation scenario and the presentation constraints. The
 transmission process of each media object is adjusted according to
 the feedback reports."
 
-Continuous objects stream over RTP via a :class:`StreamHandler`
-(whose grade the Quality Converter adjusts live); discrete objects
-ship over the reliable channel.
+Continuous objects stream over RTP from a :class:`StreamHandler`, the
+one frame pump (whose grade the Quality Converter adjusts live);
+:meth:`MediaServer.start_stream` is the only way onto the wire, for a
+session's own stream, a failover resume, a leg of a shared flow and a
+periodic broadcast's viewer alike. Discrete objects ship over the
+reliable channel.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from repro.client.playout import PauseGate
 from repro.des import Event, Simulator
 from repro.media.store import MediaStore
+from repro.media.types import Frame
 from repro.net.channel import ReliableSender
+from repro.net.packet import Packet
 from repro.net.topology import Network
-from repro.rtp.rtcp import RtcpSink
 from repro.rtp.session import RtpSender
 from repro.server.quality_converter import MediaStreamQualityConverter
 
-__all__ = ["StreamHandler", "StreamOrigin", "StreamSnapshot", "MediaServer"]
+__all__ = ["StreamHandler", "StreamLeg", "StreamOrigin", "StreamSnapshot",
+           "MediaServer"]
 
-#: Media servers may share a host node (§6.1), so transmission ports
-#: are allocated from one global pool to avoid collisions.
-_tx_ports = itertools.count(20_000)
+#: per-packet overhead of the origin→fan-out carrier encapsulation
+CARRIER_HEADER_BYTES = 12
 
 
 @dataclass(frozen=True, slots=True)
 class StreamOrigin:
-    """The start_stream arguments that created a handler.
+    """The start_stream arguments that created one viewer leg.
 
-    Kept on the handler so a crash can snapshot everything needed to
+    Kept on the leg so a crash can snapshot everything needed to
     re-create the stream on a replica.
     """
 
@@ -54,10 +57,15 @@ class StreamOrigin:
     ssrc: int
     first_seq: int
 
+    @property
+    def key(self) -> tuple[str, str]:
+        """What the leg is registered under in ``MediaServer.streams``."""
+        return (self.session_id, self.stream_id)
+
 
 @dataclass(frozen=True, slots=True)
 class StreamSnapshot:
-    """Where one stream stood when its server crashed."""
+    """Where one viewer leg stood when its server crashed."""
 
     origin: StreamOrigin
     #: media position reached (absolute, scenario timeline)
@@ -70,37 +78,122 @@ class StreamSnapshot:
     crashed_at: float
 
 
+@dataclass(frozen=True, slots=True)
+class StreamLeg:
+    """One viewer's end of a pump: its own SSRC and RTP sequence space."""
+
+    origin: StreamOrigin
+    sender: RtpSender
+
+
 class StreamHandler:
-    """Streams one continuous media object to one client."""
+    """The frame pump: one continuous object to its viewer legs.
+
+    One seeded :class:`~repro.media.traces.FrameSource` behind one
+    quality converter, pulled once per frame interval by one generator
+    loop; every frame goes to every :class:`StreamLeg`. Delivery schemes
+    differ only in where the pump and its legs are placed:
+
+    * unicast — one leg on the media server's node;
+    * shared flow — one leg per batched viewer on a fan-out node (the
+      viewers' POP); each frame crosses origin → fan-out **once**, as an
+      ``SFLOW`` carrier packet, and is packetized per leg there;
+    * broadcast viewer — pump and leg both on the fan-out node, reading
+      the POP's buffered copy of the cycling segments.
+
+    Every viewer keeps its own SSRC, sequence space and session
+    attribution, so receivers, QoE scoring and loss accounting cannot
+    tell the placements apart. The converter is the pump's: a grading
+    decision by any leg's Server QoS Manager regrades every leg. Every
+    port (leg senders, carrier relay) comes from its node's allocator
+    and goes back when the leg or the pump closes.
+    """
 
     def __init__(
         self,
-        sim: Simulator,
-        converter: MediaStreamQualityConverter,
-        sender: RtpSender,
-        duration_s: float,
+        ms: "MediaServer",
+        origin: StreamOrigin,
         send_offset_s: float = 0.0,
-        gate: PauseGate | None = None,
+        initial_grade: int = 0,
+        start_offset_media_s: float = 0.0,
+        node_id: str | None = None,
+        leg_node: str | None = None,
+        name: str = "",
     ) -> None:
-        if duration_s <= 0:
+        if origin.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        self.sim = sim
-        self.converter = converter
-        self.source = converter.source
-        self.sender = sender
-        self.duration_s = duration_s
+        self.ms = ms
+        self.sim = ms.sim
+        self.network = ms.network
+        self.duration_s = origin.duration_s
         self.send_offset_s = send_offset_s
-        self.gate = gate
+        #: where frames are pulled, and where the legs packetize them
+        self.node_id = node_id or ms.node_id
+        self.leg_node = leg_node or self.node_id
+        self._leg_host = ms.network.node(self.leg_node)
+        self.name = name or f"stream:{origin.stream_id}"
+        source = ms.store.frame_source(origin.object_path,
+                                       grade_index=initial_grade)
+        # Stream under the scenario's element id, not the storage path.
+        source.stream_id = origin.stream_id
+        if start_offset_media_s > 0:
+            source.fast_forward(start_offset_media_s)
+        self.source = source
+        self.converter = MediaStreamQualityConverter(
+            source, floor_grade=origin.floor_grade,
+            allow_suspend=origin.allow_suspend,
+        )
+        #: (session_id, stream_id) -> leg, in joining (= fan-out) order
+        self.legs: dict[tuple[str, str], StreamLeg] = {}
+        #: live view of ``legs``: the per-frame loops make no call for it
+        self._each_leg = self.legs.values()
+        self.gate: PauseGate | None = None
         self.frames_sent = 0
         self.suspended_intervals = 0
-        self.finished: Event = sim.event()
-        self.process = sim.process(
-            self._run(), name=f"stream:{self.source.stream_id}"
-        )
+        self.carrier_packets = 0
+        self.finished: Event = self.sim.event()
+        self.process = None
+        self._relay_port: int | None = None
 
-    @property
-    def stream_id(self) -> str:
-        return self.source.stream_id
+    # -- legs ----------------------------------------------------------------
+    def add_leg(self, origin: StreamOrigin) -> None:
+        """Attach one viewer and register the leg with the media server."""
+        codec = self.source.codec
+        port = self._leg_host.ports.allocate("media")
+        self.legs[origin.key] = StreamLeg(origin, RtpSender(
+            self.network, self.leg_node, port,
+            origin.client_node, origin.client_port,
+            ssrc=origin.ssrc, payload_type=codec.payload_type,
+            clock_rate=codec.clock_rate, stream_id=origin.stream_id,
+            session=origin.session_id, first_seq=origin.first_seq,
+        ))
+        self.ms.streams[origin.key] = self
+
+    def _close_leg(self, key: tuple[str, str]) -> None:
+        leg = self.legs.pop(key)
+        del self.ms.streams[key]
+        leg.sender.close()
+        self._leg_host.ports.release(leg.sender.socket.port)
+
+    def drop_leg(self, key: tuple[str, str]) -> None:
+        """Detach one viewer; the last one out stops the pump."""
+        self._close_leg(key)
+        if not self.legs:
+            self.stop()
+
+    # -- the loop ------------------------------------------------------------
+    def start(self) -> None:
+        """Bind the carrier relay (legs on another node) and start pumping."""
+        if len(self.legs) == 1:
+            # A pause is one session's, so it can hold the pump only
+            # when that session is the sole viewer; viewers of a pump
+            # with more legs discard what keeps arriving while paused.
+            (leg,) = self.legs.values()
+            self.gate = self.ms.gate_for(leg.origin.session_id)
+        if self.leg_node != self.node_id:
+            self._relay_port = self._leg_host.ports.allocate("media")
+            self._leg_host.bind(self._relay_port, self._on_carrier)
+        self.process = self.sim.process(self._run(), name=self.name)
 
     def _run(self):
         sim = self.sim
@@ -111,17 +204,60 @@ class StreamHandler:
                 yield self.gate.wait()
             interval = self.source.frame_interval_s
             frame = self.source.next_frame()
-            if frame is not None:
-                self.sender.send_frame(frame)
-                self.frames_sent += 1
-            else:
+            if frame is None:
                 self.suspended_intervals += 1
+            else:
+                if self._relay_port is None:
+                    for leg in self._each_leg:
+                        leg.sender.send_frame(frame)
+                else:
+                    self._send_carrier(frame)
+                self.frames_sent += 1
             yield sim.timeout(interval)
         self.finished.succeed(self.frames_sent)
+        self._release()
 
+    def _send_carrier(self, frame: Frame) -> None:
+        """Ship one frame origin → fan-out node, exactly once."""
+        pkt = Packet(
+            src=self.node_id,
+            dst=self.leg_node,
+            size_bytes=frame.size_bytes + CARRIER_HEADER_BYTES,
+            protocol="SFLOW",
+            flow_id=f"sflow:{self.source.stream_id}",
+            dst_port=self._relay_port,
+            payload=frame,
+            seq=frame.seq,
+            frame_seq=frame.seq,
+        )
+        self.carrier_packets += 1
+        if self.sim._tracing_detail:
+            self.sim._tracer.emit(
+                self.sim.now, "sflow.carrier", self.source.stream_id,
+                node=self.node_id, seq=frame.seq, bytes=pkt.size_bytes,
+            )
+        self.network.send(pkt)
+
+    def _on_carrier(self, pkt: Packet) -> None:
+        """A carrier frame reached the fan-out node: one copy per leg."""
+        for leg in self._each_leg:
+            leg.sender.send_frame(pkt.payload)
+
+    # -- teardown ------------------------------------------------------------
     def stop(self) -> None:
-        if self.process.is_alive:
+        """End the loop early (crash, last viewer gone) and release."""
+        if self.process is not None and self.process.is_alive:
             self.process.interrupt("session closed")
+        self._release()
+
+    def _release(self) -> None:
+        """Close every leg and the relay; their ports go back."""
+        for key in list(self.legs):
+            self._close_leg(key)
+        if self._relay_port is not None:
+            self._leg_host.unbind(self._relay_port)
+            self._leg_host.ports.release(self._relay_port)
+            self._relay_port = None
 
 
 @dataclass(slots=True)
@@ -144,6 +280,7 @@ class MediaServer:
         node_id: str,
         store: MediaStore,
         region: str | None = None,
+        shared_flows=None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -152,11 +289,15 @@ class MediaServer:
         self.store = store
         #: the region this server is the edge for (None = core/origin)
         self.region = region
-        #: (session_id, stream_id) -> live handler
+        #: the multimedia server's SharedFlowManager: fresh streams join
+        #: its open batches (None = every stream is its own pump)
+        self.shared_flows = shared_flows
+        #: (session_id, stream_id) -> the pump serving that viewer leg;
+        #: a shared pump appears once per leg, so ``len`` counts the
+        #: viewer legs served. Pumps add and remove their own entries.
         self.streams: dict[tuple[str, str], StreamHandler] = {}
         self.deliveries: list[DiscreteDelivery] = []
         self._gates: dict[str, PauseGate] = {}
-        self._rtcp_sink: RtcpSink | None = None
         #: fault-injection state: a failed server refuses new work and
         #: leaves snapshots of its interrupted streams in ``wreckage``
         #: for the recovery watchdog to fail over
@@ -170,30 +311,28 @@ class MediaServer:
 
     # -- fault injection ---------------------------------------------------
     def crash(self) -> None:
-        """Fail-stop the server, snapshotting its in-flight streams."""
+        """Fail-stop the server, snapshotting every viewer leg it served."""
         if self.failed:
             return
         self.failed = True
         self.crashed_at = self.sim.now
         self.crash_count += 1
-        n_streams = 0
-        for key, handler in sorted(self.streams.items()):
-            origin: StreamOrigin | None = getattr(handler, "origin", None)
-            if origin is not None:
-                n_streams += 1
-                self.wreckage.append(StreamSnapshot(
-                    origin=origin,
-                    position_s=handler.source.media_time_s,
-                    next_seq=origin.first_seq + handler.sender.packet_count,
-                    grade=handler.converter.source.grade_index,
-                    crashed_at=self.sim.now,
-                ))
-            handler.stop()
-            handler.sender.close()
-        self.streams.clear()
+        legs = sorted(self.streams.items())
+        for key, pump in legs:
+            leg = pump.legs[key]
+            self.wreckage.append(StreamSnapshot(
+                origin=leg.origin,
+                position_s=pump.source.media_time_s,
+                next_seq=leg.origin.first_seq + leg.sender.packet_count,
+                grade=pump.source.grade_index,
+                crashed_at=self.sim.now,
+            ))
+        # a shared pump is met once per leg and stopped once
+        for pump in dict.fromkeys(pump for _key, pump in legs):
+            pump.stop()
         if self.sim._tracing:
             self.sim._tracer.emit(self.sim.now, "fault.crash", self.name,
-                                  node=self.node_id, streams=n_streams)
+                                  node=self.node_id, streams=len(legs))
         if self.on_crash is not None:
             self.on_crash(self)
 
@@ -208,16 +347,6 @@ class MediaServer:
                                   node=self.node_id)
         if self.on_restart is not None:
             self.on_restart(self)
-
-    def _next_port(self) -> int:
-        return next(_tx_ports)
-
-    # -- QoS feedback path -------------------------------------------------
-    def open_rtcp_sink(self, port: int, on_report) -> RtcpSink:
-        """Receive RTCP receiver reports on this server's node."""
-        self._rtcp_sink = RtcpSink(self.network, self.node_id, port,
-                                   on_report=on_report)
-        return self._rtcp_sink
 
     # -- session gates -------------------------------------------------------
     def gate_for(self, session_id: str) -> PauseGate:
@@ -250,79 +379,63 @@ class MediaServer:
         ssrc: int = 0,
         start_offset_media_s: float = 0.0,
         first_seq: int = 0,
+        at_node: str | None = None,
     ) -> tuple[StreamHandler, MediaStreamQualityConverter]:
-        """Activate transmission of one continuous object.
+        """Put one continuous object on the wire for one viewer.
 
-        Returns the handler and its quality converter (which the
-        Server QoS Manager registers for grading).
+        Returns the pump serving the viewer and its quality converter
+        (which the Server QoS Manager registers for grading). A fresh
+        stream on a server with shared flows joins (or opens) the batch
+        for its object and starts when the batch window closes; every
+        other stream is a one-leg pump that starts now.
 
         ``start_offset_media_s``/``first_seq`` let a failover replica
         resume a crashed server's stream mid-object instead of from
-        the beginning.
+        the beginning. ``at_node`` places pump and leg on another node
+        than the server's: a periodic broadcast's fan-out point.
         """
         if self.failed:
             raise RuntimeError(f"media server {self.name!r} is down")
-        key = (session_id, stream_id)
-        if key in self.streams:
-            raise ValueError(
-                f"stream {stream_id!r} already active on {self.name} "
-                f"for session {session_id!r}"
-            )
-        source = self.store.frame_source(object_path, grade_index=initial_grade)
-        # Stream under the scenario's element id, not the storage path.
-        source.stream_id = stream_id
-        if start_offset_media_s > 0:
-            source.fast_forward(start_offset_media_s)
-        codec = self.store.codec_for(object_path)
-        converter = MediaStreamQualityConverter(
-            source, floor_grade=floor_grade, allow_suspend=allow_suspend
-        )
-        sender = RtpSender(
-            self.network, self.node_id, self._next_port(),
-            client_node, client_port,
-            ssrc=ssrc, payload_type=codec.payload_type,
-            clock_rate=codec.clock_rate, stream_id=stream_id,
-            session=session_id, first_seq=first_seq,
-        )
-        handler = StreamHandler(
-            self.sim, converter, sender, duration_s=duration_s,
-            send_offset_s=send_offset_s, gate=self.gate_for(session_id),
-        )
-        handler.origin = StreamOrigin(
+        origin = StreamOrigin(
             session_id=session_id, stream_id=stream_id,
             object_path=object_path, client_node=client_node,
             client_port=client_port, duration_s=duration_s,
             floor_grade=floor_grade, allow_suspend=allow_suspend,
             ssrc=ssrc, first_seq=first_seq,
         )
-        self.streams[key] = handler
-        # Natural completion releases the registration (and the port),
-        # so a later document in the same session can reuse element ids.
-        handler.finished.callbacks.append(
-            lambda ev: self._on_stream_finished(key)
-        )
+        if origin.key in self.streams:
+            raise ValueError(
+                f"stream {stream_id!r} already active on {self.name} "
+                f"for session {session_id!r}"
+            )
+        batched = (self.shared_flows is not None and at_node is None
+                   and not start_offset_media_s and not first_seq)
+        if batched:
+            pump = self.shared_flows.join(self, origin, send_offset_s,
+                                          initial_grade)
+        else:
+            pump = StreamHandler(self, origin, send_offset_s, initial_grade,
+                                 start_offset_media_s, node_id=at_node)
+        pump.add_leg(origin)
+        if not batched:
+            pump.start()
         if self.sim._tracing:
             metrics = getattr(self.sim._tracer, "metrics", None)
             if metrics is not None:
                 # Per-replica load: which edge actually serves streams.
                 metrics.counter("media_streams_started",
                                 server=self.name).inc()
-        return handler, converter
-
-    def _on_stream_finished(self, key: tuple[str, str]) -> None:
-        handler = self.streams.pop(key, None)
-        if handler is not None:
-            handler.sender.close()
+        return pump, pump.converter
 
     def streams_of(self, session_id: str) -> dict[str, StreamHandler]:
         return {sid: h for (sess, sid), h in self.streams.items()
                 if sess == session_id}
 
     def stop_stream(self, session_id: str, stream_id: str) -> None:
-        handler = self.streams.pop((session_id, stream_id), None)
-        if handler is not None:
-            handler.stop()
-            handler.sender.close()
+        """Detach one viewer leg; a pump stops when its last leg goes."""
+        key = (session_id, stream_id)
+        if key in self.streams:
+            self.streams[key].drop_leg(key)
 
     def stop_session(self, session_id: str) -> None:
         """Stop every stream this session has on this media server."""
@@ -342,12 +455,19 @@ class MediaServer:
         if self.failed:
             raise RuntimeError(f"media server {self.name!r} is down")
         size = self.store.blob_size(object_path)
+        ports = self.network.node(self.node_id).ports
+        port = ports.allocate("media")
         sender = ReliableSender(
-            self.network, self.node_id, self._next_port(),
+            self.network, self.node_id, port,
             client_node, client_port, flow_id=flow_id,
         )
         done = sender.send_message(size, payload={"element_id": element_id})
-        done.callbacks.append(lambda ev: sender.close())
+
+        def close(_ev) -> None:
+            sender.close()
+            ports.release(port)
+
+        done.callbacks.append(close)
         self.deliveries.append(
             DiscreteDelivery(element_id=element_id, size_bytes=size, done=done)
         )

@@ -87,7 +87,8 @@ class MultimediaServer:
         #: client node -> region name, wired by the engine when the
         #: topology is region-aware; drives edge-replica placement
         self.region_resolver = None
-        #: shared-flow delivery batching (None = per-session flows)
+        #: shared-flow delivery batching, handed to every media server
+        #: of this server when it is built (None = per-session flows)
         self.shared_flows = None
         #: demand counter over document requests; its top-k is the
         #: candidate set for periodic-broadcast delivery
@@ -203,13 +204,8 @@ class MultimediaServer:
         if session is None:
             return 0.0
         self.admission.release(session_id)
-        for ms in self.media_servers.values():
+        for ms in self.all_media_servers():
             ms.stop_session(session_id)
-        for standbys in self.replicas.values():
-            for ms in standbys:
-                ms.stop_session(session_id)
-        if self.shared_flows is not None:
-            self.shared_flows.stop_session(session_id)
         minutes = (self.sim.now - session.started_at) / 60.0
         charge = self.accounts.charge_session(session.user.user_id, minutes)
         session.user.log("logout", self.sim.now, self.name)

@@ -226,38 +226,20 @@ class ServerSessionHandler:
             )
             duration_s = (spec.duration_s if spec.duration_s is not None
                           else 3600.0)
-            if self.server.shared_flows is not None:
-                # Hot-content batching: ride (or open) the shared
-                # egress flow for this object instead of a per-session
-                # unicast stream. Per-client RTP sequencing is applied
-                # at the fan-out point, so everything client-side is
-                # unchanged.
-                converter = self.server.shared_flows.subscribe(
-                    ms,
-                    session_id=self.session_id,
-                    stream_id=spec.stream_id,
-                    object_path=spec.path,
-                    client_node=self.client_node,
-                    client_port=rtp_ports[spec.stream_id],
-                    duration_s=duration_s,
-                    send_offset_s=spec.send_offset_s,
-                    initial_grade=spec.initial_grade,
-                    floor_grade=floor,
-                    allow_suspend=prefs.allow_suspend,
-                    ssrc=ssrc,
-                )
-            else:
-                handler, converter = ms.start_stream(
-                    self.session_id, spec.path, stream_id=spec.stream_id,
-                    client_node=self.client_node,
-                    client_port=rtp_ports[spec.stream_id],
-                    duration_s=duration_s,
-                    send_offset_s=spec.send_offset_s,
-                    initial_grade=spec.initial_grade,
-                    floor_grade=floor,
-                    allow_suspend=prefs.allow_suspend,
-                    ssrc=ssrc,
-                )
+            # One call whatever the delivery scheme: with shared flows
+            # the media server batches this viewer onto the object's
+            # pump, and everything client-side is unchanged.
+            _pump, converter = ms.start_stream(
+                self.session_id, spec.path, stream_id=spec.stream_id,
+                client_node=self.client_node,
+                client_port=rtp_ports[spec.stream_id],
+                duration_s=duration_s,
+                send_offset_s=spec.send_offset_s,
+                initial_grade=spec.initial_grade,
+                floor_grade=floor,
+                allow_suspend=prefs.allow_suspend,
+                ssrc=ssrc,
+            )
             # A later document may reuse element ids: replace any
             # stale registration from an already-finished stream.
             self.session.qos_manager.unregister_stream(spec.stream_id)
@@ -289,8 +271,6 @@ class ServerSessionHandler:
     def _stop_all_streams(self) -> None:
         for ms in self.server.all_media_servers():
             ms.stop_session(self.session_id)
-        if self.server.shared_flows is not None:
-            self.server.shared_flows.stop_session(self.session_id)
         if self.session is not None:
             for sid in list(self.session.qos_manager.streams()):
                 self.session.qos_manager.unregister_stream(sid)

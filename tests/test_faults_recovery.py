@@ -1,13 +1,16 @@
 """End-to-end fault injection: failover, retry, determinism, teardown."""
 
+import pytest
+
 from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
-from repro.faults import FaultPlan, population_digest
+from repro.faults import FaultPlan, ServerCrashFault, population_digest
 from repro.faults.scenarios import (
     chaos_markup,
     check_determinism,
     run_chaos,
 )
+from repro.obs.tracer import RecordingTracer
 from repro.server.accounts import SubscriptionForm
 
 
@@ -193,3 +196,59 @@ def test_failover_resumes_realtime_aligned():
         assert outcome.result.total_gap_ratio() < 0.5
         for stream in outcome.result.streams.values():
             assert stream.frames_played > 0
+
+
+# -- crash x shared flows: one registry, so a crash sees every stream ---------
+
+def _crash_run(shared_flows, recovery, tracer=None):
+    """Four viewers at stagger 0, the media server crashing at t=3."""
+    eng = ServiceEngine(EngineConfig(seed=23, shared_flows=shared_flows),
+                        tracer=tracer)
+    eng.add_server("srv1", documents={"doc": (chaos_markup(6.0), "chaos")})
+    if recovery:
+        eng.add_media_replica("srv1", "media")
+    eng.install_faults(
+        FaultPlan((ServerCrashFault(server="srv1", media_server="media",
+                                    at=3.0),)),
+        recovery=recovery)
+    pop = eng.orchestrator.run_population(4, "srv1", "doc", stagger_s=0.0)
+    return eng, pop
+
+
+def _sent_times(eng, session_id):
+    """Send instants on one session's page of the frame ledger."""
+    return list(eng.network.frames_sent[session_id])[2::3]
+
+
+@pytest.mark.parametrize("shared_flows", [False, True])
+def test_crash_reaches_shared_and_unicast_streams_alike(shared_flows):
+    # Recovery off: a crashed server sends nothing more.
+    eng, pop = _crash_run(shared_flows, recovery=False)
+    assert len(pop) == 4
+    assert eng.servers["srv1"].media_servers["media"].failed
+    for outcome in pop:
+        sent = _sent_times(eng, outcome.session_id)
+        assert sent and max(sent) <= 3.0
+        played = sum(s.frames_played
+                     for s in outcome.result.streams.values())
+        assert 0 < played < 300  # 450 when nothing crashes
+
+    # Recovery on: every viewer leg is snapshotted and failed over.
+    tracer = RecordingTracer()
+    eng, pop = _crash_run(shared_flows, recovery=True, tracer=tracer)
+    watchdog = eng.watchdogs["srv1"]
+    assert len(watchdog.sessions_saved) == 4
+    assert watchdog.streams_failed_over == 8
+    assert watchdog.streams_lost == 0
+    # Each leg's replacement sender starts at its snapshot's next_seq:
+    # across the switch, a frame's first packet follows the last sent.
+    legs = {}
+    for e in tracer.select(kind="rtp.send"):
+        legs.setdefault((e.session, e.name), []).append(
+            (e.time, e.args["seq0"], e.args["packets"]))
+    assert len(legs) == 8
+    for sends in legs.values():
+        assert sends[0][0] < 3.0 < sends[-1][0]
+        for (_t, seq0, packets), (_t2, next_seq0, _p) in zip(sends,
+                                                             sends[1:]):
+            assert next_seq0 == seq0 + packets

@@ -9,7 +9,7 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.net import PortExhaustedError
 from repro.net.packet import Packet
-from repro.net.ports import PortAllocator
+from repro.net.ports import DEFAULT_PORT_RANGES, PortAllocator
 from repro.obs import RecordingTracer
 
 
@@ -72,3 +72,87 @@ def test_rx_discard_reaches_tap_session_result_and_trace():
     assert len(discards) == 1
     assert discards[0].node == eng.CLIENT
     assert discards[0].args["port"] == 65_000
+
+
+# -- server-side ports come from the node's allocator -------------------------
+
+def test_senders_do_not_clash_with_a_thousand_control_channels():
+    """Ten control ports per session walk the server host's ``control``
+    range (10 000-30 000) past 20 000, where a process-global sender
+    counter used to start."""
+    eng = ServiceEngine(EngineConfig(seed=1))
+    srv = eng.add_server("srv1", documents={"doc": (av_markup(2.0), "x")})
+    for i in range(1001):
+        eng.open_session("srv1", f"u{i}", "pw")
+    host = eng.network.node(srv.node_id)
+    assert 20_000 in host.bound_ports()
+    ms = srv.media_servers["vidsrv"]
+    assert ms.node_id == srv.node_id  # co-hosted (§6.1)
+    pump, _conv = ms.start_stream("sess-x", "/v.mpg", stream_id="V",
+                                  client_node=eng.CLIENT, client_port=40_000,
+                                  duration_s=2.0)
+    assert host.ports.allocated("media") == 1
+    ms.stop_stream("sess-x", "V")
+    assert host.ports.allocated("media") == 0
+
+
+def test_mail_ports_come_from_the_node_allocator():
+    from repro.des import Simulator
+    from repro.hermes import MailMessage, MailService
+    from repro.net import Network
+
+    sim = Simulator()
+    net = Network(sim)
+    for node_id in ("hub", "pc"):
+        node = net.add_node(node_id)
+        # a control channel already sits where mail used to start
+        node.ports.claim(25_000, 10, "control")
+        node.bind(25_000, lambda pkt: None)
+    net.add_duplex_link("pc", "hub", 2e6, 0.01)
+    svc = MailService(sim, net, hub_node="hub")
+    svc.register("alice", "pc")
+    svc.register("tutor", "hub")
+    svc.send(MailMessage(sender="alice", recipient="tutor", subject="Q",
+                         body="?"))
+    assert net.node("pc").ports.allocated("media") == 1
+    sim.run()
+    assert svc.delivered == 1
+    assert net.node("pc").ports.allocated("media") == 0
+    assert net.node("hub").ports.allocated("media") == 1  # the hub's own
+
+
+# -- conservation: ports allocated = released (ROADMAP 3a) --------------------
+
+def _star_unicast():
+    eng = ServiceEngine(EngineConfig(seed=5))
+    eng.add_server("srv1", documents={"doc": (av_markup(2.0), "x")})
+    eng.orchestrator.run_population(3, "srv1", "doc", stagger_s=0.3)
+    return eng
+
+
+def _cdn_shared():
+    from repro.net import cdn_stack
+
+    eng = ServiceEngine(EngineConfig(seed=5, shared_flows=True),
+                        layers=cdn_stack(clients_per_region=2))
+    eng.add_server("srv1", documents={"doc": (av_markup(2.0), "x")})
+    eng.orchestrator.run_population(4, "srv1", "doc", stagger_s=0.0)
+    return eng
+
+
+def _chaos_crash():
+    from repro.faults.scenarios import run_chaos
+
+    return run_chaos("crash", smoke=True).engine
+
+
+@pytest.mark.parametrize("run", [_star_unicast, _cdn_shared, _chaos_crash])
+def test_every_media_and_rtcp_port_is_released_after_a_run(run):
+    eng = run()
+    lo, hi = DEFAULT_PORT_RANGES["control"]
+    for node in eng.network.nodes.values():
+        assert node.ports.allocated("media") == 0, node.node_id
+        assert node.ports.allocated("rtcp") == 0, node.node_id
+        # what stays bound is the control channels, which stay up
+        assert all(lo <= port < hi for port in node.bound_ports()), \
+            (node.node_id, node.bound_ports())

@@ -4,7 +4,10 @@ annotations, media disabling, and timed-link autoplay."""
 import pytest
 
 from repro.core import ServiceEngine
+from repro.core.config import EngineConfig
 from repro.hml import DocumentBuilder, serialize
+from repro.obs.tracer import RecordingTracer
+from repro.server.accounts import SubscriptionForm
 from repro.service import AnnotationStore, NavigationHistory
 
 
@@ -77,40 +80,64 @@ def doc_with_two_streams(duration=6.0):
     )
 
 
-def test_disable_stream_end_to_end():
-    eng = ServiceEngine()
-    eng.add_server("srv1", documents={"doc": (doc_with_two_streams(), "x")})
+def _server_side_ports(eng, client_node):
+    """Every (node, port) bound off the viewer's own host."""
+    return {(n.node_id, port) for n in eng.network.nodes.values()
+            if n.node_id != client_node for port in n.bound_ports()}
+
+
+def _viewer(eng, user, node, disable_at, box):
+    """One viewer's script: present the document, switching the video
+    off ``disable_at`` seconds in (None: watch it all)."""
     server = eng.servers["srv1"]
-    client, handler = eng.open_session("srv1", "u", "pw")
-    box = {}
+    client, handler = eng.open_session("srv1", user, "pw", client_node=node)
+    box["session_id"] = handler.session_id
 
     def script():
-        from repro.server.accounts import SubscriptionForm
-
         resp = yield from client.connect()
         if resp.msg_type == "subscribe-required":
             yield from client.subscribe(SubscriptionForm(
                 real_name="U", address="x", email="u@e.org"))
         resp = yield from client.request_document("doc")
-        comp = eng.build_client_composition(resp.body["markup"], server)
+        comp = eng.build_client_composition(resp.body["markup"], server,
+                                            client_node=node)
         ready = yield from client.send_ready(comp.rtp_ports,
                                              comp.discrete_ports)
         comp.attach_feedback(ready.body["rtcp_port"], server.node_id)
         done = comp.start()
-        yield eng.sim.timeout(2.0)
-        # User turns the video off mid-presentation.
-        comp.scheduler.disable_stream("V")
-        resp = yield from client.disable_stream("V")
-        assert resp.msg_type == "stream-disabled"
-        assert resp.body["was_active"]
+        if disable_at is not None:
+            yield eng.sim.timeout(disable_at)
+            vid_ms = server.media_servers["vidsrv"]
+            box["pump"] = vid_ms.streams[handler.session_id, "V"]
+            bound = _server_side_ports(eng, comp.client_node)
+            # User turns the video off mid-presentation.
+            comp.scheduler.disable_stream("V")
+            box["reply"] = yield from client.disable_stream("V")
+            box["unbound"] = bound - _server_side_ports(eng,
+                                                        comp.client_node)
         yield done  # presentation still completes
         comp.qos.stop()
         box["comp"] = comp
         yield from client.disconnect()
 
-    proc = eng.sim.process(script())
+    return eng.sim.process(script())
+
+
+def _disable_engine(shared_flows, tracer=None):
+    eng = ServiceEngine(EngineConfig(shared_flows=shared_flows),
+                        tracer=tracer)
+    eng.add_server("srv1", documents={"doc": (doc_with_two_streams(), "x")})
+    return eng
+
+
+def _check_disable_stream_end_to_end(shared_flows):
+    eng = _disable_engine(shared_flows)
+    box = {}
+    proc = _viewer(eng, "u", None, 2.0, box)
     eng.sim.run(until=proc)
     eng.sim.run(until=eng.sim.now + 1.0)
+    assert box["reply"].msg_type == "stream-disabled"
+    assert box["reply"].body["was_active"]
     comp = box["comp"]
     log = comp.log
     # Audio played fully; video stopped around the disable instant.
@@ -119,9 +146,60 @@ def test_disable_stream_end_to_end():
     assert a_frames > 250  # ~6 s at 50 fps
     assert 0 < v_frames < 60  # ~<2.2 s at 25 fps
     assert "V" in comp.scheduler.disabled_streams
-    # Server stopped transmitting the stream.
-    vid_ms = server.media_servers["vidsrv"]
-    assert "V" not in vid_ms.streams
+    # Server stopped transmitting the stream: the leg is deregistered,
+    # its pump stopped, its sender closed (the carrier relay with it
+    # when the leg was the shared pump's last) and the ports are back
+    # with their node's allocator.
+    vid_ms = eng.servers["srv1"].media_servers["vidsrv"]
+    pump = box["pump"]
+    assert (box["session_id"], "V") not in vid_ms.streams
+    assert not pump.process.is_alive
+    assert pump.frames_sent < 60
+    unbound_on = {node_id for node_id, _port in box["unbound"]}
+    assert len(box["unbound"]) == (2 if shared_flows else 1)
+    assert unbound_on == {"router" if shared_flows else vid_ms.node_id}
+    for node_id in unbound_on:
+        assert eng.network.node(node_id).ports.allocated("media") == 0
+
+
+def test_disable_stream_end_to_end():
+    _check_disable_stream_end_to_end(shared_flows=False)
+
+
+def test_disable_stream_end_to_end_shared_flows():
+    _check_disable_stream_end_to_end(shared_flows=True)
+
+
+def test_disable_stream_leaves_the_other_shared_viewer_alone():
+    """Two viewers on one shared pump: one leaving changes nothing for
+    the other, and the last one out stops the pump."""
+    def run(first_leaves_at):
+        tracer = RecordingTracer()
+        eng = _disable_engine(True, tracer)
+        nodes = eng.client_nodes(2)
+        boxes = ({}, {})
+        procs = [_viewer(eng, "u1", nodes[0], first_leaves_at, boxes[0]),
+                 _viewer(eng, "u2", nodes[1], 4.0, boxes[1])]
+        eng.sim.run(until=eng.sim.all_of(procs))
+        stayed = [(e.args["frame"], e.args["bytes"], e.args["seq0"])
+                  for e in tracer.select(kind="rtp.send",
+                                         session=boxes[1]["session_id"])
+                  if e.name == "V"]
+        return eng, boxes, stayed
+
+    eng, boxes, stayed = run(first_leaves_at=2.0)
+    pump = boxes[0]["pump"]
+    assert boxes[1]["pump"] is pump  # one pump, two legs
+    assert all(b["reply"].body["was_active"] for b in boxes)
+    # ~4 s at 25 fps, untouched by the other viewer leaving at 2 s
+    assert 90 < len(stayed) < 110
+    assert stayed == run(first_leaves_at=None)[2]
+    # the last leg leaving stopped the pump and freed the relay
+    assert not pump.legs and not pump.process.is_alive
+    assert pump.frames_sent == len(stayed)
+    router = eng.network.node(pump.leg_node)
+    assert router.ports.allocated("media") == 0
+    assert not [p for p in router.bound_ports() if p >= 40_000]
 
 
 def test_disable_before_start_skips_stream():

@@ -226,6 +226,36 @@ def test_broadcast_origin_egress_constant_in_viewers():
     assert egress_1 == egress_3
 
 
+def test_broadcast_viewer_is_a_registered_stream_at_the_pop():
+    from repro.server.broadcast import PeriodicBroadcaster
+
+    eng = ServiceEngine(EngineConfig(seed=5))
+    eng.add_server("srv1", documents=DOC)
+    ms = eng.servers["srv1"].media_server("vidsrv")
+    router = eng.network.node("router")
+    bc = PeriodicBroadcaster(eng.sim, eng.network, ms, "/v.mpg", "router",
+                             n_segments=4, horizon_s=6.0)
+    viewer = eng.add_client("viewer1")
+    eng.sim.run(until=0.3)
+    finished = bc.join("s0", "V", viewer, 47000)
+    # one pump with one leg, pulled and packetized on the fan-out node
+    pump = ms.streams["s0", "V"]
+    assert (pump.node_id, pump.leg_node) == ("router", "router")
+    assert list(pump.legs) == [("s0", "V")]
+    assert router.ports.allocated("media") == 2  # carrier sink + the leg
+    # ...so whatever walks the registry sees it: a crash stops it
+    eng.sim.run(until=bc.wait_s(at=0.3) + 1.3)
+    assert 0 < pump.frames_sent < 30
+    ms.crash()
+    assert not ms.streams and not finished.triggered
+    assert [s.origin.key for s in ms.wreckage] == [("s0", "V")]
+    sent = pump.frames_sent
+    eng.sim.run(until=12.0)
+    assert pump.frames_sent == sent
+    bc.stop()
+    assert router.ports.allocated("media") == 0
+
+
 def test_viewer_wait_bounded_by_one_slot():
     from repro.server.broadcast import PeriodicBroadcaster
 
