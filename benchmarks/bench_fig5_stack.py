@@ -1,9 +1,10 @@
 """Figure 5 — the protocol stack.
 
 Runs a full Hermes lesson delivery plus tutor e-mail and verifies,
-from the live packet tap, that each stream type traversed the stack
-the paper assigns it: scenario/text/images → TCP; audio/video → RTP
-(over UDP); feedback → RTCP; student↔tutor mail → SMTP/MIME.
+from the live packet tap's per-flow counters, that each stream type
+traversed the stack the paper assigns it: scenario/text/images → TCP;
+audio/video → RTP (over UDP); feedback → RTCP; student↔tutor mail →
+SMTP/MIME.
 """
 
 from repro.analysis import render_table
@@ -32,12 +33,12 @@ def run_lesson_and_mail():
 def test_fig5_protocol_stack(report, once):
     svc, result = once(run_lesson_and_mail)
     tap = svc.engine.network.tap
-    # Per-flow protocol assignment, straight from the packet log.
-    records = tap.records
-    scenario_flows = {r.flow_id for r in records if r.protocol == "TCP"}
-    rtp_flows = {r.flow_id for r in records if r.protocol == "RTP"}
-    rtcp_flows = {r.flow_id for r in records if r.protocol == "RTCP"}
-    smtp_flows = {r.flow_id for r in records if r.protocol == "SMTP"}
+    # Per-flow protocol assignment, straight from the tap's counters.
+    flows = tap.count_by_flow
+    scenario_flows = set(flows.get("TCP", ()))
+    rtp_flows = set(flows.get("RTP", ()))
+    rtcp_flows = set(flows.get("RTCP", ()))
+    smtp_flows = set(flows.get("SMTP", ()))
     # Audio and video streams rode RTP...
     assert {"NARR1", "LA2", "LV2"} <= rtp_flows
     # ...and nothing discrete did.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sstats
 
 __all__ = ["mean_ci", "summarize"]
 
@@ -16,6 +15,8 @@ def mean_ci(values, confidence: float = 0.95) -> tuple[float, float]:
     mean = float(arr.mean())
     if arr.size < 2 or np.allclose(arr, arr[0]):
         return mean, 0.0
+    # scipy costs 0.9 s and ~100 MB to import: only this function pays
+    from scipy import stats as sstats
     sem = sstats.sem(arr)
     half = float(sem * sstats.t.ppf((1 + confidence) / 2.0, arr.size - 1))
     return mean, half

@@ -8,8 +8,6 @@ the service layer for navigation and by Hermes for lesson sequencing.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.hml.ast import HmlDocument, LinkKind
 
 __all__ = ["DocumentWeb"]
@@ -19,7 +17,11 @@ class DocumentWeb:
     """Directed graph of documents connected by hyperlinks."""
 
     def __init__(self) -> None:
-        self.graph = nx.MultiDiGraph()
+        #: document key -> host, of every document added or linked to
+        self._hosts: dict[str, str] = {}
+        #: added document's key -> {target key -> its links' attributes},
+        #: targets in first-link order
+        self._out: dict[str, dict[str, list[dict]]] = {}
 
     # -- construction -----------------------------------------------------
     def add_document(self, name: str, doc: HmlDocument,
@@ -31,19 +33,16 @@ class DocumentWeb:
         ``host``.
         """
         key = self._key(host, name)
-        if key in self.graph and self.graph.nodes[key].get("resolved"):
+        if key in self._out:
             raise ValueError(f"document {key!r} already added")
-        self.graph.add_node(key, title=doc.title, host=host, resolved=True)
+        self._hosts[key] = host
+        out = self._out[key] = {}
         for link in doc.hyperlinks():
             target_host = link.target_host if link.target_host is not None else host
             target_key = self._key(target_host, link.target_document)
-            if target_key not in self.graph:
-                self.graph.add_node(target_key, host=target_host,
-                                    resolved=False)
-            self.graph.add_edge(
-                key, target_key,
-                kind=link.kind, at_time=link.at_time, note=link.note,
-            )
+            self._hosts.setdefault(target_key, target_host)
+            out.setdefault(target_key, []).append({
+                "kind": link.kind, "at_time": link.at_time, "note": link.note})
 
     @staticmethod
     def _key(host: str, name: str) -> str:
@@ -51,25 +50,22 @@ class DocumentWeb:
 
     # -- queries -------------------------------------------------------------
     def __contains__(self, key: str) -> bool:
-        return key in self.graph
+        return key in self._hosts
 
     def documents(self) -> list[str]:
-        return sorted(self.graph.nodes)
+        return sorted(self._hosts)
 
     def dangling(self) -> list[str]:
         """Link targets that were never added as documents."""
-        return sorted(
-            n for n, data in self.graph.nodes(data=True)
-            if not data.get("resolved")
-        )
+        return sorted(self._hosts.keys() - self._out.keys())
 
     def links_from(self, key: str,
                    kind: LinkKind | None = None) -> list[tuple[str, dict]]:
-        out = []
-        for _, dst, data in self.graph.out_edges(key, data=True):
-            if kind is None or data["kind"] is kind:
-                out.append((dst, data))
-        return out
+        """The links leaving ``key``, grouped by target."""
+        return [(dst, data)
+                for dst, links in self._out.get(key, {}).items()
+                for data in links
+                if kind is None or data["kind"] is kind]
 
     def sequential_successor(self, key: str) -> str | None:
         """The unique sequential next document, if any.
@@ -99,14 +95,20 @@ class DocumentWeb:
         return path
 
     def reachable(self, start: str) -> set[str]:
-        if start not in self.graph:
+        if start not in self._hosts:
             raise KeyError(f"unknown document {start!r}")
-        return set(nx.descendants(self.graph, start)) | {start}
+        seen: set[str] = set()
+        stack = [start]
+        while stack:
+            key = stack.pop()
+            if key not in seen:
+                seen.add(key)
+                stack.extend(self._out.get(key, ()))
+        return seen
 
     def cross_server_links(self) -> list[tuple[str, str]]:
         """Edges whose endpoints live on different hosts."""
-        out = []
-        for src, dst in self.graph.edges():
-            if self.graph.nodes[src].get("host") != self.graph.nodes[dst].get("host"):
-                out.append((src, dst))
-        return sorted(set(out))
+        hosts = self._hosts
+        return sorted((src, dst)
+                      for src, targets in self._out.items() for dst in targets
+                      if hosts[src] != hosts[dst])

@@ -2,18 +2,18 @@
 
 Store-and-forward simulation of the 1996 testbed the paper assumed:
 nodes joined by finite-rate links with drop-tail queues, shortest-path
-routing over a :mod:`networkx` topology, cross-traffic sources that
-create congestion epochs, and optional Gilbert–Elliott random loss.
+routing on propagation delay, cross-traffic sources that create
+congestion epochs, and optional Gilbert–Elliott random loss.
 On top sit two endpoint transports matching the paper's protocol
 stack (Figure 5): an unreliable datagram service (UDP-like, used by
 RTP) and a reliable in-order byte service (TCP-like, used for
 scenarios, text and images) built as a go-back-N ARQ.
 """
 
-from repro.net.packet import Packet, PacketTap, TapRecord
+from repro.net.packet import Packet, PacketTap
 from repro.net.link import Link, LinkStats
 from repro.net.ports import PortAllocator, PortExhaustedError
-from repro.net.topology import Network, Node
+from repro.net.topology import Network, Node, NoRouteError
 from repro.net.layers import (
     AccessLinkSpec,
     CompiledTopology,
@@ -43,6 +43,7 @@ __all__ = [
     "MediaPlacement",
     "MediaPlacementLayer",
     "Network",
+    "NoRouteError",
     "Node",
     "OnOffTrafficSource",
     "Packet",
@@ -56,7 +57,6 @@ __all__ = [
     "RegionSpec",
     "ReliableReceiver",
     "ReliableSender",
-    "TapRecord",
     "TopologyCompiler",
     "TopologyLayer",
     "cdn_stack",

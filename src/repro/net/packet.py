@@ -1,16 +1,17 @@
-"""Packets and the protocol tap (packet log).
+"""Packets and the protocol tap.
 
-The tap records every packet the network delivers, keyed by protocol
-label — the raw evidence from which the Figure 5 (protocol stack)
+The tap counts every packet the network delivers, by protocol label
+and flow — the evidence from which the Figure 5 (protocol stack)
 reproduction derives which stream type traversed which stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["Packet", "TapRecord", "PacketTap"]
+__all__ = ["Packet", "PacketTap"]
 
 
 @dataclass(slots=True)
@@ -45,65 +46,44 @@ class Packet:
             raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
 
 
-@dataclass(frozen=True, slots=True)
-class TapRecord:
-    """One delivered (or dropped) packet, as seen by the tap."""
-
-    time: float
-    event: str  # "deliver" | "drop-queue" | "drop-loss" | "rx-discard"
-    protocol: str
-    flow_id: str
-    src: str
-    dst: str
-    size_bytes: int
-    seq: int
-
-
-#: fields of one tap row, in :class:`TapRecord` order
-_ROW = len(fields(TapRecord))
-
-
 class PacketTap:
-    """Accumulates per-packet records and per-protocol aggregates.
+    """Per-protocol, per-flow and per-node packet counters.
 
-    The hot path appends one row's fields to a flat list (eight
-    references a packet, less than a record object);
-    :class:`TapRecord` views are built when :attr:`records` is read.
+    Nothing is kept per packet, so the tap's size follows the flows and
+    nodes of a run, not its length; which packet went where is the
+    trace's to answer (``net.deliver``, ``link.drop``, ``net.rx_discard``).
     """
 
     def __init__(self) -> None:
-        self._rows: list[Any] = []
-        self.bytes_by_protocol: dict[str, int] = {}
-        self.count_by_protocol: dict[str, int] = {}
+        # defaultdicts, not Counters: a Counter store goes through a
+        # Python-level slot and costs the hot path twice as much
+        self.bytes_by_protocol: dict[str, int] = defaultdict(int)
+        #: protocol -> {flow -> packets delivered}; a flow that only ever
+        #: lost packets is present with 0
+        self.count_by_flow: dict[str, dict[str, int]] = defaultdict(
+            lambda: defaultdict(int))
+        #: packets links dropped, per kind ("drop-queue" | "drop-loss")
+        self.drops_by_kind: dict[str, int] = defaultdict(int)
         #: packets delivered to a node but addressed to an unbound port
-        self.discards_by_node: dict[str, int] = {}
+        #: (``Node.deliver`` counts them here)
+        self.discards_by_node: dict[str, int] = defaultdict(int)
 
-    def record(self, time: float, event: str, pkt: Packet) -> None:
+    def record(self, event: str, pkt: Packet) -> None:
+        """Count a delivery (``"deliver"``) or a link drop (its kind)."""
         protocol = pkt.protocol
-        size = pkt.size_bytes
-        self._rows.extend((time, event, protocol, pkt.flow_id, pkt.src,
-                           pkt.dst, size, pkt.seq))
         if event == "deliver":
-            if protocol in self.count_by_protocol:
-                self.bytes_by_protocol[protocol] += size
-                self.count_by_protocol[protocol] += 1
-            else:
-                self.bytes_by_protocol[protocol] = size
-                self.count_by_protocol[protocol] = 1
-
-    def record_discard(self, time: float, node_id: str, pkt: Packet) -> None:
-        """An endpoint dropped a delivered packet: no handler on its port."""
-        self.discards_by_node[node_id] = \
-            self.discards_by_node.get(node_id, 0) + 1
-        self._rows.extend((time, "rx-discard", pkt.protocol, pkt.flow_id,
-                           pkt.src, pkt.dst, pkt.size_bytes, pkt.seq))
+            self.count_by_flow[protocol][pkt.flow_id] += 1
+            self.bytes_by_protocol[protocol] += pkt.size_bytes
+        else:
+            self.count_by_flow[protocol][pkt.flow_id] += 0
+            self.drops_by_kind[event] += 1
 
     @property
-    def records(self) -> list[TapRecord]:
-        """Every packet seen so far, in recording order."""
-        rows = self._rows
-        return [TapRecord(*rows[i:i + _ROW])
-                for i in range(0, len(rows), _ROW)]
+    def count_by_protocol(self) -> dict[str, int]:
+        """Packets delivered per protocol."""
+        totals = ((protocol, sum(flows.values()))
+                  for protocol, flows in self.count_by_flow.items())
+        return {protocol: n for protocol, n in totals if n}
 
     def rx_discarded(self, node_id: str | None = None) -> int:
         """Total unbound-port discards (optionally for one node)."""
@@ -112,14 +92,5 @@ class PacketTap:
         return sum(self.discards_by_node.values())
 
     def protocols_for_flow(self, flow_id: str) -> set[str]:
-        return {r.protocol for r in self.records if r.flow_id == flow_id}
-
-    def delivered(self, flow_id: str | None = None) -> list[TapRecord]:
-        return [
-            r
-            for r in self.records
-            if r.event == "deliver" and (flow_id is None or r.flow_id == flow_id)
-        ]
-
-    def drops(self) -> list[TapRecord]:
-        return [r for r in self.records if r.event.startswith("drop")]
+        return {protocol for protocol, flows in self.count_by_flow.items()
+                if flow_id in flows}

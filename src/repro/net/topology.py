@@ -1,9 +1,9 @@
 """Network topology: nodes, links, shortest-path forwarding.
 
-The :class:`Network` owns the :mod:`networkx` graph, precomputes
-next-hop tables (Dijkstra on propagation delay), forwards packets
-hop-by-hop through :class:`~repro.net.link.Link` queues, and feeds
-the global :class:`~repro.net.packet.PacketTap`.
+The :class:`Network` owns the adjacency, fills a node's next-link table
+(Dijkstra on propagation delay) when it first forwards, moves packets
+hop-by-hop through :class:`~repro.net.link.Link` queues, and feeds the
+global :class:`~repro.net.packet.PacketTap`.
 
 Endpoints (:class:`Node`) expose a small port-based dispatch: an
 application binds a handler to a port and receives the packets
@@ -13,16 +13,19 @@ addressed to it.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable
-
-import networkx as nx
 
 from repro.des import Simulator
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketTap
 from repro.net.ports import PortAllocator
 
-__all__ = ["Node", "Network"]
+__all__ = ["NoRouteError", "Node", "Network"]
+
+
+class NoRouteError(Exception):
+    """No path of links leads from one node to another."""
 
 
 class Node:
@@ -69,7 +72,7 @@ class Node:
                              port=pkt.dst_port, seq=pkt.seq,
                              flow=pkt.flow_id, session=pkt.session,
                              frame=pkt.frame_seq)
-        self.network.tap.record_discard(sim.now, self.node_id, pkt)
+        self.network.tap.discards_by_node[self.node_id] += 1
 
 
 class Network:
@@ -77,7 +80,6 @@ class Network:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.graph = nx.DiGraph()
         self.nodes: dict[str, Node] = {}
         self.links: dict[tuple[str, str], Link] = {}
         self.tap = PacketTap()
@@ -93,11 +95,14 @@ class Network:
         #: an 8-viewer run, measured).
         self.frames_sent: dict[str, deque[Any]] = {}
         self.frames_hit: dict[str, dict[tuple[str, int], int]] = {}
-        self._next_hop: dict[tuple[str, str], str] | None = None
+        #: node -> {neighbour -> link}, both in insertion order: the
+        #: order routing relaxes in, which decides equal-delay ties
+        self._adj: dict[str, dict[str, Link]] = {}
         #: node -> {destination -> outgoing link}: what the data plane
-        #: reads per hop, filled from ``_routes()`` on first use and
-        #: emptied with it when the topology changes
+        #: reads per hop. A node's table is filled whole the first time
+        #: it forwards; all are emptied when the topology changes.
         self._out_links: dict[str, dict[str, Link]] = {}
+        self._routed = False
 
     # -- construction ----------------------------------------------------
     def add_node(self, node_id: str) -> Node:
@@ -105,7 +110,7 @@ class Network:
             raise ValueError(f"node {node_id!r} already exists")
         node = Node(self, node_id)
         self.nodes[node_id] = node
-        self.graph.add_node(node_id)
+        self._adj[node_id] = {}
         self._out_links[node_id] = {}
         self._invalidate_routes()
         return node
@@ -144,7 +149,7 @@ class Network:
         self._wire(link)
         link.on_drop = self._on_link_drop
         self.links[(src, dst)] = link
-        self.graph.add_edge(src, dst, weight=delay_s + 1e-9, link=link)
+        self._adj[src][dst] = link
         self._invalidate_routes()
         return link
 
@@ -178,34 +183,55 @@ class Network:
             raise KeyError(f"no link {src}->{dst}") from None
 
     # -- routing -----------------------------------------------------------
-    def _routes(self) -> dict[tuple[str, str], str]:
-        if self._next_hop is None:
-            table: dict[tuple[str, str], str] = {}
-            paths = dict(nx.all_pairs_dijkstra_path(self.graph, weight="weight"))
-            for src, by_dst in paths.items():
-                for dst, path in by_dst.items():
-                    if len(path) >= 2:
-                        table[(src, dst)] = path[1]
-            self._next_hop = table
-        return self._next_hop
+    def _route(self, src: str, dst: str) -> dict[str, str]:
+        """Fill ``src``'s table by one Dijkstra pass on propagation delay.
+
+        Returns each reachable node's predecessor on its shortest path,
+        ``dst`` among them or :class:`NoRouteError`. Equal-delay ties
+        fall where they always have (routes are part of every digest):
+        a path gives way only to a strictly shorter one, equal distances
+        pop in push order, neighbours relax in link-insertion order.
+        """
+        first = self._out_links[src]
+        self._routed = True
+        prev: dict[str, str] = {}
+        best = {src: 0.0}
+        fringe: list[tuple[float, int, str]] = [(0.0, 0, src)]
+        pushed = 1
+        while fringe:
+            dist, _, node = heappop(fringe)
+            if dist > best[node]:
+                continue  # pushed before a shorter path turned up
+            for nbr, link in self._adj[node].items():
+                # a nanosecond a hop: fewer hops win among equal delays
+                nbr_dist = dist + (link.delay_s + 1e-9)
+                if nbr not in best or nbr_dist < best[nbr]:
+                    best[nbr] = nbr_dist
+                    prev[nbr] = node
+                    first[nbr] = link if node == src else first[node]
+                    heappush(fringe, (nbr_dist, pushed, nbr))
+                    pushed += 1
+        if dst not in prev and dst != src:
+            raise NoRouteError(f"no route {src} -> {dst}")
+        return prev
 
     def _invalidate_routes(self) -> None:
-        # The per-node tables are only ever filled through _routes(),
-        # so before the first packet there is nothing to clear.
-        if self._next_hop is not None:
-            self._next_hop = None
+        # Tables fill only once packets flow, so while a topology is
+        # being built there is nothing to clear.
+        if self._routed:
+            self._routed = False
             for table in self._out_links.values():
                 table.clear()
 
-    def _resolve(self, at: str, dst: str) -> Link:
-        """The link a packet at ``at`` leaves on towards ``dst``."""
-        nxt = self._routes().get((at, dst))
-        if nxt is None:
-            raise nx.NetworkXNoPath(f"no route {at} -> {dst}")
-        return self.links[(at, nxt)]
-
     def path(self, src: str, dst: str) -> list[str]:
-        return nx.dijkstra_path(self.graph, src, dst, weight="weight")
+        """The nodes a shortest path from ``src`` to ``dst`` visits."""
+        self.node(src)
+        self.node(dst)
+        prev = self._route(src, dst)
+        path = [dst]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        return path[::-1]
 
     # -- data plane ----------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
@@ -220,7 +246,7 @@ class Network:
         pkt.created_at = sim._now
         if src == dst:
             # Loopback: deliver immediately.
-            self.tap.record(sim._now, "deliver", pkt)
+            self.tap.record("deliver", pkt)
             if sim._tracing_detail:
                 sim._tracer.emit(sim.now, "net.deliver",
                                  node=dst, port=pkt.dst_port,
@@ -230,14 +256,12 @@ class Network:
             self.nodes[dst].deliver(pkt)
             return True
         out = self._out_links[src]
-        if dst in out:
-            link = out[dst]
-        else:
-            link = out[dst] = self._resolve(src, dst)
-        return link.enqueue(pkt)
+        if dst not in out:
+            self._route(src, dst)
+        return out[dst].enqueue(pkt)
 
     def _on_link_drop(self, pkt: Packet, kind: str) -> None:
-        self.tap.record(self.sim.now, kind, pkt)
+        self.tap.record(kind, pkt)
         if pkt.frame_seq >= 0 and pkt.session:
             hit = self.frames_hit.setdefault(pkt.session, {})
             hit[pkt.flow_id, pkt.frame_seq] = getattr(
@@ -252,7 +276,7 @@ class Network:
         def arrive(pkt: Packet) -> None:
             dst = pkt.dst
             if dst == here:
-                self.tap.record(sim._now, "deliver", pkt)
+                self.tap.record("deliver", pkt)
                 if sim._tracing_detail:
                     sim._tracer.emit(sim.now, "net.deliver",
                                      node=here, port=pkt.dst_port,
@@ -261,10 +285,8 @@ class Network:
                                      frame=pkt.frame_seq)
                 self.nodes[here].deliver(pkt)
                 return
-            if dst in out:
-                nxt = out[dst]
-            else:
-                nxt = out[dst] = self._resolve(here, dst)
-            nxt.enqueue(pkt)
+            if dst not in out:
+                self._route(here, dst)
+            out[dst].enqueue(pkt)
 
         link.on_arrival = arrive

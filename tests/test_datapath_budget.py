@@ -113,3 +113,25 @@ def test_watching_costs_a_counted_number_of_calls():
     per_tick = (sampled[0] - plain) / sampled[3]
     assert per_tick <= SAMPLER_TICK_BUDGET, (sampled, plain)
     assert _profiled_run(sampler=True) == sampled
+
+
+def test_the_tap_holds_nothing_that_grows_with_packets():
+    """Memory, budgeted the same way: by what is held, not by RSS."""
+    eng = ServiceEngine(EngineConfig(seed=7))
+    eng.add_server("srv1", documents={"doc": (av_markup(2.0, False), "t")})
+    pop = eng.orchestrator.run_population(2, "srv1", "doc", stagger_s=0.3)
+    assert len(pop.completed()) == 2
+    tap = eng.network.tap
+    packets = sum(tap.count_by_protocol.values())
+    flows = sum(len(flows) for flows in tap.count_by_flow.values())
+    entries = flows + len(tap.bytes_by_protocol) + len(eng.network.nodes)
+    assert packets > 20 * entries
+
+    def held(value):
+        """Entries a container holds, those of nested ones included."""
+        if isinstance(value, dict):
+            return len(value) + sum(held(v) for v in value.values())
+        return len(value) if hasattr(value, "__len__") else 0
+
+    sized = {name: held(value) for name, value in vars(tap).items()}
+    assert 0 < max(sized.values()) <= entries, sized

@@ -37,6 +37,27 @@ def test_sequential_successor_prefers_timed_link():
     assert web.sequential_successor("d1") == "timed"
 
 
+def test_links_from_groups_parallel_links_by_target_in_first_link_order():
+    web = DocumentWeb()
+    web.add_document("d1", doc_with_links(
+        "One",
+        ("b", LinkKind.SEQUENTIAL, None),
+        ("c", LinkKind.EXPLORATIONAL, None),
+        ("b", LinkKind.EXPLORATIONAL, 5.0),
+    ))
+    assert [(dst, data["kind"], data["at_time"])
+            for dst, data in web.links_from("d1")] == [
+        ("b", LinkKind.SEQUENTIAL, None),
+        ("b", LinkKind.EXPLORATIONAL, 5.0),
+        ("c", LinkKind.EXPLORATIONAL, None),
+    ]
+    assert [dst for dst, _ in web.links_from(
+        "d1", kind=LinkKind.EXPLORATIONAL)] == ["b", "c"]
+    assert web.links_from("b") == [] and web.links_from("nowhere") == []
+    assert web.reachable("d1") == {"d1", "b", "c"}
+    assert web.documents() == ["b", "c", "d1"]
+
+
 def test_sequential_path_cycle_safe():
     web = DocumentWeb()
     web.add_document("a", doc_with_links("A", ("b", LinkKind.SEQUENTIAL, None)))

@@ -1,6 +1,5 @@
 """Unit tests for links, routing and packet delivery."""
 
-import networkx as nx
 import pytest
 
 from repro.des import RngRegistry, Simulator
@@ -9,12 +8,12 @@ from repro.net import (
     CoreNetworkLayer,
     GilbertElliottLoss,
     Network,
+    NoRouteError,
     Packet,
     PortAllocator,
     PortExhaustedError,
     TopologyCompiler,
 )
-from repro.net.packet import TapRecord
 
 
 def simple_net(rate=1_000_000, delay=0.01, queue=100):
@@ -90,8 +89,14 @@ def test_shorter_link_added_after_traffic_is_taken_by_later_packets():
     send()
     send()
     assert net.link("r", "slow").stats.tx_packets == 2
-    # Both the source's table and the mid-path router's are warm now.
+    # Both the source's table and the mid-path router's are warm now,
+    # each filled whole by the one pass its first packet paid for...
+    assert set(net._out_links["a"]) == {"r", "slow", "b"}
+    assert set(net._out_links["r"]) == {"a", "slow", "b"}
+    assert not net._out_links["b"]  # never forwarded, never routed
     net.add_node("fast")
+    # ...and a change to the topology empties every one of them.
+    assert not any(net._out_links.values())
     net.add_duplex_link("r", "fast", 10e6, 0.001)
     net.add_duplex_link("fast", "b", 10e6, 0.001)
     send()
@@ -117,9 +122,16 @@ def test_no_route_raises_at_the_hop_that_has_none():
     for n in ("a", "r", "island"):
         net.add_node(n)
     net.add_duplex_link("a", "r", 10e6, 0.001)
-    with pytest.raises(nx.NetworkXNoPath):
+    with pytest.raises(NoRouteError, match="no route a -> island"):
         net.send(Packet(src="a", dst="island", size_bytes=100,
                         protocol="UDP", flow_id="f", dst_port=1))
+    with pytest.raises(NoRouteError, match="no route a -> island"):
+        net.path("a", "island")
+    with pytest.raises(KeyError):
+        net.path("a", "nowhere")
+    with pytest.raises(KeyError):
+        net.path("nowhere", "a")
+    assert net.path("a", "a") == ["a"]
 
 
 def test_queue_overflow_drops_and_taps():
@@ -134,9 +146,7 @@ def test_queue_overflow_drops_and_taps():
     link = net.link("a", "b")
     assert link.stats.queue_drops > 0
     assert len(got) + link.stats.queue_drops == 10
-    drops = net.tap.drops()
-    assert len(drops) == link.stats.queue_drops
-    assert all(r.event == "drop-queue" for r in drops)
+    assert net.tap.drops_by_kind == {"drop-queue": link.stats.queue_drops}
 
 
 def test_fifo_ordering_preserved():
@@ -169,15 +179,14 @@ def test_unbound_port_discard_is_counted():
     assert net.node("a").rx_discarded == 0
     assert net.tap.rx_discarded() == 1
     assert net.tap.rx_discarded("b") == 1
-    assert net.tap.discards_by_node == {"b": 1}
-    discard_records = [r for r in net.tap.records if r.event == "rx-discard"]
-    assert len(discard_records) == 1
-    assert discard_records[0].dst == "b"
+    assert net.tap.discards_by_node == {"b": net.node("b").rx_discarded}
 
 
 def test_tap_record_views_of_deliveries_drops_and_a_discard():
-    """The rows the tap keeps read back as the records it used to build
-    eagerly: this is the recording of the same run at commit 1f2a874."""
+    """The counters say what the per-packet recording of this run said
+    (commit 1f2a874): f1 seq 3 and f0 seq 4 dropped at the queue, the
+    RTCP loopback and f0 seq 0, f1 seq 1, f0 seq 2 delivered, f0 seq 0
+    then discarded at b's unbound port 404."""
     sim = Simulator()
     net = Network(sim)
     for n in ("a", "r", "b"):
@@ -193,23 +202,27 @@ def test_tap_record_views_of_deliveries_drops_and_a_discard():
     net.send(Packet(src="b", dst="b", size_bytes=40, protocol="RTCP",
                     flow_id="loop", dst_port=1, seq=9))
     sim.run()
-    assert net.tap.records == [TapRecord(*row) for row in (
-        (0.0, "drop-queue", "RTP", "f1", "a", "b", 1000, 3),
-        (0.0, "drop-queue", "TCP", "f0", "a", "b", 1250, 4),
-        (0.0, "deliver", "RTCP", "loop", "b", "b", 40, 9),
-        (0.032, "deliver", "TCP", "f0", "a", "b", 250, 0),
-        (0.032, "rx-discard", "TCP", "f0", "a", "b", 250, 0),
-        (0.074, "deliver", "RTP", "f1", "a", "b", 500, 1),
-        (0.136, "deliver", "TCP", "f0", "a", "b", 750, 2),
-    )]
     assert net.tap.bytes_by_protocol == {"RTCP": 40, "TCP": 1000, "RTP": 500}
     assert net.tap.count_by_protocol == {"RTCP": 1, "TCP": 2, "RTP": 1}
+    assert net.tap.count_by_flow == {
+        "RTP": {"f1": 1}, "TCP": {"f0": 2}, "RTCP": {"loop": 1}}
+    assert net.tap.drops_by_kind == {"drop-queue": 2}
     assert net.tap.discards_by_node == {"b": 1}
-    assert [r.seq for r in net.tap.delivered("f1")] == [1]
-    assert [r.seq for r in net.tap.drops()] == [3, 4]
+    assert net.tap.rx_discarded() == 1
     assert net.tap.protocols_for_flow("f0") == {"TCP"}
-    with pytest.raises(AttributeError):
-        net.tap.records[0].seq = 1
+    assert net.tap.protocols_for_flow("f1") == {"RTP"}
+
+
+def test_a_flow_that_only_lost_packets_still_names_its_protocol():
+    sim, net = simple_net(rate=100_000, delay=0.0, queue=1)
+    net.node("b").bind(1, lambda p: None)
+    for flow in ("kept", "kept", "lost"):
+        net.send(Packet(src="a", dst="b", size_bytes=1000, protocol="UDP",
+                        flow_id=flow, dst_port=1))
+    sim.run()
+    assert net.tap.count_by_flow == {"UDP": {"kept": 2, "lost": 0}}
+    assert net.tap.count_by_protocol == {"UDP": 2}
+    assert net.tap.protocols_for_flow("lost") == {"UDP"}
 
 
 def test_bound_port_not_counted_as_discard():
