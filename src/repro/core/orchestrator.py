@@ -66,22 +66,11 @@ class PopulationResult:
     """Outcome of a multi-client population run."""
 
     outcomes: list[SessionOutcome] = field(default_factory=list)
-    #: run-wide metrics rollup (sum of per-session event counts plus
-    #: any run-level instruments); filled when the engine is traced
-    metrics: dict[str, Any] = field(default_factory=dict)
     #: fleet-level ServiceReport dict and sampled TimeSeries dict;
     #: both filled when the engine has its telemetry sampler attached
     #: (empty otherwise)
     service: dict[str, Any] = field(default_factory=dict)
     timeseries: dict[str, Any] = field(default_factory=dict)
-
-    def aggregate_metrics(self) -> dict[str, int]:
-        """Sum the per-session event-count snapshots across outcomes."""
-        from repro.obs.metrics import MetricsRegistry
-
-        return MetricsRegistry.merge_counts(
-            [o.result.metrics for o in self.outcomes if o.result.metrics]
-        )
 
     def qoe_summary(self) -> dict[str, Any]:
         """Population QoE rollup (score/startup/latency percentiles).
@@ -137,7 +126,6 @@ class PopulationResult:
                 }
                 for o in self.outcomes
             ],
-            "metrics": self.metrics,
         }
         if self.service:
             doc["service"] = self.service
@@ -393,18 +381,9 @@ class SessionOrchestrator:
         self.sim.run(until=guard)
         self.sim.run(until=self.sim.now + 1.0)
         outcomes: list[SessionOutcome] = []
-        # Per-session event counts need the full recording (a
-        # control-tier recorder never saw the frames); QoE does not.
-        snapshot = (self.sim._tracing_detail
-                    and hasattr(tracer, "session_snapshot"))
         for spec, handler, box in entries:
             result = self._result_from_box(box, spec.document)
             result.qoe = self._session_qoe(handler.session_id, box)
-            if snapshot:
-                result.metrics = tracer.session_snapshot(handler.session_id)
-                if "end_s" in box:
-                    tracer.metrics.histogram("session_duration_s").observe(
-                        box["end_s"] - box["begin_s"])
             outcomes.append(SessionOutcome(
                 session_id=handler.session_id,
                 client_node=(spec.client_node if spec.client_node is not None
@@ -506,10 +485,6 @@ class SessionOrchestrator:
             tracer.span_end(self.sim.now, "population",
                             f"population[{n_clients}]",
                             completed=len(result.completed()))
-            result.metrics = result.aggregate_metrics()
-            registry = getattr(tracer, "metrics", None)
-            if registry is not None and self.sim._tracing_detail:
-                result.metrics["_registry"] = registry.snapshot()
         sampler = self.engine.timeseries_sampler
         if sampler is not None:
             result.service = sampler.report().to_dict()

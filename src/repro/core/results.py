@@ -52,9 +52,6 @@ class SessionResult:
     #: packets delivered to the viewer host but addressed to an
     #: unbound port — nonzero means a misrouted or late flow
     rx_discarded: int = 0
-    #: per-session trace-event counts ({kind: count}) when the engine
-    #: ran with a full-detail recording tracer; empty otherwise
-    metrics: dict[str, int] = field(default_factory=dict)
     #: per-session QoE summary (score, startup, stalls, frame
     #: accounting, latency percentiles — see :mod:`repro.obs.qoe`),
     #: scored by ``run_workload`` from what the session's endpoints
@@ -154,7 +151,6 @@ class SessionResult:
             "events": list(self.events),
             "client_node": self.client_node,
             "rx_discarded": self.rx_discarded,
-            "metrics": dict(self.metrics),
             "qoe": dict(self.qoe),
             "retries": self.retries,
             "recoveries": self.recoveries,

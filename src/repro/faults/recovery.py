@@ -57,11 +57,6 @@ class MediaWatchdog:
         ms.on_crash = self._on_crash
         ms.on_restart = self._on_restart
 
-    def _metrics(self):
-        if not self.sim._tracing:
-            return None
-        return getattr(self.sim._tracer, "metrics", None)
-
     # -- crash / restart hooks ---------------------------------------------
     def _on_crash(self, ms: MediaServer) -> None:
         self.sim.call_later(self.detect_delay_s, self._detect, ms)
@@ -80,11 +75,6 @@ class MediaWatchdog:
                                   node=ms.node_id,
                                   t_detect_s=self.detect_delay_s,
                                   streams=len(ms.wreckage))
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.histogram("fault_time_to_detect_s").observe(
-                self.detect_delay_s
-            )
         self._recover(ms)
 
     # -- failover ----------------------------------------------------------
@@ -184,11 +174,6 @@ class MediaWatchdog:
                 session=origin.session_id, node=target.node_id,
                 to=target.name, t_recover_s=t_recover,
                 position_s=resume_pos, grade=grade)
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.histogram("fault_time_to_recover_s").observe(t_recover)
-            metrics.counter("streams_failed_over",
-                            server=self.server.name).inc()
         if handler is not None:
             handler.notify_stream_recovered(origin.stream_id, target.name,
                                             t_recover)

@@ -204,17 +204,17 @@ def run_chaos(
     defence while keeping the identical fault schedule — the control
     arm of the experiment.
 
-    ``flight_dump`` makes the run's tracer a
-    :class:`~repro.obs.flightrec.FlightRecorder` (an unbounded,
-    full-detail one when ``trace`` is on, the control-tier ring
-    otherwise) that auto-dumps the trailing ``flight_window_s``
+    The run records only when a dump is asked for: ``flight_dump``
+    installs a :class:`~repro.obs.flightrec.FlightRecorder` (an
+    unbounded, full-detail one when ``trace`` is on, the control-tier
+    ring otherwise) that auto-dumps the trailing ``flight_window_s``
     sim-seconds of events to that path on the first injected fault;
     the dump metadata lands in the artifact under ``flight_dump``.
+    Results and digest are the same either way.
     An unknown ``name`` is a :class:`~repro.ioutil.UsageError`.
     """
     from repro.core.config import EngineConfig
     from repro.core.engine import ServiceEngine
-    from repro.obs.tracer import RecordingTracer
 
     scenario = CHAOS_SCENARIOS.get(name)
     if scenario is None:
@@ -229,23 +229,21 @@ def run_chaos(
     seed = seed if seed is not None else scenario.seed
     use_retry = scenario.retry if retry is None else retry
 
-    tracer = recorder = None
+    recorder = None
     if flight_dump is not None:
         from repro.obs.flightrec import FlightRecorder
 
         # Traced: a complete recording with dumps on top; untraced:
         # the default control-tier ring.
         full: dict[str, Any] = {"max_events": None} if trace else {}
-        tracer = recorder = FlightRecorder(
+        recorder = FlightRecorder(
             dump_path=flight_dump, window_s=flight_window_s, **full)
-    elif trace:
-        tracer = RecordingTracer()
     layers = None
     if scenario.topology == "cdn":
         from repro.net import cdn_stack
 
         layers = cdn_stack(clients_per_region=max(1, n // 2))
-    eng = ServiceEngine(EngineConfig(seed=seed), tracer=tracer,
+    eng = ServiceEngine(EngineConfig(seed=seed), tracer=recorder,
                         layers=layers)
     eng.add_server(
         "srv1",

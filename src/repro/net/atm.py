@@ -60,6 +60,11 @@ class AtmLink(Link):
                 # One lost cell kills the AAL5 frame.
                 self.cell_loss_events += lost_cells
                 self.stats.loss_drops += 1
+                if self.sim._tracing:
+                    self.sim._tracer.emit(
+                        self.sim.now, "link.drop", self.name,
+                        reason="loss", seq=pkt.seq, flow=pkt.flow_id,
+                        session=pkt.session, frame=pkt.frame_seq)
                 if self.on_drop is not None:
                     self.on_drop(pkt, "drop-loss")
                 return

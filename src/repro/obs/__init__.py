@@ -1,4 +1,4 @@
-"""Simulation-wide observability: structured tracing and metrics.
+"""Simulation-wide observability: structured tracing and telemetry.
 
 The paper's evaluation hinges on *seeing inside* the service — skew
 trajectories, buffer watermarks, grade changes, flow-scheduler
@@ -13,138 +13,82 @@ decisions — so every layer of the stack exposes trace hook points
   is the one thing it asks of this package, a fixed 17 calls per
   session (exact call counts — ``tests/test_datapath_budget.py``
   enforces them).
-* :class:`MetricsRegistry` — labelled counters, gauges and
-  histograms. A :class:`RecordingTracer` counts every event it
-  records, so exported streams always reconcile with the registry.
+* :class:`RecordingTracer` — the in-memory recorder. It counts every
+  event per kind as it records it, so an exported stream always
+  reconciles with :meth:`RecordingTracer.kind_counts`; nothing it
+  counts reaches a result document.
 * exporters — JSONL (one event per line) and Chrome trace-event
   format (loadable in ``chrome://tracing`` / Perfetto), plus the
   ``python -m repro trace`` CLI summarizer.
+
+Names are re-exported lazily (PEP 562): ``from repro.obs import X``
+imports the one submodule that defines ``X``, so an untraced run that
+only scores QoE never loads the trend, SLO or export code.
 """
 
-from repro.obs.export import (
-    TRACE_SCHEMA,
-    TRACE_SCHEMA_VERSION,
-    read_chrome_trace,
-    read_jsonl,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.flightrec import (
-    DEFAULT_TRIGGER_KINDS,
-    FlightRecorder,
-)
-from repro.obs.lifecycle import (
-    FrameSpan,
-    correlate_frames,
-    hop_latency_summary,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    log_buckets,
-)
-from repro.obs.profile import (
-    PROFILE_SCHEMA,
-    PROFILE_SCHEMA_VERSION,
-    KernelProfiler,
-)
-from repro.obs.qoe import (
-    SessionQoE,
-    qoe_summary,
-    score,
-    score_session,
-    score_sessions,
-)
-from repro.obs.service_metrics import (
-    SERVICE_SCHEMA,
-    SERVICE_SCHEMA_VERSION,
-    ServerLoad,
-    ServiceReport,
-)
-from repro.obs.slo import (
-    DEFAULT_SLOS,
-    SloCheck,
-    SloRule,
-    evaluate,
-    flatten_metrics,
-    parse_rule,
-    parse_spec,
-    timeseries_metrics,
-)
-from repro.obs.summary import summarize_trace
-from repro.obs.timeseries import (
-    TIMESERIES_SCHEMA,
-    TIMESERIES_SCHEMA_VERSION,
-    TimeSeries,
-    TimeSeriesSampler,
-)
-from repro.obs.tracer import RecordingTracer, TraceEvent, Tracer
-from repro.obs.trend import (
-    TREND_METRICS,
-    TrendMetric,
-    TrendRow,
-    analyze_group,
-    group_history,
-    load_history,
-    render_markdown_report,
-    sparkline,
-)
+from importlib import import_module
 
-__all__ = [
-    "Counter",
-    "DEFAULT_SLOS",
-    "DEFAULT_TRIGGER_KINDS",
-    "FlightRecorder",
-    "FrameSpan",
-    "Gauge",
-    "Histogram",
-    "KernelProfiler",
-    "MetricsRegistry",
-    "PROFILE_SCHEMA",
-    "PROFILE_SCHEMA_VERSION",
-    "RecordingTracer",
-    "SERVICE_SCHEMA",
-    "SERVICE_SCHEMA_VERSION",
-    "ServerLoad",
-    "ServiceReport",
-    "SessionQoE",
-    "SloCheck",
-    "SloRule",
-    "TIMESERIES_SCHEMA",
-    "TIMESERIES_SCHEMA_VERSION",
-    "TRACE_SCHEMA",
-    "TRACE_SCHEMA_VERSION",
-    "TREND_METRICS",
-    "TimeSeries",
-    "TimeSeriesSampler",
-    "TraceEvent",
-    "Tracer",
-    "TrendMetric",
-    "TrendRow",
-    "analyze_group",
-    "correlate_frames",
-    "evaluate",
-    "flatten_metrics",
-    "group_history",
-    "hop_latency_summary",
-    "load_history",
-    "log_buckets",
-    "parse_rule",
-    "parse_spec",
-    "qoe_summary",
-    "read_chrome_trace",
-    "read_jsonl",
-    "render_markdown_report",
-    "score",
-    "score_session",
-    "score_sessions",
-    "sparkline",
-    "summarize_trace",
-    "timeseries_metrics",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "DEFAULT_SLOS": "slo",
+    "DEFAULT_TRIGGER_KINDS": "flightrec",
+    "FlightRecorder": "flightrec",
+    "FrameSpan": "lifecycle",
+    "Histogram": "metrics",
+    "KernelProfiler": "profile",
+    "PROFILE_SCHEMA": "profile",
+    "PROFILE_SCHEMA_VERSION": "profile",
+    "RecordingTracer": "tracer",
+    "SERVICE_SCHEMA": "service_metrics",
+    "SERVICE_SCHEMA_VERSION": "service_metrics",
+    "ServerLoad": "service_metrics",
+    "ServiceReport": "service_metrics",
+    "SessionQoE": "qoe",
+    "SloCheck": "slo",
+    "SloRule": "slo",
+    "TIMESERIES_SCHEMA": "timeseries",
+    "TIMESERIES_SCHEMA_VERSION": "timeseries",
+    "TRACE_SCHEMA": "export",
+    "TRACE_SCHEMA_VERSION": "export",
+    "TREND_METRICS": "trend",
+    "TimeSeries": "timeseries",
+    "TimeSeriesSampler": "timeseries",
+    "TraceEvent": "tracer",
+    "Tracer": "tracer",
+    "TrendMetric": "trend",
+    "TrendRow": "trend",
+    "analyze_group": "trend",
+    "correlate_frames": "lifecycle",
+    "evaluate": "slo",
+    "flatten_metrics": "slo",
+    "group_history": "trend",
+    "hop_latency_summary": "lifecycle",
+    "load_history": "trend",
+    "log_buckets": "metrics",
+    "parse_rule": "slo",
+    "parse_spec": "slo",
+    "qoe_summary": "qoe",
+    "read_chrome_trace": "export",
+    "read_jsonl": "export",
+    "render_markdown_report": "trend",
+    "score": "qoe",
+    "score_session": "qoe",
+    "score_sessions": "qoe",
+    "sparkline": "trend",
+    "summarize_trace": "summary",
+    "timeseries_metrics": "slo",
+    "to_chrome_trace": "export",
+    "write_chrome_trace": "export",
+    "write_jsonl": "export",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value  # next lookup skips this hook
+    return value

@@ -5,7 +5,7 @@ production-shaped run can't afford full-trace recording
 (at 10⁶ clients the event log *is* the memory budget), but when a
 media server crashes the operator wants the last N sim-seconds of
 control-plane history. The flight recorder keeps exactly that: a
-``deque(maxlen=...)`` of events, always on, costing at most 14 Python
+``deque(maxlen=...)`` of events, always on, costing at most 5.5 Python
 calls per ring event and none per packet (an exact call count, gated
 in ``tests/test_datapath_budget.py``) because it declares
 ``detail = False`` — the per-packet firehose tier is never even
@@ -19,12 +19,13 @@ SLO violation (the CLI calls :meth:`FlightRecorder.dump`), or
 explicitly.
 
 The recorder *is* a :class:`~repro.obs.tracer.RecordingTracer` — same
-store, same registry counts, same query surface — configured as a
+store, same per-kind counts, same query surface — configured as a
 ring, so wherever a RecordingTracer is expected a recorder drops in.
 Capacity decides the tier: a bounded ring stays on the control tier
 (4096 per-packet events would span milliseconds, not an incident),
 while ``FlightRecorder(max_events=None)`` is a complete recording
-with incident dumps on top — what a traced chaos run installs.
+with incident dumps on top — what ``repro chaos --flight-dump``
+installs.
 """
 
 from __future__ import annotations

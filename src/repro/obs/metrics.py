@@ -1,22 +1,18 @@
-"""Labelled counters, gauges and histograms.
+"""Streaming histograms: bucketed distributions that merge.
 
-A :class:`MetricsRegistry` keys each time series on (metric name,
-sorted label set), Prometheus-style, and hands back live instrument
-objects — the caller holds the instrument and updates it without any
-registry lookup on the hot path. Snapshots are plain dicts, so they
-travel inside :class:`~repro.core.results.SessionResult` and
-aggregate across a :class:`~repro.core.orchestrator.PopulationResult`
-without dragging the registry along.
+A :class:`Histogram` keeps count/sum/min/max and per-bucket counts, so
+percentiles come out of a bounded structure and two shards' histograms
+add. The QoE scorer, the lifecycle join and the service report hold
+theirs directly; nothing here knows who is observing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "log_buckets"]
+__all__ = ["Histogram", "log_buckets"]
 
 #: default histogram bucket upper bounds (seconds-flavoured)
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0,
@@ -46,31 +42,6 @@ def log_buckets(lo: float, hi: float,
         bounds.append(bounds[-1] * factor)
     bounds.append(float("inf"))
     return tuple(bounds)
-
-
-@dataclass(slots=True)
-class Counter:
-    """A monotonically increasing count."""
-
-    value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-
-@dataclass(slots=True)
-class Gauge:
-    """A value that can go up and down (e.g. buffer occupancy)."""
-
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, amount: float) -> None:
-        self.value += amount
 
 
 @dataclass(slots=True)
@@ -189,86 +160,3 @@ class Histogram:
                     "p50": 0.0, "p95": 0.0, "p99": 0.0}
         return {"count": self.count, "sum": self.total, "mean": self.mean,
                 "min": self.min, "max": self.max, **self.percentiles()}
-
-
-def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def _label_str(key: tuple[tuple[str, str], ...]) -> str:
-    return ",".join(f"{k}={v}" for k, v in key)
-
-
-class MetricsRegistry:
-    """Registry of labelled instruments with snapshot export."""
-
-    def __init__(self) -> None:
-        self._counters: dict[tuple, Counter] = {}
-        self._gauges: dict[tuple, Gauge] = {}
-        self._histograms: dict[tuple, Histogram] = {}
-
-    # -- instrument accessors (get-or-create) -------------------------------
-    def counter(self, name: str, **labels: str) -> Counter:
-        key = (name, _label_key(labels))
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = self._counters[key] = Counter()
-        return counter
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        key = (name, _label_key(labels))
-        gauge = self._gauges.get(key)
-        if gauge is None:
-            gauge = self._gauges[key] = Gauge()
-        return gauge
-
-    def histogram(self, name: str,
-                  bounds: tuple[float, ...] | None = None,
-                  **labels: str) -> Histogram:
-        key = (name, _label_key(labels))
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = self._histograms[key] = Histogram(
-                bounds=bounds if bounds is not None else DEFAULT_BUCKETS
-            )
-        return hist
-
-    # -- queries -----------------------------------------------------------
-    def series(
-        self, name: str,
-    ) -> Iterator[tuple[dict[str, str], Counter | Gauge | Histogram]]:
-        """(labels dict, instrument) pairs of one metric name."""
-        for store in (self._counters, self._gauges, self._histograms):
-            for (metric, key), instrument in store.items():
-                if metric == name:
-                    yield dict(key), instrument
-
-    def names(self) -> list[str]:
-        out = set()
-        for store in (self._counters, self._gauges, self._histograms):
-            out.update(metric for metric, _ in store)
-        return sorted(out)
-
-    def snapshot(self) -> dict[str, dict[str, object]]:
-        """JSON-serializable state: {name: {"k=v,...": value}}.
-
-        Counters and gauges flatten to numbers, histograms to their
-        summary dicts.
-        """
-        out: dict[str, dict[str, object]] = {}
-        for (name, key), counter in self._counters.items():
-            out.setdefault(name, {})[_label_str(key)] = counter.value
-        for (name, key), gauge in self._gauges.items():
-            out.setdefault(name, {})[_label_str(key)] = gauge.value
-        for (name, key), hist in self._histograms.items():
-            out.setdefault(name, {})[_label_str(key)] = hist.summary()
-        return out
-
-    @staticmethod
-    def merge_counts(snapshots: list[dict[str, int]]) -> dict[str, int]:
-        """Sum flat {key: count} dicts (per-session snapshot rollup)."""
-        total: dict[str, int] = {}
-        for snap in snapshots:
-            for key, value in snap.items():
-                total[key] = total.get(key, 0) + value
-        return total

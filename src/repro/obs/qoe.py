@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from repro.obs.lifecycle import FrameSpan, correlate_frames
 from repro.obs.metrics import Histogram, log_buckets
-from repro.obs.tracer import TraceEvent
+
+if TYPE_CHECKING:
+    from repro.obs.lifecycle import FrameSpan
+    from repro.obs.tracer import TraceEvent
 
 __all__ = ["SessionQoE", "score", "score_session", "score_sessions",
            "qoe_summary"]
@@ -202,6 +204,8 @@ def score_session(
 ) -> SessionQoE:
     """Score one session from a trace (and optionally pre-built spans)."""
     if spans is None:
+        from repro.obs.lifecycle import correlate_frames
+
         spans = correlate_frames(events, session=session)
 
     begin_s: float | None = None
@@ -260,6 +264,8 @@ def score_sessions(
     events: list[TraceEvent],
 ) -> dict[str, SessionQoE]:
     """Score every session that opened a ``session`` span in the trace."""
+    from repro.obs.lifecycle import correlate_frames
+
     sessions = [e.name for e in events
                 if e.kind == "session" and e.phase == "B"]
     spans = correlate_frames(events)

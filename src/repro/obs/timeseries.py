@@ -11,14 +11,11 @@ deltas, client buffer occupancy and DES event-queue depth. Because
 sampling rides the simulated clock, the series is exactly
 reproducible run-to-run.
 
-Shard-merge contract (ROADMAP item 1): every column declares how it
-combines *across shards* (``merge``: level gauges and interval deltas
-add, engine-local gauges take the max) and how it coarsens *across
-time* (``resample``: deltas add, gauges take the max). Both
-operations are associative and commutative, and
-``resample(a).resample(b) == resample(a*b)`` — so N shards sampled
-anywhere can be merged in any order and downsampled in any grouping
-with one canonical result.
+Shard-merge contract: every column declares how it combines *across
+shards* (``merge``: level gauges and interval deltas add, engine-local
+gauges take the max). The operation is associative and commutative
+with the empty series as identity — so N shards sampled anywhere can
+be merged in any order with one canonical result.
 
 The serialized form is schema-stamped (``repro.timeseries`` v1) and
 embedded in BENCH_*/CHAOS_* artifacts under the ``timeseries`` key.
@@ -36,29 +33,25 @@ __all__ = ["Column", "TimeSeries", "TimeSeriesSampler",
 TIMESERIES_SCHEMA = "repro.timeseries"
 TIMESERIES_SCHEMA_VERSION = 1
 
-#: valid column combine operations (cross-shard merge / time resample)
+#: valid column combine operations (cross-shard merge)
 _OPS = ("sum", "max")
 
 
 class Column:
-    """One named series: values plus its merge/resample semantics."""
+    """One named series: values plus its merge semantics."""
 
-    __slots__ = ("merge", "resample", "values")
+    __slots__ = ("merge", "values")
 
-    def __init__(self, merge: str = "sum", resample: str = "max",
+    def __init__(self, merge: str = "sum",
                  values: list[float] | None = None) -> None:
-        if merge not in _OPS or resample not in _OPS:
+        if merge not in _OPS:
             raise ValueError(
-                f"column ops must be one of {_OPS}: "
-                f"merge={merge!r} resample={resample!r}"
-            )
+                f"column merge op must be one of {_OPS}: {merge!r}")
         self.merge = merge
-        self.resample = resample
         self.values: list[float] = values if values is not None else []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"Column(merge={self.merge!r}, resample={self.resample!r}, "
-                f"n={len(self.values)})")
+        return f"Column(merge={self.merge!r}, n={len(self.values)})"
 
 
 def _combine(op: str, a: float, b: float) -> float:
@@ -66,7 +59,7 @@ def _combine(op: str, a: float, b: float) -> float:
 
 
 class TimeSeries:
-    """Columnar fixed-interval series; mergeable and resampleable.
+    """Columnar fixed-interval series, mergeable across shards.
 
     Ticks are implicit: row ``k`` covers simulated time
     ``(k*interval_s, (k+1)*interval_s]``. Columns discovered mid-run
@@ -82,12 +75,11 @@ class TimeSeries:
         self.columns: dict[str, Column] = {}
 
     # -- building ------------------------------------------------------------
-    def ensure_column(self, name: str, merge: str = "sum",
-                      resample: str = "max") -> Column:
+    def ensure_column(self, name: str, merge: str = "sum") -> Column:
         """Declare a column (idempotent); zero-pads to the current tick."""
         col = self.columns.get(name)
         if col is None:
-            col = self.columns[name] = Column(merge=merge, resample=resample)
+            col = self.columns[name] = Column(merge=merge)
             col.values.extend(0.0 for _ in range(self.ticks))
         return col
 
@@ -106,13 +98,6 @@ class TimeSeries:
     def values(self, name: str) -> list[float]:
         col = self.columns.get(name)
         return list(col.values) if col is not None else []
-
-    def peak(self, name: str) -> float:
-        vals = self.values(name)
-        return max(vals) if vals else 0.0
-
-    def total(self, name: str) -> float:
-        return sum(self.values(name))
 
     def __len__(self) -> int:
         return self.ticks
@@ -140,8 +125,7 @@ class TimeSeries:
             a, b = self.columns.get(name), other.columns.get(name)
             spec = a or b
             assert spec is not None
-            if a is not None and b is not None and (
-                    a.merge != b.merge or a.resample != b.resample):
+            if a is not None and b is not None and a.merge != b.merge:
                 raise ValueError(
                     f"column {name!r} has conflicting ops across shards"
                 )
@@ -153,9 +137,7 @@ class TimeSeries:
                          vb[i] if i < len(vb) else 0.0)
                 for i in range(out.ticks)
             ]
-            out.columns[name] = Column(merge=spec.merge,
-                                       resample=spec.resample,
-                                       values=merged)
+            out.columns[name] = Column(merge=spec.merge, values=merged)
         return out
 
     @staticmethod
@@ -166,40 +148,6 @@ class TimeSeries:
             out = s if out is None else out.merge(s)
         if out is None:
             raise ValueError("merge_all needs at least one series")
-        return out
-
-    # -- time resample -------------------------------------------------------
-    def resample(self, factor: int) -> "TimeSeries":
-        """Coarsen by grouping ``factor`` consecutive ticks.
-
-        A partial tail group is kept (its value covers fewer source
-        ticks). Resampling composes: ``resample(a).resample(b)``
-        equals ``resample(a*b)`` for both ops.
-        """
-        if factor < 1:
-            raise ValueError("resample factor must be >= 1")
-        if factor == 1:
-            return self.copy()
-        out = TimeSeries(interval_s=self.interval_s * factor)
-        out.ticks = (self.ticks + factor - 1) // factor
-        for name, col in self.columns.items():
-            grouped = []
-            for start in range(0, self.ticks, factor):
-                chunk = col.values[start:start + factor]
-                grouped.append(sum(chunk) if col.resample == "sum"
-                               else max(chunk))
-            out.columns[name] = Column(merge=col.merge,
-                                       resample=col.resample,
-                                       values=grouped)
-        return out
-
-    def copy(self) -> "TimeSeries":
-        out = TimeSeries(interval_s=self.interval_s)
-        out.ticks = self.ticks
-        for name, col in self.columns.items():
-            out.columns[name] = Column(merge=col.merge,
-                                       resample=col.resample,
-                                       values=list(col.values))
         return out
 
     # -- (de)serialization ---------------------------------------------------
@@ -213,7 +161,6 @@ class TimeSeries:
             "columns": {
                 name: {
                     "merge": col.merge,
-                    "resample": col.resample,
                     "values": list(col.values),
                 }
                 for name, col in sorted(self.columns.items())
@@ -222,6 +169,8 @@ class TimeSeries:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "TimeSeries":
+        """Read a v1 document; a column's ``resample`` key, which older
+        writers emitted, is ignored."""
         if doc.get("schema") != TIMESERIES_SCHEMA:
             raise ValueError(
                 f"not a {TIMESERIES_SCHEMA} document: {doc.get('schema')!r}"
@@ -231,7 +180,6 @@ class TimeSeries:
         for name, entry in doc.get("columns", {}).items():
             out.columns[name] = Column(
                 merge=entry.get("merge", "sum"),
-                resample=entry.get("resample", "max"),
                 values=[float(v) for v in entry.get("values", ())],
             )
         return out
@@ -244,24 +192,23 @@ class TimeSeriesSampler:
     from :attr:`series` and the fleet rollup from :meth:`report`.
     Columns:
 
-    ======================== ===== ======== ==============================
-    column                   merge resample meaning (per tick)
-    ======================== ===== ======== ==============================
-    ``streams.<ms>``         sum   max      viewer legs one media server
-                                            serves, shared or not (level)
-    ``egress_bytes.<host>``  sum   sum      bytes leaving a serving host
-                                            during the interval (delta)
-    ``link_utilization``     max   max      busiest link's busy-time
-                                            fraction this interval
-    ``admit_accepted.<srv>`` sum   sum      admissions during interval
-    ``admit_rejected.<srv>`` sum   sum      refusals during interval
-    ``buffer_occupancy_s``   max   max      fullest client media buffer
-                                            (engine-local gauge)
-    ``event_queue_depth``    max   max      DES heap entries of the
-                                            *system* (engine-local): the
-                                            sampler's own timer is not
-                                            pending while it samples
-    ======================== ===== ======== ==============================
+    ======================== ===== =======================================
+    column                   merge meaning (per tick)
+    ======================== ===== =======================================
+    ``streams.<ms>``         sum   viewer legs one media server serves,
+                                   shared or not (level)
+    ``egress_bytes.<host>``  sum   bytes leaving a serving host during
+                                   the interval (delta)
+    ``link_utilization``     max   busiest link's busy-time fraction
+                                   this interval
+    ``admit_accepted.<srv>`` sum   admissions during interval
+    ``admit_rejected.<srv>`` sum   refusals during interval
+    ``buffer_occupancy_s``   max   fullest client media buffer
+                                   (engine-local gauge)
+    ``event_queue_depth``    max   DES heap entries of the *system*
+                                   (engine-local): the sampler's own
+                                   timer is not pending while it samples
+    ======================== ===== =======================================
 
     The two engine-local gauges describe *this* engine's internals, so
     after a shard merge they read "worst across shards", not a
@@ -312,19 +259,19 @@ class TimeSeriesSampler:
         for name in sorted(eng.servers):
             for ms in eng.servers[name].all_media_servers():
                 col = f"streams.{ms.name}"
-                series.ensure_column(col, merge="sum", resample="max")
+                series.ensure_column(col, merge="sum")
                 row[col] = float(len(ms.streams))
 
         # Per-interval egress off each serving host (delta counter).
         for host, entry in egress_by_host(eng).items():
             col = f"egress_bytes.{host}"
-            series.ensure_column(col, merge="sum", resample="sum")
+            series.ensure_column(col, merge="sum")
             cur = entry["bytes"]
             row[col] = float(cur - self._last_egress.get(host, 0))
             self._last_egress[host] = cur
 
         # Peak link utilization over the interval (busy-time delta).
-        series.ensure_column("link_utilization", merge="max", resample="max")
+        series.ensure_column("link_utilization", merge="max")
         peak_util = 0.0
         for key, link in eng.network.links.items():
             busy = link.stats.busy_time
@@ -339,16 +286,15 @@ class TimeSeriesSampler:
             stats = eng.servers[name].admission.stats
             a_col = f"admit_accepted.{name}"
             r_col = f"admit_rejected.{name}"
-            series.ensure_column(a_col, merge="sum", resample="sum")
-            series.ensure_column(r_col, merge="sum", resample="sum")
+            series.ensure_column(a_col, merge="sum")
+            series.ensure_column(r_col, merge="sum")
             last_a, last_r = self._last_admit.get(name, (0, 0))
             row[a_col] = float(stats.admitted - last_a)
             row[r_col] = float(stats.rejected - last_r)
             self._last_admit[name] = (stats.admitted, stats.rejected)
 
         # Fullest client media buffer (engine-local gauge).
-        series.ensure_column("buffer_occupancy_s", merge="max",
-                             resample="max")
+        series.ensure_column("buffer_occupancy_s", merge="max")
         occupancy = 0.0
         for comp in getattr(eng, "compositions", ()):
             for buf in comp.scheduler.buffers.values():
@@ -358,8 +304,7 @@ class TimeSeriesSampler:
 
         # DES heap size (engine-local gauge); this process's next
         # timeout is scheduled only after the sample returns.
-        series.ensure_column("event_queue_depth", merge="max",
-                             resample="max")
+        series.ensure_column("event_queue_depth", merge="max")
         row["event_queue_depth"] = float(len(self.sim._heap))
 
         series.tick(row)

@@ -11,72 +11,17 @@ A :class:`TraceEvent` is an instant ("i") or a span edge ("B"/"E")
 with a dotted ``kind`` (``kernel.event``, ``link.drop``,
 ``qos.grade`` ...), an optional human ``name`` (process name, stream
 id), optional ``session``/``node`` correlation keys, and free-form
-``args``. Kinds in use across the stack:
-
-========================  =====================================================
-kind                      emitted by
-========================  =====================================================
-``kernel.event``          :meth:`Simulator.step` — one per fired event
-``process.spawn``         :class:`~repro.des.kernel.Process` creation
-``process.finish``        process completion (``args["outcome"]``)
-``process.interrupt``     :meth:`Process.interrupt`
-``link.enqueue``          :meth:`~repro.net.link.Link.enqueue`
-``link.drop``             queue overflow / Gilbert–Elliott loss
-``net.deliver``           packet delivered to its destination node
-``net.rx_discard``        delivered, but no handler bound on the port
-``channel.message``       reliable-channel message reassembled
-``channel.retransmit``    go-back-N window resend
-``flow.plan`` / ``.schedule``  flow-scheduler output (per session / per flow)
-``impair.state``          Gilbert–Elliott good/bad state transition
-``impair.loss``           Gilbert–Elliott loss decision (per lost packet)
-``rtp.send``              sender packetized one frame (frame/seq0/packets)
-``rtp.recv``              receiver accepted one RTP packet (delay, jitter)
-``rtp.frame``             receiver reassembled a complete frame
-``rtp.frame_drop``        reassembly gave up on a frame (missing fragments)
-``rtcp.report``           client reporter sent a receiver report
-``rtcp.recv``             server sink received a receiver report
-``qos.grade``             server QoS manager grade transition
-``qos.stream``            client QoS manager feedback-loop registration
-``skew.correct``          skew controller drop/duplicate decision
-``buffer.watermark``      buffer monitor LOW/NORMAL/HIGH crossing
-``buffer.push``/``.drop``  media buffer accepted / overflow-dropped a frame
-``playout.*``             playout event log (frame, gap, drop, duplicate, ...)
-``session`` (B/E)         orchestrator per-session lifecycle span
-``workload``/``population`` (B/E)  orchestrator run-level spans
-``fault.link``            :meth:`~repro.net.link.Link.set_up` transition
-``fault.crash``/``.restart``  media-server crash / restart
-``fault.ctl_partition``   control partition opened / closed
-``fault.ctl_drop``/``.ctl_delay``  control message dropped / delayed
-``ctl.retry``             client RPC timed out; retry scheduled
-``hb.miss``/``.fail``/``.ok``  heartbeat miss / failure declared / recovery
-``recovery.detect``       watchdog noticed a crash (after detect delay)
-``recovery.stream``       stream failed over (``t_recover_s``, target)
-``recovery.failed``       stream could not be restored (``reason``)
-``admission.accept``      connection admitted (contract, reserved bps)
-``admission.block``       connection refused by admission control
-``sflow.open``/``.join``  shared-flow batch opened / viewer joined
-``sflow.start``           batch closed; master transmission begins
-``sflow.carrier``         one origin→fan-out carrier frame shipped
-``sflow.finish``          master transmission completed (frame count)
-``bcast.start``           periodic broadcast channels spawned
-``bcast.carrier``         one broadcast carrier packet shipped
-``bcast.join``            viewer tuned in (``wait_s`` startup wait)
-``bcast.stop``            broadcaster stopped (viewers, carrier bytes)
-========================  =====================================================
-
-This table is informal documentation; the machine-checked source of
-truth is the trace-v3 catalogue in :mod:`repro.obs.schema`
-(``TRACE_CATALOGUE``), which declares every kind's phase, tier and
-field schema. ``python -m repro lint --self`` verifies each emit site
-in the tree against it.
+``args``. Every kind in use, with its phase, tier and field schema,
+is declared in :data:`repro.obs.schema.TRACE_CATALOGUE`; ``python -m
+repro lint --self`` checks each emit site in the tree against it.
 
 Frame-lifecycle correlation: data-path events carry ``session`` and a
 ``frame`` arg (the frame's per-stream seq), letting
 :mod:`repro.obs.lifecycle` join a frame's journey across layers. A
 trace is an explanation, not a prerequisite: session results (QoE
 included) are produced from the endpoints' own numbers whether or not
-a tracer is attached; what a recording adds to a result is the
-per-session event counts (``session_snapshot``) and the registry.
+a tracer is attached, and a result document is the same whoever
+watched.
 
 Detail vs control tier
 ----------------------
@@ -151,20 +96,18 @@ class Tracer:
 
 
 class RecordingTracer(Tracer):
-    """Collects events in memory and counts them in a registry.
+    """Collects events in memory and counts them per kind.
 
-    Every emit increments ``trace_events{kind=...}`` in ``metrics``
-    (and ``session_events{session=...,kind=...}`` when the event
-    carries a session id), so an exported JSONL stream always
-    reconciles with the registry snapshot — the invariant the
-    observability tests assert.
+    Every emit is counted before the retention cap applies, so
+    :meth:`kind_counts` always reconciles with an exported JSONL
+    stream of a complete recording — the invariant the observability
+    tests assert — and still says how much a ring has seen.
 
     ``max_events`` bounds memory on very long runs: the store is then
     a ring of that capacity and the *oldest* events are shed, so the
     tail of the run stays inspectable (``dropped_events`` says how
     many were evicted; the first eviction warns, because a tracer
-    asked to record everything no longer does). Events always count
-    in the registry regardless of retention. The always-on form of
+    asked to record everything no longer does). The always-on form of
     the same ring is :class:`~repro.obs.flightrec.FlightRecorder`.
     """
 
@@ -172,24 +115,19 @@ class RecordingTracer(Tracer):
     #: warn on the first eviction (cleared once it has)
     _warn_on_evict = True
 
-    def __init__(self, metrics: "MetricsRegistry | None" = None,
-                 max_events: int | None = None) -> None:
-        from repro.obs.metrics import MetricsRegistry
-
+    def __init__(self, max_events: int | None = None) -> None:
         if max_events is not None and max_events <= 0:
             raise ValueError("max_events must be > 0")
         # A plain list when unbounded, else a ring (bounded deque).
         self.events: "list[TraceEvent] | deque[TraceEvent]" = (
             [] if max_events is None else deque(maxlen=max_events))
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._kind_counts: dict[str, int] = {}
         self.max_events = max_events
         self.dropped_events = 0
 
     def _record(self, event: TraceEvent) -> None:
-        self.metrics.counter("trace_events", kind=event.kind).inc()
-        if event.session:
-            self.metrics.counter("session_events", session=event.session,
-                                 kind=event.kind).inc()
+        counts = self._kind_counts
+        counts[event.kind] = counts.get(event.kind, 0) + 1
         if self.max_events is not None and len(self.events) == self.max_events:
             if self._warn_on_evict:
                 self._warn_on_evict = False
@@ -226,19 +164,8 @@ class RecordingTracer(Tracer):
         return True
 
     def kind_counts(self) -> dict[str, int]:
-        """Event count per kind, from the registry (includes shed events)."""
-        return {
-            labels["kind"]: int(counter.value)
-            for labels, counter in self.metrics.series("trace_events")
-        }
-
-    def session_snapshot(self, session_id: str) -> dict[str, int]:
-        """Per-kind event counts attributed to one session."""
-        return {
-            labels["kind"]: int(counter.value)
-            for labels, counter in self.metrics.series("session_events")
-            if labels.get("session") == session_id
-        }
+        """Event count per kind (includes shed events)."""
+        return dict(self._kind_counts)
 
     def select(self, kind: str | None = None,
                session: str | None = None) -> list[TraceEvent]:

@@ -419,12 +419,6 @@ class MediaServer:
         pump.add_leg(origin)
         if not batched:
             pump.start()
-        if self.sim._tracing:
-            metrics = getattr(self.sim._tracer, "metrics", None)
-            if metrics is not None:
-                # Per-replica load: which edge actually serves streams.
-                metrics.counter("media_streams_started",
-                                server=self.name).inc()
         return pump, pump.converter
 
     def streams_of(self, session_id: str) -> dict[str, StreamHandler]:

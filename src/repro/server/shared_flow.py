@@ -83,9 +83,6 @@ class SharedFlowManager:
                 origin.stream_id, session=origin.session_id, node=fanout,
                 media=ms.name, path=origin.object_path,
             )
-            metrics = getattr(self.sim._tracer, "metrics", None)
-            if metrics is not None:
-                metrics.counter("shared_flow_joins", media=ms.name).inc()
         return pump
 
     def _close_batch(self, key: tuple) -> None:
@@ -100,11 +97,6 @@ class SharedFlowManager:
                 node=pump.node_id, fanout=pump.leg_node,
                 subscribers=len(pump.legs),
             )
-            metrics = getattr(self.sim._tracer, "metrics", None)
-            if metrics is not None:
-                metrics.histogram("shared_flow_batch_size").observe(
-                    len(pump.legs)
-                )
 
     def _finished(self, pump: StreamHandler) -> None:
         if self.sim._tracing:

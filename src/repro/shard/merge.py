@@ -2,10 +2,8 @@
 
 Two layers, with different algebraic strength:
 
-* **Population documents** (outcome lists + integer metric counts;
-  the counts are trace emits, so untraced cells bring none)
-  merge exactly: outcomes concatenate and re-sort by global session
-  index, counts add. Integer addition and sorted union are
+* **Population documents** (outcome lists) merge exactly: outcomes
+  concatenate and re-sort by global session index. Sorted union is
   associative and commutative with :func:`empty_population_doc` as
   identity — property-tested over arbitrary splits and orders.
 
@@ -33,8 +31,8 @@ __all__ = [
 
 
 def empty_population_doc() -> dict[str, Any]:
-    """The merge identity: no outcomes, no counts."""
-    return {"outcomes": [], "metrics": {}}
+    """The merge identity: no outcomes."""
+    return {"outcomes": []}
 
 
 def session_index(outcome: dict[str, Any]) -> int:
@@ -50,8 +48,6 @@ def session_index(outcome: dict[str, Any]) -> int:
 def merge_population_docs(a: dict[str, Any],
                           b: dict[str, Any]) -> dict[str, Any]:
     """Exact merge of two population docs (see module docstring)."""
-    from repro.obs.metrics import MetricsRegistry
-
     outcomes = sorted(
         list(a.get("outcomes", [])) + list(b.get("outcomes", [])),
         key=session_index,
@@ -63,11 +59,7 @@ def merge_population_docs(a: dict[str, Any],
             raise ValueError(
                 f"duplicate session index {idx} in population merge")
         seen.add(idx)
-    return {
-        "outcomes": outcomes,
-        "metrics": MetricsRegistry.merge_counts(
-            [a.get("metrics", {}), b.get("metrics", {})]),
-    }
+    return {"outcomes": outcomes}
 
 
 def merge_cell_docs(cell_docs: list[dict[str, Any]]) -> dict[str, Any]:
@@ -116,7 +108,7 @@ def merged_digest(merged: dict[str, Any]) -> str:
 
     return population_digest({
         key: merged[key]
-        for key in ("outcomes", "metrics", "service", "timeseries")
+        for key in ("outcomes", "service", "timeseries")
         if key in merged
     })
 

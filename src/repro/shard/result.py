@@ -38,7 +38,7 @@ class ShardedRunResult:
     """Everything a supervised sharded population run produced.
 
     ``merged`` is the canonical population document (outcomes,
-    metrics, service, timeseries) over the cells that completed;
+    service, timeseries) over the cells that completed;
     ``completeness`` is the fraction of requested clients it covers
     — 1.0 for a full run, < 1.0 for a degraded partial result under
     ``tolerate_failures``. ``digest`` hashes only deterministic

@@ -46,7 +46,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.shard.merge import merge_cell_docs, merged_digest
+from repro.shard.merge import (
+    empty_population_doc,
+    merge_cell_docs,
+    merged_digest,
+)
 from repro.shard.plan import ShardPlan, ShardWorkload
 from repro.shard.result import ShardedRunResult, ShardFailure, ShardStatus
 from repro.shard.worker import worker_main
@@ -348,8 +352,7 @@ class ShardSupervisor:
         missing = [c for c in range(plan.n_cells) if c not in cell_docs]
         merged_clients = sum(d["hi"] - d["lo"] for d in docs)
         completeness = merged_clients / plan.n_clients
-        merged = merge_cell_docs(docs) if docs else {"outcomes": [],
-                                                     "metrics": {}}
+        merged = merge_cell_docs(docs) if docs else empty_population_doc()
         digest = merged_digest(merged)
         self._emit("shard.merge", "merge", cells=len(docs),
                    missing=len(missing),

@@ -33,10 +33,12 @@ BUDGET = 48.0
 #: is collected: the scorer, its three helpers, one histogram built,
 #: batch-fed and summarised. Fixed, whatever the session's length.
 SCORING_CALLS_PER_SESSION = 17
-#: extra Python calls per event a control-tier ring records. 13.86
-#: measured (+1,331 calls for 96 events): the emit, its ``TraceEvent``
-#: and the per-kind counter, and nothing on the per-packet path.
-RING_EVENT_BUDGET = 14.0
+#: extra Python calls per event a control-tier ring records. 5.49
+#: measured (+527 calls for 96 events): the emit, its ``TraceEvent``,
+#: the recorder's two ``_record`` frames (the per-kind count is a dict
+#: increment inside one of them), and nothing on the per-packet path.
+#: 13.86 while the count went through a labelled-instrument registry.
+RING_EVENT_BUDGET = 5.5
 #: extra Python calls per tick of the DES-clock sampler. 30.3 measured
 #: (+424 calls over 14 ticks of 0.25 s).
 SAMPLER_TICK_BUDGET = 31.0

@@ -39,13 +39,22 @@ def test_crash_without_recovery_ruins_delivery():
     assert a["recoveries"] == 0
 
 
-def test_time_to_recover_lands_in_metrics_and_trace():
-    run = run_chaos("crash", smoke=True)
-    registry = run.population.metrics.get("_registry", {})
-    hists = registry.get("histograms", registry)
-    flat = str(hists)
-    assert "fault_time_to_recover_s" in flat
-    assert "fault_time_to_detect_s" in flat
+def test_time_to_recover_lands_in_metrics_and_trace(tmp_path):
+    """The watchdog's own latency lists feed the service report on an
+    unrecorded run; a recording says the same, event by event."""
+    recovery = run_chaos("crash", smoke=True).artifact["service"]["recovery"]
+    assert recovery["time_to_detect_s"]["count"] == recovery["detections"] == 1
+    assert recovery["time_to_detect_s"]["max"] == 0.5
+    assert (recovery["time_to_recover_s"]["count"]
+            == recovery["streams_failed_over"] == 8)
+    recorder = run_chaos("crash", smoke=True, trace=False,
+                         flight_dump=str(tmp_path / "f.jsonl")).flight_recorder
+    assert [e.args["t_detect_s"]
+            for e in recorder.select("recovery.detect")] == [0.5]
+    recovered = [e.args["t_recover_s"]
+                 for e in recorder.select("recovery.stream")]
+    assert len(recovered) == 8
+    assert sum(recovered) == recovery["time_to_recover_s"]["sum"]
 
 
 # -- acceptance: determinism --------------------------------------------------

@@ -28,6 +28,11 @@ BLOCKED = ("import sys\n"
 WATCHERS = ("repro.obs", "repro.analysis", "repro.shard", "repro.faults",
             "repro.hermes")
 
+#: what only a recording, an export or a report needs
+LOOKERS = tuple(f"repro.obs.{name}" for name in (
+    "tracer", "lifecycle", "export", "flightrec", "summary", "slo", "trend",
+    "bench", "profile", "schema"))
+
 
 def run_blocked(code):
     """Run ``code`` where importing networkx or scipy raises; its stdout."""
@@ -76,6 +81,28 @@ def test_engine_import_loads_no_watcher_layer():
     # 71 when this was written; a few more is growth, many more is a
     # layer pulled in by accident
     assert len(loaded) <= 75, len(loaded)
+
+
+def test_an_untraced_sampled_run_loads_no_recorder_or_report_code():
+    """Scoring QoE and sampling telemetry import what they use, not the
+    package: ``repro.obs`` re-exports lazily."""
+    out = run_blocked(
+        "import json\n"
+        "from repro.core.config import EngineConfig\n"
+        "from repro.core.engine import ServiceEngine\n"
+        "from repro.core.experiments import av_markup\n"
+        "eng = ServiceEngine(EngineConfig(seed=5))\n"
+        "eng.add_server('srv1',\n"
+        "               documents={'doc': (av_markup(1.0, False), 't')})\n"
+        "eng.attach_timeseries()\n"
+        "pop = eng.orchestrator.run_population(2, 'srv1', 'doc')\n"
+        "assert pop.service and pop.timeseries\n"
+        "assert all(o.result.qoe['score'] > 0 for o in pop.outcomes)\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('repro.obs'))))\n")
+    loaded = json.loads(out)
+    assert {"repro.obs.qoe", "repro.obs.timeseries"} <= set(loaded)
+    assert [m for m in loaded if m in LOOKERS] == []
 
 
 def test_no_source_file_names_networkx():

@@ -102,6 +102,10 @@ def test_histogram_summary_includes_percentiles():
     s = hist.summary()
     assert {"p50", "p95", "p99"} <= set(s)
     assert s["p50"] == pytest.approx(0.02)
+    hist.observe(0.4)
+    s = hist.summary()
+    assert s["count"] == 2 and s["min"] == 0.02 and s["max"] == 0.4
+    assert sum(hist.bucket_counts) == 2
 
 
 def test_histogram_inf_bucket_reports_observed_max():
@@ -371,18 +375,19 @@ def test_qoe_clean_population_beats_lossy_population():
 
 
 def test_untraced_population_has_qoe_and_no_trace_counters():
-    """A result needs no recorder; only the emit counts do."""
+    """A result needs no recorder, and has no field for one's books."""
     eng = ServiceEngine(EngineConfig(seed=3))
     eng.add_server("srv1", documents={"doc": (av_markup(2.0), "x")})
     pop = eng.orchestrator.run_population(2, "srv1", "doc", stagger_s=0.3)
     assert pop.qoe_summary()["sessions"] == 2
-    assert pop.metrics == {}
+    assert not hasattr(pop, "metrics") and "metrics" not in pop.to_dict()
     for outcome in pop.outcomes:
         qoe = outcome.result.qoe
         assert qoe["session"] == outcome.session_id
         assert qoe["frames_played"] == qoe["latency"]["count"] > 0
         assert qoe["score"] > 90
-        assert outcome.result.metrics == {}
+        assert not hasattr(outcome.result, "metrics")
+        assert "metrics" not in outcome.result.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Observability subsystem: tracer, metrics registry, exporters, and
-the reconciliation invariant across a traced population run."""
+"""Observability subsystem: tracer, exporters, and the reconciliation
+invariant across a traced population run."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.core.experiments import av_markup
 from repro.des import Simulator
 from repro.net import Network, Packet
 from repro.obs import (
-    MetricsRegistry,
     RecordingTracer,
     TraceEvent,
     Tracer,
@@ -30,51 +29,6 @@ def traced_engine(seed=7, tracer=None, **kw):
     eng = ServiceEngine(EngineConfig(seed=seed, **kw), tracer=tracer)
     eng.add_server("srv1", documents={"doc": (av_markup(4.0), "x")})
     return eng
-
-
-# -- metrics registry --------------------------------------------------------
-
-def test_counter_gauge_histogram_basics():
-    reg = MetricsRegistry()
-    c = reg.counter("events", kind="drop")
-    c.inc()
-    c.inc(2)
-    assert c.value == 3
-    with pytest.raises(ValueError):
-        c.inc(-1)
-    g = reg.gauge("depth", link="a->b")
-    g.set(4)
-    g.add(-1)
-    assert g.value == 3
-    h = reg.histogram("latency_s")
-    h.observe(0.004)
-    h.observe(0.4)
-    s = h.summary()
-    assert s["count"] == 2 and s["min"] == 0.004 and s["max"] == 0.4
-    assert sum(h.bucket_counts) == 2
-
-
-def test_registry_same_labels_same_instrument():
-    reg = MetricsRegistry()
-    assert reg.counter("n", a="1", b="2") is reg.counter("n", b="2", a="1")
-    assert reg.counter("n", a="1") is not reg.counter("n", a="2")
-
-
-def test_registry_snapshot_shape():
-    reg = MetricsRegistry()
-    reg.counter("events", kind="x").inc(5)
-    reg.gauge("depth").set(2)
-    reg.histogram("d").observe(1.0)
-    snap = reg.snapshot()
-    assert snap["events"]["kind=x"] == 5
-    assert snap["depth"][""] == 2
-    assert snap["d"][""]["count"] == 1
-    json.dumps(snap)  # must be JSON-serializable
-
-
-def test_merge_counts():
-    merged = MetricsRegistry.merge_counts([{"a": 1, "b": 2}, {"a": 3}])
-    assert merged == {"a": 4, "b": 2}
 
 
 # -- tracer -----------------------------------------------------------------
@@ -94,7 +48,6 @@ def test_recording_tracer_counts_every_emit():
     t.emit(2.0, "qos.grade", "v1", session="sess-1", action="degrade")
     assert len(t) == 3
     assert t.kind_counts() == {"link.drop": 2, "qos.grade": 1}
-    assert t.session_snapshot("sess-1") == {"qos.grade": 1}
     assert t.select(kind="link.drop") == t.events[:2]
 
 
@@ -114,7 +67,14 @@ def test_recording_tracer_max_events_degrades_to_ring():
     assert len(t.events) == 2
     assert [e.time for e in t.events] == [3.0, 4.0]
     assert t.dropped_events == 3
-    assert t.kind_counts() == {"kernel.event": 5}  # registry sees all
+    # counted before the cap applies: shed events included, whichever
+    # of the three hook points they came through
+    assert t.kind_counts() == {"kernel.event": 5}
+    t.span_begin(5.0, "session", "s")
+    t.span_end(6.0, "session", "s")
+    assert t.kind_counts() == {"kernel.event": 5, "session": 2}
+    assert sum(t.kind_counts().values()) == 7 == (
+        len(t.events) + t.dropped_events)
 
 
 def test_recording_tracer_cap_warns_only_once():
@@ -168,7 +128,7 @@ def test_traced_population_reconciles_and_exports(tmp_path):
     pop = eng.orchestrator.run_population(3, "srv1", "doc", stagger_s=0.25)
     assert len(pop.completed()) == 3
 
-    # JSONL export reconciles with the registry's per-kind counters.
+    # JSONL export reconciles with the tracer's per-kind counts.
     jl = tmp_path / "trace.jsonl"
     n = write_jsonl(tracer.events, jl)
     assert n == len(tracer.events) > 0
@@ -185,19 +145,14 @@ def test_traced_population_reconciles_and_exports(tmp_path):
     records = [r for r in doc["traceEvents"] if r["ph"] != "M"]
     assert len(records) == len(events)
 
-    # Per-session snapshots rode along on the results and aggregate.
+    # Every session opened and closed its span, the kernel's own count
+    # is the tracer's, and none of it rode along on the results.
+    assert counts["session"] == 2 * len(pop)  # B + E span edges
+    assert counts["kernel.event"] == eng.sim.events_fired
+    assert sum(counts.values()) == len(events)
+    assert "metrics" not in pop.to_dict()
     for o in pop:
-        assert o.result.metrics["session"] == 2  # B + E span edges
-        assert o.result.metrics == tracer.session_snapshot(o.session_id)
-    agg = pop.aggregate_metrics()
-    assert agg["session"] == 2 * len(pop)
-    registry_snapshot = pop.metrics["_registry"]
-    total = sum(int(v)
-                for v in registry_snapshot["trace_events"].values())
-    assert total == len(events)
-    # Session durations were observed into the run-level histogram.
-    durations = next(iter(registry_snapshot["session_duration_s"].values()))
-    assert durations["count"] == 3
+        assert "metrics" not in o.result.to_dict()
 
 
 def test_trace_covers_every_layer():

@@ -78,9 +78,8 @@ def _outcome(i: int) -> dict:
             "result": {"completed": bool(i % 2)}}
 
 
-def _doc(indices: list[int], counts: dict[str, int]) -> dict:
-    return {"outcomes": [_outcome(i) for i in indices],
-            "metrics": counts}
+def _doc(indices: list[int]) -> dict:
+    return {"outcomes": [_outcome(i) for i in indices]}
 
 
 @st.composite
@@ -91,13 +90,7 @@ def _three_disjoint_docs(draw):
     parts: list[list[int]] = [[], [], []]
     for idx, lab in zip(indices, labels):
         parts[lab].append(idx)
-    keys = ["frames.sent", "rtcp.reports", "ctl.drops"]
-    docs = []
-    for part in parts:
-        counts = {k: draw(st.integers(0, 50))
-                  for k in draw(st.sets(st.sampled_from(keys)))}
-        docs.append(_doc(part, counts))
-    return docs
+    return [_doc(part) for part in parts]
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,14 +115,14 @@ def test_merge_associative_and_commutative(docs):
 
 
 def test_merge_rejects_duplicate_sessions():
-    a = _doc([1, 2], {})
-    b = _doc([2, 3], {})
+    a = _doc([1, 2])
+    b = _doc([2, 3])
     with pytest.raises(ValueError, match="duplicate session"):
         merge_population_docs(a, b)
 
 
 def test_merge_rejects_duplicate_cells():
-    cell = {"cell": 0, "population": _doc([1], {})}
+    cell = {"cell": 0, "population": _doc([1])}
     with pytest.raises(ValueError, match="duplicate cell"):
         merge_cell_docs([cell, dict(cell)])
 
@@ -195,6 +188,4 @@ def test_cell_scores_its_sessions_without_a_tracer():
         qoe = outcome["result"]["qoe"]
         assert qoe["session"] == outcome["session_id"]
         assert qoe["frames_played"] > 0 and qoe["score"] > 0
-        assert outcome["result"]["metrics"] == {}
-    assert doc["population"]["metrics"] == {}
     assert qoe_summary_of(doc["population"])["sessions"] == 4

@@ -100,11 +100,9 @@ def test_shared_flow_traces_and_metrics():
     assert counts.get("sflow.open") == 2
     assert counts.get("sflow.join") == 2
     assert counts.get("sflow.start") == 2
-    joins = sum(
-        int(c.value)
-        for labels, c in tracer.metrics.series("shared_flow_joins")
-    )
-    assert joins == 4
+    # the manager's own always-on counters say the same
+    manager = eng.servers["srv1"].shared_flows
+    assert (manager.flows_started, manager.joins) == (2, 4)
 
 
 def test_shared_flow_cuts_origin_egress():
@@ -137,8 +135,8 @@ def _cdn_engine(seed=5, tracer=None, **cfg):
 
 
 def test_sessions_land_on_their_regions_replica():
-    tracer = RecordingTracer()
-    eng = _cdn_engine(tracer=tracer)
+    eng = _cdn_engine()
+    series = eng.attach_timeseries().series
     srv = eng.servers["srv1"]
     # replicas were provisioned from the placement layer
     assert {ms.name for ms in srv.replicas["audsrv"]} == {
@@ -149,13 +147,10 @@ def test_sessions_land_on_their_regions_replica():
     r = eng.orchestrator.run_full_session("srv1", "doc",
                                           client_node="east-c1")
     assert r.completed
-    served = {
-        labels["server"]
-        for labels, c in tracer.metrics.series("media_streams_started")
-        if c.value > 0
-    }
+    served = {name for name, col in series.columns.items()
+              if name.startswith("streams.") and max(col.values) > 0}
     # both streams came from the east edge, none from the origin
-    assert served == {"audsrv@east", "vidsrv@east"}
+    assert served == {"streams.audsrv@east", "streams.vidsrv@east"}
 
 
 def test_replica_crash_fails_over_to_origin():
