@@ -133,7 +133,7 @@ class ServiceEngine:
         if cfg.loss_p_gb <= 0:
             return None
         return GilbertElliottLoss(
-            self.rng.stream(stream_name),
+            self.rng.stream(stream_name, private=True),
             p_gb=cfg.loss_p_gb, p_bg=cfg.loss_p_bg, loss_bad=cfg.loss_bad,
             sim=self.sim, name=stream_name,
         )
@@ -176,7 +176,7 @@ class ServiceEngine:
         self._traffic_nodes += 1
         node = f"xsrc{self._traffic_nodes}"
         self.topology.add_traffic_host(node)
-        rng = self.rng.stream(f"traffic:{node}")
+        rng = self.rng.stream(f"traffic:{node}", private=True)
         target = tc.target or self.CLIENT
         if tc.kind == "poisson":
             PoissonTrafficSource(

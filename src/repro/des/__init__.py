@@ -1,9 +1,9 @@
 """Deterministic discrete-event simulation kernel.
 
 This package is the concurrency substrate of the reproduction: every
-"process" of the 1996 service (media servers, playout threads, traffic
-sources, QoS managers) runs as a cooperative generator on a single
-event queue, giving bit-identical runs for identical seeds.
+"process" of the 1996 service (media servers, playout threads, QoS
+managers) runs as a cooperative generator on a single event queue,
+giving bit-identical runs for identical seeds.
 
 The design follows the classic process-interaction style (a minimal,
 from-scratch SimPy-alike): generators yield :class:`Event` objects and

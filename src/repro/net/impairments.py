@@ -12,6 +12,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.des.rng import block_draws
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des import Simulator
 
@@ -31,6 +33,9 @@ class GilbertElliottLoss:
     With defaults the stationary loss rate is
     ``pi_b * loss_bad + pi_g * loss_good`` where
     ``pi_b = p_gb / (p_gb + p_bg)``.
+
+    A decision takes two uniforms, transition then loss, from blocks of
+    ``rng`` (:func:`~repro.des.rng.block_draws`): no one else may draw.
     """
 
     def __init__(
@@ -43,15 +48,11 @@ class GilbertElliottLoss:
         sim: "Simulator | None" = None,
         name: str = "",
     ) -> None:
-        for name, v in (
-            ("p_gb", p_gb),
-            ("p_bg", p_bg),
-            ("loss_good", loss_good),
-            ("loss_bad", loss_bad),
-        ):
+        for param, v in dict(p_gb=p_gb, p_bg=p_bg, loss_good=loss_good,
+                             loss_bad=loss_bad).items():
             if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be a probability, got {v}")
-        self.rng = rng
+                raise ValueError(f"{param} must be a probability, got {v}")
+        self._uniform = block_draws(rng.random)
         self.p_gb = p_gb
         self.p_bg = p_bg
         self.loss_good = loss_good
@@ -81,16 +82,15 @@ class GilbertElliottLoss:
         hot path omit them when tracing is off so the untraced cost
         stays a plain ``is_lost()`` call.
         """
+        uniform = self._uniform
         was_bad = self.in_bad
-        if self.in_bad:
-            if self.rng.random() < self.p_bg:
+        if was_bad:
+            if uniform() < self.p_bg:
                 self.in_bad = False
-        else:
-            if self.rng.random() < self.p_gb:
-                self.in_bad = True
-        p = self.loss_bad if self.in_bad else self.loss_good
+        elif uniform() < self.p_gb:
+            self.in_bad = True
         self.decisions += 1
-        lost = bool(self.rng.random() < p)
+        lost = uniform() < (self.loss_bad if self.in_bad else self.loss_good)
         if lost:
             self.losses += 1
         sim = self.sim

@@ -9,6 +9,14 @@ paper's recovery mechanisms must act:
 * :class:`OnOffTrafficSource` — exponential ON/OFF bursts sending at
   peak rate during ON periods; superpositions of these produce the
   bursty, correlated load broadband links actually see.
+
+Most packets of an impaired run are background, so a source is priced
+like the data path it loads: a chain of ``call_later`` callbacks (no
+process, no event object per packet), exponential lengths read from its
+stream in blocks (:func:`~repro.des.rng.block_draws`: the stream must
+be the source's alone), each packet built here and offered to the link
+the route table names. A source only sends: it binds no port, and its
+packets are discarded at the target's port 9.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.des import Simulator
-from repro.net.channel import DatagramSocket
+from repro.des.rng import block_draws
+from repro.net.packet import Packet
 from repro.net.topology import Network
 
 __all__ = ["PoissonTrafficSource", "OnOffTrafficSource"]
@@ -30,45 +39,45 @@ class _TrafficBase:
         dst: str,
         rng: np.random.Generator,
         packet_bytes: int = 1000,
-        port: int = 9,
         flow_id: str = "",
         start_at: float = 0.0,
         stop_at: float = float("inf"),
     ) -> None:
+        if src == dst:
+            raise ValueError(f"traffic source {src!r} targets itself")
         self.network = network
         self.sim: Simulator = network.sim
         self.src = src
         self.dst = dst
-        self.rng = rng
         self.packet_bytes = packet_bytes
         self.flow_id = flow_id or f"xtraffic:{src}->{dst}"
         self.start_at = start_at
         self.stop_at = stop_at
         self.packets_sent = 0
-        self._socket = DatagramSocket(network, src, port=self._free_port(port))
-        self.sim.process(self._run(), name=self.flow_id)
+        #: triggers when the source has stopped for good; its heap entry
+        #: is one of the events every pinned run counts
+        self.done = self.sim.event()
+        #: unit-mean exponential lengths, scaled where they are used
+        self._draw = block_draws(rng.standard_exponential)
+        #: the node's next-link table, which the network edits in place
+        self._out = network._out_links[src]
+        self.sim.call_later(0.0, self._start)
 
-    def _free_port(self, base: int) -> int:
-        node = self.network.node(self.src)
-        port = base
-        while port in node._ports:
-            port += 1
-        return port
+    def _start(self) -> None:
+        if self.start_at > 0:
+            self.sim.call_later(self.start_at, self._cycle)
+        else:
+            self._cycle()
 
     def _emit(self) -> None:
         self.packets_sent += 1
-        self._socket.sendto(
-            self.dst,
-            dst_port=9,
-            size_bytes=self.packet_bytes,
-            protocol="UDP",
-            flow_id=self.flow_id,
-            seq=self.packets_sent,
-        )
-
-    def _run(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-        yield
+        dst = self.dst
+        out = self._out
+        if dst not in out:
+            self.network._route(self.src, dst)
+        out[dst].enqueue(Packet(
+            self.src, dst, self.packet_bytes, "UDP", self.flow_id, 9,
+            seq=self.packets_sent, created_at=self.sim._now))
 
 
 class PoissonTrafficSource(_TrafficBase):
@@ -80,20 +89,16 @@ class PoissonTrafficSource(_TrafficBase):
         self.rate_bps = rate_bps
         super().__init__(network, src, dst, rng, **kw)
 
-    @property
-    def mean_interarrival_s(self) -> float:
-        return self.packet_bytes * 8.0 / self.rate_bps
-
-    def _run(self):
-        if self.start_at > 0:
-            yield self.sim.timeout(self.start_at)
-        while self.sim.now < self.stop_at:
-            yield self.sim.timeout(
-                float(self.rng.exponential(self.mean_interarrival_s))
-            )
-            if self.sim.now >= self.stop_at:
-                break
-            self._emit()
+    def _cycle(self, arrival: bool = False) -> None:
+        """Send the arrival that fell due, if one did, and draw the next."""
+        sim = self.sim
+        if sim._now < self.stop_at:
+            if arrival:
+                self._emit()
+            mean = self.packet_bytes * 8.0 / self.rate_bps
+            sim.call_later(mean * self._draw(), self._cycle, True)
+        else:
+            self.done.succeed()
 
 
 class OnOffTrafficSource(_TrafficBase):
@@ -127,14 +132,20 @@ class OnOffTrafficSource(_TrafficBase):
         duty = self.on_mean_s / (self.on_mean_s + self.off_mean_s)
         return self.peak_rate_bps * duty
 
-    def _run(self):
-        interval = self.packet_bytes * 8.0 / self.peak_rate_bps
-        if self.start_at > 0:
-            yield self.sim.timeout(self.start_at)
-        while self.sim.now < self.stop_at:
-            on_len = float(self.rng.exponential(self.on_mean_s))
-            burst_end = self.sim.now + on_len
-            while self.sim.now < burst_end and self.sim.now < self.stop_at:
-                self._emit()
-                yield self.sim.timeout(interval)
-            yield self.sim.timeout(float(self.rng.exponential(self.off_mean_s)))
+    def _cycle(self) -> None:
+        now = self.sim._now
+        if now < self.stop_at:
+            self._burst(now + self.on_mean_s * self._draw())
+        else:
+            self.done.succeed()
+
+    def _burst(self, end: float) -> None:
+        """Send at peak rate until ``end`` or ``stop_at``, whichever is
+        first; an OFF period follows either way."""
+        sim = self.sim
+        if sim._now < end and sim._now < self.stop_at:
+            self._emit()
+            sim.call_later(self.packet_bytes * 8.0 / self.peak_rate_bps,
+                           self._burst, end)
+        else:
+            sim.call_later(self.off_mean_s * self._draw(), self._cycle)

@@ -18,7 +18,7 @@ import os
 import sys
 
 import repro.obs
-from repro.core.config import EngineConfig
+from repro.core.config import EngineConfig, TrafficConfig
 from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.obs.flightrec import FlightRecorder
@@ -42,6 +42,12 @@ RING_EVENT_BUDGET = 5.5
 #: extra Python calls per tick of the DES-clock sampler. 30.3 measured
 #: (+424 calls over 14 ticks of 0.25 s).
 SAMPLER_TICK_BUDGET = 31.0
+#: Python calls one cross-traffic packet costs, from the source's tick
+#: through two links to the discard at the target's port 9. 19.04
+#: measured (4,818 calls for 253 packets: 7 at the source, 6 a hop);
+#: 29.11 (7,364) while a source was a generator process with a
+#: ``Timeout`` per packet sending through a ``DatagramSocket``.
+XTRAFFIC_PACKET_BUDGET = 19.5
 
 _OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 
@@ -115,6 +121,38 @@ def test_watching_costs_a_counted_number_of_calls():
     per_tick = (sampled[0] - plain) / sampled[3]
     assert per_tick <= SAMPLER_TICK_BUDGET, (sampled, plain)
     assert _profiled_run(sampler=True) == sampled
+
+
+def _profiled_background(traffic):
+    """Python calls of 3 s of an engine nobody uses, and the packets its
+    default client discarded."""
+    eng = ServiceEngine(EngineConfig(seed=7, traffic=traffic))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    sys.setprofile(count)
+    try:
+        eng.sim.run(until=3.0)
+    finally:
+        sys.setprofile(None)
+    return calls, eng.network.node(eng.CLIENT).rx_discarded
+
+
+def test_a_cross_traffic_packet_costs_a_counted_number_of_calls():
+    source = [TrafficConfig(kind="poisson", rate_bps=1.5e6,
+                            packet_bytes=1500, start_at=0.5, stop_at=2.5)]
+    _profiled_background(source)  # fill the caches
+    idle = _profiled_background([])
+    assert idle == (1, 0)  # Simulator.run itself
+    calls, packets = _profiled_background(source)
+    assert packets == 253
+    assert (calls - idle[0]) / packets <= XTRAFFIC_PACKET_BUDGET, calls
+    assert _profiled_background(source) == (calls, packets)
 
 
 def test_the_tap_holds_nothing_that_grows_with_packets():
