@@ -11,11 +11,11 @@ broadband network" serving many users (§2). Two sweeps:
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_population_scaling, run_scaling_experiment
+from repro.core.experiments import run
 
 
 def test_e10_session_scaling(report, once):
-    headers, rows = once(run_scaling_experiment)
+    headers, rows = once(run, "e10")
     report("e10_scaling",
            render_table("E10 — concurrent viewers on an 8 Mb/s access "
                         "(each needs ~1.6 Mb/s)", headers, rows))
@@ -34,8 +34,8 @@ def test_e10_session_scaling(report, once):
 
 
 def test_e10b_population_scaling(report, once):
-    shared_headers, shared_rows = run_scaling_experiment()
-    headers, rows = once(run_population_scaling)
+    shared_headers, shared_rows = run("e10")
+    headers, rows = once(run, "e10b")
     report("e10b_population_scaling",
            render_table("E10b — the same viewers on per-client 8 Mb/s "
                         "access links", headers, rows)

@@ -8,12 +8,12 @@ frame).
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_atm_comparison
+from repro.core.experiments import run
 from repro.net.atm import CELL_BYTES, CELL_PAYLOAD_BYTES
 
 
 def test_e11_atm_access(report, once):
-    headers, rows = once(run_atm_comparison)
+    headers, rows = once(run, "e11")
     report("e11_atm",
            render_table("E11 — plain vs ATM access link "
                         f"(53-byte cells, {CELL_PAYLOAD_BYTES}B payload; "

@@ -6,11 +6,11 @@ does not fit at full quality can still be admitted at a reduced one.
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_negotiation_experiment
+from repro.core.experiments import run
 
 
 def test_e12_negotiation(report, once):
-    headers, rows = once(run_negotiation_experiment)
+    headers, rows = once(run, "e12")
     report("e12_negotiation",
            render_table("E12 — admission with/without a negotiation floor "
                         "(20 Mb/s capacity, 2 Mb/s requests, 0.5 Mb/s floor)",

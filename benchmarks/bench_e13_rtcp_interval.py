@@ -7,11 +7,11 @@ event-triggered) interval: reaction speed vs. control overhead.
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_rtcp_interval_ablation
+from repro.core.experiments import run
 
 
 def test_e13_rtcp_interval(report, once):
-    headers, rows = once(run_rtcp_interval_ablation)
+    headers, rows = once(run, "e13")
     report("e13_rtcp_interval",
            render_table("E13 — feedback interval vs grading reaction "
                         "(congestion starts at t=5 s)", headers, rows))

@@ -7,11 +7,11 @@ latency for smoothness; too-small windows gap.
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_time_window_sweep
+from repro.core.experiments import run
 
 
 def test_e1_time_window_sweep(report, once):
-    headers, rows = once(run_time_window_sweep)
+    headers, rows = once(run, "e1")
     report("e1_time_window",
            render_table("E1 — media time window vs presentation quality "
                         "(bursty 12 Mb/s cross traffic on a 10 Mb/s access)",

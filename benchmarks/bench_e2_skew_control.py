@@ -7,11 +7,11 @@ synchronization" — the short-term recovery method.
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_skew_control_matrix
+from repro.core.experiments import run
 
 
 def test_e2_skew_control(report, once):
-    headers, rows = once(run_skew_control_matrix)
+    headers, rows = once(run, "e2")
     report("e2_skew_control",
            render_table("E2 — intermedia skew with/without the short-term "
                         "controller (bursty congestion, deep queues)",

@@ -6,11 +6,11 @@ affects the other users".
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_admission_sweep
+from repro.core.experiments import run
 
 
 def test_e4_admission_by_contract(report, once):
-    headers, rows = once(run_admission_sweep)
+    headers, rows = once(run, "e4")
     report("e4_admission",
            render_table("E4 — admit rate by pricing class vs offered load "
                         "(20 Mb/s capacity, 2 Mb/s per session)",

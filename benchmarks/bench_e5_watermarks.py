@@ -8,11 +8,11 @@ should drop frames to decrease the buffer's data."
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_watermark_comparison
+from repro.core.experiments import run
 
 
 def test_e5_watermarks(report, once):
-    headers, rows = once(run_watermark_comparison)
+    headers, rows = once(run, "e5")
     report("e5_watermarks",
            render_table("E5 — watermark monitoring under a rate-deficit "
                         "phase followed by a 2x delivery burst",

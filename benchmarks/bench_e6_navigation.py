@@ -8,11 +8,11 @@ and the attached client is informed about the event."
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_navigation_grace
+from repro.core.experiments import run
 
 
 def test_e6_suspend_grace(report, once):
-    headers, rows = once(run_navigation_grace)
+    headers, rows = once(run, "e6")
     report("e6_navigation",
            render_table("E6 — returning to a suspended connection "
                         "(grace interval 5 s)", headers, rows))

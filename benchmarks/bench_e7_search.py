@@ -6,11 +6,11 @@ and the server location are transmitted and presented to the user".
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_search_experiment
+from repro.core.experiments import run
 
 
 def test_e7_distributed_search(report, once):
-    headers, rows = once(run_search_experiment)
+    headers, rows = once(run, "e7")
     report("e7_search",
            render_table("E7 — distributed search over two Hermes servers",
                         headers, rows))

@@ -8,11 +8,11 @@ audio-first and type-agnostic orderings.
 """
 
 from repro.analysis import render_table
-from repro.core.experiments import run_grading_order_ablation
+from repro.core.experiments import run
 
 
 def test_e8_grading_order(report, once):
-    headers, rows = once(run_grading_order_ablation)
+    headers, rows = once(run, "e8")
     report("e8_grading_order",
            render_table("E8 — ablation of the degrade ordering under a "
                         "congestion epoch", headers, rows))

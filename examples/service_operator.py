@@ -14,11 +14,7 @@ Run:  python examples/service_operator.py
 from repro.analysis import render_table
 from repro.core import EngineConfig, ServiceEngine
 from repro.net import CoreNetworkLayer
-from repro.core.experiments import (
-    av_markup,
-    run_admission_sweep,
-    run_negotiation_experiment,
-)
+from repro.core.experiments import av_markup, run
 
 
 #: a single self-contained A/V document, no outgoing links
@@ -57,12 +53,12 @@ def main() -> None:
 
     # 2. Admission by pricing class under overload.
     print("\nAdmission control: 'a user who pays more should be serviced'\n")
-    headers, rows = run_admission_sweep()
+    headers, rows = run("e4")
     print(render_table("Admit rates by contract class", headers, rows))
 
     # 3. Negotiation: serve everyone, each at the quality that fits.
     print("\nQoS negotiation (0.5 Mb/s floors, [KRI 94] renegotiation)\n")
-    headers, rows = run_negotiation_experiment()
+    headers, rows = run("e12")
     print(render_table("Admission with/without negotiation", headers, rows))
     print("\nWith negotiation the service never turns a paying user away "
           "while any floor-quality capacity remains — it renegotiates "

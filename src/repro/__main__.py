@@ -14,7 +14,7 @@ from typing import Any, Callable, NoReturn
 
 from repro.analysis import Reporter
 from repro.core import ServiceEngine
-from repro.core.experiments import EXPERIMENTS, FIGURES, av_markup
+from repro.core.experiments import EXPERIMENTS, FIGURES, av_markup, run
 from repro.ioutil import UsageError
 
 __all__ = ["EXPERIMENTS", "FIGURES", "build_parser", "main"]
@@ -22,7 +22,7 @@ __all__ = ["EXPERIMENTS", "FIGURES", "build_parser", "main"]
 
 def _list(report: Reporter) -> int:
     report.table("experiments", ["key", "title"],
-                 [[k, title] for k, (_, title) in EXPERIMENTS.items()])
+                 [[k, exp.title] for k, exp in EXPERIMENTS.items()])
     report.table("figures", ["key", "title"],
                  [[k, entry[0]] for k, entry in FIGURES.items()])
     return 0
@@ -30,9 +30,8 @@ def _list(report: Reporter) -> int:
 
 def _run(report: Reporter, *, target: str) -> int:
     if target in EXPERIMENTS:
-        fn, title = EXPERIMENTS[target]
-        out = fn()
-        report.table(f"{target.upper()} — {title}", out[0], out[1])
+        report.table(f"{target.upper()} — {EXPERIMENTS[target].title}",
+                     *run(target))
     else:
         _, title, headers, produce = FIGURES[target]
         if headers is None:

@@ -1,6 +1,6 @@
 """Result analysis, report rendering, and the static-analysis engine.
 
-Besides the experiment-harness helpers (stats, tables, trace series),
+Besides the experiment-harness helpers (stats, tables),
 this package hosts the unified static-analysis subsystem: a shared
 diagnostics engine (:mod:`repro.analysis.diagnostics`) with two rule
 families — the HML scenario analyzer
@@ -34,14 +34,8 @@ from repro.analysis.scenario_rules import (
     bandwidth_profile,
     check_bandwidth,
 )
-from repro.analysis.stats import mean_ci, summarize
+from repro.analysis.stats import mean_ci
 from repro.analysis.tables import render_series, render_table
-from repro.analysis.traces import (
-    event_rate_series,
-    gap_timeline,
-    occupancy_series,
-    staircase_at,
-)
 
 __all__ = [
     "PY_RULES",
@@ -62,21 +56,16 @@ __all__ = [
     "analyze_set",
     "bandwidth_profile",
     "check_bandwidth",
-    "event_rate_series",
     "exit_code",
     "extract_emit_sites",
-    "gap_timeline",
     "github_annotations",
     "lint_file",
     "lint_paths",
     "lint_source",
     "load_program",
     "mean_ci",
-    "occupancy_series",
     "render_diagnostics",
     "render_series",
     "render_table",
-    "staircase_at",
-    "summarize",
     "summarize_diagnostics",
 ]

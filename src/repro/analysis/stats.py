@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mean_ci", "summarize"]
+__all__ = ["mean_ci"]
 
 
 def mean_ci(values, confidence: float = 0.95) -> tuple[float, float]:
@@ -21,15 +21,3 @@ def mean_ci(values, confidence: float = 0.95) -> tuple[float, float]:
     half = float(sem * sstats.t.ppf((1 + confidence) / 2.0, arr.size - 1))
     return mean, half
 
-
-def summarize(values) -> dict[str, float]:
-    """Mean / median / p95 / max of a sample (0s when empty)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return {"mean": 0.0, "median": 0.0, "p95": 0.0, "max": 0.0}
-    return {
-        "mean": float(arr.mean()),
-        "median": float(np.median(arr)),
-        "p95": float(np.percentile(arr, 95)),
-        "max": float(arr.max()),
-    }

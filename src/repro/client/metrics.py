@@ -155,9 +155,6 @@ class PlayoutEventLog:
                               **extra)
 
     # -- selections -----------------------------------------------------
-    def for_stream(self, stream_id: str) -> list[PlayoutEvent]:
-        return [e for e in self.events if e.stream_id == stream_id]
-
     def count(self, kind: PlayoutEventKind, stream_id: str | None = None) -> int:
         return sum(
             1

@@ -275,30 +275,16 @@ class SessionOrchestrator:
         horizon_s: float = 600.0,
         client_node: str | None = None,
     ) -> SessionResult:
-        """Script a complete session: connect → request → view → bye."""
-        server = self.engine.servers[server_name]
-        client, handler = self.engine.open_session(
-            server_name, user_id, secret, client_node=client_node
-        )
-        result_box: dict[str, Any] = {}
-        proc = self.sim.process(
-            self._session_script(client, handler, server, document,
-                                 result_box, contract, subscribe_first,
-                                 client_node=client_node),
-            name="scripted-session",
-        )
-        guard = self.sim.any_of([proc, self.sim.timeout(horizon_s)])
-        self.sim.run(until=guard)
-        if not proc.triggered:
-            return SessionResult(document=document, completed=False,
-                                 startup_latency_s=None, charge=0.0,
-                                 events=["horizon reached"])
-        self.sim.run(until=self.sim.now + 1.0)
-        if "error" in result_box:
-            return SessionResult(document=document, completed=False,
-                                 startup_latency_s=None, charge=0.0,
-                                 events=[result_box["error"]])
-        return self._result_from_box(result_box, document)
+        """Script a complete session: connect → request → view → bye.
+
+        A workload of one: same script, horizon guard and scored
+        ``qoe`` as :meth:`run_workload`.
+        """
+        return self.run_workload([SessionSpec(
+            server=server_name, document=document, user_id=user_id,
+            secret=secret, contract=contract,
+            subscribe_first=subscribe_first, client_node=client_node,
+        )], horizon_s=horizon_s)[0].result
 
     # -- concurrent viewers on shared or separate hosts ---------------------
     def run_concurrent_sessions(

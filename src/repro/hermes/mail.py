@@ -68,9 +68,6 @@ class Mailbox:
     address: str
     messages: list[MailMessage] = field(default_factory=list)
 
-    def unread_from(self, sender: str) -> list[MailMessage]:
-        return [m for m in self.messages if m.sender == sender]
-
     def thread(self, root_id: int) -> list[MailMessage]:
         """Root message plus all (transitively) linked replies."""
         ids = {root_id}

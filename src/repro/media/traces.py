@@ -101,10 +101,6 @@ class MediaTrace:
     def sizes(self) -> np.ndarray:
         return np.array([f.size_bytes for f in self.frames], dtype=np.int64)
 
-    def media_times_s(self) -> np.ndarray:
-        times = np.array([f.media_time for f in self.frames], dtype=np.float64)
-        return times / self.clock_rate
-
 
 def _ar1_lognormal_multipliers(
     n: int, rng: np.random.Generator, rho: float, sigma: float

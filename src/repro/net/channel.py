@@ -168,10 +168,6 @@ class ReliableSender:
     def in_flight(self) -> int:
         return self._next - self._base
 
-    @property
-    def backlog_segments(self) -> int:
-        return len(self._segments) - self._base
-
     def close(self) -> None:
         self._closed = True
         self._timer_token += 1

@@ -28,7 +28,6 @@ __all__ = [
     "TRACE_CATALOGUE",
     "lookup",
     "kinds_matching",
-    "catalogue_rows",
 ]
 
 #: per-packet / per-frame firehose — guarded on ``sim._tracing_detail``
@@ -254,12 +253,3 @@ def kinds_matching(prefix: str, phase: str = "i") -> list[KindSpec]:
     """
     return [s for (k, p), s in sorted(TRACE_CATALOGUE.items())
             if p == phase and k.startswith(prefix)]
-
-
-def catalogue_rows() -> list[list[str]]:
-    """``[kind, phase, tier, required, optional, doc]`` table rows."""
-    return [
-        [s.kind, s.phase, s.tier,
-         " ".join(sorted(s.required)), " ".join(sorted(s.optional)), s.doc]
-        for (_k, _p), s in sorted(TRACE_CATALOGUE.items())
-    ]

@@ -12,7 +12,7 @@ This package implements the subset actually exercised:
   sequence, jitter, mean delay) emitted on a configurable interval.
 """
 
-from repro.rtp.packets import RtpPacket, RtcpReceiverReport, RtcpSenderReport
+from repro.rtp.packets import RtpPacket, RtcpReceiverReport
 from repro.rtp.jitter import InterarrivalJitterEstimator
 from repro.rtp.session import RtpReceiver, RtpSender, RtpReceiverStats
 from repro.rtp.rtcp import RtcpReporter, RtcpSink
@@ -21,7 +21,6 @@ __all__ = [
     "InterarrivalJitterEstimator",
     "RtcpReceiverReport",
     "RtcpReporter",
-    "RtcpSenderReport",
     "RtcpSink",
     "RtpPacket",
     "RtpReceiver",

@@ -17,7 +17,6 @@ __all__ = [
     "RTCP_RR_BYTES",
     "SEQ_MODULUS",
     "RtpPacket",
-    "RtcpSenderReport",
     "RtcpReceiverReport",
 ]
 
@@ -73,17 +72,6 @@ class RtpPacket(_RtpFields):
     @property
     def size_bytes(self) -> int:
         return self.payload_bytes + RTP_HEADER_BYTES
-
-
-@dataclass(frozen=True, slots=True)
-class RtcpSenderReport:
-    """Sender report: what the source has emitted so far."""
-
-    ssrc: int
-    rtp_timestamp: int
-    packet_count: int
-    octet_count: int
-    sent_at: float
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import mean_ci, render_series, render_table, summarize
+from repro.analysis import mean_ci, render_series, render_table
 
 
 # ----------------------------------------------------------------- stats
@@ -23,16 +23,6 @@ def test_mean_ci_wider_at_higher_confidence():
     _, h95 = mean_ci(data, confidence=0.95)
     _, h99 = mean_ci(data, confidence=0.99)
     assert h99 > h95
-
-
-def test_summarize():
-    s = summarize(range(1, 101))
-    assert s["mean"] == pytest.approx(50.5)
-    assert s["median"] == pytest.approx(50.5)
-    assert s["p95"] == pytest.approx(95.05)
-    assert s["max"] == 100.0
-    empty = summarize([])
-    assert empty == {"mean": 0.0, "median": 0.0, "p95": 0.0, "max": 0.0}
 
 
 # ----------------------------------------------------------------- tables

@@ -26,11 +26,28 @@ def subcommands(parser: argparse.ArgumentParser) -> dict:
 # -- the registry -------------------------------------------------------------
 
 def test_every_runner_is_registered_exactly_once():
-    runners = [getattr(experiments, name) for name in experiments.__all__
-               if name.startswith("run_")]
-    registered = [fn for fn, _title in EXPERIMENTS.values()]
-    assert sorted(map(id, registered)) == sorted(map(id, runners))
     assert len(EXPERIMENTS) == 14
+    # no key declares what another already does; E10 / E10b are the one
+    # pair that shares a job (they differ in the placement axis)
+    declared = [(exp.job, exp.cases) for exp in EXPERIMENTS.values()]
+    assert all(declared.count(d) == 1 for d in declared)
+    assert len({job for job, _ in declared}) == 13
+    assert EXPERIMENTS["e10"].job is EXPERIMENTS["e10b"].job
+    # ... and no job sits in the module unregistered
+    jobs = {fn for name, fn in vars(experiments).items()
+            if re.fullmatch(r"_e\d+", name)}
+    assert jobs == {job for job, _ in declared}
+
+
+# the five that run no network simulation (well under a second together)
+@pytest.mark.parametrize("key", ["e4", "e5", "e6", "e7", "e12"])
+def test_run_is_one_row_per_case_and_repeatable(key):
+    exp = EXPERIMENTS[key]
+    headers, rows = experiments.run(key)
+    assert headers == exp.headers
+    assert len(rows) == len(exp.cases) * len(exp.job(**exp.cases[0]))
+    assert all(len(row) == len(headers) for row in rows)
+    assert experiments.run(key)[1] == rows
 
 
 @pytest.mark.parametrize("key", ["e12", "e13"])

@@ -1,6 +1,6 @@
 """End-to-end integration tests of the full service engine."""
 
-from repro.core import EngineConfig, ServiceEngine, TrafficConfig
+from repro.core import EngineConfig, ServiceEngine, SessionSpec, TrafficConfig
 from repro.hml.examples import figure2_markup
 from repro.hml import DocumentBuilder, serialize
 
@@ -86,6 +86,23 @@ def test_deterministic_replay():
                 r.total_gaps(), round(r.worst_skew_s(), 9))
 
     assert run() == run()
+
+
+def test_single_session_is_a_workload_of_one():
+    single = engine_with_doc(small_av_markup(), EngineConfig(seed=42))
+    result = single.orchestrator.run_full_session("srv1", "doc1")
+    assert result.completed and result.qoe["score"] > 90
+    workload = engine_with_doc(small_av_markup(), EngineConfig(seed=42))
+    (outcome,) = workload.orchestrator.run_workload(
+        [SessionSpec(server="srv1", document="doc1")])
+    assert result.to_dict() == outcome.result.to_dict()
+
+
+def test_session_cut_by_the_horizon_is_not_completed():
+    eng = engine_with_doc(small_av_markup())
+    result = eng.orchestrator.run_full_session("srv1", "doc1", horizon_s=2.0)
+    assert not result.completed
+    assert "score" in result.qoe
 
 
 def test_two_servers_with_search():

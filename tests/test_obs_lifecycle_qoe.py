@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro.analysis.traces import hop_latency_series
 from repro.core import ServiceEngine
 from repro.core.config import EngineConfig
 from repro.core.experiments import av_markup
@@ -255,18 +254,6 @@ def test_hop_latency_summary_counts_terminals():
     assert summary["terminals"] == {"played": 2, "lost": 1}
     assert summary["network_s"]["count"] == 2
     assert summary["total_s"]["mean"] == pytest.approx(0.150)
-
-
-def test_hop_latency_series_bins_mean_latency():
-    spans = correlate_frames(
-        _frame_events(seq=0, t0=0.0) + _frame_events(seq=1, t0=2.5))
-    series = hop_latency_series(spans, hop="total_s", bin_s=1.0)
-    assert len(series) == 3
-    assert series[0][1] == pytest.approx(0.150)
-    assert series[1][1] == 0.0  # empty bin included
-    assert series[2][1] == pytest.approx(0.150)
-    with pytest.raises(ValueError):
-        hop_latency_series(spans, bin_s=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,5 @@
-"""Tests for cross-server document redirects and trace analysis."""
+"""Tests for cross-server document redirects."""
 
-import pytest
-
-from repro.analysis.traces import (
-    event_rate_series,
-    gap_timeline,
-    occupancy_series,
-    staircase_at,
-)
-from repro.client.metrics import PlayoutEventKind, PlayoutEventLog
 from repro.core import ServiceEngine
 from repro.core.experiments import av_markup
 
@@ -70,76 +61,3 @@ def test_locate_document_directory():
     assert s1.locate_document("a") == "srv1"
     assert s1.locate_document("b") == "srv2"
     assert s1.locate_document("zzz") is None
-
-
-# ------------------------------------------------------------- traces
-def sample_log():
-    log = PlayoutEventLog()
-    for i in range(10):
-        log.record(i * 0.1, "v", PlayoutEventKind.FRAME)
-    log.record(0.35, "v", PlayoutEventKind.GAP)
-    log.record(0.95, "v", PlayoutEventKind.GAP)
-    log.record(0.5, "a", PlayoutEventKind.GAP)
-    return log
-
-
-def test_gap_timeline_filters_by_stream():
-    log = sample_log()
-    assert gap_timeline(log, "v") == [0.35, 0.95]
-    assert gap_timeline(log, "a") == [0.5]
-    assert gap_timeline(log, "zzz") == []
-
-
-def test_event_rate_series_bins():
-    log = sample_log()
-    series = event_rate_series(log, "v", PlayoutEventKind.GAP, bin_s=0.5)
-    assert sum(c for _, c in series) == 2
-    assert series[0][1] == 1  # the 0.35 gap in the first bin
-    assert event_rate_series(log, "none", PlayoutEventKind.GAP) == []
-    with pytest.raises(ValueError):
-        event_rate_series(log, "v", PlayoutEventKind.GAP, bin_s=0)
-
-
-def test_event_rate_series_single_instant_gets_one_bin():
-    log = PlayoutEventLog()
-    log.record(2.0, "v", PlayoutEventKind.FRAME)
-    log.record(2.0, "v", PlayoutEventKind.GAP)
-    series = event_rate_series(log, "v", PlayoutEventKind.GAP, bin_s=1.0)
-    assert series == [(2.0, 1)]
-    frames = event_rate_series(log, "v", PlayoutEventKind.FRAME, bin_s=0.25)
-    assert frames == [(2.0, 1)]
-
-
-def test_event_rate_series_exact_multiple_span():
-    log = PlayoutEventLog()
-    log.record(0.0, "v", PlayoutEventKind.FRAME)
-    log.record(2.0, "v", PlayoutEventKind.FRAME)
-    series = event_rate_series(log, "v", PlayoutEventKind.FRAME, bin_s=1.0)
-    # Span of exactly 2.0 s at 1.0 s bins keeps its historical 3-bin
-    # shape (the epsilon guard rounds the boundary up, so the last
-    # event never falls off the final edge).
-    assert len(series) == 3
-    assert sum(c for _, c in series) == 2
-
-
-def test_occupancy_series_zero_order_hold():
-    samples = [(0.0, 1.0), (1.0, 3.0), (2.5, 0.5)]
-    series = occupancy_series(samples, step_s=0.5)
-    d = dict(series)
-    assert d[0.0] == 1.0
-    assert d[0.5] == 1.0  # holds until the next sample
-    assert d[1.0] == 3.0
-    assert d[2.0] == 3.0
-    assert d[2.5] == 0.5
-    assert occupancy_series([], 0.5) == []
-    with pytest.raises(ValueError):
-        occupancy_series(samples, step_s=0)
-
-
-def test_staircase_at():
-    traj = [(1.0, 1), (5.0, 2), (9.0, 1)]
-    assert staircase_at(traj, 0.5) == 0.0
-    assert staircase_at(traj, 1.0) == 1
-    assert staircase_at(traj, 7.0) == 2
-    assert staircase_at(traj, 100.0) == 1
-    assert staircase_at([], 5.0, initial=3.0) == 3.0
