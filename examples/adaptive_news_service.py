@@ -19,7 +19,6 @@ Run:  python examples/adaptive_news_service.py
 from repro.analysis import render_series, render_table
 from repro.core import EngineConfig, ServiceEngine, TrafficConfig
 from repro.hml import DocumentBuilder, serialize
-from repro.net import CoreNetworkLayer
 from repro.server.qos_manager import GradingPolicy
 
 
@@ -59,7 +58,7 @@ def main() -> None:
         traffic=[TrafficConfig(kind="poisson", rate_bps=1.4e6,
                                start_at=8.0, stop_at=20.0)],
     )
-    engine = ServiceEngine(cfg, layers=[CoreNetworkLayer()])
+    engine = ServiceEngine(cfg)
     engine.add_server("news-srv",
                       documents={"bulletin": (news_bulletin(duration),
                                               "news")})

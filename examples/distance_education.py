@@ -10,7 +10,6 @@ Run:  python examples/distance_education.py
 from repro.analysis import render_table
 from repro.hermes import Attachment, HermesService, MailMessage, make_course
 from repro.hml import serialize
-from repro.net import CoreNetworkLayer
 
 #: each course links only within itself; both are fully authored here
 SCENARIO_CLOSED = True
@@ -28,7 +27,7 @@ def scenario_documents() -> dict[str, str]:
 
 
 def main() -> None:
-    svc = HermesService(layers=[CoreNetworkLayer()])
+    svc = HermesService()
     svc.add_hermes_server(
         "hermes-nets",
         "Lessons on computer networking and the Internet",

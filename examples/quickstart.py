@@ -9,7 +9,6 @@ from repro.analysis import render_table
 from repro.core import ServiceEngine
 from repro.hml import DocumentBuilder, parse, serialize, validate_document
 from repro.model import PresentationScenario, ascii_timeline
-from repro.net import CoreNetworkLayer
 
 #: the link target lives on another (unsimulated) server
 SCENARIO_CLOSED = False
@@ -56,10 +55,9 @@ def main() -> None:
 
     # 4. Deliver it through the full service: admission, flow
     #    scheduling, parallel RTP streams, client buffering, playout.
-    #    The topology is a declarative layer stack; a bare core layer
-    #    is the paper's single star (see repro.net.cdn_stack for the
-    #    multi-region POP/replica variant).
-    engine = ServiceEngine(layers=[CoreNetworkLayer()])
+    #    The default topology is the paper's single star; pass
+    #    layers=repro.net.cdn_stack() for regional POPs with replicas.
+    engine = ServiceEngine()
     engine.add_server("srv1", documents={"welcome": (markup, "demo")})
     result = engine.orchestrator.run_full_session("srv1", "welcome")
 

@@ -13,7 +13,6 @@ Run:  python examples/service_operator.py
 
 from repro.analysis import render_table
 from repro.core import EngineConfig, ServiceEngine
-from repro.net import CoreNetworkLayer
 from repro.core.experiments import av_markup, run
 
 
@@ -35,8 +34,7 @@ def main() -> None:
     rows = []
     for n in (1, 4, 8):
         eng = ServiceEngine(EngineConfig(access_rate_bps=8e6,
-                                         admission_capacity_bps=100e6),
-                            layers=[CoreNetworkLayer()])
+                                         admission_capacity_bps=100e6))
         eng.add_server("srv1", documents={"doc": (av_markup(8.0), "demo")})
         results = eng.orchestrator.run_concurrent_sessions("srv1", "doc", n,
                                               stagger_s=0.25)

@@ -12,7 +12,6 @@ Run:  python examples/virtual_gallery.py
 
 from repro.core import EngineConfig, ServiceEngine
 from repro.hml import DocumentBuilder, serialize
-from repro.net import CoreNetworkLayer
 from repro.server.accounts import SubscriptionForm
 from repro.service import SessionState
 
@@ -49,7 +48,7 @@ def scenario_documents() -> dict[str, str]:
 
 def main() -> None:
     cfg = EngineConfig(suspend_grace_s=20.0)
-    engine = ServiceEngine(cfg, layers=[CoreNetworkLayer()])
+    engine = ServiceEngine(cfg)
     docs = scenario_documents()
     engine.add_server("museo-uno", documents={
         "room-a": (docs["room-a"], "galleries"),

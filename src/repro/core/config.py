@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.layers import AccessLinkSpec
+from repro.net.service_topology import AccessLinkSpec
 from repro.server.qos_manager import GradingPolicy
 
 __all__ = ["TrafficConfig", "EngineConfig"]
@@ -90,29 +90,16 @@ class EngineConfig:
         if self.shared_flow_window_s < 0:
             raise ValueError("shared_flow_window_s must be >= 0")
 
-    def access_link_spec(self, loss_model=None, *,
-                         rate_bps: float | None = None,
-                         delay_s: float | None = None,
-                         queue_packets: int | None = None,
-                         ) -> AccessLinkSpec:
-        """One client's access-link parameters, with optional overrides.
+    def access_link_spec(self, loss_model=None) -> AccessLinkSpec:
+        """One client's access-link parameters.
 
-        Population runs stamp out many clients from this template; a
-        heterogeneous population passes per-client overrides. Built by
-        deriving from the config's base spec, so each parameter is
-        specified in exactly one place.
+        Population runs stamp out many clients from this template, each
+        with its own ``loss_model``.
         """
-        base = AccessLinkSpec(
+        return AccessLinkSpec(
             rate_bps=self.access_rate_bps,
             delay_s=self.access_delay_s,
             queue_packets=self.access_queue_packets,
             atm=self.atm_access,
+            loss_model=loss_model,
         )
-        overrides: dict[str, object] = {"loss_model": loss_model}
-        if rate_bps is not None:
-            overrides["rate_bps"] = rate_bps
-        if delay_s is not None:
-            overrides["delay_s"] = delay_s
-        if queue_packets is not None:
-            overrides["queue_packets"] = queue_packets
-        return base.derive(**overrides)

@@ -10,10 +10,10 @@ Each multimedia server host carries the multimedia server and its
 media servers (the paper allows them to share a host); cross traffic
 loads the router→client access links, the paths all media share.
 
-The engine owns *construction*: a topology — the classic star (a
-one-layer stack) or any declarative layer stack from
-:mod:`repro.net.layers` passed as ``layers=``, both rendered by the
-same :class:`~repro.net.layers.TopologyCompiler` call —
+The engine owns *construction*: one
+:class:`~repro.net.service_topology.ServiceTopology` — the classic star,
+or the star plus the regions passed as ``layers=`` (a tuple of
+:class:`~repro.net.service_topology.RegionSpec`, e.g. ``cdn_stack()``) —
 plus servers, documents, per-POP media replicas and (optionally) the
 shared-flow delivery machinery. Session *orchestration* — scripted
 runs, concurrent viewers, autoplay, multi-client populations — lives
@@ -43,11 +43,7 @@ from repro.media.types import (
 from repro.model.scenario import PresentationScenario
 from repro.net.channel import ReliableReceiver
 from repro.net.impairments import GilbertElliottLoss
-from repro.net.layers import (
-    AccessLinkSpec,
-    CoreNetworkLayer,
-    TopologyCompiler,
-)
+from repro.net.service_topology import ServiceTopology
 from repro.net.topology import Network
 from repro.net.traffic import OnOffTrafficSource, PoissonTrafficSource
 from repro.rtp.session import RtpReceiver
@@ -81,8 +77,6 @@ class ServiceEngine:
         self.network = Network(self.sim)
         self.accounts = AccountRegistry()
         self.servers: dict[str, MultimediaServer] = {}
-        #: declarative topology stack (None = the classic star)
-        self._layers = layers
         #: per-engine session ids — two engines in one process both
         #: start at sess-1, so runs replay identically.
         self._session_ids = itertools.count(1)
@@ -96,28 +90,23 @@ class ServiceEngine:
         self._timeseries_sampler = None
         #: live (unclosed) client compositions, for buffer sampling
         self.compositions: list["ClientComposition"] = []
-        self._build_backbone()
+        self._build_backbone(layers or ())
 
     # -- topology -----------------------------------------------------------
-    def _build_backbone(self) -> None:
+    def _build_backbone(self, regions) -> None:
+        """The star, plus ``regions`` (``()`` = none) behind its router."""
         cfg = self.config
-        layers = self._layers
-        if layers is None:
-            # The classic star is the one-layer stack: it compiles to
-            # the exact pre-layer topology (byte-identical digests).
-            layers = (CoreNetworkLayer(
-                router=self.ROUTER,
-                backbone_rate_bps=cfg.backbone_rate_bps,
-                backbone_delay_s=cfg.backbone_delay_s,
-                backbone_queue_packets=cfg.backbone_queue_packets,
-            ),)
-        self.topology = TopologyCompiler(layers).compile(
-            self.network,
+        self.topology = ServiceTopology(
+            self.network, regions,
+            router=self.ROUTER,
+            backbone_rate_bps=cfg.backbone_rate_bps,
+            backbone_delay_s=cfg.backbone_delay_s,
+            backbone_queue_packets=cfg.backbone_queue_packets,
             access_spec_for=lambda node_id: cfg.access_link_spec(
                 self._access_loss(f"access-loss:{node_id}")
             ),
         )
-        # Population-layer viewers join the engine's client pool so
+        # Regional viewers join the engine's client pool so
         # orchestrated population runs reuse them in place.
         self._population.extend(self.topology.clients)
         if not self.topology.clients:
@@ -138,26 +127,20 @@ class ServiceEngine:
             sim=self.sim, name=stream_name,
         )
 
-    def add_client(self, node_id: str | None = None,
-                   spec: AccessLinkSpec | None = None) -> str:
+    def add_client(self, node_id: str | None = None) -> str:
         """Add a viewer host with its *own* access link.
 
-        Each client draws link parameters from the engine config (or
-        an explicit ``spec``) and gets an independent loss process and
-        port namespace. Returns the new node id.
+        Each client draws link parameters from the engine config and
+        gets an independent loss process and port namespace. Returns
+        the new node id.
         """
         if node_id is None:
             node_id = f"client{len(self._population) + 1}"
-        if spec is None:
-            spec = self.config.access_link_spec(
-                self._access_loss(f"access-loss:{node_id}")
-            )
-        self.topology.add_client(node_id, spec)
+        self.topology.add_client(node_id)
         self._population.append(node_id)
         return node_id
 
-    def client_nodes(self, n: int,
-                     specs: list[AccessLinkSpec] | None = None) -> list[str]:
+    def client_nodes(self, n: int) -> list[str]:
         """The first ``n`` population client nodes, created on demand.
 
         Repeated calls reuse already-created clients, so two population
@@ -165,11 +148,8 @@ class ServiceEngine:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        if specs is not None and len(specs) < n:
-            raise ValueError(f"need {n} access specs, got {len(specs)}")
         while len(self._population) < n:
-            spec = specs[len(self._population)] if specs is not None else None
-            self.add_client(spec=spec)
+            self.add_client()
         return self._population[:n]
 
     def _add_traffic(self, tc) -> None:
@@ -177,7 +157,7 @@ class ServiceEngine:
         node = f"xsrc{self._traffic_nodes}"
         self.topology.add_traffic_host(node)
         rng = self.rng.stream(f"traffic:{node}", private=True)
-        target = tc.target or self.CLIENT
+        target = tc.target or self.topology.clients[0]
         if tc.kind == "poisson":
             PoissonTrafficSource(
                 self.network, node, target, rng, rate_bps=tc.rate_bps,
@@ -207,12 +187,8 @@ class ServiceEngine:
         """
         if name in self.servers:
             raise ValueError(f"server {name!r} already exists")
-        placement = self.topology.placement
         node_id = f"host:{name}"
-        self.topology.add_server_host(
-            node_id,
-            region=placement.origin_region if placement is not None else None,
-        )
+        self.topology.add_server_host(node_id)
         database = MultimediaDatabase()
         media_servers: dict[str, MediaServer] = {}
         server = MultimediaServer(
@@ -238,8 +214,7 @@ class ServiceEngine:
         if documents:
             for doc_name, (markup, topic) in documents.items():
                 self.add_document(name, doc_name, markup, topic)
-        if placement is not None:
-            self.apply_media_placement(name)
+        self.apply_media_placement(name)
         return server
 
     def _fanout_node_for(self, client_node: str) -> str:
@@ -252,19 +227,19 @@ class ServiceEngine:
         return self.topology.pop_router(self.topology.region_of(client_node))
 
     def apply_media_placement(self, server_name: str) -> list[MediaServer]:
-        """Provision the replicas the media-placement layer declared.
+        """Provision every region's replica of every media server.
 
-        One replica per (media server × replica region), named
-        ``{media}@{region}``, hosted behind the region's POP. Runs
-        automatically at the end of :meth:`add_server` when the
-        compiled topology carries a placement; call it again after
-        adding documents that introduce *new* media servers.
+        One replica per (media server × region), named
+        ``{media}@{region}``, hosted behind the region's POP; nothing
+        on the bare star. Runs at the end of :meth:`add_server`; call
+        it again after adding documents that introduce *new* media
+        servers.
         """
         server = self.servers[server_name]
         created: list[MediaServer] = []
         for media_name in sorted(server.media_servers):
             have = {r.region for r in server.replicas.get(media_name, [])}
-            for region in self.topology.replica_regions():
+            for region in self.topology.regions:
                 if region in have:
                     continue
                 created.append(self.add_media_replica(

@@ -419,17 +419,16 @@ class SessionOrchestrator:
         stagger_s: float = 0.5,
         interarrival_mean_s: float | None = None,
         horizon_s: float = 600.0,
-        access_specs: list | None = None,
     ) -> PopulationResult:
         """Run one viewer per client host, each on its own access link.
 
         This is the paper's multi-client service shape: ``n_clients``
         hosts are stamped out (reusing any from earlier runs), each
-        with an access link drawn from the engine config (or
-        ``access_specs``), and one session per host contends with the
-        others only where the system genuinely couples them — the
-        shared backbone and the server's admission capacity — never on
-        ports or a shared access link.
+        with an access link drawn from the engine config, and one
+        session per host contends with the others only where the
+        system genuinely couples them — the shared backbone and the
+        server's admission capacity — never on ports or a shared
+        access link.
 
         ``document``/``contract`` may be sequences (cycled across
         viewers) for mixed workloads. Arrivals are deterministic every
@@ -437,7 +436,7 @@ class SessionOrchestrator:
         arrival process (seeded from the engine's RNG registry, so
         runs replay identically).
         """
-        nodes = self.engine.client_nodes(n_clients, specs=access_specs)
+        nodes = self.engine.client_nodes(n_clients)
         documents = ([document] if isinstance(document, str)
                      else list(document))
         contracts = ([contract] if isinstance(contract, str)

@@ -23,9 +23,8 @@ __all__ = ["HermesService"]
 class HermesService:
     """A deployed Hermes installation."""
 
-    def __init__(self, config: EngineConfig | None = None,
-                 layers=None) -> None:
-        self.engine = ServiceEngine(config, layers=layers)
+    def __init__(self, config: EngineConfig | None = None) -> None:
+        self.engine = ServiceEngine(config)
         self.catalog = HermesCatalog()
         self.web = DocumentWeb()
         self.lessons: dict[str, Lesson] = {}

@@ -14,18 +14,10 @@ from repro.net.packet import Packet, PacketTap
 from repro.net.link import Link, LinkStats
 from repro.net.ports import PortAllocator, PortExhaustedError
 from repro.net.topology import Network, Node, NoRouteError
-from repro.net.layers import (
+from repro.net.service_topology import (
     AccessLinkSpec,
-    CompiledTopology,
-    CoreNetworkLayer,
-    MediaPlacement,
-    MediaPlacementLayer,
-    PopulationLayer,
-    PopulationSpec,
-    RegionLayer,
     RegionSpec,
-    TopologyCompiler,
-    TopologyLayer,
+    ServiceTopology,
     cdn_stack,
 )
 from repro.net.impairments import GilbertElliottLoss
@@ -34,14 +26,10 @@ from repro.net.traffic import OnOffTrafficSource, PoissonTrafficSource
 
 __all__ = [
     "AccessLinkSpec",
-    "CompiledTopology",
-    "CoreNetworkLayer",
     "DatagramSocket",
     "GilbertElliottLoss",
     "Link",
     "LinkStats",
-    "MediaPlacement",
-    "MediaPlacementLayer",
     "Network",
     "NoRouteError",
     "Node",
@@ -49,15 +37,11 @@ __all__ = [
     "Packet",
     "PacketTap",
     "PoissonTrafficSource",
-    "PopulationLayer",
-    "PopulationSpec",
     "PortAllocator",
     "PortExhaustedError",
-    "RegionLayer",
     "RegionSpec",
     "ReliableReceiver",
     "ReliableSender",
-    "TopologyCompiler",
-    "TopologyLayer",
+    "ServiceTopology",
     "cdn_stack",
 ]

@@ -1,34 +1,29 @@
-"""Declarative topology layers: specs, compiler, and the one-layer star.
+"""The service topology: specs, regions, and the construction order.
 
-The tentpole contract: the classic star is now a one-layer stack, and
-compiling it must be byte-identical (population digest) to the
-pre-layer imperative builder — every node, link, and RNG stream in the
-same order.
+``ServiceTopology`` builds the paper's star or the star plus regional
+POPs; every node, link and RNG stream must come out in the same order
+each time, because the population digests sit on top of it. (The file
+keeps the name it had when the module was ``net/layers.py`` so the ids
+of the tests that survived the rewrite stay stable.)
 """
 
 import pytest
 
-from repro.core.config import EngineConfig
+from repro.core.config import EngineConfig, TrafficConfig
 from repro.core.engine import ServiceEngine
-from repro.faults import population_digest
-from repro.faults.scenarios import chaos_markup
-from repro.net import (
-    AccessLinkSpec,
-    CompiledTopology,
-    CoreNetworkLayer,
-    MediaPlacementLayer,
-    PopulationLayer,
-    PopulationSpec,
-    RegionLayer,
-    RegionSpec,
-    TopologyCompiler,
-    cdn_stack,
-)
-from repro.net.topology import Network
 from repro.des import Simulator
+from repro.faults.scenarios import chaos_markup
+from repro.net import AccessLinkSpec, RegionSpec, ServiceTopology, cdn_stack
+from repro.net.topology import Network
+
+DOC = {"doc": (chaos_markup(2.0), "t")}
 
 
-# -- AccessLinkSpec defaults + derive() ---------------------------------------
+def _network():
+    return Network(Simulator())
+
+
+# -- specs --------------------------------------------------------------------
 
 def test_access_spec_has_usable_defaults():
     spec = AccessLinkSpec()
@@ -38,142 +33,173 @@ def test_access_spec_has_usable_defaults():
     assert spec.loss_model is None
 
 
-def test_derive_overrides_only_named_fields():
-    base = AccessLinkSpec(rate_bps=10e6, delay_s=0.010)
-    fast = base.derive(rate_bps=25e6)
-    assert fast.rate_bps == 25e6
-    assert fast.delay_s == base.delay_s
-    assert fast.queue_packets == base.queue_packets
-    # the base is frozen and untouched
-    assert base.rate_bps == 10e6
-
-
-def test_derive_rejects_unknown_fields():
-    with pytest.raises(TypeError):
-        AccessLinkSpec().derive(bandwidth=1e6)
-
-
-def test_derive_revalidates():
+def test_region_spec_validation():
     with pytest.raises(ValueError):
-        AccessLinkSpec().derive(rate_bps=-1)
-
-
-# -- compiler validation ------------------------------------------------------
-
-def _network():
-    return Network(Simulator())
-
-
-def test_compiler_requires_exactly_one_core_layer():
+        RegionSpec("")
     with pytest.raises(ValueError):
-        TopologyCompiler(())
+        RegionSpec("east", n_clients=-1)
     with pytest.raises(ValueError):
-        TopologyCompiler((CoreNetworkLayer(), CoreNetworkLayer()))
+        RegionSpec("east", link_rate_bps=0)
+    with pytest.raises(ValueError):
+        ServiceTopology(_network(), backbone_rate_bps=0)
 
 
 def test_duplicate_region_rejected():
-    with pytest.raises(ValueError):
-        RegionLayer((RegionSpec("east"), RegionSpec("east")))
-    # ... and across two RegionLayer instances, at compile time
-    stack = (
-        CoreNetworkLayer(),
-        RegionLayer((RegionSpec("east"),)),
-        RegionLayer((RegionSpec("east"),)),
-    )
-    with pytest.raises(ValueError):
-        TopologyCompiler(stack).compile(_network())
+    with pytest.raises(ValueError, match="east"):
+        ServiceTopology(_network(), (RegionSpec("east"), RegionSpec("east")))
 
 
-def test_placement_must_name_known_regions():
-    stack = (
-        CoreNetworkLayer(),
-        RegionLayer((RegionSpec("east"),)),
-        MediaPlacementLayer(replicate_to=("west",)),
-    )
-    with pytest.raises(KeyError):
-        TopologyCompiler(stack).compile(_network())
+def test_unknown_region_raises_key_error_naming_it():
+    topo = ServiceTopology(_network(), (RegionSpec("east"),))
+    with pytest.raises(KeyError, match="nowhere"):
+        topo.pop_router("nowhere")
+    eng = ServiceEngine(layers=cdn_stack(clients_per_region=1))
+    eng.add_server("srv1", documents=DOC)
+    with pytest.raises(KeyError, match="nowhere"):
+        eng.add_media_replica("srv1", "media", region="nowhere")
 
 
-def test_population_must_name_known_region():
-    stack = (
-        CoreNetworkLayer(),
-        PopulationLayer((PopulationSpec("nowhere", 2),)),
-    )
-    with pytest.raises(KeyError):
-        TopologyCompiler(stack).compile(_network())
-
-
-# -- compiled shape -----------------------------------------------------------
+# -- constructed shape --------------------------------------------------------
 
 def test_region_layer_builds_pops_behind_the_core():
-    stack = (
-        CoreNetworkLayer(),
-        RegionLayer((RegionSpec("east"), RegionSpec("west"))),
-    )
-    topo = TopologyCompiler(stack).compile(_network())
+    topo = ServiceTopology(_network(), (RegionSpec("east"), RegionSpec("west")))
     assert topo.router == "router"
+    assert topo.pop_router(None) == "router"
     assert topo.pop_router("east") == "pop:east"
     assert ("router", "pop:east") in topo.network.links
     assert ("pop:west", "router") in topo.network.links
-    assert topo.region_names() == ["east", "west"]
-
-
-def test_colocated_region_rides_the_core_router():
-    stack = (
-        CoreNetworkLayer(),
-        RegionLayer((RegionSpec("metro", colocated=True),)),
-    )
-    topo = TopologyCompiler(stack).compile(_network())
-    assert topo.pop_router("metro") == topo.router
-    assert "pop:metro" not in topo.network.nodes
-    # colocated regions never receive replicas
-    assert "metro" not in topo.replica_regions()
+    assert list(topo.regions) == ["east", "west"]
+    assert topo.clients == []
 
 
 def test_population_layer_attaches_clients_to_their_pop():
-    stack = (
-        CoreNetworkLayer(),
-        RegionLayer((RegionSpec("east"),)),
-        PopulationLayer((PopulationSpec("east", 2),)),
-    )
-    topo = TopologyCompiler(stack).compile(_network())
+    topo = ServiceTopology(_network(), (RegionSpec("east", 2),))
     assert topo.clients == ["east-c1", "east-c2"]
     assert topo.region_of("east-c1") == "east"
     # each viewer hangs off its region's POP, not the core
     assert ("pop:east", "east-c1") in topo.network.links
+    assert ("router", "east-c1") not in topo.network.links
 
 
 def test_cdn_stack_end_to_end_shape():
-    topo = TopologyCompiler(cdn_stack(clients_per_region=2)).compile(
-        _network()
-    )
-    assert topo.region_names() == ["east", "west"]
+    regions = cdn_stack(clients_per_region=2)
+    assert regions == (RegionSpec("east", 2), RegionSpec("west", 2))
+    assert cdn_stack(("north",), 1) == (RegionSpec("north", 1),)
+    # the regional link defaults are the ones cdn_stack always passed
+    assert (regions[0].link_rate_bps, regions[0].link_delay_s,
+            regions[0].queue_packets) == (100e6, 0.008, 500)
+    topo = ServiceTopology(_network(), regions)
     assert topo.clients == ["east-c1", "east-c2", "west-c1", "west-c2"]
-    assert topo.placement is not None
-    assert topo.replica_regions() == ["east", "west"]
-
-
-# -- A/B: the engine's default star vs an explicit one-layer stack ------------
-
-def _digest(layers):
-    eng = ServiceEngine(EngineConfig(seed=11), layers=layers)
-    eng.add_server("srv1", documents={"doc": (chaos_markup(2.0), "t")})
-    pop = eng.orchestrator.run_population(2, "srv1", "doc", stagger_s=0.3)
-    return population_digest(pop)
-
-
-def test_single_region_stack_is_byte_identical_to_builder():
-    # layers=None makes the engine build its own one-layer stack from
-    # the config; an explicit bare-core stack must compile the same
-    # topology, streams, and event order — the acceptance digest check.
-    assert _digest(None) == _digest([CoreNetworkLayer()])
+    # every region gets a replica of every media server, in order
+    eng = ServiceEngine(layers=regions)
+    srv = eng.add_server("srv1", documents=DOC)
+    assert [(r.name, r.region) for r in srv.replicas["media"]] == [
+        ("media@east", "east"), ("media@west", "west")]
+    assert srv.node_id == "host:srv1"
+    assert eng.topology.region_of("host:srv1") is None  # origin at the core
 
 
 def test_builder_is_a_compiled_topology():
+    # the topology stays open after construction: viewers and hosts
+    # can be added one at a time, at the core or behind a POP
     net = _network()
-    topo = TopologyCompiler([CoreNetworkLayer()]).compile(net)
-    assert isinstance(topo, CompiledTopology)
-    assert topo.router == "router"
+    topo = ServiceTopology(net, (RegionSpec("east"),))
     topo.add_client("c1", AccessLinkSpec())
-    assert topo.clients == ["c1"]
+    topo.add_client("c2", region="east")
+    topo.add_server_host("h1", region="east")
+    assert topo.clients == ["c1", "c2"]
     assert ("router", "c1") in net.links
+    assert ("pop:east", "c2") in net.links
+    assert topo.region_of("c1") is None
+    assert topo.region_of("h1") == "east"
+    assert net.path("c1", "h1") == ["c1", "router", "pop:east", "h1"]
+
+
+def test_access_spec_for_stamps_each_viewer():
+    seen = []
+
+    def spec_for(node_id):
+        seen.append(node_id)
+        return AccessLinkSpec(rate_bps=3e6)
+
+    topo = ServiceTopology(_network(), (RegionSpec("east", 1),),
+                           access_spec_for=spec_for)
+    topo.add_client("late")
+    assert seen == ["east-c1", "late"]
+    assert topo.network.link("pop:east", "east-c1").rate_bps == 3e6
+    assert topo.network.link("late", "router").rate_bps == 3e6
+
+
+# -- one source for every link parameter --------------------------------------
+
+def test_backbone_comes_from_the_engine_config_with_regions_too():
+    eng = ServiceEngine(EngineConfig(backbone_delay_s=0.002),
+                        layers=cdn_stack(clients_per_region=1))
+    eng.add_server("srv1", documents=DOC)
+    assert eng.network.link("host:srv1", "router").delay_s == 0.002
+    assert eng.network.link("host:media@east", "pop:east").delay_s == 0.002
+    # ... and a region's own link parameters reach its POP link
+    eng = ServiceEngine(layers=(RegionSpec("north", 1, link_delay_s=0.003),))
+    assert eng.network.link("pop:north", "router").delay_s == 0.003
+    assert eng.network.link("router", "pop:north").delay_s == 0.003
+
+
+def test_default_cross_traffic_targets_the_first_regional_viewer():
+    eng = ServiceEngine(
+        EngineConfig(seed=3, traffic=[TrafficConfig(kind="poisson",
+                                                    stop_at=2.0)]),
+        layers=cdn_stack(clients_per_region=1))
+    eng.add_server("srv1", documents=DOC)
+    quiet = ServiceEngine(EngineConfig(seed=3),
+                          layers=cdn_stack(clients_per_region=1))
+    quiet.add_server("srv1", documents=DOC)
+    for e in (eng, quiet):
+        pop = e.run_population(2, "srv1", "doc", stagger_s=0.3)
+        assert len(pop.completed()) == 2
+    # the source's packets crossed east-c1's access link and no other
+    sent = eng.network.link("xsrc1", "router").stats.tx_packets
+    assert sent > 100
+
+    def extra(src, dst):
+        return (eng.network.link(src, dst).stats.tx_packets
+                - quiet.network.link(src, dst).stats.tx_packets)
+
+    assert extra("pop:east", "east-c1") > sent // 2
+    assert extra("pop:west", "west-c1") < 10
+
+
+# -- the construction order the digests stand on -------------------------------
+# Captured at the parent of the PR that replaced the layer stack (1b0481c),
+# before any edit.
+
+def _duplex(a, b):
+    return [(a, b), (b, a)]
+
+
+def test_regional_topology_node_and_link_order_is_pinned():
+    eng = ServiceEngine(layers=cdn_stack(clients_per_region=2))
+    eng.add_server("srv1", documents=DOC)
+    assert list(eng.network.nodes) == [
+        "router", "pop:east", "pop:west",
+        "east-c1", "east-c2", "west-c1", "west-c2",
+        "host:srv1", "host:media@east", "host:media@west",
+    ]
+    assert list(eng.network.links) == [
+        *_duplex("pop:east", "router"), *_duplex("pop:west", "router"),
+        *_duplex("pop:east", "east-c1"), *_duplex("pop:east", "east-c2"),
+        *_duplex("pop:west", "west-c1"), *_duplex("pop:west", "west-c2"),
+        *_duplex("host:srv1", "router"),
+        *_duplex("host:media@east", "pop:east"),
+        *_duplex("host:media@west", "pop:west"),
+    ]
+
+
+def test_star_node_and_link_order_is_pinned():
+    eng = ServiceEngine()
+    assert eng.client_nodes(3) == ["client1", "client2", "client3"]
+    assert list(eng.network.nodes) == [
+        "router", "client", "client1", "client2", "client3"]
+    assert list(eng.network.links) == [
+        *_duplex("router", "client"), *_duplex("router", "client1"),
+        *_duplex("router", "client2"), *_duplex("router", "client3"),
+    ]

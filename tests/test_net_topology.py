@@ -5,14 +5,13 @@ import pytest
 from repro.des import RngRegistry, Simulator
 from repro.net import (
     AccessLinkSpec,
-    CoreNetworkLayer,
     GilbertElliottLoss,
     Network,
     NoRouteError,
     Packet,
     PortAllocator,
     PortExhaustedError,
-    TopologyCompiler,
+    ServiceTopology,
 )
 
 
@@ -276,16 +275,18 @@ def test_port_allocator_exhaustion_is_explicit():
 def test_topology_builder_star():
     sim = Simulator()
     net = Network(sim)
-    tb = TopologyCompiler([CoreNetworkLayer(
-        router="r", backbone_rate_bps=50e6, backbone_delay_s=0.002,
-    )]).compile(net)
+    tb = ServiceTopology(
+        net, router="r", backbone_rate_bps=50e6, backbone_delay_s=0.002,
+    )
     tb.add_client("c1", AccessLinkSpec(rate_bps=5e6, delay_s=0.01))
     tb.add_client("c2", AccessLinkSpec(rate_bps=2e6, delay_s=0.02))
     tb.add_server_host("h1")
     tb.add_traffic_host("x1")
     assert tb.clients == ["c1", "c2"]
-    assert tb.server_hosts == ["h1"]
-    assert tb.traffic_hosts == ["x1"]
+    # Hosts ride the backbone parameters; a traffic host sits 1 ms out.
+    assert net.link("h1", "r").rate_bps == 50e6
+    assert net.link("h1", "r").delay_s == 0.002
+    assert net.link("x1", "r").delay_s == 0.001
     # Per-client link parameters took effect, in both directions.
     assert net.link("r", "c1").rate_bps == 5e6
     assert net.link("c2", "r").rate_bps == 2e6

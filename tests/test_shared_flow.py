@@ -128,7 +128,7 @@ def test_shared_flow_cuts_origin_egress():
 def _cdn_engine(seed=5, tracer=None, **cfg):
     eng = ServiceEngine(
         EngineConfig(seed=seed, **cfg), tracer=tracer,
-        layers=cdn_stack(clients_per_region=2, replicate=True),
+        layers=cdn_stack(clients_per_region=2),
     )
     eng.add_server("srv1", documents=DOC)
     return eng
