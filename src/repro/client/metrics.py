@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ class PlayoutEventKind(enum.Enum):
     RESUME = "resume"
 
 
-@dataclass(frozen=True, slots=True)
-class PlayoutEvent:
+class PlayoutEvent(NamedTuple):
     time: float  # simulation time
     stream_id: str
     kind: PlayoutEventKind
@@ -133,10 +133,9 @@ class PlayoutEventLog:
         frame_seq: int | None = None,
         reason: str = "",
     ) -> None:
-        self.events.append(
-            PlayoutEvent(time, stream_id, kind, media_time_s, grade,
-                         frame_seq)
-        )
+        self.events.append(tuple.__new__(  # PlayoutEvent(...), unwrapped
+            PlayoutEvent,
+            (time, stream_id, kind, media_time_s, grade, frame_seq)))
         if self._tracing:
             # Per-frame events are detail-tier: skipped for
             # control-plane tracers (flight recorder) and for legacy

@@ -89,7 +89,17 @@ class BufferMonitor:
 
     def check(self, now: float) -> BufferAction:
         """Reclassify and recommend an action for this playout tick."""
-        new_state = self.classify()
+        # :meth:`classify`, with the buffer's ratio computed here: once
+        # per tick of every playout, three property calls otherwise
+        buffer = self.buffer
+        ratio = (buffer._ticks_buffered / buffer.clock_rate
+                 / buffer.time_window_s)
+        if ratio < self.low_watermark:
+            new_state = BufferState.LOW
+        elif ratio > self.high_watermark:
+            new_state = BufferState.HIGH
+        else:
+            new_state = BufferState.NORMAL
         if new_state is not self._state:
             if new_state is BufferState.LOW:
                 self.stats.low_entries += 1
@@ -98,12 +108,12 @@ class BufferMonitor:
             self.stats.state_trace.append((now, new_state))
             if self._tracing:
                 self._tracer.emit(
-                    now, "buffer.watermark", self.buffer.stream_id,
+                    now, "buffer.watermark", buffer.stream_id,
                     session=self._session, state=new_state.value,
-                    ratio=round(self.buffer.occupancy_ratio, 4),
+                    ratio=round(ratio, 4),
                 )
             self._state = new_state
-        if self._state is BufferState.LOW and not self.buffer.is_empty:
+        if new_state is BufferState.LOW and buffer._frames:
             # Stretch what we have: recommend repeating frames so the
             # buffer refills before it runs completely dry — but cap
             # consecutive repeats so a stream whose source has simply
@@ -114,7 +124,7 @@ class BufferMonitor:
                 return BufferAction.DUPLICATE
             return BufferAction.NONE
         self._consecutive_duplicates = 0
-        if self._state is BufferState.HIGH:
+        if new_state is BufferState.HIGH:
             self.stats.drop_recommendations += 1
             return BufferAction.DROP
         return BufferAction.NONE

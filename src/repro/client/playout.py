@@ -7,11 +7,16 @@ The paper's playout algorithm (§3.1):
         wait until current relative time = t_i
         play incoming stream S_i in nominal rate for duration d_i
 
-Each tick the process consults the buffer monitor (underflow →
+Each tick the playout consults the buffer monitor (underflow →
 duplicate, overflow → drop) and, for sync-group slaves, the skew
 controller; a missing frame at its deadline is a *gap* (an intramedia
 synchronization failure), after which media time advances at nominal
 rate so late frames are discarded as stale.
+
+The "thread" is a chain of ``call_later`` callbacks, not a generator
+process: a tick per frame is most of what a client does, so it costs one
+bare heap entry and one call. Each tick pushes the next where the loop
+would wait; stopping clears ``alive``, which the pending tick checks.
 """
 
 from __future__ import annotations
@@ -32,32 +37,34 @@ class PauseGate:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._paused = False
+        #: read on every tick of every clock the gate holds
+        self.paused = False
         self._resume_event: Event | None = None
 
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
     def pause(self) -> None:
-        if not self._paused:
-            self._paused = True
+        if not self.paused:
+            self.paused = True
             self._resume_event = self.sim.event()
 
     def resume(self) -> None:
-        if self._paused:
-            self._paused = False
+        if self.paused:
+            self.paused = False
             event, self._resume_event = self._resume_event, None
             assert event is not None
             event.succeed()
 
     def wait(self):
-        """Yieldable event that triggers on resume (None if running)."""
+        """The event that triggers on resume (None if running)."""
         return self._resume_event
 
 
 class PlayoutProcess:
-    """Deadline-driven playout of one continuous stream."""
+    """Deadline-driven playout of one continuous stream.
+
+    ``finished`` succeeds with ``played_s`` when the stream played out,
+    starved past ``max_consecutive_gaps`` or was cancelled; the hyperlink
+    interrupt (the scheduler clears ``alive``) leaves it pending.
+    """
 
     def __init__(
         self,
@@ -108,11 +115,11 @@ class PlayoutProcess:
             skew is not None and entry.sync_group is not None
             and not entry.is_sync_master
         )
-        self._is_master = (
-            skew is not None and entry.sync_group is not None
-            and entry.is_sync_master
-        )
-        self.process = sim.process(self._run(), name=f"playout:{entry.stream_id}")
+        self.alive = True
+        self._next_ticks = 0
+        self._consecutive_gaps = 0
+        # on its own heap entry: after whatever else happens this instant
+        sim.call_later(0.0, self._begin)
 
     # -- helpers ----------------------------------------------------------
     def _record(self, kind: PlayoutEventKind, grade: int = 0,
@@ -126,140 +133,155 @@ class PlayoutProcess:
             self.skew.report_position(self.entry.stream_id, self.played_s,
                                       active=active)
 
-    def _pop_fresh(self, next_ticks: int) -> Frame | None:
+    def _pop_fresh(self) -> Frame | None:
         """Pop the next non-stale frame; stale frames are discarded."""
-        while True:
-            head = self.buffer.peek()
-            if head is None:
-                return None
-            if head.media_time < next_ticks:
-                stale = self.buffer.drop_head()
-                self._record(PlayoutEventKind.DROP,
-                             frame_seq=stale.seq if stale else None,
-                             reason="stale")
-                continue
-            return self.buffer.pop()
+        while (head := self.buffer.peek()) is not None:
+            if head.media_time >= self._next_ticks:
+                return self.buffer.pop()
+            self._record(PlayoutEventKind.DROP, reason="stale",
+                         frame_seq=self.buffer.drop_head().seq)
+        return None
 
-    # -- the playout loop ---------------------------------------------------
-    def _run(self):
-        sim = self.sim
+    def _skip_frames(self, n: int) -> None:
+        """Media time moves on ``n`` nominal intervals with nothing shown."""
+        self._next_ticks += n * int(round(
+            self.interval_s * self.buffer.clock_rate))
+        self.played_s = min(self.entry.duration,
+                            self.played_s + n * self.interval_s)
+
+    # -- the playout clock --------------------------------------------------
+    def _begin(self) -> None:
         if self.start_offset_s > 0:
-            yield sim.timeout(self.start_offset_s)
-        duration = self.entry.duration
-        assert duration is not None
-        clock = self.buffer.clock_rate
-        self._record(PlayoutEventKind.START)
-        self._report_position()
-        next_ticks = 0
-        consecutive_gaps = 0
-        while self.played_s < duration - 1e-9:
-            if self.gate is not None and self.gate.paused:
-                self._record(PlayoutEventKind.PAUSE)
-                self._report_position(active=False)
-                yield self.gate.wait()
-                self._record(PlayoutEventKind.RESUME)
-                self._report_position(active=True)
+            self.sim.call_later(self.start_offset_s, self._start)
+        else:
+            self._start()
 
-            action = BufferAction.NONE
-            if self.monitor is not None:
-                action = self.monitor.check(sim.now)
-                # Near the end of the stream a draining buffer is
-                # expected, not an anomaly: don't stretch the tail.
-                if (action is BufferAction.DUPLICATE
-                        and duration - self.played_s
-                        <= self.buffer.time_window_s):
-                    action = BufferAction.NONE
-            if self._is_slave:
-                decision = self.skew.decide(
-                    self.entry.stream_id, sim.now, self.interval_s
-                )
-                if decision.action == "duplicate":
-                    action = BufferAction.DUPLICATE
-                elif decision.action == "drop":
-                    # Catching up overrides any monitor stretching —
-                    # the two mechanisms must not fight.
-                    action = BufferAction.NONE
-                    dropped = 0
-                    for _ in range(decision.drop_count):
-                        # Never shed the last buffered frame: playing
-                        # it snaps the position to its timestamp, which
-                        # realigns faster than a drop credit of one
-                        # interval. When delivery is arrival-limited
-                        # (one frame per tick, e.g. a failover resume),
-                        # shedding the head would eat every fresh frame
-                        # while the slave gains nothing on the master.
-                        if len(self.buffer) <= 1:
-                            break
-                        shed = self.buffer.drop_head()
-                        if shed is None:
-                            break
-                        dropped += 1
-                        self._record(PlayoutEventKind.DROP,
-                                     frame_seq=shed.seq, reason="skew")
-                    next_ticks += dropped * int(round(self.interval_s * clock))
-                    self.played_s = min(
-                        duration, self.played_s + dropped * self.interval_s
-                    )
-                    self._report_position()
-            elif action is BufferAction.DROP:
-                # Overflow: shed one buffered frame this tick.
-                shed = self.buffer.drop_head()
-                if shed is not None:
-                    self._record(PlayoutEventKind.DROP,
-                                 frame_seq=shed.seq, reason="overflow")
-                    next_ticks += int(round(self.interval_s * clock))
-                    self.played_s = min(duration,
-                                        self.played_s + self.interval_s)
-
-            if action is BufferAction.DUPLICATE:
-                # Hold position: replay the previous frame interval.
-                self._record(PlayoutEventKind.DUPLICATE)
-                self._report_position()
-                yield sim.timeout(self.interval_s)
-                continue
-
-            frame = self._pop_fresh(next_ticks)
-            if frame is None:
-                self._record(PlayoutEventKind.GAP)
-                consecutive_gaps += 1
-                if (self.max_consecutive_gaps is not None
-                        and consecutive_gaps > self.max_consecutive_gaps):
-                    break
-                advance = self.gap_policy == "advance"
-                if not advance and self._is_slave:
-                    # A slave already lagging its master must not hold
-                    # position on missing data — skip the gap so the
-                    # skew stays bounded (late frames become stale and
-                    # are dropped, the paper's "drop frames" action).
-                    skew = self.skew.skew_of(self.entry.stream_id)
-                    if skew is not None and skew < -self.skew.threshold_s:
-                        advance = True
-                if advance:
-                    self.played_s = min(duration,
-                                        self.played_s + self.interval_s)
-                    next_ticks += int(round(self.interval_s * clock))
-                self._report_position()
-                yield sim.timeout(self.interval_s)
-                continue
-            consecutive_gaps = 0
-            self._record(PlayoutEventKind.FRAME, grade=frame.grade,
-                         frame_seq=frame.seq)
-            frame_time = frame.duration / clock
-            self.played_s = min(duration,
-                                (frame.end_time) / clock)
-            next_ticks = frame.end_time
+    def _start(self) -> None:
+        if self.alive:
+            self._record(PlayoutEventKind.START)
             self._report_position()
-            yield sim.timeout(frame_time)
+            self._tick()
+
+    def _tick(self, resumed: Event | None = None) -> None:
+        """Present what is due and push the next tick. ``resumed`` (the
+        gate's event) marks a pause ending: the tick it held back runs
+        without a second look at the gate or the stream's end."""
+        if not self.alive:
+            return
+        sim = self.sim
+        duration = self.entry.duration
+        if resumed is not None:
+            self._record(PlayoutEventKind.RESUME)
+            self._report_position(active=True)
+        elif self.played_s >= duration - 1e-9:
+            self._stop()
+            return
+        elif self.gate is not None and self.gate.paused:
+            self._record(PlayoutEventKind.PAUSE)
+            self._report_position(active=False)
+            self.gate.wait().callbacks.append(self._tick)
+            return
+
+        action = BufferAction.NONE
+        if self.monitor is not None:
+            action = self.monitor.check(sim._now)
+            # Near the end of the stream a draining buffer is
+            # expected, not an anomaly: don't stretch the tail.
+            if (action is BufferAction.DUPLICATE
+                    and duration - self.played_s
+                    <= self.buffer.time_window_s):
+                action = BufferAction.NONE
+        if self._is_slave:
+            decision = self.skew.decide(
+                self.entry.stream_id, sim._now, self.interval_s
+            )
+            if decision.action == "duplicate":
+                action = BufferAction.DUPLICATE
+            elif decision.action == "drop":
+                # Catching up overrides any monitor stretching —
+                # the two mechanisms must not fight.
+                action = BufferAction.NONE
+                dropped = 0
+                for _ in range(decision.drop_count):
+                    # Never shed the last buffered frame: playing
+                    # it snaps the position to its timestamp, which
+                    # realigns faster than a drop credit of one
+                    # interval. When delivery is arrival-limited
+                    # (one frame per tick, e.g. a failover resume),
+                    # shedding the head would eat every fresh frame
+                    # while the slave gains nothing on the master.
+                    if len(self.buffer) <= 1:
+                        break
+                    shed = self.buffer.drop_head()
+                    if shed is None:
+                        break
+                    dropped += 1
+                    self._record(PlayoutEventKind.DROP,
+                                 frame_seq=shed.seq, reason="skew")
+                self._skip_frames(dropped)
+                self._report_position()
+        elif action is BufferAction.DROP:
+            # Overflow: shed one buffered frame this tick.
+            shed = self.buffer.drop_head()
+            if shed is not None:
+                self._record(PlayoutEventKind.DROP,
+                             frame_seq=shed.seq, reason="overflow")
+                self._skip_frames(1)
+
+        if action is BufferAction.DUPLICATE:
+            # Hold position: replay the previous frame interval.
+            self._record(PlayoutEventKind.DUPLICATE)
+            self._report_position()
+            sim.call_later(self.interval_s, self._tick)
+            return
+
+        frame = self._pop_fresh()
+        if frame is None:
+            self._record(PlayoutEventKind.GAP)
+            self._consecutive_gaps += 1
+            if (self.max_consecutive_gaps is not None
+                    and self._consecutive_gaps > self.max_consecutive_gaps):
+                self._stop()
+                return
+            advance = self.gap_policy == "advance"
+            if not advance and self._is_slave:
+                # A slave already lagging its master must not hold
+                # position on missing data — skip the gap so the
+                # skew stays bounded (late frames become stale and
+                # are dropped, the paper's "drop frames" action).
+                skew = self.skew.skew_of(self.entry.stream_id)
+                if skew is not None and skew < -self.skew.threshold_s:
+                    advance = True
+            if advance:
+                self._skip_frames(1)
+            self._report_position()
+            sim.call_later(self.interval_s, self._tick)
+            return
+        # A frame presented, the one branch nearly every tick takes:
+        # straight to the log and the skew controller.
+        self._consecutive_gaps = 0
+        clock = self.buffer.clock_rate
+        stream_id = self.entry.stream_id
+        self.log.record(sim._now, stream_id, PlayoutEventKind.FRAME,
+                        self.played_s, frame.grade, frame.seq)
+        self._next_ticks = end_ticks = frame.media_time + frame.duration
+        self.played_s = min(duration, end_ticks / clock)
+        if self.skew is not None:
+            self.skew.report_position(stream_id, self.played_s)
+        sim.call_later(frame.duration / clock, self._tick)
+
+    def _stop(self) -> None:
+        """The stream played out (or starved past its gap allowance)."""
+        self.alive = False
         self._record(PlayoutEventKind.STOP)
         self._report_position(active=False)
-        if not self.finished.triggered:
-            self.finished.succeed(self.played_s)
+        self.finished.succeed(self.played_s)
 
     def cancel(self, cause: str = "disabled") -> None:
         """Stop this playout (user disabled the media, §5) and mark it
-        finished so the presentation as a whole can still complete."""
-        if self.process.is_alive:
-            self.process.interrupt(cause)
+        finished so the presentation as a whole can still complete
+        (``cause`` is for the reader of the call site)."""
+        self.alive = False
         self._report_position(active=False)
         if not self.finished.triggered:
             self.finished.succeed(self.played_s)

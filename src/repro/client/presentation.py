@@ -299,8 +299,7 @@ class PresentationScheduler:
         """Hyperlink activated: stop the running presentation."""
         self._interrupted = True
         for playout in self.playouts.values():
-            if playout.process.is_alive:
-                playout.process.interrupt("hyperlink")
+            playout.alive = False
         self.renderer.finish(self.sim.now)
 
     # -- results ------------------------------------------------------------

@@ -238,28 +238,38 @@ class FrameSource:
         self.rng = rng
         self.rho = rho
         self.sigma = sigma
-        self._grade_index = grade_index
+        #: stationary variance of the AR(1) log-process
+        self._log_var = sigma**2 / (1.0 - rho**2)
+        self._video = codec.media_type is MediaType.VIDEO
         self._seq = 0
         self._media_time = 0
         self._frame_in_gop = 0
         self._log_state: float | None = None
-
-    @property
-    def grade_index(self) -> int:
-        return self._grade_index
-
-    @property
-    def grade(self) -> QualityGrade:
-        return self.codec.grade(self._grade_index)
+        self.set_grade(grade_index)
 
     @property
     def media_time_s(self) -> float:
         return self._media_time / self.codec.clock_rate
 
     def set_grade(self, index: int) -> None:
+        """Regrade. ``grade_index``, ``grade``, ``frame_interval_s`` and
+        the sizes derived from them are set here and nowhere else, so
+        :meth:`next_frame` pays only for what changes per frame."""
         if index < 0:
             raise ValueError(f"grade index must be >= 0, got {index}")
-        self._grade_index = index
+        self.grade_index = index
+        self.grade: QualityGrade = self.codec.grade(index)
+        # While suspended, advance media time in nominal best-grade
+        # steps so the stream stays aligned with the scenario.
+        self.frame_interval_s: float = (
+            self.codec.best if self.grade is SUSPENDED else self.grade
+        ).frame_interval_s
+        self._ticks = int(round(self.codec.clock_rate * self.frame_interval_s))
+        scale = self.grade.mean_frame_bytes / _GOP_MEAN_WEIGHT
+        #: mean bytes of the frame at each GoP position (video)
+        self._gop_bytes = [FRAME_SIZE_WEIGHTS[kind] * scale
+                           for kind in GOP_PATTERN]
+        self._audio_bytes = max(1, int(round(self.grade.mean_frame_bytes)))
 
     def fast_forward(self, media_time_s: float, seq: int | None = None) -> None:
         """Jump to a later point in the scenario timeline.
@@ -276,59 +286,39 @@ class FrameSource:
                 f"cannot rewind {self.stream_id}: at {self.media_time_s:.3f}s,"
                 f" asked for {media_time_s:.3f}s"
             )
-        ticks = int(round(self.codec.clock_rate * self.frame_interval_s))
+        ticks = self._ticks
         skipped = 0 if ticks <= 0 else (target - self._media_time) // ticks
         self._media_time += skipped * ticks
         self._frame_in_gop += skipped
         self._seq = self._seq + skipped if seq is None else seq
 
-    @property
-    def frame_interval_s(self) -> float:
-        grade = self.grade
-        if grade is SUSPENDED:
-            # While suspended, advance media time in nominal best-grade
-            # steps so the stream stays aligned with the scenario.
-            return self.codec.best.frame_interval_s
-        return grade.frame_interval_s
-
-    def _next_multiplier(self) -> float:
-        v = self.sigma**2 / (1.0 - self.rho**2)
-        if self._log_state is None:
-            self._log_state = float(self.rng.normal(0.0, np.sqrt(v)))
-        else:
-            self._log_state = self.rho * self._log_state + float(
-                self.rng.normal(0.0, self.sigma)
-            )
-        return float(np.exp(self._log_state - v / 2.0))
-
     def next_frame(self) -> Frame | None:
         """Produce the next frame (or ``None`` while suspended)."""
-        grade = self.grade
-        ticks = int(round(self.codec.clock_rate * self.frame_interval_s))
-        if grade is SUSPENDED:
-            self._media_time += ticks
+        media_time = self._media_time
+        self._media_time = media_time + self._ticks
+        if self.grade is SUSPENDED:
             return None
-        if self.codec.media_type is MediaType.VIDEO:
-            kind = GOP_PATTERN[self._frame_in_gop % len(GOP_PATTERN)]
+        if self._video:
+            phase = self._frame_in_gop % len(GOP_PATTERN)
             self._frame_in_gop += 1
-            weight = FRAME_SIZE_WEIGHTS[kind]
-            scale = grade.mean_frame_bytes / _GOP_MEAN_WEIGHT
-            size = max(1, int(round(weight * scale * self._next_multiplier())))
+            kind = GOP_PATTERN[phase]
+            # one draw from the object's (shared) stream per frame
+            if self._log_state is None:
+                state = float(self.rng.normal(0.0, np.sqrt(self._log_var)))
+            else:
+                state = self.rho * self._log_state + float(
+                    self.rng.normal(0.0, self.sigma))
+            self._log_state = state
+            size = max(1, int(round(self._gop_bytes[phase] * float(
+                np.exp(state - self._log_var / 2.0)))))
         else:
             kind = FrameKind.SAMPLE
-            size = max(1, int(round(grade.mean_frame_bytes)))
-        frame = Frame(
-            stream_id=self.stream_id,
-            seq=self._seq,
-            media_time=self._media_time,
-            duration=ticks,
-            size_bytes=size,
-            kind=kind,
-            grade=self._grade_index,
-        )
-        self._seq += 1
-        self._media_time += ticks
-        return frame
+            size = self._audio_bytes
+        seq = self._seq
+        self._seq = seq + 1
+        return tuple.__new__(Frame, (  # Frame(...) without its wrapper
+            self.stream_id, seq, media_time, self._ticks, size, kind,
+            self.grade_index))
 
 
 def trace_for_object(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "MediaType",
@@ -52,13 +53,13 @@ class FrameKind(enum.Enum):
     BLOCK = "block"  # generic data block (discrete media chunk)
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class Frame(NamedTuple):
     """One playable unit of a continuous stream.
 
     ``media_time`` is in integer ticks of the codec clock (RTP-style,
     e.g. 90 000 Hz for video, the sampling rate for audio), avoiding
     float drift in sync computations. ``duration`` is also in ticks.
+    A named tuple: immutable, and one ``tuple.__new__`` per frame pumped.
     """
 
     stream_id: str
@@ -68,7 +69,6 @@ class Frame:
     size_bytes: int
     kind: FrameKind
     grade: int = 0  # index into the codec's quality ladder at encode time
-    duplicated: bool = False  # produced by the skew controller, not the source
 
     @property
     def end_time(self) -> int:

@@ -90,8 +90,9 @@ class StreamHandler:
     """The frame pump: one continuous object to its viewer legs.
 
     One seeded :class:`~repro.media.traces.FrameSource` behind one
-    quality converter, pulled once per frame interval by one generator
-    loop; every frame goes to every :class:`StreamLeg`. Delivery schemes
+    quality converter, pulled once per frame interval by a chain of
+    ``call_later`` ticks (no process: ``alive`` is the liveness flag);
+    every frame goes to every :class:`StreamLeg`. Delivery schemes
     differ only in where the pump and its legs are placed:
 
     * unicast — one leg on the media server's node;
@@ -151,8 +152,10 @@ class StreamHandler:
         self.frames_sent = 0
         self.suspended_intervals = 0
         self.carrier_packets = 0
+        #: succeeds once, with ``frames_sent``, when a started pump ends
         self.finished: Event = self.sim.event()
-        self.process = None
+        #: started and not yet ended; the pending tick checks it
+        self.alive = False
         self._relay_port: int | None = None
 
     # -- legs ----------------------------------------------------------------
@@ -181,7 +184,7 @@ class StreamHandler:
         if not self.legs:
             self.stop()
 
-    # -- the loop ------------------------------------------------------------
+    # -- the frame clock -----------------------------------------------------
     def start(self) -> None:
         """Bind the carrier relay (legs on another node) and start pumping."""
         if len(self.legs) == 1:
@@ -193,29 +196,43 @@ class StreamHandler:
         if self.leg_node != self.node_id:
             self._relay_port = self._leg_host.ports.allocate("media")
             self._leg_host.bind(self._relay_port, self._on_carrier)
-        self.process = self.sim.process(self._run(), name=self.name)
+        self.alive = True
+        # on its own heap entry: after whatever else happens this instant
+        self.sim.call_later(0.0, self._begin)
 
-    def _run(self):
-        sim = self.sim
+    def _begin(self) -> None:
         if self.send_offset_s > 0:
-            yield sim.timeout(self.send_offset_s)
-        while self.source.media_time_s < self.duration_s - 1e-9:
-            if self.gate is not None and self.gate.paused:
-                yield self.gate.wait()
-            interval = self.source.frame_interval_s
-            frame = self.source.next_frame()
-            if frame is None:
-                self.suspended_intervals += 1
+            self.sim.call_later(self.send_offset_s, self._tick)
+        else:
+            self._tick()
+
+    def _tick(self, resumed: Event | None = None) -> None:
+        """Send the frame that is due and push the next tick. ``resumed``
+        (the gate's event) marks a pause ending: the frame it held back
+        goes out without a second look at the gate or the clock."""
+        if not self.alive:
+            return
+        source = self.source
+        if resumed is None:
+            if source.media_time_s >= self.duration_s - 1e-9:
+                self.stop()
+                return
+            gate = self.gate
+            if gate is not None and gate.paused:
+                gate.wait().callbacks.append(self._tick)
+                return
+        interval = source.frame_interval_s
+        frame = source.next_frame()
+        if frame is None:
+            self.suspended_intervals += 1
+        else:
+            if self._relay_port is None:
+                for leg in self._each_leg:
+                    leg.sender.send_frame(frame)
             else:
-                if self._relay_port is None:
-                    for leg in self._each_leg:
-                        leg.sender.send_frame(frame)
-                else:
-                    self._send_carrier(frame)
-                self.frames_sent += 1
-            yield sim.timeout(interval)
-        self.finished.succeed(self.frames_sent)
-        self._release()
+                self._send_carrier(frame)
+            self.frames_sent += 1
+        self.sim.call_later(interval, self._tick)
 
     def _send_carrier(self, frame: Frame) -> None:
         """Ship one frame origin → fan-out node, exactly once."""
@@ -245,9 +262,11 @@ class StreamHandler:
 
     # -- teardown ------------------------------------------------------------
     def stop(self) -> None:
-        """End the loop early (crash, last viewer gone) and release."""
-        if self.process is not None and self.process.is_alive:
-            self.process.interrupt("session closed")
+        """The one end of a pump: the object ran out, or a crash or the
+        last viewer leaving cut it short. A started pump finishes, once."""
+        if self.alive:
+            self.alive = False
+            self.finished.succeed(self.frames_sent)
         self._release()
 
     def _release(self) -> None:

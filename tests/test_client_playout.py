@@ -129,7 +129,7 @@ def test_interrupt_stops_playout():
 
     def clicker():
         yield sim.timeout(1.0)
-        p.process.interrupt("hyperlink")
+        p.alive = False  # what PresentationScheduler.interrupt() does
 
     sim.process(clicker())
     sim.run()

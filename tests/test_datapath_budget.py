@@ -23,12 +23,15 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.obs.flightrec import FlightRecorder
 
-#: Python calls per delivered RTP packet. 46.1 measured (35,229 calls,
-#: 764 packets, QoE scoring included); the same run made 79.3 before the
-#: heap held bare ``(time, seq, fn, args)`` entries and links scheduled
-#: themselves, and 46.9 while result collection walked the playout log
-#: five times per stream.
-BUDGET = 48.0
+#: Python calls per delivered RTP packet. 32.16 measured (24,571 calls,
+#: 764 packets, QoE scoring included); the same run made 45.96 (35,117)
+#: while every frame pump and playout was a generator process with a
+#: ``Timeout`` per frame, frames and playout events were frozen
+#: dataclasses and a frame source re-derived its grade per frame; 79.3
+#: before the heap held bare ``(time, seq, fn, args)`` entries and links
+#: scheduled themselves, and 46.9 while result collection walked the
+#: playout log five times per stream.
+BUDGET = 35.0
 #: calls into ``repro/obs/`` to score one session's QoE when its result
 #: is collected: the scorer, its three helpers, one histogram built,
 #: batch-fed and summarised. Fixed, whatever the session's length.
@@ -38,6 +41,8 @@ SCORING_CALLS_PER_SESSION = 17
 #: the recorder's two ``_record`` frames (the per-kind count is a dict
 #: increment inside one of them), and nothing on the per-packet path.
 #: 13.86 while the count went through a labelled-instrument registry.
+#: (Still 5.49 -- +439 for 80 -- now that the run's four pumps and four
+#: playouts are callback chains: see the event count below.)
 RING_EVENT_BUDGET = 5.5
 #: extra Python calls per tick of the DES-clock sampler. 30.3 measured
 #: (+424 calls over 14 ticks of 0.25 s).
@@ -111,7 +116,10 @@ def test_watching_costs_a_counted_number_of_calls():
     ring = FlightRecorder()
     recorded = _profiled_run(ring)
     assert recorded[2] == packets  # the run itself is the same run
-    assert len(ring.events) == 96 and ring.dropped_events == 0
+    # 96 while the four frame pumps and the four playouts were processes:
+    # their ``process.spawn`` / ``process.finish`` pairs (16 emits, 5
+    # calls each) went with the generators
+    assert len(ring.events) == 80 and ring.dropped_events == 0
     per_event = (recorded[0] - plain) / len(ring.events)
     assert per_event <= RING_EVENT_BUDGET, (recorded, plain)
     assert _profiled_run(FlightRecorder()) == recorded

@@ -118,18 +118,33 @@ def test_chaos_crash_kernel_counters_fell_by_the_link_machinery(tmp_path):
     than today; every packet a link accepts (``link.enqueue``) is
     transmitted once in this run. Through ``e05449f`` a second DES-clock
     sampler ran beside the first: one more spawn, one start entry and
-    one timer entry on each of the run's 25 ticks.
+    one timer entry on each of the run's 25 ticks. Through ``ad1d5ae``
+    every frame pump and every playout was a process too: one spawn
+    each, and a finish entry nobody waited on (the start entry stays, as
+    ``call_later(0, begin)``). A pump the crash stopped cost an
+    interrupt wakeup besides; it now costs the ``finished`` entry a
+    stopped pump used to withhold, so those two terms cancel.
     """
     run = run_chaos("crash", smoke=True,
                     flight_dump=str(tmp_path / "flight.jsonl"))
-    emits = run.flight_recorder.kind_counts()
+    recorder = run.flight_recorder
+    emits = recorder.kind_counts()
     links = 14
     second_sampler = 25 + 1  # ticks + the process's start entry
     transmissions = emits["link.enqueue"]
     assert transmissions == 5622
+    # 4 viewers x (A, V), each pumped twice: until the crash by the
+    # server that dies, from there on by the replica
+    pumps, playouts = 16, 8
+    finish_entries = pumps + playouts
+    (crash,) = recorder.select(kind="fault.crash")
+    interrupt_wakeups = stopped_finished = crash.args["streams"]
+    assert stopped_finished == 8
     assert emits["kernel.event"] == (
-        19503 - transmissions - links - second_sampler)
-    assert emits["process.spawn"] == 52 - links - 1
+        19503 - transmissions - links - second_sampler
+        - finish_entries - interrupt_wakeups + stopped_finished)
+    assert emits["process.spawn"] == 52 - links - 1 - pumps - playouts
+    assert "process.interrupt" not in emits
     # the kernel's own count, which an unrecorded run has too
     assert run.engine.sim.events_fired == emits["kernel.event"]
     assert run.digest == PINS["chaos_crash_untraced"][1]

@@ -209,10 +209,12 @@ def test_failover_resumes_realtime_aligned():
 
 # -- crash x shared flows: one registry, so a crash sees every stream ---------
 
-def _crash_run(shared_flows, recovery, tracer=None):
+def _crash_run(shared_flows, recovery, tracer=None, before_crash=None):
     """Four viewers at stagger 0, the media server crashing at t=3."""
     eng = ServiceEngine(EngineConfig(seed=23, shared_flows=shared_flows),
                         tracer=tracer)
+    if before_crash is not None:
+        eng.sim.call_later(2.9, before_crash, eng)
     eng.add_server("srv1", documents={"doc": (chaos_markup(6.0), "chaos")})
     if recovery:
         eng.add_media_replica("srv1", "media")
@@ -227,6 +229,29 @@ def _crash_run(shared_flows, recovery, tracer=None):
 def _sent_times(eng, session_id):
     """Send instants on one session's page of the frame ledger."""
     return list(eng.network.frames_sent[session_id])[2::3]
+
+
+def test_a_crashed_shared_pump_finishes():
+    """A stopped pump ends like one whose object ran out: ``finished``
+    triggers, so every ``sflow.start`` has its ``sflow.finish``."""
+    for recovery in (False, True):
+        tracer = RecordingTracer()
+        pumps = []
+
+        def grab(eng):
+            ms = eng.servers["srv1"].media_servers["media"]
+            pumps.extend(dict.fromkeys(ms.streams.values()))
+
+        _crash_run(True, recovery, tracer, before_crash=grab)
+        assert pumps and not any(pump.legs for pump in pumps)
+        for pump in pumps:
+            assert pump.finished.processed
+            assert pump.finished.value == pump.frames_sent > 0
+        kinds = tracer.kind_counts()
+        assert kinds["sflow.start"] == kinds["sflow.finish"] >= len(pumps)
+        finishes = [e for e in tracer.select(kind="sflow.finish")
+                    if e.time == 3.0]
+        assert len(finishes) == len(pumps)
 
 
 @pytest.mark.parametrize("shared_flows", [False, True])

@@ -1,5 +1,7 @@
 """Unit tests for RTP packetization, reception, jitter and RTCP."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +173,61 @@ def test_jitter_converges_toward_mean_abs_transit_delta():
         est.observe(i * 0.04 + jitter_off, i * 3600)
     # |D| = 5 ms for every packet after the first, so J -> 5 ms.
     assert est.jitter_s == pytest.approx(0.005, rel=0.05)
+
+
+# The estimator against its closed form (RFC 3550 A.8). Tolerances are
+# derived from the arithmetic, not tuned. An arrival instant below
+# ``t_max`` is built here by three rounded operations (``i * period + mean
+# +- d``), so it is off by at most 1.5 ulp(t_max), and D, the difference
+# of two of them against an exactly representable-as-computed period, by
+# at most 3 ulp(t_max). ``J += (|D| - J) / 16`` is the convex combination
+# ``15/16 J + 1/16 |D|``: an error in |D| is never amplified, and the
+# update's own three roundings (each at most half an ulp of a value no
+# larger than ``level``) shrink by 15/16 a step, so they sum to at most
+# 16 x 1.5 = 24 ulp(level); one more for the closed form's own rounding.
+def _jitter_tolerance(t_max, level):
+    return 3 * math.ulp(t_max) + 25 * math.ulp(level)
+
+
+JITTER_CLOCKS = [(90_000, 3600), (8_000, 160)]  # video 40 ms, audio 20 ms
+MEAN_TRANSIT_S = 0.0123
+
+
+@pytest.mark.parametrize("clock,ticks", JITTER_CLOCKS)
+def test_jitter_is_zero_for_a_constant_transit_delay(clock, ticks):
+    est = InterarrivalJitterEstimator(clock)
+    period = ticks / clock
+    packets = 201
+    t_max = packets * period + MEAN_TRANSIT_S
+    for i in range(packets):
+        est.observe(i * period + MEAN_TRANSIT_S, i * ticks)
+        # every |D| is rounding noise, and J never exceeds the largest
+        noise = 3 * math.ulp(t_max)
+        assert 0.0 <= est.jitter_s <= _jitter_tolerance(t_max, noise)
+    assert est.samples == packets - 1
+
+
+@pytest.mark.parametrize("clock,ticks", JITTER_CLOCKS)
+def test_jitter_follows_its_closed_form_for_alternating_transit(clock,
+                                                                ticks):
+    """Transit alternating +-d around a mean: every |D| is 2d, so from
+    J_0 = 0 the recursion gives 2d - J_n = 2d (15/16)^n."""
+    d = 0.005
+    est = InterarrivalJitterEstimator(clock)
+    period = ticks / clock
+    t_max = 201 * period + MEAN_TRANSIT_S + d
+    tolerance = _jitter_tolerance(t_max, 2 * d)
+    assert tolerance < 1e-13  # a closed form, not a trend
+    checked = []
+    for i in range(201):
+        offset = d if i % 2 == 0 else -d
+        est.observe(i * period + MEAN_TRANSIT_S + offset, i * ticks)
+        n = est.samples
+        if n in (1, 16, 200):
+            gap = 2 * d - est.jitter_s
+            assert abs(gap - 2 * d * (15 / 16) ** n) <= tolerance, n
+            checked.append(n)
+    assert checked == [1, 16, 200]
 
 
 def test_jitter_reset():

@@ -153,7 +153,7 @@ def _check_disable_stream_end_to_end(shared_flows):
     vid_ms = eng.servers["srv1"].media_servers["vidsrv"]
     pump = box["pump"]
     assert (box["session_id"], "V") not in vid_ms.streams
-    assert not pump.process.is_alive
+    assert not pump.alive
     assert pump.frames_sent < 60
     unbound_on = {node_id for node_id, _port in box["unbound"]}
     assert len(box["unbound"]) == (2 if shared_flows else 1)
@@ -195,7 +195,7 @@ def test_disable_stream_leaves_the_other_shared_viewer_alone():
     assert 90 < len(stayed) < 110
     assert stayed == run(first_leaves_at=None)[2]
     # the last leg leaving stopped the pump and freed the relay
-    assert not pump.legs and not pump.process.is_alive
+    assert not pump.legs and not pump.alive
     assert pump.frames_sent == len(stayed)
     router = eng.network.node(pump.leg_node)
     assert router.ports.allocated("media") == 0

@@ -242,7 +242,10 @@ def test_broadcast_viewer_is_a_registered_stream_at_the_pop():
     eng.sim.run(until=bc.wait_s(at=0.3) + 1.3)
     assert 0 < pump.frames_sent < 30
     ms.crash()
-    assert not ms.streams and not finished.triggered
+    # ...and whoever waits on the viewer's pump is told, once (a stopped
+    # pump used to leave this event pending for ever)
+    assert not ms.streams and not pump.alive
+    assert finished.triggered and finished.value == pump.frames_sent
     assert [s.origin.key for s in ms.wreckage] == [("s0", "V")]
     sent = pump.frames_sent
     eng.sim.run(until=12.0)
