@@ -9,13 +9,14 @@ The kernel is intentionally small and deterministic:
   resumed with the event's value when it triggers;
 * a heap entry is ``(time, seq, fn, args)`` and firing it is
   ``fn(*args)``: an event pushes its own ``_fire``, a one-shot action
-  (:meth:`Simulator.call_later`) pushes the caller's function — no
-  event, no callback list, no process, no wrapper object.
+  (:meth:`Simulator.call_later`, or :meth:`Simulator.call_at` for an
+  absolute instant) pushes the caller's function — no event, no
+  callback list, no process, no wrapper object.
 
 Nothing here knows about networks or media — higher layers build on
 :class:`Simulator` only through :meth:`Simulator.process`,
-:meth:`Simulator.timeout`, :meth:`Simulator.event` and
-:meth:`Simulator.call_later`.
+:meth:`Simulator.timeout`, :meth:`Simulator.event`,
+:meth:`Simulator.call_later` and :meth:`Simulator.call_at`.
 """
 
 from __future__ import annotations
@@ -317,7 +318,8 @@ def entry_kind(fn: Any) -> str:
 
     An event pushes its own ``_fire``, so its kind is the event's class
     (``Timeout``, ``Process``, ``Event``, ...); anything else was
-    scheduled by :meth:`Simulator.call_later` and reads ``"Call"``.
+    scheduled by :meth:`Simulator.call_later` or
+    :meth:`Simulator.call_at` and reads ``"Call"``.
     """
     if getattr(fn, "__func__", None) is Event._fire:
         return type(fn.__self__).__name__
@@ -419,6 +421,15 @@ class Simulator:
             raise ValueError(f"negative timeout delay: {delay}")
         self._seq = seq = self._seq + 1
         heappush(self._heap, (self._now + delay, seq, fn, args))
+
+    def call_at(self, when: float, fn: Callable[..., object],
+                *args: Any) -> None:
+        """:meth:`call_later` at the absolute instant ``when``, for a
+        caller that computed it: ``now + (when - now)`` may round."""
+        if when < self._now:
+            raise ValueError(f"call_at({when}) is before now ({self._now})")
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (when, seq, fn, args))
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

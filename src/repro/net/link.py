@@ -8,7 +8,7 @@ emerge here rather than being injected as closed-form noise.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.des import Simulator
@@ -32,7 +32,6 @@ class LinkStats:
     #: (fault injection), at ingress or while in flight
     fault_drops: int = 0
     busy_time: float = 0.0
-    occupancy_samples: list[tuple[float, int]] = field(default_factory=list)
 
     def utilisation(self, elapsed: float) -> float:
         return 0.0 if elapsed <= 0 else self.busy_time / elapsed
@@ -41,14 +40,17 @@ class LinkStats:
 class Link:
     """Unidirectional link ``src -> dst``.
 
-    A busy flag, a bounded drop-tail ``deque`` and two scheduled
-    calls per packet: an idle transmitter starts serialising at
-    :meth:`enqueue`, a busy one queues the packet (or drops it when
-    ``queue_packets`` are already waiting); ``_tx_done`` fires after
-    ``size * 8 / rate_bps``, counts the transmission, schedules
-    ``_propagated`` after ``delay_s`` and starts the next queued
-    packet; ``_propagated`` hands the packet to ``on_arrival`` (wired
-    by the :class:`~repro.net.topology.Network` to the next hop).
+    A FIFO transmitter knows a packet's departure when it accepts it:
+    ``max(now, previous departure) + size * 8 / rate_bps``. So
+    :meth:`enqueue` appends a ``(departure, ser, size_bytes)`` record
+    (or drops the packet when one is in service and ``queue_packets``
+    are already waiting) and schedules the one call per packet-hop,
+    ``_propagated`` at ``departure + delay_s``, which hands the packet
+    to ``on_arrival`` (wired by the :class:`~repro.net.topology.Network`
+    to the next hop). Transmissions are counted lazily: a record whose
+    departure is before ``now`` is settled into :attr:`stats` in FIFO
+    order, when the next packet is offered or someone reads the
+    counters; one departing exactly ``now`` is still in service.
     Random loss (e.g. a noisy last-mile) is modelled by an optional
     Gilbert–Elliott process applied after propagation.
     """
@@ -77,8 +79,9 @@ class Link:
                 f"queue_packets must be positive, got {queue_packets}")
         #: packets waiting behind the one being serialised
         self.queue_packets = queue_packets
-        self._queue: deque[Packet] = deque()
-        self._busy = False
+        #: ``(departure, ser, size_bytes)`` of every accepted packet not
+        #: yet settled: the one in service, then those waiting
+        self._departures: deque[tuple[float, float, int]] = deque()
         # The transmitter computes a plain link's delay inline, per
         # packet; a subclass that overrides serialization_delay (ATM
         # cells) is asked instead.
@@ -88,9 +91,22 @@ class Link:
         #: administrative state; a downed link drops everything offered
         #: to it and everything still propagating when it went down
         self.up = True
-        self.stats = LinkStats()
+        self._stats = LinkStats()
         self.on_arrival: Callable[[Packet], None] | None = None
         self.on_drop: Callable[[Packet, str], None] | None = None
+
+    @property
+    def stats(self) -> LinkStats:
+        """The counters as of now: transmissions that ended before now
+        are counted first, so they read as if each were an event."""
+        departures, now = self._departures, self.sim._now
+        stats = self._stats
+        while departures and departures[0][0] < now:
+            _, ser, size = departures.popleft()
+            stats.busy_time += ser
+            stats.tx_packets += 1
+            stats.tx_bytes += size
+        return stats
 
     @property
     def name(self) -> str:
@@ -110,7 +126,7 @@ class Link:
                                   state="up" if up else "down")
 
     def _drop_down(self, pkt: Packet) -> None:
-        self.stats.fault_drops += 1
+        self._stats.fault_drops += 1
         if self.sim._tracing:
             self.sim._tracer.emit(self.sim.now, "link.drop", self.name,
                                   reason="down", seq=pkt.seq,
@@ -125,53 +141,39 @@ class Link:
         if not self.up:
             self._drop_down(pkt)
             return False
-        if not self._busy:
-            self._busy = True
-            ser = (self.serialization_delay(pkt.size_bytes)
-                   if self._ser_overridden
-                   else pkt.size_bytes * 8.0 / self.rate_bps)
-            self.sim.call_later(ser, self._tx_done, pkt, ser)
-        elif len(self._queue) < self.queue_packets:
-            self._queue.append(pkt)
-        else:
-            self.stats.queue_drops += 1
-            if self.sim._tracing:
-                self.sim._tracer.emit(self.sim.now, "link.drop", self.name,
-                                      reason="queue", seq=pkt.seq,
-                                      flow=pkt.flow_id,
-                                      session=pkt.session,
-                                      frame=pkt.frame_seq)
+        sim = self.sim
+        now = sim._now
+        departures = self._departures
+        stats = self._stats
+        # settle what has left the transmitter: `stats`'s loop, inline
+        # because this is the per-hop path and a call would cost more
+        while departures and departures[0][0] < now:
+            _, ser, size = departures.popleft()
+            stats.busy_time += ser
+            stats.tx_packets += 1
+            stats.tx_bytes += size
+        if len(departures) > self.queue_packets:
+            stats.queue_drops += 1
+            if sim._tracing:
+                sim._tracer.emit(now, "link.drop", self.name,
+                                 reason="queue", seq=pkt.seq,
+                                 flow=pkt.flow_id, session=pkt.session,
+                                 frame=pkt.frame_seq)
             if self.on_drop is not None:
                 self.on_drop(pkt, "drop-queue")
             return False
-        if self.sim._tracing_detail:
-            self.sim._tracer.emit(self.sim.now, "link.enqueue",
-                                  self.name, depth=len(self._queue),
-                                  flow=pkt.flow_id, seq=pkt.seq,
-                                  session=pkt.session,
-                                  frame=pkt.frame_seq)
+        size = pkt.size_bytes
+        ser = (self.serialization_delay(size) if self._ser_overridden
+               else size * 8.0 / self.rate_bps)
+        departure = (departures[-1][0] if departures else now) + ser
+        departures.append((departure, ser, size))
+        sim.call_at(departure + self.delay_s, self._propagated, pkt)
+        if sim._tracing_detail:
+            sim._tracer.emit(now, "link.enqueue", self.name,
+                             depth=len(departures) - 1,
+                             flow=pkt.flow_id, seq=pkt.seq,
+                             session=pkt.session, frame=pkt.frame_seq)
         return True
-
-    # -- transmitter -------------------------------------------------------
-    def _tx_done(self, pkt: Packet, ser: float) -> None:
-        """``pkt`` has left the transmitter: count it, propagate it, and
-        start on the next queued packet."""
-        stats = self.stats
-        stats.busy_time += ser
-        stats.tx_packets += 1
-        stats.tx_bytes += pkt.size_bytes
-        # Propagation first: at equal fire times this packet's arrival
-        # precedes the next packet's _tx_done (digests depend on it).
-        sim = self.sim
-        sim.call_later(self.delay_s, self._propagated, pkt)
-        if self._queue:
-            pkt = self._queue.popleft()
-            ser = (self.serialization_delay(pkt.size_bytes)
-                   if self._ser_overridden
-                   else pkt.size_bytes * 8.0 / self.rate_bps)
-            sim.call_later(ser, self._tx_done, pkt, ser)
-        else:
-            self._busy = False
 
     def _propagated(self, pkt: Packet) -> None:
         if not self.up:
@@ -183,7 +185,7 @@ class Link:
             if self.sim._tracing_detail
             else self.loss_model.is_lost()
         ):
-            self.stats.loss_drops += 1
+            self._stats.loss_drops += 1
             if self.sim._tracing:
                 self.sim._tracer.emit(self.sim.now, "link.drop", self.name,
                                       reason="loss", seq=pkt.seq,
@@ -196,7 +198,3 @@ class Link:
         if self.on_arrival is not None:
             pkt.hops += 1
             self.on_arrival(pkt)
-
-    def sample_occupancy(self) -> None:
-        """Record (now, queue length) for occupancy-trace experiments."""
-        self.stats.occupancy_samples.append((self.sim.now, len(self._queue)))

@@ -11,8 +11,8 @@ exactly nothing when off. Installed, ``run()`` falls back to
 here; the profiler fires it, times it and charges it to its entry
 kind (Timeout, Call, Process...) and to its handler: ``process:<name>``
 for a process resumption, otherwise the qualified name of the callback
-or of the function ``call_later`` scheduled (``Link._tx_done``,
-``ReliableSender._on_timer``).
+or of the function ``call_later`` / ``call_at`` scheduled
+(``Link._propagated``, ``ReliableSender._on_timer``).
 
 Wall-clock reads are deliberate here — a profiler measures real time
 by definition — and never feed back into simulation state, so

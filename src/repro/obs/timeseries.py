@@ -206,8 +206,10 @@ class TimeSeriesSampler:
     ``buffer_occupancy_s``   max   fullest client media buffer
                                    (engine-local gauge)
     ``event_queue_depth``    max   DES heap entries of the *system*
-                                   (engine-local): the sampler's own
-                                   timer is not pending while it samples
+                                   (engine-local): one per packet a
+                                   link holds, waiting or not; the
+                                   sampler's own timer is not pending
+                                   while it samples
     ======================== ===== =======================================
 
     The two engine-local gauges describe *this* engine's internals, so

@@ -23,15 +23,17 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.obs.flightrec import FlightRecorder
 
-#: Python calls per delivered RTP packet. 32.16 measured (24,571 calls,
-#: 764 packets, QoE scoring included); the same run made 45.96 (35,117)
+#: Python calls per delivered RTP packet. 27.91 measured (21,323 calls,
+#: 764 packets, QoE scoring included); 32.16 (24,571) while a link
+#: scheduled a ``_tx_done`` at each departure besides the arrival; the
+#: same run made 45.96 (35,117)
 #: while every frame pump and playout was a generator process with a
 #: ``Timeout`` per frame, frames and playout events were frozen
 #: dataclasses and a frame source re-derived its grade per frame; 79.3
 #: before the heap held bare ``(time, seq, fn, args)`` entries and links
 #: scheduled themselves, and 46.9 while result collection walked the
 #: playout log five times per stream.
-BUDGET = 35.0
+BUDGET = 29.0
 #: calls into ``repro/obs/`` to score one session's QoE when its result
 #: is collected: the scorer, its three helpers, one histogram built,
 #: batch-fed and summarised. Fixed, whatever the session's length.
@@ -44,15 +46,19 @@ SCORING_CALLS_PER_SESSION = 17
 #: (Still 5.49 -- +439 for 80 -- now that the run's four pumps and four
 #: playouts are callback chains: see the event count below.)
 RING_EVENT_BUDGET = 5.5
-#: extra Python calls per tick of the DES-clock sampler. 30.3 measured
-#: (+424 calls over 14 ticks of 0.25 s).
-SAMPLER_TICK_BUDGET = 31.0
+#: extra Python calls per tick of the DES-clock sampler. 39.4 measured
+#: (+551 calls over 14 ticks of 0.25 s); 30.3 (+424) while a link's
+#: counters were a plain attribute: reading ``link.stats`` now settles
+#: the transmissions that ended, one call per link read, paid only by
+#: whoever samples.
+SAMPLER_TICK_BUDGET = 40.0
 #: Python calls one cross-traffic packet costs, from the source's tick
-#: through two links to the discard at the target's port 9. 19.04
-#: measured (4,818 calls for 253 packets: 7 at the source, 6 a hop);
+#: through two links to the discard at the target's port 9. 15.04
+#: measured (3,806 calls for 253 packets: 7 at the source, 4 a hop);
+#: 19.04 (4,818: 6 a hop) with a link's ``_tx_done`` call per hop;
 #: 29.11 (7,364) while a source was a generator process with a
 #: ``Timeout`` per packet sending through a ``DatagramSocket``.
-XTRAFFIC_PACKET_BUDGET = 19.5
+XTRAFFIC_PACKET_BUDGET = 15.5
 
 _OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 

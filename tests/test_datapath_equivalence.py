@@ -26,6 +26,19 @@ beside the untraced one while a traced document carried emit counters;
 a document no longer depends on who watched
 (``test_a_result_document_does_not_depend_on_who_watched``), so one
 pin per run is all there is to hold.
+
+One column counts heap entries rather than anything simulated:
+``timeseries.columns.event_queue_depth``, ``len(sim._heap)`` at each
+tick. When a link began scheduling a packet's arrival on accepting it
+(one heap entry per packet-hop, where there were two), a packet waiting
+in a link queue came to hold an entry, and that column rose on the one
+pinned run that samples it: ``chaos_crash_untraced`` was re-pinned
+then, once. ``PINS_WITHOUT_HEAP_DEPTH`` holds the other half of that
+claim: each is the digest of the same document with that column
+deleted, recorded on the commit before (``f57d545``) and equal on
+every commit since. The chain of equalities: ``09c8b7c`` projections =
+``4ac9ab8`` documents minus the observer's keys = ``f57d545``
+documents = today's documents, ``event_queue_depth`` aside.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from repro.obs.flightrec import FlightRecorder
 from repro.obs.qoe import score_session
 from repro.obs.tracer import RecordingTracer
 from repro.shard.bench import run_sharded, shard_workload
+from repro.shard.merge import merged_digest
 
 SEED = 11
 
@@ -78,10 +92,14 @@ def _cdn_shared(tracer=None):
                        shared_flows=True, tracer=tracer)
 
 
-def _shard_k2():
+def _sharded():
     return run_sharded(
         8, 2, seed=7, cell_clients=4,
-        workload=shard_workload(duration_s=1.5, stagger_s=0.25)).digest
+        workload=shard_workload(duration_s=1.5, stagger_s=0.25))
+
+
+def _shard_k2():
+    return _sharded().digest
 
 
 PINS = {
@@ -96,10 +114,41 @@ PINS = {
         "b8c845e594c6e6afa57d5d9d402b49b5f9ffe44cd69db6a547082f388c970a4a"),
     "chaos_crash_untraced": (
         lambda: run_chaos("crash", smoke=True).digest,
-        "881ab0c536fa36e1c10525c6bb3a44ca4ce9de96e42a91d544a646147cb698c7"),
+        "abe74ad634d801e6a9fee75b92c0c124877b15cb27ab1acd381c2c5f3e2ae824"),
     "shard_k2": (
         _shard_k2,
         "be6f921541ade16baef54bd17a414f7dfc4eeae3721ab03a9a48ef8fd0fd9767"),
+}
+
+
+def _without_heap_depth(doc):
+    """``doc`` with the one column that counts heap entries deleted."""
+    if doc.get("timeseries"):
+        del doc["timeseries"]["columns"]["event_queue_depth"]
+    return doc
+
+
+def _digest_without_heap_depth(build):
+    return lambda: population_digest(_without_heap_depth(build().to_dict()))
+
+
+PINS_WITHOUT_HEAP_DEPTH = {
+    "star_clean": (
+        _digest_without_heap_depth(_star_clean),
+        "909e0c0575a2aaff95ad941d3f31f8db1cc35f82a777d74c3cb2992847e1036b"),
+    "star_impaired": (
+        _digest_without_heap_depth(_star_impaired),
+        "ba3aeff08fd0f6ec826201cb3a3e45b96eb7ebb0bb05eb10bdef16f808ddc33a"),
+    "cdn_shared": (
+        _digest_without_heap_depth(_cdn_shared),
+        "b8c845e594c6e6afa57d5d9d402b49b5f9ffe44cd69db6a547082f388c970a4a"),
+    "chaos_crash_untraced": (
+        _digest_without_heap_depth(
+            lambda: run_chaos("crash", smoke=True).population),
+        "1cac112d70ce8dad19eba52743b2cf94e0de4676eadf52ac22d336d73616973f"),
+    "shard_k2": (
+        lambda: merged_digest(_without_heap_depth(_sharded().merged)),
+        "38554e0c467e0f4b068f6ae799545e20378d4c2c52751fafb27a3cc06d90b752"),
 }
 
 
@@ -109,14 +158,24 @@ def test_population_digest_is_pinned(name):
     assert run() == pinned
 
 
+@pytest.mark.parametrize("name", sorted(PINS_WITHOUT_HEAP_DEPTH))
+def test_digest_without_heap_depth_is_the_two_entry_links(name):
+    """Everything but ``event_queue_depth`` is what links with two heap
+    entries per packet-hop produced."""
+    run, pinned = PINS_WITHOUT_HEAP_DEPTH[name]
+    assert run() == pinned
+
+
 def test_chaos_crash_kernel_counters_fell_by_the_link_machinery(tmp_path):
     """Two kernel counts of the chaos-crash run, exactly.
 
     On ``09c8b7c`` the scenario fired 19503 heap entries and spawned 52
     processes. Each of its 14 links was a process (one spawn, one start
-    entry) and each link transmission cost one ``StoreGet`` entry more
-    than today; every packet a link accepts (``link.enqueue``) is
-    transmitted once in this run. Through ``e05449f`` a second DES-clock
+    entry) and each link transmission cost a ``StoreGet`` entry; every
+    packet a link accepts (``link.enqueue``) is transmitted once in this
+    run. Through ``f57d545`` each transmission cost one entry more, the
+    link's ``_tx_done`` (today a link schedules only the packet's
+    arrival, when it accepts it). Through ``e05449f`` a second DES-clock
     sampler ran beside the first: one more spawn, one start entry and
     one timer entry on each of the run's 25 ticks. Through ``ad1d5ae``
     every frame pump and every playout was a process too: one spawn
@@ -142,7 +201,8 @@ def test_chaos_crash_kernel_counters_fell_by_the_link_machinery(tmp_path):
     assert stopped_finished == 8
     assert emits["kernel.event"] == (
         19503 - transmissions - links - second_sampler
-        - finish_entries - interrupt_wakeups + stopped_finished)
+        - finish_entries - interrupt_wakeups + stopped_finished
+        - transmissions)
     assert emits["process.spawn"] == 52 - links - 1 - pumps - playouts
     assert "process.interrupt" not in emits
     # the kernel's own count, which an unrecorded run has too

@@ -43,17 +43,22 @@ def test_profiler_attributes_kernel_time():
 
 
 def test_call_later_is_charged_to_the_scheduled_function():
-    prof = KernelProfiler()
-    _run_population(prof)
+    eng = ServiceEngine(EngineConfig(seed=7))
+    eng.add_server("srv1", documents={"doc": (av_markup(2.0, False), "t")})
+    prof = KernelProfiler().install(eng.sim)
+    eng.orchestrator.run_population(2, "srv1", "doc", stagger_s=0.3)
+    prof.uninstall()
     calls = {h for kind, h in prof.per_handler if kind == "Call"}
-    assert {"Link._tx_done", "Link._propagated"} <= calls
+    assert "Link._propagated" in calls
     # links are no longer processes, and no closure hides a handler
     assert not any("<lambda>" in h for h in calls)
     assert not any(h.startswith("process:link:")
                    for _, h in prof.per_handler)
-    # one _tx_done and one _propagated per packet-hop
+    # one heap entry per packet-hop: the arrival, scheduled on accepting
+    assert "Link._tx_done" not in calls
     count = {h: c for (_, h), (c, _) in prof.per_handler.items()}
-    assert count["Link._tx_done"] == count["Link._propagated"]
+    assert count["Link._propagated"] == sum(
+        link.stats.tx_packets for link in eng.network.links.values())
 
 
 def test_profiler_times_direct_steps_and_plain_functions():
