@@ -31,9 +31,9 @@ def cells_for(size_bytes: int) -> int:
 class AtmLink(Link):
     """A link whose wire format is ATM cells.
 
-    Inherits queueing from :class:`Link` (the queue still holds
-    packets; segmentation happens at the transmitter, as in an AAL5
-    NIC). The loss model, when present, is evaluated **per cell**.
+    Inherits queueing and forwarding from :class:`Link` (the queue still
+    holds packets; segmentation happens at the transmitter, as in an
+    AAL5 NIC). The loss model, when present, is evaluated **per cell**.
     """
 
     def __init__(self, sim: Simulator, src: str, dst: str, rate_bps: float,
@@ -41,6 +41,7 @@ class AtmLink(Link):
                  loss_model=None) -> None:
         super().__init__(sim, src, dst, rate_bps, delay_s,
                          queue_packets=queue_packets, loss_model=loss_model)
+        self._packet_loss = None
         self.cells_tx = 0
         self.cell_loss_events = 0
 
@@ -59,7 +60,7 @@ class AtmLink(Link):
             if lost_cells:
                 # One lost cell kills the AAL5 frame.
                 self.cell_loss_events += lost_cells
-                self.stats.loss_drops += 1
+                self._stats.loss_drops += 1
                 if self.sim._tracing:
                     self.sim._tracer.emit(
                         self.sim.now, "link.drop", self.name,
@@ -68,9 +69,7 @@ class AtmLink(Link):
                 if self.on_drop is not None:
                     self.on_drop(pkt, "drop-loss")
                 return
-        if self.on_arrival is not None:
-            pkt.hops += 1
-            self.on_arrival(pkt)
+        super()._propagated(pkt)
 
     @property
     def cell_tax(self) -> float:

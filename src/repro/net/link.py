@@ -45,9 +45,10 @@ class Link:
     :meth:`enqueue` appends a ``(departure, ser, size_bytes)`` record
     (or drops the packet when one is in service and ``queue_packets``
     are already waiting) and schedules the one call per packet-hop,
-    ``_propagated`` at ``departure + delay_s``, which hands the packet
-    to ``on_arrival`` (wired by the :class:`~repro.net.topology.Network`
-    to the next hop). Transmissions are counted lazily: a record whose
+    ``_propagated`` at ``departure + delay_s``, which hands a packet for
+    ``dst`` to ``on_arrival`` (that node's delivery, on a network) and
+    offers any other to the next link in the far node's table itself.
+    Transmissions are counted lazily: a record whose
     departure is before ``now`` is settled into :attr:`stats` in FIFO
     order, when the next packet is offered or someone reads the
     counters; one departing exactly ``now`` is still in service.
@@ -88,12 +89,16 @@ class Link:
         self._ser_overridden = (type(self).serialization_delay
                                 is not Link.serialization_delay)
         self.loss_model = loss_model
+        self._packet_loss = loss_model      # an ATM link draws per cell
         #: administrative state; a downed link drops everything offered
         #: to it and everything still propagating when it went down
         self.up = True
         self._stats = LinkStats()
         self.on_arrival: Callable[[Packet], None] | None = None
         self.on_drop: Callable[[Packet, str], None] | None = None
+        #: the far node's next-link table and its router (set by a network)
+        self._next: dict[str, Link] = {}
+        self._route: Callable[[str, str], object] | None = None
 
     @property
     def stats(self) -> LinkStats:
@@ -179,11 +184,12 @@ class Link:
         if not self.up:
             self._drop_down(pkt)
             return
-        if self.loss_model is not None and (
-            self.loss_model.is_lost(flow=pkt.flow_id, seq=pkt.seq,
-                                    session=pkt.session, frame=pkt.frame_seq)
+        loss = self._packet_loss
+        if loss is not None and (
+            loss.is_lost(flow=pkt.flow_id, seq=pkt.seq,
+                         session=pkt.session, frame=pkt.frame_seq)
             if self.sim._tracing_detail
-            else self.loss_model.is_lost()
+            else loss.is_lost()
         ):
             self._stats.loss_drops += 1
             if self.sim._tracing:
@@ -195,6 +201,12 @@ class Link:
             if self.on_drop is not None:
                 self.on_drop(pkt, "drop-loss")
             return
-        if self.on_arrival is not None:
-            pkt.hops += 1
+        pkt.hops += 1
+        dst = pkt.dst
+        if dst == self.dst:
             self.on_arrival(pkt)
+            return
+        out = self._next
+        if dst not in out:
+            self._route(self.dst, dst)
+        out[dst].enqueue(pkt)

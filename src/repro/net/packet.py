@@ -52,6 +52,8 @@ class PacketTap:
     Nothing is kept per packet, so the tap's size follows the flows and
     nodes of a run, not its length; which packet went where is the
     trace's to answer (``net.deliver``, ``link.drop``, ``net.rx_discard``).
+    :meth:`Node.deliver <repro.net.topology.Node.deliver>` counts the
+    deliveries and discards, the network the link drops.
     """
 
     def __init__(self) -> None:
@@ -65,18 +67,7 @@ class PacketTap:
         #: packets links dropped, per kind ("drop-queue" | "drop-loss")
         self.drops_by_kind: dict[str, int] = defaultdict(int)
         #: packets delivered to a node but addressed to an unbound port
-        #: (``Node.deliver`` counts them here)
         self.discards_by_node: dict[str, int] = defaultdict(int)
-
-    def record(self, event: str, pkt: Packet) -> None:
-        """Count a delivery (``"deliver"``) or a link drop (its kind)."""
-        protocol = pkt.protocol
-        if event == "deliver":
-            self.count_by_flow[protocol][pkt.flow_id] += 1
-            self.bytes_by_protocol[protocol] += pkt.size_bytes
-        else:
-            self.count_by_flow[protocol][pkt.flow_id] += 0
-            self.drops_by_kind[event] += 1
 
     @property
     def count_by_protocol(self) -> dict[str, int]:

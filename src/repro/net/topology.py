@@ -1,9 +1,12 @@
 """Network topology: nodes, links, shortest-path forwarding.
 
-The :class:`Network` owns the adjacency, fills a node's next-link table
-(Dijkstra on propagation delay) when it first forwards, moves packets
-hop-by-hop through :class:`~repro.net.link.Link` queues, and feeds the
-global :class:`~repro.net.packet.PacketTap`.
+The :class:`Network` owns the adjacency and fills a node's next-link
+table (Dijkstra on propagation delay) when it first forwards. Each
+:class:`~repro.net.link.Link` holds its far node's table and forwards by
+itself; a packet for that node goes to :meth:`Node.deliver`, which feeds
+the global :class:`~repro.net.packet.PacketTap`. :meth:`Network.send`
+injects a packet at its source; RTP senders and traffic sources offer
+theirs to the first link directly.
 
 Endpoints (:class:`Node`) expose a small port-based dispatch: an
 application binds a handler to a port and receives the packets
@@ -39,6 +42,9 @@ class Node:
     def __init__(self, network: "Network", node_id: str) -> None:
         self.network = network
         self.node_id = node_id
+        self._sim = network.sim
+        self._tap_flows = network.tap.count_by_flow
+        self._tap_bytes = network.tap.bytes_by_protocol
         self.ports = PortAllocator(node_id)
         self._ports: dict[int, Callable[[Packet], None]] = {}
         self.rx_packets = 0
@@ -57,6 +63,16 @@ class Node:
         return sorted(self._ports)
 
     def deliver(self, pkt: Packet) -> None:
+        """Count, trace and dispatch a packet addressed here."""
+        protocol = pkt.protocol
+        self._tap_flows[protocol][pkt.flow_id] += 1
+        self._tap_bytes[protocol] += pkt.size_bytes
+        sim = self._sim
+        if sim._tracing_detail:
+            sim._tracer.emit(sim.now, "net.deliver", node=self.node_id,
+                             port=pkt.dst_port, hops=pkt.hops,
+                             flow=pkt.flow_id, seq=pkt.seq,
+                             session=pkt.session, frame=pkt.frame_seq)
         self.rx_packets += 1
         self.rx_bytes += pkt.size_bytes
         handler = self._ports.get(pkt.dst_port)
@@ -66,7 +82,6 @@ class Node:
         # Unbound ports discard, as an OS would — but count it, so a
         # misrouted flow is observable rather than silently black-holed.
         self.rx_discarded += 1
-        sim = self.network.sim
         if sim._tracing:
             sim._tracer.emit(sim.now, "net.rx_discard", node=self.node_id,
                              port=pkt.dst_port, seq=pkt.seq,
@@ -146,8 +161,10 @@ class Network:
                 self.sim, src, dst, rate_bps, delay_s,
                 queue_packets=queue_packets, loss_model=loss_model,
             )
-        self._wire(link)
+        link.on_arrival = self.nodes[dst].deliver
         link.on_drop = self._on_link_drop
+        link._next = self._out_links[dst]
+        link._route = self._route
         self.links[(src, dst)] = link
         self._adj[src][dst] = link
         self._invalidate_routes()
@@ -242,17 +259,9 @@ class Network:
             raise KeyError(f"unknown source node {src!r}")
         if dst not in self.nodes:
             raise KeyError(f"unknown destination node {dst!r}")
-        sim = self.sim
-        pkt.created_at = sim._now
+        pkt.created_at = self.sim._now
         if src == dst:
             # Loopback: deliver immediately.
-            self.tap.record("deliver", pkt)
-            if sim._tracing_detail:
-                sim._tracer.emit(sim.now, "net.deliver",
-                                 node=dst, port=pkt.dst_port,
-                                 hops=0, flow=pkt.flow_id, seq=pkt.seq,
-                                 session=pkt.session,
-                                 frame=pkt.frame_seq)
             self.nodes[dst].deliver(pkt)
             return True
         out = self._out_links[src]
@@ -261,32 +270,9 @@ class Network:
         return out[dst].enqueue(pkt)
 
     def _on_link_drop(self, pkt: Packet, kind: str) -> None:
-        self.tap.record(kind, pkt)
+        self.tap.count_by_flow[pkt.protocol][pkt.flow_id] += 0
+        self.tap.drops_by_kind[kind] += 1
         if pkt.frame_seq >= 0 and pkt.session:
             hit = self.frames_hit.setdefault(pkt.session, {})
             hit[pkt.flow_id, pkt.frame_seq] = getattr(
                 pkt.payload, "timestamp", -1)
-
-    def _wire(self, link: Link) -> None:
-        """Route packets leaving this link: deliver locally or forward."""
-        here = link.dst
-        out = self._out_links[here]
-        sim = self.sim
-
-        def arrive(pkt: Packet) -> None:
-            dst = pkt.dst
-            if dst == here:
-                self.tap.record("deliver", pkt)
-                if sim._tracing_detail:
-                    sim._tracer.emit(sim.now, "net.deliver",
-                                     node=here, port=pkt.dst_port,
-                                     hops=pkt.hops, flow=pkt.flow_id,
-                                     seq=pkt.seq, session=pkt.session,
-                                     frame=pkt.frame_seq)
-                self.nodes[here].deliver(pkt)
-                return
-            if dst not in out:
-                self._route(here, dst)
-            out[dst].enqueue(pkt)
-
-        link.on_arrival = arrive

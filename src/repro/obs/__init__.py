@@ -82,7 +82,12 @@ _EXPORTS = {
     "write_jsonl": "export",
 }
 
-__all__ = sorted(_EXPORTS)
+#: the ``repro bench`` artifact's schema, here so a sharded bench stamps
+#: it without importing ``bench``'s trend and SLO code
+BENCH_SCHEMA = "repro.bench"
+BENCH_SCHEMA_VERSION = 1
+
+__all__ = sorted([*_EXPORTS, "BENCH_SCHEMA", "BENCH_SCHEMA_VERSION"])
 
 
 def __getattr__(name: str):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.ioutil import UsageError
+from repro.obs import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
 from repro.obs.service_metrics import egress_by_host
 from repro.obs.trend import (
     DEFAULT_STORE,
@@ -36,9 +37,6 @@ if TYPE_CHECKING:
 __all__ = ["BenchScenario", "SCENARIOS", "BENCH_SCHEMA",
            "BENCH_SCHEMA_VERSION", "bench_scenario", "run_scenario",
            "run_benchmarks", "bench_command"]
-
-BENCH_SCHEMA = "repro.bench"
-BENCH_SCHEMA_VERSION = 1
 
 
 @dataclass(slots=True)

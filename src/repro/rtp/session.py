@@ -80,6 +80,8 @@ class RtpSender:
         # its other senders (None: anonymous traffic is not ledgered)
         self._sent = (network.frames_sent.setdefault(session, deque())
                       if session else None)
+        #: the node's next-link table (edited in place by the network)
+        self._out = network._out_links[node_id]
 
     def send_frame(self, frame: Frame) -> int:
         """Packetize and transmit one frame; returns packets sent."""
@@ -87,22 +89,29 @@ class RtpSender:
         n_frags = len(plan)
         last = n_frags - 1
         seq0 = self._seq
+        now = self.sim._now
         if self._sent is not None:
-            self._sent.extend((self.stream_id, frame.seq, self.sim._now))
+            self._sent.extend((self.stream_id, frame.seq, now))
+        dst = self.dst
+        if dst != self.node_id and dst not in self._out:
+            self.network._route(self.node_id, dst)
+        send = (self.network.send if dst == self.node_id     # loopback
+                else self._out[dst].enqueue)
+        src, ssrc, pt, stream, port, session, media_time, frame_seq = (
+            self.node_id, self.ssrc, self.payload_type, self.stream_id,
+            self.dst_port, self.session, frame.media_time, frame.seq)
+        seq = seq0
         for i, frag_bytes in enumerate(plan):
-            seq = self._seq
             # Both records positionally, in field order: keyword calls
             # cost as much again as building the packet.
-            rtp = RtpPacket(self.ssrc, self.payload_type, seq,
-                            frame.media_time, i == last, frag_bytes,
+            rtp = RtpPacket(ssrc, pt, seq, media_time, i == last, frag_bytes,
                             i, n_frags, frame if i == last else None)
-            self.network.send(Packet(
-                self.node_id, self.dst, frag_bytes + RTP_HEADER_BYTES, "RTP",
-                self.stream_id, self.dst_port, rtp, seq,
-                self.session, frame.seq))
-            self._seq = (seq + 1) % SEQ_MODULUS
-            self.packet_count += 1
-            self.octet_count += frag_bytes
+            send(Packet(src, dst, frag_bytes + RTP_HEADER_BYTES, "RTP",
+                        stream, port, rtp, seq, session, frame_seq, now))
+            seq = (seq + 1) % SEQ_MODULUS
+        self._seq = seq
+        self.packet_count += n_frags
+        self.octet_count += frame.size_bytes
         if self.sim._tracing_detail:
             self.sim._tracer.emit(self.sim.now, "rtp.send", self.stream_id,
                                   session=self.session, frame=frame.seq,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.obs.bench import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
+from repro.obs import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
 from repro.shard.plan import ShardPlan, ShardWorkload
 from repro.shard.result import ShardedRunResult, ShardFailure, ShardStatus
 from repro.shard.supervisor import ShardSupervisor

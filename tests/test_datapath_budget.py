@@ -23,17 +23,19 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.obs.flightrec import FlightRecorder
 
-#: Python calls per delivered RTP packet. 27.91 measured (21,323 calls,
-#: 764 packets, QoE scoring included); 32.16 (24,571) while a link
-#: scheduled a ``_tx_done`` at each departure besides the arrival; the
-#: same run made 45.96 (35,117)
+#: Python calls per delivered RTP packet. 23.72 measured (18,119 calls,
+#: 764 packets, QoE scoring included); 27.91 (21,323) while a sender
+#: went through ``Network.send`` per fragment and each hop's arrival
+#: through a forwarding closure and ``PacketTap.record``; 32.16 (24,571)
+#: while a link scheduled a ``_tx_done`` at each departure besides the
+#: arrival; the same run made 45.96 (35,117)
 #: while every frame pump and playout was a generator process with a
 #: ``Timeout`` per frame, frames and playout events were frozen
 #: dataclasses and a frame source re-derived its grade per frame; 79.3
 #: before the heap held bare ``(time, seq, fn, args)`` entries and links
 #: scheduled themselves, and 46.9 while result collection walked the
 #: playout log five times per stream.
-BUDGET = 29.0
+BUDGET = 24.5
 #: calls into ``repro/obs/`` to score one session's QoE when its result
 #: is collected: the scorer, its three helpers, one histogram built,
 #: batch-fed and summarised. Fixed, whatever the session's length.
@@ -44,7 +46,9 @@ SCORING_CALLS_PER_SESSION = 17
 #: increment inside one of them), and nothing on the per-packet path.
 #: 13.86 while the count went through a labelled-instrument registry.
 #: (Still 5.49 -- +439 for 80 -- now that the run's four pumps and four
-#: playouts are callback chains: see the event count below.)
+#: playouts are callback chains: see the event count below; and still
+#: +439 now that ``Node.deliver`` traces ``net.deliver`` itself: the
+#: detail-tier check moved, no call was added beside it.)
 RING_EVENT_BUDGET = 5.5
 #: extra Python calls per tick of the DES-clock sampler. 39.4 measured
 #: (+551 calls over 14 ticks of 0.25 s); 30.3 (+424) while a link's
@@ -53,12 +57,15 @@ RING_EVENT_BUDGET = 5.5
 #: whoever samples.
 SAMPLER_TICK_BUDGET = 40.0
 #: Python calls one cross-traffic packet costs, from the source's tick
-#: through two links to the discard at the target's port 9. 15.04
-#: measured (3,806 calls for 253 packets: 7 at the source, 4 a hop);
-#: 19.04 (4,818: 6 a hop) with a link's ``_tx_done`` call per hop;
+#: through two links to the discard at the target's port 9. 12.04
+#: measured (3,047 calls for 253 packets: 7 at the source, 2 a hop and
+#: one ``Node.deliver`` that counts the tap inline); 15.04 (3,806: 4 a
+#: hop) with a forwarding closure per hop and ``PacketTap.record`` at
+#: delivery; 19.04 (4,818: 6 a hop) with a link's ``_tx_done`` call per
+#: hop;
 #: 29.11 (7,364) while a source was a generator process with a
 #: ``Timeout`` per packet sending through a ``DatagramSocket``.
-XTRAFFIC_PACKET_BUDGET = 15.5
+XTRAFFIC_PACKET_BUDGET = 12.5
 
 _OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 

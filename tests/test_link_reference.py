@@ -12,7 +12,13 @@ Generated single-link runs with dyadic times and sizes -- so arrivals,
 departures, reads and fault edges really tie -- must give the same
 arrivals, drops, enqueue depths and counters (``busy_time`` with ``==``)
 on both, and at every read the new heap must hold exactly one entry more
-per packet waiting in the old link's queue.
+per packet waiting in the old link's queue. Both are driven with packets
+for their own ``b``, so both hand every survivor to ``on_arrival``.
+
+A link also forwards by itself: on a network a packet arriving at a node
+it is not addressed to is offered to the next link there, with no
+closure in between; ``test_forwarding_is_the_link_itself`` holds that
+path to the trace the closure gave.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import RngRegistry, Simulator
-from repro.net.atm import AtmLink
+from repro.net.atm import AtmLink, cells_for
 from repro.net.impairments import GilbertElliottLoss
 from repro.net.link import Link, LinkStats
 from repro.net.packet import Packet
+from repro.net.topology import Network
 from repro.obs.tracer import RecordingTracer
 
 RATE = 8192.0              # bit/s: a 32-byte packet takes 1/32 s
@@ -36,11 +43,11 @@ TICK = 1 / 32
 
 class TwoEntryLink:
     """The link with a busy flag, a drop-tail ``deque`` and two calls
-    per packet-hop, as it was before transmissions were settled lazily
-    (loss and fault handling as :class:`Link`'s)."""
+    per packet-hop, as it was before transmissions were settled lazily,
+    with its own arrival hook: fault drop, then one loss draw, then
+    ``on_arrival`` (fault drops as :class:`Link`'s)."""
 
     _drop_down = Link._drop_down
-    _propagated = Link._propagated
     name = Link.name
 
     def __init__(self, sim, src, dst, rate_bps, delay_s, queue_packets=100,
@@ -98,16 +105,45 @@ class TwoEntryLink:
         else:
             self._busy = False
 
+    def _propagated(self, pkt):
+        if not self.up:
+            self._drop_down(pkt)
+            return
+        if self.loss_model is not None and self._lost(pkt):
+            self.stats.loss_drops += 1
+            if self.on_drop is not None:
+                self.on_drop(pkt, "drop-loss")
+            return
+        pkt.hops += 1
+        self.on_arrival(pkt)
+
+    def _lost(self, pkt):
+        if self.sim._tracing_detail:
+            return self.loss_model.is_lost(flow=pkt.flow_id, seq=pkt.seq,
+                                           session=pkt.session,
+                                           frame=pkt.frame_seq)
+        return self.loss_model.is_lost()
+
 
 class TwoEntryAtmLink(TwoEntryLink):
     """:class:`AtmLink`'s cell tax and per-cell loss on the old link."""
 
     serialization_delay = AtmLink.serialization_delay
-    _propagated = AtmLink._propagated
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.cells_tx = self.cell_loss_events = 0
+
+    def _propagated(self, pkt):
+        if self.up:
+            self.cells_tx += cells_for(pkt.size_bytes)
+        super()._propagated(pkt)
+
+    def _lost(self, pkt):
+        lost = sum(self.loss_model.is_lost()
+                   for _ in range(cells_for(pkt.size_bytes)))
+        self.cell_loss_events += lost
+        return lost > 0
 
 
 def _run(cls, offers, queue_packets, delay_s, windows=(), reads=(),
@@ -217,3 +253,67 @@ def test_atm_link_matches_the_two_entry_link():
     assert (new[4].cells_tx, new[4].cell_loss_events) == (
         ref[4].cells_tx, ref[4].cell_loss_events)
     assert new[4].stats.tx_packets == 4 and new[3][-1][1].busy_time > 0
+    # a cell loss kills its packet once, counted with the transmissions
+    # settled as they were (the final read compares the whole counters)
+    assert [why for _, why, _ in new[1]].count("drop-loss") == \
+        new[4].stats.loss_drops >= 1
+
+
+#: ``(time, kind, link, node, args)`` of every ``link.enqueue`` /
+#: ``net.deliver`` / ``net.rx_discard`` of the chain below, as the
+#: network traced them while each hop's arrival went through a
+#: forwarding closure (commit 8c380ad)
+CHAIN_TRACE = [
+    (0.0, "link.enqueue", "a->r", "",
+     {"depth": 0, "flow": "f", "seq": 0, "frame": -1}),
+    (0.0, "link.enqueue", "a->r", "",
+     {"depth": 1, "flow": "f", "seq": 1, "frame": -1}),
+    (0.0, "link.enqueue", "a->r", "",
+     {"depth": 2, "flow": "f", "seq": 2, "frame": -1}),
+    (0.09375, "link.enqueue", "r->b", "",
+     {"depth": 0, "flow": "f", "seq": 0, "frame": -1}),
+    (0.125, "link.enqueue", "r->b", "",
+     {"depth": 1, "flow": "f", "seq": 1, "frame": -1}),
+    (0.125, "net.deliver", "", "b",
+     {"port": 1, "hops": 2, "flow": "f", "seq": 0, "frame": -1}),
+    (0.140625, "net.deliver", "", "b",
+     {"port": 404, "hops": 2, "flow": "f", "seq": 1, "frame": -1}),
+    (0.140625, "net.rx_discard", "", "b",
+     {"port": 404, "seq": 1, "flow": "f", "frame": -1}),
+    (0.25, "link.enqueue", "r->b", "",
+     {"depth": 0, "flow": "f", "seq": 2, "frame": -1}),
+    (0.3125, "net.deliver", "", "b",
+     {"port": 1, "hops": 2, "flow": "f", "seq": 2, "frame": -1}),
+]
+
+
+def test_forwarding_is_the_link_itself():
+    """On a traced chain a -> r -> b the link into ``r`` offers each
+    packet to ``r -> b`` and the link into ``b`` delivers it: two hops
+    per packet, the closure's trace event for event, and a packet for an
+    unbound port discarded and counted as before."""
+    sim = Simulator()
+    tracer = RecordingTracer()
+    sim.set_tracer(tracer)
+    net = Network(sim)
+    for node in ("a", "r", "b"):
+        net.add_node(node)
+    net.add_duplex_link("a", "r", RATE, TICK, queue_packets=2)
+    net.add_duplex_link("r", "b", 2 * RATE, 0.0)
+    got = []
+    net.node("b").bind(1, lambda p: got.append((p.seq, p.hops, sim.now)))
+    for seq, (size, port) in enumerate(
+            ((64, 1), (32, 404), (128, 1), (32, 1), (64, 1))):
+        net.send(Packet("a", "b", size, "UDP", "f", port, seq=seq))
+    sim.run()
+    assert got == [(0, 2, 4 * TICK), (2, 2, 10 * TICK)]
+    assert [(e.time, e.kind, e.name, e.node, e.args)
+            for e in tracer.events
+            if e.kind in ("link.enqueue", "net.deliver", "net.rx_discard")
+            ] == CHAIN_TRACE
+    b = net.node("b")
+    assert (b.rx_packets, b.rx_discarded) == (3, 1)
+    assert net.tap.discards_by_node == {"b": 1}
+    assert net.tap.count_by_flow == {"UDP": {"f": 3}}
+    assert net.tap.drops_by_kind == {"drop-queue": 2}
+    assert net.link("r", "b").on_arrival == b.deliver

@@ -61,7 +61,7 @@ def test_unknown_region_raises_key_error_naming_it():
 
 # -- constructed shape --------------------------------------------------------
 
-def test_region_layer_builds_pops_behind_the_core():
+def test_each_region_gets_a_pop_behind_the_core():
     topo = ServiceTopology(_network(), (RegionSpec("east"), RegionSpec("west")))
     assert topo.router == "router"
     assert topo.pop_router(None) == "router"
@@ -72,7 +72,7 @@ def test_region_layer_builds_pops_behind_the_core():
     assert topo.clients == []
 
 
-def test_population_layer_attaches_clients_to_their_pop():
+def test_population_clients_attach_to_their_region_pop():
     topo = ServiceTopology(_network(), (RegionSpec("east", 2),))
     assert topo.clients == ["east-c1", "east-c2"]
     assert topo.region_of("east-c1") == "east"
@@ -99,7 +99,7 @@ def test_cdn_stack_end_to_end_shape():
     assert eng.topology.region_of("host:srv1") is None  # origin at the core
 
 
-def test_builder_is_a_compiled_topology():
+def test_service_topology_stays_open_after_construction():
     # the topology stays open after construction: viewers and hosts
     # can be added one at a time, at the core or behind a POP
     net = _network()

@@ -59,6 +59,9 @@ def test_call_later_is_charged_to_the_scheduled_function():
     count = {h: c for (_, h), (c, _) in prof.per_handler.items()}
     assert count["Link._propagated"] == sum(
         link.stats.tx_packets for link in eng.network.links.values())
+    # and that arrival forwards or delivers by itself: no forwarding
+    # closure is charged beside it
+    assert not any("arrive" in h for h in calls)
 
 
 def test_profiler_times_direct_steps_and_plain_functions():
