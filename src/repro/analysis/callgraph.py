@@ -37,7 +37,7 @@ from __future__ import annotations
 import ast
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -67,7 +67,7 @@ TAINT_RULES = RuleRegistry("taint")
 #: and shard/cell seed derivation. A nondeterministic value reaching
 #: any of these breaks the byte-identical replay guarantee.
 DIGEST_SINKS = frozenset({
-    "population_digest", "canonical_json", "merged_digest",
+    "population_digest", "canonical_json",
     "merge_cell_docs", "merge_population_docs",
     "cell_seed", "shard_seed", "worker_cells", "SeedSequence",
 })

@@ -58,7 +58,7 @@ class Reporter:
             print(f"{key}: {value}", file=self.stream)
 
     def service_report(self, report: dict[str, Any]) -> None:
-        """Report a ServiceReport dict under its stable key.
+        """Report a ``repro.service`` document under its stable key.
 
         JSON mode stores the (already version-stamped) document at
         the top level as ``service_report``, so consumers address it

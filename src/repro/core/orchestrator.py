@@ -66,9 +66,9 @@ class PopulationResult:
     """Outcome of a multi-client population run."""
 
     outcomes: list[SessionOutcome] = field(default_factory=list)
-    #: fleet-level ServiceReport dict and sampled TimeSeries dict;
-    #: both filled when the engine has its telemetry sampler attached
-    #: (empty otherwise)
+    #: the fleet rollup (``repro.service``, loads read off the series)
+    #: and the sampled series (``repro.timeseries``); both filled when
+    #: the engine has its telemetry sampler attached (empty otherwise)
     service: dict[str, Any] = field(default_factory=dict)
     timeseries: dict[str, Any] = field(default_factory=dict)
 
@@ -472,8 +472,10 @@ class SessionOrchestrator:
                             completed=len(result.completed()))
         sampler = self.engine.timeseries_sampler
         if sampler is not None:
-            result.service = sampler.report().to_dict()
+            from repro.obs.service_metrics import service_doc
+
             result.timeseries = sampler.series.to_dict()
+            result.service = service_doc(self.engine, result.timeseries)
         return result
 
     # -- autoplay ------------------------------------------------------------

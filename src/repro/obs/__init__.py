@@ -41,8 +41,6 @@ _EXPORTS = {
     "RecordingTracer": "tracer",
     "SERVICE_SCHEMA": "service_metrics",
     "SERVICE_SCHEMA_VERSION": "service_metrics",
-    "ServerLoad": "service_metrics",
-    "ServiceReport": "service_metrics",
     "SessionQoE": "qoe",
     "SloCheck": "slo",
     "SloRule": "slo",

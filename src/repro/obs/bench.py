@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.ioutil import UsageError
 from repro.obs import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
-from repro.obs.service_metrics import egress_by_host
 from repro.obs.trend import (
     DEFAULT_STORE,
     DEFAULT_THRESHOLD,
@@ -140,8 +139,7 @@ def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
         "completed": len(pop.completed()),
         "qoe": pop.qoe_summary(),
         # off every serving media host, origin and replicas alike
-        "origin_egress_bytes": sum(
-            entry["bytes"] for entry in egress_by_host(eng).values()),
+        "origin_egress_bytes": pop.service["egress"]["total_bytes"],
         "service": pop.service,
         "timeseries": pop.timeseries,
     }

@@ -1,70 +1,46 @@
 """Fixed-interval time-series telemetry on the DES clock.
 
-:class:`~repro.obs.service_metrics.ServiceReport` rolls a run up into
-end-of-run aggregates; this module keeps the *trajectory*, which is
-also where the report's sampled loads come from. A
-:class:`TimeSeriesSampler` — the engine's one telemetry process —
+A :class:`TimeSeriesSampler` — the engine's one telemetry process —
 ticks every ``interval_s`` of simulated time and appends one row to a
-columnar :class:`TimeSeries`: per-media-server concurrent streams,
-per-host egress rate, peak link utilization, admission accept/block
-deltas, client buffer occupancy and DES event-queue depth. Because
-sampling rides the simulated clock, the series is exactly
-reproducible run-to-run.
+columnar :class:`TimeSeries` (the columns are listed on the sampler).
+Sampling rides the simulated clock, so the series is exactly
+reproducible run-to-run; its schema-stamped form (``repro.timeseries``
+v1) rides in BENCH_*/CHAOS_* artifacts under the ``timeseries`` key,
+and the run's ``repro.service`` document reads its loads off it.
 
 Shard-merge contract: every column declares how it combines *across
 shards* (``merge``: level gauges and interval deltas add, engine-local
-gauges take the max). The operation is associative and commutative
-with the empty series as identity — so N shards sampled anywhere can
-be merged in any order with one canonical result.
-
-The serialized form is schema-stamped (``repro.timeseries`` v1) and
-embedded in BENCH_*/CHAOS_* artifacts under the ``timeseries`` key.
+gauges take the max). :func:`merge_series_docs` folds documents by it;
+the operation is associative and commutative with the empty series as
+identity, so N shards sampled anywhere merge to one result.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+import operator
+from itertools import zip_longest
+from typing import Any, Callable, Iterable, Iterator
 
-from repro.obs.service_metrics import ServiceReport, egress_by_host
+from repro.obs.service_metrics import egress_by_host
 
-__all__ = ["Column", "TimeSeries", "TimeSeriesSampler",
+__all__ = ["TimeSeries", "TimeSeriesSampler", "merge_series_docs",
            "TIMESERIES_SCHEMA", "TIMESERIES_SCHEMA_VERSION"]
 
 TIMESERIES_SCHEMA = "repro.timeseries"
 TIMESERIES_SCHEMA_VERSION = 1
 
-#: valid column combine operations (cross-shard merge)
-_OPS = ("sum", "max")
-
-
-class Column:
-    """One named series: values plus its merge semantics."""
-
-    __slots__ = ("merge", "values")
-
-    def __init__(self, merge: str = "sum",
-                 values: list[float] | None = None) -> None:
-        if merge not in _OPS:
-            raise ValueError(
-                f"column merge op must be one of {_OPS}: {merge!r}")
-        self.merge = merge
-        self.values: list[float] = values if values is not None else []
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Column(merge={self.merge!r}, n={len(self.values)})"
-
-
-def _combine(op: str, a: float, b: float) -> float:
-    return a + b if op == "sum" else max(a, b)
+#: column combine operations (cross-shard merge), by name
+_COMBINE: dict[str, Callable[[float, float], float]] = {
+    "sum": operator.add, "max": max}
 
 
 class TimeSeries:
-    """Columnar fixed-interval series, mergeable across shards.
+    """The live columnar series one sampler appends to.
 
-    Ticks are implicit: row ``k`` covers simulated time
-    ``(k*interval_s, (k+1)*interval_s]``. Columns discovered mid-run
-    (an edge replica spun up late) are zero-padded back to tick 0, so
-    every column always has ``ticks`` values.
+    Row ``k`` covers simulated time ``(k*interval_s, (k+1)*interval_s]``.
+    A column is held in its document form, ``{"merge", "values"}``; one
+    declared mid-run (an edge replica spun up late) is zero-padded back
+    to tick 0, so every column always has ``ticks`` values.
     """
 
     def __init__(self, interval_s: float = 0.25) -> None:
@@ -72,16 +48,16 @@ class TimeSeries:
             raise ValueError("interval_s must be > 0")
         self.interval_s = interval_s
         self.ticks = 0
-        self.columns: dict[str, Column] = {}
+        self.columns: dict[str, dict[str, Any]] = {}
 
-    # -- building ------------------------------------------------------------
-    def ensure_column(self, name: str, merge: str = "sum") -> Column:
+    def ensure_column(self, name: str, merge: str = "sum") -> None:
         """Declare a column (idempotent); zero-pads to the current tick."""
-        col = self.columns.get(name)
-        if col is None:
-            col = self.columns[name] = Column(merge=merge)
-            col.values.extend(0.0 for _ in range(self.ticks))
-        return col
+        if name not in self.columns:
+            if merge not in _COMBINE:
+                raise ValueError(f"column merge op must be one of "
+                                 f"{tuple(_COMBINE)}: {merge!r}")
+            self.columns[name] = {"merge": merge,
+                                  "values": [0.0] * self.ticks}
 
     def tick(self, row: dict[str, float]) -> None:
         """Append one sample row; absent columns record 0.0."""
@@ -91,66 +67,13 @@ class TimeSeries:
                     f"column {name!r} not declared; call ensure_column first"
                 )
         for name, col in self.columns.items():
-            col.values.append(float(row.get(name, 0.0)))
+            col["values"].append(float(row.get(name, 0.0)))
         self.ticks += 1
 
-    # -- queries -------------------------------------------------------------
     def values(self, name: str) -> list[float]:
         col = self.columns.get(name)
-        return list(col.values) if col is not None else []
+        return list(col["values"]) if col is not None else []
 
-    def __len__(self) -> int:
-        return self.ticks
-
-    def __bool__(self) -> bool:
-        return self.ticks > 0 or bool(self.columns)
-
-    # -- shard merge ---------------------------------------------------------
-    def merge(self, other: "TimeSeries") -> "TimeSeries":
-        """Element-wise combine; associative and commutative.
-
-        Column sets union; a column absent on one side (or a shorter
-        side past its last tick) contributes zeros. ``sum`` columns
-        add per tick, ``max`` columns take the per-tick max — so an
-        empty series is the identity.
-        """
-        if self.interval_s != other.interval_s:
-            raise ValueError(
-                f"cannot merge series with different intervals "
-                f"({self.interval_s} != {other.interval_s})"
-            )
-        out = TimeSeries(interval_s=self.interval_s)
-        out.ticks = max(self.ticks, other.ticks)
-        for name in sorted(set(self.columns) | set(other.columns)):
-            a, b = self.columns.get(name), other.columns.get(name)
-            spec = a or b
-            assert spec is not None
-            if a is not None and b is not None and a.merge != b.merge:
-                raise ValueError(
-                    f"column {name!r} has conflicting ops across shards"
-                )
-            va = a.values if a is not None else []
-            vb = b.values if b is not None else []
-            merged = [
-                _combine(spec.merge,
-                         va[i] if i < len(va) else 0.0,
-                         vb[i] if i < len(vb) else 0.0)
-                for i in range(out.ticks)
-            ]
-            out.columns[name] = Column(merge=spec.merge, values=merged)
-        return out
-
-    @staticmethod
-    def merge_all(series: Iterable["TimeSeries"]) -> "TimeSeries":
-        """Fold :meth:`merge` over any number of shards (order-free)."""
-        out: TimeSeries | None = None
-        for s in series:
-            out = s if out is None else out.merge(s)
-        if out is None:
-            raise ValueError("merge_all needs at least one series")
-        return out
-
-    # -- (de)serialization ---------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """Deterministic JSON form (sorted columns, plain lists)."""
         return {
@@ -158,39 +81,59 @@ class TimeSeries:
             "version": TIMESERIES_SCHEMA_VERSION,
             "interval_s": self.interval_s,
             "ticks": self.ticks,
-            "columns": {
-                name: {
-                    "merge": col.merge,
-                    "values": list(col.values),
-                }
-                for name, col in sorted(self.columns.items())
-            },
+            "columns": _copy_columns(self.columns),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "TimeSeries":
-        """Read a v1 document; a column's ``resample`` key, which older
-        writers emitted, is ignored."""
-        if doc.get("schema") != TIMESERIES_SCHEMA:
+
+def _copy_columns(columns: dict[str, dict[str, Any]]) -> dict[str, Any]:
+    """Sorted copies, without the ``resample`` key older writers added."""
+    return {name: {"merge": col["merge"], "values": list(col["values"])}
+            for name, col in sorted(columns.items())}
+
+
+def merge_series_docs(docs: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """Left-fold ``repro.timeseries`` documents into a new one.
+
+    Column sets union; a column absent from a document (or a shorter
+    document past its last tick) contributes zeros. ``sum`` columns
+    add per tick, ``max`` columns take the per-tick max — so an empty
+    series is the identity. Differing intervals, or one column merged
+    by two ops, raise :class:`ValueError`.
+    """
+    out: dict[str, Any] | None = None
+    for doc in docs:
+        if out is None:
+            out = {**doc, "columns": _copy_columns(doc["columns"])}
+            continue
+        if doc["interval_s"] != out["interval_s"]:
             raise ValueError(
-                f"not a {TIMESERIES_SCHEMA} document: {doc.get('schema')!r}"
-            )
-        out = cls(interval_s=float(doc.get("interval_s", 0.25)))
-        out.ticks = int(doc.get("ticks", 0))
-        for name, entry in doc.get("columns", {}).items():
-            out.columns[name] = Column(
-                merge=entry.get("merge", "sum"),
-                values=[float(v) for v in entry.get("values", ())],
-            )
-        return out
+                f"cannot merge series with different intervals "
+                f"({out['interval_s']} != {doc['interval_s']})")
+        ticks = max(out["ticks"], doc["ticks"])
+        columns: dict[str, dict[str, Any]] = {}
+        for name in sorted(set(out["columns"]) | set(doc["columns"])):
+            a, b = out["columns"].get(name), doc["columns"].get(name)
+            if a and b and a["merge"] != b["merge"]:
+                raise ValueError(
+                    f"column {name!r} has conflicting ops across shards")
+            op = (a or b)["merge"]
+            combine = _COMBINE[op]
+            values = [combine(x, y) for x, y in zip_longest(
+                a["values"] if a else [], b["values"] if b else [],
+                fillvalue=0.0)]
+            values += [0.0] * (ticks - len(values))
+            columns[name] = {"merge": op, "values": values}
+        out = {**out, "ticks": ticks, "columns": columns}
+    if out is None:
+        raise ValueError("merge needs at least one series document")
+    return out
 
 
 class TimeSeriesSampler:
     """The engine's one telemetry process: samples on the DES clock.
 
     Attach via ``engine.attach_timeseries()``; read the trajectory
-    from :attr:`series` and the fleet rollup from :meth:`report`.
-    Columns:
+    from :attr:`series`. Columns:
 
     ======================== ===== =======================================
     column                   merge meaning (per tick)
@@ -206,10 +149,8 @@ class TimeSeriesSampler:
     ``buffer_occupancy_s``   max   fullest client media buffer
                                    (engine-local gauge)
     ``event_queue_depth``    max   DES heap entries of the *system*
-                                   (engine-local): one per packet a
-                                   link holds, waiting or not; the
-                                   sampler's own timer is not pending
-                                   while it samples
+                                   (engine-local), not the sampler's
+                                   own timer: one per packet in a link
     ======================== ===== =======================================
 
     The two engine-local gauges describe *this* engine's internals, so
@@ -241,14 +182,6 @@ class TimeSeriesSampler:
         while True:
             yield self.sim.timeout(self.interval_s)
             self.sample()
-
-    def report(self) -> ServiceReport:
-        """The fleet rollup as of the current simulated instant.
-
-        May be called at any time: only the concurrent-stream loads
-        need the ticks, everything else is read live off the engine.
-        """
-        return ServiceReport.from_engine(self.engine, self.series)
 
     # -- one tick ------------------------------------------------------------
     def sample(self) -> None:

@@ -26,8 +26,8 @@ business.
 
 ``python -m repro trend`` renders the verdicts as a sparkline table
 and exits 1 on any regression; ``python -m repro report`` combines
-QoE, ServiceReport, time-series plots, SLO status and trend verdicts
-into one markdown dashboard.
+QoE, the service rollup, time-series plots, SLO status and trend
+verdicts into one markdown dashboard.
 """
 
 from __future__ import annotations

@@ -14,11 +14,7 @@ derivation, the merge laws and the failure/retry/partial-result
 contract.
 """
 
-from repro.shard.merge import (
-    merge_cell_docs,
-    merge_population_docs,
-    merged_digest,
-)
+from repro.shard.merge import merge_cell_docs, merge_population_docs
 from repro.shard.plan import ShardPlan, ShardWorkload
 from repro.shard.result import ShardedRunResult, ShardFailure
 from repro.shard.supervisor import ShardSupervisor
@@ -31,5 +27,4 @@ __all__ = [
     "ShardFailure",
     "merge_cell_docs",
     "merge_population_docs",
-    "merged_digest",
 ]

@@ -7,13 +7,17 @@ Two layers, with different algebraic strength:
   associative and commutative with :func:`empty_population_doc` as
   identity — property-tested over arbitrary splits and orders.
 
-* **Telemetry** (ServiceReport, TimeSeries) merges are mathematically
-  associative but sum floats, and float addition is not bit-exact
-  under re-association. The final merge therefore always folds cell
-  documents in **canonical order** (sorted by cell index), never
-  incrementally per shard — so any permutation of any partition of
-  the cells produces byte-identical merged telemetry, which is what
-  makes the population digest shard-count-invariant.
+* **Telemetry** merges are mathematically associative but sum
+  floats, and float addition is not bit-exact under re-association.
+  The final merge therefore always folds cell documents in
+  **canonical order** (sorted by cell index), never incrementally per
+  shard — so any permutation of any partition of the cells produces
+  byte-identical merged telemetry, which is what makes the population
+  digest shard-count-invariant. The series merge first
+  (:func:`~repro.obs.timeseries.merge_series_docs`); the service
+  documents then merge their counters and read their loads off the
+  merged series (:func:`~repro.obs.service_metrics.merge_service_docs`),
+  so the two never disagree.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ __all__ = [
     "session_index",
     "merge_population_docs",
     "merge_cell_docs",
-    "merged_digest",
     "qoe_summary_of",
 ]
 
@@ -84,33 +87,17 @@ def merge_cell_docs(cell_docs: list[dict[str, Any]]) -> dict[str, Any]:
         pop = merge_population_docs(pop, d["population"])
 
     merged: dict[str, Any] = dict(pop)
-    service_docs = [d["service"] for d in docs if d.get("service")]
-    if service_docs:
-        from repro.obs.service_metrics import ServiceReport
+    # a cell's service document is read off its series: both or neither
+    series_docs = [d["timeseries"] for d in docs if d.get("timeseries")]
+    if series_docs:
+        from repro.obs.service_metrics import merge_service_docs
+        from repro.obs.timeseries import merge_series_docs
 
-        report = ServiceReport.from_dict(service_docs[0])
-        for doc in service_docs[1:]:
-            report = report.merge(ServiceReport.from_dict(doc))
-        merged["service"] = report.to_dict()
-    ts_docs = [d["timeseries"] for d in docs if d.get("timeseries")]
-    if ts_docs:
-        from repro.obs.timeseries import TimeSeries
-
-        merged["timeseries"] = TimeSeries.merge_all(
-            TimeSeries.from_dict(doc) for doc in ts_docs
-        ).to_dict()
+        series = merge_series_docs(series_docs)
+        merged["service"] = merge_service_docs(
+            [d["service"] for d in docs], series)
+        merged["timeseries"] = series
     return merged
-
-
-def merged_digest(merged: dict[str, Any]) -> str:
-    """Digest of a merged population doc (wall-clock-free fields)."""
-    from repro.faults.digest import population_digest
-
-    return population_digest({
-        key: merged[key]
-        for key in ("outcomes", "service", "timeseries")
-        if key in merged
-    })
 
 
 def qoe_summary_of(merged: dict[str, Any]) -> dict[str, Any]:

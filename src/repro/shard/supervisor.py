@@ -46,11 +46,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.shard.merge import (
-    empty_population_doc,
-    merge_cell_docs,
-    merged_digest,
-)
+from repro.shard.merge import empty_population_doc, merge_cell_docs
 from repro.shard.plan import ShardPlan, ShardWorkload
 from repro.shard.result import ShardedRunResult, ShardFailure, ShardStatus
 from repro.shard.worker import worker_main
@@ -346,6 +342,8 @@ class ShardSupervisor:
 
     def _finish(self, cell_docs: dict[int, dict],
                 attempt_wall: dict[int, float]) -> ShardedRunResult:
+        from repro.faults.digest import population_digest
+
         plan = self.plan
         wall_s = time.monotonic() - self._t0
         docs = [cell_docs[c] for c in sorted(cell_docs)]
@@ -353,7 +351,7 @@ class ShardSupervisor:
         merged_clients = sum(d["hi"] - d["lo"] for d in docs)
         completeness = merged_clients / plan.n_clients
         merged = merge_cell_docs(docs) if docs else empty_population_doc()
-        digest = merged_digest(merged)
+        digest = population_digest(merged)
         self._emit("shard.merge", "merge", cells=len(docs),
                    missing=len(missing),
                    completeness=round(completeness, 4))

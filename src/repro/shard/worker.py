@@ -55,6 +55,7 @@ def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
     from repro.core.engine import ServiceEngine
     from repro.core.orchestrator import PopulationResult, SessionSpec
     from repro.faults.digest import population_digest
+    from repro.obs.service_metrics import service_doc
 
     eng = ServiceEngine(EngineConfig(seed=seed, **dict(workload.config)))
     eng.add_server(
@@ -87,13 +88,14 @@ def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
         outcome.session_id = f"sess-{lo + j + 1}"
         outcome.result.qoe["session"] = outcome.session_id
     pop_doc = pop.to_dict()
+    series_doc = sampler.series.to_dict()
     return {
         "cell": cell,
         "lo": lo,
         "hi": hi,
         "population": pop_doc,
-        "service": sampler.report().to_dict(),
-        "timeseries": sampler.series.to_dict(),
+        "service": service_doc(eng, series_doc),
+        "timeseries": series_doc,
         "events": eng.sim.events_fired,
         "wall_s": wall_s,
         "digest": population_digest(pop_doc),

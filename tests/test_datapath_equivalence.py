@@ -39,6 +39,17 @@ deleted, recorded on the commit before (``f57d545``) and equal on
 every commit since. The chain of equalities: ``09c8b7c`` projections =
 ``4ac9ab8`` documents minus the observer's keys = ``f57d545``
 documents = today's documents, ``event_queue_depth`` aside.
+
+``shard_k2`` moved once more, in both sets, and not for the data path:
+its merged ``service`` document used to merge loads by a rule of its
+own (samples added across cells, peak = the largest single cell's) and
+so disagreed with the merged series it carried. Its loads are now read
+off that series. Against ``c6189ee`` the merged document differs only
+in ``service.samples`` (28 -> 14 = the series' ticks), each server's
+``samples`` (28 -> 14), ``audsrv`` / ``vidsrv`` ``peak_streams`` (4 ->
+8) and ``mean_streams`` (doubled), and ``service.regions.origin``'s
+``samples`` / ``peak_streams`` / ``mean_streams`` — each now what the
+merged ``streams.<ms>`` columns give.
 """
 
 from __future__ import annotations
@@ -56,7 +67,6 @@ from repro.obs.flightrec import FlightRecorder
 from repro.obs.qoe import score_session
 from repro.obs.tracer import RecordingTracer
 from repro.shard.bench import run_sharded, shard_workload
-from repro.shard.merge import merged_digest
 
 SEED = 11
 
@@ -117,7 +127,7 @@ PINS = {
         "abe74ad634d801e6a9fee75b92c0c124877b15cb27ab1acd381c2c5f3e2ae824"),
     "shard_k2": (
         _shard_k2,
-        "be6f921541ade16baef54bd17a414f7dfc4eeae3721ab03a9a48ef8fd0fd9767"),
+        "dcb8950642b94ea0a647e1fc58f13b583461e57abfdcae362260a9ca9e1eb399"),
 }
 
 
@@ -147,8 +157,8 @@ PINS_WITHOUT_HEAP_DEPTH = {
             lambda: run_chaos("crash", smoke=True).population),
         "1cac112d70ce8dad19eba52743b2cf94e0de4676eadf52ac22d336d73616973f"),
     "shard_k2": (
-        lambda: merged_digest(_without_heap_depth(_sharded().merged)),
-        "38554e0c467e0f4b068f6ae799545e20378d4c2c52751fafb27a3cc06d90b752"),
+        lambda: population_digest(_without_heap_depth(_sharded().merged)),
+        "fd5594fd7c1a3e315e5d09616d43122193e1a2bd493b4e994074b554efc7ddc9"),
 }
 
 

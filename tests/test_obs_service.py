@@ -1,6 +1,8 @@
-"""Service telemetry: Histogram.merge, ServiceReport, determinism."""
+"""Service telemetry: Histogram.merge, the service document, determinism."""
 
+import copy
 import itertools
+import json
 
 import pytest
 
@@ -9,8 +11,11 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.faults.digest import canonical_json
 from repro.faults.scenarios import run_chaos
+from repro.obs.bench import SCENARIOS, run_scenario
 from repro.obs.metrics import Histogram, log_buckets
-from repro.obs.service_metrics import ServerLoad, ServiceReport
+from repro.obs.service_metrics import merge_service_docs
+from repro.obs.timeseries import merge_series_docs
+from repro.shard.bench import run_sharded, shard_workload
 
 
 # -- Histogram.merge (property-style) -----------------------------------------
@@ -128,59 +133,88 @@ def test_percentiles_custom_quantiles_keys():
     assert set(out) == {"p50", "p90"}
 
 
-# -- ServiceReport: merge laws ------------------------------------------------
+# -- merge_service_docs: merge laws -------------------------------------------
 
-def _report(seed):
-    run = run_chaos("crash", smoke=True, seed=seed)
-    return ServiceReport.from_dict(run.artifact["service"])
+def _cell(seed):
+    """One chaos-crash run's (service, timeseries) documents."""
+    artifact = run_chaos("crash", smoke=True, seed=seed).artifact
+    return artifact["service"], artifact["timeseries"]
+
+
+def _merge(*cells):
+    """Merge cells as ``merge_cell_docs`` does: the series first, then
+    the service documents against it. Returns a (service, series) pair,
+    so a merge can be merged again."""
+    series = merge_series_docs([ts for _, ts in cells])
+    return merge_service_docs([svc for svc, _ in cells], series), series
 
 
 def test_service_report_merge_commutes():
-    a, b = _report(23), _report(31)
-    assert canonical_json(a.merge(b).to_dict()) == \
-        canonical_json(b.merge(a).to_dict())
+    a, b = _cell(23), _cell(31)
+    assert canonical_json(_merge(a, b)) == canonical_json(_merge(b, a))
 
 
 def test_service_report_merge_associative():
-    a, b, c = _report(23), _report(31), _report(47)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert canonical_json(left.to_dict()) == canonical_json(right.to_dict())
+    a, b, c = _cell(23), _cell(31), _cell(47)
+    left = _merge(_merge(a, b), c)
+    right = _merge(a, _merge(b, c))
+    assert canonical_json(left) == canonical_json(right)
 
 
 def test_service_report_three_way_merge_is_order_free():
     # Every shard arrival order yields the identical fleet rollup.
-    shards = (_report(23), _report(31), _report(47))
+    cells = (_cell(23), _cell(31), _cell(47))
     docs = set()
-    for perm in itertools.permutations(shards):
-        merged = perm[0].merge(perm[1]).merge(perm[2])
-        docs.add(canonical_json(merged.to_dict()))
+    for perm in itertools.permutations(cells):
+        docs.add(canonical_json(_merge(_merge(perm[0], perm[1]), perm[2])))
     assert len(docs) == 1
 
 
-def test_service_report_merge_adds_counters_and_maxes_peaks():
-    a, b = _report(23), _report(23)
-    merged = a.merge(b)
-    assert merged.samples == a.samples + b.samples
-    assert merged.detections == a.detections + b.detections
-    for name, load in merged.servers.items():
-        assert load.sum_streams == (a.servers[name].sum_streams
-                                    + b.servers[name].sum_streams)
-        assert load.peak_streams == a.servers[name].peak_streams
+def test_merge_adds_counters_and_reads_loads_off_the_series():
+    """Two identical cells: every counter doubles, and so does each
+    server's peak, because the cells stream side by side; the merged
+    document still has one sample per tick of the merged series."""
+    cell = _cell(23)
+    service = cell[0]
+    merged, series = _merge(cell, cell)
+    assert merged["samples"] == series["ticks"] == service["samples"]
+    assert merged["recovery"]["detections"] == \
+        2 * service["recovery"]["detections"]
+    assert merged["admission"]["requests"] == \
+        2 * service["admission"]["requests"]
+    assert merged["egress"]["total_bytes"] == \
+        2 * service["egress"]["total_bytes"]
+    assert merged["recovery"]["time_to_recover_s"]["count"] == \
+        2 * service["recovery"]["time_to_recover_s"]["count"]
+    for name, load in merged["servers"].items():
+        one = service["servers"][name]
+        assert load["samples"] == one["samples"] == series["ticks"]
+        assert load["sum_streams"] == 2 * one["sum_streams"]
+        assert load["peak_streams"] == 2 * one["peak_streams"]
+    assert any(load["peak_streams"] for load in service["servers"].values())
 
 
-def test_server_load_region_conflict_rejected():
-    with pytest.raises(ValueError):
-        ServerLoad(region="origin").merge(ServerLoad(region="east"))
+def test_region_conflict_across_cells_rejected():
+    service, series = _cell(23)
+    both = merge_series_docs([series, series])
+    server = copy.deepcopy(service)
+    for load in server["servers"].values():
+        load["region"] = "east"
+    host = copy.deepcopy(service)
+    for entry in host["egress"]["by_host"].values():
+        entry["region"] = "east"
+    for moved in (server, host):
+        with pytest.raises(ValueError, match="changed region"):
+            merge_service_docs([service, moved], both)
 
 
-def test_service_report_roundtrip_is_lossless():
-    a = _report(23)
-    again = ServiceReport.from_dict(a.to_dict())
-    assert canonical_json(again.to_dict()) == canonical_json(a.to_dict())
+def test_merging_one_document_against_its_own_series_returns_it():
+    service, series = _cell(23)
+    merged = merge_service_docs([service], merge_series_docs([series]))
+    assert json.dumps(merged) == json.dumps(service)
 
 
-# -- ServiceReport: acceptance ------------------------------------------------
+# -- the service document: acceptance -----------------------------------------
 
 def test_same_seed_byte_identical_service_report():
     a = run_chaos("crash", smoke=True).artifact["service"]
@@ -209,6 +243,81 @@ def test_crash_chaos_reports_recovery_rollups():
         recovery["streams_failed_over"]
     assert recovery["time_to_recover_s"]["p95"] >= \
         recovery["time_to_detect_s"]["p50"] > 0
+
+
+# -- the service document agrees with its series ------------------------------
+
+def _chaos(name):
+    artifact = run_chaos(name, smoke=True).artifact
+    return artifact["service"], artifact["timeseries"]
+
+
+def _bench(name):
+    artifact = run_scenario(SCENARIOS[name], smoke=True)
+    return artifact["service"], artifact["timeseries"]
+
+
+def _sharded(n_clients, n_shards, **config):
+    merged = run_sharded(
+        n_clients, n_shards, seed=7, cell_clients=4,
+        workload=shard_workload(duration_s=1.5, stagger_s=0.25,
+                                config=config or None)).merged
+    return merged["service"], merged["timeseries"]
+
+
+AGREEMENT_CASES = {
+    "chaos_crash": lambda: _chaos("crash"),
+    "chaos_replica_crash": lambda: _chaos("replica-crash"),
+    "bench_cdn_hot": lambda: _bench("cdn_hot"),
+    # the pinned K=2 run of tests/test_datapath_equivalence.py
+    "shard_k2": lambda: _sharded(8, 2),
+    # cells too small for their viewers: some are refused
+    "shard_k3_blocking": lambda: _sharded(
+        20, 3, admission_capacity_bps=6e6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_the_service_document_agrees_with_its_series(case):
+    """Every number the service document shares with its series is the
+    series': one sample per tick, each server's load the sum / max of
+    its ``streams.<ms>`` column, admissions and refusals the sums of
+    the ``admit_*`` columns, each host's bytes the sum of its
+    ``egress_bytes.<host>`` column — merged sharded documents included.
+
+    Loads are read off the series by construction. Egress and admission
+    are the engine's own counters; they equal the column sums because
+    ``run_workload`` runs one simulated second past its last session
+    (the drain), so nothing is sent or admitted after the sampler's
+    last tick.
+    """
+    service, series = AGREEMENT_CASES[case]()
+    columns = series["columns"]
+
+    def column_sum(name):
+        return sum(columns[name]["values"])
+
+    assert service["samples"] == series["ticks"]
+    assert service["servers"]
+    for name, load in service["servers"].items():
+        streams = columns[f"streams.{name}"]["values"]
+        assert load["samples"] == len(streams) == series["ticks"]
+        assert load["sum_streams"] == sum(streams)
+        assert load["peak_streams"] == max(streams)
+    admission = service["admission"]
+    for name, stats in admission["by_server"].items():
+        assert stats["admitted"] == column_sum(f"admit_accepted.{name}")
+        assert stats["rejected"] == column_sum(f"admit_rejected.{name}")
+    assert admission["admitted"] == sum(
+        column_sum(n) for n in columns if n.startswith("admit_accepted."))
+    assert admission["rejected"] == sum(
+        column_sum(n) for n in columns if n.startswith("admit_rejected."))
+    assert admission["requests"] == \
+        admission["admitted"] + admission["rejected"]
+    for host, entry in service["egress"]["by_host"].items():
+        assert entry["bytes"] == column_sum(f"egress_bytes.{host}")
+    if case == "shard_k3_blocking":
+        assert admission["rejected"] > 0
 
 
 # -- live monitor -------------------------------------------------------------

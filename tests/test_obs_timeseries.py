@@ -9,9 +9,9 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
-    Column,
     TimeSeries,
     TimeSeriesSampler,
+    merge_series_docs,
 )
 from repro.obs.tracer import RecordingTracer
 
@@ -20,7 +20,7 @@ from repro.obs.tracer import RecordingTracer
 
 def test_column_rejects_unknown_ops():
     with pytest.raises(ValueError):
-        Column(merge="mean")
+        TimeSeries().ensure_column("x", merge="mean")
 
 
 def test_tick_requires_declared_columns():
@@ -43,7 +43,7 @@ def test_late_column_zero_pads_back_to_tick_zero():
     ts.tick({"b": 7.0})
     assert ts.values("a") == [1.0, 2.0, 3.0, 0.0]
     assert ts.values("b") == [0.0, 0.0, 5.0, 7.0]
-    assert len(ts) == 4
+    assert ts.ticks == 4
 
 
 def test_roundtrip_through_dict():
@@ -56,17 +56,15 @@ def test_roundtrip_through_dict():
     assert doc["schema"] == TIMESERIES_SCHEMA
     assert doc["version"] == 1
     assert sorted(doc["columns"]["a"]) == ["merge", "values"]
-    back = TimeSeries.from_dict(doc)
-    assert back.interval_s == ts.interval_s
-    assert back.ticks == ts.ticks
-    assert back.to_dict() == doc
+    # merging one document returns an equal one, never the same lists
+    back = merge_series_docs([doc])
+    assert back == doc
+    assert back["columns"]["a"]["values"] is not doc["columns"]["a"]["values"]
     # v1 documents written while columns carried a time-coarsening op
-    # still load; the key is dropped on the way through
+    # still merge; the key is dropped on the way through
     for column in doc["columns"].values():
         column["resample"] = "max"
-    assert TimeSeries.from_dict(doc).to_dict() == ts.to_dict()
-    with pytest.raises(ValueError):
-        TimeSeries.from_dict({"schema": "repro.bench"})
+    assert merge_series_docs([doc]) == ts.to_dict()
 
 
 # -- merge algebra (property-style) -------------------------------------------
@@ -87,42 +85,44 @@ def _series(sum_vals, max_vals):
             "delta": sum_vals[i] if i < len(sum_vals) else 0.0,
             "gauge": max_vals[i] if i < len(max_vals) else 0.0,
         })
-    return ts
+    return ts.to_dict()
 
 
-def _flat(ts):
-    return (ts.ticks, {n: list(c.values) for n, c in ts.columns.items()})
+def _merge(*docs):
+    return merge_series_docs(docs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_VALUES, _VALUES, _VALUES)
 def test_merge_is_associative_and_commutative(va, vb, vc):
     a, b, c = _series(va, va), _series(vb, vb), _series(vc, vc)
-    assert _flat(a.merge(b)) == _flat(b.merge(a))
-    assert _flat(a.merge(b).merge(c)) == _flat(a.merge(b.merge(c)))
+    assert _merge(a, b) == _merge(b, a)
+    assert _merge(_merge(a, b), c) == _merge(a, _merge(b, c))
     # Fold order doesn't matter either.
-    assert _flat(TimeSeries.merge_all([a, b, c])) == \
-        _flat(TimeSeries.merge_all([c, a, b]))
+    assert _merge(a, b, c) == _merge(c, a, b)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_VALUES)
 def test_merge_with_empty_is_identity(vals):
     a = _series(vals, vals)
-    assert _flat(a.merge(TimeSeries())) == _flat(a)
-    assert _flat(TimeSeries().merge(a)) == _flat(a)
+    empty = TimeSeries().to_dict()
+    assert _merge(a, empty) == a
+    assert _merge(empty, a) == a
 
 
 def test_merge_guards_interval_and_op_conflicts():
     a, b = TimeSeries(interval_s=0.25), TimeSeries(interval_s=0.5)
     with pytest.raises(ValueError):
-        a.merge(b)
+        _merge(a.to_dict(), b.to_dict())
     c = TimeSeries()
     c.ensure_column("x", merge="sum")
     d = TimeSeries()
     d.ensure_column("x", merge="max")
     with pytest.raises(ValueError):
-        c.merge(d)
+        _merge(c.to_dict(), d.to_dict())
+    with pytest.raises(ValueError):
+        _merge()
 
 
 # -- the sampler on a live engine ---------------------------------------------
@@ -219,16 +219,16 @@ def test_sharded_population_merges_to_whole():
     eng_b, _ = _clean_run(2)
     shard_a = eng_a.timeseries_sampler.series
     shard_b = eng_b.timeseries_sampler.series
-    whole = shard_a.merge(shard_b)
-    assert whole.ticks == shard_a.ticks
+    whole = _merge(shard_a.to_dict(), shard_b.to_dict())
+    assert whole["ticks"] == shard_a.ticks
     local = set(TimeSeriesSampler.ENGINE_LOCAL) | {"link_utilization"}
-    for name, col in whole.columns.items():
+    for name, col in whole["columns"].items():
         base = shard_a.values(name)
-        if col.merge == "sum":
-            assert col.values == pytest.approx([2 * v for v in base])
+        if col["merge"] == "sum":
+            assert col["values"] == pytest.approx([2 * v for v in base])
         else:
             assert name in local
-            assert col.values == pytest.approx(base)
+            assert col["values"] == pytest.approx(base)
 
 
 def test_column_partition_shards_merge_back_to_whole():
@@ -240,18 +240,13 @@ def test_column_partition_shards_merge_back_to_whole():
     the whole-population series of the digest-pinned scenario.
     """
     eng, _ = _clean_run(2)
-    whole = eng.timeseries_sampler.series
-    names = sorted(whole.columns)
+    whole = eng.timeseries_sampler.series.to_dict()
+    names = sorted(whole["columns"])
 
     def shard(owned):
-        s = TimeSeries(interval_s=whole.interval_s)
-        s.ticks = whole.ticks
-        for n in owned:
-            col = whole.columns[n]
-            s.columns[n] = Column(merge=col.merge, values=list(col.values))
-        return s
+        return {**whole, "columns": {n: whole["columns"][n] for n in owned}}
 
     half_a, half_b = shard(names[::2]), shard(names[1::2])
-    assert half_a.merge(half_b).to_dict() == whole.to_dict()
-    assert half_b.merge(half_a).to_dict() == whole.to_dict()
+    assert _merge(half_a, half_b) == whole
+    assert _merge(half_b, half_a) == whole
 

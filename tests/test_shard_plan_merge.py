@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.digest import population_digest
 from repro.shard.bench import shard_workload
 from repro.shard.merge import (
     empty_population_doc,
     merge_cell_docs,
     merge_population_docs,
-    merged_digest,
     qoe_summary_of,
     session_index,
 )
@@ -144,10 +144,10 @@ def test_real_cell_merge_is_order_independent():
     docs = [run_cell(workload, cell, *plan.cell_bounds(cell),
                      plan.cell_seed(cell))
             for cell in range(plan.n_cells)]
-    reference = merged_digest(merge_cell_docs(list(docs)))
+    reference = population_digest(merge_cell_docs(list(docs)))
     for order in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):
         shuffled = [docs[i] for i in order]
-        assert merged_digest(merge_cell_docs(shuffled)) == reference
+        assert population_digest(merge_cell_docs(shuffled)) == reference
     # splitting the fold differently must not matter either: the
     # canonical sort inside merge_cell_docs is what the supervisor
     # relies on when shards deliver cells in arbitrary order

@@ -147,8 +147,8 @@ def test_sessions_land_on_their_regions_replica():
     r = eng.orchestrator.run_full_session("srv1", "doc",
                                           client_node="east-c1")
     assert r.completed
-    served = {name for name, col in series.columns.items()
-              if name.startswith("streams.") and max(col.values) > 0}
+    served = {name for name in series.columns
+              if name.startswith("streams.") and max(series.values(name)) > 0}
     # both streams came from the east edge, none from the origin
     assert served == {"streams.audsrv@east", "streams.vidsrv@east"}
 
