@@ -140,7 +140,7 @@ class ClientQoSManager:
             stream_id=stream_id,
             mean_delay_s=st.mean_delay_s,
             last_delay_s=st.last_delay_s,
-            jitter_s=rx.jitter.jitter_s,
+            jitter_s=rx.jitter_s,
             cumulative_lost=st.cumulative_lost,
             packets_received=st.packets_received,
         )
@@ -148,7 +148,7 @@ class ClientQoSManager:
     def worst_jitter_s(self) -> float:
         if not self._receivers:
             return 0.0
-        return max(rx.jitter.jitter_s for rx in self._receivers.values())
+        return max(rx.jitter_s for rx in self._receivers.values())
 
     def reports_sent(self) -> int:
         return sum(r.reports_sent for r in self._reporters.values())

@@ -607,7 +607,7 @@ class ClientComposition:
                 sr.packets_received = rx.stats.packets_received
                 sr.packets_lost = rx.stats.cumulative_lost
                 sr.mean_delay_s = rx.stats.mean_delay_s
-                sr.jitter_s = rx.jitter.jitter_s
+                sr.jitter_s = rx.jitter_s
             buf = self.scheduler.buffers.get(sid)
             if buf is not None:
                 sr.buffer_overflow_drops = buf.stats.overflow_drops

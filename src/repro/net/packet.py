@@ -8,13 +8,11 @@ reproduction derives which stream type traversed which stack.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Packet", "PacketTap"]
 
 
-@dataclass(slots=True)
 class Packet:
     """A network-layer datagram.
 
@@ -22,28 +20,42 @@ class Packet:
     "TCP", "RTP", "RTCP", "SMTP", ...); ``flow_id`` identifies the
     application flow (one per media stream / control session);
     ``dst_port`` selects the handler bound at the destination node.
+    ``session`` and ``frame_seq`` are the correlation keys for
+    frame-lifecycle tracing and for the network's frame ledger: the
+    session the packet belongs to ("" for anonymous traffic) and the
+    media frame it carries a fragment of (-1 for non-frame packets).
+
+    One is built per datagram sent, so construction is one Python call,
+    the size check included. Packets compare by identity.
     """
 
-    src: str
-    dst: str
-    size_bytes: int
-    protocol: str
-    flow_id: str
-    dst_port: int
-    payload: Any = None
-    seq: int = 0
-    #: correlation keys for frame-lifecycle tracing and for the
-    #: network's frame ledger: the session the packet belongs to (""
-    #: for anonymous traffic) and the media frame it carries a
-    #: fragment of (-1 for non-frame packets)
-    session: str = ""
-    frame_seq: int = -1
-    created_at: float = 0.0
-    hops: int = 0
+    __slots__ = ("src", "dst", "size_bytes", "protocol", "flow_id",
+                 "dst_port", "payload", "seq", "session", "frame_seq",
+                 "created_at", "hops")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
+    def __init__(self, src: str, dst: str, size_bytes: int, protocol: str,
+                 flow_id: str, dst_port: int, payload: Any = None,
+                 seq: int = 0, session: str = "", frame_seq: int = -1,
+                 created_at: float = 0.0, hops: int = 0) -> None:
+        if size_bytes <= 0:
+            raise ValueError(f"size_bytes must be positive, got {size_bytes}")
+        self.src = src
+        self.dst = dst
+        self.size_bytes = size_bytes
+        self.protocol = protocol
+        self.flow_id = flow_id
+        self.dst_port = dst_port
+        self.payload = payload
+        self.seq = seq
+        self.session = session
+        self.frame_seq = frame_seq
+        self.created_at = created_at
+        self.hops = hops
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"Packet({fields})"
 
 
 class PacketTap:

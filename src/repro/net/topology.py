@@ -48,7 +48,6 @@ class Node:
         self.ports = PortAllocator(node_id)
         self._ports: dict[int, Callable[[Packet], None]] = {}
         self.rx_packets = 0
-        self.rx_bytes = 0
         self.rx_discarded = 0
 
     def bind(self, port: int, handler: Callable[[Packet], None]) -> None:
@@ -74,7 +73,6 @@ class Node:
                              flow=pkt.flow_id, seq=pkt.seq,
                              session=pkt.session, frame=pkt.frame_seq)
         self.rx_packets += 1
-        self.rx_bytes += pkt.size_bytes
         handler = self._ports.get(pkt.dst_port)
         if handler is not None:
             handler(pkt)

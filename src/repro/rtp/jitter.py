@@ -8,7 +8,9 @@ jitter estimate is updated per arriving packet as
 
 We keep everything in seconds (timestamps are converted using the
 stream's media clock rate), matching how the client QoS manager
-consumes the value.
+consumes the value. :class:`~repro.rtp.session.RtpReceiver` runs the
+same update inline on its own ``jitter_s``; this estimator is the
+public one and the receiver's referee (``tests/test_rtp_reference.py``).
 """
 
 from __future__ import annotations

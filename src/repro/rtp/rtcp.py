@@ -111,7 +111,7 @@ class RtcpReporter:
             fraction_lost=fraction,
             cumulative_lost=st.cumulative_lost,
             highest_seq=st.highest_seq or 0,
-            jitter_s=self.receiver.jitter.jitter_s,
+            jitter_s=self.receiver.jitter_s,
             mean_delay_s=st.mean_delay_s,
             interval_received=received,
             sent_at=self.sim.now,
@@ -120,7 +120,7 @@ class RtcpReporter:
     def _congested_now(self) -> bool:
         """Cheap congestion peek between reports (adaptive mode)."""
         return (self.receiver.peek_interval_loss() >= self.loss_threshold
-                or self.receiver.jitter.jitter_s >= self.jitter_threshold_s)
+                or self.receiver.jitter_s >= self.jitter_threshold_s)
 
     def _send_report(self) -> None:
         report = self.build_report()

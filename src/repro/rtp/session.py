@@ -10,7 +10,7 @@ upstream.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -25,6 +25,8 @@ from repro.rtp.packets import RTP_HEADER_BYTES, SEQ_MODULUS, RtpPacket
 __all__ = ["RtpSender", "RtpReceiver", "RtpReceiverStats", "fragment_plan"]
 
 DEFAULT_MTU_PAYLOAD = 1400
+_HALF_SEQ = SEQ_MODULUS // 2
+_GAIN = InterarrivalJitterEstimator.GAIN
 
 
 @lru_cache(maxsize=256)
@@ -85,6 +87,8 @@ class RtpSender:
 
     def send_frame(self, frame: Frame) -> int:
         """Packetize and transmit one frame; returns packets sent."""
+        if frame.size_bytes <= 0:
+            raise ValueError("payload_bytes must be positive")
         plan = fragment_plan(frame.size_bytes, self.mtu_payload)
         n_frags = len(plan)
         last = n_frags - 1
@@ -101,11 +105,16 @@ class RtpSender:
             self.node_id, self.ssrc, self.payload_type, self.stream_id,
             self.dst_port, self.session, frame.media_time, frame.seq)
         seq = seq0
+        new = tuple.__new__
         for i, frag_bytes in enumerate(plan):
             # Both records positionally, in field order: keyword calls
-            # cost as much again as building the packet.
-            rtp = RtpPacket(ssrc, pt, seq, media_time, i == last, frag_bytes,
-                            i, n_frags, frame if i == last else None)
+            # cost as much again as building the packet. The RTP header
+            # skips RtpPacket's checks, which hold here by construction:
+            # seq is kept modulo 2^16, the plan's sizes are positive
+            # (the frame's is, checked above) and i < n_frags.
+            rtp = new(RtpPacket, (ssrc, pt, seq, media_time, i == last,
+                                  frag_bytes, i, n_frags,
+                                  frame if i == last else None))
             send(Packet(src, dst, frag_bytes + RTP_HEADER_BYTES, "RTP",
                         stream, port, rtp, seq, session, frame_seq, now))
             seq = (seq + 1) % SEQ_MODULUS
@@ -125,33 +134,55 @@ class RtpSender:
 
 @dataclass(slots=True)
 class RtpReceiverStats:
-    """Receiver-side counters and estimates for one stream."""
+    """Receiver-side counters and estimates for one stream.
+
+    What an arrival writes: ``packets_received``, the unwrapped
+    ``base_seq`` / ``highest_seq`` and the delay sum and last sample.
+    Loss, the delay sample count, the interval's receptions and the
+    frames reassembled follow from those and are derived when an RTCP
+    report or a result reads them.
+    """
 
     packets_received: int = 0
-    frames_received: int = 0
     frames_dropped_fragments: int = 0
-    bytes_received: int = 0
     base_seq: int | None = None
     highest_seq: int | None = None
-    cumulative_lost: int = 0
     delay_sum_s: float = 0.0
-    delay_samples: int = 0
     last_delay_s: float = 0.0
-    #: interval accumulators, reset by the RTCP reporter
+    #: where the current RTCP interval began, moved by the reporter
     interval_expected_base: int = 0
-    interval_received: int = 0
+    interval_received_base: int = 0
+    #: frame seqs reassembled, in order (the receiver's ``frames_done``)
+    frames_done: deque[int] = field(default_factory=deque)
+
+    @property
+    def frames_received(self) -> int:
+        return len(self.frames_done)
+
+    @property
+    def delay_samples(self) -> int:
+        return self.packets_received
+
+    @property
+    def interval_received(self) -> int:
+        return self.packets_received - self.interval_received_base
 
     @property
     def mean_delay_s(self) -> float:
-        if self.delay_samples == 0:
+        if self.packets_received == 0:
             return 0.0
-        return self.delay_sum_s / self.delay_samples
+        return self.delay_sum_s / self.packets_received
 
     @property
     def expected(self) -> int:
         if self.base_seq is None or self.highest_seq is None:
             return 0
         return self.highest_seq - self.base_seq + 1
+
+    @property
+    def cumulative_lost(self) -> int:
+        """Expected minus received, never negative (duplicates)."""
+        return max(0, self.expected - self.packets_received)
 
 
 class RtpReceiver:
@@ -160,7 +191,9 @@ class RtpReceiver:
     Complete frames are handed to ``on_frame(frame, arrival_s)``.
     Loss accounting follows the RFC's expected-vs-received method on
     (unwrapped) sequence numbers; a frame with any missing fragment is
-    counted as dropped when a newer frame completes.
+    counted as dropped when a newer frame completes. ``jitter_s`` is
+    the RFC 3550 interarrival jitter, updated per arrival as
+    :class:`~repro.rtp.jitter.InterarrivalJitterEstimator` does.
     """
 
     def __init__(
@@ -172,6 +205,8 @@ class RtpReceiver:
         stream_id: str,
         on_frame: Callable[[Frame, float], None] | None = None,
     ) -> None:
+        if clock_rate <= 0:
+            raise ValueError("clock_rate must be positive")
         self.sim: Simulator = network.sim
         self.network = network
         self.node_id = node_id
@@ -182,12 +217,13 @@ class RtpReceiver:
         #: session id for tracing (wired by the client composition)
         self.session = ""
         self.stats = RtpReceiverStats()
-        self.jitter = InterarrivalJitterEstimator(clock_rate)
-        self._unwrapped_high: int | None = None
+        self.jitter_s = 0.0
+        self._prev_arrival = 0.0
+        self._prev_timestamp = 0
         self._frag_seen: dict[int, int] = {}  # timestamp -> fragments seen
-        #: frame seqs reassembled, in order (a deque, as the ledger's
-        #: pages are), and RTP timestamps given up on
-        self.frames_done: deque[int] = deque()
+        #: frame seqs reassembled, in order (the stats' deque, as the
+        #: ledger's pages are deques), and RTP timestamps given up on
+        self.frames_done = self.stats.frames_done
         self.frames_stale: set[int] = set()
         network.node(node_id).bind(port, self._on_packet)
 
@@ -195,21 +231,6 @@ class RtpReceiver:
         self.network.node(self.node_id).unbind(self.port)
 
     # -- packet path ------------------------------------------------------
-    def _unwrap(self, seq: int) -> int:
-        high = self._unwrapped_high
-        if high is None:
-            self._unwrapped_high = seq
-            return seq
-        # Choose the unwrapping closest to the previous highest: less
-        # than half the sequence space ahead of it (the in-order next
-        # packet is 1 ahead), otherwise behind it.
-        ahead = (seq - high) % SEQ_MODULUS
-        if ahead < SEQ_MODULUS // 2:
-            if ahead:
-                self._unwrapped_high = high + ahead
-            return high + ahead
-        return high + ahead - SEQ_MODULUS
-
     def _on_packet(self, pkt: Packet) -> None:
         rtp = pkt.payload
         if type(rtp) is not RtpPacket:
@@ -218,31 +239,34 @@ class RtpReceiver:
         timestamp = rtp.timestamp
         st = self.stats
         st.packets_received += 1
-        st.interval_received += 1
-        st.bytes_received += rtp.payload_bytes
-        useq = self._unwrap(rtp.seq)
-        if st.base_seq is None:
-            st.base_seq = useq
-        if st.highest_seq is None or useq > st.highest_seq:
-            st.highest_seq = useq
-        lost = st.highest_seq - st.base_seq + 1 - st.packets_received
-        st.cumulative_lost = lost if lost > 0 else 0
+        high = st.highest_seq
+        if high is None:
+            st.base_seq = st.highest_seq = rtp.seq
+        else:
+            # Unwrap against the highest so far: a seq less than half
+            # the sequence space ahead of it (the in-order next packet
+            # is 1 ahead) advances it; any other is behind it.
+            ahead = (rtp.seq - high) % SEQ_MODULUS
+            if 0 < ahead < _HALF_SEQ:
+                st.highest_seq = high + ahead
+            # RFC 3550 interarrival jitter: J += (|D| - J) / 16
+            transit_delta = (now - self._prev_arrival) - (
+                (timestamp - self._prev_timestamp) / self.clock_rate)
+            self.jitter_s += (abs(transit_delta) - self.jitter_s) * _GAIN
+        self._prev_arrival = now
+        self._prev_timestamp = timestamp
         delay = now - pkt.created_at
         st.last_delay_s = delay
         st.delay_sum_s += delay
-        st.delay_samples += 1
-        self.jitter.observe(now, timestamp)
         if self.sim._tracing_detail:
             self.sim._tracer.emit(now, "rtp.recv", self.stream_id,
                                   session=pkt.session or self.session,
                                   frame=pkt.frame_seq, seq=rtp.seq,
-                                  delay_s=delay,
-                                  jitter_s=self.jitter.jitter_s)
+                                  delay_s=delay, jitter_s=self.jitter_s)
         # Frame reassembly.
         seen = self._frag_seen.get(timestamp, 0) + 1
         if seen == rtp.fragment_count and rtp.marker:
             self._frag_seen.pop(timestamp, None)
-            st.frames_received += 1
             self.frames_done.append(pkt.frame_seq)
             if self.sim._tracing_detail:
                 self.sim._tracer.emit(
@@ -292,7 +316,7 @@ class RtpReceiver:
         interval_expected = expected_now - st.interval_expected_base
         received = st.interval_received
         st.interval_expected_base = expected_now
-        st.interval_received = 0
+        st.interval_received_base = st.packets_received
         if interval_expected <= 0:
             return 0.0, received
         lost = max(0, interval_expected - received)

@@ -23,8 +23,12 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.obs.flightrec import FlightRecorder
 
-#: Python calls per delivered RTP packet. 23.72 measured (18,119 calls,
-#: 764 packets, QoE scoring included); 27.91 (21,323) while a sender
+#: Python calls per delivered RTP packet. 19.67 measured (15,031 calls,
+#: 764 packets, QoE scoring included); 23.72 (18,119) while each
+#: fragment's header went through ``RtpPacket.__new__``, each packet
+#: through a dataclass ``__init__`` and ``__post_init__``, and each
+#: arrival through ``_unwrap`` and ``InterarrivalJitterEstimator.observe``;
+#: 27.91 (21,323) while a sender
 #: went through ``Network.send`` per fragment and each hop's arrival
 #: through a forwarding closure and ``PacketTap.record``; 32.16 (24,571)
 #: while a link scheduled a ``_tx_done`` at each departure besides the
@@ -35,7 +39,7 @@ from repro.obs.flightrec import FlightRecorder
 #: before the heap held bare ``(time, seq, fn, args)`` entries and links
 #: scheduled themselves, and 46.9 while result collection walked the
 #: playout log five times per stream.
-BUDGET = 24.5
+BUDGET = 20.0
 #: calls into ``repro/obs/`` to score one session's QoE when its result
 #: is collected: the scorer, its three helpers, one histogram built,
 #: batch-fed and summarised. Fixed, whatever the session's length.
@@ -57,15 +61,17 @@ RING_EVENT_BUDGET = 5.5
 #: whoever samples.
 SAMPLER_TICK_BUDGET = 40.0
 #: Python calls one cross-traffic packet costs, from the source's tick
-#: through two links to the discard at the target's port 9. 12.04
-#: measured (3,047 calls for 253 packets: 7 at the source, 2 a hop and
-#: one ``Node.deliver`` that counts the tap inline); 15.04 (3,806: 4 a
+#: through two links to the discard at the target's port 9. 11.04
+#: measured (2,794 calls for 253 packets: 6 at the source, 2 a hop and
+#: one ``Node.deliver`` that counts the tap inline); 12.04 (3,047) while
+#: a ``Packet`` was a dataclass, ``__post_init__`` checking its size
+#: after ``__init__``; 15.04 (3,806: 4 a
 #: hop) with a forwarding closure per hop and ``PacketTap.record`` at
 #: delivery; 19.04 (4,818: 6 a hop) with a link's ``_tx_done`` call per
 #: hop;
 #: 29.11 (7,364) while a source was a generator process with a
 #: ``Timeout`` per packet sending through a ``DatagramSocket``.
-XTRAFFIC_PACKET_BUDGET = 12.5
+XTRAFFIC_PACKET_BUDGET = 11.5
 
 _OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 

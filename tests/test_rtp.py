@@ -347,7 +347,7 @@ def test_rtp_packet_is_immutable_and_copies_are_validated():
 
 # ------------------------------------------------------------------ sequence
 def _reference_unwrap(high, seq):
-    """The closest-candidate search ``_unwrap`` replaced, verbatim."""
+    """The closest-candidate search the modular unwrap replaced, verbatim."""
     candidate = (high - high % SEQ_MODULUS) + seq
     alternatives = (candidate - SEQ_MODULUS, candidate,
                     candidate + SEQ_MODULUS)
@@ -361,18 +361,28 @@ def _reference_unwrap(high, seq):
                                                  32_768, -32_768])),
                       max_size=40))
 def test_property_unwrap_matches_the_closest_candidate_search(first, steps):
+    """Delivered to the receiver's node, every seq moves the unwrapped
+    highest exactly as far as the closest candidate would."""
     sim, net = build()
     _tx, rx = endpoints(net)
-    assert rx._unwrap(first) == first
+    node = net.node("cli")
+
+    def deliver(seq):
+        node.deliver(Packet("srv", "cli", 112, "RTP", "v", 5004,
+                            RtpPacket(1, 32, seq, 0, True, 100), seq))
+
+    deliver(first)
+    assert rx.stats.base_seq == rx.stats.highest_seq == first
     high, sent = first, first
     for step in steps:
         sent += step
         if sent < 0:
             sent = 0
-        expected = _reference_unwrap(high, sent % SEQ_MODULUS)
-        assert rx._unwrap(sent % SEQ_MODULUS) == expected
-        high = max(high, expected)
-        assert rx._unwrapped_high == high
+        high = max(high, _reference_unwrap(high, sent % SEQ_MODULUS))
+        deliver(sent % SEQ_MODULUS)
+        assert rx.stats.highest_seq == high
+    assert rx.stats.base_seq == first
+    assert rx.stats.packets_received == len(steps) + 1
 
 
 def test_late_packet_behind_sequence_zero_keeps_highest_seq():
