@@ -38,6 +38,12 @@ class SkewDecision:
     drop_count: int = 0  # frames to skip when action == "drop"
 
 
+#: the two decisions that carry nothing but their action, built once:
+#: ``decide`` runs on every slave tick
+_PLAY = SkewDecision("play")
+_DUPLICATE = SkewDecision("duplicate")
+
+
 @dataclass(slots=True)
 class SkewControllerStats:
     duplicates: int = 0
@@ -112,32 +118,41 @@ class SkewController:
         Must be called by slaves only (the master never adjusts — it
         is the timing reference).
         """
-        if stream_id == self.master_id:
+        master_id = self.master_id
+        if stream_id == master_id:
             raise ValueError("the sync master does not take skew decisions")
-        skew = self.skew_of(stream_id)
-        if skew is None:
-            return SkewDecision("play")
-        self.series.sample(now, skew)
-        self.stats.decisions += 1
+        # :meth:`skew_of` and :meth:`master_position`, inline
+        if not self._active.get(master_id, False):
+            return _PLAY
+        master = self._positions.get(master_id)
+        slave = self._positions.get(stream_id)
+        if master is None or slave is None:
+            return _PLAY
+        skew = slave - master
+        series = self.series  # SkewSeries.sample, inline
+        series.times.append(now)
+        series.skews.append(skew)
+        stats = self.stats
+        stats.decisions += 1
         if not self.enabled:
-            return SkewDecision("play")
+            return _PLAY
         if skew > self.threshold_s:
-            self.stats.duplicates += 1
-            self.stats.corrections += 1
+            stats.duplicates += 1
+            stats.corrections += 1
             if self._tracing:
                 self._tracer.emit(now, "skew.correct", stream_id,
                                   session=self._session, action="duplicate",
                                   skew_s=round(skew, 6), group=self.group)
-            return SkewDecision("duplicate")
+            return _DUPLICATE
         if skew < -self.threshold_s and frame_interval_s > 0:
             behind_frames = int(-skew / frame_interval_s)
             n = max(1, min(self.max_drops_per_tick, behind_frames))
-            self.stats.drops += n
-            self.stats.corrections += 1
+            stats.drops += n
+            stats.corrections += 1
             if self._tracing:
                 self._tracer.emit(now, "skew.correct", stream_id,
                                   session=self._session, action="drop",
                                   skew_s=round(skew, 6), group=self.group,
                                   drop_count=n)
             return SkewDecision("drop", drop_count=n)
-        return SkewDecision("play")
+        return _PLAY

@@ -49,7 +49,7 @@ import numpy as np
 from repro.shard.merge import empty_population_doc, merge_cell_docs
 from repro.shard.plan import ShardPlan, ShardWorkload
 from repro.shard.result import ShardedRunResult, ShardFailure, ShardStatus
-from repro.shard.worker import worker_main
+from repro.shard.worker import import_cell_modules, worker_main
 
 __all__ = ["ShardSupervisor"]
 
@@ -207,6 +207,7 @@ class ShardSupervisor:
         plan = self.plan
         self._t0 = time.monotonic()
         self._ctx = mp.get_context()
+        import_cell_modules()  # once here, not once per worker
         self._shards = []
         for s in range(plan.n_shards):
             cells = plan.worker_cells(s)

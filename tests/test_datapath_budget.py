@@ -17,14 +17,20 @@ import gc
 import os
 import sys
 
+import repro.client
 import repro.obs
 from repro.core.config import EngineConfig, TrafficConfig
 from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.obs.flightrec import FlightRecorder
 
-#: Python calls per delivered RTP packet. 19.67 measured (15,031 calls,
-#: 764 packets, QoE scoring included); 23.72 (18,119) while each
+#: Python calls per delivered RTP packet. 16.41 measured (12,537 calls,
+#: 764 packets, QoE scoring included); 19.67 (15,031) while a frame's
+#: arrival went through ``MediaBuffer.push`` and each playout tick
+#: through ``BufferMonitor.check``, ``_pop_fresh`` (``peek``, ``pop``),
+#: ``PlayoutEventLog.record`` and ``report_position``, and a slave's
+#: ``SkewController.decide`` through ``skew_of``, ``master_position``
+#: and ``SkewSeries.sample``; 23.72 (18,119) while each
 #: fragment's header went through ``RtpPacket.__new__``, each packet
 #: through a dataclass ``__init__`` and ``__post_init__``, and each
 #: arrival through ``_unwrap`` and ``InterarrivalJitterEstimator.observe``;
@@ -39,7 +45,15 @@ from repro.obs.flightrec import FlightRecorder
 #: before the heap held bare ``(time, seq, fn, args)`` entries and links
 #: scheduled themselves, and 46.9 while result collection walked the
 #: playout log five times per stream.
-BUDGET = 20.0
+BUDGET = 16.5
+#: Python calls under ``repro/client/`` while the simulation runs, per
+#: frame played. 2.73 measured (820 calls for 300 frames): the frame
+#: sink on arrival, the playout tick, and ``SkewController.decide`` on a
+#: sync slave's tick; a watermark crossing, a gap, a pause and a
+#: stream's start and stop cost a few more. 10.71 (3,214) while the sink
+#: went through ``MediaBuffer.push`` and the tick through the monitor,
+#: ``_pop_fresh``, ``peek``, ``pop``, ``record`` and ``report_position``.
+CLIENT_FRAME_BUDGET = 3.0
 #: calls into ``repro/obs/`` to score one session's QoE when its result
 #: is collected: the scorer, its three helpers, one histogram built,
 #: batch-fed and summarised. Fixed, whatever the session's length.
@@ -74,6 +88,7 @@ SAMPLER_TICK_BUDGET = 40.0
 XTRAFFIC_PACKET_BUDGET = 11.5
 
 _OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
+_CLIENT_DIR = os.path.dirname(repro.client.__file__) + os.sep
 
 
 def _profiled_run(tracer=None, sampler=False, duration_s=2.0):
@@ -81,18 +96,29 @@ def _profiled_run(tracer=None, sampler=False, duration_s=2.0):
     code lives under ``repro/obs/`` as a pair — entered while the
     simulation ran, entered while results were collected —, RTP packets
     delivered, sampler ticks)."""
+    return _profiled_run_and_client(tracer, sampler, duration_s)[0]
+
+
+def _profiled_run_and_client(tracer=None, sampler=False, duration_s=2.0):
+    """:func:`_profiled_run`'s counts, and the client's share: (Python
+    calls under ``repro/client/`` while the simulation ran, frames
+    played)."""
     eng = ServiceEngine(EngineConfig(seed=7), tracer=tracer)
     eng.add_server("srv1",
                    documents={"doc": (av_markup(duration_s, False), "t")})
     calls = 0
     obs_calls = [0, 0]
+    client_calls = 0
 
     def count(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, client_calls
         if event == "call":
             calls += 1
-            if frame.f_code.co_filename.startswith(_OBS_DIR):
+            filename = frame.f_code.co_filename
+            if filename.startswith(_OBS_DIR):
                 obs_calls[not eng.sim._running] += 1
+            elif eng.sim._running and filename.startswith(_CLIENT_DIR):
+                client_calls += 1
 
     if sampler:
         eng.attach_timeseries()
@@ -107,8 +133,11 @@ def _profiled_run(tracer=None, sampler=False, duration_s=2.0):
         sys.setprofile(None)
     assert len(pop.completed()) == 2
     ticks = eng.timeseries_sampler.series.ticks if sampler else 0
-    return (calls, tuple(obs_calls),
-            eng.network.tap.count_by_protocol["RTP"], ticks)
+    played = sum(s.frames_played for o in pop.outcomes
+                 for s in o.result.streams.values())
+    return ((calls, tuple(obs_calls),
+             eng.network.tap.count_by_protocol["RTP"], ticks),
+            (client_calls, played))
 
 
 def test_python_calls_per_delivered_rtp_packet_within_budget():
@@ -125,6 +154,14 @@ def test_python_calls_per_delivered_rtp_packet_within_budget():
     longer = _profiled_run(duration_s=4.0)
     assert longer[2] > 1.9 * packets
     assert longer[1] == obs_calls
+
+
+def test_python_calls_per_played_frame_in_the_client_within_budget():
+    _profiled_run()  # fill the caches
+    run, (client_calls, played) = _profiled_run_and_client()
+    assert played == 300
+    assert client_calls / played <= CLIENT_FRAME_BUDGET, client_calls
+    assert _profiled_run_and_client() == (run, (client_calls, played))
 
 
 def test_watching_costs_a_counted_number_of_calls():

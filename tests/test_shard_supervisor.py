@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -177,3 +179,56 @@ def test_more_shards_than_cells_is_fine(reference):
     result = _run(n_shards=8)  # only 4 cells exist
     assert result.ok
     assert result.digest == reference.digest
+
+
+#: a shard run in a fresh interpreter: at each spawn, a second child
+#: forked from the supervisor (so holding what the worker inherited)
+#: runs the worker's cell and reports the ``repro`` modules it imported
+_FIRST_CELL_IMPORTS = """
+import multiprocessing as mp
+import sys
+
+from repro.shard import ShardPlan, ShardSupervisor
+from repro.shard.bench import shard_workload
+from repro.shard.worker import run_cell
+
+plan = ShardPlan(n_clients=2, n_shards=1, cell_clients=2, seed=7)
+workload = shard_workload(duration_s=0.5, stagger_s=0.25, with_images=False)
+imported = []
+
+
+def first_cell(conn):
+    before = set(sys.modules)
+    run_cell(workload, *plan.worker_cells(0)[0])
+    conn.send(sorted(m for m in set(sys.modules) - before
+                     if m.startswith("repro")))
+
+
+def on_spawn(shard, attempt, proc):
+    ctx = mp.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    probe = ctx.Process(target=first_cell, args=(send,))
+    probe.start()
+    send.close()
+    imported.append(recv.recv())
+    probe.join()
+
+
+supervisor = ShardSupervisor(plan, workload, on_spawn=on_spawn)
+assert "repro.obs.qoe" not in sys.modules  # building one stays cheap
+assert supervisor.run().ok
+print(imported)
+"""
+
+
+def test_a_worker_inherits_what_its_cells_import():
+    """Each forked worker used to import ``repro.obs.qoe`` (and what
+    else its first cell needed) by itself: the supervisor now imports it
+    once, before the first spawn, and not when it is built."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _FIRST_CELL_IMPORTS], capture_output=True,
+        text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[[]]"]
