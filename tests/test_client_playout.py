@@ -85,6 +85,25 @@ def test_late_frames_discarded_as_stale():
     assert 0 < played < 25
 
 
+@pytest.mark.parametrize("k", [0, 1, 3, 5])
+def test_a_stream_starved_k_times_reports_k_underflows(k):
+    """One underflow per run dry, however many ticks it lasts: each frame
+    arrives half an interval before it is due, but frames 5j + 1 ..
+    5j + 3 never do for j < k."""
+    sim = Simulator()
+    buf = MediaBuffer("v", CLOCK, time_window_s=0.4, capacity_s=10.0)
+    log = PlayoutEventLog()
+    missing = {5 * j + d for j in range(k) for d in (1, 2, 3)}
+    for i in range(25):
+        if i not in missing:
+            sim.call_later(max(0.0, (i - 0.5) * INTERVAL), buf.push,
+                           frame(i))
+    p = PlayoutProcess(sim, entry(duration=1.0), buf, log, INTERVAL)
+    sim.run(until=p.finished)
+    assert log.gap_count("v") == 3 * k
+    assert buf.stats.underflow_events == k
+
+
 def test_max_consecutive_gaps_aborts():
     sim = Simulator()
     buf = MediaBuffer("v", CLOCK, time_window_s=0.4, capacity_s=10.0)

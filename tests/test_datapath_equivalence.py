@@ -50,6 +50,15 @@ in ``service.samples`` (28 -> 14 = the series' ticks), each server's
 8) and ``mean_streams`` (doubled), and ``service.regions.origin``'s
 ``samples`` / ``peak_streams`` / ``mean_streams`` — each now what the
 merged ``streams.<ms>`` columns give.
+
+``cdn_shared`` and ``chaos_crash_untraced`` moved once, in both sets,
+when a stream's ``buffer_underflows`` began counting its rebuffering
+episodes: it used to count only pops of an empty buffer, which the
+playout never makes, so it was 0 everywhere. Against ``f61b076`` the
+documents differ in that field and nowhere else: 0 -> 1 in each of
+``cdn_shared``'s 16 streams, each of which stalls once at its start,
+and in each of ``chaos_crash``'s 8, each of which stalls once across
+the failover. The other three runs have no gap and held.
 """
 
 from __future__ import annotations
@@ -121,10 +130,10 @@ PINS = {
         "ba3aeff08fd0f6ec826201cb3a3e45b96eb7ebb0bb05eb10bdef16f808ddc33a"),
     "cdn_shared": (
         lambda: population_digest(_cdn_shared()),
-        "b8c845e594c6e6afa57d5d9d402b49b5f9ffe44cd69db6a547082f388c970a4a"),
+        "2b3c906548f6852446324dc6585901c4cedb3ea08f3cec9fd4fcdbd5f22a60bb"),
     "chaos_crash_untraced": (
         lambda: run_chaos("crash", smoke=True).digest,
-        "abe74ad634d801e6a9fee75b92c0c124877b15cb27ab1acd381c2c5f3e2ae824"),
+        "74f245e4fbdb9215ffb0f8ded0417ac60bf46bc73fbe101fff9cd03a9e889249"),
     "shard_k2": (
         _shard_k2,
         "dcb8950642b94ea0a647e1fc58f13b583461e57abfdcae362260a9ca9e1eb399"),
@@ -151,11 +160,11 @@ PINS_WITHOUT_HEAP_DEPTH = {
         "ba3aeff08fd0f6ec826201cb3a3e45b96eb7ebb0bb05eb10bdef16f808ddc33a"),
     "cdn_shared": (
         _digest_without_heap_depth(_cdn_shared),
-        "b8c845e594c6e6afa57d5d9d402b49b5f9ffe44cd69db6a547082f388c970a4a"),
+        "2b3c906548f6852446324dc6585901c4cedb3ea08f3cec9fd4fcdbd5f22a60bb"),
     "chaos_crash_untraced": (
         _digest_without_heap_depth(
             lambda: run_chaos("crash", smoke=True).population),
-        "1cac112d70ce8dad19eba52743b2cf94e0de4676eadf52ac22d336d73616973f"),
+        "c68dae8873be0c86237fbb07763b9fa72169e906ded91506141661f611409da1"),
     "shard_k2": (
         lambda: population_digest(_without_heap_depth(_sharded().merged)),
         "fd5594fd7c1a3e315e5d09616d43122193e1a2bd493b4e994074b554efc7ddc9"),
