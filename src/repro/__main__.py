@@ -217,9 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--capacity-mbps", dest="capacity_bps", type=mbps, metavar="F")
     flag("--examples-dir", metavar="DIR")
     flag("--format", dest="fmt", choices=("text", "github"), default="text")
-    flag("--baseline", dest="baseline_path", metavar="FILE",
-         help="reason-annotated suppression file")
-    flag("--write-baseline", metavar="FILE", help="snapshot the findings")
     flag("--list-rules", dest="rules_only", **ON)
     return parser
 

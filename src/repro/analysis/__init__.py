@@ -23,7 +23,6 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.pyrules import PY_RULES, lint_file, lint_paths, lint_source
 from repro.analysis.report import Reporter
-from repro.analysis.shardrules import SHARD_RULES
 from repro.analysis.tracerules import TRACE_RULES, extract_emit_sites
 from repro.analysis.scenario_rules import (
     SCENARIO_RULES,
@@ -40,7 +39,6 @@ from repro.analysis.tables import render_series, render_table
 __all__ = [
     "PY_RULES",
     "SCENARIO_RULES",
-    "SHARD_RULES",
     "TAINT_RULES",
     "TRACE_RULES",
     "BandwidthVerdict",

@@ -12,7 +12,7 @@ This module closes that hole:
 
 * :class:`PyProgram` parses a whole tree of modules at once and
   indexes every function/method definition. Program-scoped rule
-  families (fork safety, trace schema, taint) take a ``PyProgram``
+  families (trace schema, taint) take a ``PyProgram``
   where the per-function determinism rules take a ``PyModule``.
 * :class:`CallGraph` resolves call expressions to definitions with a
   deliberately conservative strategy: same-module names first, then

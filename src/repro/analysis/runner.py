@@ -11,11 +11,6 @@ from __future__ import annotations
 
 import os
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    baseline_document,
-    load_baseline,
-)
 from repro.analysis.callgraph import TAINT_RULES, load_program
 from repro.analysis.corpus import shipped_scenario_sets
 from repro.analysis.diagnostics import (
@@ -32,11 +27,10 @@ from repro.analysis.scenario_rules import (
     ScenarioSet,
     analyze_set,
 )
-from repro.analysis.shardrules import SHARD_RULES
 from repro.analysis.tracerules import TRACE_RULES
 from repro.hml.lexer import HmlSyntaxError
 from repro.hml.parser import parse
-from repro.ioutil import UsageError, atomic_write_json
+from repro.ioutil import UsageError
 
 __all__ = [
     "self_lint_root",
@@ -48,14 +42,9 @@ __all__ = [
 ]
 
 #: program-scoped rule families (each checker takes a PyProgram)
-_PROGRAM_REGISTRIES = (SHARD_RULES, TAINT_RULES, TRACE_RULES)
+_PROGRAM_REGISTRIES = (TAINT_RULES, TRACE_RULES)
 #: findings the lint run itself may synthesize outside any registry
-_META_RULES = {
-    "det-syntax",
-    "lint-stale-pragma",
-    "lint-stale-baseline",
-    "lint-baseline-reason",
-}
+_META_RULES = {"det-syntax", "lint-stale-pragma"}
 
 
 def self_lint_root() -> str:
@@ -131,14 +120,12 @@ def known_rule_ids() -> set[str]:
 def lint_python_program(
     paths: list[str],
     full: bool = False,
-    baseline_path: str | None = None,
 ) -> list[Diagnostic]:
-    """Whole-program Python lint: every family plus hygiene passes.
+    """Whole-program Python lint: every family plus pragma hygiene.
 
     Runs the per-module determinism rules, the program-scoped
-    families (fork-safety, taint, trace-schema), then the
-    stale-pragma pass (which must see the pragma usage every earlier
-    family recorded) and finally the suppression baseline. ``full``
+    families (taint, trace-schema), then the stale-pragma pass (which
+    must see the pragma usage every earlier family recorded). ``full``
     marks a complete-package lint (``--self``) and enables
     program-completeness rules like ``trace-unused-kind``.
     """
@@ -150,9 +137,6 @@ def lint_python_program(
     known = known_rule_ids()
     for mod in program.modules:
         diags.extend(stale_pragma_diags(mod, known))
-    if baseline_path is not None and os.path.exists(baseline_path):
-        diags, _suppressed = apply_baseline(diags,
-                                            load_baseline(baseline_path))
     diags.sort(key=lambda d: (
         d.span.file if d.span else d.subject,
         d.span.line if d.span else 0,
@@ -171,18 +155,11 @@ def run_lint(
     closed: bool = False,
     examples_dir: str | None = None,
     fmt: str = "text",
-    baseline_path: str | None = None,
-    write_baseline: str | None = None,
     rules_only: bool = False,
 ) -> int:
-    """``repro lint``: run the requested passes; the process exit code.
-    ``--self`` defaults ``--baseline`` to ./lint-baseline.json if present."""
+    """``repro lint``: run the requested passes; the process exit code."""
     if rules_only:
         return list_rules(reporter)
-    if self_lint and baseline_path is None:
-        default_baseline = os.path.join(os.getcwd(), "lint-baseline.json")
-        if os.path.exists(default_baseline):
-            baseline_path = default_baseline
     any_pass = False
     status = 0
     gh_lines: list[str] = []
@@ -195,11 +172,7 @@ def run_lint(
 
     if py_paths:
         any_pass = True
-        diags = lint_python_program(py_paths, full=self_lint,
-                                    baseline_path=baseline_path)
-        if write_baseline is not None:
-            atomic_write_json(write_baseline, baseline_document(diags))
-            reporter.value("baseline_written", write_baseline)
+        diags = lint_python_program(py_paths, full=self_lint)
         render_diagnostics(reporter, diags, "determinism lint")
         gh_lines.extend(github_annotations(diags))
         status = max(status, exit_code(diags))

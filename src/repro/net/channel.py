@@ -201,6 +201,8 @@ class ReliableSender:
             self._next += 1
         if self._base < self._next:
             self._arm_timer()
+        else:
+            self._timer_token += 1  # nothing outstanding: cancel the timer
 
     def _arm_timer(self) -> None:
         self._timer_token += 1
@@ -235,10 +237,6 @@ class ReliableSender:
         # Complete any messages whose last segment is now acked.
         while self._msgs and self._msgs[0].last_seq < self._base:
             self._msgs.pop(0).done.succeed(self.sim.now)
-        if self._base < self._next:
-            self._arm_timer()
-        else:
-            self._timer_token += 1  # cancel timer
         self._pump()
 
 

@@ -59,13 +59,14 @@ class Packet:
 
 
 class PacketTap:
-    """Per-protocol, per-flow and per-node packet counters.
+    """Per-protocol and per-flow packet counters.
 
-    Nothing is kept per packet, so the tap's size follows the flows and
-    nodes of a run, not its length; which packet went where is the
-    trace's to answer (``net.deliver``, ``link.drop``, ``net.rx_discard``).
+    Nothing is kept per packet, so the tap's size follows the flows of
+    a run, not its length; which packet went where is the trace's to
+    answer (``net.deliver``, ``link.drop``, ``net.rx_discard``).
     :meth:`Node.deliver <repro.net.topology.Node.deliver>` counts the
-    deliveries and discards, the network the link drops.
+    deliveries, the network the link drops; each node counts its own
+    unbound-port discards (``Node.rx_discarded``).
     """
 
     def __init__(self) -> None:
@@ -78,8 +79,6 @@ class PacketTap:
             lambda: defaultdict(int))
         #: packets links dropped, per kind ("drop-queue" | "drop-loss")
         self.drops_by_kind: dict[str, int] = defaultdict(int)
-        #: packets delivered to a node but addressed to an unbound port
-        self.discards_by_node: dict[str, int] = defaultdict(int)
 
     @property
     def count_by_protocol(self) -> dict[str, int]:
@@ -87,12 +86,6 @@ class PacketTap:
         totals = ((protocol, sum(flows.values()))
                   for protocol, flows in self.count_by_flow.items())
         return {protocol: n for protocol, n in totals if n}
-
-    def rx_discarded(self, node_id: str | None = None) -> int:
-        """Total unbound-port discards (optionally for one node)."""
-        if node_id is not None:
-            return self.discards_by_node.get(node_id, 0)
-        return sum(self.discards_by_node.values())
 
     def protocols_for_flow(self, flow_id: str) -> set[str]:
         return {protocol for protocol, flows in self.count_by_flow.items()

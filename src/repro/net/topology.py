@@ -85,7 +85,6 @@ class Node:
                              port=pkt.dst_port, seq=pkt.seq,
                              flow=pkt.flow_id, session=pkt.session,
                              frame=pkt.frame_seq)
-        self.network.tap.discards_by_node[self.node_id] += 1
 
 
 class Network:

@@ -1,20 +1,10 @@
-"""Whole-program lint v2: fork-safety, taint, trace-schema, baseline,
-pragma hygiene. Fixtures under tests/fixtures/lint are known-bad
-inputs with exact-diagnostic assertions."""
+"""Whole-program lint v2: taint, trace-schema, pragma hygiene.
+Fixtures under tests/fixtures/lint are known-bad inputs with
+exact-diagnostic assertions."""
 
-import json
 import os
 
-import pytest
-
 from repro.analysis import Severity
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    apply_baseline,
-    baseline_document,
-    load_baseline,
-)
 from repro.analysis.callgraph import load_program
 from repro.analysis.diagnostics import github_annotations
 from repro.analysis.pyrules import PyModule
@@ -35,37 +25,6 @@ def fixture(name):
 
 def lint_fixture(name):
     return lint_python_program([fixture(name)])
-
-
-# ---------------------------------------------------------- fork safety
-def test_mp_queue_flagged():
-    diags = lint_fixture("bad_mp_queue.py")
-    assert [d.rule_id for d in diags] == ["fork-mp-queue"]
-    assert diags[0].severity is Severity.ERROR
-    assert diags[0].span.line == 7
-    assert "Pipe(duplex=False)" in diags[0].message
-
-
-def test_fork_module_state_flagged():
-    diags = lint_fixture("bad_fork_state.py")
-    assert [d.rule_id for d in diags] == ["fork-module-state"]
-    assert diags[0].span.line == 9
-    assert "completed" in diags[0].message
-    assert "worker()" in diags[0].message
-
-
-def test_raw_artifact_write_flagged():
-    diags = lint_fixture("bad_raw_write.py")
-    assert [d.rule_id for d in diags] == ["fork-raw-artifact-write"]
-    assert diags[0].span.line == 7
-    assert "repro.ioutil" in diags[0].message
-
-
-def test_captured_handle_flagged():
-    diags = lint_fixture("bad_captured_handle.py")
-    assert [d.rule_id for d in diags] == ["fork-captured-handle"]
-    assert diags[0].span.line == 12
-    assert "tracer" in diags[0].message
 
 
 # ----------------------------------------------------------------- taint
@@ -308,104 +267,20 @@ def test_used_pragma_not_stale(tmp_path):
 
 def test_known_rule_ids_cover_all_families():
     known = known_rule_ids()
-    for rule in ("det-wall-clock", "det-taint", "fork-mp-queue",
-                 "trace-unknown-kind", "trace-detail-guard",
-                 "lint-stale-pragma", "lint-stale-baseline",
-                 "lint-baseline-reason", "det-syntax"):
+    for rule in ("det-wall-clock", "det-taint", "trace-unknown-kind",
+                 "trace-detail-guard", "lint-stale-pragma", "det-syntax"):
         assert rule in known
-
-
-# --------------------------------------------------------------- baseline
-def test_baseline_suppresses_with_reason(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\ndef f():\n    return time.time()\n")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "entries": [{"rule": "det-wall-clock", "file": "bad.py",
-                     "reason": "legacy; tracked in ROADMAP"}],
-    }))
-    diags = lint_python_program([str(bad)], baseline_path=str(baseline))
-    assert diags == []
-
-
-def test_baseline_entry_without_reason_is_error(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\ndef f():\n    return time.time()\n")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "entries": [{"rule": "det-wall-clock", "file": "bad.py"}],
-    }))
-    diags = lint_python_program([str(bad)], baseline_path=str(baseline))
-    assert [d.rule_id for d in diags] == ["lint-baseline-reason"]
-    assert diags[0].severity is Severity.ERROR
-
-
-def test_stale_baseline_entry_is_warning(tmp_path):
-    clean = tmp_path / "clean.py"
-    clean.write_text("def f():\n    return 1\n")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "entries": [{"rule": "det-wall-clock", "file": "clean.py",
-                     "reason": "obsolete"}],
-    }))
-    diags = lint_python_program([str(clean)], baseline_path=str(baseline))
-    assert [d.rule_id for d in diags] == ["lint-stale-baseline"]
-    assert diags[0].severity is Severity.WARNING
-
-
-def test_baseline_roundtrip(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\ndef f():\n    return time.time()\n")
-    diags = lint_python_program([str(bad)])
-    doc = baseline_document(diags, reason="snapshot")
-    path = tmp_path / "generated.json"
-    path.write_text(json.dumps(doc))
-    loaded = load_baseline(str(path))
-    assert all(e.reason == "snapshot" for e in loaded.entries)
-    kept, suppressed = apply_baseline(diags, loaded)
-    assert kept == [] and suppressed == len(diags)
-
-
-def test_malformed_baseline_raises(tmp_path):
-    path = tmp_path / "nonsense.json"
-    path.write_text("[1, 2, 3]")
-    with pytest.raises(ValueError):
-        load_baseline(str(path))
-
-
-def test_repo_baseline_is_empty_or_fully_annotated():
-    repo_baseline = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "lint-baseline.json")
-    loaded = load_baseline(repo_baseline)
-    assert all(e.reason.strip() for e in loaded.entries)
-    assert loaded.entries == []  # PR 10 fixed every finding instead
-
-
-def test_baseline_matches_on_path_suffix():
-    entry = BaselineEntry(rule="det-taint", file="src/repro/x.py",
-                          reason="r")
-    from repro.analysis.diagnostics import Diagnostic, SourceSpan
-    d = Diagnostic("det-taint", Severity.ERROR, "m",
-                   span=SourceSpan(file="/abs/prefix/src/repro/x.py",
-                                   line=3))
-    assert entry.matches(d)
-    kept, suppressed = apply_baseline(
-        [d], Baseline(path="b.json", entries=[entry]))
-    assert suppressed == 1 and kept == []
 
 
 # -------------------------------------------------------- github format
 def test_github_annotations_format():
-    diags = lint_fixture("bad_mp_queue.py")
+    diags = lint_fixture("bad_wall_clock.py")
     lines = github_annotations(diags)
-    assert len(lines) == 1
+    assert len(lines) == 2
     line = lines[0]
     assert line.startswith("::error file=")
-    assert "line=7" in line
-    assert "[fork-mp-queue]" in line
+    assert "line=8" in line
+    assert "[det-wall-clock]" in line
     assert "%0A" not in diags[0].message  # escaping only in the line
 
 
@@ -418,19 +293,6 @@ def test_github_annotations_escape_newlines():
 
 
 # -------------------------------------------------------------- self lint
-def test_benchmarks_dir_has_no_raw_artifact_writes():
-    # regression for the bench-report fixture previously clobbering
-    # artifacts with Path.write_text instead of the ioutil atomics
-    bench_dir = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "benchmarks")
-    diags = lint_python_program([bench_dir])
-    raw = [d for d in diags if d.rule_id == "fork-raw-artifact-write"]
-    assert raw == [], "\n".join(d.format() for d in raw)
-
-
 def test_whole_program_self_lint_is_clean():
-    repo_baseline = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "lint-baseline.json")
-    diags = lint_python_program([self_lint_root()], full=True,
-                                baseline_path=repo_baseline)
+    diags = lint_python_program([self_lint_root()], full=True)
     assert diags == [], "\n".join(d.format() for d in diags)

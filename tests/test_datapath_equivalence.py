@@ -59,6 +59,12 @@ documents differ in that field and nowhere else: 0 -> 1 in each of
 ``cdn_shared``'s 16 streams, each of which stalls once at its start,
 and in each of ``chaos_crash``'s 8, each of which stalls once across
 the failover. The other three runs have no gap and held.
+
+``chaos_crash_untraced`` and ``shard_k2`` moved once more, in ``PINS``
+only, when a reliable sender stopped arming its retransmission timer
+twice per ACK: the superseded arm was a dead heap entry, so
+``event_queue_depth`` is all that differs from ``627f3e3``, and
+``PINS_WITHOUT_HEAP_DEPTH`` held.
 """
 
 from __future__ import annotations
@@ -133,10 +139,10 @@ PINS = {
         "2b3c906548f6852446324dc6585901c4cedb3ea08f3cec9fd4fcdbd5f22a60bb"),
     "chaos_crash_untraced": (
         lambda: run_chaos("crash", smoke=True).digest,
-        "74f245e4fbdb9215ffb0f8ded0417ac60bf46bc73fbe101fff9cd03a9e889249"),
+        "db3cccc1c224fb35a966a5bef098de65dce21dfde138b4df8dcb2b555a8b5b1c"),
     "shard_k2": (
         _shard_k2,
-        "dcb8950642b94ea0a647e1fc58f13b583461e57abfdcae362260a9ca9e1eb399"),
+        "268af26a7b24d0113b5a0c09536cb5ef8a61cb3ded854f43ab798856ba0587ff"),
 }
 
 
@@ -201,7 +207,10 @@ def test_chaos_crash_kernel_counters_fell_by_the_link_machinery(tmp_path):
     each, and a finish entry nobody waited on (the start entry stays, as
     ``call_later(0, begin)``). A pump the crash stopped cost an
     interrupt wakeup besides; it now costs the ``finished`` entry a
-    stopped pump used to withhold, so those two terms cancel.
+    stopped pump used to withhold, so those two terms cancel. Through
+    ``627f3e3`` a reliable sender armed its retransmission timer twice
+    on each ACK that left data outstanding (in ``_on_ack``, then again
+    in ``_pump``); the first arm's entry fired as a stale token.
     """
     run = run_chaos("crash", smoke=True,
                     flight_dump=str(tmp_path / "flight.jsonl"))
@@ -218,10 +227,11 @@ def test_chaos_crash_kernel_counters_fell_by_the_link_machinery(tmp_path):
     (crash,) = recorder.select(kind="fault.crash")
     interrupt_wakeups = stopped_finished = crash.args["streams"]
     assert stopped_finished == 8
+    superseded_rto_arms = 20
     assert emits["kernel.event"] == (
         19503 - transmissions - links - second_sampler
         - finish_entries - interrupt_wakeups + stopped_finished
-        - transmissions)
+        - transmissions - superseded_rto_arms)
     assert emits["process.spawn"] == 52 - links - 1 - pumps - playouts
     assert "process.interrupt" not in emits
     # the kernel's own count, which an unrecorded run has too

@@ -313,7 +313,6 @@ def test_forwarding_is_the_link_itself():
             ] == CHAIN_TRACE
     b = net.node("b")
     assert (b.rx_packets, b.rx_discarded) == (3, 1)
-    assert net.tap.discards_by_node == {"b": 1}
     assert net.tap.count_by_flow == {"UDP": {"f": 3}}
     assert net.tap.drops_by_kind == {"drop-queue": 2}
     assert net.link("r", "b").on_arrival == b.deliver

@@ -53,6 +53,28 @@ def test_reliable_single_message_lossless():
     assert tx.retransmissions == 0
 
 
+def test_reliable_sender_arms_one_rto_timer_per_ack():
+    """The first pump arms the retransmission timer, each ACK that
+    leaves data outstanding re-arms it once, and the last ACK cancels
+    it: no superseded arm is left to fire as a stale heap entry."""
+    sim, net = build_net()
+    ReliableReceiver(net, "client", 7000)
+    tx = ReliableSender(net, "server", 7001, "client", 7000, flow_id="doc",
+                        window=2, mss=1000)
+    arms = []
+    arm = tx._arm_timer
+
+    def counted_arm():
+        arms.append(sim.now)
+        arm()
+
+    tx._arm_timer = counted_arm
+    done = tx.send_message(6000)  # six segments, acked one by one
+    sim.run()
+    assert done.triggered and tx.retransmissions == 0
+    assert len(arms) == 1 + 5
+
+
 def test_reliable_message_larger_than_window():
     sim, net = build_net()
     msgs = []

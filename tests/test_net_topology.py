@@ -176,9 +176,6 @@ def test_unbound_port_discard_is_counted():
     assert net.node("b").rx_packets == 1  # received, no handler
     assert net.node("b").rx_discarded == 1
     assert net.node("a").rx_discarded == 0
-    assert net.tap.rx_discarded() == 1
-    assert net.tap.rx_discarded("b") == 1
-    assert net.tap.discards_by_node == {"b": net.node("b").rx_discarded}
 
 
 def test_tap_record_views_of_deliveries_drops_and_a_discard():
@@ -206,8 +203,7 @@ def test_tap_record_views_of_deliveries_drops_and_a_discard():
     assert net.tap.count_by_flow == {
         "RTP": {"f1": 1}, "TCP": {"f0": 2}, "RTCP": {"loop": 1}}
     assert net.tap.drops_by_kind == {"drop-queue": 2}
-    assert net.tap.discards_by_node == {"b": 1}
-    assert net.tap.rx_discarded() == 1
+    assert net.node("b").rx_discarded == 1
     assert net.tap.protocols_for_flow("f0") == {"TCP"}
     assert net.tap.protocols_for_flow("f1") == {"RTP"}
 
@@ -231,7 +227,6 @@ def test_bound_port_not_counted_as_discard():
                     flow_id="f", dst_port=5))
     sim.run()
     assert net.node("b").rx_discarded == 0
-    assert net.tap.rx_discarded() == 0
 
 
 def test_port_allocator_sequences_and_isolation():
