@@ -129,14 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     flag = command("bench", _lazy("repro.obs.bench", "bench_command"),
                    "service-quality trajectory: BENCH_<name>.json, exit 1 "
-                   "on a regression against its reference").add_argument
+                   "when it fails its SLO spec or its reference").add_argument
     flag("--smoke", **ON, help="CI-sized run")
-    flag("--profile", **ON, help="add PROFILE_<name>.json attribution")
     flag("--update-baseline", **ON)
     flag("--out", default=".", metavar="DIR")
     flag("--baseline", default=argparse.SUPPRESS, metavar="DIR",
          help="the reference store (default: benchmarks/baseline)")
-    flag("--threshold", type=float, default=argparse.SUPPRESS)
     flag("--scenario", **MANY)
     flag("--topology", **MANY, help="every scenario on star or cdn")
     flag("--clients", type=positive_int, help="instead: one sharded run")
@@ -146,14 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--duration", type=float, default=6.0)
     flag("--tolerate-shard-failures", **ON, help="keep a partial result")
     flag("--scale-curve", **ON, help="instead: sharded sweep over N")
-
-    flag = command("profile", _lazy("repro.obs.profile", "profile_command"),
-                   "kernel profiler: hot spots, PROFILE_<name>.json and "
-                   "collapsed stacks").add_argument
-    flag("--smoke", **ON)
-    flag("--scenario", **MANY, help="default: population_clean")
-    flag("--out", default=".", metavar="DIR")
-    flag("--top", type=int, default=15)
 
     slo = command("slo", _lazy("repro.obs.slo", "slo_command"),
                   "evaluate SLO rules on a saved artifact or a live run; "
@@ -189,23 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
          help="flight-recorder window around the first injected fault")
     flag("--flight-window", type=float, default=30.0, metavar="SECONDS")
 
-    flag = command("trend", _lazy("repro.obs.trend", "trend_command"),
-                   "judge each scenario's newest artifact against its "
-                   "history; exit 1 on a regression").add_argument
-    flag("--history", **MANY, metavar="DIR|FILE",
-         help="default: benchmarks/baseline")
-    flag("--artifact", **MANY, metavar="FILE",
-         help="appended as the newest point of its group")
-    flag("--threshold", type=float, default=argparse.SUPPRESS)
-
-    flag = command("report", _lazy("repro.obs.trend", "report_command"),
+    flag = command("report", _lazy("repro.obs.dashboard", "report_command"),
                    "markdown dashboard of one artifact: QoE, service, "
-                   "time series, SLO status, trend").add_argument
+                   "time series, SLO status, status against its "
+                   "reference").add_argument
     flag("artifact", nargs="?", default=argparse.SUPPRESS, metavar="FILE")
     flag("--artifact", metavar="FILE")
     flag("--out", metavar="FILE.md")
-    flag("--history", **MANY, metavar="DIR|FILE",
-         help="default: benchmarks/baseline")
+    flag("--baseline", default=argparse.SUPPRESS, metavar="DIR",
+         help="the reference store (default: benchmarks/baseline)")
 
     flag = command("lint", _lazy("repro.analysis.runner", "run_lint"),
                    "static analysis: Python trees to the determinism "

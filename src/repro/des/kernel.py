@@ -337,13 +337,6 @@ class Simulator:
             tuple[float, int, Callable[..., object], tuple[Any, ...]]] = []
         self._seq = 0
         self._running = False
-        #: The dispatch seam. ``None``: ``step()`` fires the popped
-        #: entry itself. An observer of single steps (the kernel
-        #: profiler) sets a callable that receives the entry's ``fn``
-        #: and ``args`` and must call ``fn(*args)`` exactly once;
-        #: :func:`entry_kind` names the entry.
-        self._dispatch_hook: Callable[
-            [Callable[..., object], tuple[Any, ...]], None] | None = None
         # Tracing is opt-in and two-tier: `_tracing` guards
         # control-plane emits (faults, admission, drops, spans);
         # `_tracing_detail` guards the per-packet/per-frame firehose
@@ -444,19 +437,13 @@ class Simulator:
 
     # -- execution ------------------------------------------------------
     def step(self) -> None:
-        """Process the single next heap entry, observably.
-
-        Emits ``kernel.event`` to a detail tracer and routes the entry
-        through the dispatch hook when one is installed.
-        """
+        """Process the single next heap entry, observably: a detail
+        tracer receives ``kernel.event`` named by :func:`entry_kind`."""
         time, _, fn, args = heappop(self._heap)
         self._now = time
         if self._tracing_detail:
             self._tracer.emit(time, "kernel.event", entry_kind(fn))
-        if self._dispatch_hook is None:
-            fn(*args)
-        else:
-            self._dispatch_hook(fn, args)
+        fn(*args)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -469,17 +456,16 @@ class Simulator:
         an :class:`Event` (run until it triggers; its value is
         returned), or ``None`` (drain the queue).
 
-        When nothing observes single steps — no detail tracer, no
-        dispatch hook; :meth:`set_tracer` and the profiler refuse to
-        attach during a run — entries are popped and fired inline;
-        otherwise every entry goes through :meth:`step`.
+        When no detail tracer observes single steps (:meth:`set_tracer`
+        refuses to attach during a run), entries are popped and fired
+        inline; otherwise every entry goes through :meth:`step`.
         """
         if self._running:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
         heap = self._heap
         pop = heappop
-        observed = self._tracing_detail or self._dispatch_hook is not None
+        observed = self._tracing_detail
         try:
             if isinstance(until, Event):
                 if observed:

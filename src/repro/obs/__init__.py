@@ -23,7 +23,7 @@ decisions — so every layer of the stack exposes trace hook points
 
 Names are re-exported lazily (PEP 562): ``from repro.obs import X``
 imports the one submodule that defines ``X``, so an untraced run that
-only scores QoE never loads the trend, SLO or export code.
+only scores QoE never loads the dashboard, SLO or export code.
 """
 
 from importlib import import_module
@@ -35,9 +35,6 @@ _EXPORTS = {
     "FlightRecorder": "flightrec",
     "FrameSpan": "lifecycle",
     "Histogram": "metrics",
-    "KernelProfiler": "profile",
-    "PROFILE_SCHEMA": "profile",
-    "PROFILE_SCHEMA_VERSION": "profile",
     "RecordingTracer": "tracer",
     "SERVICE_SCHEMA": "service_metrics",
     "SERVICE_SCHEMA_VERSION": "service_metrics",
@@ -48,31 +45,27 @@ _EXPORTS = {
     "TIMESERIES_SCHEMA_VERSION": "timeseries",
     "TRACE_SCHEMA": "export",
     "TRACE_SCHEMA_VERSION": "export",
-    "TREND_METRICS": "trend",
+    "TREND_METRICS": "slo",
     "TimeSeries": "timeseries",
     "TimeSeriesSampler": "timeseries",
     "TraceEvent": "tracer",
     "Tracer": "tracer",
-    "TrendMetric": "trend",
-    "TrendRow": "trend",
-    "analyze_group": "trend",
+    "baseline_rules": "slo",
     "correlate_frames": "lifecycle",
     "evaluate": "slo",
     "flatten_metrics": "slo",
-    "group_history": "trend",
     "hop_latency_summary": "lifecycle",
-    "load_history": "trend",
     "log_buckets": "metrics",
     "parse_rule": "slo",
     "parse_spec": "slo",
     "qoe_summary": "qoe",
     "read_chrome_trace": "export",
     "read_jsonl": "export",
-    "render_markdown_report": "trend",
+    "render_markdown_report": "dashboard",
     "score": "qoe",
     "score_session": "qoe",
     "score_sessions": "qoe",
-    "sparkline": "trend",
+    "sparkline": "dashboard",
     "summarize_trace": "summary",
     "timeseries_metrics": "slo",
     "to_chrome_trace": "export",
@@ -81,7 +74,7 @@ _EXPORTS = {
 }
 
 #: the ``repro bench`` artifact's schema, here so a sharded bench stamps
-#: it without importing ``bench``'s trend and SLO code
+#: it without importing ``bench``'s SLO gate
 BENCH_SCHEMA = "repro.bench"
 BENCH_SCHEMA_VERSION = 1
 

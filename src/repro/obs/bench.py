@@ -8,10 +8,11 @@ timed (host speed is ``benchmarks/e2e``'s job; only the sharded
 artifact is a pure function of code and seed and ``--update-baseline``
 is idempotent.
 
-The regression gate is :func:`repro.obs.trend.analyze_group`, the one
-comparator: a fresh artifact is the newest point of its ``(scenario,
-smoke)`` group in the reference store (``benchmarks/baseline/``), whose
-checked-in reference is a history of length one.
+The regression gate is :func:`repro.obs.slo.evaluate`, the one
+comparator: each fresh artifact must hold its scenario's shipped SLO
+spec plus the rules its reference in the store
+(``benchmarks/baseline/``, one artifact per ``(scenario, smoke)``)
+generates (:func:`repro.obs.slo.baseline_rules`).
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from typing import TYPE_CHECKING, Any
 
 from repro.ioutil import UsageError
 from repro.obs import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
-from repro.obs.trend import (
+from repro.obs.slo import (
+    DEFAULT_SLOS,
     DEFAULT_STORE,
-    DEFAULT_THRESHOLD,
-    analyze_group,
-    group_history,
-    load_history,
+    SloCheck,
+    baseline_rules,
+    evaluate,
+    load_store,
+    parse_spec,
 )
 
 if TYPE_CHECKING:
@@ -96,15 +99,9 @@ def bench_scenario(name: str) -> BenchScenario:
 
 
 def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
-              shared_flows: bool,
-              profiler: "Any | None" = None) -> dict:
+              shared_flows: bool) -> dict:
     """One population run; the raw measurements (``events`` is the
-    kernel's own count of heap entries fired).
-
-    Passing a :class:`~repro.obs.profile.KernelProfiler` installs it
-    on the run's simulator (``bench --profile``); the caller reads
-    attribution off the profiler afterwards.
-    """
+    kernel's own count of heap entries fired)."""
     from repro.core.config import EngineConfig
     from repro.core.engine import ServiceEngine
     from repro.core.experiments import av_markup
@@ -125,13 +122,9 @@ def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
         documents={"doc": (av_markup(duration_s, with_images), "bench")},
     )
     eng.attach_timeseries()
-    if profiler is not None:
-        profiler.install(eng.sim)
     pop = eng.orchestrator.run_population(
         n_clients, "srv1", "doc", stagger_s=scenario.stagger_s
     )
-    if profiler is not None:
-        profiler.uninstall()
     return {
         "sim_time_s": eng.sim.now,
         "events": eng.sim.events_fired,
@@ -145,8 +138,7 @@ def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
     }
 
 
-def run_scenario(scenario: BenchScenario, smoke: bool = False,
-                 profile: bool = False) -> dict:
+def run_scenario(scenario: BenchScenario, smoke: bool = False) -> dict:
     """Run one scenario and return its trajectory artifact dict.
 
     A ``topology="cdn"`` scenario runs its population twice — shared
@@ -154,16 +146,7 @@ def run_scenario(scenario: BenchScenario, smoke: bool = False,
     shared run plus the egress A/B (``egress_reduction`` is the
     headline: independent-flow bytes over shared-flow bytes off the
     serving media hosts).
-
-    ``profile=True`` installs a kernel profiler on the headline run
-    (the shared one, for cdn scenarios) and adds its attribution
-    under the artifact's ``profile`` key.
     """
-    profiler = None
-    if profile:
-        from repro.obs.profile import KernelProfiler
-
-        profiler = KernelProfiler()
     n_clients = scenario.smoke_clients if smoke else scenario.n_clients
     duration_s = scenario.smoke_duration_s if smoke \
         else scenario.duration_s
@@ -183,7 +166,7 @@ def run_scenario(scenario: BenchScenario, smoke: bool = False,
         unshared = _run_once(scenario, n_clients, duration_s,
                              shared_flows=False)
         shared = _run_once(scenario, n_clients, duration_s,
-                           shared_flows=True, profiler=profiler)
+                           shared_flows=True)
         artifact.update(shared)
         artifact["origin_egress_bytes_unshared"] = \
             unshared["origin_egress_bytes"]
@@ -194,33 +177,23 @@ def run_scenario(scenario: BenchScenario, smoke: bool = False,
         )
     else:
         artifact.update(_run_once(scenario, n_clients, duration_s,
-                                  shared_flows=False, profiler=profiler))
-    if profiler is not None:
-        artifact["profile"] = profiler.to_artifact(
-            scenario.name,
-            extra={"scenario": scenario.name, "seed": scenario.seed,
-                   "smoke": smoke},
-        )
+                                  shared_flows=False))
     return artifact
 
 
 def run_benchmarks(names: list[str] | None = None,
-                   smoke: bool = False,
-                   profile: bool = False) -> dict[str, dict]:
+                   smoke: bool = False) -> dict[str, dict]:
     """Run the named scenarios (default: all); {name: artifact}."""
-    return {name: run_scenario(bench_scenario(name), smoke=smoke,
-                               profile=profile)
+    return {name: run_scenario(bench_scenario(name), smoke=smoke)
             for name in names or SCENARIOS}
 
 
-def bench_command(report: Reporter, *, smoke: bool, profile: bool,
-                  update_baseline: bool, out: str,
-                  scenario: list[str], topology: list[str],
-                  baseline: str = DEFAULT_STORE,
-                  threshold: float = DEFAULT_THRESHOLD,
-                  **sharded: Any) -> int:
-    """``repro bench``: run scenarios, emit BENCH_*.json, judge each as
-    the newest point of its group in the ``baseline`` store;
+def bench_command(report: Reporter, *, smoke: bool, update_baseline: bool,
+                  out: str, scenario: list[str], topology: list[str],
+                  baseline: str = DEFAULT_STORE, **sharded: Any) -> int:
+    """``repro bench``: run scenarios, emit BENCH_*.json, and hold each
+    to its shipped SLO spec plus the rules its reference in the
+    ``baseline`` store generates; exit 1 on any failed rule.
     ``--clients`` / ``--scale-curve`` go to the sharded bench instead."""
     if sharded["clients"] is not None or sharded["scale_curve"]:
         from repro.shard.bench import sharded_bench_command
@@ -238,24 +211,16 @@ def bench_command(report: Reporter, *, smoke: bool, profile: bool,
         names.extend(matching)
 
     os.makedirs(out, exist_ok=True)
-    artifacts = run_benchmarks(names, smoke=smoke, profile=profile)
+    artifacts = run_benchmarks(names, smoke=smoke)
     if update_baseline:
         os.makedirs(baseline, exist_ok=True)
     # the store by (scenario, smoke); not read when it is being re-recorded
-    references = group_history(
-        load_history([baseline], schema=BENCH_SCHEMA)
-        if os.path.isdir(baseline) and not update_baseline else [])
-    problems: list[str] = []
-    rows = []
+    references = {} if update_baseline else load_store(baseline)
+    rows: list[list[Any]] = []
+    gate: list[tuple[str, SloCheck]] = []
     for name, artifact in artifacts.items():
         out_path = os.path.join(out, f"BENCH_{name}.json")
         report.artifact(f"artifact:{name}", out_path, artifact)
-        if profile and "profile" in artifact:
-            prof_path = os.path.join(out, f"PROFILE_{name}.json")
-            report.artifact(f"profile:{name}", prof_path,
-                            artifact["profile"])
-            report.value(f"profile_coverage:{name}",
-                         round(artifact["profile"]["coverage"], 4))
         qoe = artifact.get("qoe") or {}
         rows.append([
             name, artifact["clients"],
@@ -267,21 +232,28 @@ def bench_command(report: Reporter, *, smoke: bool, profile: bool,
             report.artifact(f"baseline:{name}", os.path.join(
                 baseline, f"BENCH_{name}{suffix}"), artifact)
             continue
+        rules = parse_spec(DEFAULT_SLOS.get(name, ()))
         # keyed by scale too: a smoke run never meets a full reference
-        history = references.get((name, smoke))
-        if not history:
+        reference = references.get((name, smoke))
+        if reference is None:
             report.value(f"baseline:{name}", "missing (not compared)")
-            continue
-        problems.extend(
-            f"{name}: {row.detail}"
-            for row in analyze_group(history + [artifact],
-                                     threshold=threshold)
-            if row.verdict == "regressed")
+        else:
+            rules += baseline_rules(reference)
+        gate.extend((name, check) for check in evaluate(rules, artifact))
     report.table(
         "Benchmark trajectory" + (" (smoke)" if smoke else ""),
         ["scenario", "clients", "completed", "qoe_p50"],
         rows,
     )
-    for problem in problems:
-        report.value("regression", problem)
-    return 1 if problems else 0
+    if update_baseline:
+        return 0
+    report.table(
+        "Gate: shipped SLO spec + reference rules",
+        ["scenario", "rule", "value", "status"],
+        [[name, check.rule.text, check.value_text,
+          "PASS" if check.ok else "FAIL"]
+         for name, check in gate],
+    )
+    violations = sum(1 for _, check in gate if not check.ok)
+    report.value("violations", violations)
+    return 1 if violations else 0

@@ -16,14 +16,20 @@ other metric name is resolved as a dotted path into the artifact
 (``service.admission.requests``). ``python -m repro slo`` exits 1 on
 any violated rule, which is what lets CI gate chaos and CDN smoke
 jobs on service levels instead of ad-hoc thresholds.
+
+A checked-in reference artifact is a generated spec
+(:func:`baseline_rules`); ``python -m repro bench`` evaluates the
+shipped spec plus those rules against each fresh run.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.ioutil import UsageError, read_json
+from repro.obs import BENCH_SCHEMA
 
 if TYPE_CHECKING:
     from repro.analysis.report import Reporter
@@ -31,7 +37,8 @@ if TYPE_CHECKING:
 __all__ = ["SloRule", "SloCheck", "parse_rule", "parse_spec",
            "flatten_metrics", "timeseries_metrics", "evaluate",
            "load_artifact", "slo_command", "DEFAULT_SLOS",
-           "METRIC_ALIASES"]
+           "METRIC_ALIASES", "TREND_METRICS", "BASELINE_TOLERANCE",
+           "DEFAULT_STORE", "baseline_rules", "store_key", "load_store"]
 
 #: comparison operators, longest first so ``<=`` wins over ``<``
 _OPS: tuple[tuple[str, Any], ...] = (
@@ -93,6 +100,26 @@ DEFAULT_SLOS: dict[str, tuple[str, ...]] = {
     ),
 }
 
+#: the metrics a reference artifact gates, each with its bad direction:
+#: "higher" = a drop regresses, "lower" = a rise does, "stable" = both
+TREND_METRICS: tuple[tuple[str, str], ...] = (
+    ("completed_ratio", "higher"),
+    ("delivered_ratio", "higher"),
+    ("qoe_p50", "higher"),
+    # cdn scenarios only: independent-flow over shared-flow egress
+    ("egress_reduction", "higher"),
+    ("origin_egress_bytes", "stable"),
+    ("peak_link_utilization", "lower"),
+    ("max_queue_depth", "lower"),
+    # ``events`` (kernel heap entries fired) stays in the artifact
+    # ungated: fewer entries is what a cheaper data path looks like
+)
+
+#: how far a run may drift from its reference, as a share of |reference|
+BASELINE_TOLERANCE = 0.10
+#: the checked-in reference store: one artifact per (scenario, smoke)
+DEFAULT_STORE = os.path.join("benchmarks", "baseline")
+
 
 @dataclass(slots=True, frozen=True)
 class SloRule:
@@ -114,6 +141,10 @@ class SloCheck:
     rule: SloRule
     value: float | None
     ok: bool
+
+    @property
+    def value_text(self) -> str:
+        return "missing" if self.value is None else f"{self.value:g}"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -277,6 +308,63 @@ def load_artifact(path: str) -> tuple[dict[str, Any], str | None]:
     return artifact, artifact.get("name") or artifact.get("scenario")
 
 
+def baseline_rules(reference: dict[str, Any]) -> list[SloRule]:
+    """The spec a reference artifact stands for.
+
+    Per :data:`TREND_METRICS` entry the reference carries, with ``b``
+    its value and ``t`` :data:`BASELINE_TOLERANCE`: a ``higher``
+    metric must stay ``>= b - t*|b|``, a ``lower`` one ``<= b + t*|b|``
+    and a ``stable`` one both. A run that stops reporting a gated
+    metric fails its rule, as every rule does.
+    """
+    flat = flatten_metrics(reference)
+    rules = []
+    for metric, direction in TREND_METRICS:
+        if metric not in flat:
+            continue
+        base = flat[metric]
+        band = BASELINE_TOLERANCE * abs(base)
+        if direction != "lower":
+            rules.append(SloRule(metric=metric, op=">=",
+                                 threshold=base - band))
+        if direction != "higher":
+            rules.append(SloRule(metric=metric, op="<=",
+                                 threshold=base + band))
+    return rules
+
+
+def store_key(artifact: dict[str, Any]) -> tuple[str, bool]:
+    """What a run and its reference share: scenario and scale."""
+    name = artifact.get("scenario") or artifact.get("name") or "?"
+    return str(name), bool(artifact.get("smoke"))
+
+
+def load_store(directory: str) -> dict[tuple[str, bool], dict[str, Any]]:
+    """The reference artifacts in ``directory`` by :func:`store_key`
+    (none when there is no such directory).
+
+    Every ``*.json`` there must be a bench artifact, and no two may
+    share a key: either is a usage error, not a reference that silently
+    stopped gating.
+    """
+    if not os.path.isdir(directory):
+        return {}
+    store: dict[tuple[str, bool], dict[str, Any]] = {}
+    for entry in sorted(os.listdir(directory)):
+        if not entry.endswith(".json"):
+            continue
+        path = os.path.join(directory, entry)
+        doc = read_json(path)
+        if not isinstance(doc, dict) or doc.get("schema") != BENCH_SCHEMA:
+            raise UsageError(f"{path} is not a {BENCH_SCHEMA} artifact")
+        key = store_key(doc)
+        if key in store:
+            raise UsageError(f"{path} is a second reference for "
+                             f"{key[0]} (smoke={key[1]})")
+        store[key] = doc
+    return store
+
+
 def slo_command(report: Reporter, *, artifact: str | None,
                 scenario: str | None, chaos: str | None, spec: str | None,
                 spec_file: str | None, rule: list[str], smoke: bool,
@@ -325,9 +413,7 @@ def slo_command(report: Reporter, *, artifact: str | None,
     report.table(
         "SLO evaluation",
         ["rule", "value", "status"],
-        [[c.rule.text,
-          "missing" if c.value is None else f"{c.value:g}",
-          "PASS" if c.ok else "FAIL"]
+        [[c.rule.text, c.value_text, "PASS" if c.ok else "FAIL"]
          for c in checks],
     )
     service = doc.get("service")

@@ -157,8 +157,8 @@ def run_scale_curve(
     duration, no discrete images) so the 10^4-client point stays
     tractable on one machine; throughput comparisons hold within the
     curve, not against other scenarios. The artifact's top-level
-    metrics mirror the largest point so trend tooling reads it like
-    any bench artifact.
+    metrics mirror the largest point so the gate and the report read
+    it like any bench artifact.
     """
     if points is None:
         points = SCALE_SMOKE_POINTS if smoke else SCALE_POINTS
@@ -199,7 +199,7 @@ def run_scale_curve(
         "duration_s": duration_s,
         "topology": "star",
         "points": rows,
-        # headline = the largest point, for trend/report tooling
+        # headline = the largest point, for the gate and the report
         "clients": top["clients"],
         "wall_s": top["wall_s"],
         "events": top["events"],

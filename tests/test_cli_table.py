@@ -82,7 +82,6 @@ def not_json(tmp_path):
     ["chaos", "--scenario", "bogus"],
     ["slo", "--chaos", "bogus"],
     ["slo", "--scenario", "bogus"],
-    ["profile", "--scenario", "bogus"],
     ["trace", "--bogus"],
     ["lint", "--bogus"],
     ["slo", "--artifact", "/nonexistent.json"],
@@ -90,8 +89,6 @@ def not_json(tmp_path):
     ["slo", "--artifact", "NOT_JSON", "--rule", "no operator here"],
     ["report", "--artifact", "/nonexistent.json"],
     ["report", "--artifact", "NOT_JSON"],
-    ["trend", "--history", "/nonexistent"],
-    ["trend", "--artifact", "NOT_JSON"],
     ["bench", "--clients", "0"],
     ["bench", "--clients", "8", "--shards", "0"],
 ], ids=" ".join)
@@ -133,19 +130,17 @@ def test_documented_command_lines_parse():
 FLAGS = {
     "list": set(), "run": set(), "demo": set(),
     "trace": {"--record", "--chrome", "--top", "--clients"},
-    "bench": {"--smoke", "--profile", "--update-baseline", "--out",
-              "--baseline", "--threshold", "--scenario", "--topology",
-              "--clients", "--shards", "--cell", "--seed", "--duration",
-              "--tolerate-shard-failures", "--scale-curve"},
-    "profile": {"--smoke", "--scenario", "--out", "--top"},
+    "bench": {"--smoke", "--update-baseline", "--out", "--baseline",
+              "--scenario", "--topology", "--clients", "--shards", "--cell",
+              "--seed", "--duration", "--tolerate-shard-failures",
+              "--scale-curve"},
     "slo": {"--artifact", "--scenario", "--chaos", "--spec", "--spec-file",
             "--rule", "--smoke", "--flight-dump"},
     "chaos": {"--scenario", "--smoke", "--seed", "--clients",
               "--no-recovery", "--no-retry", "--check-determinism",
               "--min-delivered", "--min-completed", "--out",
               "--flight-dump", "--flight-window"},
-    "trend": {"--history", "--artifact", "--threshold"},
-    "report": {"--artifact", "--out", "--history"},
+    "report": {"--artifact", "--out", "--baseline"},
     "lint": {"--self", "--scenarios", "--closed-set", "--capacity-mbps",
              "--examples-dir", "--format", "--list-rules"},
 }
@@ -158,9 +153,12 @@ def test_flag_set_is_the_sixty_of_the_hand_rolled_loops():
         for cmd, sub in subcommands(build_parser()).items()
     }
     assert table == FLAGS
-    # the sixty, less the two wall-clock gate thresholds and the two
-    # lint baseline flags (pragmas are the one suppression)
-    assert sum(map(len, FLAGS.values())) == 56
+    # the sixty, less the two wall-clock gate thresholds, the two lint
+    # baseline flags (pragmas are the one suppression), the kernel
+    # profiler's five and the trend comparator's four (the baseline is a
+    # generated SLO spec); nine commands
+    assert sum(map(len, FLAGS.values())) == 47
+    assert len(FLAGS) == 9
 
 
 def test_json_is_accepted_anywhere_on_the_line():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.des import AllOf, AnyOf, Interrupt, Simulator
-from repro.des.kernel import entry_kind
 
 
 def test_clock_starts_at_zero():
@@ -402,49 +401,24 @@ def test_detail_tracer_sees_every_entry_through_step():
     assert plain.events_fired == len(fired)
 
 
-def test_dispatch_hook_receives_every_entry_and_must_fire_it():
-    sim = _StepCounter()
-    seen = []
-
-    def hook(fn, args):
-        seen.append(entry_kind(fn))
-        fn(*args)
-
-    sim._dispatch_hook = hook
-    assert _mixed_run(sim) == (EXPECTED_ORDER, "finished")
-    assert sim.stepped == len(seen) > 0
-    assert seen.count("Call") == 2
-    assert seen.count("Timeout") == 2
-    assert {"Event", "Process"} <= set(seen)
-    sim._dispatch_hook = None
-    sim.call_later(1.0, seen.append, "inline again")
-    sim.run()
-    assert seen[-1] == "inline again" and sim.stepped == len(seen) - 1
-
-
 def test_observers_cannot_attach_during_a_run():
     """``run()`` picks its loop once, so a mid-run attach would be ignored."""
-    from repro.obs.profile import KernelProfiler
-
     sim = Simulator()
     errors = []
 
-    def attach(how):
+    def attach():
         try:
-            how()
+            sim.set_tracer(_Tracer(detail=True))
         except RuntimeError as exc:
             errors.append(str(exc))
 
-    profiler = KernelProfiler()
-    sim.call_later(1.0, attach, lambda: sim.set_tracer(_Tracer(detail=True)))
-    sim.call_later(2.0, attach, lambda: profiler.install(sim))
+    sim.call_later(1.0, attach)
     sim.run()
-    assert errors == ["cannot change the tracer during run()",
-                      "cannot install the profiler during run()"]
-    assert sim.tracer is None and not profiler.installed
-    # between runs both attach as before
+    assert errors == ["cannot change the tracer during run()"]
+    assert sim.tracer is None
+    # between runs it attaches as before
     sim.set_tracer(_Tracer(detail=True))
-    profiler.install(sim).uninstall()
+    assert sim.tracing
 
 
 def test_call_later_ties_fire_in_schedule_order_with_events():

@@ -30,8 +30,8 @@ WATCHERS = ("repro.obs", "repro.analysis", "repro.shard", "repro.faults",
 
 #: what only a recording, an export or a report needs
 LOOKERS = tuple(f"repro.obs.{name}" for name in (
-    "tracer", "lifecycle", "export", "flightrec", "summary", "slo", "trend",
-    "bench", "profile", "schema"))
+    "tracer", "lifecycle", "export", "flightrec", "summary", "slo",
+    "dashboard", "bench", "schema"))
 
 
 def run_blocked(code):
@@ -64,7 +64,7 @@ def test_cli_cold_path_needs_neither():
     out = run_blocked(
         "from repro.__main__ import main\n"
         "codes = [main(['--help']), main(['list']),\n"
-        "         main(['trend', '--help'])]\n"
+        "         main(['report', '--help'])]\n"
         "print('exit codes', codes)\n")
     assert out.splitlines()[-1] == "exit codes [0, 0, 0]"
 

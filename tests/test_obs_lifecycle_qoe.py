@@ -39,7 +39,7 @@ from repro.obs import (
 )
 from repro.ioutil import UsageError
 from repro.obs.bench import SCENARIOS, run_benchmarks, run_scenario
-from repro.obs.trend import analyze_group, group_history
+from repro.obs.slo import baseline_rules, evaluate, store_key
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +446,22 @@ def test_run_benchmarks_unknown_scenario():
 
 
 def _regressed(baseline, run):
-    """Metrics the one comparator flags for ``run`` against a baseline
-    taken as a history of length one."""
-    return {row.metric for row in analyze_group([baseline, run])
-            if row.verdict == "regressed"}
+    """Metrics that fail the rules ``baseline`` generates for ``run``."""
+    return {check.rule.metric
+            for check in evaluate(baseline_rules(baseline), run)
+            if not check.ok}
+
+
+def _depth(peak):
+    return {"columns": {"event_queue_depth": {"values": [1.0, peak]}}}
 
 
 def test_baseline_is_a_one_point_history():
+    """A reference is one artifact per (scenario, smoke), and it stands
+    for a spec: each gated metric within 10% of it."""
     base = {"schema": "repro.bench", "name": "x", "smoke": True,
             "sessions": 4, "completed": 4, "events": 1000,
+            "origin_egress_bytes": 1000, "timeseries": _depth(90.0),
             "egress_reduction": 4.0, "qoe": {"score": {"p50": 90.0}}}
     assert _regressed(base, dict(base)) == set()
 
@@ -463,14 +470,33 @@ def test_baseline_is_a_one_point_history():
     assert _regressed(base, worse) == {"completed_ratio", "qoe_p50",
                                        "egress_reduction"}
 
-    # the band is threshold * |baseline|: a 10% drop passes, 11% fails
+    # the band is 10% of |baseline|: a 10% drop passes, 11% fails
     assert _regressed(base, dict(base, qoe={"score": {"p50": 81.0}})) \
         == set()
     assert _regressed(base, dict(base, qoe={"score": {"p50": 80.0}})) \
         == {"qoe_p50"}
+    # a "lower" metric exactly 10% up passes: b + t*|b| is 99.0 at
+    # b = 90, where (1 + t) * b would be one ulp above it
+    assert _regressed(base, dict(base, timeseries=_depth(99.0))) == set()
+    assert _regressed(base, dict(base, timeseries=_depth(100.0))) \
+        == {"max_queue_depth"}
+    # a "stable" metric is held on both sides
+    for drift in (800, 1200):
+        assert _regressed(base, dict(base, origin_egress_bytes=drift)) \
+            == {"origin_egress_bytes"}
 
-    # fewer trace emits is what a cheaper data path looks like
+    # fewer heap entries is what a cheaper data path looks like
     assert _regressed(base, dict(base, events=500)) == set()
+    assert "events" not in {rule.metric for rule in baseline_rules(base)}
+
+
+def test_a_gated_metric_the_run_lacks_fails_closed():
+    base = {"schema": "repro.bench", "name": "x", "smoke": True,
+            "egress_reduction": 4.0, "qoe": {"score": {"p50": 90.0}}}
+    run = dict(base)
+    del run["egress_reduction"]
+    (check,) = [c for c in evaluate(baseline_rules(base), run) if not c.ok]
+    assert check.rule.metric == "egress_reduction" and check.value is None
 
 
 def test_smoke_run_never_joins_a_full_baseline(tmp_path, capsys):
@@ -479,11 +505,10 @@ def test_smoke_run_never_joins_a_full_baseline(tmp_path, capsys):
     base = {"schema": "repro.bench", "scenario": "population_clean",
             "smoke": False, "sessions": 4, "completed": 400}
     run = dict(base, smoke=True, completed=4)
-    groups = group_history([base, run])
-    assert groups[("population_clean", True)] == [run]
+    assert store_key(run) == ("population_clean", True) != store_key(base)
 
     # on the command line: the full-scale reference is not this smoke
-    # run's history, so there is nothing to compare against ...
+    # run's, so there is nothing to compare against ...
     store = tmp_path / "store"
     store.mkdir()
     reference = store / "BENCH_population_clean.json"

@@ -1,25 +1,25 @@
-"""Trend analytics: history loading, MAD bands, CLI gate, dashboard.
+"""The baseline gate and the markdown dashboard.
 
-The comparator's baseline-as-one-point-history cases sit with the bench
-harness tests in ``test_obs_lifecycle_qoe.py``.
+A reference artifact in ``benchmarks/baseline`` is a generated SLO spec
+(``repro.obs.slo.baseline_rules``); its per-metric cases sit with the
+bench harness tests in ``test_obs_lifecycle_qoe.py``.
 """
 
 import json
 import os
+import shutil
+
+import pytest
 
 from repro.__main__ import main
-from repro.obs.trend import (
-    TrendMetric,
-    analyze_group,
-    group_history,
-    load_history,
-    render_markdown_report,
-    sparkline,
-)
+from repro.ioutil import UsageError
+from repro.obs.dashboard import render_markdown_report, sparkline
+from repro.obs.slo import baseline_rules, evaluate, load_store, store_key
 
 #: the one checked-in reference store
 STORE_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                          "benchmarks", "baseline")
+
 
 
 def _bench_doc(**over):
@@ -27,7 +27,6 @@ def _bench_doc(**over):
         "schema": "repro.bench",
         "scenario": "population_clean",
         "smoke": False,
-        "seed": 11,
         "sessions": 4,
         "completed": 4,
         "events": 1000,
@@ -38,74 +37,68 @@ def _bench_doc(**over):
     return doc
 
 
-def _write_series(dirpath, docs):
-    os.makedirs(dirpath, exist_ok=True)
-    for i, doc in enumerate(docs):
-        path = os.path.join(dirpath, f"BENCH_x.{i:03d}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-    return str(dirpath)
+def _failed(reference, run):
+    return {c.rule.metric for c in evaluate(baseline_rules(reference), run)
+            if not c.ok}
 
 
-# -- loading and grouping -----------------------------------------------------
+# -- the store ----------------------------------------------------------------
 
-def test_load_history_sorts_and_skips_non_artifacts(tmp_path):
-    _write_series(tmp_path, [_bench_doc(events=1), _bench_doc(events=2)])
-    (tmp_path / "notes.json").write_text(json.dumps({"hello": 1}))
-    (tmp_path / "README.md").write_text("not json")
-    history = load_history([str(tmp_path)])
-    assert [doc["events"] for doc in history] == [1, 2]
-    assert all("_path" in doc for doc in history)
+def test_group_history_splits_scenario_and_scale(tmp_path):
+    docs = {"BENCH_population_clean.json": _bench_doc(),
+            "BENCH_population_clean.smoke.json": _bench_doc(smoke=True),
+            "BENCH_crash.smoke.json": _bench_doc(scenario="crash",
+                                                 smoke=True)}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    store = load_store(str(tmp_path))
+    assert set(store) == {("population_clean", False),
+                          ("population_clean", True),
+                          ("crash", True)}
+    assert all(store_key(doc) == key for key, doc in store.items())
+
+def test_store_refuses_a_second_reference_for_one_key(tmp_path):
+    doc = {"schema": "repro.bench", "scenario": "x", "smoke": True}
+    for name in ("BENCH_x.smoke.json", "BENCH_x.copy.json"):
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "README.md").write_text("not json, not read")
+    with pytest.raises(UsageError, match="BENCH_x.smoke.json"):
+        load_store(str(tmp_path))
+    os.remove(tmp_path / "BENCH_x.copy.json")
+    assert list(load_store(str(tmp_path))) == [("x", True)]
+    assert load_store(str(tmp_path / "absent")) == {}
 
 
-def test_group_history_splits_scenario_and_scale():
-    history = [
-        _bench_doc(), _bench_doc(smoke=True),
-        {"schema": "repro.chaos", "scenario": "crash", "smoke": True},
-    ]
-    groups = group_history(history)
-    assert set(groups) == {("population_clean", False),
-                           ("population_clean", True),
-                           ("crash", True)}
+def test_absent_metrics_are_skipped():
+    reference = {"schema": "repro.bench", "scenario": "x", "events": 1,
+                 "egress_reduction": 2.0}
+    rules = baseline_rules(reference)
+    # and ``events`` is not gated
+    assert [(r.metric, r.op, r.threshold) for r in rules] == \
+        [("egress_reduction", ">=", 1.8)]
 
 
 # -- verdicts -----------------------------------------------------------------
 
 def test_analyze_group_flags_each_direction():
-    metrics = (TrendMetric("qoe_p50", direction="higher"),
-               TrendMetric("events", direction="stable"))
-    docs = [_bench_doc() for _ in range(4)]
-    docs.append(_bench_doc(qoe={"score": {"p50": 40.0}}, events=2000))
-    rows = {r.metric: r for r in analyze_group(docs, metrics=metrics)}
-    assert rows["qoe_p50"].verdict == "regressed"
-    assert rows["events"].verdict == "regressed"
-    # The same drift in the harmless direction is fine for "higher".
-    docs[-1] = _bench_doc(qoe={"score": {"p50": 99.0}})
-    rows = {r.metric: r for r in analyze_group(docs, metrics=metrics)}
-    assert rows["qoe_p50"].verdict == "ok"
+    reference = _bench_doc()
+    ops = {(r.metric, r.op) for r in baseline_rules(reference)}
+    # "higher" holds a floor, "stable" a floor and a ceiling
+    assert ("qoe_p50", ">=") in ops and ("qoe_p50", "<=") not in ops
+    assert {("origin_egress_bytes", ">="),
+            ("origin_egress_bytes", "<=")} <= ops
+    worse = _bench_doc(qoe={"score": {"p50": 40.0}}, origin_egress_bytes=2000)
+    assert _failed(reference, worse) == {"qoe_p50", "origin_egress_bytes"}
+    # the same drift in the harmless direction is fine for "higher"
+    assert _failed(reference, _bench_doc(qoe={"score": {"p50": 99.0}})) \
+        == set()
 
 
 def test_identical_history_tolerates_small_drift():
-    # MAD is 0 on an all-identical history; the relative floor keeps
-    # sub-threshold drift from flagging.
-    docs = [_bench_doc() for _ in range(5)]
-    docs.append(_bench_doc(origin_egress_bytes=1050))
-    rows = {r.metric: r for r in analyze_group(docs)}
-    assert rows["origin_egress_bytes"].verdict == "ok"
-
-
-def test_single_point_is_insufficient():
-    rows = analyze_group([_bench_doc()])
-    assert rows and all(r.verdict == "insufficient" for r in rows)
-
-
-def test_absent_metrics_are_skipped():
-    docs = [{"schema": "repro.bench", "scenario": "x", "events": 1,
-             "egress_reduction": 2.0},
-            {"schema": "repro.bench", "scenario": "x", "events": 1,
-             "egress_reduction": 2.0}]
-    names = {r.metric for r in analyze_group(docs)}
-    assert names == {"egress_reduction"}  # and ``events`` is not gated
+    reference = _bench_doc()
+    assert _failed(reference, _bench_doc()) == set()
+    # a stable metric 5% off stays inside the 10% band
+    assert _failed(reference, _bench_doc(origin_egress_bytes=1050)) == set()
 
 
 # -- sparkline ----------------------------------------------------------------
@@ -118,35 +111,35 @@ def test_sparkline_shapes():
     assert len(sparkline(list(range(100)), width=24)) == 24
 
 
-# -- the CLI gate -------------------------------------------------------------
+# -- the bench gate on the command line ---------------------------------------
+
+def _bench_argv(tmp_path):
+    """A smoke bench of population_clean gated by a copy of the store."""
+    store = tmp_path / "baseline"
+    shutil.copytree(STORE_DIR, store)
+    return store, ["bench", "--smoke", "--scenario", "population_clean",
+                   "--out", str(tmp_path / "out"), "--baseline", str(store)]
+
+
+def test_trend_cli_passes_on_checked_in_history(tmp_path, capsys):
+    _store, argv = _bench_argv(tmp_path)
+    assert main(argv) == 0
+    assert "qoe_p50" in capsys.readouterr().out
+
 
 def test_trend_cli_exits_one_on_synthetic_regression(tmp_path, capsys):
-    docs = [_bench_doc() for _ in range(4)]
-    docs.append(_bench_doc(completed=1, qoe={"score": {"p50": 40.0}}))
-    fixture = _write_series(tmp_path / "hist", docs)
-    assert main(["trend", "--history", fixture, "--json"]) == 1
+    store, argv = _bench_argv(tmp_path)
+    # raise the reference so the fresh run reads 15% below it
+    path = store / "BENCH_population_clean.smoke.json"
+    reference = json.loads(path.read_text())
+    reference["qoe"]["score"]["p50"] /= 0.85
+    path.write_text(json.dumps(reference))
+    assert main(argv + ["--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["values"]["regressions"] >= 1
-
-
-def test_trend_cli_passes_on_checked_in_history(capsys):
-    assert main(["trend", "--history", STORE_DIR]) == 0
-    assert "population_clean" in capsys.readouterr().out
-
-
-def test_trend_cli_appends_artifact_as_newest_point(tmp_path, capsys):
-    fixture = _write_series(tmp_path / "hist",
-                            [_bench_doc() for _ in range(4)])
-    bad = tmp_path / "BENCH_fresh.json"
-    bad.write_text(json.dumps(_bench_doc(completed=0)))
-    assert main(["trend", "--history", fixture,
-                 "--artifact", str(bad)]) == 1
-    assert "regression" in capsys.readouterr().out
-
-
-def test_trend_cli_errors_without_history(tmp_path, capsys):
-    assert main(["trend", "--history", str(tmp_path)]) == 2
-    capsys.readouterr()
+    assert doc["values"]["violations"] == 1
+    (gate,) = [s for s in doc["sections"] if s["title"].startswith("Gate")]
+    assert [row[1].split()[0] for row in gate["rows"]
+            if row[3] == "FAIL"] == ["qoe_p50"]
 
 
 # -- the markdown dashboard ---------------------------------------------------
@@ -157,7 +150,7 @@ def test_report_cli_renders_dashboard(tmp_path, capsys):
     out = tmp_path / "report.md"
     assert main(["report",
                  "--artifact", os.path.join(STORE_DIR, src),
-                 "--history", STORE_DIR,
+                 "--baseline", STORE_DIR,
                  "--out", str(out)]) == 0
     capsys.readouterr()
     md = out.read_text()
@@ -166,6 +159,9 @@ def test_report_cli_renders_dashboard(tmp_path, capsys):
                     "## SLO", "## Trend"):
         assert section in md
     assert "link_utilization" in md
+    # the reference's generated rules, each holding
+    trend = md.split("## Trend")[1]
+    assert "| qoe_p50 >= " in trend and "REGRESSED" not in trend
 
 
 def test_render_markdown_skips_absent_sections():
