@@ -145,24 +145,19 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--tolerate-shard-failures", **ON, help="keep a partial result")
     flag("--scale-curve", **ON, help="instead: sharded sweep over N")
 
-    slo = command("slo", _lazy("repro.obs.slo", "slo_command"),
-                  "evaluate SLO rules on a saved artifact or a live run; "
-                  "exit 1 on any violated rule")
-    source = slo.add_mutually_exclusive_group(required=True).add_argument
-    source("--artifact", metavar="FILE")
-    source("--scenario", help="run this bench scenario")
-    source("--chaos", help="run this chaos scenario")
-    flag = slo.add_argument
-    flag("--spec", help="a shipped spec (default: named like the run)")
-    flag("--spec-file", metavar="FILE")
+    flag = command("slo", _lazy("repro.obs.slo", "slo_command"),
+                   "evaluate SLO rules on a saved artifact; exit 1 on any "
+                   "violated rule").add_argument
+    flag("--artifact", metavar="FILE", required=True)
+    flag("--spec-file", metavar="FILE",
+         help="rules to use (default: the shipped spec named like the "
+              "artifact's scenario)")
     flag("--rule", **MANY, metavar="'METRIC OP NUMBER'")
-    flag("--smoke", **ON)
-    flag("--flight-dump", metavar="FILE",
-         help="with --chaos: flight-recorder window on fault or violation")
 
     flag = command("chaos", _lazy("repro.faults.scenarios", "chaos_command"),
                    "fault-injection run against failover + retry; exit 1 "
-                   "when a --min-*/--check-* assertion fails").add_argument
+                   "when it fails its SLO spec or --check-determinism"
+                   ).add_argument
     flag("--scenario", default="crash")
     flag("--smoke", **ON)
     flag("--seed", type=int)
@@ -172,12 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--no-retry", dest="retry", action="store_const", const=False,
          help="control arm: same faults, no control-path retry")
     flag("--check-determinism", dest="check_det", **ON)
-    flag("--min-delivered", type=float, metavar="FRACTION")
-    flag("--min-completed", type=float, metavar="FRACTION")
     flag("--out", metavar="FILE")
     flag("--flight-dump", metavar="FILE",
-         help="flight-recorder window around the first injected fault")
-    flag("--flight-window", type=float, default=30.0, metavar="SECONDS")
+         help="flight-recorder window around the first injected fault "
+              "or, failing that, a violated rule")
 
     flag = command("report", _lazy("repro.obs.dashboard", "report_command"),
                    "markdown dashboard of one artifact: QoE, service, "
@@ -197,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--scenarios", **ON, help="the shipped scenario corpus")
     flag("--closed-set", dest="closed", **ON)
     flag("--capacity-mbps", dest="capacity_bps", type=mbps, metavar="F")
-    flag("--examples-dir", metavar="DIR")
     flag("--format", dest="fmt", choices=("text", "github"), default="text")
     flag("--list-rules", dest="rules_only", **ON)
     return parser

@@ -30,7 +30,6 @@ __all__ = [
     "builtin_scenario_sets",
     "example_scenario_sets",
     "shipped_scenario_sets",
-    "default_examples_dir",
 ]
 
 #: default declared access capacity for shipped scenarios (a paper-era
@@ -80,30 +79,21 @@ def builtin_scenario_sets() -> dict[str, ScenarioSet]:
     return sets
 
 
-def default_examples_dir() -> str | None:
-    """Locate ``examples/`` next to the working tree, if present."""
+def example_scenario_sets() -> dict[str, ScenarioSet]:
+    """Load ``scenario_documents()`` from every example module.
+
+    ``examples/`` is looked up in the working directory, then next to
+    the source tree; without one the set is empty. Modules without the
+    hook (pure-workflow examples) are skipped; a module that fails to
+    import is surfaced as a broken corpus entry by raising — shipped
+    examples must stay importable.
+    """
     candidates = [
         os.path.join(os.getcwd(), "examples"),
         os.path.normpath(os.path.join(
             os.path.dirname(__file__), "..", "..", "..", "examples")),
     ]
-    for cand in candidates:
-        if os.path.isdir(cand):
-            return cand
-    return None
-
-
-def example_scenario_sets(
-    examples_dir: str | None = None,
-) -> dict[str, ScenarioSet]:
-    """Load ``scenario_documents()`` from every example module.
-
-    Modules without the hook (pure-workflow examples) are skipped;
-    a module that fails to import is surfaced as a broken corpus
-    entry by raising — shipped examples must stay importable.
-    """
-    directory = (examples_dir if examples_dir is not None
-                 else default_examples_dir())
+    directory = next((c for c in candidates if os.path.isdir(c)), None)
     if directory is None:
         return {}
     sets: dict[str, ScenarioSet] = {}
@@ -135,10 +125,8 @@ def example_scenario_sets(
     return sets
 
 
-def shipped_scenario_sets(
-    examples_dir: str | None = None,
-) -> dict[str, ScenarioSet]:
+def shipped_scenario_sets() -> dict[str, ScenarioSet]:
     """The full corpus: built-ins plus example-module scenarios."""
     sets = builtin_scenario_sets()
-    sets.update(example_scenario_sets(examples_dir))
+    sets.update(example_scenario_sets())
     return sets

@@ -153,7 +153,6 @@ def run_lint(
     scenarios: bool = False,
     capacity_bps: float | None = None,
     closed: bool = False,
-    examples_dir: str | None = None,
     fmt: str = "text",
     rules_only: bool = False,
 ) -> int:
@@ -188,7 +187,7 @@ def run_lint(
     if scenarios:
         any_pass = True
         all_diags: list[Diagnostic] = []
-        for name, sset in sorted(shipped_scenario_sets(examples_dir).items()):
+        for name, sset in sorted(shipped_scenario_sets().items()):
             all_diags.extend(analyze_set(sset))
             reporter.value(
                 f"scenario-set:{name}",

@@ -25,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.client.buffers import MediaBuffer, compute_time_window
-from repro.client.metrics import (
-    DEFAULT_SYNC_THRESHOLD_S,
-    PlayoutEventKind,
-    PlayoutEventLog,
-)
+from repro.client.metrics import PlayoutEventKind, PlayoutEventLog
 from repro.client.monitor import BufferMonitor
 from repro.client.playout import PauseGate, PlayoutProcess
 from repro.client.renderer import VirtualRenderer
@@ -70,10 +66,8 @@ class PresentationScheduler:
         renderer: VirtualRenderer | None = None,
         time_window_s: float | None = None,
         skew_enabled: bool = True,
-        monitor_enabled: bool = True,
         low_watermark: float = 0.25,
         high_watermark: float = 1.5,
-        sync_threshold_s: float = DEFAULT_SYNC_THRESHOLD_S,
     ) -> None:
         self.sim = sim
         self.scenario = scenario
@@ -110,18 +104,17 @@ class PresentationScheduler:
                 )
             buf = MediaBuffer(sid, binding.clock_rate, time_window_s=window)
             self.buffers[sid] = buf
-            if monitor_enabled:
-                self.monitors[sid] = BufferMonitor(
-                    buf, low_watermark=low_watermark,
-                    high_watermark=high_watermark,
-                )
+            self.monitors[sid] = BufferMonitor(
+                buf, low_watermark=low_watermark,
+                high_watermark=high_watermark,
+            )
         for group, members in scenario.sync_groups().items():
             masters = [m for m in members if m.entry.is_sync_master]
             if not masters:
                 raise ValueError(f"sync group {group} has no master stream")
             self.skew_controllers[group] = SkewController(
                 group, master_id=masters[0].stream_id,
-                threshold_s=sync_threshold_s, enabled=skew_enabled,
+                enabled=skew_enabled,
             )
         for spec in scenario.discrete_streams():
             self._loaded[spec.stream_id] = sim.event()
@@ -227,7 +220,7 @@ class PresentationScheduler:
                 self.buffers[sid],
                 self.log,
                 nominal_frame_interval_s=binding.nominal_frame_interval_s,
-                monitor=self.monitors.get(sid),
+                monitor=self.monitors[sid],
                 skew=skew,
                 gate=self.gate,
                 start_offset_s=delay + spec.entry.start_time,

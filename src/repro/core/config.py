@@ -37,11 +37,8 @@ class EngineConfig:
     seed: int = 0
     # topology (paper-era broadband access)
     access_rate_bps: float = 10e6  # router -> client (the bottleneck)
-    access_delay_s: float = 0.010
-    backbone_rate_bps: float = 100e6
     backbone_delay_s: float = 0.005
     access_queue_packets: int = 60
-    backbone_queue_packets: int = 500
     #: give the access link an ATM cell layer (§7 future-work testbed)
     atm_access: bool = False
     #: place each media server on its own host ("each multimedia server
@@ -63,32 +60,20 @@ class EngineConfig:
     # client
     time_window_s: float | None = None  # None: statistical sizing
     skew_control: bool = True
-    buffer_monitor: bool = True
-    flow_lead_s: float = 1.0
-    sync_threshold_s: float = 0.080
     # service
     suspend_grace_s: float = 30.0
     admission_capacity_bps: float = 50e6
     #: merge concurrent requests for the same hot object into one
     #: shared egress flow, fanned out at the viewers' POP
     shared_flows: bool = False
-    #: how long the first request of a batch waits for joiners; must
-    #: stay well under ``flow_lead_s`` so the wait is absorbed by the
-    #: client's prefill buffer
-    shared_flow_window_s: float = 0.25
-    # synthetic content defaults
-    image_bytes: int = 40_000
-    text_bytes: int = 4_000
     # cross traffic
     traffic: list[TrafficConfig] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.access_rate_bps <= 0 or self.backbone_rate_bps <= 0:
+        if self.access_rate_bps <= 0:
             raise ValueError("link rates must be positive")
         if self.rtcp_interval_s <= 0:
             raise ValueError("rtcp_interval_s must be positive")
-        if self.shared_flow_window_s < 0:
-            raise ValueError("shared_flow_window_s must be >= 0")
 
     def access_link_spec(self, loss_model=None) -> AccessLinkSpec:
         """One client's access-link parameters.
@@ -98,7 +83,6 @@ class EngineConfig:
         """
         return AccessLinkSpec(
             rate_bps=self.access_rate_bps,
-            delay_s=self.access_delay_s,
             queue_packets=self.access_queue_packets,
             atm=self.atm_access,
             loss_model=loss_model,

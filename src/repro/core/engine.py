@@ -59,6 +59,11 @@ from repro.service.session import ClientSession, ServerSessionHandler
 
 __all__ = ["ServiceEngine", "ClientComposition"]
 
+#: sizes of the synthetic discrete objects a document's images and
+#: texts are stored as
+IMAGE_BYTES = 40_000
+TEXT_BYTES = 4_000
+
 
 class ServiceEngine:
     """Builds the whole system and hands sessions to the orchestrator."""
@@ -99,9 +104,7 @@ class ServiceEngine:
         self.topology = ServiceTopology(
             self.network, regions,
             router=self.ROUTER,
-            backbone_rate_bps=cfg.backbone_rate_bps,
             backbone_delay_s=cfg.backbone_delay_s,
-            backbone_queue_packets=cfg.backbone_queue_packets,
             access_spec_for=lambda node_id: cfg.access_link_spec(
                 self._access_loss(f"access-loss:{node_id}")
             ),
@@ -203,9 +206,7 @@ class ServiceEngine:
             from repro.server.shared_flow import SharedFlowManager
 
             server.shared_flows = SharedFlowManager(
-                self.sim, fanout_node_for=self._fanout_node_for,
-                batch_window_s=self.config.shared_flow_window_s,
-            )
+                self.sim, fanout_node_for=self._fanout_node_for)
         self.servers[name] = server
         for peer in self.servers.values():
             if peer is not server:
@@ -268,9 +269,8 @@ class ServiceEngine:
                                           duration_s=duration)
                 )
             else:
-                size = (self.config.image_bytes
-                        if spec.media_type is MediaType.IMAGE
-                        else self.config.text_bytes)
+                size = (IMAGE_BYTES if spec.media_type is MediaType.IMAGE
+                        else TEXT_BYTES)
                 ms.store.add(
                     DiscreteMediaObject(path, spec.media_type, "GIF",
                                         size_bytes=size)
@@ -419,7 +419,6 @@ class ServiceEngine:
         handler = ServerSessionHandler(
             server, channel.server, session_id, client_node,
             suspend_grace_s=self.config.suspend_grace_s,
-            flow_lead_s=self.config.flow_lead_s,
         )
         client = ClientSession(self.sim, channel.client, user_id, secret)
         if self._faults is not None:
@@ -493,8 +492,6 @@ class ClientComposition:
             self.sim, self.scenario, bindings, log=self.log,
             time_window_s=cfg.time_window_s,
             skew_enabled=cfg.skew_control,
-            monitor_enabled=cfg.buffer_monitor,
-            sync_threshold_s=cfg.sync_threshold_s,
         )
         for spec in self.scenario.continuous_streams():
             sid = spec.stream_id

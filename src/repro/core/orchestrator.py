@@ -159,7 +159,6 @@ class SessionOrchestrator:
         ``result_box``."""
         from repro.server.accounts import SubscriptionForm
 
-        cfg = self.engine.config
         user_id = client.user_id
         result_box["_client"] = client
         if start_delay_s > 0:
@@ -204,9 +203,8 @@ class SessionOrchestrator:
         )
         if tracing:
             comp.set_tracer(self.sim._tracer, session_id)
-        ready = yield from client.send_ready(
-            comp.rtp_ports, comp.discrete_ports, lead_s=cfg.flow_lead_s
-        )
+        ready = yield from client.send_ready(comp.rtp_ports,
+                                             comp.discrete_ports)
         if ready.msg_type != "streams-started":
             result_box["error"] = ready.body.get("reason", ready.msg_type)
             result_box["end_s"] = self.sim.now
@@ -531,9 +529,7 @@ class SessionOrchestrator:
                 if self.sim._tracing:
                     comp.set_tracer(self.sim._tracer, handler.session_id)
                 ready = yield from client.send_ready(
-                    comp.rtp_ports, comp.discrete_ports,
-                    lead_s=engine.config.flow_lead_s,
-                )
+                    comp.rtp_ports, comp.discrete_ports)
                 if ready.msg_type != "streams-started":
                     break
                 comp.attach_feedback(ready.body["rtcp_port"],

@@ -196,7 +196,6 @@ def run_chaos(
     retry: bool | None = None,
     trace: bool = True,
     flight_dump: str | None = None,
-    flight_window_s: float = 30.0,
 ) -> ChaosRun:
     """Run one chaos scenario end to end and return its results.
 
@@ -207,8 +206,9 @@ def run_chaos(
     The run records only when a dump is asked for: ``flight_dump``
     installs a :class:`~repro.obs.flightrec.FlightRecorder` (an
     unbounded, full-detail one when ``trace`` is on, the control-tier
-    ring otherwise) that auto-dumps the trailing ``flight_window_s``
-    sim-seconds of events to that path on the first injected fault;
+    ring otherwise) that auto-dumps its trailing window (the
+    recorder's default 30 sim-seconds) to that path on the first
+    injected fault;
     the dump metadata lands in the artifact under ``flight_dump``.
     Results and digest are the same either way.
     An unknown ``name`` is a :class:`~repro.ioutil.UsageError`.
@@ -236,8 +236,7 @@ def run_chaos(
         # Traced: a complete recording with dumps on top; untraced:
         # the default control-tier ring.
         full: dict[str, Any] = {"max_events": None} if trace else {}
-        recorder = FlightRecorder(
-            dump_path=flight_dump, window_s=flight_window_s, **full)
+        recorder = FlightRecorder(dump_path=flight_dump, **full)
     layers = None
     if scenario.topology == "cdn":
         from repro.net import cdn_stack
@@ -304,24 +303,30 @@ def run_chaos(
                     artifact=artifact, flight_recorder=recorder, engine=eng)
 
 
-def check_determinism(name: str = "crash", *, smoke: bool = True,
-                      seed: int | None = None) -> tuple[bool, str, str]:
-    """Run a scenario twice; (identical?, digest_a, digest_b)."""
-    a = run_chaos(name, smoke=smoke, seed=seed)
-    b = run_chaos(name, smoke=smoke, seed=seed)
-    return a.digest == b.digest, a.digest, b.digest
+def check_determinism(name: str = "crash", *, digest: str | None = None,
+                      **options: Any) -> tuple[bool, str, str]:
+    """Replay ``run_chaos(name, **options)`` untraced and compare its
+    digest with ``digest`` (default: a first run of the same call);
+    (identical?, digest, replay digest)."""
+    if digest is None:
+        digest = run_chaos(name, **options).digest
+    replay = run_chaos(name, **options).digest
+    return digest == replay, digest, replay
 
 
 def chaos_command(report: Reporter, *, scenario: str, smoke: bool,
                   seed: int | None, clients: int | None, recovery: bool,
-                  retry: bool | None, check_det: bool,
-                  min_delivered: float | None, min_completed: float | None,
-                  out: str | None, flight_dump: str | None,
-                  flight_window: float) -> int:
-    """``repro chaos``: one fault-injection run plus its assertions."""
-    a = run_chaos(scenario, smoke=smoke, seed=seed, n_clients=clients,
-                  recovery=recovery, retry=retry, flight_dump=flight_dump,
-                  flight_window_s=flight_window).artifact
+                  retry: bool | None, check_det: bool, out: str | None,
+                  flight_dump: str | None) -> int:
+    """``repro chaos``: one fault-injection run, held to the scenario's
+    shipped SLO spec; exit 1 on a failed rule or a failed check."""
+    from repro.obs.slo import DEFAULT_SLOS, evaluate, parse_spec, report_gate
+
+    options: dict[str, Any] = {"smoke": smoke, "seed": seed,
+                               "n_clients": clients, "recovery": recovery,
+                               "retry": retry}
+    run = run_chaos(scenario, flight_dump=flight_dump, **options)
+    a = run.artifact
     watchdog = a.get("watchdog", {})
     report.table(
         f"Chaos run — {scenario}" + (" (smoke)" if smoke else ""),
@@ -338,39 +343,37 @@ def chaos_command(report: Reporter, *, scenario: str, smoke: bool,
             ["digest", a["digest"][:16]],
         ],
     )
-    if isinstance(a.get("service"), dict) and a["service"]:
-        report.service_report(a["service"])
-    if out:
-        report.artifact(f"chaos:{scenario}", out, a)
+    checks = evaluate(parse_spec(DEFAULT_SLOS[scenario]), a)
     failed = False
-    if flight_dump is not None:
-        dump = a.get("flight_dump") or {}
+    recorder = run.flight_recorder
+    if recorder is not None:
+        # A fault may already have dumped; otherwise a violated rule
+        # is itself the incident worth forensics.
+        if not recorder.last_dump and not all(c.ok for c in checks):
+            recorder.dump(trigger="slo.violation")
+            a["flight_dump"] = dict(recorder.last_dump)
+        dump = a["flight_dump"]
         if dump:
-            report.value("flight_dump", dump.get("path"))
-            report.value("flight_dump_events", dump.get("events"))
-            report.value("flight_dump_trigger", dump.get("trigger"))
-        elif a.get("faults", {}).get("faults"):
+            report.value("flight_dump", dump["path"])
+            report.value("flight_dump_events", dump["events"])
+            report.value("flight_dump_trigger", dump["trigger"])
+        elif a["faults"]["faults"]:
             # Faults were scheduled but no trigger fired the recorder —
             # the crash forensics the caller asked for don't exist.
             report.value("failure",
                          "flight recorder never dumped despite a "
                          "non-empty fault plan")
             failed = True
+    if out:
+        report.artifact(f"chaos:{scenario}", out, a)
     if check_det:
-        same, d1, d2 = check_determinism(scenario, smoke=smoke, seed=seed)
+        # the reported run's own arguments, replayed without a recorder
+        same, d1, d2 = check_determinism(scenario, digest=a["digest"],
+                                         **options)
         report.value("deterministic", same)
         if not same:
             report.value("digest_a", d1)
             report.value("digest_b", d2)
             failed = True
-    for key, floor in (("delivered", min_delivered),
-                       ("completed", min_completed)):
-        if floor is not None:
-            frac = a[key] / a["sessions"] if a["sessions"] else 0.0
-            report.value(f"{key}_fraction", round(frac, 3))
-            if frac < floor:
-                report.value(
-                    "failure",
-                    f"{key} {frac:.2f} < required {floor:.2f}")
-                failed = True
-    return 1 if failed else 0
+    violations = report_gate(report, checks, a)
+    return 1 if failed or violations else 0

@@ -9,17 +9,18 @@ a list of plain-text rules::
     time_to_recover_p95 <= 2.0
     origin_egress_bps <= 40e6
 
-evaluated against the flattened metrics of a live run or a saved
-``BENCH_*.json`` / ``CHAOS_*.json`` artifact. Well-known aliases
+evaluated against the flattened metrics of a ``BENCH_*.json`` /
+``CHAOS_*.json`` artifact. Well-known aliases
 (:data:`METRIC_ALIASES`) cover the headline service metrics; any
 other metric name is resolved as a dotted path into the artifact
-(``service.admission.requests``). ``python -m repro slo`` exits 1 on
-any violated rule, which is what lets CI gate chaos and CDN smoke
-jobs on service levels instead of ad-hoc thresholds.
+(``service.admission.requests``). ``python -m repro slo`` judges a
+saved artifact and exits 1 on any violated rule.
 
-A checked-in reference artifact is a generated spec
-(:func:`baseline_rules`); ``python -m repro bench`` evaluates the
-shipped spec plus those rules against each fresh run.
+Every run command is gated here and nowhere else: ``python -m repro
+chaos`` holds its artifact to the scenario's shipped spec
+(:func:`report_gate`), and ``python -m repro bench`` to the shipped
+spec plus the rules its checked-in reference generates
+(:func:`baseline_rules`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ if TYPE_CHECKING:
 
 __all__ = ["SloRule", "SloCheck", "parse_rule", "parse_spec",
            "flatten_metrics", "timeseries_metrics", "evaluate",
-           "load_artifact", "slo_command", "DEFAULT_SLOS",
+           "load_artifact", "report_gate", "slo_command", "DEFAULT_SLOS",
            "METRIC_ALIASES", "TREND_METRICS", "BASELINE_TOLERANCE",
            "DEFAULT_STORE", "baseline_rules", "store_key", "load_store"]
 
@@ -68,6 +69,15 @@ METRIC_ALIASES: dict[str, tuple[str, ...]] = {
     "events": ("events",),
 }
 
+#: what every chaos scenario must hold besides its delivery floor
+_CHAOS: tuple[str, ...] = (
+    "blocking_prob <= 0.05",
+    "time_to_recover_p95 <= 2.0",
+    "streams_lost <= 0",
+    "peak_link_utilization <= 0.9",
+    "max_queue_depth <= 10000",
+)
+
 #: shipped default specs, keyed by bench/chaos scenario name
 DEFAULT_SLOS: dict[str, tuple[str, ...]] = {
     "population_clean": (
@@ -90,14 +100,13 @@ DEFAULT_SLOS: dict[str, tuple[str, ...]] = {
         "peak_link_utilization <= 0.9",
         "max_queue_depth <= 10000",  # event-queue blow-up guard
     ),
-    "chaos": (
-        "delivered_ratio >= 0.75",
-        "blocking_prob <= 0.05",
-        "time_to_recover_p95 <= 2.0",
-        "streams_lost <= 0",
-        "peak_link_utilization <= 0.9",
-        "max_queue_depth <= 10000",
-    ),
+    # one per chaos scenario: the common rules behind its delivery floor
+    "none": ("delivered_ratio >= 0.75", *_CHAOS),
+    "crash": ("delivered_ratio >= 0.8", *_CHAOS),
+    "flap": ("delivered_ratio >= 0.75", "completed_ratio >= 1.0", *_CHAOS),
+    "partition": ("delivered_ratio >= 0.75", *_CHAOS),
+    "combo": ("delivered_ratio >= 0.75", *_CHAOS),
+    "replica-crash": ("delivered_ratio >= 1.0", *_CHAOS),
 }
 
 #: the metrics a reference artifact gates, each with its bad direction:
@@ -303,8 +312,6 @@ def load_artifact(path: str) -> tuple[dict[str, Any], str | None]:
     artifact = read_json(path)
     if not isinstance(artifact, dict):
         raise UsageError(f"{path} is not a run artifact (a JSON object)")
-    if artifact.get("schema") == "repro.chaos":
-        return artifact, "chaos"
     return artifact, artifact.get("name") or artifact.get("scenario")
 
 
@@ -365,31 +372,30 @@ def load_store(directory: str) -> dict[tuple[str, bool], dict[str, Any]]:
     return store
 
 
-def slo_command(report: Reporter, *, artifact: str | None,
-                scenario: str | None, chaos: str | None, spec: str | None,
-                spec_file: str | None, rule: list[str], smoke: bool,
-                flight_dump: str | None) -> int:
-    """``repro slo``: evaluate SLO rules against a saved artifact or a
-    live run (exactly one source); 1 on any violated rule."""
-    if flight_dump is not None and chaos is None:
-        raise UsageError("--flight-dump needs a live --chaos run")
-    recorder = None
-    default_key: str | None
-    if artifact is not None:
-        doc, default_key = load_artifact(artifact)
-    elif scenario is not None:
-        from repro.obs.bench import bench_scenario, run_scenario
+def report_gate(report: Reporter, checks: list[SloCheck],
+                artifact: dict[str, Any]) -> int:
+    """Print the check table, the artifact's service report and the
+    ``violations`` count; return that count."""
+    report.table(
+        "SLO evaluation",
+        ["rule", "value", "status"],
+        [[c.rule.text, c.value_text, "PASS" if c.ok else "FAIL"]
+         for c in checks],
+    )
+    service = artifact.get("service")
+    if isinstance(service, dict) and service:
+        report.service_report(service)
+    violations = sum(1 for c in checks if not c.ok)
+    report.value("violations", violations)
+    return violations
 
-        doc = run_scenario(bench_scenario(scenario), smoke=smoke)
-        default_key = scenario
-    else:
-        from repro.faults.scenarios import run_chaos
 
-        assert chaos is not None  # the parser requires one source
-        chaos_run = run_chaos(chaos, smoke=smoke, flight_dump=flight_dump)
-        doc, recorder = chaos_run.artifact, chaos_run.flight_recorder
-        default_key = "chaos"
-
+def slo_command(report: Reporter, *, artifact: str,
+                spec_file: str | None, rule: list[str]) -> int:
+    """``repro slo``: evaluate SLO rules against a saved artifact; 1 on
+    any violated rule. Without ``--spec-file`` / ``--rule`` the spec is
+    the shipped one named like the artifact's scenario."""
+    doc, key = load_artifact(artifact)
     try:
         lines: list[str] = []
         if spec_file is not None:
@@ -399,35 +405,10 @@ def slo_command(report: Reporter, *, artifact: str | None,
     except (OSError, ValueError) as exc:
         raise UsageError(f"unusable SLO rules: {exc}") from None
     if not rules:
-        key = spec if spec is not None else default_key
         shipped = DEFAULT_SLOS.get(key or "")
         if shipped is None:
-            raise UsageError(
-                f"no SLO spec for {key!r}: pass --spec "
-                f"({', '.join(sorted(DEFAULT_SLOS))}), --spec-file or "
-                "--rule")
+            raise UsageError(f"no shipped SLO spec for {key!r}: pass "
+                             "--spec-file or --rule")
         report.value("spec", key)
         rules = parse_spec(shipped)
-
-    checks = evaluate(rules, doc)
-    report.table(
-        "SLO evaluation",
-        ["rule", "value", "status"],
-        [[c.rule.text, c.value_text, "PASS" if c.ok else "FAIL"]
-         for c in checks],
-    )
-    service = doc.get("service")
-    if isinstance(service, dict) and service:
-        report.service_report(service)
-    violations = [c for c in checks if not c.ok]
-    if recorder is not None:
-        # A fault may already have dumped; otherwise a violated gate
-        # is itself the incident worth forensics.
-        if violations and not recorder.last_dump:
-            recorder.dump(trigger="slo.violation")
-        if recorder.last_dump:
-            report.value("flight_dump", recorder.last_dump["path"])
-            report.value("flight_dump_trigger",
-                         recorder.last_dump["trigger"])
-    report.value("violations", len(violations))
-    return 1 if violations else 0
+    return 1 if report_gate(report, evaluate(rules, doc), doc) else 0

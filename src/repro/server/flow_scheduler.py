@@ -22,7 +22,11 @@ from repro.media.types import MediaType
 from repro.model.scenario import PresentationScenario, StreamSpec
 from repro.server.accounts import QoSPreferences
 
-__all__ = ["FlowSpec", "FlowScenario", "FlowScheduler"]
+__all__ = ["FlowSpec", "FlowScenario", "FlowScheduler", "FLOW_LEAD_S"]
+
+#: how far ahead of its playout deadline a stream starts sending, and
+#: how long the client delays presentation start to match
+FLOW_LEAD_S = 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +124,7 @@ class FlowScheduler:
     def compute(
         self,
         scenario: PresentationScenario,
-        lead_s: float = 1.0,
+        lead_s: float = FLOW_LEAD_S,
         prefs: QoSPreferences | None = None,
         initial_grade: int = 0,
     ) -> FlowScenario:

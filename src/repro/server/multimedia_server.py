@@ -24,7 +24,7 @@ from repro.server.admission import (
     AdmissionResult,
 )
 from repro.server.database import MultimediaDatabase, StoredDocument
-from repro.server.flow_scheduler import FlowScenario, FlowScheduler
+from repro.server.flow_scheduler import FLOW_LEAD_S, FlowScenario, FlowScheduler
 from repro.server.media_server import MediaServer
 from repro.server.qos_manager import GradingPolicy, ServerQoSManager
 
@@ -231,7 +231,7 @@ class MultimediaServer:
         return stored
 
     def plan_flows(self, session_id: str, name: str,
-                   lead_s: float = 1.0) -> FlowScenario:
+                   lead_s: float = FLOW_LEAD_S) -> FlowScenario:
         """Compute the flow scenario for a requested document.
 
         A negotiated (partially admitted) session starts its streams

@@ -26,7 +26,11 @@ from typing import Callable
 from repro.des import Simulator
 from repro.server.media_server import MediaServer, StreamHandler, StreamOrigin
 
-__all__ = ["SharedFlowManager"]
+__all__ = ["SharedFlowManager", "BATCH_WINDOW_S"]
+
+#: how long the first request of a batch waits for joiners; it stays
+#: under ``FLOW_LEAD_S`` so the client's prefill buffer absorbs the wait
+BATCH_WINDOW_S = 0.25
 
 
 class SharedFlowManager:
@@ -36,13 +40,9 @@ class SharedFlowManager:
         self,
         sim: Simulator,
         fanout_node_for: Callable[[str], str],
-        batch_window_s: float = 0.25,
     ) -> None:
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         self.sim = sim
         self.fanout_node_for = fanout_node_for
-        self.batch_window_s = batch_window_s
         #: flow key -> pump still accepting legs (not yet started)
         self._open: dict[tuple, StreamHandler] = {}
         self.flows_started = 0
@@ -74,8 +74,7 @@ class SharedFlowManager:
             )
             pump.finished.callbacks.append(lambda _ev: self._finished(pump))
             self.flows_started += 1
-            self.sim.call_later(self.batch_window_s,
-                                self._close_batch, key)
+            self.sim.call_later(BATCH_WINDOW_S, self._close_batch, key)
         self.joins += 1
         if self.sim._tracing:
             self.sim._tracer.emit(

@@ -14,6 +14,7 @@ from typing import Any, Generator
 
 from repro.des import Simulator
 from repro.server.accounts import AuthenticationError, SubscriptionForm
+from repro.server.flow_scheduler import FLOW_LEAD_S
 from repro.server.multimedia_server import MultimediaServer
 from repro.service.messages import ControlEndpoint, ControlMessage
 from repro.service.states import SessionEvent as E
@@ -32,7 +33,6 @@ class ServerSessionHandler:
         session_id: str,
         client_node: str,
         suspend_grace_s: float = 30.0,
-        flow_lead_s: float = 1.0,
     ) -> None:
         self.server = server
         self.sim: Simulator = server.sim
@@ -40,7 +40,6 @@ class ServerSessionHandler:
         self.session_id = session_id
         self.client_node = client_node
         self.suspend_grace_s = suspend_grace_s
-        self.flow_lead_s = flow_lead_s
         self.session = None  # ServedSession after admission
         self.rtcp_sink = None
         self._rtcp_port: int | None = None
@@ -180,7 +179,7 @@ class ServerSessionHandler:
                                 {"rtcp_port": self._rtcp_port})
             return
         flow = self.server.plan_flows(
-            self.session_id, name, lead_s=msg.body.get("lead_s", self.flow_lead_s)
+            self.session_id, name, lead_s=msg.body.get("lead_s", FLOW_LEAD_S)
         )
         rtp_ports: dict[str, int] = msg.body.get("rtp_ports", {})
         discrete_ports: dict[str, int] = msg.body.get("discrete_ports", {})
@@ -529,12 +528,12 @@ class ClientSession:
         return resp
 
     def send_ready(self, rtp_ports: dict[str, int],
-                   discrete_ports: dict[str, int],
-                   lead_s: float = 1.0) -> Generator[Any, Any, ControlMessage]:
+                   discrete_ports: dict[str, int]
+                   ) -> Generator[Any, Any, ControlMessage]:
         resp: ControlMessage = yield from self._rpc(
             "ready",
             {"rtp_ports": rtp_ports, "discrete_ports": discrete_ports,
-             "lead_s": lead_s},
+             "lead_s": FLOW_LEAD_S},
         )
         return resp
 

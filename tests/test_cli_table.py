@@ -4,6 +4,7 @@ of truth: registry, documented command lines, flag set, error paths."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import shlex
@@ -12,6 +13,7 @@ import pytest
 
 import repro.core.experiments as experiments
 from repro.__main__ import EXPERIMENTS, build_parser, main
+from repro.core.config import EngineConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -80,8 +82,11 @@ def not_json(tmp_path):
     ["bench", "--scenario", "bogus"],
     ["bench", "--topology", "bogus"],
     ["chaos", "--scenario", "bogus"],
+    # slo judges saved files only: no live-run source, and no artifact
+    # is a usage error
     ["slo", "--chaos", "bogus"],
     ["slo", "--scenario", "bogus"],
+    ["slo", "--rule", "x >= 1"],
     ["trace", "--bogus"],
     ["lint", "--bogus"],
     ["slo", "--artifact", "/nonexistent.json"],
@@ -134,15 +139,13 @@ FLAGS = {
               "--scenario", "--topology", "--clients", "--shards", "--cell",
               "--seed", "--duration", "--tolerate-shard-failures",
               "--scale-curve"},
-    "slo": {"--artifact", "--scenario", "--chaos", "--spec", "--spec-file",
-            "--rule", "--smoke", "--flight-dump"},
+    "slo": {"--artifact", "--spec-file", "--rule"},
     "chaos": {"--scenario", "--smoke", "--seed", "--clients",
               "--no-recovery", "--no-retry", "--check-determinism",
-              "--min-delivered", "--min-completed", "--out",
-              "--flight-dump", "--flight-window"},
+              "--out", "--flight-dump"},
     "report": {"--artifact", "--out", "--baseline"},
     "lint": {"--self", "--scenarios", "--closed-set", "--capacity-mbps",
-             "--examples-dir", "--format", "--list-rules"},
+             "--format", "--list-rules"},
 }
 
 
@@ -155,10 +158,29 @@ def test_flag_set_is_the_sixty_of_the_hand_rolled_loops():
     assert table == FLAGS
     # the sixty, less the two wall-clock gate thresholds, the two lint
     # baseline flags (pragmas are the one suppression), the kernel
-    # profiler's five and the trend comparator's four (the baseline is a
-    # generated SLO spec); nine commands
-    assert sum(map(len, FLAGS.values())) == 47
+    # profiler's five, the trend comparator's four (the baseline is a
+    # generated SLO spec), slo's live-run five and chaos's two floors
+    # (the SLO spec is the one gate), and two knobs with no caller
+    # (--flight-window, --examples-dir); nine commands
+    assert sum(map(len, FLAGS.values())) == 38
     assert len(FLAGS) == 9
+
+
+# every EngineConfig knob has a caller that sets it; a value no caller
+# changes is a constant beside the component that uses it
+ENGINE_FIELDS = (
+    "seed", "access_rate_bps", "backbone_delay_s", "access_queue_packets",
+    "atm_access", "separate_media_hosts", "loss_p_gb", "loss_p_bg",
+    "loss_bad", "rtcp_interval_s", "rtcp_adaptive", "grading_policy",
+    "time_window_s", "skew_control", "suspend_grace_s",
+    "admission_capacity_bps", "shared_flows", "traffic",
+)
+
+
+def test_engine_config_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(EngineConfig)) \
+        == ENGINE_FIELDS
+    assert len(ENGINE_FIELDS) == 18
 
 
 def test_json_is_accepted_anywhere_on_the_line():

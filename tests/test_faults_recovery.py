@@ -2,10 +2,13 @@
 
 import pytest
 
+import repro.faults.scenarios as scenarios
+from repro.__main__ import main
 from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
 from repro.faults import FaultPlan, ServerCrashFault, population_digest
 from repro.faults.scenarios import (
+    CHAOS_SCENARIOS,
     chaos_markup,
     check_determinism,
     run_chaos,
@@ -109,6 +112,38 @@ def test_link_flap_degrades_but_completes():
 def test_combo_scenario_runs_deterministically():
     same, d1, d2 = check_determinism("combo", smoke=True)
     assert same, f"{d1} != {d2}"
+
+
+# -- the chaos gate is the scenario's shipped SLO spec ------------------------
+
+@pytest.mark.parametrize("name", sorted(CHAOS_SCENARIOS))
+def test_every_chaos_smoke_holds_its_spec(name, capsys):
+    assert main(["chaos", "--scenario", name, "--smoke"]) == 0
+    assert "violations: 0" in capsys.readouterr().out
+
+
+def test_control_arm_fails_its_delivery_floor(capsys):
+    assert main(["chaos", "--scenario", "crash", "--smoke",
+                 "--no-recovery"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.rstrip().endswith("| FAIL")]
+    assert [line.split()[0] for line in failed] == ["delivered_ratio"]
+
+
+def test_check_determinism_replays_the_reported_run(monkeypatch, capsys):
+    calls = []
+
+    def spy(name, **options):
+        calls.append(options)
+        return run_chaos(name, **options)
+
+    monkeypatch.setattr(scenarios, "run_chaos", spy)
+    main(["chaos", "--scenario", "crash", "--smoke", "--clients", "3",
+          "--no-recovery", "--check-determinism"])
+    assert "deterministic: True" in capsys.readouterr().out
+    assert len(calls) == 2
+    assert all(c["n_clients"] == 3 and c["recovery"] is False
+               for c in calls)
 
 
 # -- teardown satellites -------------------------------------------------------

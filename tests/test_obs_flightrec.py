@@ -1,5 +1,7 @@
 """Flight recorder: ring bounds, triggers, dumps, the full-detail form."""
 
+import json
+
 import pytest
 
 from repro.core.config import EngineConfig
@@ -100,8 +102,7 @@ def test_recording_the_run_does_not_perturb_it(tmp_path):
 def test_chaos_crash_auto_dumps_fault_window(tmp_path):
     """The acceptance path: crash run dumps a parseable fault window."""
     dump = str(tmp_path / "FLIGHT_crash.jsonl")
-    run = run_chaos("crash", smoke=True, flight_dump=dump,
-                    flight_window_s=30.0)
+    run = run_chaos("crash", smoke=True, flight_dump=dump)
     meta = run.artifact["flight_dump"]
     assert meta["path"] == dump
     assert meta["trigger"] in DEFAULT_TRIGGER_KINDS
@@ -118,17 +119,23 @@ def test_chaos_crash_auto_dumps_fault_window(tmp_path):
                for s in sections)
 
 
-def test_slo_violation_triggers_dump_via_cli(tmp_path, capsys):
+def test_slo_violation_triggers_dump_via_cli(tmp_path, capsys,
+                                            monkeypatch):
     from repro.__main__ import main
+    from repro.obs import slo
 
+    monkeypatch.setitem(slo.DEFAULT_SLOS, "none", ("qoe_p50 >= 101",))
     dump = tmp_path / "FLIGHT_slo.jsonl"
+    out = tmp_path / "CHAOS_none.json"
     # Scenario "none" injects no faults; the violated rule is the
     # only incident, and it must still produce forensics.
-    assert main(["slo", "--chaos", "none", "--smoke",
-                 "--flight-dump", str(dump),
-                 "--rule", "qoe_p50 >= 101"]) == 1
-    assert "slo.violation" in capsys.readouterr().out
+    assert main(["chaos", "--scenario", "none", "--smoke",
+                 "--flight-dump", str(dump), "--out", str(out)]) == 1
+    assert "flight_dump_trigger: slo.violation" in capsys.readouterr().out
     assert read_jsonl(str(dump))
+    # the artifact names the dump the violation wrote
+    assert json.loads(out.read_text())["flight_dump"]["trigger"] \
+        == "slo.violation"
 
 
 def test_auto_dump_fires_once_per_run(tmp_path):

@@ -63,6 +63,13 @@ def test_shipped_default_specs_parse():
         assert rules, key
 
 
+def test_every_run_scenario_has_one_shipped_spec():
+    from repro.faults.scenarios import CHAOS_SCENARIOS
+    from repro.obs.bench import SCENARIOS
+
+    assert set(DEFAULT_SLOS) == set(SCENARIOS) | set(CHAOS_SCENARIOS)
+
+
 # -- flattening + evaluation --------------------------------------------------
 
 def test_flatten_resolves_aliases_and_ratios():

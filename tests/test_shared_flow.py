@@ -18,6 +18,8 @@ from repro.faults.plan import FaultPlan, ServerCrashFault
 from repro.net import cdn_stack
 from repro.obs.tracer import RecordingTracer
 from repro.server.broadcast import HotSet, quasi_harmonic_schedule
+from repro.server.flow_scheduler import FLOW_LEAD_S
+from repro.server.shared_flow import BATCH_WINDOW_S
 
 
 DOC = {"doc": (av_markup(4.0), "demo")}
@@ -47,6 +49,11 @@ def _egress_bytes(eng, node_id):
 
 def _media_hosts(eng):
     return {ms.node_id for ms in eng.servers["srv1"].all_media_servers()}
+
+
+def test_batch_window_fits_in_the_flow_lead():
+    # the prefill the lead buys absorbs a joiner's wait for its batch
+    assert 0 <= BATCH_WINDOW_S < FLOW_LEAD_S
 
 
 # -- byte-identity ------------------------------------------------------------
