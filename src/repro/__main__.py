@@ -85,6 +85,8 @@ def mbps(text: str) -> float:
 
 ON: dict[str, Any] = {"action": "store_true"}
 MANY: dict[str, Any] = {"action": "append", "default": []}
+#: left unset, the flag is absent and the body's default applies
+UNSET: dict[str, Any] = {"default": argparse.SUPPRESS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,30 +122,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "summarize recorded JSONL traces, or record one")
     flag = trace.add_argument
     flag("inputs", nargs="*", metavar="FILE.jsonl")
-    flag("--record", metavar="OUT.jsonl", help="run a traced population")
+    flag("--record", metavar="OUT.jsonl", help="record a scenario run")
     flag("--chrome", metavar="OUT.json", help="export a Chrome trace too")
     flag("--top", type=int, default=12)
-    flag("--clients", type=int, default=3)
+    flag("--scenario", **UNSET,
+         help="what --record runs, at smoke size (default: "
+              "population_clean)")
     # the body prints this when given neither FILE nor --record
     trace.set_defaults(usage=trace.format_usage().strip())
 
     flag = command("bench", _lazy("repro.obs.bench", "bench_command"),
-                   "service-quality trajectory: BENCH_<name>.json, exit 1 "
-                   "when it fails its SLO spec or its reference").add_argument
+                   "run the scenarios: BENCH_<name>.json, exit 1 when one "
+                   "fails its SLO spec, its reference or a check"
+                   ).add_argument
+    # every flag but --smoke / --out belongs to one path; left unset it
+    # is absent, so the body can refuse a flag of the path not taken
     flag("--smoke", **ON, help="CI-sized run")
-    flag("--update-baseline", **ON)
     flag("--out", default=".", metavar="DIR")
-    flag("--baseline", default=argparse.SUPPRESS, metavar="DIR",
+    flag("--scenario", action="append", **UNSET,
+         help="one scenario (repeatable; default: all)")
+    flag("--topology", action="append", **UNSET,
+         help="every scenario on star or cdn")
+    flag("--update-baseline", action="store_true", **UNSET)
+    flag("--baseline", metavar="DIR", **UNSET,
          help="the reference store (default: benchmarks/baseline)")
-    flag("--scenario", **MANY)
-    flag("--topology", **MANY, help="every scenario on star or cdn")
-    flag("--clients", type=positive_int, help="instead: one sharded run")
-    flag("--shards", type=positive_int, default=4)
-    flag("--cell", type=positive_int, default=8, help="clients per cell")
-    flag("--seed", type=int, default=11)
-    flag("--duration", type=float, default=6.0)
-    flag("--tolerate-shard-failures", **ON, help="keep a partial result")
-    flag("--scale-curve", **ON, help="instead: sharded sweep over N")
+    flag("--no-recovery", dest="recovery", action="store_false", **UNSET,
+         help="control arm: same faults, no failover")
+    flag("--no-retry", dest="retry", action="store_false", **UNSET,
+         help="control arm: same faults, no control-path retry")
+    flag("--check-determinism", action="store_true", **UNSET,
+         help="replay each run untraced; its digest must match")
+    flag("--flight-dump", metavar="FILE", **UNSET,
+         help="record the one selected run; dump the window around its "
+              "first injected fault or, failing that, a violated rule")
+    flag("--clients", type=positive_int, **UNSET,
+         help="instead: one sharded run")
+    flag("--scale-curve", action="store_true", **UNSET,
+         help="instead: sharded sweep over N")
+    flag("--shards", type=positive_int, **UNSET)
+    flag("--cell", type=positive_int, **UNSET, help="clients per cell")
+    flag("--seed", type=int, **UNSET)
+    flag("--duration", type=float, **UNSET)
+    flag("--tolerate-shard-failures", action="store_true", **UNSET,
+         help="keep a partial result")
 
     flag = command("slo", _lazy("repro.obs.slo", "slo_command"),
                    "evaluate SLO rules on a saved artifact; exit 1 on any "
@@ -153,24 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
          help="rules to use (default: the shipped spec named like the "
               "artifact's scenario)")
     flag("--rule", **MANY, metavar="'METRIC OP NUMBER'")
-
-    flag = command("chaos", _lazy("repro.faults.scenarios", "chaos_command"),
-                   "fault-injection run against failover + retry; exit 1 "
-                   "when it fails its SLO spec or --check-determinism"
-                   ).add_argument
-    flag("--scenario", default="crash")
-    flag("--smoke", **ON)
-    flag("--seed", type=int)
-    flag("--clients", type=int)
-    flag("--no-recovery", dest="recovery", action="store_false",
-         help="control arm: same faults, no failover")
-    flag("--no-retry", dest="retry", action="store_const", const=False,
-         help="control arm: same faults, no control-path retry")
-    flag("--check-determinism", dest="check_det", **ON)
-    flag("--out", metavar="FILE")
-    flag("--flight-dump", metavar="FILE",
-         help="flight-recorder window around the first injected fault "
-              "or, failing that, a violated rule")
 
     flag = command("report", _lazy("repro.obs.dashboard", "report_command"),
                    "markdown dashboard of one artifact: QoE, service, "

@@ -16,8 +16,9 @@ dimension on top of those mechanisms:
   stream failover to replicas (or the restarted primary);
 * :mod:`repro.faults.digest` — canonical result hashing for
   determinism assertions;
-* :mod:`repro.faults.scenarios` — ready-made chaos populations used
-  by the CLI, CI and tests.
+* :mod:`repro.faults.scenarios` — the chaos scenarios' fault plans,
+  document and retry policy (the scenarios are rows of
+  :data:`repro.obs.bench.SCENARIOS`).
 
 Everything is driven by the engine's seeded RNG registry: identical
 seed + identical plan reproduces identical outcomes, and an empty

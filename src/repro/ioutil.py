@@ -1,6 +1,6 @@
 """Atomic artifact writes (temp file + ``os.replace``), checked reads.
 
-Every artifact the repo persists (``BENCH_*.json``, ``CHAOS_*.json``,
+Every artifact the repo persists (``BENCH_*.json``,
 flight-recorder dumps, reference baselines, markdown reports) goes through
 these helpers so an interrupted or killed run can never leave a
 truncated file behind: the content lands in a temp file in the target

@@ -1,12 +1,13 @@
-"""Service-quality trajectory harness behind ``python -m repro bench``.
+"""The scenario table and its runner, behind ``python -m repro bench``.
 
-Each scenario runs a population (untraced: session results need no
-recorder), rolls up the per-session QoE summaries and the service
-report, and emits one ``BENCH_<name>.json`` artifact. Nothing in it is
-timed (host speed is ``benchmarks/e2e``'s job; only the sharded
-``--clients`` / ``--scale-curve`` path keeps a wall clock), so the
-artifact is a pure function of code and seed and ``--update-baseline``
-is idempotent.
+A scenario is one population of viewers on one network, watching one
+document under one fault plan. The plan is empty for the three service
+baselines and non-empty for the chaos runs. :data:`SCENARIOS` is the
+one table, :func:`run_scenario` the one runner, and every run emits one
+``BENCH_<name>.json`` artifact. Nothing in it is timed (host speed is
+``benchmarks/e2e``'s job; only the sharded ``--clients`` /
+``--scale-curve`` path keeps a wall clock), so the artifact is a pure
+function of code and seed and ``--update-baseline`` is idempotent.
 
 The regression gate is :func:`repro.obs.slo.evaluate`, the one
 comparator: each fresh artifact must hold its scenario's shipped SLO
@@ -26,7 +27,6 @@ from repro.obs import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
 from repro.obs.slo import (
     DEFAULT_SLOS,
     DEFAULT_STORE,
-    SloCheck,
     baseline_rules,
     evaluate,
     load_store,
@@ -36,14 +36,17 @@ from repro.obs.slo import (
 if TYPE_CHECKING:
     from repro.analysis.report import Reporter
 
-__all__ = ["BenchScenario", "SCENARIOS", "BENCH_SCHEMA",
-           "BENCH_SCHEMA_VERSION", "bench_scenario", "run_scenario",
-           "run_benchmarks", "bench_command"]
+__all__ = ["Scenario", "SCENARIOS", "ScenarioRun", "HORIZON_S",
+           "scenario_named", "run_scenario", "bench_command"]
+
+#: how long a population may run before its open sessions are cut
+HORIZON_S = 60.0
 
 
 @dataclass(slots=True)
-class BenchScenario:
-    """One benchmarked configuration of the service."""
+class Scenario:
+    """One population run of the service: shape, network, document and
+    fault plan."""
 
     name: str
     description: str
@@ -51,29 +54,56 @@ class BenchScenario:
     duration_s: float = 6.0
     stagger_s: float = 0.4
     seed: int = 11
-    #: EngineConfig keyword overrides (loss model, RTCP mode, ...)
+    #: EngineConfig keyword overrides (loss model, admission, ...)
     config: dict[str, Any] = field(default_factory=dict)
     #: smoke mode scales the scenario down for CI gate runs
     smoke_clients: int = 2
     smoke_duration_s: float = 3.0
     #: "star" = the classic single-router shape; "cdn" = two regions
-    #: with POPs and edge replicas, benched shared-flow off *and* on
+    #: with POPs and per-region media replicas from the placement layer
     topology: str = "star"
+    #: the one document: "av+images" / "av" (the experiments' A/V
+    #: pair, with or without images) or "chaos" (both streams on one
+    #: media server, so a crash interrupts every stream at once)
+    document: str = "av+images"
+    #: the :func:`~repro.faults.scenarios.build_plan` key; "none" is the
+    #: empty plan
+    plan: str = "none"
+    #: provision a standby media server for failover
+    replica: bool = False
+    #: hand every session the DEFAULT_RETRY policy
+    retry: bool = False
+    #: HeartbeatMonitor kwargs per session (None = no heartbeats)
+    heartbeat: dict[str, Any] | None = None
+    #: run twice, shared flows off then on, and report the origin
+    #: egress A/B from the pair
+    egress_ab: bool = False
 
 
-SCENARIOS: dict[str, BenchScenario] = {
+_HEARTBEAT = {"interval_s": 0.5, "timeout_s": 0.4, "miss_limit": 2}
+
+
+def _chaos(name: str, description: str, **fields: Any) -> Scenario:
+    """A fault experiment: 8 viewers of the chaos document, retry on."""
+    fields = {"replica": True, "retry": True, **fields}
+    return Scenario(name=name, description=description, n_clients=8,
+                    seed=23, smoke_clients=4, smoke_duration_s=4.0,
+                    document="chaos", plan=name, **fields)
+
+
+SCENARIOS: dict[str, Scenario] = {
     s.name: s
     for s in (
-        BenchScenario(
+        Scenario(
             name="population_clean",
             description="synchronized A/V population, impairment-free",
         ),
-        BenchScenario(
+        Scenario(
             name="population_lossy",
             description="same population over a bursty-loss access link",
             config={"loss_p_gb": 0.05, "loss_bad": 0.3},
         ),
-        BenchScenario(
+        Scenario(
             name="cdn_hot",
             description="2-region CDN, one hot document, shared-flow "
                         "batching A/B (origin egress + QoE parity)",
@@ -84,123 +114,209 @@ SCENARIOS: dict[str, BenchScenario] = {
             # admission must clear 32 concurrent viewers (batching
             # shares delivery, not per-session contract reservations)
             config={"admission_capacity_bps": 400e6},
+            document="av",  # one hot continuous A/V document
+            egress_ab=True,
         ),
+        _chaos("none", "empty plan — the inertness baseline",
+               replica=False, retry=False),
+        _chaos("crash", "media server crashes mid-stream; replica failover"),
+        _chaos("flap", "server access link flaps under active streams",
+               replica=False),
+        _chaos("partition",
+               "control path partitions; RPC retry rides it out",
+               replica=False, heartbeat=_HEARTBEAT),
+        _chaos("combo", "impaired control, link flaps and a crash at once",
+               heartbeat=_HEARTBEAT),
+        _chaos("replica-crash",
+               "a regional edge replica crashes; its viewers fail over "
+               "to the origin",
+               topology="cdn",
+               replica=False),  # replicas come from the placement layer
     )
 }
 
 
-def bench_scenario(name: str) -> BenchScenario:
+def scenario_named(name: str) -> Scenario:
     """The shipped scenario a command line names; UsageError if none."""
     scenario = SCENARIOS.get(name)
     if scenario is None:
-        raise UsageError(f"unknown bench scenario {name!r}; "
+        raise UsageError(f"unknown scenario {name!r}; "
                          f"available: {', '.join(sorted(SCENARIOS))}")
     return scenario
 
 
-def _run_once(scenario: BenchScenario, n_clients: int, duration_s: float,
-              shared_flows: bool) -> dict:
-    """One population run; the raw measurements (``events`` is the
-    kernel's own count of heap entries fired)."""
+@dataclass(slots=True)
+class ScenarioRun:
+    """Everything one scenario run produced."""
+
+    population: Any
+    digest: str
+    artifact: dict[str, Any]
+    #: the FlightRecorder when ``flight_dump`` was requested — lets
+    #: callers trigger a post-run dump (e.g. on an SLO violation)
+    flight_recorder: Any = None
+    #: the engine of the reported run, for end-of-run invariant checks
+    engine: Any = None
+
+
+def _populate(scenario: Scenario, n_clients: int, duration_s: float,
+              seed: int, plan: Any, *, recovery: bool, retry: bool,
+              tracer: Any,
+              shared_flows: bool | None = None) -> tuple[Any, Any]:
+    """One engine, one population run; (engine, population)."""
     from repro.core.config import EngineConfig
     from repro.core.engine import ServiceEngine
     from repro.core.experiments import av_markup
+    from repro.faults.scenarios import DEFAULT_RETRY, chaos_markup
 
-    layers = None
     config = dict(scenario.config)
-    with_images = True
+    if shared_flows is not None:
+        config["shared_flows"] = shared_flows
+    layers = None
     if scenario.topology == "cdn":
         from repro.net import cdn_stack
 
         layers = cdn_stack(clients_per_region=max(1, n_clients // 2))
-        config["shared_flows"] = shared_flows
-        with_images = False  # one hot continuous A/V document
-    eng = ServiceEngine(EngineConfig(seed=scenario.seed, **config),
+    if scenario.document == "chaos":
+        document = (chaos_markup(duration_s), "chaos")
+    else:
+        document = (av_markup(duration_s, scenario.document == "av+images"),
+                    "bench")
+    eng = ServiceEngine(EngineConfig(seed=seed, **config), tracer=tracer,
                         layers=layers)
-    eng.add_server(
-        "srv1",
-        documents={"doc": (av_markup(duration_s, with_images), "bench")},
-    )
+    eng.add_server("srv1", documents={"doc": document})
     eng.attach_timeseries()
+    if scenario.replica:
+        eng.add_media_replica("srv1", "media")
+    eng.install_faults(plan, retry=DEFAULT_RETRY if retry else None,
+                       recovery=recovery, heartbeat=scenario.heartbeat)
     pop = eng.orchestrator.run_population(
-        n_clients, "srv1", "doc", stagger_s=scenario.stagger_s
+        n_clients, "srv1", "doc", stagger_s=scenario.stagger_s,
+        horizon_s=HORIZON_S,
     )
-    return {
+    eng.faults.stop()
+    return eng, pop
+
+
+def run_scenario(name: str, *, smoke: bool, seed: int | None = None,
+                 n_clients: int | None = None, recovery: bool = True,
+                 retry: bool | None = None, tracer: Any = None,
+                 flight_dump: str | None = None) -> ScenarioRun:
+    """Run one scenario end to end; its population, digest and artifact.
+
+    ``recovery=False`` and ``retry=False`` disable the corresponding
+    defence while keeping the identical fault schedule — the control
+    arm of the experiment. ``tracer`` watches the run; ``flight_dump``
+    instead installs a complete :class:`~repro.obs.flightrec.
+    FlightRecorder` that auto-dumps its trailing window (30
+    sim-seconds) to that path on the first injected fault, and the
+    dump metadata lands in the artifact under ``flight_dump``. Results
+    and digest are the same whoever watches.
+
+    An ``egress_ab`` scenario runs its population twice — shared flows
+    off, then on — and reports the shared run plus the A/B
+    (``egress_reduction`` is the headline: independent-flow bytes over
+    shared-flow bytes off the serving media hosts); only the shared
+    run is watched. An unknown ``name`` is a
+    :class:`~repro.ioutil.UsageError`.
+    """
+    from repro.faults.digest import population_digest
+    from repro.faults.scenarios import build_plan
+
+    scenario = scenario_named(name)
+    n = n_clients if n_clients is not None else (
+        scenario.smoke_clients if smoke else scenario.n_clients)
+    duration = scenario.smoke_duration_s if smoke else scenario.duration_s
+    seed = scenario.seed if seed is None else seed
+    use_retry = scenario.retry if retry is None else retry
+    recorder = None
+    if flight_dump is not None:
+        from repro.obs.flightrec import FlightRecorder
+
+        if tracer is not None:
+            raise ValueError("pass tracer= or flight_dump=, not both")
+        tracer = recorder = FlightRecorder(dump_path=flight_dump,
+                                           max_events=None)
+    plan = build_plan(scenario.plan, n_clients=n,
+                      stagger_s=scenario.stagger_s, duration_s=duration)
+    options = {"recovery": recovery, "retry": use_retry}
+    unshared = None
+    if scenario.egress_ab:
+        _, unshared = _populate(scenario, n, duration, seed, plan,
+                                tracer=None, shared_flows=False, **options)
+    eng, pop = _populate(scenario, n, duration, seed, plan, tracer=tracer,
+                         shared_flows=True if scenario.egress_ab else None,
+                         **options)
+    digest = population_digest(pop)
+    artifact: dict[str, Any] = {
+        "schema": BENCH_SCHEMA,
+        "version": BENCH_SCHEMA_VERSION,
+        "name": name,
+        "scenario": name,
+        "description": scenario.description,
+        "smoke": smoke,
+        "seed": seed,
+        "clients": n,
+        "duration_s": duration,
+        "topology": scenario.topology,
+        "recovery": recovery,
+        "retry": use_retry,
+        "faults": plan.to_dict(),
         "sim_time_s": eng.sim.now,
         "events": eng.sim.events_fired,
         "sessions": len(pop),
         "completed": len(pop.completed()),
+        "delivered": len(pop.delivered()),
+        "retries": sum(o.result.retries for o in pop),
+        "recoveries": sum(o.result.recoveries for o in pop),
+        "digest": digest,
         "qoe": pop.qoe_summary(),
         # off every serving media host, origin and replicas alike
         "origin_egress_bytes": pop.service["egress"]["total_bytes"],
         "service": pop.service,
         "timeseries": pop.timeseries,
     }
+    watchdog = eng.watchdogs.get("srv1")
+    if watchdog is not None:
+        artifact["watchdog"] = {
+            "detections": watchdog.detections,
+            "streams_failed_over": watchdog.streams_failed_over,
+            "streams_lost": watchdog.streams_lost,
+            "sessions_saved": len(watchdog.sessions_saved),
+        }
+    if unshared is not None:
+        unshared_egress = unshared.service["egress"]["total_bytes"]
+        egress = artifact["origin_egress_bytes"]
+        artifact["origin_egress_bytes_unshared"] = unshared_egress
+        artifact["qoe_unshared"] = unshared.qoe_summary()
+        artifact["egress_reduction"] = (unshared_egress / egress
+                                        if egress else 0.0)
+    if recorder is not None:
+        artifact["flight_dump"] = dict(recorder.last_dump)
+    return ScenarioRun(population=pop, digest=digest, artifact=artifact,
+                       flight_recorder=recorder, engine=eng)
 
 
-def run_scenario(scenario: BenchScenario, smoke: bool = False) -> dict:
-    """Run one scenario and return its trajectory artifact dict.
-
-    A ``topology="cdn"`` scenario runs its population twice — shared
-    flows off, then on — and reports the standard keys from the
-    shared run plus the egress A/B (``egress_reduction`` is the
-    headline: independent-flow bytes over shared-flow bytes off the
-    serving media hosts).
-    """
-    n_clients = scenario.smoke_clients if smoke else scenario.n_clients
-    duration_s = scenario.smoke_duration_s if smoke \
-        else scenario.duration_s
-    artifact = {
-        "schema": BENCH_SCHEMA,
-        "version": BENCH_SCHEMA_VERSION,
-        "name": scenario.name,
-        "scenario": scenario.name,
-        "description": scenario.description,
-        "smoke": smoke,
-        "seed": scenario.seed,
-        "clients": n_clients,
-        "duration_s": duration_s,
-        "topology": scenario.topology,
-    }
-    if scenario.topology == "cdn":
-        unshared = _run_once(scenario, n_clients, duration_s,
-                             shared_flows=False)
-        shared = _run_once(scenario, n_clients, duration_s,
-                           shared_flows=True)
-        artifact.update(shared)
-        artifact["origin_egress_bytes_unshared"] = \
-            unshared["origin_egress_bytes"]
-        artifact["qoe_unshared"] = unshared["qoe"]
-        egress = shared["origin_egress_bytes"]
-        artifact["egress_reduction"] = (
-            unshared["origin_egress_bytes"] / egress if egress else 0.0
-        )
-    else:
-        artifact.update(_run_once(scenario, n_clients, duration_s,
-                                  shared_flows=False))
-    return artifact
+#: flags of one path, named by option dest; either path refuses the
+#: other's, so none is ever silently ignored
+_SCENARIO_FLAGS = {
+    "update_baseline": "--update-baseline", "baseline": "--baseline",
+    "scenario": "--scenario", "topology": "--topology",
+    "recovery": "--no-recovery", "retry": "--no-retry",
+    "check_determinism": "--check-determinism",
+    "flight_dump": "--flight-dump",
+}
+_SHARDED_FLAGS = {
+    "shards": "--shards", "cell": "--cell", "seed": "--seed",
+    "duration": "--duration",
+    "tolerate_shard_failures": "--tolerate-shard-failures",
+}
 
 
-def run_benchmarks(names: list[str] | None = None,
-                   smoke: bool = False) -> dict[str, dict]:
-    """Run the named scenarios (default: all); {name: artifact}."""
-    return {name: run_scenario(bench_scenario(name), smoke=smoke)
-            for name in names or SCENARIOS}
-
-
-def bench_command(report: Reporter, *, smoke: bool, update_baseline: bool,
-                  out: str, scenario: list[str], topology: list[str],
-                  baseline: str = DEFAULT_STORE, **sharded: Any) -> int:
-    """``repro bench``: run scenarios, emit BENCH_*.json, and hold each
-    to its shipped SLO spec plus the rules its reference in the
-    ``baseline`` store generates; exit 1 on any failed rule.
-    ``--clients`` / ``--scale-curve`` go to the sharded bench instead."""
-    if sharded["clients"] is not None or sharded["scale_curve"]:
-        from repro.shard.bench import sharded_bench_command
-
-        return sharded_bench_command(report, smoke=smoke, out=out,
-                                     **sharded)
-    names = [bench_scenario(name).name for name in scenario]
+def _selected(scenario: list[str], topology: list[str]) -> list[str]:
+    """The scenario names ``--scenario`` / ``--topology`` select, in
+    command-line order (default: every scenario)."""
+    names = [scenario_named(name).name for name in scenario]
     for wanted in topology:
         matching = [s.name for s in SCENARIOS.values()
                     if s.topology == wanted]
@@ -209,51 +325,136 @@ def bench_command(report: Reporter, *, smoke: bool, update_baseline: bool,
             raise UsageError(f"no scenarios with topology {wanted!r}; "
                              f"known: {', '.join(known)}")
         names.extend(matching)
+    return list(dict.fromkeys(names)) or list(SCENARIOS)
+
+
+def bench_command(report: Reporter, *, smoke: bool, out: str,
+                  **options: Any) -> int:
+    """``repro bench``: run the selected scenarios, emit BENCH_*.json,
+    and hold each to its shipped SLO spec plus the rules its reference
+    in the store generates; exit 1 on any failed rule or check.
+    ``--clients`` / ``--scale-curve`` go to the sharded bench instead.
+
+    ``options`` holds only the flags given on the command line, so a
+    flag of the path not taken is a usage error.
+    """
+    sharded = ("clients" in options) or ("scale_curve" in options)
+    stray = [flag for dest, flag in
+             (_SCENARIO_FLAGS if sharded else _SHARDED_FLAGS).items()
+             if dest in options]
+    if stray:
+        path = ("the scenario runs, not to --clients / --scale-curve"
+                if sharded else "--clients / --scale-curve only")
+        raise UsageError(f"{stray[0]} applies to {path}")
+    if sharded:
+        from repro.shard.bench import sharded_bench_command
+
+        if "scale_curve" in options and (
+                "clients" in options or "duration" in options):
+            raise UsageError("--scale-curve sweeps its own N and duration: "
+                             "no --clients / --duration")
+
+        return sharded_bench_command(report, smoke=smoke, out=out,
+                                     **options)
+    update_baseline = options.get("update_baseline", False)
+    if update_baseline:
+        for dest in ("recovery", "retry", "flight_dump"):
+            if dest in options:
+                raise UsageError(f"{_SCENARIO_FLAGS[dest]} does not go with "
+                                 "--update-baseline: a reference is the "
+                                 "plain run")
+    recovery = options.get("recovery", True)
+    retry = options.get("retry")
+    flight_dump = options.get("flight_dump")
+    names = _selected(options.get("scenario", []),
+                      options.get("topology", []))
+    if flight_dump is not None and len(names) != 1:
+        raise UsageError(f"--flight-dump records one run; {len(names)} "
+                         "scenarios are selected (use --scenario)")
+    baseline = options.get("baseline", DEFAULT_STORE)
 
     os.makedirs(out, exist_ok=True)
-    artifacts = run_benchmarks(names, smoke=smoke)
     if update_baseline:
         os.makedirs(baseline, exist_ok=True)
     # the store by (scenario, smoke); not read when it is being re-recorded
     references = {} if update_baseline else load_store(baseline)
-    rows: list[list[Any]] = []
-    gate: list[tuple[str, SloCheck]] = []
-    for name, artifact in artifacts.items():
-        out_path = os.path.join(out, f"BENCH_{name}.json")
-        report.artifact(f"artifact:{name}", out_path, artifact)
-        qoe = artifact.get("qoe") or {}
-        rows.append([
+    summary: list[list[Any]] = []
+    gate: list[list[Any]] = []
+    for name in names:
+        run = run_scenario(name, smoke=smoke, recovery=recovery,
+                           retry=retry, flight_dump=flight_dump)
+        artifact = run.artifact
+        qoe = artifact["qoe"]
+        summary.append([
             name, artifact["clients"],
             f"{artifact['completed']}/{artifact['sessions']}",
+            f"{artifact['delivered']}/{artifact['sessions']}",
             f"{qoe.get('score', {}).get('p50', 0.0):.1f}",
+            artifact["recoveries"], artifact["digest"][:16],
         ])
         if update_baseline:
             suffix = ".smoke.json" if smoke else ".json"
             report.artifact(f"baseline:{name}", os.path.join(
                 baseline, f"BENCH_{name}{suffix}"), artifact)
-            continue
-        rules = parse_spec(DEFAULT_SLOS.get(name, ()))
-        # keyed by scale too: a smoke run never meets a full reference
-        reference = references.get((name, smoke))
-        if reference is None:
-            report.value(f"baseline:{name}", "missing (not compared)")
         else:
-            rules += baseline_rules(reference)
-        gate.extend((name, check) for check in evaluate(rules, artifact))
+            gate.extend(_gate(run, references.get((name, smoke)), report))
+        report.artifact(f"artifact:{name}",
+                        os.path.join(out, f"BENCH_{name}.json"), artifact)
+        if options.get("check_determinism"):
+            # the reported run's own arguments, replayed without a recorder
+            replay = run_scenario(name, smoke=smoke, recovery=recovery,
+                                  retry=retry).digest
+            gate.append([name, "replay digest == digest", replay[:16],
+                         "PASS" if replay == run.digest else "FAIL"])
     report.table(
         "Benchmark trajectory" + (" (smoke)" if smoke else ""),
-        ["scenario", "clients", "completed", "qoe_p50"],
-        rows,
+        ["scenario", "clients", "completed", "delivered", "qoe_p50",
+         "recoveries", "digest"],
+        summary,
     )
-    if update_baseline:
+    if update_baseline and not gate:
         return 0
     report.table(
         "Gate: shipped SLO spec + reference rules",
         ["scenario", "rule", "value", "status"],
-        [[name, check.rule.text, check.value_text,
-          "PASS" if check.ok else "FAIL"]
-         for name, check in gate],
+        gate,
     )
-    violations = sum(1 for _, check in gate if not check.ok)
+    violations = sum(1 for row in gate if row[3] == "FAIL")
     report.value("violations", violations)
     return 1 if violations else 0
+
+
+def _gate(run: ScenarioRun, reference: dict[str, Any] | None,
+          report: Reporter) -> list[list[Any]]:
+    """Gate rows of one run: its shipped SLO spec plus the rules its
+    reference generates, and whether a requested flight dump exists."""
+    artifact = run.artifact
+    name = artifact["name"]
+    rules = parse_spec(DEFAULT_SLOS[name])
+    # keyed by scale too: a smoke run never meets a full reference
+    if reference is None:
+        report.value(f"baseline:{name}", "missing (not compared)")
+    else:
+        rules += baseline_rules(reference)
+    checks = evaluate(rules, artifact)
+    rows = [[name, c.rule.text, c.value_text, "PASS" if c.ok else "FAIL"]
+            for c in checks]
+    recorder = run.flight_recorder
+    if recorder is not None:
+        # A fault may already have dumped; otherwise a violated rule is
+        # itself the incident worth forensics.
+        if not recorder.last_dump and not all(c.ok for c in checks):
+            recorder.dump(trigger="slo.violation")
+            artifact["flight_dump"] = dict(recorder.last_dump)
+        dump = artifact["flight_dump"]
+        if dump:
+            report.value("flight_dump", dump["path"])
+            report.value("flight_dump_events", dump["events"])
+            report.value("flight_dump_trigger", dump["trigger"])
+        # scheduled faults that never fired the recorder: the forensics
+        # the caller asked for do not exist
+        scheduled = artifact["faults"]["faults"]
+        rows.append([name, "flight recorder dumped",
+                     "yes" if dump else "no",
+                     "PASS" if dump or not scheduled else "FAIL"])
+    return rows

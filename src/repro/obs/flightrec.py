@@ -24,7 +24,7 @@ ring, so wherever a RecordingTracer is expected a recorder drops in.
 Capacity decides the tier: a bounded ring stays on the control tier
 (4096 per-packet events would span milliseconds, not an incident),
 while ``FlightRecorder(max_events=None)`` is a complete recording
-with incident dumps on top — what ``repro chaos --flight-dump``
+with incident dumps on top — what ``repro bench --flight-dump``
 installs.
 """
 

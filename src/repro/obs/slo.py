@@ -9,18 +9,18 @@ a list of plain-text rules::
     time_to_recover_p95 <= 2.0
     origin_egress_bps <= 40e6
 
-evaluated against the flattened metrics of a ``BENCH_*.json`` /
-``CHAOS_*.json`` artifact. Well-known aliases
+evaluated against the flattened metrics of a ``BENCH_*.json``
+artifact. Well-known aliases
 (:data:`METRIC_ALIASES`) cover the headline service metrics; any
 other metric name is resolved as a dotted path into the artifact
 (``service.admission.requests``). ``python -m repro slo`` judges a
 saved artifact and exits 1 on any violated rule.
 
-Every run command is gated here and nowhere else: ``python -m repro
-chaos`` holds its artifact to the scenario's shipped spec
-(:func:`report_gate`), and ``python -m repro bench`` to the shipped
-spec plus the rules its checked-in reference generates
-(:func:`baseline_rules`).
+Every run is gated here and nowhere else: ``python -m repro bench``
+holds each scenario's artifact to its shipped spec plus the rules its
+checked-in reference generates (:func:`baseline_rules`), and a sharded
+``bench --clients N`` run to the ``population_shard`` spec
+(:func:`report_gate`).
 """
 
 from __future__ import annotations
@@ -78,15 +78,19 @@ _CHAOS: tuple[str, ...] = (
     "max_queue_depth <= 10000",
 )
 
-#: shipped default specs, keyed by bench/chaos scenario name
+#: what a clean star population holds, one engine or sharded
+_POPULATION: tuple[str, ...] = (
+    "qoe_p50 >= 70",
+    "completed_ratio >= 0.95",
+    "blocking_prob <= 0.05",
+    "time_to_recover_p95 <= 2.0",
+    "peak_link_utilization <= 0.9",  # transient saturation guard
+)
+
+#: shipped default specs, keyed by scenario name (plus the sharded run)
 DEFAULT_SLOS: dict[str, tuple[str, ...]] = {
-    "population_clean": (
-        "qoe_p50 >= 70",
-        "completed_ratio >= 0.95",
-        "blocking_prob <= 0.05",
-        "time_to_recover_p95 <= 2.0",
-        "peak_link_utilization <= 0.9",  # transient saturation guard
-    ),
+    "population_clean": _POPULATION,
+    "population_shard": _POPULATION,
     "population_lossy": (
         "qoe_p50 >= 40",
         "completed_ratio >= 0.95",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from repro.ioutil import UsageError
 from repro.obs.tracer import RecordingTracer, TraceEvent
 
 if TYPE_CHECKING:
@@ -273,35 +274,26 @@ def _export_chrome(report: Reporter, events: Iterable[TraceEvent],
         report.value("chrome_path", chrome_to)
 
 
-def _record_trace(report: Reporter, out_path: str, chrome_to: str | None,
-                  n_clients: int) -> int:
-    """Run a traced population and export JSONL (+ Chrome trace)."""
-    from repro.core import ServiceEngine
-    from repro.core.config import EngineConfig
-    from repro.core.experiments import av_markup
-    from repro.obs.export import write_jsonl
-
-    tracer = RecordingTracer()
-    eng = ServiceEngine(EngineConfig(), tracer=tracer)
-    eng.add_server("srv1", documents={"doc": (av_markup(5.0, True), "demo")})
-    pop = eng.orchestrator.run_population(n_clients, "srv1", "doc",
-                                          stagger_s=0.5)
-    n = write_jsonl(tracer.events, out_path)
-    report.value("sessions_completed", len(pop.completed()))
-    report.value("jsonl_events", n)
-    report.value("jsonl_path", out_path)
-    _export_chrome(report, tracer.events, chrome_to)
-    return 0
-
-
 def trace_command(report: Reporter, *, usage: str, inputs: list[str],
                   record: str | None, chrome: str | None, top: int,
-                  clients: int) -> int:
-    """``repro trace``: record a traced run, or summarize JSONL traces."""
-    from repro.obs.export import read_jsonl
+                  scenario: str | None = None) -> int:
+    """``repro trace``: record a scenario run at smoke size (default
+    ``population_clean``) as JSONL, or summarize JSONL traces."""
+    from repro.obs.export import read_jsonl, write_jsonl
 
     if record is not None:
-        return _record_trace(report, record, chrome, clients)
+        from repro.obs.bench import run_scenario
+
+        tracer = RecordingTracer()
+        run = run_scenario(scenario or "population_clean", smoke=True,
+                           tracer=tracer)
+        report.value("sessions_completed", run.artifact["completed"])
+        report.value("jsonl_events", write_jsonl(tracer.events, record))
+        report.value("jsonl_path", record)
+        _export_chrome(report, tracer.events, chrome)
+        return 0
+    if scenario is not None:
+        raise UsageError("--scenario names what --record runs")
     if not inputs:
         report.text(usage)
         return 2

@@ -5,7 +5,7 @@ ticks every ``interval_s`` of simulated time and appends one row to a
 columnar :class:`TimeSeries` (the columns are listed on the sampler).
 Sampling rides the simulated clock, so the series is exactly
 reproducible run-to-run; its schema-stamped form (``repro.timeseries``
-v1) rides in BENCH_*/CHAOS_* artifacts under the ``timeseries`` key,
+v1) rides in BENCH_* artifacts under the ``timeseries`` key,
 and the run's ``repro.service`` document reads its loads off it.
 
 Shard-merge contract: every column declares how it combines *across

@@ -220,12 +220,15 @@ def _shard_lifecycle_table(report: Reporter,
     )
 
 
-def sharded_bench_command(report: Reporter, *, clients: int | None,
-                          shards: int, cell: int, seed: int,
-                          duration: float, tolerate_shard_failures: bool,
-                          scale_curve: bool, smoke: bool, out: str) -> int:
+def sharded_bench_command(report: Reporter, *, smoke: bool, out: str,
+                          clients: int | None = None,
+                          scale_curve: bool = False, shards: int = 4,
+                          cell: int = 8, seed: int = 11,
+                          duration: float = 6.0,
+                          tolerate_shard_failures: bool = False) -> int:
     """``repro bench --clients N`` / ``--scale-curve``: one supervised
-    sharded point, or the scaling curve."""
+    sharded point, held to the ``population_shard`` SLO spec (exit 1 on
+    a failed rule), or the scaling curve."""
     os.makedirs(out, exist_ok=True)
     if scale_curve:
         artifact = run_scale_curve(
@@ -282,4 +285,10 @@ def sharded_bench_command(report: Reporter, *, clients: int | None,
     if result.interrupted:
         report.value("interrupted", True)
         return 130
-    return 0
+    # imported here: a shard run stamps the bench schema without
+    # loading the gate
+    from repro.obs.slo import DEFAULT_SLOS, evaluate, parse_spec, report_gate
+
+    checks = evaluate(parse_spec(DEFAULT_SLOS["population_shard"]),
+                      artifact)
+    return 1 if report_gate(report, checks, artifact) else 0

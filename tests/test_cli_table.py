@@ -81,7 +81,34 @@ def not_json(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["bench", "--scenario", "bogus"],
     ["bench", "--topology", "bogus"],
+    # chaos folded into bench: the command no longer parses
     ["chaos", "--scenario", "bogus"],
+    # a flag of the path bench does not take is refused, not ignored
+    ["bench", "--smoke", "--scenario", "population_clean", "--seed", "5"],
+    ["bench", "--scenario", "crash", "--shards", "2"],
+    ["bench", "--cell", "4"],
+    ["bench", "--duration", "1.0"],
+    ["bench", "--tolerate-shard-failures"],
+    ["bench", "--clients", "4", "--update-baseline"],
+    ["bench", "--clients", "4", "--baseline", "DIR"],
+    ["bench", "--clients", "4", "--scenario", "crash"],
+    ["bench", "--clients", "4", "--topology", "cdn"],
+    ["bench", "--clients", "4", "--no-recovery"],
+    ["bench", "--clients", "4", "--no-retry"],
+    ["bench", "--clients", "4", "--check-determinism"],
+    ["bench", "--scale-curve", "--flight-dump", "F"],
+    ["bench", "--clients", "4", "--scale-curve"],
+    ["bench", "--scale-curve", "--duration", "1.0"],
+    # a reference is never a control arm or a recording
+    ["bench", "--update-baseline", "--no-recovery"],
+    ["bench", "--update-baseline", "--no-retry"],
+    ["bench", "--scenario", "crash", "--update-baseline", "--flight-dump",
+     "F"],
+    # one recording per run: --flight-dump needs one selected scenario
+    ["bench", "--flight-dump", "F"],
+    ["bench", "--topology", "cdn", "--flight-dump", "F"],
+    ["trace", "--scenario", "crash"],
+    ["trace", "--record", "F", "--scenario", "bogus"],
     # slo judges saved files only: no live-run source, and no artifact
     # is a usage error
     ["slo", "--chaos", "bogus"],
@@ -103,6 +130,19 @@ def test_bad_outside_input_is_one_line_and_exit_2(argv, not_json, capsys):
     err = capsys.readouterr().err
     assert err.startswith("repro") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_bench_runs_nothing_on_a_flag_of_the_other_path(tmp_path):
+    """Two command lines that once exited 0 having dropped flags: the
+    first wrote ``seed: 11, duration_s: 3.0``, the second never created
+    the store it was told to record."""
+    out, store = tmp_path / "out", tmp_path / "store"
+    assert main(["bench", "--smoke", "--scenario", "population_clean",
+                 "--seed", "5", "--duration", "1.0", "--out", str(out)]) == 2
+    assert main(["bench", "--clients", "4", "--shards", "1", "--cell", "4",
+                 "--update-baseline", "--baseline", str(store),
+                 "--out", str(out)]) == 2
+    assert not out.exists() and not store.exists()
 
 
 # -- the documentation only shows command lines the table accepts -------------
@@ -134,15 +174,13 @@ def test_documented_command_lines_parse():
 
 FLAGS = {
     "list": set(), "run": set(), "demo": set(),
-    "trace": {"--record", "--chrome", "--top", "--clients"},
+    "trace": {"--record", "--chrome", "--top", "--scenario"},
     "bench": {"--smoke", "--update-baseline", "--out", "--baseline",
               "--scenario", "--topology", "--clients", "--shards", "--cell",
               "--seed", "--duration", "--tolerate-shard-failures",
-              "--scale-curve"},
+              "--scale-curve", "--no-recovery", "--no-retry",
+              "--check-determinism", "--flight-dump"},
     "slo": {"--artifact", "--spec-file", "--rule"},
-    "chaos": {"--scenario", "--smoke", "--seed", "--clients",
-              "--no-recovery", "--no-retry", "--check-determinism",
-              "--out", "--flight-dump"},
     "report": {"--artifact", "--out", "--baseline"},
     "lint": {"--self", "--scenarios", "--closed-set", "--capacity-mbps",
              "--format", "--list-rules"},
@@ -161,9 +199,12 @@ def test_flag_set_is_the_sixty_of_the_hand_rolled_loops():
     # profiler's five, the trend comparator's four (the baseline is a
     # generated SLO spec), slo's live-run five and chaos's two floors
     # (the SLO spec is the one gate), and two knobs with no caller
-    # (--flight-window, --examples-dir); nine commands
-    assert sum(map(len, FLAGS.values())) == 38
-    assert len(FLAGS) == 9
+    # (--flight-window, --examples-dir); then chaos folded into bench
+    # (its --scenario, --smoke and --out are bench's, its --seed and
+    # --clients Python keywords only, and trace --record runs a table
+    # scenario instead of --clients viewers); eight commands
+    assert sum(map(len, FLAGS.values())) == 33
+    assert len(FLAGS) == 8
 
 
 # every EngineConfig knob has a caller that sets it; a value no caller

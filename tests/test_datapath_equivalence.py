@@ -76,8 +76,8 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.faults import population_digest
 from repro.faults.digest import canonical_json
-from repro.faults.scenarios import run_chaos
 from repro.net import cdn_stack
+from repro.obs.bench import run_scenario
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.qoe import score_session
 from repro.obs.tracer import RecordingTracer
@@ -138,7 +138,7 @@ PINS = {
         lambda: population_digest(_cdn_shared()),
         "2b3c906548f6852446324dc6585901c4cedb3ea08f3cec9fd4fcdbd5f22a60bb"),
     "chaos_crash_untraced": (
-        lambda: run_chaos("crash", smoke=True).digest,
+        lambda: run_scenario("crash", smoke=True).digest,
         "db3cccc1c224fb35a966a5bef098de65dce21dfde138b4df8dcb2b555a8b5b1c"),
     "shard_k2": (
         _shard_k2,
@@ -169,7 +169,7 @@ PINS_WITHOUT_HEAP_DEPTH = {
         "2b3c906548f6852446324dc6585901c4cedb3ea08f3cec9fd4fcdbd5f22a60bb"),
     "chaos_crash_untraced": (
         _digest_without_heap_depth(
-            lambda: run_chaos("crash", smoke=True).population),
+            lambda: run_scenario("crash", smoke=True).population),
         "c68dae8873be0c86237fbb07763b9fa72169e906ded91506141661f611409da1"),
     "shard_k2": (
         lambda: population_digest(_without_heap_depth(_sharded().merged)),
@@ -212,8 +212,8 @@ def test_chaos_crash_kernel_counters_fell_by_the_link_machinery(tmp_path):
     on each ACK that left data outstanding (in ``_on_ack``, then again
     in ``_pump``); the first arm's entry fired as a stale token.
     """
-    run = run_chaos("crash", smoke=True,
-                    flight_dump=str(tmp_path / "flight.jsonl"))
+    run = run_scenario("crash", smoke=True,
+                       flight_dump=str(tmp_path / "flight.jsonl"))
     recorder = run.flight_recorder
     emits = recorder.kind_counts()
     links = 14
@@ -261,34 +261,23 @@ QOE_SCENARIOS = {
     "star_clean": _star_clean,
     "star_impaired": _star_impaired,
     "cdn_shared": _cdn_shared,
-    "chaos_crash": None,  # needs a dump path: built in the fixture
+    "chaos_crash": lambda tracer=None: run_scenario(
+        "crash", smoke=True, tracer=tracer).population,
     "star_rejecting": _star_rejecting,
     "atm_lossy": _atm_lossy,
 }
 
 
 @pytest.fixture(scope="module")
-def watched_runs(tmp_path_factory):
+def watched_runs():
     """Per scenario, an untraced, a control-tier and a detail-traced
     run: each one's whole document in canonical JSON and its QoE dicts
     by session, plus the trace join's QoE over the recording."""
     def qoe(population):
         return {o.session_id: o.result.qoe for o in population.outcomes}
 
-    def chaos_crash(tracer=None):
-        """``run_chaos`` builds its own recorder: ours picks its tier
-        and receives its recording."""
-        if tracer is None:
-            return run_chaos("crash", smoke=True).population
-        run = run_chaos(
-            "crash", smoke=True, trace=tracer.detail,
-            flight_dump=str(tmp_path_factory.mktemp("flight") / "f.jsonl"))
-        tracer.events = run.flight_recorder.events
-        return run.population
-
     runs = {}
     for name, scenario in QOE_SCENARIOS.items():
-        scenario = scenario or chaos_crash
         detail = RecordingTracer()
         populations = {"untraced": scenario(),
                        "control": scenario(FlightRecorder()),

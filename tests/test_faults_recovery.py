@@ -1,26 +1,30 @@
 """End-to-end fault injection: failover, retry, determinism, teardown."""
 
+import json
+import os
+
 import pytest
 
-import repro.faults.scenarios as scenarios
+import repro.obs.bench as bench
 from repro.__main__ import main
 from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
 from repro.faults import FaultPlan, ServerCrashFault, population_digest
-from repro.faults.scenarios import (
-    CHAOS_SCENARIOS,
-    chaos_markup,
-    check_determinism,
-    run_chaos,
-)
+from repro.faults.scenarios import chaos_markup
+from repro.obs.bench import SCENARIOS, run_scenario
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracer import RecordingTracer
 from repro.server.accounts import SubscriptionForm
+
+#: the one checked-in reference store
+STORE = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                     "baseline")
 
 
 # -- acceptance: crash failover saves the population --------------------------
 
 def test_crash_failover_saves_most_sessions():
-    run = run_chaos("crash", smoke=True)
+    run = run_scenario("crash", smoke=True)
     a = run.artifact
     assert a["sessions"] == 4
     assert a["completed"] == a["sessions"]
@@ -36,22 +40,22 @@ def test_crash_failover_saves_most_sessions():
 
 
 def test_crash_without_recovery_ruins_delivery():
-    run = run_chaos("crash", smoke=True, recovery=False, retry=False)
+    run = run_scenario("crash", smoke=True, recovery=False, retry=False)
     a = run.artifact
     assert a["delivered"] <= 0.2 * a["sessions"]
     assert a["recoveries"] == 0
 
 
-def test_time_to_recover_lands_in_metrics_and_trace(tmp_path):
+def test_time_to_recover_lands_in_metrics_and_trace():
     """The watchdog's own latency lists feed the service report on an
     unrecorded run; a recording says the same, event by event."""
-    recovery = run_chaos("crash", smoke=True).artifact["service"]["recovery"]
+    recovery = run_scenario("crash", smoke=True).artifact["service"]["recovery"]
     assert recovery["time_to_detect_s"]["count"] == recovery["detections"] == 1
     assert recovery["time_to_detect_s"]["max"] == 0.5
     assert (recovery["time_to_recover_s"]["count"]
             == recovery["streams_failed_over"] == 8)
-    recorder = run_chaos("crash", smoke=True, trace=False,
-                         flight_dump=str(tmp_path / "f.jsonl")).flight_recorder
+    recorder = FlightRecorder()  # the control tier is enough
+    run_scenario("crash", smoke=True, tracer=recorder)
     assert [e.args["t_detect_s"]
             for e in recorder.select("recovery.detect")] == [0.5]
     recovered = [e.args["t_recover_s"]
@@ -63,8 +67,8 @@ def test_time_to_recover_lands_in_metrics_and_trace(tmp_path):
 # -- acceptance: determinism --------------------------------------------------
 
 def test_same_seed_same_plan_identical_results():
-    same, d1, d2 = check_determinism("crash", smoke=True)
-    assert same, f"{d1} != {d2}"
+    d1, d2 = (run_scenario("crash", smoke=True).digest for _ in range(2))
+    assert d1 == d2
 
 
 def test_empty_plan_is_inert():
@@ -84,7 +88,7 @@ def test_empty_plan_is_inert():
 # -- control partition + retry ------------------------------------------------
 
 def test_partition_rides_out_on_retry():
-    run = run_chaos("partition", smoke=True)
+    run = run_scenario("partition", smoke=True)
     a = run.artifact
     assert a["completed"] == a["sessions"]
     assert a["retries"] > 0
@@ -92,7 +96,7 @@ def test_partition_rides_out_on_retry():
 
 
 def test_partition_without_retry_strands_sessions():
-    run = run_chaos("partition", smoke=True, retry=False)
+    run = run_scenario("partition", smoke=True, retry=False)
     a = run.artifact
     assert a["completed"] < a["sessions"]
 
@@ -100,7 +104,7 @@ def test_partition_without_retry_strands_sessions():
 # -- link flap: graceful degradation ------------------------------------------
 
 def test_link_flap_degrades_but_completes():
-    run = run_chaos("flap", smoke=True)
+    run = run_scenario("flap", smoke=True)
     a = run.artifact
     assert a["completed"] == a["sessions"]
     # the outage shows up as playout gaps, not hung sessions
@@ -110,40 +114,54 @@ def test_link_flap_degrades_but_completes():
 # -- combo ---------------------------------------------------------------------
 
 def test_combo_scenario_runs_deterministically():
-    same, d1, d2 = check_determinism("combo", smoke=True)
-    assert same, f"{d1} != {d2}"
+    d1, d2 = (run_scenario("combo", smoke=True).digest for _ in range(2))
+    assert d1 == d2
 
 
-# -- the chaos gate is the scenario's shipped SLO spec ------------------------
+# -- the gate: shipped SLO spec plus the scenario's reference -----------------
 
-@pytest.mark.parametrize("name", sorted(CHAOS_SCENARIOS))
-def test_every_chaos_smoke_holds_its_spec(name, capsys):
-    assert main(["chaos", "--scenario", name, "--smoke"]) == 0
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_chaos_smoke_holds_its_spec(name, tmp_path, capsys):
+    """A chaos run is a bench run with a fault plan: every scenario of
+    the one table, its plan empty or not, holds its gate."""
+    assert main(["bench", "--scenario", name, "--smoke",
+                 "--out", str(tmp_path), "--baseline", STORE]) == 0
     assert "violations: 0" in capsys.readouterr().out
 
 
-def test_control_arm_fails_its_delivery_floor(capsys):
-    assert main(["chaos", "--scenario", "crash", "--smoke",
-                 "--no-recovery"]) == 1
-    failed = [line for line in capsys.readouterr().out.splitlines()
-              if line.rstrip().endswith("| FAIL")]
-    assert [line.split()[0] for line in failed] == ["delivered_ratio"]
+def _failed_rules(out):
+    (gate,) = [s for s in json.loads(out)["sections"]
+               if s["title"].startswith("Gate")]
+    return [row[1].split()[0] for row in gate["rows"] if row[3] == "FAIL"]
 
 
-def test_check_determinism_replays_the_reported_run(monkeypatch, capsys):
+def test_control_arm_fails_its_delivery_floor(tmp_path, capsys):
+    assert main(["bench", "--scenario", "crash", "--smoke", "--no-recovery",
+                 "--out", str(tmp_path), "--baseline", STORE,
+                 "--json"]) == 1
+    # the shipped floor and the reference's own delivered_ratio rule
+    failed = _failed_rules(capsys.readouterr().out)
+    assert failed.count("delivered_ratio") == 2
+
+
+def test_check_determinism_replays_the_reported_run(monkeypatch, tmp_path,
+                                                    capsys):
     calls = []
 
     def spy(name, **options):
         calls.append(options)
-        return run_chaos(name, **options)
+        return run_scenario(name, **options)
 
-    monkeypatch.setattr(scenarios, "run_chaos", spy)
-    main(["chaos", "--scenario", "crash", "--smoke", "--clients", "3",
-          "--no-recovery", "--check-determinism"])
-    assert "deterministic: True" in capsys.readouterr().out
+    monkeypatch.setattr(bench, "run_scenario", spy)
+    main(["bench", "--scenario", "crash", "--smoke", "--no-recovery",
+          "--check-determinism", "--out", str(tmp_path), "--baseline", STORE,
+          "--json"])
+    (gate,) = [s for s in json.loads(capsys.readouterr().out)["sections"]
+               if s["title"].startswith("Gate")]
+    assert ["crash", "replay digest == digest"] in [
+        row[:2] for row in gate["rows"] if row[3] == "PASS"]
     assert len(calls) == 2
-    assert all(c["n_clients"] == 3 and c["recovery"] is False
-               for c in calls)
+    assert all(c["recovery"] is False for c in calls)
 
 
 # -- teardown satellites -------------------------------------------------------
@@ -231,7 +249,7 @@ def test_suspend_resume_within_grace_keeps_resources():
 # -- failover keeps the stream position honest --------------------------------
 
 def test_failover_resumes_realtime_aligned():
-    run = run_chaos("crash", smoke=True)
+    run = run_scenario("crash", smoke=True)
     # Recovered sessions lose roughly the outage window, never the
     # whole remainder of the presentation.
     for outcome in run.population:

@@ -48,7 +48,7 @@ def test_cli_trace_record_then_summarize(tmp_path, capsys):
     jl = tmp_path / "t.jsonl"
     cj = tmp_path / "t.json"
     assert main(["trace", "--record", str(jl), "--chrome", str(cj),
-                 "--clients", "2", "--json"]) == 0
+                 "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["values"]["sessions_completed"] == 2
     assert doc["values"]["jsonl_events"] > 0
@@ -62,6 +62,17 @@ def test_cli_trace_record_then_summarize(tmp_path, capsys):
     assert "Top event kinds" in text
     assert "Session timelines" in text
     assert "sess-1" in text
+
+
+def test_cli_trace_records_a_table_scenario(tmp_path, capsys):
+    """``--record`` runs a row of the scenario table, fault plan and
+    all, through the one runner."""
+    jl = tmp_path / "crash.jsonl"
+    assert main(["trace", "--record", str(jl), "--scenario", "crash",
+                 "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["values"]["sessions_completed"] == 4
+    assert any(e.kind == "fault.crash" for e in read_jsonl(jl))
 
 
 def test_cli_trace_usage_without_args(capsys):

@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
-from repro.faults.scenarios import run_chaos
+from repro.obs.bench import run_scenario
 from repro.obs import read_jsonl, summarize_trace
 from repro.obs.flightrec import DEFAULT_TRIGGER_KINDS, FlightRecorder
 from repro.obs.tracer import RecordingTracer
@@ -93,8 +93,8 @@ def test_control_tier_recorder_scores_results_without_snapshots():
 
 
 def test_recording_the_run_does_not_perturb_it(tmp_path):
-    plain = run_chaos("crash", smoke=True)
-    recorded = run_chaos("crash", smoke=True,
+    plain = run_scenario("crash", smoke=True)
+    recorded = run_scenario("crash", smoke=True,
                          flight_dump=str(tmp_path / "f.jsonl"))
     assert recorded.digest == plain.digest
 
@@ -102,7 +102,7 @@ def test_recording_the_run_does_not_perturb_it(tmp_path):
 def test_chaos_crash_auto_dumps_fault_window(tmp_path):
     """The acceptance path: crash run dumps a parseable fault window."""
     dump = str(tmp_path / "FLIGHT_crash.jsonl")
-    run = run_chaos("crash", smoke=True, flight_dump=dump)
+    run = run_scenario("crash", smoke=True, flight_dump=dump)
     meta = run.artifact["flight_dump"]
     assert meta["path"] == dump
     assert meta["trigger"] in DEFAULT_TRIGGER_KINDS
@@ -126,11 +126,11 @@ def test_slo_violation_triggers_dump_via_cli(tmp_path, capsys,
 
     monkeypatch.setitem(slo.DEFAULT_SLOS, "none", ("qoe_p50 >= 101",))
     dump = tmp_path / "FLIGHT_slo.jsonl"
-    out = tmp_path / "CHAOS_none.json"
+    out = tmp_path / "BENCH_none.json"
     # Scenario "none" injects no faults; the violated rule is the
     # only incident, and it must still produce forensics.
-    assert main(["chaos", "--scenario", "none", "--smoke",
-                 "--flight-dump", str(dump), "--out", str(out)]) == 1
+    assert main(["bench", "--scenario", "none", "--smoke",
+                 "--flight-dump", str(dump), "--out", str(tmp_path)]) == 1
     assert "flight_dump_trigger: slo.violation" in capsys.readouterr().out
     assert read_jsonl(str(dump))
     # the artifact names the dump the violation wrote

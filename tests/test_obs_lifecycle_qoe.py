@@ -38,7 +38,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.ioutil import UsageError
-from repro.obs.bench import SCENARIOS, run_benchmarks, run_scenario
+from repro.obs.bench import run_scenario
 from repro.obs.slo import baseline_rules, evaluate, store_key
 
 
@@ -424,7 +424,7 @@ def test_chrome_trace_metadata_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_run_scenario_smoke_artifact_shape():
-    artifact = run_scenario(SCENARIOS["population_clean"], smoke=True)
+    artifact = run_scenario("population_clean", smoke=True).artifact
     assert artifact["schema"] == "repro.bench"
     assert artifact["smoke"] is True
     assert artifact["events"] > 0
@@ -435,14 +435,13 @@ def test_run_scenario_smoke_artifact_shape():
 
 def test_run_scenario_artifact_is_a_pure_function_of_the_code():
     """Nothing in it is timed, so a reference can be regenerated."""
-    scenario = SCENARIOS["population_clean"]
-    assert run_scenario(scenario, smoke=True) == \
-        run_scenario(scenario, smoke=True)
+    assert run_scenario("population_clean", smoke=True).artifact == \
+        run_scenario("population_clean", smoke=True).artifact
 
 
 def test_run_benchmarks_unknown_scenario():
     with pytest.raises(UsageError, match="no_such_scenario"):
-        run_benchmarks(["no_such_scenario"], smoke=True)
+        run_scenario("no_such_scenario", smoke=True)
 
 
 def _regressed(baseline, run):

@@ -10,8 +10,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.faults.digest import canonical_json
-from repro.faults.scenarios import run_chaos
-from repro.obs.bench import SCENARIOS, run_scenario
+from repro.obs.bench import run_scenario
 from repro.obs.metrics import Histogram, log_buckets
 from repro.obs.service_metrics import merge_service_docs
 from repro.obs.timeseries import merge_series_docs
@@ -137,7 +136,7 @@ def test_percentiles_custom_quantiles_keys():
 
 def _cell(seed):
     """One chaos-crash run's (service, timeseries) documents."""
-    artifact = run_chaos("crash", smoke=True, seed=seed).artifact
+    artifact = run_scenario("crash", smoke=True, seed=seed).artifact
     return artifact["service"], artifact["timeseries"]
 
 
@@ -217,13 +216,13 @@ def test_merging_one_document_against_its_own_series_returns_it():
 # -- the service document: acceptance -----------------------------------------
 
 def test_same_seed_byte_identical_service_report():
-    a = run_chaos("crash", smoke=True).artifact["service"]
-    b = run_chaos("crash", smoke=True).artifact["service"]
+    a = run_scenario("crash", smoke=True).artifact["service"]
+    b = run_scenario("crash", smoke=True).artifact["service"]
     assert canonical_json(a) == canonical_json(b)
 
 
 def test_empty_plan_chaos_has_zero_fault_rollups():
-    service = run_chaos("none", smoke=True).artifact["service"]
+    service = run_scenario("none", smoke=True).artifact["service"]
     recovery = service["recovery"]
     assert recovery["detections"] == 0
     assert recovery["streams_failed_over"] == 0
@@ -235,7 +234,7 @@ def test_empty_plan_chaos_has_zero_fault_rollups():
 
 
 def test_crash_chaos_reports_recovery_rollups():
-    service = run_chaos("crash", smoke=True).artifact["service"]
+    service = run_scenario("crash", smoke=True).artifact["service"]
     recovery = service["recovery"]
     assert recovery["detections"] >= 1
     assert recovery["streams_failed_over"] > 0
@@ -247,13 +246,8 @@ def test_crash_chaos_reports_recovery_rollups():
 
 # -- the service document agrees with its series ------------------------------
 
-def _chaos(name):
-    artifact = run_chaos(name, smoke=True).artifact
-    return artifact["service"], artifact["timeseries"]
-
-
-def _bench(name):
-    artifact = run_scenario(SCENARIOS[name], smoke=True)
+def _scenario(name):
+    artifact = run_scenario(name, smoke=True).artifact
     return artifact["service"], artifact["timeseries"]
 
 
@@ -266,9 +260,9 @@ def _sharded(n_clients, n_shards, **config):
 
 
 AGREEMENT_CASES = {
-    "chaos_crash": lambda: _chaos("crash"),
-    "chaos_replica_crash": lambda: _chaos("replica-crash"),
-    "bench_cdn_hot": lambda: _bench("cdn_hot"),
+    "chaos_crash": lambda: _scenario("crash"),
+    "chaos_replica_crash": lambda: _scenario("replica-crash"),
+    "bench_cdn_hot": lambda: _scenario("cdn_hot"),
     # the pinned K=2 run of tests/test_datapath_equivalence.py
     "shard_k2": lambda: _sharded(8, 2),
     # cells too small for their viewers: some are refused

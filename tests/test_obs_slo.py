@@ -64,10 +64,9 @@ def test_shipped_default_specs_parse():
 
 
 def test_every_run_scenario_has_one_shipped_spec():
-    from repro.faults.scenarios import CHAOS_SCENARIOS
     from repro.obs.bench import SCENARIOS
 
-    assert set(DEFAULT_SLOS) == set(SCENARIOS) | set(CHAOS_SCENARIOS)
+    assert set(DEFAULT_SLOS) == set(SCENARIOS) | {"population_shard"}
 
 
 # -- flattening + evaluation --------------------------------------------------
@@ -159,3 +158,17 @@ def test_cli_json_mode(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["values"]["violations"] == 0
     assert doc["service_report"]["admission"]["blocking_prob"] == 0.25
+
+
+def test_a_sharded_bench_run_is_gated_by_its_spec(tmp_path, monkeypatch,
+                                                  capsys):
+    from repro.obs import slo
+
+    argv = ["bench", "--clients", "4", "--shards", "1", "--cell", "4",
+            "--duration", "1.0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert "violations: 0" in capsys.readouterr().out
+    monkeypatch.setitem(slo.DEFAULT_SLOS, "population_shard",
+                        ("qoe_p50 >= 101",))
+    assert main(argv) == 1
+    assert "violations: 1" in capsys.readouterr().out

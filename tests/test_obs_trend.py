@@ -14,7 +14,14 @@ import pytest
 from repro.__main__ import main
 from repro.ioutil import UsageError
 from repro.obs.dashboard import render_markdown_report, sparkline
-from repro.obs.slo import baseline_rules, evaluate, load_store, store_key
+from repro.obs.bench import SCENARIOS
+from repro.obs.slo import (
+    TREND_METRICS,
+    baseline_rules,
+    evaluate,
+    load_store,
+    store_key,
+)
 
 #: the one checked-in reference store
 STORE_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -69,6 +76,18 @@ def test_store_refuses_a_second_reference_for_one_key(tmp_path):
     assert load_store(str(tmp_path / "absent")) == {}
 
 
+def test_the_store_holds_every_scenario_at_both_scales():
+    assert set(load_store(STORE_DIR)) == {
+        (name, smoke) for name in SCENARIOS for smoke in (False, True)}
+
+
+def test_every_trend_metric_gates_some_reference():
+    """A TREND_METRICS entry no reference carries gates no run."""
+    gated = {rule.metric for reference in load_store(STORE_DIR).values()
+             for rule in baseline_rules(reference)}
+    assert {metric for metric, _ in TREND_METRICS} <= gated
+
+
 def test_absent_metrics_are_skipped():
     reference = {"schema": "repro.bench", "scenario": "x", "events": 1,
                  "egress_reduction": 2.0}
@@ -113,11 +132,11 @@ def test_sparkline_shapes():
 
 # -- the bench gate on the command line ---------------------------------------
 
-def _bench_argv(tmp_path):
-    """A smoke bench of population_clean gated by a copy of the store."""
+def _bench_argv(tmp_path, scenario="population_clean"):
+    """A smoke bench of one scenario gated by a copy of the store."""
     store = tmp_path / "baseline"
     shutil.copytree(STORE_DIR, store)
-    return store, ["bench", "--smoke", "--scenario", "population_clean",
+    return store, ["bench", "--smoke", "--scenario", scenario,
                    "--out", str(tmp_path / "out"), "--baseline", str(store)]
 
 
@@ -127,19 +146,36 @@ def test_trend_cli_passes_on_checked_in_history(tmp_path, capsys):
     assert "qoe_p50" in capsys.readouterr().out
 
 
-def test_trend_cli_exits_one_on_synthetic_regression(tmp_path, capsys):
-    store, argv = _bench_argv(tmp_path)
-    # raise the reference so the fresh run reads 15% below it
-    path = store / "BENCH_population_clean.smoke.json"
+def _regress_qoe(tmp_path, scenario):
+    """The argv of a smoke bench of ``scenario`` against a copied
+    reference raised so that the fresh run reads 15% below it on
+    qoe_p50."""
+    store, argv = _bench_argv(tmp_path, scenario)
+    path = store / f"BENCH_{scenario}.smoke.json"
     reference = json.loads(path.read_text())
     reference["qoe"]["score"]["p50"] /= 0.85
     path.write_text(json.dumps(reference))
-    assert main(argv + ["--json"]) == 1
+    return argv
+
+
+def _failed_rules(capsys):
     doc = json.loads(capsys.readouterr().out)
-    assert doc["values"]["violations"] == 1
     (gate,) = [s for s in doc["sections"] if s["title"].startswith("Gate")]
-    assert [row[1].split()[0] for row in gate["rows"]
-            if row[3] == "FAIL"] == ["qoe_p50"]
+    assert doc["values"]["violations"] == sum(
+        row[3] == "FAIL" for row in gate["rows"])
+    return [row[1].split()[0] for row in gate["rows"] if row[3] == "FAIL"]
+
+
+def test_trend_cli_exits_one_on_synthetic_regression(tmp_path, capsys):
+    assert main(_regress_qoe(tmp_path, "population_clean") + ["--json"]) == 1
+    assert _failed_rules(capsys) == ["qoe_p50"]
+
+
+def test_a_fault_plan_run_has_the_same_regression_gate(tmp_path, capsys):
+    """A chaos run once held only its delivery floor: a 30% QoE drop
+    passed."""
+    assert main(_regress_qoe(tmp_path, "crash") + ["--json"]) == 1
+    assert _failed_rules(capsys) == ["qoe_p50"]
 
 
 # -- the markdown dashboard ---------------------------------------------------

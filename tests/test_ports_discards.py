@@ -139,9 +139,9 @@ def _cdn_shared():
 
 
 def _chaos_crash():
-    from repro.faults.scenarios import run_chaos
+    from repro.obs.bench import run_scenario
 
-    return run_chaos("crash", smoke=True).engine
+    return run_scenario("crash", smoke=True).engine
 
 
 @pytest.mark.parametrize("run", [_star_unicast, _cdn_shared, _chaos_crash])
