@@ -99,6 +99,9 @@ class Link:
         #: the far node's next-link table and its router (set by a network)
         self._next: dict[str, Link] = {}
         self._route: Callable[[str, str], object] | None = None
+        #: the traffic source that plans across this link
+        #: (:mod:`repro.net.traffic`), False once two sources share it
+        self._owner = None
 
     @property
     def stats(self) -> LinkStats:
@@ -125,6 +128,9 @@ class Link:
         """Administratively raise or cut the link (fault injection)."""
         if up == self.up:
             return
+        if not up and self._owner:
+            # a packet planned past now meets the link as it is then
+            self._owner._withdraw()
         self.up = up
         if self.sim._tracing:
             self.sim._tracer.emit(self.sim.now, "fault.link", self.name,

@@ -196,7 +196,12 @@ class ServiceTopology:
         return self._add_backbone_host(node_id, self.backbone_delay_s, region)
 
     def add_traffic_host(self, node_id: str) -> Node:
-        """Add a cross-traffic source host, 1 ms behind the core router."""
+        """Add a cross-traffic source host, 1 ms behind the core router.
+
+        The host's uplink belongs to the one source placed on it, which
+        plans its packets across the link ahead of their emission
+        instants (:mod:`repro.net.traffic`); put nothing else there.
+        """
         return self._add_backbone_host(node_id, 0.001)
 
 

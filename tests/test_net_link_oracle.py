@@ -240,15 +240,23 @@ def test_poisson_into_one_link_waits_as_pollaczek_khinchine_says(rho, seed):
     assert half_width < 0.25 * expected
 
 
-def test_every_packet_a_source_sent_is_somewhere_at_the_horizon():
-    """Per flow: sent = delivered + dropped + pending, with the run cut
-    while both sources send and the bottleneck is full. A link schedules
-    a packet's arrival when it accepts it, so every pending packet --
-    waiting, being serialised or propagating -- is the argument of one
-    heap entry."""
+@pytest.mark.parametrize("traced", [True, False],
+                         ids=["traced", "untraced"])
+def test_every_packet_a_source_sent_is_somewhere_at_the_horizon(traced):
+    """Sent = delivered + dropped + pending, with the run cut while both
+    sources send and the bottleneck is full: per flow under a detail
+    tracer (its ``link.drop`` rows name the flow), in total without one
+    (``LinkStats`` and the tap count drops by link and kind). A link
+    schedules a packet's arrival when it accepts it, so every pending
+    packet -- waiting, being serialised or propagating -- is the
+    argument of one heap entry. Untraced, each source plans across its
+    own uplink: a packet admitted ahead of its emission instant is in
+    the heap as well, but it is not sent yet, and ``packets_sent`` must
+    not count it."""
     tracer = RecordingTracer()
     sim = Simulator()
-    sim.set_tracer(tracer)
+    if traced:
+        sim.set_tracer(tracer)
     net = Network(sim)
     for node in ("xa", "xb", "r", "y"):
         net.add_node(node)
@@ -268,21 +276,44 @@ def test_every_packet_a_source_sent_is_somewhere_at_the_horizon():
     sim.run(until=2.0)
 
     delivered = net.tap.count_by_flow["UDP"]
-    dropped = Counter(e.args["flow"] for e in tracer.select(kind="link.drop"))
-    pending = Counter(arg.flow_id for _, _, _, args in sim._heap
-                      for arg in args if isinstance(arg, Packet))
-    for src in sources:
-        flow = src.flow_id
-        assert src.packets_sent == (delivered[flow] + dropped[flow]
-                                    + pending[flow]), flow
-        assert min(delivered[flow], dropped[flow]) > 0
+    in_heap = [arg for _, _, _, args in sim._heap
+               for arg in args if isinstance(arg, Packet)]
+    pending = Counter(pkt.flow_id for pkt in in_heap
+                      if pkt.created_at <= sim.now)
     stats = [link.stats for link in net.links.values()]
-    # once settled, a link holds the packet in service and those waiting
-    waiting = sum(max(0, len(link._departures) - 1)
+    drops = sum(s.queue_drops + s.loss_drops + s.fault_drops for s in stats)
+    assert sum(net.tap.drops_by_kind.values()) == drops
+    if traced:
+        dropped = Counter(e.args["flow"]
+                          for e in tracer.select(kind="link.drop"))
+        assert sum(dropped.values()) == drops
+        for src in sources:
+            flow = src.flow_id
+            assert src.packets_sent == (delivered[flow] + dropped[flow]
+                                        + pending[flow]), flow
+            assert min(delivered[flow], dropped[flow]) > 0
+    else:
+        assert sum(src.packets_sent for src in sources) == (
+            sum(delivered.values()) + drops + sum(pending.values()))
+    for src in sources:
+        # the planned packets not sent yet are numbered after the sent
+        ahead = sorted(pkt.seq for pkt in in_heap
+                       if pkt.created_at > sim.now
+                       and pkt.flow_id == src.flow_id)
+        assert ahead == list(range(src.packets_sent + 1,
+                                   src.packets_sent + 1 + len(ahead)))
+        assert delivered[src.flow_id] > 0
+        if traced:
+            assert not ahead
+    # once settled, a link holds the packet in service, those waiting
+    # and, on an uplink, the records of the packets planned ahead
+    ahead_at = Counter(pkt.src for pkt in in_heap
+                       if pkt.created_at > sim.now)
+    waiting = sum(max(0, len(link._departures) - ahead_at[link.src] - 1)
                   for link in net.links.values())
     assert 0 < waiting < sum(pending.values())
-    assert sum(dropped.values()) == sum(
-        s.queue_drops + s.loss_drops for s in stats)
+    # untraced, the cut fell while packets were planned past it
+    assert (sum(ahead_at.values()) > 0) is not traced
     assert net.tap.drops_by_kind == {
         "drop-queue": sum(s.queue_drops for s in stats),
         "drop-loss": sum(s.loss_drops for s in stats)}
