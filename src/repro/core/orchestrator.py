@@ -77,11 +77,9 @@ class PopulationResult:
 
         Empty when no outcome carries a QoE dict.
         """
-        from repro.obs.qoe import SessionQoE, qoe_summary
+        from repro.obs.qoe import population_qoe
 
-        qoes = [SessionQoE.from_dict(o.result.qoe, o.session_id)
-                for o in self.outcomes if o.result.qoe]
-        return qoe_summary(qoes) if qoes else {}
+        return population_qoe(o.result.qoe for o in self.outcomes)
 
     def __len__(self) -> int:
         return len(self.outcomes)

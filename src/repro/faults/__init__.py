@@ -16,9 +16,10 @@ dimension on top of those mechanisms:
   stream failover to replicas (or the restarted primary);
 * :mod:`repro.faults.digest` — canonical result hashing for
   determinism assertions;
-* :mod:`repro.faults.scenarios` — the chaos scenarios' fault plans,
-  document and retry policy (the scenarios are rows of
-  :data:`repro.obs.bench.SCENARIOS`).
+* :mod:`repro.faults.scenarios` — the one scenario table
+  (:data:`~repro.faults.scenarios.SCENARIOS`: the service baselines
+  and the chaos runs), its fault plans, chaos document and retry
+  policy, and the engine builder every population run uses.
 
 Everything is driven by the engine's seeded RNG registry: identical
 seed + identical plan reproduces identical outcomes, and an empty

@@ -1,11 +1,10 @@
-"""The scenario table and its runner, behind ``python -m repro bench``.
+"""The scenario runner, behind ``python -m repro bench``.
 
-A scenario is one population of viewers on one network, watching one
-document under one fault plan. The plan is empty for the three service
-baselines and non-empty for the chaos runs. :data:`SCENARIOS` is the
-one table, :func:`run_scenario` the one runner, and every run emits one
-``BENCH_<name>.json`` artifact. Nothing in it is timed (host speed is
-``benchmarks/e2e``'s job; only the sharded ``--clients`` /
+:func:`run_scenario` runs one row of the scenario table
+(:data:`repro.faults.scenarios.SCENARIOS`) on one engine, built by the
+table's :func:`~repro.faults.scenarios.build_engine`, and every run
+emits one ``BENCH_<name>.json`` artifact. Nothing in it is timed (host
+speed is ``benchmarks/e2e``'s job; only the sharded ``--clients`` /
 ``--scale-curve`` path keeps a wall clock), so the artifact is a pure
 function of code and seed and ``--update-baseline`` is idempotent.
 
@@ -19,9 +18,16 @@ generates (:func:`repro.obs.slo.baseline_rules`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.faults.scenarios import (
+    HORIZON_S,
+    SCENARIOS,
+    Scenario,
+    build_engine,
+    scenario_named,
+)
 from repro.ioutil import UsageError
 from repro.obs import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
 from repro.obs.slo import (
@@ -36,113 +42,7 @@ from repro.obs.slo import (
 if TYPE_CHECKING:
     from repro.analysis.report import Reporter
 
-__all__ = ["Scenario", "SCENARIOS", "ScenarioRun", "HORIZON_S",
-           "scenario_named", "run_scenario", "bench_command"]
-
-#: how long a population may run before its open sessions are cut
-HORIZON_S = 60.0
-
-
-@dataclass(slots=True)
-class Scenario:
-    """One population run of the service: shape, network, document and
-    fault plan."""
-
-    name: str
-    description: str
-    n_clients: int = 4
-    duration_s: float = 6.0
-    stagger_s: float = 0.4
-    seed: int = 11
-    #: EngineConfig keyword overrides (loss model, admission, ...)
-    config: dict[str, Any] = field(default_factory=dict)
-    #: smoke mode scales the scenario down for CI gate runs
-    smoke_clients: int = 2
-    smoke_duration_s: float = 3.0
-    #: "star" = the classic single-router shape; "cdn" = two regions
-    #: with POPs and per-region media replicas from the placement layer
-    topology: str = "star"
-    #: the one document: "av+images" / "av" (the experiments' A/V
-    #: pair, with or without images) or "chaos" (both streams on one
-    #: media server, so a crash interrupts every stream at once)
-    document: str = "av+images"
-    #: the :func:`~repro.faults.scenarios.build_plan` key; "none" is the
-    #: empty plan
-    plan: str = "none"
-    #: provision a standby media server for failover
-    replica: bool = False
-    #: hand every session the DEFAULT_RETRY policy
-    retry: bool = False
-    #: HeartbeatMonitor kwargs per session (None = no heartbeats)
-    heartbeat: dict[str, Any] | None = None
-    #: run twice, shared flows off then on, and report the origin
-    #: egress A/B from the pair
-    egress_ab: bool = False
-
-
-_HEARTBEAT = {"interval_s": 0.5, "timeout_s": 0.4, "miss_limit": 2}
-
-
-def _chaos(name: str, description: str, **fields: Any) -> Scenario:
-    """A fault experiment: 8 viewers of the chaos document, retry on."""
-    fields = {"replica": True, "retry": True, **fields}
-    return Scenario(name=name, description=description, n_clients=8,
-                    seed=23, smoke_clients=4, smoke_duration_s=4.0,
-                    document="chaos", plan=name, **fields)
-
-
-SCENARIOS: dict[str, Scenario] = {
-    s.name: s
-    for s in (
-        Scenario(
-            name="population_clean",
-            description="synchronized A/V population, impairment-free",
-        ),
-        Scenario(
-            name="population_lossy",
-            description="same population over a bursty-loss access link",
-            config={"loss_p_gb": 0.05, "loss_bad": 0.3},
-        ),
-        Scenario(
-            name="cdn_hot",
-            description="2-region CDN, one hot document, shared-flow "
-                        "batching A/B (origin egress + QoE parity)",
-            topology="cdn",
-            n_clients=32,
-            stagger_s=0.0,
-            smoke_clients=8,
-            # admission must clear 32 concurrent viewers (batching
-            # shares delivery, not per-session contract reservations)
-            config={"admission_capacity_bps": 400e6},
-            document="av",  # one hot continuous A/V document
-            egress_ab=True,
-        ),
-        _chaos("none", "empty plan — the inertness baseline",
-               replica=False, retry=False),
-        _chaos("crash", "media server crashes mid-stream; replica failover"),
-        _chaos("flap", "server access link flaps under active streams",
-               replica=False),
-        _chaos("partition",
-               "control path partitions; RPC retry rides it out",
-               replica=False, heartbeat=_HEARTBEAT),
-        _chaos("combo", "impaired control, link flaps and a crash at once",
-               heartbeat=_HEARTBEAT),
-        _chaos("replica-crash",
-               "a regional edge replica crashes; its viewers fail over "
-               "to the origin",
-               topology="cdn",
-               replica=False),  # replicas come from the placement layer
-    )
-}
-
-
-def scenario_named(name: str) -> Scenario:
-    """The shipped scenario a command line names; UsageError if none."""
-    scenario = SCENARIOS.get(name)
-    if scenario is None:
-        raise UsageError(f"unknown scenario {name!r}; "
-                         f"available: {', '.join(sorted(SCENARIOS))}")
-    return scenario
+__all__ = ["ScenarioRun", "run_scenario", "bench_command"]
 
 
 @dataclass(slots=True)
@@ -160,36 +60,10 @@ class ScenarioRun:
 
 
 def _populate(scenario: Scenario, n_clients: int, duration_s: float,
-              seed: int, plan: Any, *, recovery: bool, retry: bool,
-              tracer: Any,
-              shared_flows: bool | None = None) -> tuple[Any, Any]:
+              seed: int, **options: Any) -> tuple[Any, Any]:
     """One engine, one population run; (engine, population)."""
-    from repro.core.config import EngineConfig
-    from repro.core.engine import ServiceEngine
-    from repro.core.experiments import av_markup
-    from repro.faults.scenarios import DEFAULT_RETRY, chaos_markup
-
-    config = dict(scenario.config)
-    if shared_flows is not None:
-        config["shared_flows"] = shared_flows
-    layers = None
-    if scenario.topology == "cdn":
-        from repro.net import cdn_stack
-
-        layers = cdn_stack(clients_per_region=max(1, n_clients // 2))
-    if scenario.document == "chaos":
-        document = (chaos_markup(duration_s), "chaos")
-    else:
-        document = (av_markup(duration_s, scenario.document == "av+images"),
-                    "bench")
-    eng = ServiceEngine(EngineConfig(seed=seed, **config), tracer=tracer,
-                        layers=layers)
-    eng.add_server("srv1", documents={"doc": document})
-    eng.attach_timeseries()
-    if scenario.replica:
-        eng.add_media_replica("srv1", "media")
-    eng.install_faults(plan, retry=DEFAULT_RETRY if retry else None,
-                       recovery=recovery, heartbeat=scenario.heartbeat)
+    eng = build_engine(scenario, n_clients=n_clients,
+                       duration_s=duration_s, seed=seed, **options)
     pop = eng.orchestrator.run_population(
         n_clients, "srv1", "doc", stagger_s=scenario.stagger_s,
         horizon_s=HORIZON_S,
@@ -221,7 +95,6 @@ def run_scenario(name: str, *, smoke: bool, seed: int | None = None,
     :class:`~repro.ioutil.UsageError`.
     """
     from repro.faults.digest import population_digest
-    from repro.faults.scenarios import build_plan
 
     scenario = scenario_named(name)
     n = n_clients if n_clients is not None else (
@@ -237,14 +110,12 @@ def run_scenario(name: str, *, smoke: bool, seed: int | None = None,
             raise ValueError("pass tracer= or flight_dump=, not both")
         tracer = recorder = FlightRecorder(dump_path=flight_dump,
                                            max_events=None)
-    plan = build_plan(scenario.plan, n_clients=n,
-                      stagger_s=scenario.stagger_s, duration_s=duration)
     options = {"recovery": recovery, "retry": use_retry}
     unshared = None
     if scenario.egress_ab:
-        _, unshared = _populate(scenario, n, duration, seed, plan,
-                                tracer=None, shared_flows=False, **options)
-    eng, pop = _populate(scenario, n, duration, seed, plan, tracer=tracer,
+        _, unshared = _populate(scenario, n, duration, seed,
+                                shared_flows=False, **options)
+    eng, pop = _populate(scenario, n, duration, seed, tracer=tracer,
                          shared_flows=True if scenario.egress_ab else None,
                          **options)
     digest = population_digest(pop)
@@ -261,7 +132,7 @@ def run_scenario(name: str, *, smoke: bool, seed: int | None = None,
         "topology": scenario.topology,
         "recovery": recovery,
         "retry": use_retry,
-        "faults": plan.to_dict(),
+        "faults": eng.faults.plan.to_dict(),
         "sim_time_s": eng.sim.now,
         "events": eng.sim.events_fired,
         "sessions": len(pop),

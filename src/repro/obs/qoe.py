@@ -31,7 +31,7 @@ if TYPE_CHECKING:
     from repro.obs.tracer import TraceEvent
 
 __all__ = ["SessionQoE", "score", "score_session", "score_sessions",
-           "qoe_summary"]
+           "qoe_summary", "population_qoe"]
 
 #: latency histogram bounds shared by all QoE scorers
 LATENCY_BOUNDS = log_buckets(1e-4, 100.0, per_decade=9)
@@ -304,3 +304,11 @@ def qoe_summary(qoes: list[SessionQoE] | dict[str, SessionQoE]) -> dict:
         "frame_latency_p50_s": latency.summary(),
         **totals,
     }
+
+
+def population_qoe(qoe_docs: Iterable[Mapping[str, Any]]) -> dict:
+    """:func:`qoe_summary` over sessions' QoE documents, skipping a
+    session without one; empty when none carries one. A population run
+    and a merged sharded run report through this one rollup."""
+    qoes = [SessionQoE.from_dict(doc) for doc in qoe_docs if doc]
+    return qoe_summary(qoes) if qoes else {}

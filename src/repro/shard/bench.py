@@ -18,11 +18,13 @@ path where one controller sees every session.
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
+from repro.faults.scenarios import SCENARIOS, Scenario
 from repro.obs import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
-from repro.shard.plan import ShardPlan, ShardWorkload
+from repro.shard.plan import ShardPlan
 from repro.shard.result import ShardedRunResult, ShardFailure, ShardStatus
 from repro.shard.supervisor import ShardSupervisor
 
@@ -36,6 +38,9 @@ __all__ = ["shard_workload", "run_sharded", "sharded_artifact",
 #: default N sweep of the scaling curve (>= 10^4 at the top)
 SCALE_POINTS = (64, 256, 1024, 10240)
 SCALE_SMOKE_POINTS = (8, 16, 32)
+#: the curve's lighter cell (see :func:`run_scale_curve`)
+SCALE_DURATION_S = 2.0
+SCALE_STAGGER_S = 0.25
 
 #: default per-cell EngineConfig overrides (see module docstring)
 DEFAULT_CELL_CONFIG = {"admission_capacity_bps": 400e6}
@@ -43,18 +48,15 @@ DEFAULT_CELL_CONFIG = {"admission_capacity_bps": 400e6}
 
 def shard_workload(duration_s: float = 6.0, stagger_s: float = 0.4,
                    with_images: bool = True,
-                   config: dict[str, Any] | None = None,
-                   **kwargs: Any) -> ShardWorkload:
-    """The standard bench workload (population_clean's A/V document)."""
-    from repro.core.experiments import av_markup
-
-    cfg = dict(DEFAULT_CELL_CONFIG)
-    if config:
-        cfg.update(config)
-    return ShardWorkload(
-        markup=av_markup(duration_s, with_images),
-        stagger_s=stagger_s, config=cfg, **kwargs,
-    )
+                   config: dict[str, Any] | None = None) -> Scenario:
+    """The standard bench workload: population_clean's A/V document at
+    this duration and stagger, under :data:`DEFAULT_CELL_CONFIG` plus
+    ``config``."""
+    return dataclasses.replace(
+        SCENARIOS["population_clean"], duration_s=duration_s,
+        stagger_s=stagger_s,
+        document="av+images" if with_images else "av",
+        config={**DEFAULT_CELL_CONFIG, **(config or {})})
 
 
 def run_sharded(
@@ -65,14 +67,13 @@ def run_sharded(
     cell_clients: int = 8,
     duration_s: float = 6.0,
     stagger_s: float = 0.4,
-    with_images: bool = True,
-    config: dict[str, Any] | None = None,
-    workload: ShardWorkload | None = None,
+    workload: Scenario | None = None,
     tolerate_failures: bool = False,
     tracer: Any | None = None,
     **supervisor_kwargs: Any,
 ) -> ShardedRunResult:
-    """One supervised sharded population run.
+    """One supervised sharded population run of ``workload`` (default:
+    :func:`shard_workload` at ``duration_s`` and ``stagger_s``).
 
     Raises :class:`~repro.shard.result.ShardFailure` when shards fail
     permanently and ``tolerate_failures`` is off.
@@ -80,8 +81,7 @@ def run_sharded(
     plan = ShardPlan(n_clients=n_clients, n_shards=n_shards,
                      cell_clients=cell_clients, seed=seed)
     if workload is None:
-        workload = shard_workload(duration_s, stagger_s, with_images,
-                                  config)
+        workload = shard_workload(duration_s, stagger_s)
     supervisor = ShardSupervisor(
         plan, workload, tolerate_failures=tolerate_failures,
         tracer=tracer, **supervisor_kwargs,
@@ -99,7 +99,7 @@ def sharded_artifact(result: ShardedRunResult, *, smoke: bool = False,
     completed, qoe, service, timeseries) plus the sharding extras:
     digest, completeness, shard lifecycle.
     """
-    from repro.shard.merge import qoe_summary_of
+    from repro.obs.qoe import population_qoe
 
     events_per_sec = (result.events / result.wall_s
                       if result.wall_s > 0 else 0.0)
@@ -122,7 +122,8 @@ def sharded_artifact(result: ShardedRunResult, *, smoke: bool = False,
         "events_per_sec": events_per_sec,
         "sessions": result.sessions(),
         "completed": result.completed_sessions(),
-        "qoe": qoe_summary_of(result.merged),
+        "qoe": population_qoe(o["result"].get("qoe")
+                              for o in result.merged["outcomes"]),
         "digest": result.digest,
         "completeness": result.completeness,
         "cells_total": result.cells_total,
@@ -138,19 +139,9 @@ def sharded_artifact(result: ShardedRunResult, *, smoke: bool = False,
     return artifact
 
 
-def run_scale_curve(
-    points: tuple[int, ...] | list[int] | None = None,
-    *,
-    n_shards: int = 4,
-    seed: int = 11,
-    cell_clients: int = 8,
-    duration_s: float = 2.0,
-    stagger_s: float = 0.25,
-    smoke: bool = False,
-    tolerate_failures: bool = False,
-    progress: Callable[[dict[str, Any]], None] | None = None,
-    **supervisor_kwargs: Any,
-) -> dict[str, Any]:
+def run_scale_curve(*, n_shards: int = 4, seed: int = 11,
+                    cell_clients: int = 8, smoke: bool = False,
+                    tolerate_failures: bool = False) -> dict[str, Any]:
     """Sweep population sizes; the scaling-curve artifact.
 
     The curve uses a lighter cell than the headline bench (short
@@ -160,15 +151,14 @@ def run_scale_curve(
     metrics mirror the largest point so the gate and the report read
     it like any bench artifact.
     """
-    if points is None:
-        points = SCALE_SMOKE_POINTS if smoke else SCALE_POINTS
-    workload = shard_workload(duration_s, stagger_s, with_images=False)
+    points = SCALE_SMOKE_POINTS if smoke else SCALE_POINTS
+    workload = shard_workload(SCALE_DURATION_S, SCALE_STAGGER_S,
+                              with_images=False)
     rows: list[dict[str, Any]] = []
     for n in points:
         result = run_sharded(
             n, n_shards, seed=seed, cell_clients=cell_clients,
             workload=workload, tolerate_failures=tolerate_failures,
-            **supervisor_kwargs,
         )
         rows.append({
             "clients": n,
@@ -182,8 +172,6 @@ def run_scale_curve(
             "completeness": result.completeness,
             "digest": result.digest,
         })
-        if progress is not None:
-            progress(rows[-1])
     top = rows[-1]
     return {
         "schema": BENCH_SCHEMA,
@@ -196,7 +184,7 @@ def run_scale_curve(
         "seed": seed,
         "shards": n_shards,
         "cell_clients": cell_clients,
-        "duration_s": duration_s,
+        "duration_s": SCALE_DURATION_S,
         "topology": "star",
         "points": rows,
         # headline = the largest point, for the gate and the report

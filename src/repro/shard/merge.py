@@ -29,7 +29,6 @@ __all__ = [
     "session_index",
     "merge_population_docs",
     "merge_cell_docs",
-    "qoe_summary_of",
 ]
 
 
@@ -98,19 +97,3 @@ def merge_cell_docs(cell_docs: list[dict[str, Any]]) -> dict[str, Any]:
             [d["service"] for d in docs], series)
         merged["timeseries"] = series
     return merged
-
-
-def qoe_summary_of(merged: dict[str, Any]) -> dict[str, Any]:
-    """Population QoE rollup over a merged doc's outcome QoE dicts.
-
-    :meth:`PopulationResult.qoe_summary` over outcome documents, so a
-    sharded run reports the same percentiles a monolithic run would.
-    Empty when no outcome carries a QoE dict.
-    """
-    from repro.obs.qoe import SessionQoE, qoe_summary
-
-    qoes = [SessionQoE.from_dict(o["result"]["qoe"],
-                                 o.get("session_id", ""))
-            for o in merged.get("outcomes", [])
-            if o.get("result", {}).get("qoe")]
-    return qoe_summary(qoes) if qoes else {}

@@ -19,11 +19,11 @@ backoff jitter — it never touches simulation results).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ShardPlan", "ShardWorkload"]
+__all__ = ["ShardPlan"]
 
 #: spawn-key namespaces (cell engines vs supervisor jitter streams)
 _CELL_KEY = 0
@@ -93,53 +93,3 @@ class ShardPlan:
     def to_dict(self) -> dict:
         return {"n_clients": self.n_clients, "n_shards": self.n_shards,
                 "cell_clients": self.cell_clients, "seed": self.seed}
-
-
-@dataclass(frozen=True, slots=True)
-class ShardWorkload:
-    """What every cell runs: the document, the shape, the fault plan.
-
-    Pure picklable data — worker processes rebuild engines from it.
-    ``config`` holds :class:`~repro.core.config.EngineConfig` keyword
-    overrides (never ``seed``; seeds come from the plan per cell).
-
-    The ``fail_*`` / ``hang_*`` / ``cell_delay_s`` fields are
-    supervised-crash test hooks: they make a worker die (``os._exit``)
-    or go silent at a deterministic point so the retry and timeout
-    paths can be drilled without races.
-    """
-
-    markup: str
-    document: str = "doc"
-    topic: str = "bench"
-    server: str = "srv1"
-    contract: str = "basic"
-    stagger_s: float = 0.4
-    horizon_s: float = 600.0
-    config: dict = field(default_factory=dict)
-    #: FaultPlan.to_dict() form, installed in every cell (None = none)
-    fault_plan: dict | None = None
-    # -- crash-drill hooks ---------------------------------------------------
-    #: shard that dies (os._exit) after sending ``fault_after_cells``
-    fail_shard: int | None = None
-    #: attempts (1-based) on which the failure fires; later retries run
-    fail_attempts: int = 1
-    #: shard that goes silent (stops heartbeats, sleeps) instead
-    hang_shard: int | None = None
-    hang_attempts: int = 1
-    fault_after_cells: int = 1
-    #: wall-clock pause after each cell (widens kill-race windows)
-    cell_delay_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if "seed" in self.config:
-            raise ValueError(
-                "workload config must not carry a seed: cell seeds come "
-                "from the ShardPlan's seed streams")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardWorkload":
-        return cls(**data)

@@ -46,8 +46,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.faults.scenarios import Scenario
 from repro.shard.merge import empty_population_doc, merge_cell_docs
-from repro.shard.plan import ShardPlan, ShardWorkload
+from repro.shard.plan import ShardPlan
 from repro.shard.result import ShardedRunResult, ShardFailure, ShardStatus
 from repro.shard.worker import import_cell_modules, worker_main
 
@@ -81,7 +82,7 @@ class ShardSupervisor:
     def __init__(
         self,
         plan: ShardPlan,
-        workload: ShardWorkload,
+        workload: Scenario,
         *,
         max_retries: int = 2,
         heartbeat_interval_s: float = 0.5,

@@ -34,7 +34,7 @@ import traceback
 from multiprocessing import connection as mp_connection
 from typing import Any
 
-from repro.shard.plan import ShardWorkload
+from repro.faults.scenarios import HORIZON_S, Scenario, build_engine
 
 __all__ = ["import_cell_modules", "run_cell", "worker_main"]
 
@@ -48,62 +48,54 @@ def import_cell_modules() -> None:
     imported at module level: building a supervisor stays as cheap as
     it was.
     """
-    import repro.faults.digest  # noqa: F401
+    import repro.core.experiments  # noqa: F401
     import repro.obs.qoe  # noqa: F401
     import repro.obs.service_metrics  # noqa: F401
     import repro.obs.timeseries  # noqa: F401
 
 
-def run_cell(workload: ShardWorkload, cell: int, lo: int, hi: int,
+def run_cell(workload: Scenario, cell: int, lo: int, hi: int,
              seed: int) -> dict[str, Any]:
-    """Run one cell as a complete engine; return its picklable doc.
+    """Run one cell, the ``[lo, hi)`` slice of ``workload``'s
+    population, on the engine ``build_engine`` gives every population
+    run; return its picklable doc.
 
     Clients carry their *global* identity — node ``client{g+1}``,
     user ``viewer{g+1}`` and (post-run) session ``sess-{g+1}`` for
     global index ``g`` — so merged outcome lists read exactly like a
-    monolithic population run. Start times are cell-local
-    (``local_index * stagger_s``): every cell is its own arrival
-    wave, which keeps a cell's dynamics independent of its position
-    in the population.
+    monolithic population run. Start times and the fault plan are
+    cell-local (``local_index * stagger_s``; the plan at ``hi - lo``
+    viewers): every cell is its own arrival wave, which keeps a cell's
+    dynamics independent of its position in the population.
     """
-    from repro.core.config import EngineConfig
-    from repro.core.engine import ServiceEngine
     from repro.core.orchestrator import PopulationResult, SessionSpec
     from repro.faults.digest import population_digest
     from repro.obs.service_metrics import service_doc
 
-    eng = ServiceEngine(EngineConfig(seed=seed, **dict(workload.config)))
-    eng.add_server(
-        workload.server,
-        documents={workload.document: (workload.markup, workload.topic)},
-    )
-    sampler = eng.attach_timeseries()
-    if workload.fault_plan is not None:
-        from repro.faults.plan import FaultPlan
-
-        eng.install_faults(FaultPlan.from_dict(workload.fault_plan))
+    if workload.topology != "star":
+        raise ValueError(f"a cell adds its viewers at the core router: "
+                         f"topology {workload.topology!r} cannot be sharded")
+    eng = build_engine(workload, n_clients=hi - lo,
+                       duration_s=workload.duration_s, seed=seed)
     specs = []
     for j, g in enumerate(range(lo, hi)):
         eng.add_client(node_id=f"client{g + 1}")
         specs.append(SessionSpec(
-            server=workload.server, document=workload.document,
-            user_id=f"viewer{g + 1}", contract=workload.contract,
-            start_at=j * workload.stagger_s,
-            client_node=f"client{g + 1}",
+            server="srv1", document="doc", user_id=f"viewer{g + 1}",
+            start_at=j * workload.stagger_s, client_node=f"client{g + 1}",
         ))
     t0 = time.perf_counter()
     pop = PopulationResult(eng.orchestrator.run_workload(
-        specs, horizon_s=workload.horizon_s))
+        specs, horizon_s=HORIZON_S))
     wall_s = time.perf_counter() - t0
-    if eng.faults is not None:
-        eng.faults.stop()
+    eng.faults.stop()
     # Per-engine session ids restart at sess-1; rewrite them to the
     # session's global index so merged outcomes are unambiguous.
     for j, outcome in enumerate(pop.outcomes):
         outcome.session_id = f"sess-{lo + j + 1}"
         outcome.result.qoe["session"] = outcome.session_id
     pop_doc = pop.to_dict()
-    series_doc = sampler.series.to_dict()
+    series_doc = eng.timeseries_sampler.series.to_dict()
     return {
         "cell": cell,
         "lo": lo,
@@ -134,7 +126,7 @@ def _heartbeat_loop(conn: mp_connection.Connection, lock: threading.Lock,
             return
 
 
-def worker_main(conn: mp_connection.Connection, workload: ShardWorkload,
+def worker_main(conn: mp_connection.Connection, workload: Scenario,
                 shard: int, attempt: int,
                 cells: list[tuple[int, int, int, int]],
                 hb_interval_s: float) -> None:
@@ -156,26 +148,9 @@ def worker_main(conn: mp_connection.Connection, workload: ShardWorkload,
     ).start()
     try:
         t0 = time.perf_counter()
-        done_cells = 0
         for cell, lo, hi, seed in cells:
-            if (workload.hang_shard == shard
-                    and attempt <= workload.hang_attempts
-                    and done_cells >= workload.fault_after_cells):
-                stop.set()  # go silent: no heartbeats, no progress
-                while True:
-                    time.sleep(3600.0)
             doc = run_cell(workload, cell, lo, hi, seed)
-            if workload.cell_delay_s > 0:
-                time.sleep(workload.cell_delay_s)
             _send(conn, lock, ("cell", shard, attempt, doc))
-            done_cells += 1
-            if (workload.fail_shard == shard
-                    and attempt <= workload.fail_attempts
-                    and done_cells >= workload.fault_after_cells):
-                # Simulated hard crash. send() already returned, so
-                # the cell's frame is fully in the pipe — the drill
-                # tests supervision, not stream corruption.
-                os._exit(17)
         _send(conn, lock, ("done", shard, attempt,
                            time.perf_counter() - t0))
         stop.set()

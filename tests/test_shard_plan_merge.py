@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.digest import population_digest
+from repro.obs.qoe import population_qoe
 from repro.shard.bench import shard_workload
 from repro.shard.merge import (
     empty_population_doc,
     merge_cell_docs,
     merge_population_docs,
-    qoe_summary_of,
     session_index,
 )
 from repro.shard.plan import ShardPlan
@@ -188,4 +188,5 @@ def test_cell_scores_its_sessions_without_a_tracer():
         qoe = outcome["result"]["qoe"]
         assert qoe["session"] == outcome["session_id"]
         assert qoe["frames_played"] > 0 and qoe["score"] > 0
-    assert qoe_summary_of(doc["population"])["sessions"] == 4
+    assert population_qoe(o["result"]["qoe"] for o in outcomes)[
+        "sessions"] == 4
