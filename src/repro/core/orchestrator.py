@@ -15,6 +15,7 @@ structured :class:`SessionOutcome` records.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -415,6 +416,7 @@ class SessionOrchestrator:
         stagger_s: float = 0.5,
         interarrival_mean_s: float | None = None,
         horizon_s: float = 600.0,
+        first: int = 0,
     ) -> PopulationResult:
         """Run one viewer per client host, each on its own access link.
 
@@ -431,8 +433,19 @@ class SessionOrchestrator:
         ``stagger_s`` unless ``interarrival_mean_s`` sets a Poisson
         arrival process (seeded from the engine's RNG registry, so
         runs replay identically).
+
+        ``first`` is the global index of the first viewer when this run
+        is a slice of a larger population on its own engine (a shard
+        cell): viewer ``i`` is host ``client{first+i+1}``, user
+        ``viewer{first+i+1}`` and session ``sess-{first+i+1}``, so
+        slices merge into the outcome list of one whole run.
         """
-        nodes = self.engine.client_nodes(n_clients)
+        if first:
+            nodes = [self.engine.add_client(f"client{first + i + 1}")
+                     for i in range(n_clients)]
+            self.engine._session_ids = itertools.count(first + 1)
+        else:
+            nodes = self.engine.client_nodes(n_clients)
         documents = ([document] if isinstance(document, str)
                      else list(document))
         contracts = ([contract] if isinstance(contract, str)
@@ -447,7 +460,7 @@ class SessionOrchestrator:
             SessionSpec(
                 server=server_name,
                 document=documents[i % len(documents)],
-                user_id=f"viewer{i + 1}",
+                user_id=f"viewer{first + i + 1}",
                 contract=contracts[i % len(contracts)],
                 start_at=starts[i],
                 client_node=nodes[i],

@@ -4,10 +4,11 @@ the one builder of its engine.
 A scenario is one population of viewers on one network, watching one
 document under one fault plan. The plan is empty for the three service
 baselines and non-empty for the chaos runs. :data:`SCENARIOS` is the
-one table and :func:`build_engine` the one engine builder, shared by
-both ways of running a population: one engine
-(:func:`repro.obs.bench.run_scenario`) and cells under a supervisor
-(:func:`repro.shard.worker.run_cell`, which runs a ``Scenario`` slice).
+one table, :func:`build_engine` the one engine builder and
+:func:`populate` the one population run, shared by both ways of
+running a population: one engine (:func:`repro.obs.bench.run_scenario`)
+and cells under a supervisor (:func:`repro.shard.worker.run_cell`,
+which populates a slice).
 The chaos document keeps its continuous media on a single media server
 (``media:``), so a scheduled crash interrupts every active stream at
 once.
@@ -29,7 +30,8 @@ from repro.faults.plan import (
 from repro.ioutil import UsageError
 
 __all__ = ["Scenario", "SCENARIOS", "HORIZON_S", "DEFAULT_RETRY",
-           "scenario_named", "build_engine", "chaos_markup", "build_plan"]
+           "scenario_named", "build_engine", "populate", "chaos_markup",
+           "build_plan"]
 
 #: how long a population may run before its open sessions are cut
 HORIZON_S = 600.0
@@ -177,6 +179,22 @@ def build_engine(scenario: Scenario, *, n_clients: int, duration_s: float,
     eng.install_faults(plan, retry=DEFAULT_RETRY if use_retry else None,
                        recovery=recovery, heartbeat=scenario.heartbeat)
     return eng
+
+
+def populate(scenario: Scenario, n_clients: int, duration_s: float,
+             seed: int, *, first: int = 0,
+             **options: Any) -> tuple[Any, Any]:
+    """One engine from :func:`build_engine` (``options`` go there), one
+    ``run_population`` of ``n_clients`` viewers, the first of them at
+    global index ``first``; (engine, population)."""
+    eng = build_engine(scenario, n_clients=n_clients,
+                       duration_s=duration_s, seed=seed, **options)
+    pop = eng.orchestrator.run_population(
+        n_clients, "srv1", "doc", stagger_s=scenario.stagger_s,
+        horizon_s=HORIZON_S, first=first,
+    )
+    eng.faults.stop()
+    return eng, pop
 
 
 def chaos_markup(duration_s: float = 6.0) -> str:

@@ -1,8 +1,8 @@
 """The scenario runner, behind ``python -m repro bench``.
 
 :func:`run_scenario` runs one row of the scenario table
-(:data:`repro.faults.scenarios.SCENARIOS`) on one engine, built by the
-table's :func:`~repro.faults.scenarios.build_engine`, and every run
+(:data:`repro.faults.scenarios.SCENARIOS`) on one engine, through the
+table's :func:`~repro.faults.scenarios.populate`, and every run
 emits one ``BENCH_<name>.json`` artifact. Nothing in it is timed (host
 speed is ``benchmarks/e2e``'s job; only the sharded ``--clients`` /
 ``--scale-curve`` path keeps a wall clock), so the artifact is a pure
@@ -21,13 +21,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.faults.scenarios import (
-    HORIZON_S,
-    SCENARIOS,
-    Scenario,
-    build_engine,
-    scenario_named,
-)
+from repro.faults.scenarios import SCENARIOS, populate, scenario_named
 from repro.ioutil import UsageError
 from repro.obs import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
 from repro.obs.slo import (
@@ -57,19 +51,6 @@ class ScenarioRun:
     flight_recorder: Any = None
     #: the engine of the reported run, for end-of-run invariant checks
     engine: Any = None
-
-
-def _populate(scenario: Scenario, n_clients: int, duration_s: float,
-              seed: int, **options: Any) -> tuple[Any, Any]:
-    """One engine, one population run; (engine, population)."""
-    eng = build_engine(scenario, n_clients=n_clients,
-                       duration_s=duration_s, seed=seed, **options)
-    pop = eng.orchestrator.run_population(
-        n_clients, "srv1", "doc", stagger_s=scenario.stagger_s,
-        horizon_s=HORIZON_S,
-    )
-    eng.faults.stop()
-    return eng, pop
 
 
 def run_scenario(name: str, *, smoke: bool, seed: int | None = None,
@@ -113,11 +94,11 @@ def run_scenario(name: str, *, smoke: bool, seed: int | None = None,
     options = {"recovery": recovery, "retry": use_retry}
     unshared = None
     if scenario.egress_ab:
-        _, unshared = _populate(scenario, n, duration, seed,
-                                shared_flows=False, **options)
-    eng, pop = _populate(scenario, n, duration, seed, tracer=tracer,
-                         shared_flows=True if scenario.egress_ab else None,
-                         **options)
+        _, unshared = populate(scenario, n, duration, seed,
+                               shared_flows=False, **options)
+    eng, pop = populate(scenario, n, duration, seed, tracer=tracer,
+                        shared_flows=True if scenario.egress_ab else None,
+                        **options)
     digest = population_digest(pop)
     artifact: dict[str, Any] = {
         "schema": BENCH_SCHEMA,

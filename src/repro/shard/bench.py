@@ -47,16 +47,14 @@ DEFAULT_CELL_CONFIG = {"admission_capacity_bps": 400e6}
 
 
 def shard_workload(duration_s: float = 6.0, stagger_s: float = 0.4,
-                   with_images: bool = True,
-                   config: dict[str, Any] | None = None) -> Scenario:
+                   with_images: bool = True) -> Scenario:
     """The standard bench workload: population_clean's A/V document at
-    this duration and stagger, under :data:`DEFAULT_CELL_CONFIG` plus
-    ``config``."""
+    this duration and stagger, under :data:`DEFAULT_CELL_CONFIG`."""
     return dataclasses.replace(
         SCENARIOS["population_clean"], duration_s=duration_s,
         stagger_s=stagger_s,
         document="av+images" if with_images else "av",
-        config={**DEFAULT_CELL_CONFIG, **(config or {})})
+        config=dict(DEFAULT_CELL_CONFIG))
 
 
 def run_sharded(
@@ -65,23 +63,30 @@ def run_sharded(
     *,
     seed: int = 11,
     cell_clients: int = 8,
-    duration_s: float = 6.0,
-    stagger_s: float = 0.4,
+    duration_s: float | None = None,
+    stagger_s: float | None = None,
     workload: Scenario | None = None,
     tolerate_failures: bool = False,
     tracer: Any | None = None,
     **supervisor_kwargs: Any,
 ) -> ShardedRunResult:
     """One supervised sharded population run of ``workload`` (default:
-    :func:`shard_workload` at ``duration_s`` and ``stagger_s``).
+    :func:`shard_workload` at ``duration_s`` and ``stagger_s``, 6.0 and
+    0.4 unless given). A ``workload`` carries its own duration and
+    stagger, so passing either beside it is a ``ValueError``.
 
     Raises :class:`~repro.shard.result.ShardFailure` when shards fail
     permanently and ``tolerate_failures`` is off.
     """
+    if workload is None:
+        workload = shard_workload(
+            6.0 if duration_s is None else duration_s,
+            0.4 if stagger_s is None else stagger_s)
+    elif duration_s is not None or stagger_s is not None:
+        raise ValueError("a workload carries its own duration_s and "
+                         "stagger_s: pass neither with workload=")
     plan = ShardPlan(n_clients=n_clients, n_shards=n_shards,
                      cell_clients=cell_clients, seed=seed)
-    if workload is None:
-        workload = shard_workload(duration_s, stagger_s)
     supervisor = ShardSupervisor(
         plan, workload, tolerate_failures=tolerate_failures,
         tracer=tracer, **supervisor_kwargs,
@@ -90,8 +95,7 @@ def run_sharded(
 
 
 def sharded_artifact(result: ShardedRunResult, *, smoke: bool = False,
-                     duration_s: float = 6.0,
-                     name: str = "population_shard") -> dict[str, Any]:
+                     duration_s: float = 6.0) -> dict[str, Any]:
     """A ``repro.bench`` artifact for one sharded point.
 
     Carries the standard trajectory keys (wall_s, events — kernel
@@ -106,8 +110,8 @@ def sharded_artifact(result: ShardedRunResult, *, smoke: bool = False,
     artifact: dict[str, Any] = {
         "schema": BENCH_SCHEMA,
         "version": BENCH_SCHEMA_VERSION,
-        "name": name,
-        "scenario": name,
+        "name": "population_shard",
+        "scenario": "population_shard",
         "description": "supervised sharded population run",
         "smoke": smoke,
         "seed": result.seed,

@@ -87,13 +87,14 @@ def merge_cell_docs(cell_docs: list[dict[str, Any]]) -> dict[str, Any]:
 
     merged: dict[str, Any] = dict(pop)
     # a cell's service document is read off its series: both or neither
-    series_docs = [d["timeseries"] for d in docs if d.get("timeseries")]
+    cells = [d["population"] for d in docs]
+    series_docs = [c["timeseries"] for c in cells if c.get("timeseries")]
     if series_docs:
         from repro.obs.service_metrics import merge_service_docs
         from repro.obs.timeseries import merge_series_docs
 
         series = merge_series_docs(series_docs)
         merged["service"] = merge_service_docs(
-            [d["service"] for d in docs], series)
+            [c["service"] for c in cells], series)
         merged["timeseries"] = series
     return merged

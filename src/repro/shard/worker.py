@@ -34,7 +34,7 @@ import traceback
 from multiprocessing import connection as mp_connection
 from typing import Any
 
-from repro.faults.scenarios import HORIZON_S, Scenario, build_engine
+from repro.faults.scenarios import Scenario, populate
 
 __all__ = ["import_cell_modules", "run_cell", "worker_main"]
 
@@ -57,55 +57,34 @@ def import_cell_modules() -> None:
 def run_cell(workload: Scenario, cell: int, lo: int, hi: int,
              seed: int) -> dict[str, Any]:
     """Run one cell, the ``[lo, hi)`` slice of ``workload``'s
-    population, on the engine ``build_engine`` gives every population
-    run; return its picklable doc.
+    population, through the ``populate`` step every population run
+    takes; return its picklable doc.
 
-    Clients carry their *global* identity — node ``client{g+1}``,
-    user ``viewer{g+1}`` and (post-run) session ``sess-{g+1}`` for
-    global index ``g`` — so merged outcome lists read exactly like a
-    monolithic population run. Start times and the fault plan are
-    cell-local (``local_index * stagger_s``; the plan at ``hi - lo``
-    viewers): every cell is its own arrival wave, which keeps a cell's
-    dynamics independent of its position in the population.
+    The slice is ``run_population`` from global index ``lo``: clients
+    carry their *global* identity — node ``client{g+1}``, user
+    ``viewer{g+1}`` and session ``sess-{g+1}`` for global index ``g``
+    — so merged outcome lists read exactly like a monolithic
+    population run. Start times and the fault plan are cell-local
+    (``local_index * stagger_s``; the plan at ``hi - lo`` viewers):
+    every cell is its own arrival wave, which keeps a cell's dynamics
+    independent of its position in the population. The doc's
+    ``population`` is the population document, ``service`` and
+    ``timeseries`` inline; ``wall_s`` times the whole cell, engine
+    build included.
     """
-    from repro.core.orchestrator import PopulationResult, SessionSpec
-    from repro.faults.digest import population_digest
-    from repro.obs.service_metrics import service_doc
-
     if workload.topology != "star":
         raise ValueError(f"a cell adds its viewers at the core router: "
                          f"topology {workload.topology!r} cannot be sharded")
-    eng = build_engine(workload, n_clients=hi - lo,
-                       duration_s=workload.duration_s, seed=seed)
-    specs = []
-    for j, g in enumerate(range(lo, hi)):
-        eng.add_client(node_id=f"client{g + 1}")
-        specs.append(SessionSpec(
-            server="srv1", document="doc", user_id=f"viewer{g + 1}",
-            start_at=j * workload.stagger_s, client_node=f"client{g + 1}",
-        ))
     t0 = time.perf_counter()
-    pop = PopulationResult(eng.orchestrator.run_workload(
-        specs, horizon_s=HORIZON_S))
-    wall_s = time.perf_counter() - t0
-    eng.faults.stop()
-    # Per-engine session ids restart at sess-1; rewrite them to the
-    # session's global index so merged outcomes are unambiguous.
-    for j, outcome in enumerate(pop.outcomes):
-        outcome.session_id = f"sess-{lo + j + 1}"
-        outcome.result.qoe["session"] = outcome.session_id
-    pop_doc = pop.to_dict()
-    series_doc = eng.timeseries_sampler.series.to_dict()
+    eng, pop = populate(workload, hi - lo, workload.duration_s, seed,
+                        first=lo)
     return {
         "cell": cell,
         "lo": lo,
         "hi": hi,
-        "population": pop_doc,
-        "service": service_doc(eng, series_doc),
-        "timeseries": series_doc,
+        "population": pop.to_dict(),
         "events": eng.sim.events_fired,
-        "wall_s": wall_s,
-        "digest": population_digest(pop_doc),
+        "wall_s": time.perf_counter() - t0,
     }
 
 

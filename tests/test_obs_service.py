@@ -1,6 +1,7 @@
 """Service telemetry: Histogram.merge, the service document, determinism."""
 
 import copy
+import dataclasses
 import itertools
 import json
 
@@ -252,10 +253,11 @@ def _scenario(name):
 
 
 def _sharded(n_clients, n_shards, **config):
-    merged = run_sharded(
-        n_clients, n_shards, seed=7, cell_clients=4,
-        workload=shard_workload(duration_s=1.5, stagger_s=0.25,
-                                config=config or None)).merged
+    workload = shard_workload(duration_s=1.5, stagger_s=0.25)
+    workload = dataclasses.replace(workload,
+                                   config={**workload.config, **config})
+    merged = run_sharded(n_clients, n_shards, seed=7, cell_clients=4,
+                         workload=workload).merged
     return merged["service"], merged["timeseries"]
 
 

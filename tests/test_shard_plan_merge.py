@@ -151,7 +151,8 @@ def test_real_cell_merge_is_order_independent():
     # splitting the fold differently must not matter either: the
     # canonical sort inside merge_cell_docs is what the supervisor
     # relies on when shards deliver cells in arbitrary order
-    assert len({d["digest"] for d in docs}) == len(docs)
+    assert len({population_digest(d["population"]) for d in docs}) == \
+        len(docs)
 
 
 # -- a cell carries no recorder ------------------------------------------------
