@@ -26,12 +26,9 @@ from repro.analysis.report import Reporter
 from repro.analysis.tracerules import TRACE_RULES, extract_emit_sites
 from repro.analysis.scenario_rules import (
     SCENARIO_RULES,
-    BandwidthVerdict,
     ScenarioSet,
     analyze_document,
     analyze_set,
-    bandwidth_profile,
-    check_bandwidth,
 )
 from repro.analysis.stats import mean_ci
 from repro.analysis.tables import render_series, render_table
@@ -41,7 +38,6 @@ __all__ = [
     "SCENARIO_RULES",
     "TAINT_RULES",
     "TRACE_RULES",
-    "BandwidthVerdict",
     "Diagnostic",
     "PyProgram",
     "Reporter",
@@ -52,8 +48,6 @@ __all__ = [
     "SourceSpan",
     "analyze_document",
     "analyze_set",
-    "bandwidth_profile",
-    "check_bandwidth",
     "exit_code",
     "extract_emit_sites",
     "github_annotations",

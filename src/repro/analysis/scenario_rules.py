@@ -26,17 +26,15 @@ streaming:
     on servers outside the analyzed corpus.
 
 ``scenario-bandwidth``
-    Static bandwidth feasibility: the worst-case concurrent-bandwidth
-    step function (codec best-grade rates from
-    :func:`repro.media.encodings.default_registry` over playout
-    intervals) must fit the declared access capacity. This is the
-    authoring-time mirror of the flow scheduler's admission charge:
-    :meth:`FlowScenario.peak_rate_bps` computes the identical peak at
-    grade 0, so the static verdict and the runtime admission decision
-    agree by construction. If only quality-grade degradation (every
-    gradable stream at its ladder's bottom rung) makes the peak fit,
-    the finding downgrades to a warning — admission would still admit
-    the session, negotiated down toward its floor.
+    The document's charge, the peak of
+    :func:`repro.model.sync.check_bandwidth` (an open-ended stream is
+    charged from its start and never released), must fit the declared
+    capacity. The server charges ``request-doc`` with the same function,
+    so against a contract's admission limit (capacity times the
+    contract's share: all of it at ``open_fraction=1``) the verdict is
+    what an otherwise empty server decides. A warning (fits only at the
+    bottom rungs) is a session with a floor negotiated down; an error
+    is a refusal, with this rule's message as its reason.
 """
 
 from __future__ import annotations
@@ -52,16 +50,17 @@ from repro.analysis.diagnostics import (
     SourceSpan,
 )
 from repro.hml.ast import HmlDocument, HyperLink
-from repro.media.encodings import CodecRegistry, default_registry
-from repro.model.sync import PlayoutEntry, build_playout_schedule
+from repro.model.sync import (
+    PlayoutEntry,
+    build_playout_schedule,
+    check_bandwidth,
+    scenario_duration,
+)
 
 __all__ = [
     "SCENARIO_RULES",
     "ScenarioSet",
     "ScenarioContext",
-    "BandwidthVerdict",
-    "bandwidth_profile",
-    "check_bandwidth",
     "analyze_document",
     "analyze_set",
 ]
@@ -103,7 +102,6 @@ class ScenarioContext:
     doc_name: str
     document: HmlDocument
     scenario_set: ScenarioSet
-    codecs: CodecRegistry
     schedule: list[PlayoutEntry] = field(default_factory=list)
 
     def span(self, detail: str = "") -> SourceSpan:
@@ -155,22 +153,12 @@ def _check_sync_intervals(ctx: ScenarioContext) -> Iterator[Diagnostic]:
 
 
 # ---------------------------------------------------------------- links
-def _scenario_end(schedule: list[PlayoutEntry]) -> float | None:
-    """Latest known media end; None when any entry is open-ended."""
-    ends: list[float] = []
-    for entry in schedule:
-        if entry.end_time is None:
-            return None
-        ends.append(entry.end_time)
-    return max(ends) if ends else 0.0
-
-
 @SCENARIO_RULES.rule(
     "scenario-link-window",
     "a timed HLINK must fire inside the document's active interval",
 )
 def _check_link_window(ctx: ScenarioContext) -> Iterator[Diagnostic]:
-    end = _scenario_end(ctx.schedule)
+    end = scenario_duration(ctx.schedule)
     for link in ctx.document.hyperlinks():
         if link.at_time is None:
             continue
@@ -222,99 +210,6 @@ def _check_link_dangling(ctx: ScenarioContext) -> Iterator[Diagnostic]:
 
 
 # ------------------------------------------------------------ bandwidth
-@dataclass(frozen=True, slots=True)
-class BandwidthVerdict:
-    """Result of the static bandwidth-feasibility pass.
-
-    ``steps`` is the worst-case concurrent-bandwidth step function as
-    ``(time_s, total_bps)`` breakpoints at codec best grades;
-    ``degraded_peak_bps`` re-evaluates the peak with every gradable
-    stream at its ladder's bottom rung (the admission floor).
-    """
-
-    peak_bps: float
-    peak_time_s: float
-    degraded_peak_bps: float
-    capacity_bps: float | None
-    steps: tuple[tuple[float, float], ...]
-
-    @property
-    def feasible(self) -> bool:
-        return (self.capacity_bps is None
-                or self.peak_bps <= self.capacity_bps)
-
-    @property
-    def feasible_degraded(self) -> bool:
-        return (self.capacity_bps is None
-                or self.degraded_peak_bps <= self.capacity_bps)
-
-
-def _stream_rates(entry: PlayoutEntry,
-                  codecs: CodecRegistry) -> tuple[float, float]:
-    """(best-grade, bottom-rung) send rates for one schedule entry."""
-    if not entry.media_type.is_continuous:
-        return 0.0, 0.0
-    codec = codecs.default_for(entry.media_type)
-    best = float(codec.best.bitrate_bps)
-    floor = float(codec.worst.bitrate_bps) if codec.gradable else best
-    return best, floor
-
-
-def bandwidth_profile(
-    schedule: list[PlayoutEntry],
-    codecs: CodecRegistry | None = None,
-    degraded: bool = False,
-) -> list[tuple[float, float]]:
-    """Concurrent-bandwidth step function over the playout schedule.
-
-    Mirrors :meth:`FlowScenario.peak_rate_bps`: continuous streams
-    charge their nominal codec rate over ``[start, start+duration)``;
-    open-ended streams are charged from start to the scenario horizon
-    (conservatively: they never release bandwidth).
-    """
-    registry = codecs if codecs is not None else default_registry()
-    deltas: list[tuple[float, float]] = []
-    for entry in schedule:
-        best, floor = _stream_rates(entry, registry)
-        rate = floor if degraded else best
-        if rate <= 0:
-            continue
-        deltas.append((entry.start_time, rate))
-        if entry.end_time is not None:
-            deltas.append((entry.end_time, -rate))
-    deltas.sort()
-    steps: list[tuple[float, float]] = []
-    current = 0.0
-    for t, delta in deltas:
-        current += delta
-        if steps and steps[-1][0] == t:
-            steps[-1] = (t, current)
-        else:
-            steps.append((t, current))
-    return steps
-
-
-def check_bandwidth(
-    schedule: list[PlayoutEntry],
-    capacity_bps: float | None,
-    codecs: CodecRegistry | None = None,
-) -> BandwidthVerdict:
-    """Evaluate static feasibility of a playout schedule."""
-    registry = codecs if codecs is not None else default_registry()
-    steps = bandwidth_profile(schedule, registry)
-    peak_t, peak = 0.0, 0.0
-    for t, rate in steps:
-        if rate > peak:
-            peak_t, peak = t, rate
-    degraded_steps = bandwidth_profile(schedule, registry, degraded=True)
-    degraded_peak = max((r for _, r in degraded_steps), default=0.0)
-    return BandwidthVerdict(
-        peak_bps=peak, peak_time_s=peak_t,
-        degraded_peak_bps=degraded_peak, capacity_bps=capacity_bps,
-        steps=tuple(steps),
-    )
-
-
 @SCENARIO_RULES.rule(
     "scenario-bandwidth",
     "worst-case concurrent bandwidth must fit the declared capacity",
@@ -323,27 +218,12 @@ def _check_bandwidth_rule(ctx: ScenarioContext) -> Iterator[Diagnostic]:
     capacity = ctx.scenario_set.capacity_bps
     if capacity is None:
         return
-    verdict = check_bandwidth(ctx.schedule, capacity, ctx.codecs)
-    if verdict.feasible:
-        return
-    where = (f"peak {verdict.peak_bps / 1e6:.2f} Mb/s at "
-             f"t={verdict.peak_time_s:g}s exceeds the declared "
-             f"capacity {capacity / 1e6:.2f} Mb/s")
-    if verdict.feasible_degraded:
+    verdict = check_bandwidth(ctx.schedule, capacity)
+    if not verdict.feasible:
         yield Diagnostic(
-            "", Severity.WARNING,
-            f"{where}; feasible only with quality degradation "
-            f"(bottom-rung peak {verdict.degraded_peak_bps / 1e6:.2f} "
-            "Mb/s) — admission would negotiate the session down",
-            span=ctx.span(), subject=ctx.doc_name,
-        )
-    else:
-        yield Diagnostic(
-            "", Severity.ERROR,
-            f"{where}; infeasible even with every stream degraded to "
-            f"its bottom rung ({verdict.degraded_peak_bps / 1e6:.2f} "
-            "Mb/s) — admission would reject this scenario",
-            span=ctx.span(), subject=ctx.doc_name,
+            "", (Severity.WARNING if verdict.feasible_degraded
+                 else Severity.ERROR),
+            verdict.finding(), span=ctx.span(), subject=ctx.doc_name,
         )
 
 
@@ -352,7 +232,6 @@ def analyze_document(
     doc_name: str,
     document: HmlDocument,
     scenario_set: ScenarioSet | None = None,
-    codecs: CodecRegistry | None = None,
 ) -> list[Diagnostic]:
     """Run every scenario rule over one document.
 
@@ -363,20 +242,16 @@ def analyze_document(
         name=doc_name, documents={doc_name: document})
     ctx = ScenarioContext(
         doc_name=doc_name, document=document, scenario_set=sset,
-        codecs=codecs if codecs is not None else default_registry(),
         schedule=build_playout_schedule(document),
     )
     return SCENARIO_RULES.run(ctx)
 
 
-def analyze_set(scenario_set: ScenarioSet,
-                codecs: CodecRegistry | None = None) -> list[Diagnostic]:
+def analyze_set(scenario_set: ScenarioSet) -> list[Diagnostic]:
     """Run every scenario rule over every document of a set."""
-    registry = codecs if codecs is not None else default_registry()
     out: list[Diagnostic] = []
     for doc_name in sorted(scenario_set.documents):
         out.extend(analyze_document(
             doc_name, scenario_set.documents[doc_name],
-            scenario_set=scenario_set, codecs=registry,
-        ))
+            scenario_set=scenario_set))
     return out

@@ -28,7 +28,11 @@ from repro.hml.tokens import keyword_table_rows
 from repro.model import ascii_timeline, build_playout_schedule
 from repro.rtp.packets import RTCP_RR_BYTES
 from repro.server.accounts import CONTRACT_CLASSES, SubscriptionForm
-from repro.server.admission import AdmissionController, AdmissionRequest
+from repro.server.admission import (
+    TICKET_BPS,
+    AdmissionController,
+    AdmissionRequest,
+)
 from repro.server.qos_manager import GradingPolicy
 from repro.service.states import transition_table_rows
 
@@ -111,7 +115,7 @@ def _offer(ctrl: AdmissionController, offered: int, classes: list[str],
     return [ctrl.decide(AdmissionRequest(
         session_id=f"s{i}", user_id=f"u{i}",
         contract=CONTRACT_CLASSES[classes[i % len(classes)]],
-        required_bw_bps=2e6, min_bw_bps=min_bw_bps,
+        required_bw_bps=TICKET_BPS, min_bw_bps=min_bw_bps,
     )) for i in range(offered)]
 
 

@@ -9,12 +9,14 @@ information" (§3.1).
 
 :class:`PlayoutEntry` is that E_i structure; :func:`build_playout_schedule`
 is the client's preprocessing step; :func:`ascii_timeline` renders the
-schedule the way the paper's Figure 2 timeline does.
+schedule the way the paper's Figure 2 timeline does; :func:`check_bandwidth`
+is what it costs, to the linter and to admission at ``request-doc`` (§4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.hml.ast import (
     AudioElement,
@@ -23,11 +25,15 @@ from repro.hml.ast import (
     ImageElement,
     VideoElement,
 )
+from repro.media.encodings import CodecRegistry, default_registry
 from repro.media.types import MediaType
 
 __all__ = [
+    "BandwidthVerdict",
     "PlayoutEntry",
+    "bandwidth_profile",
     "build_playout_schedule",
+    "check_bandwidth",
     "scenario_duration",
     "ascii_timeline",
 ]
@@ -145,6 +151,97 @@ def scenario_duration(entries: list[PlayoutEntry]) -> float | None:
             return None
         ends.append(e.end_time)
     return max(ends)
+
+
+@dataclass(frozen=True, slots=True)
+class BandwidthVerdict:
+    """What a playout schedule charges, against a capacity: the peak of
+    :func:`bandwidth_profile` at codec best grades, and with every
+    gradable stream at its ladder's bottom rung (the negotiation floor).
+    """
+
+    peak_bps: float
+    peak_time_s: float
+    degraded_peak_bps: float
+    capacity_bps: float | None
+
+    @property
+    def feasible(self) -> bool:
+        return (self.capacity_bps is None
+                or self.peak_bps <= self.capacity_bps)
+
+    @property
+    def feasible_degraded(self) -> bool:
+        return (self.capacity_bps is None
+                or self.degraded_peak_bps <= self.capacity_bps)
+
+    def finding(self) -> str:
+        """Why the peak does not fit ("" when it does): the text of the
+        lint diagnostic and of a ``request-reject``."""
+        if self.feasible:
+            return ""
+        where = (f"peak {self.peak_bps / 1e6:.2f} Mb/s at "
+                 f"t={self.peak_time_s:g}s exceeds the declared "
+                 f"capacity {self.capacity_bps / 1e6:.2f} Mb/s")
+        if self.feasible_degraded:
+            return (f"{where}; feasible only with quality degradation "
+                    f"(bottom-rung peak {self.degraded_peak_bps / 1e6:.2f} "
+                    "Mb/s) — admission would negotiate the session down")
+        return (f"{where}; infeasible even with every stream degraded to "
+                f"its bottom rung ({self.degraded_peak_bps / 1e6:.2f} "
+                "Mb/s) — admission would reject this scenario")
+
+
+def bandwidth_profile(
+    schedule: list[PlayoutEntry],
+    codecs: CodecRegistry | None = None,
+    degraded: bool = False,
+) -> list[tuple[float, float]]:
+    """Concurrent-bandwidth step function over the playout schedule.
+
+    Each continuous stream is charged its codec's best-grade rate (the
+    bottom rung if ``degraded``) over ``[start, start+duration)``. An
+    open-ended stream is charged from its start and never released: it
+    may play forever.
+    """
+    registry = codecs if codecs is not None else default_registry()
+    deltas: list[tuple[float, float]] = []
+    for entry in schedule:
+        if entry.media_type.is_continuous:
+            codec = registry.default_for(entry.media_type)
+            rate = float((codec.worst if degraded and codec.gradable
+                          else codec.best).bitrate_bps)
+            deltas.append((entry.start_time, rate))
+            if entry.duration is not None:
+                deltas.append((entry.start_time + entry.duration, -rate))
+    deltas.sort()
+    steps: list[tuple[float, float]] = []
+    current = 0.0
+    for t, delta in deltas:
+        current += delta
+        if steps and steps[-1][0] == t:
+            steps[-1] = (t, current)
+        else:
+            steps.append((t, current))
+    return steps
+
+
+def check_bandwidth(
+    schedule: list[PlayoutEntry],
+    capacity_bps: float | None,
+    codecs: CodecRegistry | None = None,
+) -> BandwidthVerdict:
+    """The schedule's best-grade and bottom-rung peaks against
+    ``capacity_bps`` (``None``: always feasible)."""
+    registry = codecs if codecs is not None else default_registry()
+    peak_t, peak = max(bandwidth_profile(schedule, registry),
+                       key=itemgetter(1), default=(0.0, 0.0))
+    degraded = bandwidth_profile(schedule, registry, degraded=True)
+    return BandwidthVerdict(
+        peak_bps=peak, peak_time_s=peak_t,
+        degraded_peak_bps=max(map(itemgetter(1), degraded), default=0.0),
+        capacity_bps=capacity_bps,
+    )
 
 
 def ascii_timeline(

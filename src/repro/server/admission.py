@@ -11,6 +11,10 @@ Model: the controller guards the service's access capacity. A
 baseline fraction is open to everyone; the remaining *reserve*
 headroom is progressively unlocked by contract weight, so premium
 users still get in when the open pool is full.
+
+A connection is admitted on a ticket (:data:`TICKET_BPS` by default);
+at ``request-doc`` it re-states its demand as the document's peak
+(:meth:`AdmissionController.restate`, the same rule).
 """
 
 from __future__ import annotations
@@ -19,7 +23,11 @@ from dataclasses import dataclass, field
 
 from repro.server.accounts import PricingContract
 
-__all__ = ["AdmissionRequest", "AdmissionResult", "AdmissionController"]
+__all__ = ["AdmissionRequest", "AdmissionResult", "AdmissionController",
+           "TICKET_BPS"]
+
+#: the connect-time admission ticket a client declares by default
+TICKET_BPS = 2e6
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,14 +67,8 @@ class AdmissionResult:
     reason: str
     reserved_bw_bps: float = 0.0
     negotiated: bool = False  # admitted below the requested bandwidth
-
-    @property
-    def grant_ratio(self) -> float:
-        """Granted / requested; callers translate this into an
-        initial quality grade."""
-        return 1.0 if not self.negotiated else self._ratio
-
-    _ratio: float = 1.0
+    #: granted / requested; callers translate it into an initial grade
+    grant_ratio: float = 1.0
 
 
 @dataclass(slots=True)
@@ -185,18 +187,40 @@ class AdmissionController:
         sessions down if necessary), or reject."""
         if request.session_id in self._sessions:
             raise ValueError(f"session {request.session_id!r} already admitted")
-        limit = self._limit_for(request.contract)
+        result = self._decide(request.session_id, request.contract,
+                              request.required_bw_bps, request.min_bw_bps)
+        self.stats.record(request.contract.name, result.admitted)
+        return result
+
+    def restate(self, session_id: str, contract: PricingContract,
+                required_bw_bps: float,
+                min_bw_bps: float | None = None) -> AdmissionResult:
+        """A live session's new demand, decided as :meth:`decide` would
+        with its own grant counted as headroom. A refusal leaves its
+        grant as it was; the stats counted the session at connect."""
+        held = self._sessions.pop(session_id)
+        reserved = self.reserved_bps
+        self.reserved_bps -= held[0]
+        result = self._decide(session_id, contract, required_bw_bps,
+                              min_bw_bps)
+        if not result.admitted:
+            self._sessions[session_id] = held
+            self.reserved_bps = reserved
+        return result
+
+    def _decide(self, session_id: str, contract: PricingContract,
+                required: float, floor: float | None) -> AdmissionResult:
+        limit = self._limit_for(contract)
         headroom = limit - self.reserved_bps
-        floor = request.min_bw_bps
-        if request.required_bw_bps <= headroom:
-            granted = request.required_bw_bps
+        if required <= max(headroom, 0.0):
+            granted = required
             result = AdmissionResult(
                 admitted=True, reason="admitted", reserved_bw_bps=granted,
             )
         elif floor is not None and floor <= headroom + self._shrinkable_bps():
             # Take the headroom; if that is below the newcomer's floor,
             # renegotiate existing sessions down to make up the rest.
-            granted = max(floor, min(request.required_bw_bps, headroom))
+            granted = max(floor, min(required, headroom))
             deficit = granted - headroom
             if deficit > 0:
                 self._shrink(deficit)
@@ -204,31 +228,33 @@ class AdmissionController:
                 admitted=True,
                 reason=(
                     f"negotiated down to {granted / 1e6:.2f} Mb/s "
-                    f"(requested {request.required_bw_bps / 1e6:.2f})"
+                    f"(requested {required / 1e6:.2f})"
                 ),
                 reserved_bw_bps=granted,
                 negotiated=True,
-                _ratio=granted / request.required_bw_bps,
+                grant_ratio=granted / required,
             )
         else:
-            granted = 0.0
-            result = AdmissionResult(
+            return AdmissionResult(
                 admitted=False,
                 reason=(
-                    f"load {(self.reserved_bps + request.required_bw_bps) / 1e6:.2f} "
-                    f"Mb/s exceeds the {request.contract.name} limit "
+                    f"load {(self.reserved_bps + required) / 1e6:.2f} "
+                    f"Mb/s exceeds the {contract.name} limit "
                     f"{limit / 1e6:.2f} Mb/s"
                 ),
             )
-        if result.admitted:
-            self.reserved_bps += granted
-            self._sessions[request.session_id] = [
-                granted,
-                floor if floor is not None else granted,
-                request.required_bw_bps,
-            ]
-        self.stats.record(request.contract.name, result.admitted)
+        self.reserved_bps += granted
+        self._sessions[session_id] = [
+            granted, floor if floor is not None else granted, required,
+        ]
         return result
+
+    def headroom_bps(self, session_id: str,
+                     contract: PricingContract) -> float:
+        """What ``contract``'s limit leaves a live session, its own
+        grant counted as free."""
+        return (self._limit_for(contract) - self.reserved_bps
+                + self.granted_bps(session_id))
 
     def granted_bps(self, session_id: str) -> float:
         """Current grant of a live session (may change on renegotiation)."""

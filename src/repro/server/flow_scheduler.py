@@ -68,25 +68,6 @@ class FlowScenario:
             out.setdefault(f.server, []).append(f)
         return out
 
-    def peak_rate_bps(self) -> float:
-        """Worst-case concurrent sending rate (continuous streams).
-
-        Computed over send intervals, the bandwidth figure admission
-        control charges for the session.
-        """
-        events: list[tuple[float, float]] = []
-        for f in self.continuous():
-            if f.duration_s is None:
-                continue
-            events.append((f.send_offset_s, f.nominal_rate_bps))
-            events.append((f.send_offset_s + f.duration_s, -f.nominal_rate_bps))
-        events.sort()
-        peak = current = 0.0
-        for _, delta in events:
-            current += delta
-            peak = max(peak, current)
-        return peak
-
 
 class FlowScheduler:
     """Computes flow scenarios from presentation scenarios."""

@@ -11,11 +11,13 @@ calls into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.des import Simulator
 from repro.media.encodings import CodecRegistry
+from repro.media.types import MediaType
 from repro.model.scenario import PresentationScenario
+from repro.model.sync import build_playout_schedule, check_bandwidth
 from repro.server.accounts import AccountRegistry, UserAccount
 from repro.server.broadcast import HotSet
 from repro.server.admission import (
@@ -37,13 +39,14 @@ class ServedSession:
 
     session_id: str
     user: UserAccount
-    reserved_bw_bps: float
+    #: admitted with a floor: a document may be negotiated down (§4)
+    negotiable: bool
     qos_manager: ServerQoSManager
     active_document: str | None = None
     flow: FlowScenario | None = None
     started_at: float = 0.0
-    #: granted/requested bandwidth (< 1 when admission negotiated the
-    #: connection down to a lower quality, §4)
+    #: granted/charged bandwidth (< 1 when admission negotiated the
+    #: session down to a lower quality, §4)
     grant_ratio: float = 1.0
 
 
@@ -188,7 +191,7 @@ class MultimediaServer:
         session = ServedSession(
             session_id=session_id,
             user=user,
-            reserved_bw_bps=result.reserved_bw_bps,
+            negotiable=min_bw_bps is not None,
             qos_manager=ServerQoSManager(self.sim, self.grading_policy,
                                          session_id=session_id),
             started_at=self.sim.now,
@@ -221,12 +224,27 @@ class MultimediaServer:
         return self.database.by_topic(topic)
 
     def fetch_document(self, session_id: str, name: str) -> StoredDocument:
+        """Retrieve ``name``, re-stating the session's demand as the
+        document's charge (§4), the linter's :func:`check_bandwidth`.
+        A refusal raises :class:`PermissionError` with the lint finding
+        and leaves the session its grant."""
         session = self.sessions.get(session_id)
         if session is None:
             raise PermissionError(f"no admitted session {session_id!r}")
         stored = self.database.get(name)
+        verdict = check_bandwidth(build_playout_schedule(stored.document),
+                                  None, self.codecs)
+        user = session.user
+        result = self.admission.restate(
+            session_id, user.contract, verdict.peak_bps,
+            verdict.degraded_peak_bps if session.negotiable else None)
+        if not result.admitted:
+            headroom = self.admission.headroom_bps(session_id, user.contract)
+            raise PermissionError(
+                replace(verdict, capacity_bps=headroom).finding())
+        session.grant_ratio = result.grant_ratio
         session.active_document = name
-        session.user.log("retrieve", self.sim.now, name)
+        user.log("retrieve", self.sim.now, name)
         self.hot.record(name)
         return stored
 
@@ -244,8 +262,6 @@ class MultimediaServer:
         scenario = PresentationScenario.from_document(stored.document)
         initial_grade = 0
         if session.grant_ratio < 1.0:
-            from repro.media.types import MediaType
-
             video = self.codecs.default_for(MediaType.VIDEO)
             initial_grade = FlowScheduler.grade_for_ratio(
                 video, session.grant_ratio

@@ -13,7 +13,9 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.des import Simulator
+from repro.media.types import MediaType
 from repro.server.accounts import AuthenticationError, SubscriptionForm
+from repro.server.admission import TICKET_BPS
 from repro.server.flow_scheduler import FLOW_LEAD_S
 from repro.server.multimedia_server import MultimediaServer
 from repro.service.messages import ControlEndpoint, ControlMessage
@@ -78,7 +80,7 @@ class ServerSessionHandler:
     def _admit(self, msg: ControlMessage, user) -> None:
         result, session = self.server.connect(
             self.session_id, user,
-            msg.body.get("required_bw_bps", 2e6),
+            msg.body.get("required_bw_bps", TICKET_BPS),
             min_bw_bps=msg.body.get("min_bw_bps"),
         )
         if not result.admitted:
@@ -159,6 +161,9 @@ class ServerSessionHandler:
                 return
             self.endpoint.reply(msg, "request-reject", {"reason": str(exc)})
             return
+        except PermissionError as exc:  # refused: it does not fit (§4)
+            self.endpoint.reply(msg, "request-reject", {"reason": str(exc)})
+            return
         # The scenario is the markup text file; its wire size is the
         # real document size.
         self.endpoint.reply(
@@ -216,8 +221,6 @@ class ServerSessionHandler:
                 continue
             ms = targets[spec.server]
             ssrc += 1
-            from repro.media.types import MediaType
-
             floor = (
                 prefs.video_floor_grade
                 if spec.media_type is MediaType.VIDEO
@@ -465,7 +468,7 @@ class ClientSession:
                               body={"request": msg_type})
 
     # -- coroutines (use with `yield from`) ---------------------------------
-    def connect(self, required_bw_bps: float = 2e6,
+    def connect(self, required_bw_bps: float = TICKET_BPS,
                 min_bw_bps: float | None = None) \
             -> Generator[Any, Any, ControlMessage]:
         """Connect; ``min_bw_bps`` enables QoS negotiation — the
@@ -488,7 +491,7 @@ class ClientSession:
         return resp
 
     def subscribe(self, form: SubscriptionForm, contract: str = "basic",
-                  required_bw_bps: float = 2e6,
+                  required_bw_bps: float = TICKET_BPS,
                   min_bw_bps: float | None = None) \
             -> Generator[Any, Any, ControlMessage]:
         body = {

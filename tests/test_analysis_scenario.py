@@ -9,17 +9,21 @@ from repro.analysis import (
     Severity,
     analyze_document,
     analyze_set,
-    check_bandwidth,
 )
 from repro.analysis.corpus import shipped_scenario_sets
 from repro.analysis.runner import lint_hml_paths
 from repro.analysis.scenario_rules import ScenarioSet
 from repro.core.experiments import av_markup
+from repro.des import Simulator
 from repro.hml import parse
-from repro.model import PresentationScenario
-from repro.server.accounts import PricingContract
-from repro.server.admission import AdmissionController, AdmissionRequest
-from repro.server.flow_scheduler import FlowScheduler
+from repro.model import PresentationScenario, check_bandwidth
+from repro.server import AccountRegistry, MultimediaDatabase, MultimediaServer
+from repro.server.accounts import PricingContract, SubscriptionForm
+from repro.server.admission import (
+    TICKET_BPS,
+    AdmissionController,
+    AdmissionRequest,
+)
 from repro.media.encodings import default_registry
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "hml")
@@ -107,11 +111,27 @@ def test_analyze_document_defaults_to_open_singleton_set():
 
 # -- static verdict vs the runtime admission controller ----------------
 
+def _server_charge(markup: str) -> float:
+    """What a live server reserves for a session once it requested
+    ``markup``, with capacity to spare."""
+    db = MultimediaDatabase()
+    db.add_document("doc", parse(markup))
+    server = MultimediaServer(
+        Simulator(), "srv1", "host:srv1", db, AccountRegistry(),
+        default_registry(), {},
+        admission=AdmissionController(100e6, open_fraction=1.0))
+    user = server.accounts.subscribe(
+        "u", SubscriptionForm(real_name="U", address="x", email="u@e.org"),
+        "pw")
+    server.connect("s1", user, TICKET_BPS)
+    server.fetch_document("s1", "doc")
+    return server.admission.granted_bps("s1")
+
+
 def _peak_and_verdict(markup: str, capacity_bps: float):
     scenario = PresentationScenario.from_markup(markup)
-    flows = FlowScheduler(default_registry()).compute(scenario)
     verdict = check_bandwidth(scenario.schedule, capacity_bps)
-    return flows.peak_rate_bps(), verdict
+    return _server_charge(markup), verdict
 
 
 def _runtime_admits(peak_bps: float, capacity_bps: float) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from repro.hml import DocumentBuilder, serialize
 from repro.hml.examples import figure2_document
 from repro.media import default_registry
-from repro.model import PresentationScenario
+from repro.model import PresentationScenario, check_bandwidth
 from repro.server import FlowScheduler, MultimediaDatabase
 from repro.server.accounts import QoSPreferences
 
@@ -97,11 +97,10 @@ def test_flow_grouping_by_server():
 
 
 def test_flow_peak_rate():
-    scheduler = FlowScheduler(default_registry())
     scenario = PresentationScenario.from_document(figure2_document())
-    flow = scheduler.compute(scenario)
     # A1 (64k) + V (1.5M) overlap in [4, 12); A2 alone later.
-    assert flow.peak_rate_bps() == pytest.approx(1_564_000)
+    assert check_bandwidth(scenario.schedule, None).peak_bps == \
+        pytest.approx(1_564_000)
 
 
 def test_flow_respects_user_floor_grades():
