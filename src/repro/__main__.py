@@ -135,15 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
                    "run the scenarios: BENCH_<name>.json, exit 1 when one "
                    "fails its SLO spec, its reference or a check"
                    ).add_argument
-    # every flag but --smoke / --out belongs to one path; left unset it
-    # is absent, so the body can refuse a flag of the path not taken
+    # left unset a flag is absent: the body's default applies, and
+    # --scale-curve can refuse a flag its sweep does not take
     flag("--smoke", **ON, help="CI-sized run")
     flag("--out", default=".", metavar="DIR")
     flag("--scenario", action="append", **UNSET,
          help="one scenario (repeatable; default: all)")
     flag("--topology", action="append", **UNSET,
          help="every scenario on star or cdn")
-    flag("--update-baseline", action="store_true", **UNSET)
+    flag("--update-baseline", action="store_true", **UNSET,
+         help="record each plain run as its reference")
     flag("--baseline", metavar="DIR", **UNSET,
          help="the reference store (default: benchmarks/baseline)")
     flag("--no-recovery", dest="recovery", action="store_false", **UNSET,
@@ -156,15 +157,17 @@ def build_parser() -> argparse.ArgumentParser:
          help="record the one selected run; dump the window around its "
               "first injected fault or, failing that, a violated rule")
     flag("--clients", type=positive_int, **UNSET,
-         help="instead: one sharded run")
+         help="viewers per run (default: the scenario's)")
+    flag("--seed", type=int, **UNSET,
+         help="root seed (default: the scenario's)")
+    flag("--shards", type=positive_int, **UNSET,
+         help="run each star scenario in cells on K worker processes")
+    flag("--cell", type=positive_int, **UNSET,
+         help="clients per cell (default 8)")
+    flag("--tolerate-shard-failures", action="store_true", **UNSET,
+         help="keep a partial sharded result: completeness is not gated")
     flag("--scale-curve", action="store_true", **UNSET,
          help="instead: sharded sweep over N")
-    flag("--shards", type=positive_int, **UNSET)
-    flag("--cell", type=positive_int, **UNSET, help="clients per cell")
-    flag("--seed", type=int, **UNSET)
-    flag("--duration", type=float, **UNSET)
-    flag("--tolerate-shard-failures", action="store_true", **UNSET,
-         help="keep a partial result")
 
     flag = command("slo", _lazy("repro.obs.slo", "slo_command"),
                    "evaluate SLO rules on a saved artifact; exit 1 on any "

@@ -94,16 +94,6 @@ class PopulationResult:
     def rejected(self) -> list[SessionOutcome]:
         return [o for o in self.outcomes if not o.completed]
 
-    def delivered(self, max_gap_ratio: float = 0.25) -> list[SessionOutcome]:
-        """Sessions that completed *and* actually delivered their media.
-
-        Under faults a session can limp to completion while most of its
-        playout was gaps; chaos experiments count a session as saved
-        only when the gap ratio stays under ``max_gap_ratio``.
-        """
-        return [o for o in self.completed()
-                if o.result.total_gap_ratio() <= max_gap_ratio]
-
     def to_dict(self) -> dict:
         """Full JSON-serializable form (for determinism digests).
 

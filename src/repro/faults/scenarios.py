@@ -70,6 +70,9 @@ class Scenario:
     replica: bool = False
     #: hand every session the DEFAULT_RETRY policy
     retry: bool = False
+    #: fail a crashed media server's streams over (False: the control
+    #: arm, same faults and no failover)
+    recovery: bool = True
     #: HeartbeatMonitor kwargs per session (None = no heartbeats)
     heartbeat: dict[str, Any] | None = None
     #: run twice, shared flows off then on, and report the origin
@@ -110,7 +113,7 @@ SCENARIOS: dict[str, Scenario] = {
             smoke_clients=8,
             # admission must clear 32 concurrent viewers (batching
             # shares delivery, not per-session contract reservations)
-            config={"admission_capacity_bps": 400e6},
+            config={"admission_capacity_bps": 400e6, "shared_flows": True},
             document="av",  # one hot continuous A/V document
             egress_ab=True,
         ),
@@ -142,21 +145,18 @@ def scenario_named(name: str) -> Scenario:
     return scenario
 
 
-def build_engine(scenario: Scenario, *, n_clients: int, duration_s: float,
-                 seed: int, recovery: bool = True,
-                 retry: bool | None = None, tracer: Any = None,
-                 shared_flows: bool | None = None) -> Any:
+def build_engine(scenario: Scenario, *, n_clients: int, seed: int,
+                 tracer: Any = None) -> Any:
     """The engine one population of ``scenario`` runs on, viewers not
-    yet added: config, topology, document (``"doc"`` on ``"srv1"``),
-    sampler, replica and the fault plan at this shape, with the
-    scenario's retry (unless ``retry`` overrides it) and heartbeats."""
+    yet added: config, topology, document (``"doc"`` on ``"srv1"``, as
+    long as the row's ``duration_s``), sampler, replica and the fault
+    plan at this shape, with the row's retry, recovery and
+    heartbeats."""
     from repro.core.config import EngineConfig
     from repro.core.engine import ServiceEngine
     from repro.core.experiments import av_markup
 
-    config = dict(scenario.config)
-    if shared_flows is not None:
-        config["shared_flows"] = shared_flows
+    duration_s = scenario.duration_s
     layers = None
     if scenario.topology == "cdn":
         from repro.net import cdn_stack
@@ -167,28 +167,27 @@ def build_engine(scenario: Scenario, *, n_clients: int, duration_s: float,
     else:
         document = (av_markup(duration_s, scenario.document == "av+images"),
                     "bench")
-    eng = ServiceEngine(EngineConfig(seed=seed, **config), tracer=tracer,
-                        layers=layers)
+    eng = ServiceEngine(EngineConfig(seed=seed, **scenario.config),
+                        tracer=tracer, layers=layers)
     eng.add_server("srv1", documents={"doc": document})
     eng.attach_timeseries()
     if scenario.replica:
         eng.add_media_replica("srv1", "media")
     plan = build_plan(scenario.plan, n_clients=n_clients,
                       stagger_s=scenario.stagger_s, duration_s=duration_s)
-    use_retry = scenario.retry if retry is None else retry
-    eng.install_faults(plan, retry=DEFAULT_RETRY if use_retry else None,
-                       recovery=recovery, heartbeat=scenario.heartbeat)
+    eng.install_faults(plan, retry=DEFAULT_RETRY if scenario.retry else None,
+                       recovery=scenario.recovery,
+                       heartbeat=scenario.heartbeat)
     return eng
 
 
-def populate(scenario: Scenario, n_clients: int, duration_s: float,
-             seed: int, *, first: int = 0,
-             **options: Any) -> tuple[Any, Any]:
-    """One engine from :func:`build_engine` (``options`` go there), one
-    ``run_population`` of ``n_clients`` viewers, the first of them at
-    global index ``first``; (engine, population)."""
-    eng = build_engine(scenario, n_clients=n_clients,
-                       duration_s=duration_s, seed=seed, **options)
+def populate(scenario: Scenario, n_clients: int, seed: int, *,
+             first: int = 0, tracer: Any = None) -> tuple[Any, Any]:
+    """One engine from :func:`build_engine`, one ``run_population`` of
+    ``n_clients`` viewers, the first of them at global index ``first``;
+    (engine, population)."""
+    eng = build_engine(scenario, n_clients=n_clients, seed=seed,
+                       tracer=tracer)
     pop = eng.orchestrator.run_population(
         n_clients, "srv1", "doc", stagger_s=scenario.stagger_s,
         horizon_s=HORIZON_S, first=first,

@@ -1,42 +1,61 @@
 """The scenario runner, behind ``python -m repro bench``.
 
-:func:`run_scenario` runs one row of the scenario table
-(:data:`repro.faults.scenarios.SCENARIOS`) on one engine, through the
-table's :func:`~repro.faults.scenarios.populate`, and every run
-emits one ``BENCH_<name>.json`` artifact. Nothing in it is timed (host
-speed is ``benchmarks/e2e``'s job; only the sharded ``--clients`` /
-``--scale-curve`` path keeps a wall clock), so the artifact is a pure
-function of code and seed and ``--update-baseline`` is idempotent.
+``bench`` runs each selected row of the scenario table
+(:data:`repro.faults.scenarios.SCENARIOS`) at its smoke or full size
+(:func:`workload`): on one engine (:func:`run_scenario`, through the
+table's :func:`~repro.faults.scenarios.populate`) or, under
+``--shards K``, as a supervised sharded run whose cells populate
+slices of the same row (:func:`repro.shard.bench.run_sharded`). Either
+way the run's population document becomes one ``BENCH_<name>.json``
+artifact through one builder (:func:`bench_artifact`), and each path
+adds only the keys only it can fill: the fault plan, simulated end
+time, egress A/B and flight dump of one engine; the shard lifecycle,
+completeness and wall clock of a sharded run. Nothing else is timed
+(host speed is ``benchmarks/e2e``'s job), so an unsharded artifact is
+a pure function of code and seed and ``--update-baseline`` is
+idempotent.
 
 The regression gate is :func:`repro.obs.slo.evaluate`, the one
 comparator: each fresh artifact must hold its scenario's shipped SLO
-spec plus the rules its reference in the store
-(``benchmarks/baseline/``, one artifact per ``(scenario, smoke)``)
+spec plus, when it is the plain run a reference in the store
+(``benchmarks/baseline/``) was recorded from
+(:func:`repro.obs.slo.reference_for`), the rules that reference
 generates (:func:`repro.obs.slo.baseline_rules`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.faults.scenarios import SCENARIOS, populate, scenario_named
+from repro.faults.digest import population_digest
+from repro.faults.scenarios import (
+    SCENARIOS,
+    Scenario,
+    populate,
+    scenario_named,
+)
 from repro.ioutil import UsageError
 from repro.obs import BENCH_SCHEMA, BENCH_SCHEMA_VERSION
+from repro.obs.qoe import population_qoe
 from repro.obs.slo import (
     DEFAULT_SLOS,
     DEFAULT_STORE,
+    SloRule,
     baseline_rules,
     evaluate,
     load_store,
     parse_spec,
+    reference_for,
 )
 
 if TYPE_CHECKING:
     from repro.analysis.report import Reporter
 
-__all__ = ["ScenarioRun", "run_scenario", "bench_command"]
+__all__ = ["ScenarioRun", "workload", "run_scenario", "bench_artifact",
+           "delivered", "bench_command"]
 
 
 @dataclass(slots=True)
@@ -53,36 +72,97 @@ class ScenarioRun:
     engine: Any = None
 
 
+def workload(name: str, *, smoke: bool, recovery: bool = True,
+             retry: bool | None = None) -> Scenario:
+    """Row ``name`` as one bench run runs it: at its smoke or full size
+    (``n_clients``, ``duration_s``), and with ``recovery=False`` or
+    ``retry=False`` turning that defence off under the identical fault
+    schedule (the control arms). An unknown ``name`` is a
+    :class:`~repro.ioutil.UsageError`."""
+    row = scenario_named(name)
+    if smoke:
+        row = dataclasses.replace(row, n_clients=row.smoke_clients,
+                                  duration_s=row.smoke_duration_s)
+    return dataclasses.replace(
+        row, recovery=recovery, retry=row.retry if retry is None else retry)
+
+
+def delivered(result: dict[str, Any]) -> bool:
+    """Whether one session document completed *and* delivered its media.
+
+    Under faults a session can limp to completion while most of its
+    playout was gaps; it counts as delivered only when at most a
+    quarter of its frames were gaps.
+    """
+    streams = result["streams"].values()
+    gaps = sum(s["gaps"] for s in streams)
+    frames = gaps + sum(s["frames_played"] for s in streams)
+    return bool(result["completed"]) and (
+        gaps / frames if frames else 0.0) <= 0.25
+
+
+def bench_artifact(row: Scenario, doc: dict[str, Any], *, smoke: bool,
+                   seed: int, clients: int, events: int) -> dict[str, Any]:
+    """The artifact of one run of ``row`` (sized by :func:`workload`)
+    from its population document ``doc``: one engine's
+    ``PopulationResult.to_dict()`` or a sharded run's merged cell
+    documents. ``events`` counts kernel heap entries fired."""
+    results = [o["result"] for o in doc["outcomes"]]
+    artifact: dict[str, Any] = {
+        "schema": BENCH_SCHEMA,
+        "version": BENCH_SCHEMA_VERSION,
+        "name": row.name,
+        "scenario": row.name,
+        "description": row.description,
+        "smoke": smoke,
+        "seed": seed,
+        "clients": clients,
+        "duration_s": row.duration_s,
+        "topology": row.topology,
+        "recovery": row.recovery,
+        "retry": row.retry,
+        "events": events,
+        "sessions": len(results),
+        "completed": sum(1 for r in results if r["completed"]),
+        "delivered": sum(1 for r in results if delivered(r)),
+        "retries": sum(r["retries"] for r in results),
+        "recoveries": sum(r["recoveries"] for r in results),
+        "digest": population_digest(doc),
+        "qoe": population_qoe(r["qoe"] for r in results),
+    }
+    service = doc.get("service")
+    if service:
+        # off every serving media host, origin and replicas alike
+        artifact["origin_egress_bytes"] = service["egress"]["total_bytes"]
+        artifact["service"] = service
+        artifact["timeseries"] = doc["timeseries"]
+    return artifact
+
+
 def run_scenario(name: str, *, smoke: bool, seed: int | None = None,
                  n_clients: int | None = None, recovery: bool = True,
                  retry: bool | None = None, tracer: Any = None,
                  flight_dump: str | None = None) -> ScenarioRun:
-    """Run one scenario end to end; its population, digest and artifact.
+    """Run one scenario on one engine; its population, digest and
+    artifact.
 
-    ``recovery=False`` and ``retry=False`` disable the corresponding
-    defence while keeping the identical fault schedule — the control
-    arm of the experiment. ``tracer`` watches the run; ``flight_dump``
+    ``recovery`` and ``retry`` choose the control arm
+    (:func:`workload`). ``tracer`` watches the run; ``flight_dump``
     instead installs a complete :class:`~repro.obs.flightrec.
     FlightRecorder` that auto-dumps its trailing window (30
     sim-seconds) to that path on the first injected fault, and the
     dump metadata lands in the artifact under ``flight_dump``. Results
     and digest are the same whoever watches.
 
-    An ``egress_ab`` scenario runs its population twice — shared flows
-    off, then on — and reports the shared run plus the A/B
+    An ``egress_ab`` scenario first runs its population with shared
+    flows off and reports the A/B beside the row's own run
     (``egress_reduction`` is the headline: independent-flow bytes over
-    shared-flow bytes off the serving media hosts); only the shared
-    run is watched. An unknown ``name`` is a
-    :class:`~repro.ioutil.UsageError`.
+    shared-flow bytes off the serving media hosts); only the row's run
+    is watched.
     """
-    from repro.faults.digest import population_digest
-
-    scenario = scenario_named(name)
-    n = n_clients if n_clients is not None else (
-        scenario.smoke_clients if smoke else scenario.n_clients)
-    duration = scenario.smoke_duration_s if smoke else scenario.duration_s
-    seed = scenario.seed if seed is None else seed
-    use_retry = scenario.retry if retry is None else retry
+    row = workload(name, smoke=smoke, recovery=recovery, retry=retry)
+    n = row.n_clients if n_clients is None else n_clients
+    seed = row.seed if seed is None else seed
     recorder = None
     if flight_dump is not None:
         from repro.obs.flightrec import FlightRecorder
@@ -91,51 +171,15 @@ def run_scenario(name: str, *, smoke: bool, seed: int | None = None,
             raise ValueError("pass tracer= or flight_dump=, not both")
         tracer = recorder = FlightRecorder(dump_path=flight_dump,
                                            max_events=None)
-    options = {"recovery": recovery, "retry": use_retry}
     unshared = None
-    if scenario.egress_ab:
-        _, unshared = populate(scenario, n, duration, seed,
-                               shared_flows=False, **options)
-    eng, pop = populate(scenario, n, duration, seed, tracer=tracer,
-                        shared_flows=True if scenario.egress_ab else None,
-                        **options)
-    digest = population_digest(pop)
-    artifact: dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "version": BENCH_SCHEMA_VERSION,
-        "name": name,
-        "scenario": name,
-        "description": scenario.description,
-        "smoke": smoke,
-        "seed": seed,
-        "clients": n,
-        "duration_s": duration,
-        "topology": scenario.topology,
-        "recovery": recovery,
-        "retry": use_retry,
-        "faults": eng.faults.plan.to_dict(),
-        "sim_time_s": eng.sim.now,
-        "events": eng.sim.events_fired,
-        "sessions": len(pop),
-        "completed": len(pop.completed()),
-        "delivered": len(pop.delivered()),
-        "retries": sum(o.result.retries for o in pop),
-        "recoveries": sum(o.result.recoveries for o in pop),
-        "digest": digest,
-        "qoe": pop.qoe_summary(),
-        # off every serving media host, origin and replicas alike
-        "origin_egress_bytes": pop.service["egress"]["total_bytes"],
-        "service": pop.service,
-        "timeseries": pop.timeseries,
-    }
-    watchdog = eng.watchdogs.get("srv1")
-    if watchdog is not None:
-        artifact["watchdog"] = {
-            "detections": watchdog.detections,
-            "streams_failed_over": watchdog.streams_failed_over,
-            "streams_lost": watchdog.streams_lost,
-            "sessions_saved": len(watchdog.sessions_saved),
-        }
+    if row.egress_ab:
+        _, unshared = populate(dataclasses.replace(
+            row, config={**row.config, "shared_flows": False}), n, seed)
+    eng, pop = populate(row, n, seed, tracer=tracer)
+    artifact = bench_artifact(row, pop.to_dict(), smoke=smoke, seed=seed,
+                              clients=n, events=eng.sim.events_fired)
+    artifact["faults"] = eng.faults.plan.to_dict()
+    artifact["sim_time_s"] = eng.sim.now
     if unshared is not None:
         unshared_egress = unshared.service["egress"]["total_bytes"]
         egress = artifact["origin_egress_bytes"]
@@ -145,27 +189,35 @@ def run_scenario(name: str, *, smoke: bool, seed: int | None = None,
                                         if egress else 0.0)
     if recorder is not None:
         artifact["flight_dump"] = dict(recorder.last_dump)
-    return ScenarioRun(population=pop, digest=digest, artifact=artifact,
-                       flight_recorder=recorder, engine=eng)
+    return ScenarioRun(population=pop, digest=artifact["digest"],
+                       artifact=artifact, flight_recorder=recorder,
+                       engine=eng)
 
 
-#: flags of one path, named by option dest; either path refuses the
-#: other's, so none is ever silently ignored
-_SCENARIO_FLAGS = {
-    "update_baseline": "--update-baseline", "baseline": "--baseline",
-    "scenario": "--scenario", "topology": "--topology",
-    "recovery": "--no-recovery", "retry": "--no-retry",
-    "check_determinism": "--check-determinism",
-    "flight_dump": "--flight-dump",
-}
-_SHARDED_FLAGS = {
-    "shards": "--shards", "cell": "--cell", "seed": "--seed",
-    "duration": "--duration",
-    "tolerate_shard_failures": "--tolerate-shard-failures",
-}
+def _run_sharded(row: Scenario, *, smoke: bool, seed: int | None,
+                 clients: int | None, shards: int, cell: int) -> ScenarioRun:
+    """``row`` (sized by :func:`workload`) as a supervised sharded run,
+    cells of ``cell`` viewers on ``shards`` workers. Shards that exhaust
+    their retries leave a partial result (``completeness < 1``), which
+    the gate judges."""
+    from repro.shard.bench import run_sharded
+
+    result = run_sharded(
+        row.n_clients if clients is None else clients, shards,
+        seed=row.seed if seed is None else seed, cell_clients=cell,
+        workload=row, tolerate_failures=True)
+    artifact = bench_artifact(row, result.merged, smoke=smoke,
+                              seed=result.seed, clients=result.clients,
+                              events=result.events)
+    # what only a sharded run fills: lifecycle, completeness, wall clock
+    artifact.update((key, value) for key, value in result.to_dict().items()
+                    if key not in artifact and key != "merged")
+    return ScenarioRun(population=result.merged, digest=artifact["digest"],
+                       artifact=artifact)
 
 
-def _selected(scenario: list[str], topology: list[str]) -> list[str]:
+def _selected(scenario: Sequence[str],
+              topology: Sequence[str]) -> list[str]:
     """The scenario names ``--scenario`` / ``--topology`` select, in
     command-line order (default: every scenario)."""
     names = [scenario_named(name).name for name in scenario]
@@ -180,50 +232,71 @@ def _selected(scenario: list[str], topology: list[str]) -> list[str]:
     return list(dict.fromkeys(names)) or list(SCENARIOS)
 
 
+#: what ``--scale-curve`` takes besides ``--smoke`` / ``--out``
+_CURVE_OPTIONS = {"shards", "cell", "seed", "tolerate_shard_failures"}
+
+
 def bench_command(report: Reporter, *, smoke: bool, out: str,
-                  **options: Any) -> int:
+                  scale_curve: bool = False, **options: Any) -> int:
     """``repro bench``: run the selected scenarios, emit BENCH_*.json,
-    and hold each to its shipped SLO spec plus the rules its reference
-    in the store generates; exit 1 on any failed rule or check.
-    ``--clients`` / ``--scale-curve`` go to the sharded bench instead.
+    and hold each to its shipped SLO spec plus, for a plain run, the
+    rules its reference generates; exit 1 on any failed rule or check.
+    ``--scale-curve`` sweeps N in its own loop instead.
 
-    ``options`` holds only the flags given on the command line, so a
-    flag of the path not taken is a usage error.
+    ``options`` holds only the flags given on the command line.
     """
-    sharded = ("clients" in options) or ("scale_curve" in options)
-    stray = [flag for dest, flag in
-             (_SCENARIO_FLAGS if sharded else _SHARDED_FLAGS).items()
-             if dest in options]
-    if stray:
-        path = ("the scenario runs, not to --clients / --scale-curve"
-                if sharded else "--clients / --scale-curve only")
-        raise UsageError(f"{stray[0]} applies to {path}")
-    if sharded:
-        from repro.shard.bench import sharded_bench_command
+    if scale_curve:
+        if set(options) - _CURVE_OPTIONS:
+            raise UsageError("--scale-curve sweeps its own scenario and N: "
+                             "it takes --shards, --cell, --seed and "
+                             "--tolerate-shard-failures only")
+        from repro.shard.bench import scale_curve_command
 
-        if "scale_curve" in options and (
-                "clients" in options or "duration" in options):
-            raise UsageError("--scale-curve sweeps its own N and duration: "
-                             "no --clients / --duration")
+        return scale_curve_command(report, smoke=smoke, out=out, **options)
+    return _bench(report, smoke=smoke, out=out, **options)
 
-        return sharded_bench_command(report, smoke=smoke, out=out,
-                                     **options)
-    update_baseline = options.get("update_baseline", False)
-    if update_baseline:
-        for dest in ("recovery", "retry", "flight_dump"):
-            if dest in options:
-                raise UsageError(f"{_SCENARIO_FLAGS[dest]} does not go with "
-                                 "--update-baseline: a reference is the "
-                                 "plain run")
-    recovery = options.get("recovery", True)
-    retry = options.get("retry")
-    flight_dump = options.get("flight_dump")
-    names = _selected(options.get("scenario", []),
-                      options.get("topology", []))
+
+def _bench(report: Reporter, *, smoke: bool, out: str,
+           scenario: Sequence[str] = (), topology: Sequence[str] = (),
+           update_baseline: bool = False, baseline: str = DEFAULT_STORE,
+           recovery: bool = True, retry: bool | None = None,
+           check_determinism: bool = False, flight_dump: str | None = None,
+           clients: int | None = None, seed: int | None = None,
+           shards: int | None = None, cell: int | None = None,
+           tolerate_shard_failures: bool = False) -> int:
+    """The one loop: each selected row on one engine, or sharded."""
+    if shards is None and (cell is not None or tolerate_shard_failures):
+        raise UsageError("--cell and --tolerate-shard-failures apply to a "
+                         "sharded run (--shards K)")
+    if update_baseline and not (
+            recovery and retry is not False and flight_dump is None
+            and clients is None and seed is None and shards is None):
+        raise UsageError("--update-baseline records the plain run: no "
+                         "--no-recovery, --no-retry, --flight-dump, "
+                         "--clients, --seed or --shards")
+    names = _selected(scenario, topology)
     if flight_dump is not None and len(names) != 1:
         raise UsageError(f"--flight-dump records one run; {len(names)} "
                          "scenarios are selected (use --scenario)")
-    baseline = options.get("baseline", DEFAULT_STORE)
+    if shards is not None:
+        if flight_dump is not None:
+            raise UsageError("--flight-dump records one engine; the cells "
+                             "of a sharded run carry no recorder")
+        unplaceable = [n for n in names if SCENARIOS[n].topology != "star"]
+        if unplaceable:
+            raise UsageError(f"--shards runs star scenarios only (a cell "
+                             f"adds its viewers at the core router); "
+                             f"{unplaceable[0]} is "
+                             f"{SCENARIOS[unplaceable[0]].topology}")
+
+    def run(name: str, dump: str | None) -> ScenarioRun:
+        if shards is None:
+            return run_scenario(name, smoke=smoke, seed=seed,
+                                n_clients=clients, recovery=recovery,
+                                retry=retry, flight_dump=dump)
+        row = workload(name, smoke=smoke, recovery=recovery, retry=retry)
+        return _run_sharded(row, smoke=smoke, seed=seed, clients=clients,
+                            shards=shards, cell=8 if cell is None else cell)
 
     os.makedirs(out, exist_ok=True)
     if update_baseline:
@@ -233,9 +306,8 @@ def bench_command(report: Reporter, *, smoke: bool, out: str,
     summary: list[list[Any]] = []
     gate: list[list[Any]] = []
     for name in names:
-        run = run_scenario(name, smoke=smoke, recovery=recovery,
-                           retry=retry, flight_dump=flight_dump)
-        artifact = run.artifact
+        scenario_run = run(name, flight_dump)
+        artifact = scenario_run.artifact
         qoe = artifact["qoe"]
         summary.append([
             name, artifact["clients"],
@@ -249,15 +321,27 @@ def bench_command(report: Reporter, *, smoke: bool, out: str,
             report.artifact(f"baseline:{name}", os.path.join(
                 baseline, f"BENCH_{name}{suffix}"), artifact)
         else:
-            gate.extend(_gate(run, references.get((name, smoke)), report))
+            rules = parse_spec(DEFAULT_SLOS[name])
+            reference = reference_for(references, artifact)
+            if reference is None:
+                report.value(f"baseline:{name}", "missing (not compared)")
+            else:
+                rules += baseline_rules(reference)
+            if shards is not None and not tolerate_shard_failures:
+                rules += parse_spec(["completeness >= 1"])
+            gate.extend(_gate(scenario_run, rules, report))
         report.artifact(f"artifact:{name}",
                         os.path.join(out, f"BENCH_{name}.json"), artifact)
-        if options.get("check_determinism"):
+        if shards is not None:
+            _shard_report(report, artifact)
+            if artifact["interrupted"]:
+                return 130
+        if check_determinism:
             # the reported run's own arguments, replayed without a recorder
-            replay = run_scenario(name, smoke=smoke, recovery=recovery,
-                                  retry=retry).digest
+            replay = run(name, None).digest
             gate.append([name, "replay digest == digest", replay[:16],
-                         "PASS" if replay == run.digest else "FAIL"])
+                         "PASS" if replay == scenario_run.digest
+                         else "FAIL"])
     report.table(
         "Benchmark trajectory" + (" (smoke)" if smoke else ""),
         ["scenario", "clients", "completed", "delivered", "qoe_p50",
@@ -276,18 +360,31 @@ def bench_command(report: Reporter, *, smoke: bool, out: str,
     return 1 if violations else 0
 
 
-def _gate(run: ScenarioRun, reference: dict[str, Any] | None,
+def _shard_report(report: Reporter, artifact: dict[str, Any]) -> None:
+    """A sharded run's lifecycle: per shard, and what it left out."""
+    report.table(
+        f"Shard lifecycle: {artifact['name']} (K={artifact['shards']}, "
+        f"wall {artifact['wall_s']:.2f} s)",
+        ["shard", "cells", "status", "attempts", "retries", "failures"],
+        [[s["shard"], len(s["cells"]), s["status"], s["attempts"],
+          s["retries"], "; ".join(s["failures"]) or "-"]
+         for s in artifact["shard_lifecycle"]],
+    )
+    if artifact["completeness"] < 1.0:
+        report.value("degraded",
+                     f"partial result: completeness "
+                     f"{artifact['completeness']:.2f}, missing cells "
+                     f"{artifact['missing_cells']}")
+    if artifact["interrupted"]:
+        report.value("interrupted", True)
+
+
+def _gate(run: ScenarioRun, rules: list[SloRule],
           report: Reporter) -> list[list[Any]]:
-    """Gate rows of one run: its shipped SLO spec plus the rules its
-    reference generates, and whether a requested flight dump exists."""
+    """Gate rows of one run: ``rules`` evaluated on its artifact, and
+    whether a requested flight dump exists."""
     artifact = run.artifact
     name = artifact["name"]
-    rules = parse_spec(DEFAULT_SLOS[name])
-    # keyed by scale too: a smoke run never meets a full reference
-    if reference is None:
-        report.value(f"baseline:{name}", "missing (not compared)")
-    else:
-        rules += baseline_rules(reference)
     checks = evaluate(rules, artifact)
     rows = [[name, c.rule.text, c.value_text, "PASS" if c.ok else "FAIL"]
             for c in checks]

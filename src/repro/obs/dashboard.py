@@ -2,10 +2,11 @@
 
 One artifact in, one markdown page out: run header, QoE summary,
 service rollup highlights, time-series sparklines, the shipped SLO
-spec's status and, when the reference store holds the artifact's
-``(scenario, smoke)`` key, the status of the rules its reference
-generates (:func:`repro.obs.slo.baseline_rules`, the same gate
-``python -m repro bench`` applies).
+spec's status and, when the artifact is the plain run a reference in
+the store was recorded from (:func:`repro.obs.slo.reference_for`), the
+status of the rules that reference generates
+(:func:`repro.obs.slo.baseline_rules`, the same gate ``python -m repro
+bench`` applies).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.obs.slo import (
     load_artifact,
     load_store,
     parse_spec,
-    store_key,
+    reference_for,
 )
 
 if TYPE_CHECKING:
@@ -168,7 +169,7 @@ def report_command(report: Reporter, *, artifact: str | None,
     doc, spec_key = load_artifact(artifact)
     spec = DEFAULT_SLOS.get(spec_key or "")
     slo_checks = evaluate(parse_spec(spec), doc) if spec else None
-    reference = load_store(baseline).get(store_key(doc))
+    reference = reference_for(load_store(baseline), doc)
     baseline_checks = (evaluate(baseline_rules(reference), doc)
                        if reference is not None else None)
 

@@ -17,10 +17,11 @@ other metric name is resolved as a dotted path into the artifact
 saved artifact and exits 1 on any violated rule.
 
 Every run is gated here and nowhere else: ``python -m repro bench``
-holds each scenario's artifact to its shipped spec plus the rules its
-checked-in reference generates (:func:`baseline_rules`), and a sharded
-``bench --clients N`` run to the ``population_shard`` spec
-(:func:`report_gate`).
+holds each scenario's artifact, from one engine or sharded, to its
+shipped spec, plus the rules its checked-in reference generates
+(:func:`baseline_rules`) when it is the plain run that reference was
+recorded from (:func:`reference_for`, which ``repro report`` asks
+too).
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ __all__ = ["SloRule", "SloCheck", "parse_rule", "parse_spec",
            "flatten_metrics", "timeseries_metrics", "evaluate",
            "load_artifact", "report_gate", "slo_command", "DEFAULT_SLOS",
            "METRIC_ALIASES", "TREND_METRICS", "BASELINE_TOLERANCE",
-           "DEFAULT_STORE", "baseline_rules", "store_key", "load_store"]
+           "DEFAULT_STORE", "baseline_rules", "store_key", "load_store",
+           "reference_for"]
 
 #: comparison operators, longest first so ``<=`` wins over ``<``
 _OPS: tuple[tuple[str, Any], ...] = (
@@ -78,19 +80,15 @@ _CHAOS: tuple[str, ...] = (
     "max_queue_depth <= 10000",
 )
 
-#: what a clean star population holds, one engine or sharded
-_POPULATION: tuple[str, ...] = (
-    "qoe_p50 >= 70",
-    "completed_ratio >= 0.95",
-    "blocking_prob <= 0.05",
-    "time_to_recover_p95 <= 2.0",
-    "peak_link_utilization <= 0.9",  # transient saturation guard
-)
-
-#: shipped default specs, keyed by scenario name (plus the sharded run)
+#: shipped default specs, keyed by scenario name
 DEFAULT_SLOS: dict[str, tuple[str, ...]] = {
-    "population_clean": _POPULATION,
-    "population_shard": _POPULATION,
+    "population_clean": (
+        "qoe_p50 >= 70",
+        "completed_ratio >= 0.95",
+        "blocking_prob <= 0.05",
+        "time_to_recover_p95 <= 2.0",
+        "peak_link_utilization <= 0.9",  # transient saturation guard
+    ),
     "population_lossy": (
         "qoe_p50 >= 40",
         "completed_ratio >= 0.95",
@@ -374,6 +372,22 @@ def load_store(directory: str) -> dict[tuple[str, bool], dict[str, Any]]:
                              f"{key[0]} (smoke={key[1]})")
         store[key] = doc
     return store
+
+
+def reference_for(store: dict[tuple[str, bool], dict[str, Any]],
+                  artifact: dict[str, Any]) -> dict[str, Any] | None:
+    """The reference in ``store`` that gates ``artifact``, or None.
+
+    A reference is the plain run of its scenario at one scale, and it
+    gates only that run: unsharded, at the clients and seed it was
+    recorded with. A resized, reseeded or sharded run has none.
+    """
+    reference = store.get(store_key(artifact))
+    if reference is None or "shards" in artifact or any(
+            artifact.get(key) != reference.get(key)
+            for key in ("clients", "seed")):
+        return None
+    return reference
 
 
 def report_gate(report: Reporter, checks: list[SloCheck],

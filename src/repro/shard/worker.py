@@ -76,8 +76,7 @@ def run_cell(workload: Scenario, cell: int, lo: int, hi: int,
         raise ValueError(f"a cell adds its viewers at the core router: "
                          f"topology {workload.topology!r} cannot be sharded")
     t0 = time.perf_counter()
-    eng, pop = populate(workload, hi - lo, workload.duration_s, seed,
-                        first=lo)
+    eng, pop = populate(workload, hi - lo, seed, first=lo)
     return {
         "cell": cell,
         "lo": lo,

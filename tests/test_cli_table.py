@@ -12,6 +12,7 @@ import shlex
 import pytest
 
 import repro.core.experiments as experiments
+import repro.obs.bench as bench
 from repro.__main__ import EXPERIMENTS, build_parser, main
 from repro.core.config import EngineConfig
 
@@ -83,23 +84,24 @@ def not_json(tmp_path):
     ["bench", "--topology", "bogus"],
     # chaos folded into bench: the command no longer parses
     ["chaos", "--scenario", "bogus"],
-    # a flag of the path bench does not take is refused, not ignored
-    ["bench", "--smoke", "--scenario", "population_clean", "--seed", "5"],
-    ["bench", "--scenario", "crash", "--shards", "2"],
+    # a sharding flag without --shards is refused, not ignored
     ["bench", "--cell", "4"],
     ["bench", "--duration", "1.0"],
     ["bench", "--tolerate-shard-failures"],
-    ["bench", "--clients", "4", "--update-baseline"],
-    ["bench", "--clients", "4", "--baseline", "DIR"],
-    ["bench", "--clients", "4", "--scenario", "crash"],
-    ["bench", "--clients", "4", "--topology", "cdn"],
-    ["bench", "--clients", "4", "--no-recovery"],
-    ["bench", "--clients", "4", "--no-retry"],
-    ["bench", "--clients", "4", "--check-determinism"],
+    # a cell adds its viewers at the core router and carries no recorder
+    ["bench", "--scenario", "cdn_hot", "--shards", "2"],
+    ["bench", "--topology", "cdn", "--shards", "2"],
+    ["bench", "--scenario", "crash", "--flight-dump", "F", "--shards", "2"],
+    # the scale curve sweeps its own scenario and N
     ["bench", "--scale-curve", "--flight-dump", "F"],
     ["bench", "--clients", "4", "--scale-curve"],
     ["bench", "--scale-curve", "--duration", "1.0"],
-    # a reference is never a control arm or a recording
+    ["bench", "--scale-curve", "--scenario", "crash"],
+    # a reference is the plain run: no control arm, recording, size,
+    # seed or shards
+    ["bench", "--clients", "4", "--update-baseline"],
+    ["bench", "--seed", "5", "--update-baseline"],
+    ["bench", "--shards", "2", "--update-baseline"],
     ["bench", "--update-baseline", "--no-recovery"],
     ["bench", "--update-baseline", "--no-retry"],
     ["bench", "--scenario", "crash", "--update-baseline", "--flight-dump",
@@ -135,7 +137,8 @@ def test_bad_outside_input_is_one_line_and_exit_2(argv, not_json, capsys):
 def test_bench_runs_nothing_on_a_flag_of_the_other_path(tmp_path):
     """Two command lines that once exited 0 having dropped flags: the
     first wrote ``seed: 11, duration_s: 3.0``, the second never created
-    the store it was told to record."""
+    the store it was told to record. (The paths are one since; the
+    first now names a flag that is gone, the second sizes a reference.)"""
     out, store = tmp_path / "out", tmp_path / "store"
     assert main(["bench", "--smoke", "--scenario", "population_clean",
                  "--seed", "5", "--duration", "1.0", "--out", str(out)]) == 2
@@ -143,6 +146,34 @@ def test_bench_runs_nothing_on_a_flag_of_the_other_path(tmp_path):
                  "--update-baseline", "--baseline", str(store),
                  "--out", str(out)]) == 2
     assert not out.exists() and not store.exists()
+
+
+class Ran(Exception):
+    """Raised by a stubbed runner: the command line got past every check
+    and started its first run."""
+
+
+@pytest.mark.parametrize("argv", [
+    # once refused because bench had two paths, a scenario run and a
+    # sharded point; each is one bench run now (tests/test_bench_shards.py)
+    ["bench", "--smoke", "--scenario", "population_clean", "--seed", "5"],
+    ["bench", "--scenario", "crash", "--shards", "2"],
+    ["bench", "--clients", "4", "--baseline", "DIR"],
+    ["bench", "--clients", "4", "--scenario", "crash"],
+    ["bench", "--clients", "4", "--topology", "cdn"],
+    ["bench", "--clients", "4", "--no-recovery"],
+    ["bench", "--clients", "4", "--no-retry"],
+    ["bench", "--clients", "4", "--check-determinism"],
+], ids=" ".join)
+def test_lines_the_two_paths_refused_are_accepted(argv, tmp_path,
+                                                  monkeypatch):
+    def ran(*args, **kwargs):
+        raise Ran
+
+    monkeypatch.setattr(bench, "run_scenario", ran)
+    monkeypatch.setattr(bench, "_run_sharded", ran)
+    with pytest.raises(Ran):
+        main(argv + ["--out", str(tmp_path)])
 
 
 # -- the documentation only shows command lines the table accepts -------------
@@ -177,7 +208,7 @@ FLAGS = {
     "trace": {"--record", "--chrome", "--top", "--scenario"},
     "bench": {"--smoke", "--update-baseline", "--out", "--baseline",
               "--scenario", "--topology", "--clients", "--shards", "--cell",
-              "--seed", "--duration", "--tolerate-shard-failures",
+              "--seed", "--tolerate-shard-failures",
               "--scale-curve", "--no-recovery", "--no-retry",
               "--check-determinism", "--flight-dump"},
     "slo": {"--artifact", "--spec-file", "--rule"},
@@ -202,8 +233,9 @@ def test_flag_set_is_the_sixty_of_the_hand_rolled_loops():
     # (--flight-window, --examples-dir); then chaos folded into bench
     # (its --scenario, --smoke and --out are bench's, its --seed and
     # --clients Python keywords only, and trace --record runs a table
-    # scenario instead of --clients viewers); eight commands
-    assert sum(map(len, FLAGS.values())) == 33
+    # scenario instead of --clients viewers), and bench's --duration (a
+    # scenario row carries its size); eight commands
+    assert sum(map(len, FLAGS.values())) == 32
     assert len(FLAGS) == 8
 
 

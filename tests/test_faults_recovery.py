@@ -31,10 +31,11 @@ def test_crash_failover_saves_most_sessions():
     # >= 80% of sessions must actually deliver their media via failover
     assert a["delivered"] >= 0.8 * a["sessions"]
     assert a["recoveries"] > 0
-    assert a["watchdog"]["detections"] >= 1
-    assert a["watchdog"]["streams_failed_over"] > 0
-    assert a["watchdog"]["streams_lost"] == 0
-    assert a["watchdog"]["sessions_saved"] == a["sessions"]
+    recovery = a["service"]["recovery"]
+    assert recovery["detections"] >= 1
+    assert recovery["streams_failed_over"] > 0
+    assert recovery["streams_lost"] == 0
+    assert recovery["sessions_saved"] == a["sessions"]
     # per-session recovery counts surface on SessionResult
     assert any(o.result.recoveries > 0 for o in run.population)
 

@@ -66,7 +66,7 @@ def test_shipped_default_specs_parse():
 def test_every_run_scenario_has_one_shipped_spec():
     from repro.obs.bench import SCENARIOS
 
-    assert set(DEFAULT_SLOS) == set(SCENARIOS) | {"population_shard"}
+    assert set(DEFAULT_SLOS) == set(SCENARIOS)
 
 
 # -- flattening + evaluation --------------------------------------------------
@@ -164,11 +164,12 @@ def test_a_sharded_bench_run_is_gated_by_its_spec(tmp_path, monkeypatch,
                                                   capsys):
     from repro.obs import slo
 
-    argv = ["bench", "--clients", "4", "--shards", "1", "--cell", "4",
-            "--duration", "1.0", "--out", str(tmp_path)]
+    argv = ["bench", "--smoke", "--scenario", "population_clean",
+            "--clients", "4", "--shards", "1", "--cell", "4",
+            "--out", str(tmp_path)]
     assert main(argv) == 0
     assert "violations: 0" in capsys.readouterr().out
-    monkeypatch.setitem(slo.DEFAULT_SLOS, "population_shard",
+    monkeypatch.setitem(slo.DEFAULT_SLOS, "population_clean",
                         ("qoe_p50 >= 101",))
     assert main(argv) == 1
     assert "violations: 1" in capsys.readouterr().out

@@ -57,6 +57,24 @@ def test_one_cell_is_the_monolithic_run(name, seed):
     assert population_digest(doc["population"]) == mono.digest
 
 
+def test_a_control_arm_is_a_row_value():
+    """``retry=False`` is a field of the row, so a cell runs the
+    control arm with no plumbing of its own: the partition strands
+    sessions in the cell as it does on one engine."""
+    row = SCENARIOS["partition"]
+    n = row.smoke_clients
+    cell_seed = _cell_seed(n, 3)
+    doc = run_cell(dataclasses.replace(_smoke(row), retry=False), 0, 0, n,
+                   cell_seed)
+    mono = run_scenario("partition", smoke=True, retry=False,
+                        seed=cell_seed)
+    assert doc["population"]["outcomes"] == \
+        mono.population.to_dict()["outcomes"]
+    assert doc["events"] == mono.artifact["events"]
+    assert population_digest(doc["population"]) == mono.digest
+    assert mono.artifact["completed"] < n
+
+
 def test_a_one_cell_sharded_run_has_the_monolithic_digest():
     """Forked, supervised and merged, one cell still is the run."""
     row = SCENARIOS["crash"]
@@ -70,7 +88,7 @@ def test_a_one_cell_sharded_run_has_the_monolithic_digest():
 
 def test_a_slice_names_its_viewers_from_first():
     row = _smoke(SCENARIOS["population_clean"])
-    _, pop = populate(row, 3, row.duration_s, 5, first=12)
+    _, pop = populate(row, 3, 5, first=12)
     assert [(o.client_node, o.user_id, o.session_id) for o in pop] == [
         (f"client{g}", f"viewer{g}", f"sess-{g}") for g in (13, 14, 15)]
     assert [o.result.qoe["session"] for o in pop] == \
