@@ -33,7 +33,8 @@ def run_traced_session():
         resp = yield from client.request_document("doc")
         trace.append((eng.sim.now, "multimedia database",
                       "scenario retrieved and sent to client"))
-        comp = eng.build_client_composition(resp.body["markup"], server)
+        comp = eng.build_client_composition(resp.body["markup"], server,
+                                            session=handler.session_id)
         trace.append((eng.sim.now, "presentation scheduler",
                       f"built {len(comp.scheduler.buffers)} media buffers + "
                       f"{len(comp.scheduler.skew_controllers)} sync groups"))

@@ -71,8 +71,9 @@ def main() -> None:
         log.append(f"t={sim.now:.2f} connected to museo-uno")
 
         resp = yield from client1.request_document("room-a")
-        comp = engine.build_client_composition(resp.body["markup"],
-                                               engine.servers["museo-uno"])
+        comp = engine.build_client_composition(
+            resp.body["markup"], engine.servers["museo-uno"],
+            session=handler1.session_id)
         ready = yield from client1.send_ready(comp.rtp_ports,
                                               comp.discrete_ports)
         comp.attach_feedback(ready.body["rtcp_port"],
@@ -91,7 +92,8 @@ def main() -> None:
         resp = yield from client2.connect()
         yield from client2.request_document("annex")
         comp2 = engine.build_client_composition(
-            client2.last_markup, engine.servers["museo-due"])
+            client2.last_markup, engine.servers["museo-due"],
+            session=handler2.session_id)
         ready2 = yield from client2.send_ready(comp2.rtp_ports,
                                                comp2.discrete_ports)
         comp2.attach_feedback(ready2.body["rtcp_port"],

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.des import Simulator
 
 __all__ = ["PlayoutEventKind", "PlayoutEvent", "StreamTally", "PlayoutTally",
            "PlayoutEventLog", "SkewSeries"]
@@ -95,33 +98,23 @@ class PlayoutTally:
 
 
 class PlayoutEventLog:
-    """Chronological event log with derived QoP statistics."""
+    """Chronological event log with derived QoP statistics.
 
-    def __init__(self) -> None:
+    Built with a simulator, the log forwards its events to the
+    simulator's tracer as ``playout.*``, stamped with ``session``
+    (``sim=None``: a standalone log, never traced). FRAME events are
+    the hot path (one per presented frame): they are traced only on the
+    detail tier and when the caller supplies the frame id, so the
+    lifecycle correlator can close each frame's span. Gaps, drops,
+    duplicates and lifecycle events always carry the diagnostic signal.
+    """
+
+    def __init__(self, sim: Simulator | None = None,
+                 session: str = "") -> None:
+        self.sim = sim
+        self.session = session
         self.events: list[PlayoutEvent] = []
         self._tally: PlayoutTally | None = None
-        self._tracer = None
-        self._session = ""
-        self._tracing = False
-        self._tracing_detail = False
-
-    def set_tracer(self, tracer, session: str = "") -> None:
-        """Forward playout events to a structured tracer.
-
-        FRAME events are the hot path (one per presented frame): they
-        are traced only when the caller supplies the frame id, so the
-        lifecycle correlator can close each frame's span while legacy
-        callers stay cheap. Gaps, drops, duplicates and lifecycle
-        events always carry the diagnostic signal.
-        """
-        self._tracer = tracer
-        self._session = session
-        self._tracing = tracer is not None and bool(
-            getattr(tracer, "enabled", False)
-        )
-        self._tracing_detail = self._tracing and bool(
-            getattr(tracer, "detail", True)
-        )
 
     def record(
         self,
@@ -136,22 +129,20 @@ class PlayoutEventLog:
         self.events.append(tuple.__new__(  # PlayoutEvent(...), unwrapped
             PlayoutEvent,
             (time, stream_id, kind, media_time_s, grade, frame_seq)))
-        if self._tracing:
-            # Per-frame events are detail-tier: skipped for
-            # control-plane tracers (flight recorder) and for legacy
-            # callers that don't supply the frame id.
+        sim = self.sim
+        if sim is not None and sim._tracing:
             if kind is PlayoutEventKind.FRAME and (
-                    not self._tracing_detail or frame_seq is None):
+                    not sim._tracing_detail or frame_seq is None):
                 return
             extra: dict[str, object] = {}
             if frame_seq is not None:
                 extra["frame"] = frame_seq
             if reason:
                 extra["reason"] = reason
-            self._tracer.emit(time, f"playout.{kind.value}", stream_id,
-                              session=self._session,
-                              media_time_s=media_time_s, grade=grade,
-                              **extra)
+            sim._tracer.emit(time, f"playout.{kind.value}", stream_id,
+                             session=self.session,
+                             media_time_s=media_time_s, grade=grade,
+                             **extra)
 
     # -- selections -----------------------------------------------------
     def count(self, kind: PlayoutEventKind, stream_id: str | None = None) -> int:

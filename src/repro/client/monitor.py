@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.client.buffers import MediaBuffer
+
+if TYPE_CHECKING:
+    from repro.des import Simulator
 
 __all__ = ["BufferState", "BufferAction", "BufferMonitor"]
 
@@ -51,6 +55,8 @@ class BufferMonitor:
         low_watermark: float = 0.25,
         high_watermark: float = 1.5,
         max_consecutive_duplicates: int = 3,
+        sim: Simulator | None = None,
+        session: str = "",
     ) -> None:
         if not (0.0 <= low_watermark < high_watermark):
             raise ValueError("need 0 <= low < high watermark")
@@ -63,17 +69,10 @@ class BufferMonitor:
         self.stats = MonitorStats()
         self._state = BufferState.NORMAL
         self._consecutive_duplicates = 0
-        self._tracer = None
-        self._session = ""
-        self._tracing = False
-
-    def set_tracer(self, tracer, session: str = "") -> None:
-        """Emit ``buffer.watermark`` events on zone crossings."""
-        self._tracer = tracer
-        self._session = session
-        self._tracing = tracer is not None and bool(
-            getattr(tracer, "enabled", False)
-        )
+        #: zone crossings are traced as ``buffer.watermark`` through
+        #: ``sim``'s tracer (``None``: a standalone monitor)
+        self.sim = sim
+        self.session = session
 
     @property
     def state(self) -> BufferState:
@@ -106,10 +105,11 @@ class BufferMonitor:
             elif new_state is BufferState.HIGH:
                 self.stats.high_entries += 1
             self.stats.state_trace.append((now, new_state))
-            if self._tracing:
-                self._tracer.emit(
+            sim = self.sim
+            if sim is not None and sim._tracing:
+                sim._tracer.emit(
                     now, "buffer.watermark", buffer.stream_id,
-                    session=self._session, state=new_state.value,
+                    session=self.session, state=new_state.value,
                     ratio=round(ratio, 4),
                 )
             self._state = new_state

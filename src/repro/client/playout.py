@@ -288,7 +288,7 @@ class PlayoutProcess:
         clock = buffer.clock_rate
         stream_id = self.entry.stream_id
         log = self.log
-        if log._tracing_detail:
+        if sim._tracing_detail:
             log.record(sim._now, stream_id, PlayoutEventKind.FRAME,
                        self.played_s, frame.grade, frame.seq)
         else:

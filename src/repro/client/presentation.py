@@ -68,10 +68,13 @@ class PresentationScheduler:
         skew_enabled: bool = True,
         low_watermark: float = 0.25,
         high_watermark: float = 1.5,
+        session: str = "",
     ) -> None:
         self.sim = sim
         self.scenario = scenario
-        self.log = log if log is not None else PlayoutEventLog()
+        #: session id stamped onto this presentation's trace events
+        self.session = session
+        self.log = log if log is not None else PlayoutEventLog(sim, session)
         self.renderer = renderer if renderer is not None \
             else VirtualRenderer(scenario.layout)
         self.gate = PauseGate(sim)
@@ -84,8 +87,6 @@ class PresentationScheduler:
         self._discrete_done: dict[str, Event] = {}
         self._disabled: set[str] = set()
         self._interrupted = False
-        #: session id stamped onto buffer push/drop trace events
-        self.trace_session = ""
         self.started = False
         self.presentation_start: float | None = None
         self._start_called_at: float | None = None
@@ -106,7 +107,7 @@ class PresentationScheduler:
             self.buffers[sid] = buf
             self.monitors[sid] = BufferMonitor(
                 buf, low_watermark=low_watermark,
-                high_watermark=high_watermark,
+                high_watermark=high_watermark, sim=sim, session=session,
             )
         for group, members in scenario.sync_groups().items():
             masters = [m for m in members if m.entry.is_sync_master]
@@ -114,7 +115,7 @@ class PresentationScheduler:
                 raise ValueError(f"sync group {group} has no master stream")
             self.skew_controllers[group] = SkewController(
                 group, master_id=masters[0].stream_id,
-                enabled=skew_enabled,
+                enabled=skew_enabled, sim=sim, session=session,
             )
         for spec in scenario.discrete_streams():
             self._loaded[spec.stream_id] = sim.event()
@@ -151,7 +152,7 @@ class PresentationScheduler:
                 stats.overflow_drops += 1
                 if sim._tracing:
                     sim._tracer.emit(sim._now, "buffer.drop", stream_id,
-                                     session=self.trace_session,
+                                     session=self.session,
                                      frame=frame.seq, reason="overflow")
                 return
             frames.append(frame)
@@ -159,7 +160,7 @@ class PresentationScheduler:
             stats.pushed += 1
             if sim._tracing_detail:
                 sim._tracer.emit(sim._now, "buffer.push", stream_id,
-                                 session=self.trace_session,
+                                 session=self.session,
                                  frame=frame.seq,
                                  occupancy_s=buf.occupancy_s)
 

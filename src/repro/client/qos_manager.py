@@ -54,9 +54,6 @@ class ClientQoSManager:
         self.node_id = node_id
         self.report_interval_s = report_interval_s
         self.adaptive = adaptive
-        #: session id stamped onto RTCP trace events (wired by the
-        #: client composition when tracing is on)
-        self.session = ""
         self._receivers: dict[str, RtpReceiver] = {}
         self._reporters: dict[str, RtcpReporter] = {}
         #: report source ports drawn from the node's own allocator —
@@ -89,7 +86,7 @@ class ClientQoSManager:
             sim._tracer.emit(sim.now, "qos.stream", stream_id,
                              node=self.node_id, rtcp_port=rtcp_port,
                              interval_s=self.report_interval_s,
-                             session=self.session)
+                             session=receiver.session)
         reporter = RtcpReporter(
             self.network, receiver, self.node_id, rtcp_port,
             server_node, server_rtcp_port, ssrc=ssrc,
@@ -97,7 +94,6 @@ class ClientQoSManager:
             adaptive=self.adaptive,
             min_interval_s=min(0.25, self.report_interval_s),
         )
-        reporter.session = self.session
         self._reporters[stream_id] = reporter
         return reporter
 

@@ -24,8 +24,12 @@ keep |skew| bounded near the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.client.metrics import DEFAULT_SYNC_THRESHOLD_S, SkewSeries
+
+if TYPE_CHECKING:
+    from repro.des import Simulator
 
 __all__ = ["SkewController", "SkewDecision"]
 
@@ -64,6 +68,8 @@ class SkewController:
         threshold_s: float = DEFAULT_SYNC_THRESHOLD_S,
         max_drops_per_tick: int = 3,
         enabled: bool = True,
+        sim: Simulator | None = None,
+        session: str = "",
     ) -> None:
         if threshold_s <= 0:
             raise ValueError("threshold_s must be positive")
@@ -78,17 +84,10 @@ class SkewController:
         self.stats = SkewControllerStats()
         self._positions: dict[str, float] = {}
         self._active: dict[str, bool] = {}
-        self._tracer = None
-        self._session = ""
-        self._tracing = False
-
-    def set_tracer(self, tracer, session: str = "") -> None:
-        """Emit ``skew.correct`` events on drop/duplicate decisions."""
-        self._tracer = tracer
-        self._session = session
-        self._tracing = tracer is not None and bool(
-            getattr(tracer, "enabled", False)
-        )
+        #: drop/duplicate decisions are traced as ``skew.correct``
+        #: through ``sim``'s tracer (``None``: a standalone controller)
+        self.sim = sim
+        self.session = session
 
     # -- position reporting ----------------------------------------------
     def report_position(self, stream_id: str, media_time_s: float,
@@ -139,20 +138,22 @@ class SkewController:
         if skew > self.threshold_s:
             stats.duplicates += 1
             stats.corrections += 1
-            if self._tracing:
-                self._tracer.emit(now, "skew.correct", stream_id,
-                                  session=self._session, action="duplicate",
-                                  skew_s=round(skew, 6), group=self.group)
+            sim = self.sim
+            if sim is not None and sim._tracing:
+                sim._tracer.emit(now, "skew.correct", stream_id,
+                                 session=self.session, action="duplicate",
+                                 skew_s=round(skew, 6), group=self.group)
             return _DUPLICATE
         if skew < -self.threshold_s and frame_interval_s > 0:
             behind_frames = int(-skew / frame_interval_s)
             n = max(1, min(self.max_drops_per_tick, behind_frames))
             stats.drops += n
             stats.corrections += 1
-            if self._tracing:
-                self._tracer.emit(now, "skew.correct", stream_id,
-                                  session=self._session, action="drop",
-                                  skew_s=round(skew, 6), group=self.group,
-                                  drop_count=n)
+            sim = self.sim
+            if sim is not None and sim._tracing:
+                sim._tracer.emit(now, "skew.correct", stream_id,
+                                 session=self.session, action="drop",
+                                 skew_s=round(skew, 6), group=self.group,
+                                 drop_count=n)
             return SkewDecision("drop", drop_count=n)
         return _PLAY

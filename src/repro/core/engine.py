@@ -28,7 +28,6 @@ import itertools
 from typing import Any
 
 from repro.client.presentation import PresentationScheduler, StreamBinding
-from repro.client.metrics import PlayoutEventLog
 from repro.client.qos_manager import ClientQoSManager
 from repro.des import Simulator
 from repro.des.rng import RngRegistry
@@ -428,9 +427,10 @@ class ServiceEngine:
     def build_client_composition(self, markup: str,
                                  server: MultimediaServer,
                                  client_node: str | None = None,
+                                 session: str = "",
                                  ) -> "ClientComposition":
         return ClientComposition(self, markup, server,
-                                 client_node=client_node)
+                                 client_node=client_node, session=session)
 
     # -- orchestration shims ------------------------------------------------
     @property
@@ -457,11 +457,14 @@ class ClientComposition:
 
     Bound to one viewer host: receivers, buffers and feedback ports
     all live on ``client_node`` and draw from *its* port allocator.
+    Every part is traced through the engine's simulator, its events
+    stamped with ``session``.
     """
 
     def __init__(self, engine: ServiceEngine, markup: str,
                  server: MultimediaServer,
-                 client_node: str | None = None) -> None:
+                 client_node: str | None = None,
+                 session: str = "") -> None:
         self.engine = engine
         self.sim = engine.sim
         self.network = engine.network
@@ -471,7 +474,6 @@ class ClientComposition:
         cfg = engine.config
         node = self.network.node(self.client_node)
         self.scenario = PresentationScenario.from_markup(markup)
-        self.log = PlayoutEventLog()
         self.qos = ClientQoSManager(self.network, self.client_node,
                                     report_interval_s=cfg.rtcp_interval_s,
                                     adaptive=cfg.rtcp_adaptive)
@@ -489,17 +491,18 @@ class ClientComposition:
                 codec.best.frame_interval_s,
             )
         self.scheduler = PresentationScheduler(
-            self.sim, self.scenario, bindings, log=self.log,
+            self.sim, self.scenario, bindings,
             time_window_s=cfg.time_window_s,
-            skew_enabled=cfg.skew_control,
+            skew_enabled=cfg.skew_control, session=session,
         )
+        self.log = self.scheduler.log
         for spec in self.scenario.continuous_streams():
             sid = spec.stream_id
             port = node.ports.allocate("media")
             codec = engine.codecs.default_for(spec.media_type)
             self.receivers[sid] = RtpReceiver(
                 self.network, self.client_node, port, codec.clock_rate, sid,
-                on_frame=self.scheduler.frame_sink(sid),
+                on_frame=self.scheduler.frame_sink(sid), session=session,
             )
             self.rtp_ports[sid] = port
         for spec in self.scenario.discrete_streams():
@@ -513,23 +516,6 @@ class ClientComposition:
             self._discrete_rx.append(rx)
             self.discrete_ports[sid] = port
         engine.compositions.append(self)
-
-    def set_tracer(self, tracer, session: str = "") -> None:
-        """Wire a tracer (with session attribution) through the
-        client-side machinery: playout log, buffer monitors, skew
-        controllers, receivers and the RTCP feedback path."""
-        self.log.set_tracer(tracer, session)
-        for monitor in self.scheduler.monitors.values():
-            monitor.set_tracer(tracer, session)
-        for ctrl in self.scheduler.skew_controllers.values():
-            ctrl.set_tracer(tracer, session)
-        # Session attribution for the data/feedback path: the scheduler
-        # stamps buffer events, receivers stamp frame-drop events and
-        # the QoS manager stamps the RTCP reporters it creates later.
-        self.scheduler.trace_session = session
-        self.qos.session = session
-        for receiver in self.receivers.values():
-            receiver.session = session
 
     def attach_feedback(self, server_rtcp_port: int,
                         server_node: str) -> None:

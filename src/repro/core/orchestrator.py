@@ -122,12 +122,6 @@ class PopulationResult:
             doc["timeseries"] = self.timeseries
         return doc
 
-    def by_client(self) -> dict[str, list[SessionOutcome]]:
-        grouped: dict[str, list[SessionOutcome]] = {}
-        for o in self.outcomes:
-            grouped.setdefault(o.client_node, []).append(o)
-        return grouped
-
     def results(self) -> list[SessionResult]:
         return [o.result for o in self.outcomes]
 
@@ -188,10 +182,9 @@ class SessionOrchestrator:
                 )
             return
         comp = self.engine.build_client_composition(
-            resp.body["markup"], server, client_node=client_node
+            resp.body["markup"], server, client_node=client_node,
+            session=session_id,
         )
-        if tracing:
-            comp.set_tracer(self.sim._tracer, session_id)
         ready = yield from client.send_ready(comp.rtp_ports,
                                              comp.discrete_ports)
         if ready.msg_type != "streams-started":
@@ -525,10 +518,9 @@ class SessionOrchestrator:
                     break
                 history.visit(current)
                 comp = engine.build_client_composition(
-                    resp.body["markup"], server, client_node=client_node
+                    resp.body["markup"], server, client_node=client_node,
+                    session=handler.session_id,
                 )
-                if self.sim._tracing:
-                    comp.set_tracer(self.sim._tracer, handler.session_id)
                 ready = yield from client.send_ready(
                     comp.rtp_ports, comp.discrete_ports)
                 if ready.msg_type != "streams-started":

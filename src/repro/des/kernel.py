@@ -34,6 +34,7 @@ __all__ = [
     "AllOf",
     "Simulator",
     "entry_kind",
+    "tracing_tiers",
 ]
 
 
@@ -326,6 +327,17 @@ def entry_kind(fn: Any) -> str:
     return "Call"
 
 
+def tracing_tiers(tracer: Any) -> tuple[bool, bool]:
+    """Whether ``tracer`` is on, and whether it takes the detail tier.
+
+    On means attached and ``enabled``; the detail tier (the
+    per-packet/per-frame firehose) also needs ``detail``, which a
+    tracer that does not declare it takes as True.
+    """
+    on = tracer is not None and bool(getattr(tracer, "enabled", False))
+    return on, on and bool(getattr(tracer, "detail", True))
+
+
 class Simulator:
     """The event queue and simulated clock."""
 
@@ -337,12 +349,12 @@ class Simulator:
             tuple[float, int, Callable[..., object], tuple[Any, ...]]] = []
         self._seq = 0
         self._running = False
-        # Tracing is opt-in and two-tier: `_tracing` guards
-        # control-plane emits (faults, admission, drops, spans);
-        # `_tracing_detail` guards the per-packet/per-frame firehose
-        # and is True only when the tracer also declares
-        # ``detail = True``. A sim without a tracer pays one
-        # attribute check per hook point either way.
+        # Tracing is opt-in and two-tier (:func:`tracing_tiers`):
+        # `_tracing` guards control-plane emits (faults, admission,
+        # drops, spans); `_tracing_detail` guards the
+        # per-packet/per-frame firehose. Every traced component reads
+        # both here, through its simulator, so a sim without a tracer
+        # pays one attribute check per hook point either way.
         self._tracer = None
         self._tracing = False
         self._tracing_detail = False
@@ -380,12 +392,7 @@ class Simulator:
         if self._running:
             raise RuntimeError("cannot change the tracer during run()")
         self._tracer = tracer
-        self._tracing = tracer is not None and bool(
-            getattr(tracer, "enabled", False)
-        )
-        self._tracing_detail = self._tracing and bool(
-            getattr(tracer, "detail", True)
-        )
+        self._tracing, self._tracing_detail = tracing_tiers(tracer)
 
     # -- construction helpers -----------------------------------------
     def event(self) -> Event:

@@ -19,8 +19,10 @@ SLO violation (the CLI calls :meth:`FlightRecorder.dump`), or
 explicitly.
 
 The recorder *is* a :class:`~repro.obs.tracer.RecordingTracer` — same
-store, same per-kind counts, same query surface — configured as a
-ring, so wherever a RecordingTracer is expected a recorder drops in.
+per-kind counts, same query surface — whose store is a ring, so
+wherever a RecordingTracer is expected a recorder drops in. The ring
+is this class's alone: it counts every event before it sheds the
+oldest (``dropped_events``), while a RecordingTracer keeps everything.
 Capacity decides the tier: a bounded ring stays on the control tier
 (4096 per-packet events would span milliseconds, not an incident),
 while ``FlightRecorder(max_events=None)`` is a complete recording
@@ -30,6 +32,7 @@ installs.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Iterable
 
 from repro.obs.tracer import RecordingTracer, TraceEvent
@@ -45,16 +48,19 @@ DEFAULT_TRIGGER_KINDS = frozenset({
 class FlightRecorder(RecordingTracer):
     """Bounded, always-on ring of control-plane trace events."""
 
-    #: shedding the oldest events is the point of a ring, not a
-    #: degradation worth the base class's warning
-    _warn_on_evict = False
-
     def __init__(self, max_events: int | None = 4096,
                  window_s: float = 30.0,
                  dump_path: str | None = None,
                  trigger_kinds: Iterable[str] = DEFAULT_TRIGGER_KINDS,
                  ) -> None:
-        super().__init__(max_events=max_events)
+        if max_events is not None and max_events <= 0:
+            raise ValueError("max_events must be > 0")
+        super().__init__()
+        if max_events is not None:
+            self.events = deque(maxlen=max_events)
+        self.max_events = max_events
+        #: events the ring shed, oldest first (counted in kind_counts)
+        self.dropped_events = 0
         self.window_s = window_s
         #: a ring stays on the cheap control tier; only an unbounded
         #: recorder takes the per-packet firehose
@@ -65,7 +71,12 @@ class FlightRecorder(RecordingTracer):
         self.last_dump: dict[str, Any] = {}
 
     def _record(self, event: TraceEvent) -> None:
-        super()._record(event)
+        counts = self._kind_counts
+        counts[event.kind] = counts.get(event.kind, 0) + 1
+        events = self.events
+        if len(events) == self.max_events:
+            self.dropped_events += 1
+        events.append(event)
         if (self.dump_path is not None and not self.last_dump
                 and event.kind in self.trigger_kinds):
             self.dump(trigger=event.kind)

@@ -1,8 +1,13 @@
 """Structured tracing: the hook-point API and the in-memory recorder.
 
-Instrumented components never import this module on their hot paths;
-they hold a tracer reference (``None`` by default) and guard every
-emit with a boolean, so disabled tracing costs one attribute check.
+Instrumented components never import this module. The simulator is
+the one tracer handle: :meth:`repro.des.Simulator.set_tracer` attaches
+a tracer and decides once whether it is on and takes the detail tier
+(:func:`repro.des.kernel.tracing_tiers`); every component that emits,
+client side included, holds the simulator (``None`` when built
+standalone) and guards each emit with ``sim._tracing`` or
+``sim._tracing_detail``, so disabled tracing costs one attribute
+check.
 
 Event model
 -----------
@@ -43,8 +48,6 @@ events still flow.
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -96,47 +99,23 @@ class Tracer:
 
 
 class RecordingTracer(Tracer):
-    """Collects events in memory and counts them per kind.
+    """Collects every event in memory and counts them per kind.
 
-    Every emit is counted before the retention cap applies, so
-    :meth:`kind_counts` always reconciles with an exported JSONL
-    stream of a complete recording — the invariant the observability
-    tests assert — and still says how much a ring has seen.
-
-    ``max_events`` bounds memory on very long runs: the store is then
-    a ring of that capacity and the *oldest* events are shed, so the
-    tail of the run stays inspectable (``dropped_events`` says how
-    many were evicted; the first eviction warns, because a tracer
-    asked to record everything no longer does). The always-on form of
-    the same ring is :class:`~repro.obs.flightrec.FlightRecorder`.
+    :meth:`kind_counts` therefore reconciles with an exported JSONL
+    stream of the recording — the invariant the observability tests
+    assert. The bounded form, which keeps only the newest events, is
+    :class:`~repro.obs.flightrec.FlightRecorder`.
     """
 
     enabled = True
-    #: warn on the first eviction (cleared once it has)
-    _warn_on_evict = True
 
-    def __init__(self, max_events: int | None = None) -> None:
-        if max_events is not None and max_events <= 0:
-            raise ValueError("max_events must be > 0")
-        # A plain list when unbounded, else a ring (bounded deque).
-        self.events: "list[TraceEvent] | deque[TraceEvent]" = (
-            [] if max_events is None else deque(maxlen=max_events))
+    def __init__(self) -> None:
+        self.events: list[TraceEvent] = []
         self._kind_counts: dict[str, int] = {}
-        self.max_events = max_events
-        self.dropped_events = 0
 
     def _record(self, event: TraceEvent) -> None:
         counts = self._kind_counts
         counts[event.kind] = counts.get(event.kind, 0) + 1
-        if self.max_events is not None and len(self.events) == self.max_events:
-            if self._warn_on_evict:
-                self._warn_on_evict = False
-                warnings.warn(
-                    f"RecordingTracer hit max_events={self.max_events}; "
-                    "keeping the newest events only (oldest dropped). "
-                    "Use FlightRecorder for always-on capture.",
-                    RuntimeWarning, stacklevel=4)
-            self.dropped_events += 1
         self.events.append(event)
 
     def emit(self, time: float, kind: str, name: str = "", *,
@@ -164,7 +143,7 @@ class RecordingTracer(Tracer):
         return True
 
     def kind_counts(self) -> dict[str, int]:
-        """Event count per kind (includes shed events)."""
+        """Event count per kind (a ring's shed events included)."""
         return dict(self._kind_counts)
 
     def select(self, kind: str | None = None,

@@ -74,8 +74,6 @@ class RtcpReporter:
         self.loss_threshold = loss_threshold
         self.jitter_threshold_s = jitter_threshold_s
         self._current_interval = interval_s
-        #: session id for tracing (wired by the client QoS manager)
-        self.session = ""
         self.reports_sent = 0
         self._stopped = False
         self.socket = DatagramSocket(network, node_id, port)
@@ -133,7 +131,7 @@ class RtcpReporter:
                 flow_id=f"rtcp:{self.receiver.stream_id}",
                 dst_port=self.dst_port,
                 payload=report,
-                session=self.session,
+                session=self.receiver.session,
             )
         )
         self.reports_sent += 1
@@ -141,7 +139,7 @@ class RtcpReporter:
         if self.sim._tracing:
             self.sim._tracer.emit(self.sim.now, "rtcp.report",
                                   self.receiver.stream_id,
-                                  session=self.session,
+                                  session=self.receiver.session,
                                   fraction_lost=report.fraction_lost,
                                   jitter_s=report.jitter_s,
                                   mean_delay_s=report.mean_delay_s,

@@ -204,6 +204,7 @@ class RtpReceiver:
         clock_rate: int,
         stream_id: str,
         on_frame: Callable[[Frame, float], None] | None = None,
+        session: str = "",
     ) -> None:
         if clock_rate <= 0:
             raise ValueError("clock_rate must be positive")
@@ -214,8 +215,9 @@ class RtpReceiver:
         self.clock_rate = clock_rate
         self.stream_id = stream_id
         self.on_frame = on_frame
-        #: session id for tracing (wired by the client composition)
-        self.session = ""
+        #: session id for tracing; the RTCP reports on this stream
+        #: carry it too
+        self.session = session
         self.stats = RtpReceiverStats()
         self.jitter_s = 0.0
         self._prev_arrival = 0.0

@@ -22,6 +22,7 @@ Two layers, with different algebraic strength:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 __all__ = [
@@ -47,29 +48,34 @@ def session_index(outcome: dict[str, Any]) -> int:
             from None
 
 
+def _sorted_outcomes(outcome_lists) -> list[dict[str, Any]]:
+    """Every list's outcomes in one list, sorted by global session
+    index, each index read once and allowed once."""
+    keyed = [(session_index(o), o) for outcomes in outcome_lists
+             for o in outcomes]
+    keyed.sort(key=itemgetter(0))
+    for (idx, _), (nxt, _) in zip(keyed, keyed[1:]):
+        if idx == nxt:
+            raise ValueError(
+                f"duplicate session index {idx} in population merge")
+    return [o for _, o in keyed]
+
+
 def merge_population_docs(a: dict[str, Any],
                           b: dict[str, Any]) -> dict[str, Any]:
     """Exact merge of two population docs (see module docstring)."""
-    outcomes = sorted(
-        list(a.get("outcomes", [])) + list(b.get("outcomes", [])),
-        key=session_index,
-    )
-    seen: set[int] = set()
-    for o in outcomes:
-        idx = session_index(o)
-        if idx in seen:
-            raise ValueError(
-                f"duplicate session index {idx} in population merge")
-        seen.add(idx)
-    return {"outcomes": outcomes}
+    return {"outcomes": _sorted_outcomes(
+        (a.get("outcomes", []), b.get("outcomes", [])))}
 
 
 def merge_cell_docs(cell_docs: list[dict[str, Any]]) -> dict[str, Any]:
-    """Fold cell documents into one population doc, canonically.
+    """Merge cell documents into one population doc, canonically.
 
-    Cells are sorted by index before folding, so the result is
-    invariant under any permutation (or shard-partitioning) of the
-    input — including the float-summing telemetry merges.
+    Cells are sorted by index first, so the result is invariant under
+    any permutation (or shard-partitioning) of the input — including
+    the float-summing telemetry merges. The outcomes are sorted once:
+    the fold of :func:`merge_population_docs` over the cells, in one
+    pass.
     """
     if not cell_docs:
         raise ValueError("merge needs at least one cell document")
@@ -81,13 +87,10 @@ def merge_cell_docs(cell_docs: list[dict[str, Any]]) -> dict[str, Any]:
             raise ValueError(f"duplicate cell {c} in merge")
         seen_cells.add(c)
 
-    pop = empty_population_doc()
-    for d in docs:
-        pop = merge_population_docs(pop, d["population"])
-
-    merged: dict[str, Any] = dict(pop)
-    # a cell's service document is read off its series: both or neither
     cells = [d["population"] for d in docs]
+    merged: dict[str, Any] = {"outcomes": _sorted_outcomes(
+        c.get("outcomes", []) for c in cells)}
+    # a cell's service document is read off its series: both or neither
     series_docs = [c["timeseries"] for c in cells if c.get("timeseries")]
     if series_docs:
         from repro.obs.service_metrics import merge_service_docs

@@ -46,6 +46,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.des.kernel import tracing_tiers
 from repro.faults.scenarios import Scenario
 from repro.shard.merge import empty_population_doc, merge_cell_docs
 from repro.shard.plan import ShardPlan
@@ -121,8 +122,7 @@ class ShardSupervisor:
         return time.monotonic() - self._t0
 
     def _emit(self, kind: str, name: str = "", **args: Any) -> None:
-        if self.tracer is not None and getattr(self.tracer, "enabled",
-                                               True):
+        if tracing_tiers(self.tracer)[0]:
             self.tracer.emit(self._now(), kind, name, **args)
 
     def request_interrupt(self) -> None:

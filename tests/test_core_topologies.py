@@ -1,8 +1,10 @@
 """Tests for engine topology options and full-stack interactive ops."""
 
+from repro.client.metrics import PlayoutEventKind
 from repro.core import EngineConfig, ServiceEngine
 from repro.core.experiments import av_markup
 from repro.hml.examples import figure2_markup
+from repro.obs import RecordingTracer
 
 
 def test_separate_media_hosts_topology():
@@ -30,11 +32,9 @@ def test_colocated_default_topology():
     assert nodes == {server.node_id}
 
 
-def test_full_stack_pause_resume_and_reload():
-    """§5 interactive operations across the whole stack: pause stops
-    server transmission and client playout; resume continues; reload
-    re-requests the same document."""
-    eng = ServiceEngine()
+def _pause_resume_reload(eng, session=""):
+    """Pause at t≈1.5, resume at t≈4.5, then reload, on a composition
+    built straight from the engine; returns what the script saw."""
     eng.add_server("srv1", documents={"doc": (av_markup(4.0), "x")})
     server = eng.servers["srv1"]
     client, handler = eng.open_session("srv1", "u", "pw")
@@ -48,7 +48,8 @@ def test_full_stack_pause_resume_and_reload():
             yield from client.subscribe(SubscriptionForm(
                 real_name="U", address="x", email="u@e.org"))
         resp = yield from client.request_document("doc")
-        comp = eng.build_client_composition(resp.body["markup"], server)
+        comp = eng.build_client_composition(resp.body["markup"], server,
+                                            session=session)
         ready = yield from client.send_ready(comp.rtp_ports,
                                              comp.discrete_ports)
         comp.attach_feedback(ready.body["rtcp_port"], server.node_id)
@@ -75,6 +76,14 @@ def test_full_stack_pause_resume_and_reload():
     proc = eng.sim.process(script())
     eng.sim.run(until=proc)
     eng.sim.run(until=eng.sim.now + 1.0)
+    return box
+
+
+def test_full_stack_pause_resume_and_reload():
+    """§5 interactive operations across the whole stack: pause stops
+    server transmission and client playout; resume continues; reload
+    re-requests the same document."""
+    box = _pause_resume_reload(ServiceEngine())
     comp = box["comp"]
     # The 4 s presentation stretched by ~3 s of pause.
     assert box["end"] >= box["pause_started"] + 3.0
@@ -82,6 +91,27 @@ def test_full_stack_pause_resume_and_reload():
     # (beyond a small in-flight tail).
     assert comp.log.gap_count() == 0
     assert box["reload"] == "scenario"
+
+
+def test_a_composition_built_on_a_traced_engine_is_traced():
+    """A composition built through ``build_client_composition`` reads
+    the engine's tracer like the network under it: playout, buffer and
+    RTCP events, each stamped with the session it was built with."""
+    tracer = RecordingTracer()
+    box = _pause_resume_reload(ServiceEngine(tracer=tracer),
+                               session="sess-direct")
+    counts = tracer.kind_counts()
+    for kind in ("playout.start", "playout.frame", "playout.pause",
+                 "playout.resume", "playout.stop", "buffer.watermark"):
+        assert counts.get(kind, 0) > 0, kind
+    frames = tracer.select(kind="playout.frame")
+    assert len(frames) == box["comp"].log.count(PlayoutEventKind.FRAME)
+    reports = tracer.select(kind="rtcp.report")
+    assert reports
+    for kind in ("playout.frame", "buffer.watermark", "buffer.push",
+                 "rtcp.report"):
+        assert {e.session for e in tracer.select(kind=kind)} == \
+            {"sess-direct"}, kind
 
 
 def test_time_window_sizing_uses_statistics_when_unset():

@@ -20,6 +20,13 @@ def test_ring_is_bounded_and_counts_drops():
     assert len(rec.events) == 3
     assert [e.time for e in rec.events] == [2.0, 3.0, 4.0]
     assert rec.dropped_events == 2
+    # counted before the ring sheds, whichever hook point an event
+    # came through
+    rec.span_begin(5.0, "workload", "w")
+    rec.span_end(6.0, "workload", "w")
+    assert rec.kind_counts() == {"session": 5, "workload": 2}
+    assert sum(rec.kind_counts().values()) == 7 == (
+        len(rec.events) + rec.dropped_events)
 
 
 def test_window_keeps_trailing_span_only():

@@ -4,9 +4,6 @@ invariant across a traced population run."""
 from __future__ import annotations
 
 import json
-import warnings
-
-import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
@@ -56,34 +53,6 @@ def test_empty_recording_tracer_is_truthy():
     t = RecordingTracer()
     assert len(t) == 0
     assert t
-
-
-def test_recording_tracer_max_events_degrades_to_ring():
-    t = RecordingTracer(max_events=2)
-    with pytest.warns(RuntimeWarning, match="max_events=2"):
-        for i in range(5):
-            t.emit(float(i), "kernel.event")
-    # Ring retention: newest events kept, oldest evicted.
-    assert len(t.events) == 2
-    assert [e.time for e in t.events] == [3.0, 4.0]
-    assert t.dropped_events == 3
-    # counted before the cap applies: shed events included, whichever
-    # of the three hook points they came through
-    assert t.kind_counts() == {"kernel.event": 5}
-    t.span_begin(5.0, "session", "s")
-    t.span_end(6.0, "session", "s")
-    assert t.kind_counts() == {"kernel.event": 5, "session": 2}
-    assert sum(t.kind_counts().values()) == 7 == (
-        len(t.events) + t.dropped_events)
-
-
-def test_recording_tracer_cap_warns_only_once():
-    t = RecordingTracer(max_events=1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for i in range(10):
-            t.emit(float(i), "kernel.event")
-    assert sum(issubclass(w.category, RuntimeWarning) for w in caught) == 1
 
 
 # -- exporters ---------------------------------------------------------------

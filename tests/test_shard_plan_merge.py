@@ -114,6 +114,48 @@ def test_merge_associative_and_commutative(docs):
     assert merge_population_docs(a, b) == merge_population_docs(b, a)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(1, 200), max_size=32), st.data())
+def test_cell_merge_equals_the_fold_over_any_partition(indices, data):
+    """One sort over every cell is the pairwise fold, cell by cell."""
+    n_cells = data.draw(st.integers(1, 6))
+    parts: list[list[int]] = [[] for _ in range(n_cells)]
+    for idx in sorted(indices):
+        parts[data.draw(st.integers(0, n_cells - 1))].append(idx)
+    cells = [{"cell": c, "population": _doc(part)}
+             for c, part in enumerate(parts)]
+    fold = empty_population_doc()
+    for cell in cells:
+        fold = merge_population_docs(fold, cell["population"])
+    shuffled = data.draw(st.permutations(cells))
+    assert merge_cell_docs(list(shuffled)) == fold
+
+
+def test_cell_merge_reads_each_session_index_a_bounded_number_of_times(
+        monkeypatch):
+    """The scale curve's 10,240-client point: 1,280 cells of 8 viewers
+    merge in one pass, not a re-sort of the growing list per cell."""
+    import repro.shard.merge as merge
+
+    calls = 0
+    index = merge.session_index
+
+    def counted(outcome):
+        nonlocal calls
+        calls += 1
+        return index(outcome)
+
+    monkeypatch.setattr(merge, "session_index", counted)
+    n_cells, viewers = 1280, 8
+    cells = [{"cell": c, "population": _doc(
+        range(c * viewers + 1, (c + 1) * viewers + 1))}
+        for c in range(n_cells)]
+    merged = merge_cell_docs(cells)
+    n = n_cells * viewers
+    assert len(merged["outcomes"]) == n
+    assert calls <= 2 * n
+
+
 def test_merge_rejects_duplicate_sessions():
     a = _doc([1, 2])
     b = _doc([2, 3])
