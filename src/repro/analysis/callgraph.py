@@ -64,12 +64,12 @@ __all__ = [
 TAINT_RULES = RuleRegistry("taint")
 
 #: digest-relevant sinks: canonical hashing, population/cell merging,
-#: and shard/cell seed derivation. A nondeterministic value reaching
+#: and cell seed derivation. A nondeterministic value reaching
 #: any of these breaks the byte-identical replay guarantee.
 DIGEST_SINKS = frozenset({
     "population_digest", "canonical_json",
     "merge_cell_docs", "merge_population_docs",
-    "cell_seed", "shard_seed", "worker_cells", "SeedSequence",
+    "cell_seed", "worker_cells", "SeedSequence",
 })
 
 #: taint source kinds

@@ -64,19 +64,13 @@ class Histogram:
             self.bucket_counts = [0] * len(self.bounds)
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
+        self.observe_many((value,))
 
     def observe_many(self, values: Sequence[float]) -> None:
-        """Observe a batch in one call; the state afterwards is exactly
-        what observing each value in turn leaves (``total`` adds in
-        the given order)."""
+        """Observe a batch in one call. A value counts in the first
+        bucket whose bound is >= it (in none past the last bound);
+        ``total`` adds in the given order, so a batch leaves exactly
+        what observing each value in turn does."""
         if not values:
             return
         self.count += len(values)

@@ -67,7 +67,6 @@ def run_sharded(
     workload: Scenario | None = None,
     tolerate_failures: bool = False,
     tracer: Any | None = None,
-    **supervisor_kwargs: Any,
 ) -> ShardedRunResult:
     """One supervised sharded population run of ``workload`` (default:
     :func:`shard_workload` at ``duration_s`` and ``stagger_s``, 6.0 and
@@ -86,11 +85,9 @@ def run_sharded(
                          "stagger_s: pass neither with workload=")
     plan = ShardPlan(n_clients=n_clients, n_shards=n_shards,
                      cell_clients=cell_clients, seed=seed)
-    supervisor = ShardSupervisor(
-        plan, workload, tolerate_failures=tolerate_failures,
-        tracer=tracer, **supervisor_kwargs,
-    )
-    return supervisor.run()
+    return ShardSupervisor(plan, workload,
+                           tolerate_failures=tolerate_failures,
+                           tracer=tracer).run()
 
 
 def run_scale_curve(*, n_shards: int = 4, seed: int = 11,

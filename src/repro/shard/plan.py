@@ -12,9 +12,8 @@ shard-count-invariant and a retried shard byte-identical to the lost
 attempt.
 
 Seed streams: cell ``c`` seeds its engine from
-``SeedSequence(entropy=seed, spawn_key=(0, c))``; shard ``s`` gets a
-supervisor-side stream from ``spawn_key=(1, s)`` (used only for retry
-backoff jitter — it never touches simulation results).
+``SeedSequence(entropy=seed, spawn_key=(0, c))``. Shards draw no
+randomness: the supervisor's retry pacing is a fixed backoff.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ import numpy as np
 
 __all__ = ["ShardPlan"]
 
-#: spawn-key namespaces (cell engines vs supervisor jitter streams)
+#: spawn-key namespace of the cell engines' seeds
 _CELL_KEY = 0
-_SHARD_KEY = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,12 +63,6 @@ class ShardPlan:
         """The engine seed of one cell (independent of ``n_shards``)."""
         seq = np.random.SeedSequence(entropy=self.seed,
                                      spawn_key=(_CELL_KEY, cell))
-        return int(seq.generate_state(1, np.uint64)[0])
-
-    def shard_seed(self, shard: int) -> int:
-        """Supervisor-side stream for shard ``shard`` (jitter only)."""
-        seq = np.random.SeedSequence(entropy=self.seed,
-                                     spawn_key=(_SHARD_KEY, shard))
         return int(seq.generate_state(1, np.uint64)[0])
 
     # -- shard assignment ----------------------------------------------------

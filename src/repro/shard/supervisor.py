@@ -8,11 +8,10 @@ The supervisor owns K worker processes and treats them as crashable:
   passes) is killed and handled like a crash. Slow is not dead: with
   no deadline set, a shard may take as long as it keeps heartbeating;
 * **retry** — a crashed/hung/timed-out shard is relaunched up to
-  ``max_retries`` times with exponential backoff plus deterministic
-  jitter (drawn from the shard's own seed stream, so two operators
-  replaying the same failure schedule get the same pacing). A retry
-  re-runs the shard's cells from their seed streams, making it
-  byte-identical to the lost attempt;
+  :data:`MAX_RETRIES` times with plain exponential backoff
+  (:data:`BACKOFF_BASE_S`, doubling per retry). A retry re-runs the
+  shard's cells from their seed streams, making it byte-identical to
+  the lost attempt;
 * **teardown** — SIGINT/SIGTERM flip an interrupt flag; the run loop
   exits and a ``finally`` block terminates every live worker (no
   orphans), restores the previous signal handlers, and — under
@@ -32,6 +31,10 @@ there: a killed writer can wedge every other participant.) A retried
 shard gets a fresh pipe, so a lost attempt's stragglers cannot leak
 into the new attempt's stream.
 
+The policy is fixed: the module constants below are the one set of
+values every run uses (a drill monkeypatches them). Only the per-shard
+wall deadline is a per-run choice.
+
 Everything here is wall-clock territory (real processes, real
 deadlines); determinism lives inside the cells and the merge.
 """
@@ -42,9 +45,7 @@ import multiprocessing as mp
 import signal
 import time
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable
-
-import numpy as np
+from typing import Any
 
 from repro.des.kernel import tracing_tiers
 from repro.faults.scenarios import Scenario
@@ -55,16 +56,25 @@ from repro.shard.worker import import_cell_modules, worker_main
 
 __all__ = ["ShardSupervisor"]
 
+#: relaunches of a failed shard before it counts as lost
+MAX_RETRIES = 2
+#: a worker's heartbeat period, and the silence that marks it hung
+HEARTBEAT_INTERVAL_S = 0.5
+HEARTBEAT_TIMEOUT_S = 15.0
+#: the run loop's longest wait for a pipe
+POLL_INTERVAL_S = 0.05
+#: the first retry's delay; each later retry doubles it
+BACKOFF_BASE_S = 0.25
+
 
 class _Shard:
     """Supervisor-side state of one shard."""
 
     __slots__ = ("status", "cells", "proc", "conn", "attempt", "last_hb",
-                 "deadline", "respawn_at", "rng")
+                 "deadline", "respawn_at")
 
     def __init__(self, status: ShardStatus,
-                 cells: list[tuple[int, int, int, int]],
-                 rng: np.random.Generator) -> None:
+                 cells: list[tuple[int, int, int, int]]) -> None:
         self.status = status
         self.cells = cells  # (cell, lo, hi, seed) tuples
         self.proc: mp.process.BaseProcess | None = None
@@ -74,7 +84,6 @@ class _Shard:
         self.last_hb = 0.0
         self.deadline = float("inf")
         self.respawn_at = 0.0
-        self.rng = rng
 
 
 class ShardSupervisor:
@@ -85,34 +94,17 @@ class ShardSupervisor:
         plan: ShardPlan,
         workload: Scenario,
         *,
-        max_retries: int = 2,
-        heartbeat_interval_s: float = 0.5,
-        heartbeat_timeout_s: float = 15.0,
-        shard_timeout_s: float | None = None,
-        backoff_base_s: float = 0.25,
-        backoff_max_s: float = 5.0,
-        jitter_frac: float = 0.25,
         tolerate_failures: bool = False,
-        poll_interval_s: float = 0.05,
         tracer: Any | None = None,
-        on_spawn: Callable[[int, int, Any], None] | None = None,
+        shard_timeout_s: float | None = None,
     ) -> None:
         self.plan = plan
         self.workload = workload
-        self.max_retries = max_retries
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
+        self.tolerate_failures = tolerate_failures
+        self.tracer = tracer
         #: optional per-attempt wall deadline; None = heartbeats alone
         #: decide liveness (a slow shard that still beats is healthy)
         self.shard_timeout_s = shard_timeout_s
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
-        self.jitter_frac = jitter_frac
-        self.tolerate_failures = tolerate_failures
-        self.poll_interval_s = poll_interval_s
-        self.tracer = tracer
-        #: test/ops hook called as (shard, attempt, process) after spawn
-        self.on_spawn = on_spawn
         self._interrupted = False
         self._t0 = 0.0
         self._shards: list[_Shard] = []
@@ -129,13 +121,6 @@ class ShardSupervisor:
         """Ask the run loop to stop (signal-handler safe)."""
         self._interrupted = True
 
-    def _backoff_s(self, shard: _Shard) -> float:
-        base = min(self.backoff_max_s,
-                   self.backoff_base_s * (2 ** (shard.status.retries - 1)))
-        # Deterministic jitter: the shard's seed stream, not wall
-        # entropy, so a replayed failure schedule paces identically.
-        return base * (1.0 + self.jitter_frac * float(shard.rng.random()))
-
     def _spawn(self, shard: _Shard) -> None:
         shard.attempt += 1
         shard.status.attempts = shard.attempt
@@ -149,7 +134,7 @@ class ShardSupervisor:
         proc = self._ctx.Process(
             target=worker_main,
             args=(send_conn, self.workload, shard.status.shard,
-                  shard.attempt, shard.cells, self.heartbeat_interval_s),
+                  shard.attempt, shard.cells, HEARTBEAT_INTERVAL_S),
             name=f"shard-{shard.status.shard}",
             daemon=True,  # orphan backstop: dies with the supervisor
         )
@@ -163,8 +148,6 @@ class ShardSupervisor:
         self._emit("shard.spawn", f"shard-{shard.status.shard}",
                    shard=shard.status.shard, attempt=shard.attempt,
                    cells=len(shard.cells), pid=proc.pid)
-        if self.on_spawn is not None:
-            self.on_spawn(shard.status.shard, shard.attempt, proc)
 
     def _close_conn(self, shard: _Shard) -> None:
         if shard.conn is not None:
@@ -188,12 +171,12 @@ class ShardSupervisor:
         self._close_conn(shard)
         self._emit("fault.shard", f"shard-{s.shard}", shard=s.shard,
                    attempt=shard.attempt, reason=reason)
-        if s.retries >= self.max_retries:
+        if s.retries >= MAX_RETRIES:
             s.status = "failed"
             return
         s.retries += 1
         s.status = "retry-wait"
-        delay = self._backoff_s(shard)
+        delay = BACKOFF_BASE_S * 2 ** (s.retries - 1)
         shard.respawn_at = time.monotonic() + delay
         self._emit("shard.retry", f"shard-{s.shard}", shard=s.shard,
                    attempt=shard.attempt, backoff_s=round(delay, 3))
@@ -213,11 +196,9 @@ class ShardSupervisor:
         for s in range(plan.n_shards):
             cells = plan.worker_cells(s)
             status = ShardStatus(shard=s, cells=[c[0] for c in cells])
-            rng = np.random.default_rng(plan.shard_seed(s))
-            self._shards.append(_Shard(status, cells, rng))
+            self._shards.append(_Shard(status, cells))
 
         cell_docs: dict[int, dict] = {}
-        attempt_wall: dict[int, float] = {}
         old_int = signal.getsignal(signal.SIGINT)
         old_term = signal.getsignal(signal.SIGTERM)
 
@@ -237,7 +218,7 @@ class ShardSupervisor:
                 else:
                     shard.status.status = "done"
             while not self._interrupted:
-                self._drain(cell_docs, attempt_wall)
+                self._drain(cell_docs)
                 now = time.monotonic()
                 for shard in self._shards:
                     s = shard.status
@@ -248,14 +229,13 @@ class ShardSupervisor:
                             # in its pipe (racing final messages, then
                             # EOF) before declaring the exit a crash.
                             while shard.conn is not None:
-                                self._drain_conn(shard, cell_docs,
-                                                 attempt_wall)
+                                self._drain_conn(shard, cell_docs)
                             if s.status != "done":
                                 code = shard.proc.exitcode
                                 self._fail_attempt(shard,
                                                    f"exited({code})")
                             continue
-                        if now - shard.last_hb > self.heartbeat_timeout_s:
+                        if now - shard.last_hb > HEARTBEAT_TIMEOUT_S:
                             self._fail_attempt(shard, "heartbeat-lost")
                         elif now > shard.deadline:
                             self._fail_attempt(shard, "timeout")
@@ -275,23 +255,21 @@ class ShardSupervisor:
                 signal.signal(signal.SIGTERM, old_term)
             self._teardown()
 
-        return self._finish(cell_docs, attempt_wall)
+        return self._finish(cell_docs)
 
-    def _drain(self, cell_docs: dict[int, dict],
-               attempt_wall: dict[int, float]) -> None:
+    def _drain(self, cell_docs: dict[int, dict]) -> None:
         """Service every readable shard pipe (or sleep one poll tick)."""
         by_conn = {shard.conn: shard for shard in self._shards
                    if shard.conn is not None}
         if not by_conn:
-            time.sleep(self.poll_interval_s)
+            time.sleep(POLL_INTERVAL_S)
             return
-        ready = mp_connection.wait(list(by_conn),
-                                   timeout=self.poll_interval_s)
+        ready = mp_connection.wait(list(by_conn), timeout=POLL_INTERVAL_S)
         for conn in ready:
-            self._drain_conn(by_conn[conn], cell_docs, attempt_wall)
+            self._drain_conn(by_conn[conn], cell_docs)
 
-    def _drain_conn(self, shard: _Shard, cell_docs: dict[int, dict],
-                    attempt_wall: dict[int, float]) -> None:
+    def _drain_conn(self, shard: _Shard,
+                    cell_docs: dict[int, dict]) -> None:
         """Dispatch all complete frames currently in one shard's pipe.
 
         End-of-file — including mid-frame, the SIGKILL-during-send
@@ -319,7 +297,6 @@ class ShardSupervisor:
                 s = shard.status
                 s.status = "done"
                 s.wall_s = msg[3]
-                attempt_wall[s.shard] = msg[3]
                 self._emit("shard.exit", f"shard-{s.shard}",
                            shard=s.shard, attempt=attempt,
                            wall_s=round(msg[3], 3))
@@ -342,8 +319,7 @@ class ShardSupervisor:
             shard.proc = None
             self._close_conn(shard)
 
-    def _finish(self, cell_docs: dict[int, dict],
-                attempt_wall: dict[int, float]) -> ShardedRunResult:
+    def _finish(self, cell_docs: dict[int, dict]) -> ShardedRunResult:
         from repro.faults.digest import population_digest
 
         plan = self.plan

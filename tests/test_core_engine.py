@@ -1,5 +1,6 @@
 """End-to-end integration tests of the full service engine."""
 
+from repro.client.metrics import PlayoutEventKind
 from repro.core import EngineConfig, ServiceEngine, SessionSpec, TrafficConfig
 from repro.hml.examples import figure2_markup
 from repro.hml import DocumentBuilder, serialize
@@ -30,9 +31,10 @@ def test_full_session_figure2():
     assert result.streams["A1"].frames_played > 350  # 8 s at 50 fps
     assert result.streams["A2"].frames_played > 200  # 5 s at 50 fps
     assert result.streams["V"].frames_played > 150  # 8 s at 25 fps
-    # Discrete media were shown.
-    assert result.log.count_for("I1") if hasattr(result.log, "count_for") \
-        else True
+    # Each discrete medium was shown once and hidden once.
+    for image in ("I1", "I2"):
+        assert result.log.count(PlayoutEventKind.SHOW, image) == 1
+        assert result.log.count(PlayoutEventKind.HIDE, image) == 1
     assert result.total_gap_ratio() < 0.05
     assert result.worst_skew_s() < 0.08
     assert result.startup_latency_s is not None

@@ -15,6 +15,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ServiceEngine
 from repro.core.config import EngineConfig
@@ -39,6 +41,7 @@ from repro.obs import (
 )
 from repro.ioutil import UsageError
 from repro.obs.bench import run_scenario
+from repro.obs.qoe import LATENCY_BOUNDS
 from repro.obs.slo import baseline_rules, evaluate, store_key
 
 
@@ -130,6 +133,35 @@ def test_histogram_batch_observe_is_observing_each_in_turn():
     batch.observe_many(values[100:])
     assert batch == one_by_one
     assert sum(batch.bucket_counts) < batch.count
+
+
+#: the bound sets the shipped rollups use (hop latency, QoE score,
+#: startup)
+_BOUND_SETS = (LATENCY_BOUNDS, tuple(range(1, 101)) + (math.inf,),
+               log_buckets(1e-3, 100.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounds=st.sampled_from(_BOUND_SETS), data=st.data())
+def test_histogram_counts_a_value_in_the_first_bound_at_or_above(bounds,
+                                                                 data):
+    """The bucket rule as a linear scan, against ``observe``: same
+    buckets, count, total, min and max on any finite series (values on
+    a bound included)."""
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    values = data.draw(st.lists(value | st.sampled_from(bounds[:-1]),
+                                max_size=40))
+    hist = Histogram(bounds=bounds)
+    for v in values:
+        hist.observe(v)
+    buckets, total = [0] * len(bounds), 0.0
+    for v in values:
+        total += v
+        buckets[next(i for i, b in enumerate(bounds) if v <= b)] += 1
+    assert (hist.bucket_counts, hist.count, hist.total, hist.min,
+            hist.max) == (buckets, len(values), total,
+                          min(values, default=math.inf),
+                          max(values, default=-math.inf))
 
 
 # ---------------------------------------------------------------------------

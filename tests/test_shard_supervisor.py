@@ -9,10 +9,14 @@ A drill substitutes a test double for the worker entry the supervisor
 forks (``repro.shard.supervisor.worker_main``) or for the cell function
 the worker calls (``repro.shard.worker.run_cell``); the forked worker
 inherits the substitute, so production code carries no drill hooks.
+A drill that needs shorter pacing monkeypatches the supervisor's
+policy constants, and one that needs the live process wraps
+``ShardSupervisor._spawn``.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import signal
 import subprocess
@@ -72,6 +76,24 @@ def _slow_cells(monkeypatch, delay_s):
     monkeypatch.setattr(worker_module, "run_cell", slow)
 
 
+def _policy(monkeypatch, **constants):
+    """Set supervisor policy constants (``MAX_RETRIES=1``, ...) for
+    one drill."""
+    for name, value in constants.items():
+        monkeypatch.setattr(supervisor_module, name, value)
+
+
+def _after_spawn(monkeypatch, hook):
+    """Call ``hook(shard, attempt, proc)`` after every worker spawn."""
+    spawn = ShardSupervisor._spawn
+
+    def wrapped(self, shard):
+        spawn(self, shard)
+        hook(shard.status.shard, shard.attempt, shard.proc)
+
+    monkeypatch.setattr(ShardSupervisor, "_spawn", wrapped)
+
+
 def _run(n_shards=1, **kwargs):
     return run_sharded(N_CLIENTS, n_shards, seed=SEED, cell_clients=CELL,
                        workload=_workload(), **kwargs)
@@ -83,6 +105,28 @@ def reference():
     result = _run(n_shards=1)
     assert result.ok and result.completeness == 1.0
     return result
+
+
+# -- one supervision policy ----------------------------------------------------
+
+
+def test_supervision_policy_is_fixed():
+    """A run chooses only whether to tolerate lost shards, where its
+    lifecycle events go and an optional wall deadline; retries,
+    heartbeats, polling and backoff are the module's constants."""
+    params = inspect.signature(ShardSupervisor).parameters.values()
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == [
+        "tolerate_failures", "tracer", "shard_timeout_s"]
+    assert not [p for p in inspect.signature(run_sharded).parameters.values()
+                if p.kind is p.VAR_KEYWORD]
+    assert (supervisor_module.MAX_RETRIES,
+            supervisor_module.HEARTBEAT_INTERVAL_S,
+            supervisor_module.HEARTBEAT_TIMEOUT_S,
+            supervisor_module.POLL_INTERVAL_S,
+            supervisor_module.BACKOFF_BASE_S) == (2, 0.5, 15.0, 0.05, 0.25)
+
+
+# -- runs ----------------------------------------------------------------------
 
 
 def test_digest_is_shard_count_invariant(reference):
@@ -102,7 +146,8 @@ def test_worker_crash_is_retried_byte_identically(reference, monkeypatch):
     """A worker that dies mid-shard is rerun; the retry's cells are
     byte-identical to the lost attempt, so the digest is undisturbed."""
     _fork_instead(monkeypatch, _crash_after_one_cell)
-    result = _run(n_shards=2, backoff_base_s=0.05)
+    _policy(monkeypatch, BACKOFF_BASE_S=0.05)
+    result = _run(n_shards=2)
     assert result.ok
     assert result.digest == reference.digest
     status = result.shards[1]
@@ -116,17 +161,15 @@ def test_sigkilled_worker_is_retried_byte_identically(reference,
     from the worker at all."""
     killed = []
 
-    def on_spawn(shard, attempt, proc):
+    def kill_first_attempt(shard, attempt, proc):
         if shard == 1 and attempt == 1:
             os.kill(proc.pid, signal.SIGKILL)
             killed.append(proc.pid)
 
-    plan = ShardPlan(n_clients=N_CLIENTS, n_shards=2,
-                     cell_clients=CELL, seed=SEED)
+    _after_spawn(monkeypatch, kill_first_attempt)
     _slow_cells(monkeypatch, 0.2)
-    supervisor = ShardSupervisor(plan, _workload(), backoff_base_s=0.05,
-                                 on_spawn=on_spawn)
-    result = supervisor.run()
+    _policy(monkeypatch, BACKOFF_BASE_S=0.05)
+    result = _run(n_shards=2)
     assert killed
     assert result.ok
     assert result.digest == reference.digest
@@ -135,9 +178,9 @@ def test_sigkilled_worker_is_retried_byte_identically(reference,
 
 def test_hung_worker_is_detected_and_retried(reference, monkeypatch):
     _fork_instead(monkeypatch, _go_silent)
-    result = _run(
-        n_shards=2, heartbeat_interval_s=0.1, heartbeat_timeout_s=0.6,
-        backoff_base_s=0.05)
+    _policy(monkeypatch, HEARTBEAT_INTERVAL_S=0.1, HEARTBEAT_TIMEOUT_S=0.6,
+            BACKOFF_BASE_S=0.05)
+    result = _run(n_shards=2)
     assert result.ok
     assert result.digest == reference.digest
     assert any("heartbeat-lost" in f
@@ -147,9 +190,12 @@ def test_hung_worker_is_detected_and_retried(reference, monkeypatch):
 def test_wall_deadline_is_opt_in_and_enforced(monkeypatch):
     """shard_timeout_s is None by default (slow is not dead — only
     stale heartbeats kill); when set, an overrunning shard fails."""
+    plan = ShardPlan(n_clients=N_CLIENTS, n_shards=2,
+                     cell_clients=CELL, seed=SEED)
     _slow_cells(monkeypatch, 0.5)
-    result = _run(
-        n_shards=2, shard_timeout_s=0.3, max_retries=0, tolerate_failures=True)
+    _policy(monkeypatch, MAX_RETRIES=0)
+    result = ShardSupervisor(plan, _workload(), tolerate_failures=True,
+                             shard_timeout_s=0.3).run()
     assert not result.ok
     assert any("timeout" in f for s in result.shards
                for f in s.failures)
@@ -159,8 +205,8 @@ def test_exhausted_retries_degrade_under_tolerate_flag(monkeypatch):
     """fail on every attempt -> the shard's undelivered cells are
     lost, and the run completes as a stamped partial result."""
     _fork_instead(monkeypatch, _crash_after_one_cell, attempts=99)
-    result = _run(
-        n_shards=2, max_retries=1, backoff_base_s=0.05, tolerate_failures=True)
+    _policy(monkeypatch, MAX_RETRIES=1, BACKOFF_BASE_S=0.05)
+    result = _run(n_shards=2, tolerate_failures=True)
     assert not result.ok
     assert result.completeness < 1.0
     assert result.missing_cells  # cell 3 never arrived
@@ -173,8 +219,9 @@ def test_exhausted_retries_degrade_under_tolerate_flag(monkeypatch):
 
 def test_exhausted_retries_raise_without_tolerate_flag(monkeypatch):
     _fork_instead(monkeypatch, _crash_after_one_cell, attempts=99)
+    _policy(monkeypatch, MAX_RETRIES=1, BACKOFF_BASE_S=0.05)
     with pytest.raises(ShardFailure) as excinfo:
-        _run(n_shards=2, max_retries=1, backoff_base_s=0.05)
+        _run(n_shards=2)
     result = excinfo.value.result
     assert 1 in result.failed_shards
     assert result.completeness < 1.0
@@ -202,10 +249,10 @@ def test_sigint_tears_down_workers_cleanly(monkeypatch):
     plan = ShardPlan(n_clients=N_CLIENTS, n_shards=2,
                      cell_clients=CELL, seed=SEED)
     pids = []
+    _after_spawn(monkeypatch,
+                 lambda shard, attempt, proc: pids.append(proc.pid))
     _slow_cells(monkeypatch, 0.4)
-    supervisor = ShardSupervisor(
-        plan, _workload(), tolerate_failures=True,
-        on_spawn=lambda shard, attempt, proc: pids.append(proc.pid))
+    supervisor = ShardSupervisor(plan, _workload(), tolerate_failures=True)
     timer = threading.Timer(
         0.5, lambda: os.kill(os.getpid(), signal.SIGINT))
     timer.start()
@@ -249,7 +296,7 @@ def test_a_cell_refuses_a_topology_it_cannot_place(name):
         run_cell(SCENARIOS[name], 0, 0, 4, SEED)
 
 
-#: a shard run in a fresh interpreter: at each spawn, a second child
+#: a shard run in a fresh interpreter: after each spawn, a second child
 #: forked from the supervisor (so holding what the worker inherited)
 #: runs the worker's cell and reports the ``repro`` modules it imported
 _FIRST_CELL_IMPORTS = """
@@ -272,7 +319,8 @@ def first_cell(conn):
                      if m.startswith("repro")))
 
 
-def on_spawn(shard, attempt, proc):
+def spawn_and_probe(self, shard):
+    spawn(self, shard)
     ctx = mp.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     probe = ctx.Process(target=first_cell, args=(send,))
@@ -282,7 +330,9 @@ def on_spawn(shard, attempt, proc):
     probe.join()
 
 
-supervisor = ShardSupervisor(plan, workload, on_spawn=on_spawn)
+spawn = ShardSupervisor._spawn
+ShardSupervisor._spawn = spawn_and_probe
+supervisor = ShardSupervisor(plan, workload)
 assert "repro.obs.qoe" not in sys.modules  # building one stays cheap
 assert supervisor.run().ok
 print(imported)
