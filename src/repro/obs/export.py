@@ -39,7 +39,7 @@ __all__ = [
 #: schema identity stamped into every export
 TRACE_SCHEMA = "repro.trace"
 #: bumped on any incompatible change to the event dict layout.
-#: v3: shared-delivery and admission kinds (``sflow.*``, ``bcast.*``,
+#: v3: shared-delivery and admission kinds (``sflow.*``,
 #: ``admission.*``) join the stream; readers accept 1..current, so
 #: v2 (and headerless v1) traces keep loading.
 TRACE_SCHEMA_VERSION = 3

@@ -114,14 +114,6 @@ _SPECS: tuple[KindSpec, ...] = (
     _spec("sflow.finish",
           required=("carrier_packets", "fanout", "frames"),
           doc="master transmission completed"),
-    _spec("bcast.start", required=("fanout", "segments", "total_rate_bps"),
-          doc="periodic broadcast channels spawned"),
-    _spec("bcast.carrier", tier=TIER_DETAIL, required=("bytes", "segment"),
-          doc="one broadcast carrier packet"),
-    _spec("bcast.join", required=("wait_s",),
-          doc="viewer tuned in (startup wait)"),
-    _spec("bcast.stop", required=("carrier_bytes", "viewers"),
-          doc="broadcaster stopped"),
     # -- RTP / RTCP ------------------------------------------------------
     _spec("rtp.send", tier=TIER_DETAIL,
           required=("bytes", "frame", "media_time", "packets", "seq0"),

@@ -142,9 +142,7 @@ def _fault_table(events: list[TraceEvent]) -> list[list]:
 #: shared-delivery + admission kinds (the service-side activity row)
 SERVICE_KINDS = ("admission.accept", "admission.block",
                  "sflow.open", "sflow.join", "sflow.start",
-                 "sflow.carrier", "sflow.finish",
-                 "bcast.start", "bcast.carrier", "bcast.join",
-                 "bcast.stop")
+                 "sflow.carrier", "sflow.finish")
 
 
 def _service_table(events: list[TraceEvent]) -> list[list]:
@@ -152,17 +150,14 @@ def _service_table(events: list[TraceEvent]) -> list[list]:
     counts: dict[str, int] = {}
     carrier_bytes = 0
     batch_sizes: list[int] = []
-    waits: list[float] = []
     for e in events:
         if e.kind not in SERVICE_KINDS:
             continue
         counts[e.kind] = counts.get(e.kind, 0) + 1
-        if e.kind in ("sflow.carrier", "bcast.carrier"):
+        if e.kind == "sflow.carrier":
             carrier_bytes += int(e.args.get("bytes", 0))
         elif e.kind == "sflow.start":
             batch_sizes.append(int(e.args.get("subscribers", 0)))
-        elif e.kind == "bcast.join":
-            waits.append(float(e.args.get("wait_s", 0.0)))
     rows = [[kind, counts[kind], "-"] for kind in sorted(counts)]
     accepts = counts.get("admission.accept", 0)
     blocks = counts.get("admission.block", 0)
@@ -174,9 +169,6 @@ def _service_table(events: list[TraceEvent]) -> list[list]:
     if batch_sizes:
         rows.append(["sflow.batch_mean", len(batch_sizes),
                      f"{sum(batch_sizes) / len(batch_sizes):.2f}"])
-    if waits:
-        rows.append(["bcast.wait_mean_s", len(waits),
-                     f"{sum(waits) / len(waits):.3f}"])
     return rows
 
 

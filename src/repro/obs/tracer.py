@@ -34,8 +34,8 @@ Detail vs control tier
 Emit sites are split into two volume tiers. The *detail* tier is the
 per-packet/per-frame firehose — ``kernel.event``, ``link.enqueue``,
 ``net.deliver``, ``rtp.send``/``.recv``/``.frame``, ``buffer.push``,
-``playout.frame``, ``impair.loss``, ``sflow.carrier`` and
-``bcast.carrier`` — together ~99% of all events on a population run.
+``playout.frame``, ``impair.loss`` and ``sflow.carrier`` — together
+~99% of all events on a population run.
 Those sites guard on ``sim._tracing_detail``, which is True only when
 the installed tracer declares ``detail = True`` (the
 :class:`RecordingTracer` default). Everything else — faults,

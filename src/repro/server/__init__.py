@@ -31,19 +31,8 @@ from repro.server.qos_manager import GradingDecision, GradingPolicy, ServerQoSMa
 from repro.server.media_server import MediaServer, StreamHandler
 from repro.server.multimedia_server import MultimediaServer
 from repro.server.shared_flow import SharedFlowManager
-from repro.server.broadcast import (
-    BroadcastSchedule,
-    HotSet,
-    PeriodicBroadcaster,
-    quasi_harmonic_schedule,
-)
 
 __all__ = [
-    "BroadcastSchedule",
-    "HotSet",
-    "PeriodicBroadcaster",
-    "SharedFlowManager",
-    "quasi_harmonic_schedule",
     "AccountRegistry",
     "AdmissionController",
     "AdmissionRequest",
@@ -60,6 +49,7 @@ __all__ = [
     "MultimediaServer",
     "PricingContract",
     "ServerQoSManager",
+    "SharedFlowManager",
     "StoredDocument",
     "StreamHandler",
     "SubscriptionForm",

@@ -12,9 +12,8 @@ the feedback reports."
 Continuous objects stream over RTP from a :class:`StreamHandler`, the
 one frame pump (whose grade the Quality Converter adjusts live);
 :meth:`MediaServer.start_stream` is the only way onto the wire, for a
-session's own stream, a failover resume, a leg of a shared flow and a
-periodic broadcast's viewer alike. Discrete objects ship over the
-reliable channel.
+session's own stream, a failover resume and a leg of a shared flow
+alike. Discrete objects ship over the reliable channel.
 """
 
 from __future__ import annotations
@@ -92,15 +91,14 @@ class StreamHandler:
     One seeded :class:`~repro.media.traces.FrameSource` behind one
     quality converter, pulled once per frame interval by a chain of
     ``call_later`` ticks (no process: ``alive`` is the liveness flag);
-    every frame goes to every :class:`StreamLeg`. Delivery schemes
-    differ only in where the pump and its legs are placed:
+    every frame goes to every :class:`StreamLeg`. The pump always pulls
+    frames on its media server's node; delivery schemes differ only in
+    where its legs are placed:
 
     * unicast — one leg on the media server's node;
     * shared flow — one leg per batched viewer on a fan-out node (the
       viewers' POP); each frame crosses origin → fan-out **once**, as an
-      ``SFLOW`` carrier packet, and is packetized per leg there;
-    * broadcast viewer — pump and leg both on the fan-out node, reading
-      the POP's buffered copy of the cycling segments.
+      ``SFLOW`` carrier packet, and is packetized per leg there.
 
     Every viewer keeps its own SSRC, sequence space and session
     attribution, so receivers, QoE scoring and loss accounting cannot
@@ -117,7 +115,6 @@ class StreamHandler:
         send_offset_s: float = 0.0,
         initial_grade: int = 0,
         start_offset_media_s: float = 0.0,
-        node_id: str | None = None,
         leg_node: str | None = None,
         name: str = "",
     ) -> None:
@@ -128,8 +125,9 @@ class StreamHandler:
         self.network = ms.network
         self.duration_s = origin.duration_s
         self.send_offset_s = send_offset_s
-        #: where frames are pulled, and where the legs packetize them
-        self.node_id = node_id or ms.node_id
+        #: where frames are pulled (the media server's node), and where
+        #: the legs packetize them (a fan-out node for a shared flow)
+        self.node_id = ms.node_id
         self.leg_node = leg_node or self.node_id
         self._leg_host = ms.network.node(self.leg_node)
         self.name = name or f"stream:{origin.stream_id}"
@@ -398,7 +396,6 @@ class MediaServer:
         ssrc: int = 0,
         start_offset_media_s: float = 0.0,
         first_seq: int = 0,
-        at_node: str | None = None,
     ) -> tuple[StreamHandler, MediaStreamQualityConverter]:
         """Put one continuous object on the wire for one viewer.
 
@@ -410,8 +407,7 @@ class MediaServer:
 
         ``start_offset_media_s``/``first_seq`` let a failover replica
         resume a crashed server's stream mid-object instead of from
-        the beginning. ``at_node`` places pump and leg on another node
-        than the server's: a periodic broadcast's fan-out point.
+        the beginning.
         """
         if self.failed:
             raise RuntimeError(f"media server {self.name!r} is down")
@@ -427,14 +423,14 @@ class MediaServer:
                 f"stream {stream_id!r} already active on {self.name} "
                 f"for session {session_id!r}"
             )
-        batched = (self.shared_flows is not None and at_node is None
+        batched = (self.shared_flows is not None
                    and not start_offset_media_s and not first_seq)
         if batched:
             pump = self.shared_flows.join(self, origin, send_offset_s,
                                           initial_grade)
         else:
             pump = StreamHandler(self, origin, send_offset_s, initial_grade,
-                                 start_offset_media_s, node_id=at_node)
+                                 start_offset_media_s)
         pump.add_leg(origin)
         if not batched:
             pump.start()

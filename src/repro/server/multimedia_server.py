@@ -19,7 +19,6 @@ from repro.media.types import MediaType
 from repro.model.scenario import PresentationScenario
 from repro.model.sync import build_playout_schedule, check_bandwidth
 from repro.server.accounts import AccountRegistry, UserAccount
-from repro.server.broadcast import HotSet
 from repro.server.admission import (
     AdmissionController,
     AdmissionRequest,
@@ -93,9 +92,6 @@ class MultimediaServer:
         #: shared-flow delivery batching, handed to every media server
         #: of this server when it is built (None = per-session flows)
         self.shared_flows = None
-        #: demand counter over document requests; its top-k is the
-        #: candidate set for periodic-broadcast delivery
-        self.hot = HotSet()
 
     # -- service topology -------------------------------------------------
     def add_peer(self, server: "MultimediaServer") -> None:
@@ -245,7 +241,6 @@ class MultimediaServer:
         session.grant_ratio = result.grant_ratio
         session.active_document = name
         user.log("retrieve", self.sim.now, name)
-        self.hot.record(name)
         return stored
 
     def plan_flows(self, session_id: str, name: str,

@@ -16,7 +16,7 @@ every other stream.
 
 What sharing costs a viewer (shared grade, no pause gate past one leg,
 the batch-window delay) is listed once, in DESIGN.md ("CDN topology /
-shared flows / broadcast").
+shared flows: one pump, two placements").
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from repro.analysis.runner import (
     self_lint_root,
 )
 from repro.analysis.tracerules import TRACE_RULES, extract_emit_sites
-from repro.obs.schema import TRACE_CATALOGUE, lookup
+from repro.obs.schema import TRACE_CATALOGUE, kinds_matching, lookup
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
 
@@ -138,12 +138,18 @@ def test_every_repro_emit_site_resolves():
     assert problems == []
     sites, dynamic = extract_emit_sites(program)
     assert dynamic == []  # no emit site escapes the checker
-    assert len(sites) >= 70  # the trace-v3 surface, incl. virtual sites
+    produced = set()
     for site in sites:
         for kind, exact in site.kinds:
             if exact:
                 assert lookup(kind, site.phase) is not None, (
                     site.mod.path, kind)
+                produced.add((kind, site.phase))
+            else:
+                produced.update((s.kind, s.phase)
+                                for s in kinds_matching(kind, site.phase))
+    # ...and every catalogue kind has a site that produces it
+    assert sorted(set(TRACE_CATALOGUE) - produced) == []
 
 
 def test_unused_kind_only_in_full_mode(tmp_path):

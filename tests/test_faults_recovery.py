@@ -285,27 +285,36 @@ def _sent_times(eng, session_id):
     return list(eng.network.frames_sent[session_id])[2::3]
 
 
-def test_a_crashed_shared_pump_finishes():
+@pytest.mark.parametrize("shared_flows", [False, True])
+def test_a_crashed_pump_finishes(shared_flows):
     """A stopped pump ends like one whose object ran out: ``finished``
-    triggers, so every ``sflow.start`` has its ``sflow.finish``."""
+    triggers once, with ``frames_sent``, so every ``sflow.start`` has
+    its ``sflow.finish``."""
     for recovery in (False, True):
         tracer = RecordingTracer()
-        pumps = []
+        pumps, keys = [], []
 
         def grab(eng):
             ms = eng.servers["srv1"].media_servers["media"]
             pumps.extend(dict.fromkeys(ms.streams.values()))
+            keys.extend(sorted(ms.streams))
 
-        _crash_run(True, recovery, tracer, before_crash=grab)
-        assert pumps and not any(pump.legs for pump in pumps)
+        eng, _pop = _crash_run(shared_flows, recovery, tracer,
+                               before_crash=grab)
+        assert pumps and not any(pump.legs or pump.alive for pump in pumps)
         for pump in pumps:
             assert pump.finished.processed
             assert pump.finished.value == pump.frames_sent > 0
-        kinds = tracer.kind_counts()
-        assert kinds["sflow.start"] == kinds["sflow.finish"] >= len(pumps)
-        finishes = [e for e in tracer.select(kind="sflow.finish")
-                    if e.time == 3.0]
-        assert len(finishes) == len(pumps)
+        if not recovery:
+            ms = eng.servers["srv1"].media_servers["media"]
+            assert [s.origin.key for s in ms.wreckage] == keys
+        if shared_flows:
+            kinds = tracer.kind_counts()
+            assert (kinds["sflow.start"] == kinds["sflow.finish"]
+                    >= len(pumps))
+            finishes = [e for e in tracer.select(kind="sflow.finish")
+                        if e.time == 3.0]
+            assert len(finishes) == len(pumps)
 
 
 @pytest.mark.parametrize("shared_flows", [False, True])

@@ -78,7 +78,7 @@ def test_engine_import_loads_no_watcher_layer():
     loaded = json.loads(out)
     assert "repro.core.engine" in loaded and "repro.net.topology" in loaded
     assert [m for m in loaded if m.startswith(WATCHERS)] == []
-    # 71 when this was written; a few more is growth, many more is a
+    # 69 when last measured; a few more is growth, many more is a
     # layer pulled in by accident
     assert len(loaded) <= 75, len(loaded)
 

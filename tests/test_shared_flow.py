@@ -1,4 +1,4 @@
-"""Shared-flow batching, edge-replica routing, and periodic broadcast.
+"""Shared-flow batching and edge-replica routing.
 
 The delivery-side acceptance tests for the CDN refactor:
 
@@ -7,8 +7,7 @@ The delivery-side acceptance tests for the CDN refactor:
   would have delivered — sharing is invisible to the client stack;
 * sharing cuts origin egress (the whole point);
 * sessions land on their region's media replica, and failover under a
-  replica crash falls back to the origin;
-* a periodic broadcast's origin egress is constant in audience size.
+  replica crash falls back to the origin.
 """
 
 from repro.core.config import EngineConfig
@@ -17,7 +16,6 @@ from repro.core.experiments import av_markup
 from repro.faults.plan import FaultPlan, ServerCrashFault
 from repro.net import cdn_stack
 from repro.obs.tracer import RecordingTracer
-from repro.server.broadcast import HotSet, quasi_harmonic_schedule
 from repro.server.flow_scheduler import FLOW_LEAD_S
 from repro.server.shared_flow import BATCH_WINDOW_S
 
@@ -180,106 +178,3 @@ def test_replica_crash_fails_over_to_origin():
     srv = eng.servers["srv1"]
     assert srv.healthy_media_server("audsrv", client_node="east-c1").name \
         == "audsrv"
-
-
-# -- periodic broadcast -------------------------------------------------------
-
-def test_quasi_harmonic_schedule_shape():
-    sched = quasi_harmonic_schedule(60.0, 1e6, 6, subslots=4)
-    rates = [ch.rate_bps for ch in sched.channels]
-    assert rates[0] == 1e6
-    # later segments stream strictly slower
-    assert all(a > b for a, b in zip(rates, rates[1:]))
-    # quasi-harmonic sits above classic harmonic (b/i) per channel
-    for i, rate in enumerate(rates[1:], start=2):
-        assert rate > 1e6 / i
-    assert sched.slot_s == 10.0
-    assert sched.max_wait_s() == 10.0
-    # far cheaper than unicasting to each of (say) 10 viewers
-    assert sched.bandwidth_ratio() < 4.0
-
-
-def test_broadcast_origin_egress_constant_in_viewers():
-    from repro.server.broadcast import PeriodicBroadcaster
-
-    def run(n_viewers):
-        eng = ServiceEngine(EngineConfig(seed=5))
-        eng.add_server("srv1", documents=DOC)
-        ms = eng.servers["srv1"].media_server("vidsrv")
-        bc = PeriodicBroadcaster(
-            eng.sim, eng.network, ms, "/v.mpg", "router",
-            n_segments=4, horizon_s=6.0,
-        )
-        finished = []
-        for i in range(n_viewers):
-            node = eng.add_client(f"viewer{i + 1}")
-            eng.sim.call_later(0.4 * i, lambda i=i, node=node: finished.append(
-                bc.join(f"s{i}", "V", node, 47000 + i)
-            ))
-        eng.sim.run(until=12.0)
-        assert bc.viewers_served == n_viewers
-        assert all(ev.triggered for ev in finished)
-        return bc.carrier_bytes, _egress_bytes(eng, ms.node_id)
-
-    carrier_1, egress_1 = run(1)
-    carrier_3, egress_3 = run(3)
-    # the defining property: origin cost does not grow with audience
-    assert carrier_1 == carrier_3
-    assert egress_1 == egress_3
-
-
-def test_broadcast_viewer_is_a_registered_stream_at_the_pop():
-    from repro.server.broadcast import PeriodicBroadcaster
-
-    eng = ServiceEngine(EngineConfig(seed=5))
-    eng.add_server("srv1", documents=DOC)
-    ms = eng.servers["srv1"].media_server("vidsrv")
-    router = eng.network.node("router")
-    bc = PeriodicBroadcaster(eng.sim, eng.network, ms, "/v.mpg", "router",
-                             n_segments=4, horizon_s=6.0)
-    viewer = eng.add_client("viewer1")
-    eng.sim.run(until=0.3)
-    finished = bc.join("s0", "V", viewer, 47000)
-    # one pump with one leg, pulled and packetized on the fan-out node
-    pump = ms.streams["s0", "V"]
-    assert (pump.node_id, pump.leg_node) == ("router", "router")
-    assert list(pump.legs) == [("s0", "V")]
-    assert router.ports.allocated("media") == 2  # carrier sink + the leg
-    # ...so whatever walks the registry sees it: a crash stops it
-    eng.sim.run(until=bc.wait_s(at=0.3) + 1.3)
-    assert 0 < pump.frames_sent < 30
-    ms.crash()
-    # ...and whoever waits on the viewer's pump is told, once (a stopped
-    # pump used to leave this event pending for ever)
-    assert not ms.streams and not pump.alive
-    assert finished.triggered and finished.value == pump.frames_sent
-    assert [s.origin.key for s in ms.wreckage] == [("s0", "V")]
-    sent = pump.frames_sent
-    eng.sim.run(until=12.0)
-    assert pump.frames_sent == sent
-    bc.stop()
-    assert router.ports.allocated("media") == 0
-
-
-def test_viewer_wait_bounded_by_one_slot():
-    from repro.server.broadcast import PeriodicBroadcaster
-
-    eng = ServiceEngine(EngineConfig(seed=5))
-    eng.add_server("srv1", documents=DOC)
-    ms = eng.servers["srv1"].media_server("vidsrv")
-    bc = PeriodicBroadcaster(eng.sim, eng.network, ms, "/v.mpg", "router",
-                             n_segments=4, horizon_s=6.0)
-    slot = bc.schedule.slot_s
-    assert bc.wait_s(at=0.0) == 0.0
-    assert 0.0 < bc.wait_s(at=slot * 0.25) <= slot
-    assert bc.wait_s(at=slot * 1.75) <= slot
-
-
-def test_hot_set_ranks_by_demand():
-    hot = HotSet()
-    for name, n in (("a", 3), ("b", 5), ("c", 3), ("d", 1)):
-        for _ in range(n):
-            hot.record(name)
-    assert hot.top(2) == ["b", "a"]  # ties broken by name
-    assert hot.top(0) == []
-    assert hot.demand("d") == 1
