@@ -11,18 +11,23 @@ The kernel is intentionally small and deterministic:
   ``fn(*args)``: an event pushes its own ``_fire``, a one-shot action
   (:meth:`Simulator.call_later`, or :meth:`Simulator.call_at` for an
   absolute instant) pushes the caller's function — no event, no
-  callback list, no process, no wrapper object.
+  callback list, no process, no wrapper object;
+* a caller that scheduled work ahead of its instant takes it back with
+  :meth:`Simulator.rewrite`, which gives the pending entries it picks a
+  new time and function: each keeps its seq, so its place among equal
+  times.
 
 Nothing here knows about networks or media — higher layers build on
 :class:`Simulator` only through :meth:`Simulator.process`,
 :meth:`Simulator.timeout`, :meth:`Simulator.event`,
-:meth:`Simulator.call_later` and :meth:`Simulator.call_at`.
+:meth:`Simulator.call_later`, :meth:`Simulator.call_at` and
+:meth:`Simulator.rewrite`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterable
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any
 
 __all__ = [
@@ -348,6 +353,9 @@ class Simulator:
         self._heap: list[
             tuple[float, int, Callable[..., object], tuple[Any, ...]]] = []
         self._seq = 0
+        #: the seq of the entry firing now (or last fired): an entry at
+        #: ``now`` with a lower seq has fired, one with a higher has not
+        self._firing = 0
         self._running = False
         # Tracing is opt-in and two-tier (:func:`tracing_tiers`):
         # `_tracing` guards control-plane emits (faults, admission,
@@ -431,6 +439,24 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._heap, (when, seq, fn, args))
 
+    def rewrite(self, edit: Callable[..., tuple[
+            float, Callable[..., object], tuple[Any, ...]] | None]) -> None:
+        """Give each pending heap entry for which ``edit(time, seq, fn,
+        args)`` returns one a new ``(time, fn, args)``, none before now.
+
+        An entry keeps its seq, so at its new time it fires where an
+        entry pushed when it was would have: a caller that planned work
+        ahead of its instant (:mod:`repro.net.link`,
+        :mod:`repro.net.traffic`) takes it back exactly, and the run
+        fires as many entries as one that never planned.
+        """
+        heap = self._heap
+        for i, (time, seq, fn, args) in enumerate(heap):
+            new = edit(time, seq, fn, args)
+            if new is not None:
+                heap[i] = (new[0], seq, new[1], new[2])
+        heapify(heap)
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
@@ -446,7 +472,7 @@ class Simulator:
     def step(self) -> None:
         """Process the single next heap entry, observably: a detail
         tracer receives ``kernel.event`` named by :func:`entry_kind`."""
-        time, _, fn, args = heappop(self._heap)
+        time, self._firing, fn, args = heappop(self._heap)
         self._now = time
         if self._tracing_detail:
             self._tracer.emit(time, "kernel.event", entry_kind(fn))
@@ -480,7 +506,7 @@ class Simulator:
                         self.step()
                 else:
                     while heap and not until._processed:
-                        self._now, _, fn, args = pop(heap)
+                        self._now, self._firing, fn, args = pop(heap)
                         fn(*args)
                 if not until._processed:
                     raise RuntimeError(
@@ -498,10 +524,12 @@ class Simulator:
                     self.step()
             else:
                 while heap and heap[0][0] <= deadline:
-                    self._now, _, fn, args = pop(heap)
+                    self._now, self._firing, fn, args = pop(heap)
                     fn(*args)
             if until is not None:
+                # every entry up to the deadline has fired
                 self._now = max(self._now, deadline)
+                self._firing = self._seq
             return None
         finally:
             self._running = False

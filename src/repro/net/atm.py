@@ -49,7 +49,7 @@ class AtmLink(Link):
         # Full cells on the wire, headers included.
         return cells_for(size_bytes) * CELL_BYTES * 8.0 / self.rate_bps
 
-    def _propagated(self, pkt: Packet) -> None:
+    def _propagated(self, pkt: Packet, arrival: float | None = None) -> None:
         if not self.up:
             self._drop_down(pkt)
             return

@@ -3,10 +3,12 @@
 The :class:`Network` owns the adjacency and fills a node's next-link
 table (Dijkstra on propagation delay) when it first forwards. Each
 :class:`~repro.net.link.Link` holds its far node's table and forwards by
-itself; a packet for that node goes to :meth:`Node.deliver`, which feeds
-the global :class:`~repro.net.packet.PacketTap`. :meth:`Network.send`
-injects a packet at its source; RTP senders and traffic sources offer
-theirs to the first link directly.
+itself, or plans a packet across the next link in it when it alone
+feeds that link; a packet for that node goes to :meth:`Node.deliver`,
+which feeds the global :class:`~repro.net.packet.PacketTap`.
+:meth:`Network.send` injects a packet at its source; RTP senders and
+traffic sources offer theirs to the first link directly. A topology
+change empties every table and takes back every plan made on them.
 
 Endpoints (:class:`Node`) expose a small port-based dispatch: an
 application binds a handler to a port and receives the packets
@@ -234,6 +236,10 @@ class Network:
         # being built there is nothing to clear.
         if self._routed:
             self._routed = False
+            # a plan across a link followed the far node's old route
+            for link in self.links.values():
+                if isinstance(link._owner, Link):
+                    link._withdraw()
             for table in self._out_links.values():
                 table.clear()
 

@@ -8,7 +8,8 @@ own. The old loops are kept *here*, verbatim, as the reference
 must emit the same packets at the same instants, leave the same
 ``LinkStats`` (at the horizon and at every read in between) and fire
 one heap entry fewer per packet admitted to the uplink ahead of its
-emission instant.
+emission instant. Beside that, on either side, a packet the uplink
+itself planned across ``r -> y`` fires no entry at ``r``.
 """
 
 import dataclasses
@@ -223,6 +224,11 @@ class Run(NamedTuple):
     replayed: int
     #: the detail tracer's link rows, ``(time, kind, name, args)``
     link_rows: list
+    #: entries fired at ``r``: the uplink's ``_propagated`` calls and
+    #: the queue drops of ``r -> y`` that ``enqueue`` did not make. A
+    #: packet the uplink planned across ``r -> y`` fires none there
+    #: unless it is dropped there
+    entries_at_r: int
 
 
 def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
@@ -242,13 +248,16 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
     for node in "xry":
         net.add_node(node)
     uplink = net.add_link("x", "r", 10e6, 0.001, queue_packets=uplink_queue)
-    net.add_link("r", "y", 1.5e6, 0.002, queue_packets=4)
+    bottleneck = net.add_link("r", "y", 1.5e6, 0.002, queue_packets=4)
+    # r routes y before the first packet reaches it, so a sender's
+    # enqueue onto x -> r can plan the packet across r -> y
+    net.path("r", "y")
     seen = []
     net.node("y").bind(
         9, lambda pkt: seen.append((pkt.created_at, pkt.seq, sim.now)))
     registry = RngRegistry(seed=23)
     counters = []
-    calls = {"_emit": 0, "_replay": 0}
+    calls = {"_emit": 0, "_replay": 0, "_propagated": 0, "refused": 0}
 
     def counted(method):
         def call(*args):
@@ -272,6 +281,14 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
         source._emit = counted(source._emit)
         source._replay = counted(source._replay)
         counters.append(lambda source=source: source.packets_sent)
+    uplink._propagated = counted(uplink._propagated)
+
+    def enqueue(pkt, offer=bottleneck.enqueue):
+        admitted = offer(pkt)
+        calls["refused"] += not admitted
+        return admitted
+
+    bottleneck.enqueue = enqueue
     for when, up in flaps:
         sim.call_at(when, uplink.set_up, up)
     reads = []
@@ -291,8 +308,9 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
     at_instant = sent if reference else calls["_emit"] + calls["_replay"]
     rows = [(e.time, e.kind, e.name, e.args) for e in tracer.events
             if e.kind.startswith("link.")]
+    planned_drops = bottleneck.stats.queue_drops - calls["refused"]
     return Run(seen, stats, sent, sim.events_fired, reads, at_instant,
-               calls["_replay"], rows)
+               calls["_replay"], rows, calls["_propagated"] + planned_drops)
 
 
 def _onoff_instants(**params):
@@ -414,13 +432,20 @@ def test_sources_reproduce_the_generator_reference_exactly(case):
     assert got.reads == want.reads          # read by read, mid-run
     assert got.link_rows == want.link_rows  # detail rows, in order
     # one heap entry fewer per packet admitted to the uplink ahead of
-    # its emission instant; the rest cost what the reference's did
+    # its emission instant, and on either side one fewer per packet the
+    # uplink planned across r -> y (it fires no entry at r); the rest
+    # cost what the reference's did
     planned = got.packets_sent - got.sent_at_instant
-    assert got.events_fired == want.events_fired - planned
+    assert (got.events_fired - got.entries_at_r
+            == want.events_fired - want.entries_at_r - planned)
     if case in NOTHING_PLANNED:
         assert planned == 0
     else:
         assert planned > 0
+        # the reference's uplink plans its packets across r -> y; the
+        # sources' packets planned across the uplink reach r through its
+        # ``_propagated`` and so end that claim
+        assert want.entries_at_r < got.entries_at_r
     if kind == "poisson" and case not in NOTHING_PLANNED:
         assert planned == got.packets_sent
     if case != "poisson_never_starts":
