@@ -58,8 +58,9 @@ class Link:
     A link plans each packet across the next link it alone feeds. When
     this link draws no loss, no detail tracer watches (control-tier
     emits on this path fire as they did), and the far node's table
-    routes the packet to a next link that is up and that this link
-    claimed (the first planner claims a link nothing fed before),
+    (routed when this link accepts the packet, if it is empty) routes
+    the packet to a next link that is up and that this link claimed
+    (the first planner claims a link nothing fed before),
     :meth:`enqueue` admits the packet there now, as that link's
     ``enqueue`` would at the arrival, and pushes one entry: the final
     arrival, or the queue drop at the arrival. Its seq is taken now, so
@@ -122,10 +123,10 @@ class Link:
         #: that plans across this link; False once anything else fed it
         self._owner = None
 
-    @property
-    def stats(self) -> LinkStats:
-        """The counters as of now: transmissions that ended before now
-        are counted first, so they read as if each were an event."""
+    def _settle(self) -> LinkStats:
+        """Count the transmissions that ended before now and return the
+        counters, so they read as if each were an event; one departing
+        exactly now is still in service."""
         departures, now = self._departures, self.sim._now
         stats = self._stats
         while departures and departures[0][0] < now:
@@ -134,6 +135,10 @@ class Link:
             stats.tx_packets += 1
             stats.tx_bytes += size
         return stats
+
+    #: the counters as of now (the getter is :meth:`_settle` itself, so
+    #: a read costs no frame more than the settling)
+    stats = property(_settle)
 
     @property
     def name(self) -> str:
@@ -247,8 +252,10 @@ class Link:
         now = sim._now
         departures = self._departures
         stats = self._stats
-        # settle what has left the transmitter: `stats`'s loop, inline
-        # because this is the per-hop path and a call would cost more
+        # `_settle`, here and for the next link below, and the admission
+        # after it (also in `_TrafficBase._plan`'s loop) are written out:
+        # these run per packet, and a shared method would cost a call per
+        # packet, which tests/test_datapath_budget.py counts
         while departures and departures[0][0] < now:
             _, ser, size = departures.popleft()
             stats.busy_time += ser
@@ -268,14 +275,16 @@ class Link:
         if (pkt.dst != self.dst and self._plans_through
                 and not sim._tracing_detail):
             nxt = self._next.get(pkt.dst)
-            if nxt is not None and nxt.up and (
-                    nxt._owner is self
-                    or nxt._owner is None and nxt._claim(self)):
+            if nxt is None:
+                # route the far node now, not when the packet gets there:
+                # a path then plans from its first packet
+                self._route(self.dst, pkt.dst)
+                nxt = self._next[pkt.dst]
+            if nxt.up and (nxt._owner is self
+                           or nxt._owner is None and nxt._claim(self)):
                 # the next link's `enqueue` at the arrival, made now:
                 # count the hop, settle, drop-tail over the records still
-                # there at the arrival, append. Written out, as above and
-                # in `_TrafficBase._plan`: a shared method costs a call
-                # per packet, which tests/test_datapath_budget.py counts
+                # there at the arrival, append
                 arrival = when
                 pkt.hops += 1
                 departures = nxt._departures

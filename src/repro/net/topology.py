@@ -240,6 +240,8 @@ class Network:
             for link in self.links.values():
                 if isinstance(link._owner, Link):
                     link._withdraw()
+                elif link._owner:  # a traffic source's direct entries
+                    link._owner._take_back()
             for table in self._out_links.values():
                 table.clear()
 

@@ -26,10 +26,13 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.obs.flightrec import FlightRecorder
 
-#: Python calls per delivered RTP packet. 13.39 measured (10,230 calls,
+#: Python calls per delivered RTP packet. 13.38 measured (10,221 calls,
 #: 764 packets, QoE scoring included): the server's uplink plans each
 #: packet across the router's link to the client, so the hop through
-#: the router fires no entry; 16.46 (12,579) while it fired one, which
+#: the router fires no entry; 13.39 (10,230) while a link routed the
+#: router only when the first packet reached it, so that packet's hop
+#: was not planned; 16.46 (12,579) while the hop through the router
+#: fired an entry, which
 #: cost ``call_at``, the uplink's ``_propagated`` and the router-side
 #: ``enqueue``; 16.41 (12,537) measured once before; 19.67 (15,031)
 #: while a frame's arrival went through ``MediaBuffer.push`` and
@@ -85,12 +88,17 @@ RING_EVENT_BUDGET = 5.5
 #: whoever samples.
 SAMPLER_TICK_BUDGET = 40.0
 #: Python calls one cross-traffic packet costs, from the source through
-#: two links to the discard at the target's port 9. 7.91 measured for
-#: Poisson (2,002 calls for 253 packets: the source plans each packet
-#: across its own uplink, so no entry marks an emission, and builds it
-#: there; the planned packet whose arrival resumes planning costs one
-#: more) and 8.19 for ON/OFF (884 for 108: each burst starts and ends
-#: at an entry of its own). 11.04 (2,794) and 11.10 (1,199) while a
+#: two links to the discard at the target's port 9. 6.17 measured for
+#: Poisson (1,563 calls for 253 packets: the source plans a batch of
+#: packets across its own uplink per resume, builds each there, and
+#: each enters the router's next link through its ``enqueue`` straight
+#: from its entry) and 6.46 for ON/OFF (699 for 108: each burst starts
+#: and ends at an entry of its own, and the uplink's claim on the
+#: router's link, made by the first burst's first packet, is taken back
+#: once). 7.91 (2,002) and 8.19 (884) while a plan ended at the first
+#: packet to reach the router by the next emission and each arrival
+#: there went through the uplink's ``_propagated``; 11.04 (2,794) and
+#: 11.10 (1,199) while a
 #: source ticked at each emission and offered the packet through
 #: ``Link.enqueue`` (6 at the source); 9.04 (2,287) in a
 #: prototype that planned one packet per arrival; 12.04 (3,047) while
@@ -101,7 +109,7 @@ SAMPLER_TICK_BUDGET = 40.0
 #: hop;
 #: 29.11 (7,364) while a source was a generator process with a
 #: ``Timeout`` per packet sending through a ``DatagramSocket``.
-XTRAFFIC_PACKET_BUDGET = 8.5
+XTRAFFIC_PACKET_BUDGET = 6.5
 
 _OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 _CLIENT_DIR = os.path.dirname(repro.client.__file__) + os.sep
