@@ -102,7 +102,7 @@ def test_rtp_pipeline_throughput(benchmark):
         RtpReceiver(net, "c", 5004, 90_000, "v",
                     on_frame=lambda f, t: got.__setitem__(0, got[0] + 1))
         tx = RtpSender(net, "s", 5005, "c", 5004, ssrc=1, payload_type=32,
-                       clock_rate=90_000, stream_id="v")
+                       stream_id="v")
 
         def sender():
             for i in range(500):

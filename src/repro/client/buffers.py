@@ -18,37 +18,39 @@ from repro.media.types import Frame
 
 __all__ = ["MediaBuffer", "compute_time_window", "BufferStats"]
 
+#: jitter deviations a statistically sized window absorbs, and the
+#: bounds of that window
+SAFETY_FACTOR = 4.0
+MIN_WINDOW_S = 0.2
+MAX_WINDOW_S = 8.0
+
 
 def compute_time_window(
     frame_interval_s: float,
     expected_jitter_s: float = 0.02,
     expected_loss: float = 0.01,
-    safety_factor: float = 4.0,
-    min_window_s: float = 0.2,
-    max_window_s: float = 8.0,
 ) -> float:
     """Statistically size the media time window at buffer setup.
 
-    The window must absorb (a) delay variation — ``safety_factor``
+    The window must absorb (a) delay variation — ``SAFETY_FACTOR``
     standard deviations of jitter — and (b) the re-fill slack lost to
     packet loss, plus always at least a few frame intervals so a
-    single late frame cannot starve playout.
+    single late frame cannot starve playout; it stays within
+    ``MIN_WINDOW_S`` .. ``MAX_WINDOW_S``.
     """
     if frame_interval_s <= 0:
         raise ValueError("frame_interval_s must be positive")
     if not (0.0 <= expected_loss < 1.0):
         raise ValueError("expected_loss must be in [0, 1)")
-    jitter_term = safety_factor * expected_jitter_s
+    jitter_term = SAFETY_FACTOR * expected_jitter_s
     loss_term = frame_interval_s * (expected_loss / (1.0 - expected_loss)) * 10.0
     floor_term = 3.0 * frame_interval_s
-    window = max(min_window_s, floor_term, jitter_term + loss_term)
-    return min(window, max_window_s)
+    window = max(MIN_WINDOW_S, floor_term, jitter_term + loss_term)
+    return min(window, MAX_WINDOW_S)
 
 
 @dataclass(slots=True)
 class BufferStats:
-    pushed: int = 0
-    popped: int = 0
     overflow_drops: int = 0
     #: rebuffering episodes, which the playout counts at a stream's first
     #: gap after a presented frame (or its start); a ``pop`` of an empty
@@ -120,7 +122,6 @@ class MediaBuffer:
             return False
         self._frames.append(frame)
         self._ticks_buffered += frame.duration
-        self.stats.pushed += 1
         return True
 
     def pop(self) -> Frame | None:
@@ -130,7 +131,6 @@ class MediaBuffer:
             return None
         frame = self._frames.popleft()
         self._ticks_buffered -= frame.duration
-        self.stats.popped += 1
         return frame
 
     def peek(self) -> Frame | None:

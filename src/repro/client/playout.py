@@ -252,7 +252,6 @@ class PlayoutProcess:
         if frames and frames[0].media_time >= self._next_ticks:
             frame = frames.popleft()
             buffer._ticks_buffered -= frame.duration
-            buffer.stats.popped += 1
         else:
             frame = self._pop_fresh()
         if frame is None:

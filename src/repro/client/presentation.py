@@ -44,8 +44,6 @@ class StreamBinding:
     stream_id: str
     clock_rate: int
     nominal_frame_interval_s: float
-    expected_jitter_s: float = 0.02
-    expected_loss: float = 0.01
 
     def __post_init__(self) -> None:
         if self.clock_rate <= 0:
@@ -98,11 +96,7 @@ class PresentationScheduler:
             if binding is None:
                 raise KeyError(f"no StreamBinding for continuous stream {sid!r}")
             window = time_window_s if time_window_s is not None \
-                else compute_time_window(
-                    binding.nominal_frame_interval_s,
-                    expected_jitter_s=binding.expected_jitter_s,
-                    expected_loss=binding.expected_loss,
-                )
+                else compute_time_window(binding.nominal_frame_interval_s)
             buf = MediaBuffer(sid, binding.clock_rate, time_window_s=window)
             self.buffers[sid] = buf
             self.monitors[sid] = BufferMonitor(
@@ -157,7 +151,6 @@ class PresentationScheduler:
                 return
             frames.append(frame)
             buf._ticks_buffered = ticks
-            stats.pushed += 1
             if sim._tracing_detail:
                 sim._tracer.emit(sim._now, "buffer.push", stream_id,
                                  session=self.session,

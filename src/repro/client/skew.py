@@ -33,6 +33,9 @@ if TYPE_CHECKING:
 
 __all__ = ["SkewController", "SkewDecision"]
 
+#: a slave that fell behind skips at most this many frames per tick
+MAX_DROPS_PER_TICK = 3
+
 
 @dataclass(frozen=True, slots=True)
 class SkewDecision:
@@ -66,19 +69,15 @@ class SkewController:
         group: str,
         master_id: str,
         threshold_s: float = DEFAULT_SYNC_THRESHOLD_S,
-        max_drops_per_tick: int = 3,
         enabled: bool = True,
         sim: Simulator | None = None,
         session: str = "",
     ) -> None:
         if threshold_s <= 0:
             raise ValueError("threshold_s must be positive")
-        if max_drops_per_tick < 1:
-            raise ValueError("max_drops_per_tick must be >= 1")
         self.group = group
         self.master_id = master_id
         self.threshold_s = threshold_s
-        self.max_drops_per_tick = max_drops_per_tick
         self.enabled = enabled
         self.series = SkewSeries(group, threshold_s=threshold_s)
         self.stats = SkewControllerStats()
@@ -146,7 +145,7 @@ class SkewController:
             return _DUPLICATE
         if skew < -self.threshold_s and frame_interval_s > 0:
             behind_frames = int(-skew / frame_interval_s)
-            n = max(1, min(self.max_drops_per_tick, behind_frames))
+            n = max(1, min(MAX_DROPS_PER_TICK, behind_frames))
             stats.drops += n
             stats.corrections += 1
             sim = self.sim

@@ -37,15 +37,9 @@ class EngineConfig:
     seed: int = 0
     # topology (paper-era broadband access)
     access_rate_bps: float = 10e6  # router -> client (the bottleneck)
-    backbone_delay_s: float = 0.005
     access_queue_packets: int = 60
     #: give the access link an ATM cell layer (§7 future-work testbed)
     atm_access: bool = False
-    #: place each media server on its own host ("each multimedia server
-    #: may consist of various media servers", §2 — they "may be located
-    #: in the same host" (§6.1) but need not be). Separate hosts give
-    #: each media type its own network path.
-    separate_media_hosts: bool = False
     # optional random loss on the access link
     loss_p_gb: float = 0.0
     loss_p_bg: float = 0.3

@@ -103,7 +103,6 @@ class ServiceEngine:
         self.topology = ServiceTopology(
             self.network, regions,
             router=self.ROUTER,
-            backbone_delay_s=cfg.backbone_delay_s,
             access_spec_for=lambda node_id: cfg.access_link_spec(
                 self._access_loss(f"access-loss:{node_id}")
             ),
@@ -277,23 +276,16 @@ class ServiceEngine:
 
     def _media_server_for(self, server: MultimediaServer,
                           media_name: str) -> MediaServer:
-        """Create (or return) a media server.
+        """Create (or return) a media server on its multimedia server's host.
 
-        By default media servers share their multimedia server's host
-        (§6.1); with ``separate_media_hosts`` each gets its own node
-        behind the router, so each media type takes its own network
-        path to the client.
+        The paper's media servers "may be located in the same host"
+        (§6.1); here they always are, and a media replica
+        (:meth:`add_media_replica`) is what gets a host of its own.
         """
         if media_name not in server.media_servers:
-            if self.config.separate_media_hosts:
-                node_id = f"host:{media_name}"
-                if node_id not in self.network.nodes:
-                    self.topology.add_server_host(node_id)
-            else:
-                node_id = server.node_id
             store = MediaStore(self.codecs, self.rng)
             server.media_servers[media_name] = MediaServer(
-                self.sim, self.network, media_name, node_id, store,
+                self.sim, self.network, media_name, server.node_id, store,
                 shared_flows=server.shared_flows,
             )
         return server.media_servers[media_name]

@@ -123,7 +123,6 @@ class HeartbeatMonitor:
         self.misses = 0
         self.consecutive_misses = 0
         self.failed = False
-        self.probes = 0
         self._stopped = False
         self.process = sim.process(self._run(), name=f"hb:{self.name}")
 
@@ -139,7 +138,6 @@ class HeartbeatMonitor:
                 yield sim.timeout(self.interval_s)
                 if self._stopped:
                     return
-                self.probes += 1
                 _, ev = self.endpoint.request("hb", {})
                 yield sim.any_of([ev, sim.timeout(self.timeout_s)])
                 if ev.triggered:

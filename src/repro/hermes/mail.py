@@ -92,8 +92,8 @@ class MailService:
         # Hub and submission ports come from their node's allocator, so
         # mail never collides with the control channels on a shared host.
         self._hub_port = network.node(hub_node).ports.allocate("media")
-        self._rx = ReliableReceiver(network, hub_node, self._hub_port,
-                                    on_message=self._on_delivery)
+        ReliableReceiver(network, hub_node, self._hub_port,
+                         on_message=self._on_delivery)
         self.delivered = 0
 
     # -- accounts -----------------------------------------------------------

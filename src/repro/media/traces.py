@@ -41,6 +41,11 @@ __all__ = [
     "FRAME_SIZE_WEIGHTS",
 ]
 
+#: lag-one correlation and innovation deviation of the AR(1) log-process
+#: that modulates video frame sizes (scene activity)
+RHO = 0.9
+SIGMA = 0.12
+
 #: Classic MPEG-1 group-of-pictures pattern (12 frames).
 GOP_PATTERN: tuple[FrameKind, ...] = (
     FrameKind.I,
@@ -131,17 +136,11 @@ class VideoTraceGenerator:
         self,
         codec: Codec,
         rng: np.random.Generator,
-        rho: float = 0.9,
-        sigma: float = 0.12,
     ) -> None:
         if codec.media_type is not MediaType.VIDEO:
             raise ValueError(f"codec {codec.name} is not video")
-        if not (0.0 <= rho < 1.0):
-            raise ValueError("rho must be in [0, 1)")
         self.codec = codec
         self.rng = rng
-        self.rho = rho
-        self.sigma = sigma
 
     def generate(
         self,
@@ -159,7 +158,7 @@ class VideoTraceGenerator:
         kinds = [GOP_PATTERN[i % len(GOP_PATTERN)] for i in range(n)]
         weights = np.array([FRAME_SIZE_WEIGHTS[k] for k in kinds])
         scale = grade.mean_frame_bytes / _GOP_MEAN_WEIGHT
-        mult = _ar1_lognormal_multipliers(n, self.rng, self.rho, self.sigma)
+        mult = _ar1_lognormal_multipliers(n, self.rng, RHO, SIGMA)
         sizes = np.maximum(1, np.rint(weights * scale * mult)).astype(np.int64)
         frames = [
             Frame(
@@ -230,16 +229,12 @@ class FrameSource:
         codec: Codec,
         rng: np.random.Generator,
         grade_index: int = 0,
-        rho: float = 0.9,
-        sigma: float = 0.12,
     ) -> None:
         self.stream_id = stream_id
         self.codec = codec
         self.rng = rng
-        self.rho = rho
-        self.sigma = sigma
         #: stationary variance of the AR(1) log-process
-        self._log_var = sigma**2 / (1.0 - rho**2)
+        self._log_var = SIGMA**2 / (1.0 - RHO**2)
         self._video = codec.media_type is MediaType.VIDEO
         self._seq = 0
         self._media_time = 0
@@ -306,8 +301,8 @@ class FrameSource:
             if self._log_state is None:
                 state = float(self.rng.normal(0.0, np.sqrt(self._log_var)))
             else:
-                state = self.rho * self._log_state + float(
-                    self.rng.normal(0.0, self.sigma))
+                state = RHO * self._log_state + float(
+                    self.rng.normal(0.0, SIGMA))
             self._log_state = state
             size = max(1, int(round(self._gop_bytes[phase] * float(
                 np.exp(state - self._log_var / 2.0)))))

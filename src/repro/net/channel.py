@@ -1,13 +1,16 @@
 """Endpoint transports over the simulated network.
 
 * :class:`DatagramSocket` — UDP-like: unordered, unreliable, no
-  flow control. RTP rides on this (paper Figure 5).
+  flow control. RTP rides on this (paper Figure 5). A socket holds its
+  port and counts nothing: the links count what was sent
+  (:class:`~repro.net.link.LinkStats`), the packet tap what arrived.
 * :class:`ReliableSender` / :class:`ReliableReceiver` — TCP-like:
   a go-back-N ARQ giving loss-free in-order *message* delivery; the
   presentation scenario, text and images use this path. Full TCP
   congestion control is out of scope (the paper treats TCP as a given
   black box); go-back-N reproduces the properties the service layer
-  observes: reliability, ordering, and loss-induced extra latency.
+  observes: reliability, ordering, and loss-induced extra latency. Its
+  segment size, window and timeouts are the module constants below.
 """
 
 from __future__ import annotations
@@ -22,11 +25,26 @@ from repro.net.topology import Network
 __all__ = ["DatagramSocket", "ReliableSender", "ReliableReceiver"]
 
 ACK_SIZE_BYTES = 40
-DEFAULT_MSS = 1460
+#: a reliable sender's segment payload, window (segments in flight) and
+#: retransmission timeout: ``RTO_S`` after each ACK, doubled per timeout
+#: up to ``MAX_RTO_S``
+MSS = 1460
+WINDOW_SEGMENTS = 32
+RTO_S = 0.2
+MAX_RTO_S = 5.0
+
+
+def _ignore(pkt: Packet) -> None:
+    """What a socket built without ``on_packet`` does with an arrival."""
 
 
 class DatagramSocket:
-    """Unreliable datagram endpoint bound to (node, port)."""
+    """Unreliable datagram endpoint bound to (node, port).
+
+    The port stays bound while the socket is open, with or without an
+    ``on_packet`` handler, so an arrival there is not counted as a
+    discard (``Node.rx_discarded``).
+    """
 
     def __init__(
         self,
@@ -38,15 +56,7 @@ class DatagramSocket:
         self.network = network
         self.node_id = node_id
         self.port = port
-        self.on_packet = on_packet
-        network.node(node_id).bind(port, self._receive)
-        self.tx_packets = 0
-        self.rx_packets = 0
-
-    def _receive(self, pkt: Packet) -> None:
-        self.rx_packets += 1
-        if self.on_packet is not None:
-            self.on_packet(pkt)
+        network.node(node_id).bind(port, on_packet or _ignore)
 
     def sendto(
         self,
@@ -68,7 +78,6 @@ class DatagramSocket:
             payload=payload,
             seq=seq,
         )
-        self.tx_packets += 1
         return self.network.send(pkt)
 
     def close(self) -> None:
@@ -104,10 +113,6 @@ class ReliableSender:
         dst_port: int,
         flow_id: str,
         protocol: str = "TCP",
-        mss: int = DEFAULT_MSS,
-        window: int = 32,
-        rto_s: float = 0.2,
-        max_rto_s: float = 5.0,
     ) -> None:
         self.sim: Simulator = network.sim
         self.network = network
@@ -117,11 +122,7 @@ class ReliableSender:
         self.dst_port = dst_port
         self.flow_id = flow_id
         self.protocol = protocol
-        self.mss = mss
-        self.window = window
-        self.base_rto_s = rto_s
-        self.rto_s = rto_s
-        self.max_rto_s = max_rto_s
+        self.rto_s = RTO_S
 
         self._segments: list[_Segment] = []
         self._base = 0  # oldest unacked seq
@@ -140,13 +141,13 @@ class ReliableSender:
             raise RuntimeError("sender is closed")
         if size_bytes <= 0:
             raise ValueError(f"message size must be positive, got {size_bytes}")
-        n_segs = (size_bytes + self.mss - 1) // self.mss
+        n_segs = (size_bytes + MSS - 1) // MSS
         self._msg_counter += 1
         msg_id = self._msg_counter
         first_seq = len(self._segments)
         remaining = size_bytes
         for i in range(n_segs):
-            seg_size = min(self.mss, remaining)
+            seg_size = min(MSS, remaining)
             remaining -= seg_size
             self._segments.append(
                 _Segment(
@@ -195,7 +196,7 @@ class ReliableSender:
     def _pump(self) -> None:
         while (
             self._next < len(self._segments)
-            and self._next < self._base + self.window
+            and self._next < self._base + WINDOW_SEGMENTS
         ):
             self._transmit(self._segments[self._next])
             self._next += 1
@@ -215,7 +216,7 @@ class ReliableSender:
         if self._base >= self._next:
             return
         # Go-back-N: resend the whole outstanding window with backoff.
-        self.rto_s = min(self.rto_s * 2.0, self.max_rto_s)
+        self.rto_s = min(self.rto_s * 2.0, MAX_RTO_S)
         if self.sim._tracing:
             self.sim._tracer.emit(self.sim.now, "channel.retransmit",
                                   self.flow_id, node=self.node_id,
@@ -233,7 +234,7 @@ class ReliableSender:
         if ack < self._base:
             return
         self._base = ack + 1
-        self.rto_s = self.base_rto_s
+        self.rto_s = RTO_S
         # Complete any messages whose last segment is now acked.
         while self._msgs and self._msgs[0].last_seq < self._base:
             self._msgs.pop(0).done.succeed(self.sim.now)
@@ -262,7 +263,6 @@ class ReliableReceiver:
         self.on_message = on_message
         self._rcv_next: dict[str, int] = {}
         self._msg_bytes: dict[str, int] = {}
-        self.messages_received = 0
         network.node(node_id).bind(port, self._on_data)
 
     def close(self) -> None:
@@ -278,7 +278,6 @@ class ReliableReceiver:
             self._msg_bytes[flow] = self._msg_bytes.get(flow, 0) + (pkt.size_bytes - 40)
             if payload.get("last_of_msg"):
                 size = self._msg_bytes.pop(flow, 0)
-                self.messages_received += 1
                 if self.sim._tracing:
                     self.sim._tracer.emit(self.sim.now, "channel.message",
                                           flow, node=self.node_id,

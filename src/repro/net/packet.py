@@ -2,7 +2,8 @@
 
 The tap counts every packet the network delivers, by protocol label
 and flow — the evidence from which the Figure 5 (protocol stack)
-reproduction derives which stream type traversed which stack.
+reproduction derives which stream type traversed which stack. It is
+the one count of deliveries: a node or socket keeps none of its own.
 """
 
 from __future__ import annotations
@@ -65,8 +66,11 @@ class PacketTap:
     a run, not its length; which packet went where is the trace's to
     answer (``net.deliver``, ``link.drop``, ``net.rx_discard``).
     :meth:`Node.deliver <repro.net.topology.Node.deliver>` counts the
-    deliveries, the network the link drops; each node counts its own
-    unbound-port discards (``Node.rx_discarded``).
+    deliveries, here and nowhere else. Drops are counted where they
+    happen, per link and kind (:class:`~repro.net.link.LinkStats`), and
+    each node counts its own unbound-port discards
+    (``Node.rx_discarded``); a flow whose every packet was dropped is
+    still listed here, with 0.
     """
 
     def __init__(self) -> None:
@@ -77,8 +81,6 @@ class PacketTap:
         #: lost packets is present with 0
         self.count_by_flow: dict[str, dict[str, int]] = defaultdict(
             lambda: defaultdict(int))
-        #: packets links dropped, per kind ("drop-queue" | "drop-loss")
-        self.drops_by_kind: dict[str, int] = defaultdict(int)
 
     @property
     def count_by_protocol(self) -> dict[str, int]:

@@ -29,6 +29,13 @@ from repro.net.topology import Network, Node
 
 __all__ = ["AccessLinkSpec", "RegionSpec", "ServiceTopology", "cdn_stack"]
 
+#: every server host's link pair to its router (the paper-era backbone)
+BACKBONE_RATE_BPS = 100e6
+BACKBONE_DELAY_S = 0.005
+BACKBONE_QUEUE_PACKETS = 500
+#: a cross-traffic host sits 1 ms behind the core router
+TRAFFIC_HOST_DELAY_S = 0.001
+
 
 @dataclass(frozen=True, slots=True)
 class AccessLinkSpec:
@@ -85,8 +92,9 @@ class ServiceTopology:
     """The core router, the regions behind it, and whatever is added later.
 
     ``access_spec_for`` maps a viewer's node id to its access-link spec
-    (the engine routes per-client loss processes through it); the
-    backbone parameters apply to every server and traffic host link.
+    (the engine routes per-client loss processes through it); every
+    server and traffic host link runs at ``BACKBONE_RATE_BPS`` with
+    ``BACKBONE_QUEUE_PACKETS`` of queue.
     """
 
     def __init__(
@@ -95,18 +103,10 @@ class ServiceTopology:
         regions: tuple[RegionSpec, ...] = (),
         *,
         router: str = "router",
-        backbone_rate_bps: float = 100e6,
-        backbone_delay_s: float = 0.005,
-        backbone_queue_packets: int = 500,
         access_spec_for: Callable[[str], AccessLinkSpec] | None = None,
     ) -> None:
-        if backbone_rate_bps <= 0:
-            raise ValueError("backbone rate must be positive")
         self.network = network
         self.router = router
-        self.backbone_rate_bps = backbone_rate_bps
-        self.backbone_delay_s = backbone_delay_s
-        self.backbone_queue_packets = backbone_queue_packets
         self._access_spec_for = (
             access_spec_for if access_spec_for is not None
             else lambda _node: AccessLinkSpec()
@@ -182,8 +182,8 @@ class ServiceTopology:
         attach = self.pop_router(region)
         node = self.network.add_node(node_id)
         self.network.add_duplex_link(
-            node_id, attach, self.backbone_rate_bps, delay_s,
-            queue_packets=self.backbone_queue_packets,
+            node_id, attach, BACKBONE_RATE_BPS, delay_s,
+            queue_packets=BACKBONE_QUEUE_PACKETS,
         )
         if region is not None:
             self._node_region[node_id] = region
@@ -193,16 +193,16 @@ class ServiceTopology:
         self, node_id: str, region: str | None = None
     ) -> Node:
         """Add a multimedia/media server host behind a router."""
-        return self._add_backbone_host(node_id, self.backbone_delay_s, region)
+        return self._add_backbone_host(node_id, BACKBONE_DELAY_S, region)
 
     def add_traffic_host(self, node_id: str) -> Node:
-        """Add a cross-traffic source host, 1 ms behind the core router.
+        """Add a cross-traffic source host behind the core router.
 
         The host's uplink belongs to the one source placed on it, which
         plans its packets across the link ahead of their emission
         instants (:mod:`repro.net.traffic`); put nothing else there.
         """
-        return self._add_backbone_host(node_id, 0.001)
+        return self._add_backbone_host(node_id, TRAFFIC_HOST_DELAY_S)
 
 
 def cdn_stack(

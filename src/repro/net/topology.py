@@ -49,7 +49,6 @@ class Node:
         self._tap_bytes = network.tap.bytes_by_protocol
         self.ports = PortAllocator(node_id)
         self._ports: dict[int, Callable[[Packet], None]] = {}
-        self.rx_packets = 0
         self.rx_discarded = 0
 
     def bind(self, port: int, handler: Callable[[Packet], None]) -> None:
@@ -74,7 +73,6 @@ class Node:
                              port=pkt.dst_port, hops=pkt.hops,
                              flow=pkt.flow_id, seq=pkt.seq,
                              session=pkt.session, frame=pkt.frame_seq)
-        self.rx_packets += 1
         handler = self._ports.get(pkt.dst_port)
         if handler is not None:
             handler(pkt)
@@ -276,7 +274,6 @@ class Network:
 
     def _on_link_drop(self, pkt: Packet, kind: str) -> None:
         self.tap.count_by_flow[pkt.protocol][pkt.flow_id] += 0
-        self.tap.drops_by_kind[kind] += 1
         if pkt.frame_seq >= 0 and pkt.session:
             hit = self.frames_hit.setdefault(pkt.session, {})
             hit[pkt.flow_id, pkt.frame_seq] = getattr(

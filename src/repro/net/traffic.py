@@ -319,7 +319,6 @@ class PoissonTrafficSource(_TrafficBase):
     def __init__(self, network, src, dst, rng, rate_bps: float, **kw) -> None:
         if rate_bps <= 0:
             raise ValueError("rate_bps must be positive")
-        self.rate_bps = rate_bps
         super().__init__(network, src, dst, rng, **kw)
         mean = self.packet_bytes * 8.0 / rate_bps
         self._next_gap = map(mean.__mul__, iter(self._draw, None)).__next__

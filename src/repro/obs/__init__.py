@@ -31,7 +31,7 @@ from importlib import import_module
 #: public name -> the submodule that defines it
 _EXPORTS = {
     "DEFAULT_SLOS": "slo",
-    "DEFAULT_TRIGGER_KINDS": "flightrec",
+    "TRIGGER_KINDS": "flightrec",
     "FlightRecorder": "flightrec",
     "FrameSpan": "lifecycle",
     "Histogram": "metrics",

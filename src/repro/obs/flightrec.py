@@ -14,7 +14,7 @@ constructed (see :mod:`repro.obs.tracer`).
 Dumps are ordinary trace-v3 JSONL windows ("everything in the ring
 from the last ``window_s`` sim-seconds"), so ``repro trace``,
 lifecycle correlation and QoE tooling parse them unchanged. A dump
-fires on the first fault-injection event (``trigger_kinds``), on an
+fires on the first fault-injection event (``TRIGGER_KINDS``), on an
 SLO violation (the CLI calls :meth:`FlightRecorder.dump`), or
 explicitly.
 
@@ -33,14 +33,14 @@ installs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs.tracer import RecordingTracer, TraceEvent
 
-__all__ = ["FlightRecorder", "DEFAULT_TRIGGER_KINDS"]
+__all__ = ["FlightRecorder", "TRIGGER_KINDS"]
 
 #: fault-injection kinds that auto-dump the ring (first occurrence)
-DEFAULT_TRIGGER_KINDS = frozenset({
+TRIGGER_KINDS = frozenset({
     "fault.crash", "fault.link", "fault.ctl_partition", "fault.shard",
 })
 
@@ -51,35 +51,32 @@ class FlightRecorder(RecordingTracer):
     def __init__(self, max_events: int | None = 4096,
                  window_s: float = 30.0,
                  dump_path: str | None = None,
-                 trigger_kinds: Iterable[str] = DEFAULT_TRIGGER_KINDS,
                  ) -> None:
         if max_events is not None and max_events <= 0:
             raise ValueError("max_events must be > 0")
         super().__init__()
         if max_events is not None:
             self.events = deque(maxlen=max_events)
-        self.max_events = max_events
-        #: events the ring shed, oldest first (counted in kind_counts)
-        self.dropped_events = 0
         self.window_s = window_s
         #: a ring stays on the cheap control tier; only an unbounded
         #: recorder takes the per-packet firehose
         self.detail = max_events is None
         self.dump_path = dump_path
-        self.trigger_kinds = frozenset(trigger_kinds)
         #: metadata of the last dump ({} until one happens)
         self.last_dump: dict[str, Any] = {}
 
     def _record(self, event: TraceEvent) -> None:
         counts = self._kind_counts
         counts[event.kind] = counts.get(event.kind, 0) + 1
-        events = self.events
-        if len(events) == self.max_events:
-            self.dropped_events += 1
-        events.append(event)
+        self.events.append(event)
         if (self.dump_path is not None and not self.last_dump
-                and event.kind in self.trigger_kinds):
+                and event.kind in TRIGGER_KINDS):
             self.dump(trigger=event.kind)
+
+    @property
+    def dropped_events(self) -> int:
+        """Events the ring shed, oldest first (counted in kind_counts)."""
+        return sum(self._kind_counts.values()) - len(self.events)
 
     # -- dumping -------------------------------------------------------------
     def window(self, window_s: float | None = None) -> list[TraceEvent]:

@@ -21,6 +21,12 @@ from repro.rtp.session import RtpReceiver
 
 __all__ = ["RtcpReporter", "RtcpSink"]
 
+#: an adaptive reporter relaxes toward this interval while clean...
+MAX_INTERVAL_S = 4.0
+#: ...and calls an interval congested at this loss fraction or jitter
+LOSS_THRESHOLD = 0.02
+JITTER_THRESHOLD_S = 0.03
+
 
 class RtcpReporter:
     """Emits receiver reports for one RTP stream.
@@ -32,7 +38,7 @@ class RtcpReporter:
     * adaptive (``adaptive=True``): the next interval is calculated
       from the observed condition — congested intervals shrink toward
       ``min_interval_s`` (faster feedback when the server most needs
-      it), clean ones relax toward ``max_interval_s`` (less control
+      it), clean ones relax toward ``MAX_INTERVAL_S`` (less control
       overhead when nothing changes).
     """
 
@@ -46,19 +52,15 @@ class RtcpReporter:
         dst_port: int,
         ssrc: int,
         interval_s: float = 1.0,
-        stop_event=None,
         adaptive: bool = False,
         min_interval_s: float = 0.25,
-        max_interval_s: float = 4.0,
-        loss_threshold: float = 0.02,
-        jitter_threshold_s: float = 0.03,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
         if adaptive and not (0 < min_interval_s <= interval_s
-                             <= max_interval_s):
+                             <= MAX_INTERVAL_S):
             raise ValueError(
-                "need 0 < min_interval_s <= interval_s <= max_interval_s"
+                "need 0 < min_interval_s <= interval_s <= MAX_INTERVAL_S"
             )
         self.sim: Simulator = network.sim
         self.network = network
@@ -70,16 +72,11 @@ class RtcpReporter:
         self.interval_s = interval_s
         self.adaptive = adaptive
         self.min_interval_s = min_interval_s
-        self.max_interval_s = max_interval_s
-        self.loss_threshold = loss_threshold
-        self.jitter_threshold_s = jitter_threshold_s
         self._current_interval = interval_s
         self.reports_sent = 0
         self._stopped = False
         self.socket = DatagramSocket(network, node_id, port)
-        self._proc = self.sim.process(self._run(), name=f"rtcp:{receiver.stream_id}")
-        if stop_event is not None:
-            stop_event.callbacks.append(lambda ev: self.stop())
+        self.sim.process(self._run(), name=f"rtcp:{receiver.stream_id}")
 
     def stop(self) -> None:
         self._stopped = True
@@ -92,12 +89,12 @@ class RtcpReporter:
         """The "specifically calculated" interval after a report."""
         if not self.adaptive:
             return self.interval_s
-        congested = (report.fraction_lost >= self.loss_threshold
-                     or report.jitter_s >= self.jitter_threshold_s)
+        congested = (report.fraction_lost >= LOSS_THRESHOLD
+                     or report.jitter_s >= JITTER_THRESHOLD_S)
         if congested:
             nxt = max(self.min_interval_s, self._current_interval / 2.0)
         else:
-            nxt = min(self.max_interval_s, self._current_interval * 1.5)
+            nxt = min(MAX_INTERVAL_S, self._current_interval * 1.5)
         return nxt
 
     def build_report(self) -> RtcpReceiverReport:
@@ -117,8 +114,8 @@ class RtcpReporter:
 
     def _congested_now(self) -> bool:
         """Cheap congestion peek between reports (adaptive mode)."""
-        return (self.receiver.peek_interval_loss() >= self.loss_threshold
-                or self.receiver.jitter_s >= self.jitter_threshold_s)
+        return (self.receiver.peek_interval_loss() >= LOSS_THRESHOLD
+                or self.receiver.jitter_s >= JITTER_THRESHOLD_S)
 
     def _send_report(self) -> None:
         report = self.build_report()

@@ -24,7 +24,8 @@ from repro.rtp.packets import RTP_HEADER_BYTES, SEQ_MODULUS, RtpPacket
 
 __all__ = ["RtpSender", "RtpReceiver", "RtpReceiverStats", "fragment_plan"]
 
-DEFAULT_MTU_PAYLOAD = 1400
+#: RTP payload bytes per packet; a larger frame is fragmented
+MTU_PAYLOAD = 1400
 _HALF_SEQ = SEQ_MODULUS // 2
 _GAIN = InterarrivalJitterEstimator.GAIN
 
@@ -54,9 +55,7 @@ class RtpSender:
         dst_port: int,
         ssrc: int,
         payload_type: int,
-        clock_rate: int,
         stream_id: str,
-        mtu_payload: int = DEFAULT_MTU_PAYLOAD,
         session: str = "",
         first_seq: int = 0,
     ) -> None:
@@ -68,16 +67,13 @@ class RtpSender:
         self.dst_port = dst_port
         self.ssrc = ssrc
         self.payload_type = payload_type
-        self.clock_rate = clock_rate
         self.stream_id = stream_id
-        self.mtu_payload = mtu_payload
         self.session = session
         # first_seq lets a failover sender continue the RTP sequence
         # space of the stream it replaces, keeping receiver-side loss
         # accounting coherent across the switch.
         self._seq = first_seq % SEQ_MODULUS
         self.packet_count = 0
-        self.octet_count = 0
         # the session's page of the network's frame ledger, shared with
         # its other senders (None: anonymous traffic is not ledgered)
         self._sent = (network.frames_sent.setdefault(session, deque())
@@ -89,7 +85,7 @@ class RtpSender:
         """Packetize and transmit one frame; returns packets sent."""
         if frame.size_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
-        plan = fragment_plan(frame.size_bytes, self.mtu_payload)
+        plan = fragment_plan(frame.size_bytes, MTU_PAYLOAD)
         n_frags = len(plan)
         last = n_frags - 1
         seq0 = self._seq
@@ -120,7 +116,6 @@ class RtpSender:
             seq = (seq + 1) % SEQ_MODULUS
         self._seq = seq
         self.packet_count += n_frags
-        self.octet_count += frame.size_bytes
         if self.sim._tracing_detail:
             self.sim._tracer.emit(self.sim.now, "rtp.send", self.stream_id,
                                   session=self.session, frame=frame.seq,

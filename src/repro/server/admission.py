@@ -28,6 +28,8 @@ __all__ = ["AdmissionRequest", "AdmissionResult", "AdmissionController",
 
 #: the connect-time admission ticket a client declares by default
 TICKET_BPS = 2e6
+#: the contract weight that unlocks the whole capacity
+MAX_WEIGHT = 4.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,19 +116,17 @@ class AdmissionController:
         self,
         capacity_bps: float,
         open_fraction: float = 0.7,
-        max_weight: float = 4.0,
         on_regrant=None,
     ) -> None:
         """``open_fraction`` of capacity admits any contract; the rest
-        opens linearly with contract weight up to ``max_weight``
-        (weight >= max_weight unlocks the full capacity)."""
+        opens linearly with contract weight up to ``MAX_WEIGHT``
+        (weight >= MAX_WEIGHT unlocks the full capacity)."""
         if capacity_bps <= 0:
             raise ValueError("capacity_bps must be positive")
         if not (0.0 < open_fraction <= 1.0):
             raise ValueError("open_fraction must be in (0, 1]")
         self.capacity_bps = capacity_bps
         self.open_fraction = open_fraction
-        self.max_weight = max_weight
         self.on_regrant = on_regrant
         self.reserved_bps = 0.0
         #: session_id -> [granted, min (or granted if fixed), required]
@@ -135,13 +135,9 @@ class AdmissionController:
         self.stats = AdmissionStats()
 
     def _limit_for(self, contract: PricingContract) -> float:
-        if self.max_weight <= 1.0:
-            share = 1.0
-        else:
-            unlocked = (min(contract.weight, self.max_weight) - 1.0) / (
-                self.max_weight - 1.0
-            )
-            share = self.open_fraction + (1.0 - self.open_fraction) * unlocked
+        unlocked = (min(contract.weight, MAX_WEIGHT) - 1.0) / (
+            MAX_WEIGHT - 1.0)
+        share = self.open_fraction + (1.0 - self.open_fraction) * unlocked
         return self.capacity_bps * share
 
     def _shrinkable_bps(self) -> float:

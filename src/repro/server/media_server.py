@@ -165,7 +165,7 @@ class StreamHandler:
             self.network, self.leg_node, port,
             origin.client_node, origin.client_port,
             ssrc=origin.ssrc, payload_type=codec.payload_type,
-            clock_rate=codec.clock_rate, stream_id=origin.stream_id,
+            stream_id=origin.stream_id,
             session=origin.session_id, first_seq=origin.first_seq,
         ))
         self.ms.streams[origin.key] = self
@@ -320,7 +320,6 @@ class MediaServer:
         #: for the recovery watchdog to fail over
         self.failed = False
         self.crashed_at: float | None = None
-        self.crash_count = 0
         self.wreckage: list[StreamSnapshot] = []
         #: recovery hooks (wired by a MediaWatchdog when installed)
         self.on_crash = None
@@ -333,7 +332,6 @@ class MediaServer:
             return
         self.failed = True
         self.crashed_at = self.sim.now
-        self.crash_count += 1
         legs = sorted(self.streams.items())
         for key, pump in legs:
             leg = pump.legs[key]

@@ -55,7 +55,6 @@ class ControlEndpoint:
         #: "pass", "drop", or "delay" (see repro.faults.control)
         self.fault = None
         self.closed = False
-        self.fault_drops = 0
         #: messages that arrived after close() with no handler to take them
         self.late_messages = 0
 
@@ -109,7 +108,6 @@ class ControlEndpoint:
         if self.fault is not None:
             verdict, delay_s = self.fault.decide(self.sim.now)
             if verdict == "drop":
-                self.fault_drops += 1
                 if self.sim._tracing:
                     self.sim._tracer.emit(self.sim.now, "fault.ctl_drop",
                                           self.name, msg_type=msg.msg_type,

@@ -242,18 +242,17 @@ def test_flag_set_is_the_sixty_of_the_hand_rolled_loops():
 # every EngineConfig knob has a caller that sets it; a value no caller
 # changes is a constant beside the component that uses it
 ENGINE_FIELDS = (
-    "seed", "access_rate_bps", "backbone_delay_s", "access_queue_packets",
-    "atm_access", "separate_media_hosts", "loss_p_gb", "loss_p_bg",
-    "loss_bad", "rtcp_interval_s", "rtcp_adaptive", "grading_policy",
-    "time_window_s", "skew_control", "suspend_grace_s",
-    "admission_capacity_bps", "shared_flows", "traffic",
+    "seed", "access_rate_bps", "access_queue_packets", "atm_access",
+    "loss_p_gb", "loss_p_bg", "loss_bad", "rtcp_interval_s",
+    "rtcp_adaptive", "grading_policy", "time_window_s", "skew_control",
+    "suspend_grace_s", "admission_capacity_bps", "shared_flows", "traffic",
 )
 
 
 def test_engine_config_fields_are_pinned():
     assert tuple(f.name for f in dataclasses.fields(EngineConfig)) \
         == ENGINE_FIELDS
-    assert len(ENGINE_FIELDS) == 18
+    assert len(ENGINE_FIELDS) == 16
 
 
 def test_json_is_accepted_anywhere_on_the_line():

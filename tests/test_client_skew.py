@@ -35,7 +35,7 @@ def test_slave_ahead_duplicates():
 
 
 def test_slave_behind_drops_bounded():
-    c = controller(max_drops_per_tick=3)
+    c = controller()  # MAX_DROPS_PER_TICK = 3
     c.report_position("A", 2.0)
     c.report_position("V", 1.0)  # 1 s behind = 25 frames
     d = c.decide("V", now=0.0, frame_interval_s=0.04)
@@ -75,8 +75,6 @@ def test_inactive_master_suspends_decisions():
 def test_validation():
     with pytest.raises(ValueError):
         controller(threshold_s=0.0)
-    with pytest.raises(ValueError):
-        controller(max_drops_per_tick=0)
 
 
 # ---------------------------------------------------------------- series

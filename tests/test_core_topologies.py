@@ -7,23 +7,6 @@ from repro.hml.examples import figure2_markup
 from repro.obs import RecordingTracer
 
 
-def test_separate_media_hosts_topology():
-    eng = ServiceEngine(EngineConfig(separate_media_hosts=True))
-    eng.add_server("srv1", documents={"fig2": (figure2_markup(), "demo")})
-    # Each media server got its own host behind the router.
-    for host in ("host:imgsrv", "host:audsrv", "host:vidsrv"):
-        assert host in eng.network.nodes
-    server = eng.servers["srv1"]
-    nodes = {ms.node_id for ms in server.media_servers.values()}
-    assert len(nodes) == 3
-    assert server.node_id not in nodes
-    # The parallel-connection delivery still works, in sync.
-    result = eng.orchestrator.run_full_session("srv1", "fig2")
-    assert result.completed
-    assert result.worst_skew_s() < 0.08
-    assert result.total_gap_ratio() < 0.05
-
-
 def test_colocated_default_topology():
     eng = ServiceEngine()
     eng.add_server("srv1", documents={"fig2": (figure2_markup(), "demo")})

@@ -92,10 +92,13 @@ SAMPLER_TICK_BUDGET = 40.0
 #: Poisson (1,563 calls for 253 packets: the source plans a batch of
 #: packets across its own uplink per resume, builds each there, and
 #: each enters the router's next link through its ``enqueue`` straight
-#: from its entry) and 6.46 for ON/OFF (699 for 108: each burst starts
-#: and ends at an entry of its own, and the uplink's claim on the
-#: router's link, made by the first burst's first packet, is taken back
-#: once). 7.91 (2,002) and 8.19 (884) while a plan ended at the first
+#: from its entry) and 6.35 for ON/OFF (687 for 108: each burst starts
+#: and ends at an entry of its own). 6.46 (699) for ON/OFF while the
+#: uplink claimed the router's link for the first burst's first packet
+#: and the source's first planned packet there took the claim back:
+#: 16 calls (``_disown``, ``_withdraw``, ``rewrite``, 13 ``back``), less
+#: the 4 that first packet's hop through ``_propagated`` now costs.
+#: 7.91 (2,002) and 8.19 (884) while a plan ended at the first
 #: packet to reach the router by the next emission and each arrival
 #: there went through the uplink's ``_propagated``; 11.04 (2,794) and
 #: 11.10 (1,199) while a
@@ -109,7 +112,7 @@ SAMPLER_TICK_BUDGET = 40.0
 #: hop;
 #: 29.11 (7,364) while a source was a generator process with a
 #: ``Timeout`` per packet sending through a ``DatagramSocket``.
-XTRAFFIC_PACKET_BUDGET = 6.5
+XTRAFFIC_PACKET_BUDGET = 6.4
 
 _OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 _CLIENT_DIR = os.path.dirname(repro.client.__file__) + os.sep

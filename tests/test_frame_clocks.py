@@ -40,7 +40,7 @@ from repro.client import (
 from repro.client.metrics import PlayoutEvent, PlayoutEventKind
 from repro.client.monitor import BufferAction, BufferMonitor, BufferState
 from repro.client.playout import PauseGate, PlayoutProcess
-from repro.client.skew import SkewDecision
+from repro.client.skew import MAX_DROPS_PER_TICK, SkewDecision
 from repro.core.experiments import av_markup
 from repro.des import RngRegistry, Simulator
 from repro.media import (
@@ -247,7 +247,7 @@ class ReferenceSkewController(SkewController):
             return SkewDecision("duplicate")
         if skew < -self.threshold_s and frame_interval_s > 0:
             behind_frames = int(-skew / frame_interval_s)
-            n = max(1, min(self.max_drops_per_tick, behind_frames))
+            n = max(1, min(MAX_DROPS_PER_TICK, behind_frames))
             self.stats.drops += n
             self.stats.corrections += 1
             return SkewDecision("drop", drop_count=n)

@@ -14,6 +14,7 @@ from repro.net import (
     ReliableReceiver,
     ReliableSender,
 )
+from repro.net import channel
 
 
 # ----------------------------------------------------------- parser fuzz
@@ -69,14 +70,16 @@ def lossy_net(seed, p_gb, direction="both"):
 
 
 @pytest.mark.parametrize("direction", ["fwd", "rev", "both"])
-def test_reliable_channel_survives_loss_each_direction(direction):
+def test_reliable_channel_survives_loss_each_direction(direction,
+                                                      monkeypatch):
     """Data loss, ACK loss, and both together all recover via GBN."""
+    monkeypatch.setattr(channel, "MSS", 1000)
+    monkeypatch.setattr(channel, "RTO_S", 0.05)
     sim, net = lossy_net(seed=3, p_gb=0.2, direction=direction)
     got = []
     ReliableReceiver(net, "b", 7000,
                      on_message=lambda d, s, f: got.append((d, s)))
-    tx = ReliableSender(net, "a", 7001, "b", 7000, flow_id="f",
-                        mss=1000, rto_s=0.05)
+    tx = ReliableSender(net, "a", 7001, "b", 7000, flow_id="f")
     for i in range(5):
         done = tx.send_message(8_000, payload=i)
     sim.run(until=done)

@@ -77,8 +77,6 @@ def test_video_trace_reproducible():
 def test_video_generator_rejects_audio_codec():
     with pytest.raises(ValueError):
         VideoTraceGenerator(PCM, rng())
-    with pytest.raises(ValueError):
-        VideoTraceGenerator(MPEG, rng(), rho=1.0)
 
 
 # ---------------------------------------------------------------- audio bulk

@@ -10,6 +10,7 @@ from repro.net import (
     ReliableReceiver,
     ReliableSender,
 )
+from repro.net import channel
 
 
 def build_net(loss_model=None, rate=2_000_000, delay=0.005):
@@ -30,7 +31,7 @@ def test_datagram_roundtrip():
     tx.sendto("client", 6000, 500, payload="hello", flow_id="f")
     sim.run()
     assert got == ["hello"]
-    assert tx.tx_packets == 1
+    assert net.link("server", "client").stats.tx_packets == 1
 
 
 def test_datagram_close_unbinds():
@@ -53,14 +54,15 @@ def test_reliable_single_message_lossless():
     assert tx.retransmissions == 0
 
 
-def test_reliable_sender_arms_one_rto_timer_per_ack():
+def test_reliable_sender_arms_one_rto_timer_per_ack(monkeypatch):
     """The first pump arms the retransmission timer, each ACK that
     leaves data outstanding re-arms it once, and the last ACK cancels
     it: no superseded arm is left to fire as a stale heap entry."""
     sim, net = build_net()
     ReliableReceiver(net, "client", 7000)
-    tx = ReliableSender(net, "server", 7001, "client", 7000, flow_id="doc",
-                        window=2, mss=1000)
+    monkeypatch.setattr(channel, "WINDOW_SEGMENTS", 2)
+    monkeypatch.setattr(channel, "MSS", 1000)
+    tx = ReliableSender(net, "server", 7001, "client", 7000, flow_id="doc")
     arms = []
     arm = tx._arm_timer
 
@@ -75,27 +77,29 @@ def test_reliable_sender_arms_one_rto_timer_per_ack():
     assert len(arms) == 1 + 5
 
 
-def test_reliable_message_larger_than_window():
+def test_reliable_message_larger_than_window(monkeypatch):
+    monkeypatch.setattr(channel, "WINDOW_SEGMENTS", 4)
+    monkeypatch.setattr(channel, "MSS", 1000)
     sim, net = build_net()
     msgs = []
     ReliableReceiver(net, "client", 7000,
                      on_message=lambda data, size, flow: msgs.append(size))
-    tx = ReliableSender(net, "server", 7001, "client", 7000, flow_id="doc",
-                        window=4, mss=1000)
+    tx = ReliableSender(net, "server", 7001, "client", 7000, flow_id="doc")
     done = tx.send_message(50_000)
     sim.run(until=done)
     assert msgs == [50_000]
 
 
-def test_reliable_recovers_from_loss():
+def test_reliable_recovers_from_loss(monkeypatch):
+    monkeypatch.setattr(channel, "MSS", 1000)
+    monkeypatch.setattr(channel, "RTO_S", 0.05)
     rng = RngRegistry(seed=2).stream("loss")
     ge = GilbertElliottLoss(rng, p_gb=0.2, p_bg=0.5, loss_bad=0.5)
     sim, net = build_net(loss_model=ge)
     msgs = []
     ReliableReceiver(net, "client", 7000,
                      on_message=lambda data, size, flow: msgs.append(size))
-    tx = ReliableSender(net, "server", 7001, "client", 7000, flow_id="doc",
-                        mss=1000, rto_s=0.05)
+    tx = ReliableSender(net, "server", 7001, "client", 7000, flow_id="doc")
     done = tx.send_message(40_000)
     sim.run(until=done)
     assert msgs == [40_000]
@@ -143,7 +147,10 @@ def test_reliable_sender_rejects_bad_usage():
         tx.send_message(100)
 
 
-def test_reliable_delivery_slower_under_loss():
+def test_reliable_delivery_slower_under_loss(monkeypatch):
+    monkeypatch.setattr(channel, "MSS", 1000)
+    monkeypatch.setattr(channel, "RTO_S", 0.05)
+
     def timed(loss):
         if loss:
             rng = RngRegistry(seed=5).stream("l")
@@ -153,7 +160,7 @@ def test_reliable_delivery_slower_under_loss():
         sim, net = build_net(loss_model=ge)
         ReliableReceiver(net, "client", 7000)
         tx = ReliableSender(net, "server", 7001, "client", 7000,
-                            flow_id="doc", mss=1000, rto_s=0.05)
+                            flow_id="doc")
         done = tx.send_message(30_000)
         return sim.run(until=done)
 

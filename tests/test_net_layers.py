@@ -14,6 +14,7 @@ from repro.core.engine import ServiceEngine
 from repro.des import Simulator
 from repro.faults.scenarios import chaos_markup
 from repro.net import AccessLinkSpec, RegionSpec, ServiceTopology, cdn_stack
+from repro.net import service_topology
 from repro.net.topology import Network
 
 DOC = {"doc": (chaos_markup(2.0), "t")}
@@ -40,8 +41,6 @@ def test_region_spec_validation():
         RegionSpec("east", n_clients=-1)
     with pytest.raises(ValueError):
         RegionSpec("east", link_rate_bps=0)
-    with pytest.raises(ValueError):
-        ServiceTopology(_network(), backbone_rate_bps=0)
 
 
 def test_duplicate_region_rejected():
@@ -132,9 +131,9 @@ def test_access_spec_for_stamps_each_viewer():
 
 # -- one source for every link parameter --------------------------------------
 
-def test_backbone_comes_from_the_engine_config_with_regions_too():
-    eng = ServiceEngine(EngineConfig(backbone_delay_s=0.002),
-                        layers=cdn_stack(clients_per_region=1))
+def test_backbone_delay_is_one_constant_with_regions_too(monkeypatch):
+    monkeypatch.setattr(service_topology, "BACKBONE_DELAY_S", 0.002)
+    eng = ServiceEngine(layers=cdn_stack(clients_per_region=1))
     eng.add_server("srv1", documents=DOC)
     assert eng.network.link("host:srv1", "router").delay_s == 0.002
     assert eng.network.link("host:media@east", "pop:east").delay_s == 0.002

@@ -85,7 +85,7 @@ def test_links_added_after_the_first_packet_route_as_networkx():
     net.send(Packet(src=first, dst=second, size_bytes=100, protocol="UDP",
                     flow_id="f", dst_port=9))
     eng.sim.run()
-    assert net.node(second).rx_packets == 1
+    assert net.tap.count_by_flow["UDP"]["f"] == 1
     # a shortcut that ties with the two-hop path through the router
     # for some pairs and beats it for others
     net.add_link(first, second, 10e6, net.link(first, eng.ROUTER).delay_s

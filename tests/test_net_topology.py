@@ -13,6 +13,7 @@ from repro.net import (
     PortExhaustedError,
     ServiceTopology,
 )
+from repro.net import service_topology
 
 
 def simple_net(rate=1_000_000, delay=0.01, queue=100):
@@ -145,7 +146,7 @@ def test_queue_overflow_drops_and_taps():
     link = net.link("a", "b")
     assert link.stats.queue_drops > 0
     assert len(got) + link.stats.queue_drops == 10
-    assert net.tap.drops_by_kind == {"drop-queue": link.stats.queue_drops}
+    assert (link.stats.loss_drops, link.stats.fault_drops) == (0, 0)
 
 
 def test_fifo_ordering_preserved():
@@ -173,7 +174,7 @@ def test_unbound_port_discard_is_counted():
     net.send(Packet(src="a", dst="b", size_bytes=100, protocol="UDP",
                     flow_id="f", dst_port=404))
     sim.run()
-    assert net.node("b").rx_packets == 1  # received, no handler
+    assert net.tap.count_by_flow == {"UDP": {"f": 1}}  # delivered, no handler
     assert net.node("b").rx_discarded == 1
     assert net.node("a").rx_discarded == 0
 
@@ -202,7 +203,9 @@ def test_tap_record_views_of_deliveries_drops_and_a_discard():
     assert net.tap.count_by_protocol == {"RTCP": 1, "TCP": 2, "RTP": 1}
     assert net.tap.count_by_flow == {
         "RTP": {"f1": 1}, "TCP": {"f0": 2}, "RTCP": {"loop": 1}}
-    assert net.tap.drops_by_kind == {"drop-queue": 2}
+    assert net.link("a", "r").stats.queue_drops == 2
+    assert sum(link.stats.queue_drops + link.stats.loss_drops
+               + link.stats.fault_drops for link in net.links.values()) == 2
     assert net.node("b").rx_discarded == 1
     assert net.tap.protocols_for_flow("f0") == {"TCP"}
     assert net.tap.protocols_for_flow("f1") == {"RTP"}
@@ -267,12 +270,12 @@ def test_port_allocator_exhaustion_is_explicit():
         alloc.allocate("nope")
 
 
-def test_topology_builder_star():
+def test_topology_builder_star(monkeypatch):
+    monkeypatch.setattr(service_topology, "BACKBONE_RATE_BPS", 50e6)
+    monkeypatch.setattr(service_topology, "BACKBONE_DELAY_S", 0.002)
     sim = Simulator()
     net = Network(sim)
-    tb = ServiceTopology(
-        net, router="r", backbone_rate_bps=50e6, backbone_delay_s=0.002,
-    )
+    tb = ServiceTopology(net, router="r")
     tb.add_client("c1", AccessLinkSpec(rate_bps=5e6, delay_s=0.01))
     tb.add_client("c2", AccessLinkSpec(rate_bps=2e6, delay_s=0.02))
     tb.add_server_host("h1")

@@ -9,7 +9,8 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.obs.bench import run_scenario
 from repro.obs import read_jsonl, summarize_trace
-from repro.obs.flightrec import DEFAULT_TRIGGER_KINDS, FlightRecorder
+from repro.obs import flightrec
+from repro.obs.flightrec import TRIGGER_KINDS, FlightRecorder
 from repro.obs.tracer import RecordingTracer
 
 
@@ -112,7 +113,7 @@ def test_chaos_crash_auto_dumps_fault_window(tmp_path):
     run = run_scenario("crash", smoke=True, flight_dump=dump)
     meta = run.artifact["flight_dump"]
     assert meta["path"] == dump
-    assert meta["trigger"] in DEFAULT_TRIGGER_KINDS
+    assert meta["trigger"] in TRIGGER_KINDS
     events = read_jsonl(dump)
     assert len(events) == meta["events"] > 0
     # The injected fault is inside the dumped window...
@@ -145,9 +146,9 @@ def test_slo_violation_triggers_dump_via_cli(tmp_path, capsys,
         == "slo.violation"
 
 
-def test_auto_dump_fires_once_per_run(tmp_path):
-    rec = FlightRecorder(dump_path=str(tmp_path / "d.jsonl"),
-                         trigger_kinds=("fault.link",))
+def test_auto_dump_fires_once_per_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(flightrec, "TRIGGER_KINDS", frozenset({"fault.link"}))
+    rec = FlightRecorder(dump_path=str(tmp_path / "d.jsonl"))
     rec.emit(1.0, "fault.link", "router")
     first = dict(rec.last_dump)
     rec.emit(2.0, "fault.link", "router")

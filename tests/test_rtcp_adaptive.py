@@ -19,7 +19,7 @@ def build(loss_model=None):
     net.add_link("cli", "srv", 4e6, 0.01)
     rx = RtpReceiver(net, "cli", 5004, CLOCK, "v")
     tx = RtpSender(net, "srv", 5005, "cli", 5004, ssrc=1, payload_type=32,
-                   clock_rate=CLOCK, stream_id="v")
+                   stream_id="v")
     sink = RtcpSink(net, "srv", 5006)
     return sim, net, tx, rx, sink
 
@@ -42,7 +42,7 @@ def test_adaptive_relaxes_when_clean():
     sim, net, tx, rx, sink = build()
     rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1,
                        interval_s=0.5, adaptive=True,
-                       min_interval_s=0.25, max_interval_s=4.0)
+                       min_interval_s=0.25)
     send_stream(sim, tx, n=400)
     sim.run(until=16.0)
     # Clean network: the interval relaxed to (or near) the maximum...
@@ -58,7 +58,7 @@ def test_adaptive_reports_early_on_congestion_onset():
     sim, net, tx, rx, sink = build(loss_model=ge)
     rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1,
                        interval_s=1.0, adaptive=True,
-                       min_interval_s=0.25, max_interval_s=4.0)
+                       min_interval_s=0.25)
     send_stream(sim, tx, n=400)
     # Clean for 8 s (interval relaxes), then the loss state flips on.
     sim.run(until=8.0)
@@ -92,7 +92,7 @@ def test_adaptive_validation():
     with pytest.raises(ValueError):
         RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1,
                      interval_s=1.0, adaptive=True,
-                     min_interval_s=2.0, max_interval_s=4.0)
+                     min_interval_s=2.0)
 
 
 def test_peek_interval_loss_nondestructive():

@@ -42,7 +42,7 @@ def frame(seq, size=1000, ticks=3600):
 def endpoints(net, on_frame=None):
     rx = RtpReceiver(net, "cli", 5004, CLOCK, "v", on_frame=on_frame)
     tx = RtpSender(net, "srv", 5005, "cli", 5004, ssrc=1, payload_type=32,
-                   clock_rate=CLOCK, stream_id="v")
+                   stream_id="v")
     return tx, rx
 
 
@@ -416,7 +416,7 @@ def test_fragment_plan_is_shared_by_every_sender_of_a_frame():
     sim, net = build(rate=100e6)
     senders = [
         RtpSender(net, "srv", 6000 + i, "cli", 7000 + i, ssrc=i,
-                  payload_type=32, clock_rate=CLOCK, stream_id=f"v{i}")
+                  payload_type=32, stream_id=f"v{i}")
         for i in range(12)
     ]
     big = frame(0, size=31_337)
@@ -458,7 +458,7 @@ def test_frame_ledger_holds_what_no_endpoint_does():
     sim, net = build(loss_model=ge)
     rx = RtpReceiver(net, "cli", 5004, CLOCK, "v")
     tx = RtpSender(net, "srv", 5005, "cli", 5004, ssrc=1, payload_type=32,
-                   clock_rate=CLOCK, stream_id="v", session="s1")
+                   stream_id="v", session="s1")
 
     def sender():
         for i in range(200):

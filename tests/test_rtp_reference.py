@@ -23,6 +23,7 @@ rebuilds unchanged.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from repro.media.types import Frame
 from repro.net import Network, Packet
 from repro.rtp import InterarrivalJitterEstimator, RtpPacket, RtpReceiver
 from repro.rtp import RtpReceiverStats, RtpSender
+from repro.rtp import session as rtp_session
 from repro.rtp.packets import SEQ_MODULUS
 
 CLOCK = 90_000
@@ -281,7 +283,7 @@ def _frame(seq, size):
                  size_bytes=size, kind=FrameKind.P)
 
 
-def _sender(first_seq=0, mtu=1400):
+def _sender(first_seq=0):
     sim = Simulator()
     net = Network(sim)
     net.add_node("srv")
@@ -290,7 +292,7 @@ def _sender(first_seq=0, mtu=1400):
     got = []
     net.node("cli").bind(5004, got.append)
     tx = RtpSender(net, "srv", 5005, "cli", 5004, ssrc=7, payload_type=32,
-                   clock_rate=CLOCK, stream_id="v", mtu_payload=mtu,
+                   stream_id="v",
                    session="s", first_seq=first_seq)
     return sim, net, tx, got
 
@@ -301,9 +303,10 @@ def _sender(first_seq=0, mtu=1400):
        first_seq=st.integers(SEQ_MODULUS - 64, SEQ_MODULUS + 64))
 def test_every_header_a_sender_emits_passes_the_checking_constructor(
         sizes, mtu, first_seq):
-    sim, _net, tx, got = _sender(first_seq, mtu)
-    for i, size in enumerate(sizes):
-        tx.send_frame(_frame(i, size))
+    sim, _net, tx, got = _sender(first_seq)
+    with mock.patch.object(rtp_session, "MTU_PAYLOAD", mtu):
+        for i, size in enumerate(sizes):
+            tx.send_frame(_frame(i, size))
     sim.run()
     assert len(got) == tx.packet_count
     for k, pkt in enumerate(got):
