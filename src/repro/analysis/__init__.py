@@ -21,7 +21,7 @@ from repro.analysis.diagnostics import (
     render_diagnostics,
     summarize_diagnostics,
 )
-from repro.analysis.pyrules import PY_RULES, lint_file, lint_paths, lint_source
+from repro.analysis.pyrules import PY_RULES
 from repro.analysis.report import Reporter
 from repro.analysis.tracerules import TRACE_RULES, extract_emit_sites
 from repro.analysis.scenario_rules import (
@@ -51,9 +51,6 @@ __all__ = [
     "exit_code",
     "extract_emit_sites",
     "github_annotations",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "load_program",
     "mean_ci",
     "render_diagnostics",

@@ -234,7 +234,7 @@ def load_program(paths: list[str],
     """Parse ``paths`` (files and/or trees) into one PyProgram.
 
     Unparseable files become ``det-syntax`` diagnostics instead of
-    aborting the run, mirroring :func:`repro.analysis.pyrules.lint_source`.
+    aborting the run.
     """
     files: list[str] = []
     for path in paths:

@@ -49,7 +49,6 @@ from collections.abc import Iterator
 
 import ast
 import io
-import os
 import tokenize
 from dataclasses import dataclass, field
 
@@ -60,8 +59,7 @@ from repro.analysis.diagnostics import (
     SourceSpan,
 )
 
-__all__ = ["PY_RULES", "PyModule", "lint_source", "lint_file", "lint_paths",
-           "stale_pragma_diags"]
+__all__ = ["PY_RULES", "PyModule", "stale_pragma_diags"]
 
 PY_RULES = RuleRegistry("determinism")
 
@@ -459,42 +457,4 @@ def stale_pragma_diags(mod: PyModule,
             "suppression cannot mask a future regression.",
             span=SourceSpan(file=mod.path, line=line),
         ))
-    return out
-
-
-def lint_source(path: str, source: str) -> list[Diagnostic]:
-    """Lint one Python source text (``path`` is for reporting only)."""
-    try:
-        mod = PyModule.parse(path, source)
-    except SyntaxError as exc:
-        return [Diagnostic(
-            "det-syntax", Severity.ERROR,
-            f"cannot parse: {exc.msg}",
-            span=SourceSpan(file=path, line=exc.lineno or 0),
-        )]
-    return PY_RULES.run(mod)
-
-
-def lint_file(path: str) -> list[Diagnostic]:
-    with open(path, encoding="utf-8") as fh:
-        return lint_source(path, fh.read())
-
-
-def lint_paths(paths: list[str]) -> list[Diagnostic]:
-    """Lint files and/or directory trees (``*.py`` files, sorted)."""
-    files: list[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for root, dirs, names in os.walk(path):
-                dirs.sort()
-                dirs[:] = [d for d in dirs if d != "__pycache__"]
-                files.extend(
-                    os.path.join(root, n)
-                    for n in sorted(names) if n.endswith(".py")
-                )
-        else:
-            files.append(path)
-    out: list[Diagnostic] = []
-    for path in files:
-        out.extend(lint_file(path))
     return out

@@ -26,9 +26,8 @@ class Reporter:
     a single ``{"sections": [...], "values": {...}}`` document.
     """
 
-    def __init__(self, json_mode: bool = False, stream=None) -> None:
+    def __init__(self, json_mode: bool = False) -> None:
         self.json_mode = json_mode
-        self.stream = stream if stream is not None else sys.stdout
         self._doc: dict[str, Any] = {"sections": [], "values": {}}
 
     def table(self, title: str, headers: Sequence[str],
@@ -40,22 +39,22 @@ class Reporter:
                 "rows": [list(r) for r in rows],
             })
         else:
-            print(render_table(title, headers, rows), file=self.stream)
+            print(render_table(title, headers, rows))
 
     def text(self, title: str, body: str = "") -> None:
         if self.json_mode:
             self._doc["sections"].append({"title": title, "text": body})
         else:
             if title:
-                print(title, file=self.stream)
+                print(title)
             if body:
-                print(body, file=self.stream)
+                print(body)
 
     def value(self, key: str, value: Any) -> None:
         if self.json_mode:
             self._doc["values"][key] = value
         else:
-            print(f"{key}: {value}", file=self.stream)
+            print(f"{key}: {value}")
 
     def service_report(self, report: dict[str, Any]) -> None:
         """Report a ``repro.service`` document under its stable key.
@@ -124,5 +123,5 @@ class Reporter:
     def close(self) -> None:
         """Emit the buffered JSON document (no-op in text mode)."""
         if self.json_mode:
-            json.dump(self._doc, self.stream, indent=2, default=str)
-            self.stream.write("\n")
+            json.dump(self._doc, sys.stdout, indent=2, default=str)
+            sys.stdout.write("\n")

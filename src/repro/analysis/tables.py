@@ -44,9 +44,12 @@ def render_table(title: str, headers: Sequence[str],
     return "\n".join(out)
 
 
+#: the longest bar of a rendered series, in characters
+SERIES_WIDTH = 40
+
+
 def render_series(title: str, xlabel: str, ylabel: str,
-                  points: Sequence[tuple[Any, Any]],
-                  width: int = 40) -> str:
+                  points: Sequence[tuple[Any, Any]]) -> str:
     """A two-column series with a proportional ASCII bar per row."""
     if not points:
         return f"{title}\n(no data)"
@@ -54,6 +57,6 @@ def render_series(title: str, xlabel: str, ylabel: str,
     ymax = max(max(ys), 1e-12)
     out = [title, "=" * len(title), f"{xlabel:>12} | {ylabel}"]
     for x, y in points:
-        bar = "#" * int(round(float(y) / ymax * width))
+        bar = "#" * int(round(float(y) / ymax * SERIES_WIDTH))
         out.append(f"{_fmt(x):>12} | {_fmt(float(y)):>10} {bar}")
     return "\n".join(out)

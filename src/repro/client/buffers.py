@@ -12,7 +12,7 @@ we call this time interval, *media time window*." (§4)
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.media.types import Frame
 
@@ -23,27 +23,26 @@ __all__ = ["MediaBuffer", "compute_time_window", "BufferStats"]
 SAFETY_FACTOR = 4.0
 MIN_WINDOW_S = 0.2
 MAX_WINDOW_S = 8.0
+#: the delay variation and loss rate a window is sized for before the
+#: first receiver report says anything
+EXPECTED_JITTER_S = 0.02
+EXPECTED_LOSS = 0.01
 
 
-def compute_time_window(
-    frame_interval_s: float,
-    expected_jitter_s: float = 0.02,
-    expected_loss: float = 0.01,
-) -> float:
+def compute_time_window(frame_interval_s: float) -> float:
     """Statistically size the media time window at buffer setup.
 
     The window must absorb (a) delay variation — ``SAFETY_FACTOR``
-    standard deviations of jitter — and (b) the re-fill slack lost to
-    packet loss, plus always at least a few frame intervals so a
-    single late frame cannot starve playout; it stays within
-    ``MIN_WINDOW_S`` .. ``MAX_WINDOW_S``.
+    standard deviations of ``EXPECTED_JITTER_S`` — and (b) the re-fill
+    slack lost to ``EXPECTED_LOSS``, plus always at least a few frame
+    intervals so a single late frame cannot starve playout; it stays
+    within ``MIN_WINDOW_S`` .. ``MAX_WINDOW_S``.
     """
     if frame_interval_s <= 0:
         raise ValueError("frame_interval_s must be positive")
-    if not (0.0 <= expected_loss < 1.0):
-        raise ValueError("expected_loss must be in [0, 1)")
-    jitter_term = SAFETY_FACTOR * expected_jitter_s
-    loss_term = frame_interval_s * (expected_loss / (1.0 - expected_loss)) * 10.0
+    jitter_term = SAFETY_FACTOR * EXPECTED_JITTER_S
+    loss_term = (frame_interval_s
+                 * (EXPECTED_LOSS / (1.0 - EXPECTED_LOSS)) * 10.0)
     floor_term = 3.0 * frame_interval_s
     window = max(MIN_WINDOW_S, floor_term, jitter_term + loss_term)
     return min(window, MAX_WINDOW_S)
@@ -56,7 +55,6 @@ class BufferStats:
     #: gap after a presented frame (or its start); a ``pop`` of an empty
     #: buffer counts one too
     underflow_events: int = 0
-    occupancy_trace: list[tuple[float, float]] = field(default_factory=list)
 
 
 class MediaBuffer:
@@ -99,20 +97,6 @@ class MediaBuffer:
         """Buffered playback time in seconds."""
         return self._ticks_buffered / self.clock_rate
 
-    @property
-    def occupancy_ratio(self) -> float:
-        """Occupancy relative to the target time window."""
-        return self.occupancy_s / self.time_window_s
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._frames
-
-    @property
-    def prefilled(self) -> bool:
-        """Has the initial time window been accumulated?"""
-        return self.occupancy_s >= self.time_window_s
-
     # -- operations -----------------------------------------------------------
     def push(self, frame: Frame) -> bool:
         """Append an arriving frame; False if dropped on overflow."""
@@ -149,6 +133,3 @@ class MediaBuffer:
         self._frames.clear()
         self._ticks_buffered = 0
         return n
-
-    def sample_occupancy(self, now: float) -> None:
-        self.stats.occupancy_trace.append((now, self.occupancy_s))

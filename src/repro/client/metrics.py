@@ -166,11 +166,6 @@ class PlayoutEventLog:
     def gap_count(self, stream_id: str | None = None) -> int:
         return self.count(PlayoutEventKind.GAP, stream_id)
 
-    def gap_time_s(self, frame_interval_s: float,
-                   stream_id: str | None = None) -> float:
-        """Total presentation time covered by gaps."""
-        return self.gap_count(stream_id) * frame_interval_s
-
     def grade_trajectory(self, stream_id: str) -> list[tuple[float, int]]:
         """(time, grade) at each grade change observed during playout."""
         out: list[tuple[float, int]] = []
@@ -247,12 +242,9 @@ class SkewSeries:
     media time), in seconds, sampled at slave playout instants.
     """
 
-    def __init__(self, group: str,
-                 threshold_s: float = DEFAULT_SYNC_THRESHOLD_S) -> None:
-        if threshold_s <= 0:
-            raise ValueError("threshold must be positive")
+    def __init__(self, group: str) -> None:
         self.group = group
-        self.threshold_s = threshold_s
+        self.threshold_s = DEFAULT_SYNC_THRESHOLD_S
         self.times: list[float] = []
         self.skews: list[float] = []
 
@@ -277,8 +269,3 @@ class SkewSeries:
             return 0.0
         out = np.abs(np.asarray(self.skews)) > self.threshold_s
         return float(np.mean(out))
-
-    def percentile_abs_s(self, q: float) -> float:
-        if not self.skews:
-            return 0.0
-        return float(np.percentile(np.abs(self.skews), q))

@@ -24,6 +24,11 @@ if TYPE_CHECKING:
 
 __all__ = ["BufferState", "BufferAction", "BufferMonitor"]
 
+#: occupancy / time window below which a buffer is LOW, and above which
+#: it is HIGH
+LOW_WATERMARK = 0.25
+HIGH_WATERMARK = 1.5
+
 
 class BufferState(enum.Enum):
     LOW = "low"
@@ -52,19 +57,15 @@ class BufferMonitor:
     def __init__(
         self,
         buffer: MediaBuffer,
-        low_watermark: float = 0.25,
-        high_watermark: float = 1.5,
         max_consecutive_duplicates: int = 3,
         sim: Simulator | None = None,
         session: str = "",
     ) -> None:
-        if not (0.0 <= low_watermark < high_watermark):
-            raise ValueError("need 0 <= low < high watermark")
         if max_consecutive_duplicates < 1:
             raise ValueError("max_consecutive_duplicates must be >= 1")
         self.buffer = buffer
-        self.low_watermark = low_watermark
-        self.high_watermark = high_watermark
+        self.low_watermark = LOW_WATERMARK
+        self.high_watermark = HIGH_WATERMARK
         self.max_consecutive_duplicates = max_consecutive_duplicates
         self.stats = MonitorStats()
         self._state = BufferState.NORMAL
@@ -78,18 +79,10 @@ class BufferMonitor:
     def state(self) -> BufferState:
         return self._state
 
-    def classify(self) -> BufferState:
-        ratio = self.buffer.occupancy_ratio
-        if ratio < self.low_watermark:
-            return BufferState.LOW
-        if ratio > self.high_watermark:
-            return BufferState.HIGH
-        return BufferState.NORMAL
-
     def check(self, now: float) -> BufferAction:
         """Reclassify and recommend an action for this playout tick."""
-        # :meth:`classify`, with the buffer's ratio computed here: once
-        # per tick of every playout, three property calls otherwise
+        # the buffer's occupancy ratio, computed here: once per tick of
+        # every playout, three property calls otherwise
         buffer = self.buffer
         ratio = (buffer._ticks_buffered / buffer.clock_rate
                  / buffer.time_window_s)

@@ -122,11 +122,11 @@ class PlayoutProcess:
         sim.call_later(0.0, self._begin)
 
     # -- helpers ----------------------------------------------------------
-    def _record(self, kind: PlayoutEventKind, grade: int = 0,
+    def _record(self, kind: PlayoutEventKind,
                 frame_seq: int | None = None, reason: str = "") -> None:
         self.log.record(self.sim.now, self.entry.stream_id, kind,
-                        media_time_s=self.played_s, grade=grade,
-                        frame_seq=frame_seq, reason=reason)
+                        media_time_s=self.played_s, frame_seq=frame_seq,
+                        reason=reason)
 
     def _report_position(self, active: bool = True) -> None:
         if self.skew is not None:

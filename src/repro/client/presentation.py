@@ -60,21 +60,16 @@ class PresentationScheduler:
         sim: Simulator,
         scenario: PresentationScenario,
         bindings: dict[str, StreamBinding],
-        log: PlayoutEventLog | None = None,
-        renderer: VirtualRenderer | None = None,
         time_window_s: float | None = None,
         skew_enabled: bool = True,
-        low_watermark: float = 0.25,
-        high_watermark: float = 1.5,
         session: str = "",
     ) -> None:
         self.sim = sim
         self.scenario = scenario
         #: session id stamped onto this presentation's trace events
         self.session = session
-        self.log = log if log is not None else PlayoutEventLog(sim, session)
-        self.renderer = renderer if renderer is not None \
-            else VirtualRenderer(scenario.layout)
+        self.log = PlayoutEventLog(sim, session)
+        self.renderer = VirtualRenderer(scenario.layout)
         self.gate = PauseGate(sim)
         self.buffers: dict[str, MediaBuffer] = {}
         self.monitors: dict[str, BufferMonitor] = {}
@@ -99,10 +94,8 @@ class PresentationScheduler:
                 else compute_time_window(binding.nominal_frame_interval_s)
             buf = MediaBuffer(sid, binding.clock_rate, time_window_s=window)
             self.buffers[sid] = buf
-            self.monitors[sid] = BufferMonitor(
-                buf, low_watermark=low_watermark,
-                high_watermark=high_watermark, sim=sim, session=session,
-            )
+            self.monitors[sid] = BufferMonitor(buf, sim=sim,
+                                               session=session)
         for group, members in scenario.sync_groups().items():
             masters = [m for m in members if m.entry.is_sync_master]
             if not masters:
@@ -120,14 +113,6 @@ class PresentationScheduler:
             return self.buffers[stream_id]
         except KeyError:
             raise KeyError(f"no buffer for stream {stream_id!r}") from None
-
-    def deliver_frame(self, stream_id: str, frame: Frame) -> bool:
-        """Push an arriving frame into the stream's buffer.
-
-        Wire this (or :meth:`frame_sink`) to the RTP receiver's
-        ``on_frame`` callback.
-        """
-        return self.buffer_for(stream_id).push(frame)
 
     def frame_sink(self, stream_id: str):
         """An ``on_frame(frame, arrival)`` callback bound to a stream.
@@ -173,7 +158,7 @@ class PresentationScheduler:
             return 0.0
         return max(b.time_window_s for b in self.buffers.values())
 
-    def start(self, initial_delay_s: float | None = None) -> Event:
+    def start(self) -> Event:
         """Begin the presentation after the startup delay.
 
         Returns an event that triggers when every stream has finished
@@ -182,8 +167,7 @@ class PresentationScheduler:
         if self.started:
             raise RuntimeError("presentation already started")
         self.started = True
-        delay = self.initial_delay_s if initial_delay_s is None \
-            else initial_delay_s
+        delay = self.initial_delay_s
         self._start_called_at = self.sim.now
         self.presentation_start = self.sim.now + delay
         done_events: list[Event] = []
@@ -282,10 +266,6 @@ class PresentationScheduler:
                                 PlayoutEventKind.HIDE)
             if not done.triggered:
                 done.succeed()
-
-    @property
-    def disabled_streams(self) -> set[str]:
-        return set(self._disabled)
 
     def pause(self) -> None:
         self.gate.pause()

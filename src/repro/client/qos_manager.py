@@ -9,37 +9,17 @@ calculated intervals, sends feedback reports to the sending side"
 (§4).
 
 One manager aggregates all of a presentation's RTP receivers and owns
-their RTCP reporters; it also exposes the per-stream connection
-condition for local decisions (e.g. time-window sizing of late-bound
-buffers).
+their RTCP reporters; each receiver's ``stats`` and ``jitter_s`` are
+the connection's condition.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.net.topology import Network
 from repro.rtp.rtcp import RtcpReporter
 from repro.rtp.session import RtpReceiver
 
-__all__ = ["ClientQoSManager", "ConnectionCondition"]
-
-
-@dataclass(frozen=True, slots=True)
-class ConnectionCondition:
-    """Snapshot of one stream's observed network condition."""
-
-    stream_id: str
-    mean_delay_s: float
-    last_delay_s: float
-    jitter_s: float
-    cumulative_lost: int
-    packets_received: int
-
-    @property
-    def loss_ratio(self) -> float:
-        total = self.packets_received + self.cumulative_lost
-        return 0.0 if total == 0 else self.cumulative_lost / total
+__all__ = ["ClientQoSManager"]
 
 
 class ClientQoSManager:
@@ -125,26 +105,6 @@ class ClientQoSManager:
     # -- queries -----------------------------------------------------------
     def streams(self) -> list[str]:
         return sorted(self._receivers)
-
-    def condition(self, stream_id: str) -> ConnectionCondition:
-        try:
-            rx = self._receivers[stream_id]
-        except KeyError:
-            raise KeyError(f"no registered stream {stream_id!r}") from None
-        st = rx.stats
-        return ConnectionCondition(
-            stream_id=stream_id,
-            mean_delay_s=st.mean_delay_s,
-            last_delay_s=st.last_delay_s,
-            jitter_s=rx.jitter_s,
-            cumulative_lost=st.cumulative_lost,
-            packets_received=st.packets_received,
-        )
-
-    def worst_jitter_s(self) -> float:
-        if not self._receivers:
-            return 0.0
-        return max(rx.jitter_s for rx in self._receivers.values())
 
     def reports_sent(self) -> int:
         return sum(r.reports_sent for r in self._reporters.values())

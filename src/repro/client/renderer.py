@@ -13,6 +13,10 @@ from repro.model.layout import DisplayLayout, Region
 
 __all__ = ["VirtualRenderer", "DisplayInterval"]
 
+#: the ASCII desktop's character canvas
+SNAPSHOT_COLS = 64
+SNAPSHOT_ROWS = 18
+
 
 @dataclass(frozen=True, slots=True)
 class DisplayInterval:
@@ -71,26 +75,18 @@ class VirtualRenderer:
                 out.add(iv.element_id)
         return sorted(out)
 
-    def interval_of(self, element_id: str) -> DisplayInterval | None:
-        if element_id in self._visible:
-            return self._visible[element_id]
-        for iv in reversed(self.history):
-            if iv.element_id == element_id:
-                return iv
-        return None
-
     # -- ASCII desktop --------------------------------------------------
-    def ascii_snapshot(self, t: float, cols: int = 64,
-                       rows: int = 18) -> str:
+    def ascii_snapshot(self, t: float) -> str:
         """Draw the desktop at time ``t`` as ASCII boxes.
 
         Each visible element with a layout region is rendered as a
-        labelled box scaled onto a ``cols``×``rows`` character canvas
-        — the "graphical presentation of the scenario" half of the
-        paper's Figure 2.
+        labelled box scaled onto a ``SNAPSHOT_COLS``×``SNAPSHOT_ROWS``
+        character canvas — the "graphical presentation of the scenario"
+        half of the paper's Figure 2.
         """
         if self.layout is None:
             return "(no layout attached)"
+        cols, rows = SNAPSHOT_COLS, SNAPSHOT_ROWS
         grid = [[" "] * cols for _ in range(rows)]
         sx = cols / self.layout.canvas_width
         sy = rows / self.layout.canvas_height

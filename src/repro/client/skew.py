@@ -68,18 +68,15 @@ class SkewController:
         self,
         group: str,
         master_id: str,
-        threshold_s: float = DEFAULT_SYNC_THRESHOLD_S,
         enabled: bool = True,
         sim: Simulator | None = None,
         session: str = "",
     ) -> None:
-        if threshold_s <= 0:
-            raise ValueError("threshold_s must be positive")
         self.group = group
         self.master_id = master_id
-        self.threshold_s = threshold_s
+        self.threshold_s = DEFAULT_SYNC_THRESHOLD_S
         self.enabled = enabled
-        self.series = SkewSeries(group, threshold_s=threshold_s)
+        self.series = SkewSeries(group)
         self.stats = SkewControllerStats()
         self._positions: dict[str, float] = {}
         self._active: dict[str, bool] = {}

@@ -42,7 +42,7 @@ from repro.media.types import (
 from repro.model.scenario import PresentationScenario
 from repro.net.channel import ReliableReceiver
 from repro.net.impairments import GilbertElliottLoss
-from repro.net.service_topology import ServiceTopology
+from repro.net.service_topology import ROUTER, ServiceTopology
 from repro.net.topology import Network
 from repro.net.traffic import OnOffTrafficSource, PoissonTrafficSource
 from repro.rtp.session import RtpReceiver
@@ -68,7 +68,7 @@ class ServiceEngine:
     """Builds the whole system and hands sessions to the orchestrator."""
 
     CLIENT = "client"
-    ROUTER = "router"
+    ROUTER = ROUTER
 
     def __init__(self, config: EngineConfig | None = None,
                  tracer=None, layers=None) -> None:
@@ -102,7 +102,6 @@ class ServiceEngine:
         cfg = self.config
         self.topology = ServiceTopology(
             self.network, regions,
-            router=self.ROUTER,
             access_spec_for=lambda node_id: cfg.access_link_spec(
                 self._access_loss(f"access-loss:{node_id}")
             ),
@@ -296,9 +295,7 @@ class ServiceEngine:
         plan=None,
         retry=None,
         recovery: bool = True,
-        heartbeat: dict | None = None,
-        detect_delay_s: float = 0.5,
-        failover_grade_penalty: int = 0,
+        heartbeat: bool = False,
     ):
         """Install the fault subsystem: a plan, retry, and watchdogs.
 
@@ -318,10 +315,7 @@ class ServiceEngine:
                                      heartbeat=heartbeat)
         if recovery:
             for name, server in self.servers.items():
-                self._watchdogs[name] = MediaWatchdog(
-                    server, detect_delay_s=detect_delay_s,
-                    failover_grade_penalty=failover_grade_penalty,
-                )
+                self._watchdogs[name] = MediaWatchdog(server)
         return self._faults
 
     @property
@@ -335,7 +329,7 @@ class ServiceEngine:
         return self._watchdogs
 
     # -- service telemetry --------------------------------------------------
-    def attach_timeseries(self, interval_s: float = 0.25):
+    def attach_timeseries(self):
         """Start DES-clock telemetry sampling (idempotent).
 
         One sampler process per engine, ticking on the simulated
@@ -347,8 +341,7 @@ class ServiceEngine:
         if self._timeseries_sampler is None:
             from repro.obs.timeseries import TimeSeriesSampler
 
-            self._timeseries_sampler = TimeSeriesSampler(
-                self, interval_s=interval_s)
+            self._timeseries_sampler = TimeSeriesSampler(self)
             self._timeseries_sampler.start()
         return self._timeseries_sampler
 
@@ -550,11 +543,11 @@ class ClientComposition:
     # -- results -------------------------------------------------------------
     def collect_result(self, document: str, charge: float = 0.0,
                        grading_decisions: list | None = None,
-                       grade_trajectories: dict | None = None,
-                       completed: bool = True) -> SessionResult:
+                       grade_trajectories: dict | None = None
+                       ) -> SessionResult:
         result = SessionResult(
             document=document,
-            completed=completed,
+            completed=True,
             startup_latency_s=self.scheduler.startup_latency_s(),
             charge=charge,
             skew=dict(self.scheduler.skew_series()),

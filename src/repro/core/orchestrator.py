@@ -249,11 +249,7 @@ class SessionOrchestrator:
         server_name: str,
         document: str,
         user_id: str = "user1",
-        secret: str = "pw",
         contract: str = "basic",
-        subscribe_first: bool = True,
-        horizon_s: float = 600.0,
-        client_node: str | None = None,
     ) -> SessionResult:
         """Script a complete session: connect → request → view → bye.
 
@@ -262,9 +258,7 @@ class SessionOrchestrator:
         """
         return self.run_workload([SessionSpec(
             server=server_name, document=document, user_id=user_id,
-            secret=secret, contract=contract,
-            subscribe_first=subscribe_first, client_node=client_node,
-        )], horizon_s=horizon_s)[0].result
+            contract=contract)])[0].result
 
     # -- concurrent viewers on shared or separate hosts ---------------------
     def run_concurrent_sessions(
@@ -273,38 +267,25 @@ class SessionOrchestrator:
         document: str,
         n_sessions: int,
         stagger_s: float = 0.5,
-        contract: str = "basic",
-        horizon_s: float = 600.0,
-        client_nodes: Sequence[str] | None = None,
     ) -> list[SessionResult]:
         """Run ``n_sessions`` simultaneous viewers of one document.
 
         Sessions start ``stagger_s`` apart; each gets its own control
-        channel, buffers, RTP ports and server-side QoS manager. By
-        default all viewers share the engine's single client host (and
-        its access-link bottleneck); ``client_nodes`` places session
-        ``i`` on ``client_nodes[i]`` instead. Returns one
-        :class:`SessionResult` per session (uncompleted sessions get
-        ``completed=False``).
+        channel, buffers, RTP ports and server-side QoS manager. All
+        viewers share the engine's single client host (and its
+        access-link bottleneck); a :class:`SessionSpec` per viewer with
+        its ``client_node`` places viewers on hosts of their own.
+        Returns one :class:`SessionResult` per session (uncompleted
+        sessions get ``completed=False``).
         """
         if n_sessions < 1:
             raise ValueError("n_sessions must be >= 1")
-        if client_nodes is not None and len(client_nodes) != n_sessions:
-            raise ValueError(
-                f"need {n_sessions} client nodes, got {len(client_nodes)}"
-            )
         specs = [
-            SessionSpec(
-                server=server_name, document=document,
-                user_id=f"user{i + 1}", contract=contract,
-                start_at=i * stagger_s,
-                client_node=client_nodes[i] if client_nodes is not None
-                else None,
-            )
+            SessionSpec(server=server_name, document=document,
+                        user_id=f"user{i + 1}", start_at=i * stagger_s)
             for i in range(n_sessions)
         ]
-        return [o.result for o in self.run_workload(specs,
-                                                    horizon_s=horizon_s)]
+        return [o.result for o in self.run_workload(specs)]
 
     # -- mixed workloads -----------------------------------------------------
     def run_workload(self, specs: Sequence[SessionSpec],

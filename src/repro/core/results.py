@@ -84,11 +84,6 @@ class SessionResult:
             return 0.0
         return max(s.max_abs_s for s in self.skew.values())
 
-    def out_of_sync_fraction(self) -> float:
-        if not self.skew:
-            return 0.0
-        return max(s.fraction_out_of_sync for s in self.skew.values())
-
     def mean_video_grade(self) -> float:
         vids = [s.mean_grade for s in self.streams.values()
                 if s.media_type == "video" and s.frames_played > 0]

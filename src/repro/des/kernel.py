@@ -81,10 +81,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         return self._ok
 
@@ -136,12 +132,11 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
+    def __init__(self, sim: "Simulator", delay: float) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(sim)
         self.delay = delay
-        self._value = value
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap, (sim._now + delay, seq, self._fire, ()))
 
@@ -406,8 +401,8 @@ class Simulator:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(
         self, gen: Generator[Any, Any, Any], name: str = ""

@@ -10,12 +10,17 @@ endpoint-level loss — a partitioned or crashed peer — which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.des import Interrupt, Simulator
 from repro.service.messages import ControlEndpoint
 
 __all__ = ["ControlFaultState", "RetryPolicy", "HeartbeatMonitor"]
+
+#: a heartbeat monitor probes this often, waits this long for the ack,
+#: and declares failure after this many misses in a row
+HEARTBEAT_INTERVAL_S = 0.5
+HEARTBEAT_TIMEOUT_S = 0.4
+HEARTBEAT_MISS_LIMIT = 2
 
 
 class ControlFaultState:
@@ -36,8 +41,8 @@ class ControlFaultState:
         self.delay_s = 0.0
         self.jitter_s = 0.0
 
-    def impair(self, drop_prob: float = 0.0, delay_s: float = 0.0,
-               jitter_s: float = 0.0) -> None:
+    def impair(self, drop_prob: float, delay_s: float,
+               jitter_s: float) -> None:
         self.impaired = True
         self.drop_prob = drop_prob
         self.delay_s = delay_s
@@ -94,31 +99,18 @@ class RetryPolicy:
 class HeartbeatMonitor:
     """Periodic liveness probing over a control endpoint.
 
-    Sends an ``hb`` request every ``interval_s``; the remote endpoint
-    acks at the transport layer (see ControlEndpoint), so a missing
-    ack within ``timeout_s`` means the path or peer is gone, not just
-    busy. ``miss_limit`` consecutive misses declare failure and invoke
-    ``on_failure`` once per outage; a later ack clears the state.
+    Sends an ``hb`` request every ``HEARTBEAT_INTERVAL_S``; the remote
+    endpoint acks at the transport layer (see ControlEndpoint), so a
+    missing ack within ``HEARTBEAT_TIMEOUT_S`` means the path or peer is
+    gone, not just busy. ``HEARTBEAT_MISS_LIMIT`` consecutive misses
+    declare failure (``hb.fail``) once per outage; a later ack clears
+    the state (``hb.ok``).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        endpoint: ControlEndpoint,
-        interval_s: float = 1.0,
-        timeout_s: float = 0.5,
-        miss_limit: int = 3,
-        on_failure: Callable[[], None] | None = None,
-        on_recovery: Callable[[], None] | None = None,
-        name: str = "",
-    ) -> None:
+    def __init__(self, sim: Simulator, endpoint: ControlEndpoint,
+                 name: str = "") -> None:
         self.sim = sim
         self.endpoint = endpoint
-        self.interval_s = interval_s
-        self.timeout_s = timeout_s
-        self.miss_limit = miss_limit
-        self.on_failure = on_failure
-        self.on_recovery = on_recovery
         self.name = name or endpoint.name
         self.misses = 0
         self.consecutive_misses = 0
@@ -135,18 +127,16 @@ class HeartbeatMonitor:
         sim = self.sim
         try:
             while not self._stopped:
-                yield sim.timeout(self.interval_s)
+                yield sim.timeout(HEARTBEAT_INTERVAL_S)
                 if self._stopped:
                     return
                 _, ev = self.endpoint.request("hb", {})
-                yield sim.any_of([ev, sim.timeout(self.timeout_s)])
+                yield sim.any_of([ev, sim.timeout(HEARTBEAT_TIMEOUT_S)])
                 if ev.triggered:
                     if self.failed:
                         self.failed = False
                         if sim._tracing:
                             sim._tracer.emit(sim.now, "hb.ok", self.name)
-                        if self.on_recovery is not None:
-                            self.on_recovery()
                     self.consecutive_misses = 0
                 else:
                     self.misses += 1
@@ -154,13 +144,11 @@ class HeartbeatMonitor:
                     if sim._tracing:
                         sim._tracer.emit(sim.now, "hb.miss", self.name,
                                          consecutive=self.consecutive_misses)
-                    if (self.consecutive_misses >= self.miss_limit
+                    if (self.consecutive_misses >= HEARTBEAT_MISS_LIMIT
                             and not self.failed):
                         self.failed = True
                         if sim._tracing:
                             sim._tracer.emit(sim.now, "hb.fail", self.name,
                                              misses=self.consecutive_misses)
-                        if self.on_failure is not None:
-                            self.on_failure()
         except Interrupt:
             return

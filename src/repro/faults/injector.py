@@ -19,13 +19,13 @@ class FaultInjector:
     """Schedules a plan's faults and wires per-session fault state."""
 
     def __init__(self, engine, plan: FaultPlan, retry=None,
-                 heartbeat: dict | None = None) -> None:
+                 heartbeat: bool = False) -> None:
         self.engine = engine
         self.plan = plan
         #: RetryPolicy handed to every ClientSession (None = no retry)
         self.retry = retry
-        #: HeartbeatMonitor kwargs per session (None = no heartbeats)
-        self.heartbeat = dict(heartbeat) if heartbeat else None
+        #: run a HeartbeatMonitor on every session's control channel
+        self.heartbeat = heartbeat
         self.monitors: list[HeartbeatMonitor] = []
         self.control_state: ControlFaultState | None = None
         self._install()
@@ -120,11 +120,9 @@ class FaultInjector:
         if self.retry is not None:
             client.retry = self.retry
             client.retry_rng = self.engine.rng.stream("faults:retry")
-        if self.heartbeat is not None:
+        if self.heartbeat:
             self.monitors.append(HeartbeatMonitor(
-                self.engine.sim, channel.client,
-                name=handler.session_id, **self.heartbeat,
-            ))
+                self.engine.sim, channel.client, name=handler.session_id))
 
     def stop(self) -> None:
         """Stop all heartbeat monitors (lets the event queue drain)."""

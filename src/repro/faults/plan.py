@@ -162,11 +162,6 @@ class FaultPlan:
     def empty(self) -> bool:
         return not self.faults
 
-    def needs_control_state(self) -> bool:
-        """Does this plan ever touch the control plane?"""
-        return any(f.kind in ("control-partition", "control-impair")
-                   for f in self.faults)
-
     def to_dict(self) -> dict:
         return {"faults": [asdict(f) for f in self.faults]}
 

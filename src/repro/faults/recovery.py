@@ -2,7 +2,7 @@
 
 A :class:`MediaWatchdog` guards one multimedia server's media servers
 (primaries and replicas). Detection is event-driven with a modelled
-latency: a crash schedules a detection ``detect_delay_s`` later —
+latency: a crash schedules a detection ``DETECT_DELAY_S`` later —
 standing in for the heartbeat round-trips a real monitor would need —
 after which every interrupted stream is failed over to the first
 healthy replica (or, if none exists, re-adopted when the primary
@@ -11,9 +11,8 @@ restarts).
 Failover resumes each stream *realtime-aligned*: the replacement
 source fast-forwards past the outage window, so the client sees a
 bounded burst of playout gaps instead of a permanently late stream.
-The replacement starts at the grade the stream had (optionally
-degraded by ``failover_grade_penalty`` to model a weaker replica) and
-is re-registered with the session's Server QoS Manager so the normal
+The replacement starts at the grade the stream had and is
+re-registered with the session's Server QoS Manager so the normal
 grading path keeps working after the switch.
 """
 
@@ -24,22 +23,16 @@ from repro.server.multimedia_server import MultimediaServer
 
 __all__ = ["MediaWatchdog"]
 
+#: a crash's modelled detection latency
+DETECT_DELAY_S = 0.5
+
 
 class MediaWatchdog:
     """Detects media-server crashes and fails streams over."""
 
-    def __init__(
-        self,
-        server: MultimediaServer,
-        detect_delay_s: float = 0.5,
-        failover_grade_penalty: int = 0,
-    ) -> None:
-        if detect_delay_s < 0:
-            raise ValueError("detect_delay_s must be >= 0")
+    def __init__(self, server: MultimediaServer) -> None:
         self.server = server
         self.sim = server.sim
-        self.detect_delay_s = detect_delay_s
-        self.failover_grade_penalty = failover_grade_penalty
         self.detections = 0
         self.streams_failed_over = 0
         self.streams_lost = 0
@@ -59,7 +52,7 @@ class MediaWatchdog:
 
     # -- crash / restart hooks ---------------------------------------------
     def _on_crash(self, ms: MediaServer) -> None:
-        self.sim.call_later(self.detect_delay_s, self._detect, ms)
+        self.sim.call_later(DETECT_DELAY_S, self._detect, ms)
 
     def _on_restart(self, ms: MediaServer) -> None:
         # The restarted server adopts whatever wreckage nobody else
@@ -69,11 +62,11 @@ class MediaWatchdog:
 
     def _detect(self, ms: MediaServer) -> None:
         self.detections += 1
-        self.detect_times.append(self.detect_delay_s)
+        self.detect_times.append(DETECT_DELAY_S)
         if self.sim._tracing:
             self.sim._tracer.emit(self.sim.now, "recovery.detect", ms.name,
                                   node=ms.node_id,
-                                  t_detect_s=self.detect_delay_s,
+                                  t_detect_s=DETECT_DELAY_S,
                                   streams=len(ms.wreckage))
         self._recover(ms)
 
@@ -134,7 +127,6 @@ class MediaWatchdog:
         if resume_pos >= origin.duration_s - 1e-9:
             # The outage swallowed the tail; nothing left to transmit.
             return
-        grade = max(snap.grade, self.failover_grade_penalty)
         try:
             _handler, converter = target.start_stream(
                 origin.session_id, origin.object_path,
@@ -142,7 +134,7 @@ class MediaWatchdog:
                 client_node=origin.client_node,
                 client_port=origin.client_port,
                 duration_s=origin.duration_s,
-                initial_grade=grade,
+                initial_grade=snap.grade,
                 floor_grade=origin.floor_grade,
                 allow_suspend=origin.allow_suspend,
                 ssrc=origin.ssrc,
@@ -173,7 +165,7 @@ class MediaWatchdog:
                 self.sim.now, "recovery.stream", origin.stream_id,
                 session=origin.session_id, node=target.node_id,
                 to=target.name, t_recover_s=t_recover,
-                position_s=resume_pos, grade=grade)
+                position_s=resume_pos, grade=snap.grade)
         if handler is not None:
             handler.notify_stream_recovered(origin.stream_id, target.name,
                                             t_recover)

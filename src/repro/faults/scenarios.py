@@ -73,14 +73,11 @@ class Scenario:
     #: fail a crashed media server's streams over (False: the control
     #: arm, same faults and no failover)
     recovery: bool = True
-    #: HeartbeatMonitor kwargs per session (None = no heartbeats)
-    heartbeat: dict[str, Any] | None = None
+    #: run a HeartbeatMonitor on every session's control channel
+    heartbeat: bool = False
     #: run twice, shared flows off then on, and report the origin
     #: egress A/B from the pair
     egress_ab: bool = False
-
-
-_HEARTBEAT = {"interval_s": 0.5, "timeout_s": 0.4, "miss_limit": 2}
 
 
 def _chaos(name: str, description: str, **fields: Any) -> Scenario:
@@ -124,9 +121,9 @@ SCENARIOS: dict[str, Scenario] = {
                replica=False),
         _chaos("partition",
                "control path partitions; RPC retry rides it out",
-               replica=False, heartbeat=_HEARTBEAT),
+               replica=False, heartbeat=True),
         _chaos("combo", "impaired control, link flaps and a crash at once",
-               heartbeat=_HEARTBEAT),
+               heartbeat=True),
         _chaos("replica-crash",
                "a regional edge replica crashes; its viewers fail over "
                "to the origin",

@@ -23,28 +23,23 @@ __all__ = ["HermesBrowser"]
 class HermesBrowser:
     """One user's browser: viewing, history, annotations."""
 
-    def __init__(self, service: HermesService, user_id: str,
-                 contract: str = "basic") -> None:
+    def __init__(self, service: HermesService, user_id: str) -> None:
         self.service = service
         self.user_id = user_id
-        self.contract = contract
         self.history = NavigationHistory()
         self.annotations = AnnotationStore(author=user_id)
         self.results: dict[str, SessionResult] = {}
 
     # -- viewing -----------------------------------------------------------
-    def view(self, lesson_name: str,
-             server: str | None = None) -> SessionResult:
-        """View a lesson (resolving its server from the catalogue if
-        not given) and record it in the history."""
-        if server is None:
-            lesson = self.service.lessons.get(lesson_name)
-            if lesson is None:
-                raise KeyError(f"unknown lesson {lesson_name!r}")
-            server = self.service.pick_server_for(lesson.topic)
-        result = self.service.view_lesson(server, lesson_name,
-                                          user_id=self.user_id,
-                                          contract=self.contract)
+    def view(self, lesson_name: str) -> SessionResult:
+        """View a lesson (on the server the catalogue picks for its
+        topic) and record it in the history."""
+        lesson = self.service.lessons.get(lesson_name)
+        if lesson is None:
+            raise KeyError(f"unknown lesson {lesson_name!r}")
+        result = self.service.view_lesson(
+            self.service.pick_server_for(lesson.topic), lesson_name,
+            user_id=self.user_id)
         self.history.visit(lesson_name)
         self.results[lesson_name] = result
         return result
@@ -54,7 +49,7 @@ class HermesBrowser:
         lesson = self.history.back()
         result = self.service.view_lesson(
             self.service.pick_server_for(self.service.lessons[lesson].topic),
-            lesson, user_id=self.user_id, contract=self.contract,
+            lesson, user_id=self.user_id,
         )
         self.results[lesson] = result
         return result
@@ -63,14 +58,10 @@ class HermesBrowser:
         lesson = self.history.forward()
         result = self.service.view_lesson(
             self.service.pick_server_for(self.service.lessons[lesson].topic),
-            lesson, user_id=self.user_id, contract=self.contract,
+            lesson, user_id=self.user_id,
         )
         self.results[lesson] = result
         return result
-
-    @property
-    def current_lesson(self) -> str | None:
-        return self.history.current
 
     # -- annotations -------------------------------------------------------
     def annotate(self, text: str, element_id: str | None = None,
@@ -84,6 +75,3 @@ class HermesBrowser:
             element_id=element_id,
             presentation_time_s=presentation_time_s,
         )
-
-    def notes_for(self, lesson_name: str) -> list[Annotation]:
-        return self.annotations.for_document(lesson_name)

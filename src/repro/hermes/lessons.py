@@ -51,10 +51,6 @@ class LessonBuilder:
         self._clock = 0.0  # running scenario time
         self._segment = 0
 
-    @property
-    def scenario_time(self) -> float:
-        return self._clock
-
     def intro(self, text: str) -> "LessonBuilder":
         self._builder.heading(1, text)
         return self
@@ -64,13 +60,13 @@ class LessonBuilder:
         return self
 
     def narrated_slide(self, image_path: str, narration_path: str,
-                       duration: float, note: str = "") -> "LessonBuilder":
+                       duration: float) -> "LessonBuilder":
         """A slide image displayed while a narration audio plays."""
         self._segment += 1
         sid = self._segment
         self._builder.image(
             image_path, element_id=f"SLIDE{sid}", startime=self._clock,
-            duration=duration, note=note or f"slide {sid}",
+            duration=duration, note=f"slide {sid}",
         )
         self._builder.audio(
             narration_path, element_id=f"NARR{sid}", startime=self._clock,
@@ -80,7 +76,7 @@ class LessonBuilder:
         return self
 
     def video_segment(self, video_path: str, audio_path: str,
-                      duration: float, note: str = "") -> "LessonBuilder":
+                      duration: float) -> "LessonBuilder":
         """A synchronized talking-head video+audio segment."""
         self._segment += 1
         sid = self._segment
@@ -88,16 +84,9 @@ class LessonBuilder:
             audio_source=audio_path, video_source=video_path,
             audio_id=f"LA{sid}", video_id=f"LV{sid}",
             startime=self._clock, duration=duration,
-            note=note or f"video segment {sid}",
+            note=f"video segment {sid}",
         )
         self._clock += duration
-        return self
-
-    def quiet_study(self, seconds: float) -> "LessonBuilder":
-        """Advance scenario time without media (reading pause)."""
-        if seconds < 0:
-            raise ValueError("study time must be >= 0")
-        self._clock += seconds
         return self
 
     def see_also(self, lesson_name: str, note: str = "") -> "LessonBuilder":
@@ -105,12 +94,10 @@ class LessonBuilder:
                                 note=note)
         return self
 
-    def next_lesson(self, lesson_name: str,
-                    auto_after: float | None = None) -> "LessonBuilder":
-        """Sequential link; ``auto_after=None`` fires at scenario end."""
-        at = auto_after if auto_after is not None else self._clock
+    def next_lesson(self, lesson_name: str) -> "LessonBuilder":
+        """Sequential link, fired at the scenario's end."""
         self._builder.hyperlink(lesson_name, kind=LinkKind.SEQUENTIAL,
-                                at_time=at)
+                                at_time=self._clock)
         return self
 
     def build(self) -> Lesson:
@@ -124,7 +111,6 @@ def make_course(
     n_lessons: int,
     tutor: str = "tutor",
     segment_s: float = 8.0,
-    media_host: str = "",
 ) -> list[Lesson]:
     """A sequentially-linked course of ``n_lessons`` lessons.
 
@@ -134,7 +120,7 @@ def make_course(
     """
     if n_lessons < 1:
         raise ValueError("a course needs at least one lesson")
-    host = media_host or f"{course}-media"
+    host = f"{course}-media"
     lessons: list[Lesson] = []
     for k in range(1, n_lessons + 1):
         lb = (

@@ -9,7 +9,6 @@ subscribe, search, view a lesson, ask the tutor).
 
 from __future__ import annotations
 
-from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
 from repro.core.results import SessionResult
 from repro.hermes.catalog import HermesCatalog
@@ -23,8 +22,8 @@ __all__ = ["HermesService"]
 class HermesService:
     """A deployed Hermes installation."""
 
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.engine = ServiceEngine(config)
+    def __init__(self) -> None:
+        self.engine = ServiceEngine()
         self.catalog = HermesCatalog()
         self.web = DocumentWeb()
         self.lessons: dict[str, Lesson] = {}
@@ -62,12 +61,10 @@ class HermesService:
         return candidates[0]
 
     def view_lesson(self, server: str, lesson_name: str,
-                    user_id: str = "student1",
-                    contract: str = "basic") -> SessionResult:
+                    user_id: str = "student1") -> SessionResult:
         """Full §6.2.3 workflow: connect, retrieve, present, disconnect."""
         return self.engine.orchestrator.run_full_session(
-            server, lesson_name, user_id=user_id, contract=contract,
-        )
+            server, lesson_name, user_id=user_id)
 
     def search_all(self, from_server: str, token: str) -> dict[str, list[str]]:
         """§6.2.2 distributed search, initiated at ``from_server``."""
@@ -76,17 +73,6 @@ class HermesService:
     def tutors_way(self, first_lesson: str) -> list[str]:
         """The sequential path of a course, from its first lesson."""
         return self.web.sequential_path(first_lesson)
-
-    def autoplay_course(self, server: str, first_lesson: str,
-                        user_id: str = "student1",
-                        max_lessons: int = 20) -> list[dict]:
-        """Play a whole course hands-off: each lesson's AT-timed
-        sequential link advances to the next ("the tutor's way", in
-        the absence of user involvement)."""
-        return self.engine.orchestrator.run_autoplay_sequence(
-            server, first_lesson, user_id=user_id,
-            max_documents=max_lessons,
-        )
 
     def ask_tutor(self, student: str, tutor: str, lesson_name: str,
                   question: str) -> MailMessage:

@@ -179,9 +179,6 @@ class HmlDocument:
     def hyperlinks(self) -> list[HyperLink]:
         return [e for e in self.elements if isinstance(e, HyperLink)]
 
-    def text_blocks(self) -> list[TextBlock]:
-        return [e for e in self.elements if isinstance(e, TextBlock)]
-
     def element_ids(self) -> list[str]:
         ids: list[str] = []
         for e in self.media_elements():

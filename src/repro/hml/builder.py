@@ -66,12 +66,11 @@ class DocumentBuilder:
         height: int | None = None,
         where: tuple[int, int] | None = None,
         note: str = "",
-        repeat: int = 1,
     ) -> "DocumentBuilder":
         self._doc.elements.append(
             ImageElement(source=source, element_id=element_id, startime=startime,
                          duration=duration, width=width, height=height,
-                         where=where, note=note, repeat=repeat)
+                         where=where, note=note)
         )
         return self
 
@@ -98,12 +97,10 @@ class DocumentBuilder:
         startime: float = 0.0,
         duration: float | None = None,
         note: str = "",
-        repeat: int = 1,
     ) -> "DocumentBuilder":
         self._doc.elements.append(
             VideoElement(source=source, element_id=element_id,
-                         startime=startime, duration=duration, note=note,
-                         repeat=repeat)
+                         startime=startime, duration=duration, note=note)
         )
         return self
 

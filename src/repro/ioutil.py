@@ -40,8 +40,7 @@ def read_json(path: str | Path) -> Any:
 
 
 @contextmanager
-def atomic_open(path: str | Path, encoding: str = "utf-8",
-                ) -> Iterator[TextIO]:
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
     """Open a temp file for writing; rename it over ``path`` on success.
 
     The temp file lives in the destination directory (``os.replace``
@@ -54,7 +53,7 @@ def atomic_open(path: str | Path, encoding: str = "utf-8",
         prefix=os.path.basename(target) + ".", suffix=".tmp", dir=directory
     )
     try:
-        with os.fdopen(fd, "w", encoding=encoding) as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -74,9 +73,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def atomic_write_json(path: str | Path, doc: Any, *, indent: int | None = 2,
-                      sort_keys: bool = True, default=str) -> None:
-    """Atomically write ``doc`` as JSON (trailing newline included)."""
+                      sort_keys: bool = True) -> None:
+    """Atomically write ``doc`` as JSON (trailing newline included);
+    what JSON cannot hold is written as its ``str``."""
     with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=indent, sort_keys=sort_keys,
-                  default=default)
+        json.dump(doc, fh, indent=indent, sort_keys=sort_keys, default=str)
         fh.write("\n")

@@ -15,7 +15,6 @@ from repro.media.types import (
     ContinuousMediaObject,
     DiscreteMediaObject,
     MediaObject,
-    MediaType,
 )
 
 __all__ = ["MediaStore"]
@@ -51,12 +50,8 @@ class MediaStore:
     def __len__(self) -> int:
         return len(self._objects)
 
-    def ids(self, media_type: MediaType | None = None) -> list[str]:
-        return sorted(
-            oid
-            for oid, obj in self._objects.items()
-            if media_type is None or obj.media_type is media_type
-        )
+    def ids(self) -> list[str]:
+        return sorted(self._objects)
 
     # -- synthesis -----------------------------------------------------
     def codec_for(self, object_id: str) -> Codec:
@@ -65,15 +60,14 @@ class MediaStore:
             raise ValueError(f"object {object_id!r} is discrete; no codec")
         return self.codecs.get(obj.encoding)
 
-    def trace(self, object_id: str, grade_index: int = 0) -> MediaTrace:
+    def trace(self, object_id: str) -> MediaTrace:
         """Full trace of a continuous object (bulk synthesis)."""
         obj = self.get(object_id)
         if not isinstance(obj, ContinuousMediaObject):
             raise ValueError(f"object {object_id!r} is not continuous")
         codec = self.codecs.get(obj.encoding)
         return trace_for_object(
-            obj, codec, self.rng.stream(obj.trace_seed_name), grade_index
-        )
+            obj, codec, self.rng.stream(obj.trace_seed_name), 0)
 
     def frame_source(self, object_id: str, grade_index: int = 0) -> FrameSource:
         """Stateful per-delivery frame source (supports regrading)."""

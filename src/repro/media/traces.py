@@ -96,13 +96,6 @@ class MediaTrace:
             return 0.0
         return self.frames[-1].end_time / self.clock_rate
 
-    @property
-    def mean_bitrate_bps(self) -> float:
-        dur = self.duration_s
-        if dur == 0:
-            return 0.0
-        return self.total_bytes * 8.0 / dur
-
     def sizes(self) -> np.ndarray:
         return np.array([f.size_bytes for f in self.frames], dtype=np.int64)
 
@@ -147,8 +140,6 @@ class VideoTraceGenerator:
         stream_id: str,
         duration_s: float,
         grade_index: int = 0,
-        start_seq: int = 0,
-        start_media_time: int = 0,
     ) -> MediaTrace:
         grade = self.codec.grade(grade_index)
         if grade is SUSPENDED:
@@ -163,8 +154,8 @@ class VideoTraceGenerator:
         frames = [
             Frame(
                 stream_id=stream_id,
-                seq=start_seq + i,
-                media_time=start_media_time + i * ticks,
+                seq=i,
+                media_time=i * ticks,
                 duration=ticks,
                 size_bytes=int(sizes[i]),
                 kind=kinds[i],
@@ -188,8 +179,6 @@ class AudioTraceGenerator:
         stream_id: str,
         duration_s: float,
         grade_index: int = 0,
-        start_seq: int = 0,
-        start_media_time: int = 0,
     ) -> MediaTrace:
         grade = self.codec.grade(grade_index)
         if grade is SUSPENDED:
@@ -200,8 +189,8 @@ class AudioTraceGenerator:
         frames = [
             Frame(
                 stream_id=stream_id,
-                seq=start_seq + i,
-                media_time=start_media_time + i * ticks,
+                seq=i,
+                media_time=i * ticks,
                 duration=ticks,
                 size_bytes=size,
                 kind=FrameKind.SAMPLE,
@@ -266,14 +255,14 @@ class FrameSource:
                            for kind in GOP_PATTERN]
         self._audio_bytes = max(1, int(round(self.grade.mean_frame_bytes)))
 
-    def fast_forward(self, media_time_s: float, seq: int | None = None) -> None:
+    def fast_forward(self, media_time_s: float) -> None:
         """Jump to a later point in the scenario timeline.
 
         Used when a replica takes over a crashed server's stream: the
-        replacement source must resume at the media position (and frame
-        sequence) the dead one had reached, not from zero. Only forward
-        jumps are allowed; the GoP phase is realigned so frame kinds
-        stay periodic across the switch.
+        replacement source must resume at the media position the dead
+        one had reached, not from zero. Only forward jumps are allowed;
+        the GoP phase is realigned so frame kinds stay periodic across
+        the switch.
         """
         target = int(round(media_time_s * self.codec.clock_rate))
         if target < self._media_time:
@@ -285,7 +274,7 @@ class FrameSource:
         skipped = 0 if ticks <= 0 else (target - self._media_time) // ticks
         self._media_time += skipped * ticks
         self._frame_in_gop += skipped
-        self._seq = self._seq + skipped if seq is None else seq
+        self._seq += skipped
 
     def next_frame(self) -> Frame | None:
         """Produce the next frame (or ``None`` while suspended)."""

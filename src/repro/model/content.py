@@ -99,9 +99,3 @@ class ContentIndex:
         for locs in out.values():
             locs.sort(key=lambda l: l.element_id)
         return out
-
-    def continuous_ids(self) -> list[str]:
-        return sorted(
-            eid for eid, loc in self._locators.items()
-            if loc.media_type.is_continuous
-        )

@@ -35,6 +35,9 @@ class AllenRelation(enum.Enum):
     FINISHED_BY = "finished-by"
 
 
+#: two endpoints closer than this coincide
+EPS = 1e-9
+
 _INVERSES = {
     AllenRelation.BEFORE: AllenRelation.AFTER,
     AllenRelation.MEETS: AllenRelation.MET_BY,
@@ -53,8 +56,7 @@ def inverse(rel: AllenRelation) -> AllenRelation:
 
 
 def relation(x_start: float, x_end: float,
-             y_start: float, y_end: float,
-             eps: float = 1e-9) -> AllenRelation:
+             y_start: float, y_end: float) -> AllenRelation:
     """Allen relation of interval X to interval Y.
 
     Intervals must be proper (end > start); instants are not modelled
@@ -64,7 +66,7 @@ def relation(x_start: float, x_end: float,
         raise ValueError("intervals must have positive length")
 
     def eq(a: float, b: float) -> bool:
-        return abs(a - b) <= eps
+        return abs(a - b) <= EPS
 
     if eq(x_start, y_start) and eq(x_end, y_end):
         return AllenRelation.EQUAL

@@ -25,8 +25,8 @@ from repro.hml.ast import (
 
 __all__ = ["Region", "DisplayLayout", "LayoutEngine"]
 
-DEFAULT_CANVAS_WIDTH = 800
-DEFAULT_CANVAS_HEIGHT = 600
+CANVAS_WIDTH = 800
+CANVAS_HEIGHT = 600
 _HEADING_HEIGHTS = {1: 40, 2: 32, 3: 26}
 _TEXT_LINE_HEIGHT = 18
 _TEXT_CHARS_PER_LINE = 80
@@ -85,25 +85,9 @@ class DisplayLayout:
     def visual_keys(self) -> list[str]:
         return sorted(self.regions)
 
-    def overflows_canvas(self) -> bool:
-        return any(
-            r.x2 > self.canvas_width or r.y2 > self.canvas_height
-            for r in self.regions.values()
-        )
-
 
 class LayoutEngine:
     """Computes a :class:`DisplayLayout` from a document."""
-
-    def __init__(
-        self,
-        canvas_width: int = DEFAULT_CANVAS_WIDTH,
-        canvas_height: int = DEFAULT_CANVAS_HEIGHT,
-    ) -> None:
-        if canvas_width <= 0 or canvas_height <= 0:
-            raise ValueError("canvas must have positive extent")
-        self.canvas_width = canvas_width
-        self.canvas_height = canvas_height
 
     def layout(self, doc: HmlDocument) -> DisplayLayout:
         regions: dict[str, Region] = {}
@@ -112,14 +96,14 @@ class LayoutEngine:
             if isinstance(e, Heading):
                 h = _HEADING_HEIGHTS[e.level]
                 regions[f"heading:{idx}"] = Region(0, cursor_y,
-                                                   self.canvas_width, h)
+                                                   CANVAS_WIDTH, h)
                 cursor_y += h
             elif isinstance(e, TextBlock):
                 chars = len(e.plain_text)
                 lines = max(1, -(-chars // _TEXT_CHARS_PER_LINE))
                 h = lines * _TEXT_LINE_HEIGHT
                 regions[f"text:{idx}"] = Region(0, cursor_y,
-                                                self.canvas_width, h)
+                                                CANVAS_WIDTH, h)
                 cursor_y += h
             elif isinstance(e, Paragraph):
                 cursor_y += _PARAGRAPH_GAP
@@ -144,7 +128,7 @@ class LayoutEngine:
             elif isinstance(e, AudioElement):
                 pass  # audio has no display region
         return DisplayLayout(
-            canvas_width=self.canvas_width,
-            canvas_height=self.canvas_height,
+            canvas_width=CANVAS_WIDTH,
+            canvas_height=CANVAS_HEIGHT,
             regions=regions,
         )

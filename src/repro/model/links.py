@@ -12,6 +12,9 @@ from repro.hml.ast import HmlDocument, LinkKind
 
 __all__ = ["DocumentWeb"]
 
+#: the longest sequential path followed
+MAX_PATH = 100
+
 
 class DocumentWeb:
     """Directed graph of documents connected by hyperlinks."""
@@ -55,10 +58,6 @@ class DocumentWeb:
     def documents(self) -> list[str]:
         return sorted(self._hosts)
 
-    def dangling(self) -> list[str]:
-        """Link targets that were never added as documents."""
-        return sorted(self._hosts.keys() - self._out.keys())
-
     def links_from(self, key: str,
                    kind: LinkKind | None = None) -> list[tuple[str, dict]]:
         """The links leaving ``key``, grouped by target."""
@@ -80,12 +79,13 @@ class DocumentWeb:
         chosen = timed[0] if timed else seq[0]
         return chosen[0]
 
-    def sequential_path(self, start: str, limit: int = 100) -> list[str]:
-        """Follow sequential links from ``start`` (cycle-safe)."""
+    def sequential_path(self, start: str) -> list[str]:
+        """Follow sequential links from ``start`` (cycle-safe, at most
+        ``MAX_PATH`` documents)."""
         path = [start]
         seen = {start}
         current = start
-        while len(path) < limit:
+        while len(path) < MAX_PATH:
             nxt = self.sequential_successor(current)
             if nxt is None or nxt in seen:
                 break
@@ -93,22 +93,3 @@ class DocumentWeb:
             seen.add(nxt)
             current = nxt
         return path
-
-    def reachable(self, start: str) -> set[str]:
-        if start not in self._hosts:
-            raise KeyError(f"unknown document {start!r}")
-        seen: set[str] = set()
-        stack = [start]
-        while stack:
-            key = stack.pop()
-            if key not in seen:
-                seen.add(key)
-                stack.extend(self._out.get(key, ()))
-        return seen
-
-    def cross_server_links(self) -> list[tuple[str, str]]:
-        """Edges whose endpoints live on different hosts."""
-        hosts = self._hosts
-        return sorted((src, dst)
-                      for src, targets in self._out.items() for dst in targets
-                      if hosts[src] != hosts[dst])

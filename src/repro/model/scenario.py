@@ -56,16 +56,14 @@ class PresentationScenario:
     streams: list[StreamSpec] = field(default_factory=list)
 
     @classmethod
-    def from_document(
-        cls, doc: HmlDocument, layout_engine: LayoutEngine | None = None
-    ) -> "PresentationScenario":
+    def from_document(cls, doc: HmlDocument) -> "PresentationScenario":
         issues = [i for i in validate_document(doc) if i.is_error]
         if issues:
             detail = "; ".join(i.message for i in issues)
             raise ValueError(f"invalid document {doc.title!r}: {detail}")
         schedule = build_playout_schedule(doc)
         content = ContentIndex.from_document(doc)
-        layout = (layout_engine or LayoutEngine()).layout(doc)
+        layout = LayoutEngine().layout(doc)
         streams = [
             StreamSpec(entry=e, locator=content.get(e.stream_id))
             for e in schedule

@@ -46,9 +46,9 @@ class PlayoutEntry:
     ``sync_group`` names the intermedia-synchronization group (AU_VI
     pairs share one); ``is_sync_master`` marks the group's reference
     stream — audio, since "users can tolerate lower video quality
-    rather than 'not hear well'" makes audio the anchor.
-    ``buffer_key`` is the media-buffer binding ("the corresponding
-    data position in the temporary storage mechanisms").
+    rather than 'not hear well'" makes audio the anchor. The media
+    buffer an entry binds ("the corresponding data position in the
+    temporary storage mechanisms") is keyed by its ``stream_id``.
     """
 
     stream_id: str
@@ -59,10 +59,6 @@ class PlayoutEntry:
     sync_group: str | None = None
     is_sync_master: bool = False
     note: str = ""
-
-    @property
-    def buffer_key(self) -> str:
-        return f"buf:{self.stream_id}"
 
     @property
     def end_time(self) -> float | None:

@@ -70,8 +70,3 @@ class AtmLink(Link):
                     self.on_drop(pkt, "drop-loss")
                 return
         super()._propagated(pkt)
-
-    @property
-    def cell_tax(self) -> float:
-        """Fraction of wire capacity spent on cell headers/padding."""
-        return 1.0 - CELL_PAYLOAD_BYTES / CELL_BYTES

@@ -41,44 +41,16 @@ def _ignore(pkt: Packet) -> None:
 class DatagramSocket:
     """Unreliable datagram endpoint bound to (node, port).
 
-    The port stays bound while the socket is open, with or without an
-    ``on_packet`` handler, so an arrival there is not counted as a
-    discard (``Node.rx_discarded``).
+    The port stays bound while the socket is open, so an arrival there
+    is not counted as a discard (``Node.rx_discarded``); what arrives
+    is ignored.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        node_id: str,
-        port: int,
-        on_packet: Callable[[Packet], None] | None = None,
-    ) -> None:
+    def __init__(self, network: Network, node_id: str, port: int) -> None:
         self.network = network
         self.node_id = node_id
         self.port = port
-        network.node(node_id).bind(port, on_packet or _ignore)
-
-    def sendto(
-        self,
-        dst: str,
-        dst_port: int,
-        size_bytes: int,
-        payload: Any = None,
-        protocol: str = "UDP",
-        flow_id: str = "",
-        seq: int = 0,
-    ) -> bool:
-        pkt = Packet(
-            src=self.node_id,
-            dst=dst,
-            size_bytes=size_bytes,
-            protocol=protocol,
-            flow_id=flow_id or f"udp:{self.node_id}:{self.port}",
-            dst_port=dst_port,
-            payload=payload,
-            seq=seq,
-        )
-        return self.network.send(pkt)
+        network.node(node_id).bind(port, _ignore)
 
     def close(self) -> None:
         self.network.node(self.node_id).unbind(self.port)
@@ -164,10 +136,6 @@ class ReliableSender:
         )
         self._pump()
         return done
-
-    @property
-    def in_flight(self) -> int:
-        return self._next - self._base
 
     def close(self) -> None:
         self._closed = True

@@ -19,6 +19,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GilbertElliottLoss"]
 
+#: loss probability in the good state: 0 is Gilbert's special case, the
+#: one the service runs
+LOSS_GOOD = 0.0
+
 
 class GilbertElliottLoss:
     """Two-state Markov (Gilbert–Elliott) packet loss model.
@@ -27,8 +31,9 @@ class GilbertElliottLoss:
     ----------
     p_gb, p_bg:
         Per-packet transition probabilities good→bad and bad→good.
-    loss_good, loss_bad:
-        Loss probability while in each state.
+    loss_bad:
+        Loss probability while in the bad state (``LOSS_GOOD`` in the
+        good one).
 
     With defaults the stationary loss rate is
     ``pi_b * loss_bad + pi_g * loss_good`` where
@@ -43,36 +48,23 @@ class GilbertElliottLoss:
         rng: np.random.Generator,
         p_gb: float = 0.01,
         p_bg: float = 0.3,
-        loss_good: float = 0.0,
         loss_bad: float = 0.3,
         sim: "Simulator | None" = None,
         name: str = "",
     ) -> None:
-        for param, v in dict(p_gb=p_gb, p_bg=p_bg, loss_good=loss_good,
-                             loss_bad=loss_bad).items():
+        for param, v in dict(p_gb=p_gb, p_bg=p_bg, loss_bad=loss_bad).items():
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{param} must be a probability, got {v}")
         self._uniform = block_draws(rng.random)
         self.p_gb = p_gb
         self.p_bg = p_bg
-        self.loss_good = loss_good
+        self.loss_good = LOSS_GOOD
         self.loss_bad = loss_bad
         self.in_bad = False
-        self.decisions = 0
-        self.losses = 0
         #: optional tracing context: when attached to a simulator with a
         #: live tracer, state transitions and loss decisions are emitted
         self.sim = sim
         self.name = name
-
-    @property
-    def stationary_loss_rate(self) -> float:
-        denom = self.p_gb + self.p_bg
-        if denom == 0:
-            pi_b = 1.0 if self.in_bad else 0.0
-        else:
-            pi_b = self.p_gb / denom
-        return pi_b * self.loss_bad + (1.0 - pi_b) * self.loss_good
 
     def is_lost(self, flow: str = "", seq: int = -1,
                 session: str = "", frame: int = -1) -> bool:
@@ -89,10 +81,7 @@ class GilbertElliottLoss:
                 self.in_bad = False
         elif uniform() < self.p_gb:
             self.in_bad = True
-        self.decisions += 1
         lost = uniform() < (self.loss_bad if self.in_bad else self.loss_good)
-        if lost:
-            self.losses += 1
         sim = self.sim
         if sim is not None and sim._tracing:
             if self.in_bad != was_bad:
@@ -104,7 +93,3 @@ class GilbertElliottLoss:
                                  flow=flow, seq=seq, session=session,
                                  frame=frame)
         return lost
-
-    @property
-    def observed_loss_rate(self) -> float:
-        return 0.0 if self.decisions == 0 else self.losses / self.decisions

@@ -81,14 +81,3 @@ class PacketTap:
         #: lost packets is present with 0
         self.count_by_flow: dict[str, dict[str, int]] = defaultdict(
             lambda: defaultdict(int))
-
-    @property
-    def count_by_protocol(self) -> dict[str, int]:
-        """Packets delivered per protocol."""
-        totals = ((protocol, sum(flows.values()))
-                  for protocol, flows in self.count_by_flow.items())
-        return {protocol: n for protocol, n in totals if n}
-
-    def protocols_for_flow(self, flow_id: str) -> set[str]:
-        return {protocol for protocol, flows in self.count_by_flow.items()
-                if flow_id in flows}

@@ -46,11 +46,9 @@ class PortExhaustedError(RuntimeError):
 class PortAllocator:
     """Sequential allocation from named port ranges on one node."""
 
-    def __init__(self, node_id: str = "",
-                 ranges: dict[str, tuple[int, int]] | None = None) -> None:
+    def __init__(self, node_id: str = "") -> None:
         self.node_id = node_id
-        self._ranges = dict(ranges if ranges is not None
-                            else DEFAULT_PORT_RANGES)
+        self._ranges = dict(DEFAULT_PORT_RANGES)
         self._cursor = {name: lo for name, (lo, _hi) in self._ranges.items()}
         #: released single ports, reused lowest-first before the cursor
         #: advances (a heap keeps the reuse order deterministic)
@@ -135,7 +133,7 @@ class PortAllocator:
             raise PortExhaustedError(self.node_id, range_name, (lo, hi))
         self._cursor[range_name] = base + n
 
-    def allocated(self, range_name: str = "media") -> int:
+    def allocated(self, range_name: str) -> int:
         """How many ports of ``range_name`` are currently handed out."""
         lo, _hi = self._bounds(range_name)
         return self._cursor[range_name] - lo - len(self._free[range_name])

@@ -29,6 +29,8 @@ from repro.net.topology import Network, Node
 
 __all__ = ["AccessLinkSpec", "RegionSpec", "ServiceTopology", "cdn_stack"]
 
+#: the core router's node id
+ROUTER = "router"
 #: every server host's link pair to its router (the paper-era backbone)
 BACKBONE_RATE_BPS = 100e6
 BACKBONE_DELAY_S = 0.005
@@ -102,11 +104,10 @@ class ServiceTopology:
         network: Network,
         regions: tuple[RegionSpec, ...] = (),
         *,
-        router: str = "router",
         access_spec_for: Callable[[str], AccessLinkSpec] | None = None,
     ) -> None:
         self.network = network
-        self.router = router
+        self.router = ROUTER
         self._access_spec_for = (
             access_spec_for if access_spec_for is not None
             else lambda _node: AccessLinkSpec()
@@ -115,15 +116,15 @@ class ServiceTopology:
         self.regions: dict[str, RegionSpec] = {}
         self.clients: list[str] = []
         self._node_region: dict[str, str] = {}
-        if router not in network.nodes:
-            network.add_node(router)
+        if ROUTER not in network.nodes:
+            network.add_node(ROUTER)
         for spec in regions:
             if spec.name in self.regions:
                 raise ValueError(f"region {spec.name!r} declared twice")
             self.regions[spec.name] = spec
             network.add_node(spec.pop_id)
             network.add_duplex_link(
-                spec.pop_id, router, spec.link_rate_bps, spec.link_delay_s,
+                spec.pop_id, ROUTER, spec.link_rate_bps, spec.link_delay_s,
                 queue_packets=spec.queue_packets,
             )
         for spec in regions:
@@ -205,13 +206,12 @@ class ServiceTopology:
         return self._add_backbone_host(node_id, TRAFFIC_HOST_DELAY_S)
 
 
-def cdn_stack(
-    regions: tuple[str, ...] = ("east", "west"),
-    clients_per_region: int = 4,
-) -> tuple[RegionSpec, ...]:
-    """The canonical CDN regions: a POP, viewers and replicas in each.
+def cdn_stack(clients_per_region: int = 4) -> tuple[RegionSpec, ...]:
+    """The canonical CDN regions, ``east`` and ``west``: a POP, viewers
+    and replicas in each.
 
     This is the topology behind ``repro bench --topology cdn`` and the
     CDN examples/tests.
     """
-    return tuple(RegionSpec(name, clients_per_region) for name in regions)
+    return tuple(RegionSpec(name, clients_per_region)
+                 for name in ("east", "west"))

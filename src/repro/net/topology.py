@@ -174,15 +174,9 @@ class Network:
         rate_bps: float,
         delay_s: float,
         queue_packets: int = 100,
-        loss_model=None,
-        atm: bool = False,
     ) -> tuple[Link, Link]:
-        return (
-            self.add_link(a, b, rate_bps, delay_s, queue_packets,
-                          loss_model, atm=atm),
-            self.add_link(b, a, rate_bps, delay_s, queue_packets,
-                          loss_model, atm=atm),
-        )
+        return (self.add_link(a, b, rate_bps, delay_s, queue_packets),
+                self.add_link(b, a, rate_bps, delay_s, queue_packets))
 
     def node(self, node_id: str) -> Node:
         try:

@@ -97,7 +97,6 @@ class _TrafficBase:
         dst: str,
         rng: np.random.Generator,
         packet_bytes: int = 1000,
-        flow_id: str = "",
         start_at: float = 0.0,
         stop_at: float = float("inf"),
     ) -> None:
@@ -108,7 +107,7 @@ class _TrafficBase:
         self.src = src
         self.dst = dst
         self.packet_bytes = packet_bytes
-        self.flow_id = flow_id or f"xtraffic:{src}->{dst}"
+        self.flow_id = f"xtraffic:{src}->{dst}"
         self.start_at = start_at
         self.stop_at = stop_at
         #: the last seq: packets emitted so far and those planned past
@@ -363,17 +362,11 @@ class OnOffTrafficSource(_TrafficBase):
             raise ValueError("peak_rate_bps must be positive")
         if on_mean_s <= 0 or off_mean_s <= 0:
             raise ValueError("on/off means must be positive")
-        self.peak_rate_bps = peak_rate_bps
         self.on_mean_s = on_mean_s
         self.off_mean_s = off_mean_s
         super().__init__(network, src, dst, rng, **kw)
         gap = self.packet_bytes * 8.0 / peak_rate_bps
         self._next_gap = repeat(gap).__next__
-
-    @property
-    def mean_rate_bps(self) -> float:
-        duty = self.on_mean_s / (self.on_mean_s + self.off_mean_s)
-        return self.peak_rate_bps * duty
 
     def _cycle(self) -> None:
         now = self.sim._now

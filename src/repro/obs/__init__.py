@@ -59,7 +59,6 @@ _EXPORTS = {
     "parse_rule": "slo",
     "parse_spec": "slo",
     "qoe_summary": "qoe",
-    "read_chrome_trace": "export",
     "read_jsonl": "export",
     "render_markdown_report": "dashboard",
     "score": "qoe",

@@ -32,10 +32,13 @@ if TYPE_CHECKING:
 __all__ = ["sparkline", "render_markdown_report", "report_command"]
 
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
+#: glyphs in a sparkline: a longer series is downsampled to this
+SPARK_WIDTH = 24
 
 
-def sparkline(values: list[float], width: int = 24) -> str:
-    """A unicode mini-plot of a series, downsampled to ``width``."""
+def sparkline(values: list[float]) -> str:
+    """A unicode mini-plot of a series, downsampled to ``SPARK_WIDTH``."""
+    width = SPARK_WIDTH
     if not values:
         return ""
     if len(values) > width:

@@ -29,7 +29,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "TRACE_SCHEMA_VERSION",
     "event_to_dict",
-    "read_chrome_trace",
     "read_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",
@@ -191,20 +190,3 @@ def write_chrome_trace(events: Iterable[TraceEvent],
     with atomic_open(path) as fh:
         json.dump(doc, fh, separators=(",", ":"))
     return len(doc["traceEvents"])
-
-
-def read_chrome_trace(path: str | Path) -> dict:
-    """Load a Chrome trace document, validating its schema stamp.
-
-    Documents without a ``metadata`` stamp (written by other tools)
-    are accepted as-is; a stamp for a different schema or a future
-    version raises ``ValueError``.
-    """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "traceEvents" not in doc:
-        raise ValueError(f"{path}: not a Chrome trace-event document")
-    metadata = doc.get("metadata")
-    if isinstance(metadata, dict) and "schema" in metadata:
-        _validate_schema(metadata, where=str(path))
-    return doc

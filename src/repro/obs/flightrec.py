@@ -12,7 +12,7 @@ in ``tests/test_datapath_budget.py``) because it declares
 constructed (see :mod:`repro.obs.tracer`).
 
 Dumps are ordinary trace-v3 JSONL windows ("everything in the ring
-from the last ``window_s`` sim-seconds"), so ``repro trace``,
+from the last ``WINDOW_S`` sim-seconds"), so ``repro trace``,
 lifecycle correlation and QoE tooling parse them unchanged. A dump
 fires on the first fault-injection event (``TRIGGER_KINDS``), on an
 SLO violation (the CLI calls :meth:`FlightRecorder.dump`), or
@@ -22,7 +22,8 @@ The recorder *is* a :class:`~repro.obs.tracer.RecordingTracer` — same
 per-kind counts, same query surface — whose store is a ring, so
 wherever a RecordingTracer is expected a recorder drops in. The ring
 is this class's alone: it counts every event before it sheds the
-oldest (``dropped_events``), while a RecordingTracer keeps everything.
+oldest (so ``kind_counts()`` sums past ``len(events)`` by the events
+shed), while a RecordingTracer keeps everything.
 Capacity decides the tier: a bounded ring stays on the control tier
 (4096 per-packet events would span milliseconds, not an incident),
 while ``FlightRecorder(max_events=None)`` is a complete recording
@@ -39,6 +40,9 @@ from repro.obs.tracer import RecordingTracer, TraceEvent
 
 __all__ = ["FlightRecorder", "TRIGGER_KINDS"]
 
+#: sim-seconds of trailing events a dump writes
+WINDOW_S = 30.0
+
 #: fault-injection kinds that auto-dump the ring (first occurrence)
 TRIGGER_KINDS = frozenset({
     "fault.crash", "fault.link", "fault.ctl_partition", "fault.shard",
@@ -49,7 +53,6 @@ class FlightRecorder(RecordingTracer):
     """Bounded, always-on ring of control-plane trace events."""
 
     def __init__(self, max_events: int | None = 4096,
-                 window_s: float = 30.0,
                  dump_path: str | None = None,
                  ) -> None:
         if max_events is not None and max_events <= 0:
@@ -57,7 +60,6 @@ class FlightRecorder(RecordingTracer):
         super().__init__()
         if max_events is not None:
             self.events = deque(maxlen=max_events)
-        self.window_s = window_s
         #: a ring stays on the cheap control tier; only an unbounded
         #: recorder takes the per-packet firehose
         self.detail = max_events is None
@@ -73,17 +75,12 @@ class FlightRecorder(RecordingTracer):
                 and event.kind in TRIGGER_KINDS):
             self.dump(trigger=event.kind)
 
-    @property
-    def dropped_events(self) -> int:
-        """Events the ring shed, oldest first (counted in kind_counts)."""
-        return sum(self._kind_counts.values()) - len(self.events)
-
     # -- dumping -------------------------------------------------------------
     def window(self, window_s: float | None = None) -> list[TraceEvent]:
         """Ring contents from the trailing ``window_s`` sim-seconds."""
         if not self.events:
             return []
-        span = self.window_s if window_s is None else window_s
+        span = WINDOW_S if window_s is None else window_s
         t_end = self.events[-1].time
         return [e for e in self.events if e.time >= t_end - span]
 
@@ -103,6 +100,6 @@ class FlightRecorder(RecordingTracer):
             "trigger": trigger,
             "events": len(events),
             "t_end": events[-1].time if events else 0.0,
-            "window_s": self.window_s if window_s is None else window_s,
+            "window_s": WINDOW_S if window_s is None else window_s,
         }
         return str(target)

@@ -19,7 +19,7 @@ DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0,
                    60.0, float("inf"))
 
 #: percentiles reported by :meth:`Histogram.percentiles` by default
-DEFAULT_QUANTILES = (0.50, 0.95, 0.99)
+QUANTILES = (0.50, 0.95, 0.99)
 
 
 def log_buckets(lo: float, hi: float,
@@ -117,12 +117,10 @@ class Histogram:
                 return min(max(est, self.min), self.max)
         return self.max
 
-    def percentiles(
-        self, quantiles: tuple[float, ...] = DEFAULT_QUANTILES
-    ) -> dict[str, float]:
-        """{"p50": ..., "p95": ...} for the requested quantiles."""
+    def percentiles(self) -> dict[str, float]:
+        """{"p50": ..., "p95": ...} for the ``QUANTILES``."""
         return {f"p{round(q * 100):d}": self.quantile(q)
-                for q in quantiles}
+                for q in QUANTILES}
 
     def merge(self, other: "Histogram") -> "Histogram":
         """A new histogram holding both distributions.

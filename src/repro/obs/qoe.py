@@ -84,12 +84,11 @@ class SessionQoE:
         }
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any],
-                  session: str = "") -> "SessionQoE":
+    def from_dict(cls, doc: Mapping[str, Any]) -> "SessionQoE":
         """Inverse of :meth:`to_dict` (``delivery_ratio`` is derived);
-        ``session`` names a document that does not name itself."""
+        a document that does not name its session loads unnamed."""
         known = {f.name for f in fields(cls)}
-        qoe = cls(**{"session": session,
+        qoe = cls(**{"session": "",
                      **{k: v for k, v in doc.items() if k in known}})
         qoe.latency = dict(qoe.latency)
         return qoe

@@ -1,7 +1,7 @@
 """Fixed-interval time-series telemetry on the DES clock.
 
 A :class:`TimeSeriesSampler` — the engine's one telemetry process —
-ticks every ``interval_s`` of simulated time and appends one row to a
+ticks every ``INTERVAL_S`` of simulated time and appends one row to a
 columnar :class:`TimeSeries` (the columns are listed on the sampler).
 Sampling rides the simulated clock, so the series is exactly
 reproducible run-to-run; its schema-stamped form (``repro.timeseries``
@@ -28,6 +28,8 @@ __all__ = ["TimeSeries", "TimeSeriesSampler", "merge_series_docs",
 
 TIMESERIES_SCHEMA = "repro.timeseries"
 TIMESERIES_SCHEMA_VERSION = 1
+#: simulated seconds between two sampler ticks
+INTERVAL_S = 0.25
 
 #: column combine operations (cross-shard merge), by name
 _COMBINE: dict[str, Callable[[float, float], float]] = {
@@ -43,10 +45,8 @@ class TimeSeries:
     to tick 0, so every column always has ``ticks`` values.
     """
 
-    def __init__(self, interval_s: float = 0.25) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
-        self.interval_s = interval_s
+    def __init__(self) -> None:
+        self.interval_s = INTERVAL_S
         self.ticks = 0
         self.columns: dict[str, dict[str, Any]] = {}
 
@@ -161,11 +161,11 @@ class TimeSeriesSampler:
     #: columns that never compare across an engine boundary
     ENGINE_LOCAL = ("buffer_occupancy_s", "event_queue_depth")
 
-    def __init__(self, engine: Any, interval_s: float = 0.25) -> None:
+    def __init__(self, engine: Any) -> None:
         self.engine = engine
         self.sim = engine.sim
-        self.interval_s = interval_s
-        self.series = TimeSeries(interval_s=interval_s)  # validates it
+        self.interval_s = INTERVAL_S
+        self.series = TimeSeries()
         self._started = False
         self._last_egress: dict[str, int] = {}
         self._last_busy: dict[Any, float] = {}

@@ -93,8 +93,7 @@ class Tracer:
         """Open a span (matched by kind+name in :meth:`span_end`)."""
 
     def span_end(self, time: float, kind: str, name: str = "", *,
-                 session: str = "", node: str = "",
-                 **args: Any) -> None:
+                 session: str = "", **args: Any) -> None:
         """Close the innermost span opened with the same kind+name."""
 
 
@@ -129,9 +128,9 @@ class RecordingTracer(Tracer):
                                 session=session, node=node, args=args))
 
     def span_end(self, time: float, kind: str, name: str = "", *,
-                 session: str = "", node: str = "", **args: Any) -> None:
+                 session: str = "", **args: Any) -> None:
         self._record(TraceEvent(time=time, kind=kind, name=name, phase="E",
-                                session=session, node=node, args=args))
+                                session=session, args=args))
 
     # -- queries -----------------------------------------------------------
     def __len__(self) -> int:
@@ -146,10 +145,3 @@ class RecordingTracer(Tracer):
         """Event count per kind (a ring's shed events included)."""
         return dict(self._kind_counts)
 
-    def select(self, kind: str | None = None,
-               session: str | None = None) -> list[TraceEvent]:
-        return [
-            e for e in self.events
-            if (kind is None or e.kind == kind)
-            and (session is None or e.session == session)
-        ]

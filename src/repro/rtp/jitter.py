@@ -47,9 +47,3 @@ class InterarrivalJitterEstimator:
         self._prev_arrival = arrival_s
         self._prev_timestamp = rtp_timestamp
         return self._jitter_s
-
-    def reset(self) -> None:
-        self._prev_arrival = None
-        self._prev_timestamp = None
-        self._jitter_s = 0.0
-        self.samples = 0

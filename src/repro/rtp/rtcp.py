@@ -72,7 +72,7 @@ class RtcpReporter:
         self.interval_s = interval_s
         self.adaptive = adaptive
         self.min_interval_s = min_interval_s
-        self._current_interval = interval_s
+        self.current_interval_s = interval_s
         self.reports_sent = 0
         self._stopped = False
         self.socket = DatagramSocket(network, node_id, port)
@@ -81,10 +81,6 @@ class RtcpReporter:
     def stop(self) -> None:
         self._stopped = True
 
-    @property
-    def current_interval_s(self) -> float:
-        return self._current_interval
-
     def _next_interval(self, report: RtcpReceiverReport) -> float:
         """The "specifically calculated" interval after a report."""
         if not self.adaptive:
@@ -92,9 +88,9 @@ class RtcpReporter:
         congested = (report.fraction_lost >= LOSS_THRESHOLD
                      or report.jitter_s >= JITTER_THRESHOLD_S)
         if congested:
-            nxt = max(self.min_interval_s, self._current_interval / 2.0)
+            nxt = max(self.min_interval_s, self.current_interval_s / 2.0)
         else:
-            nxt = min(MAX_INTERVAL_S, self._current_interval * 1.5)
+            nxt = min(MAX_INTERVAL_S, self.current_interval_s * 1.5)
         return nxt
 
     def build_report(self) -> RtcpReceiverReport:
@@ -132,7 +128,7 @@ class RtcpReporter:
             )
         )
         self.reports_sent += 1
-        self._current_interval = self._next_interval(report)
+        self.current_interval_s = self._next_interval(report)
         if self.sim._tracing:
             self.sim._tracer.emit(self.sim.now, "rtcp.report",
                                   self.receiver.stream_id,
@@ -140,7 +136,7 @@ class RtcpReporter:
                                   fraction_lost=report.fraction_lost,
                                   jitter_s=report.jitter_s,
                                   mean_delay_s=report.mean_delay_s,
-                                  interval_s=self._current_interval)
+                                  interval_s=self.current_interval_s)
 
     def _run(self):
         if not self.adaptive:
@@ -160,9 +156,9 @@ class RtcpReporter:
                 break
             elapsed += self.min_interval_s
             early = self._congested_now() and elapsed >= self.min_interval_s
-            if elapsed + 1e-12 >= self._current_interval or early:
+            if elapsed + 1e-12 >= self.current_interval_s or early:
                 if early:
-                    self._current_interval = self.min_interval_s
+                    self.current_interval_s = self.min_interval_s
                 self._send_report()
                 elapsed = 0.0
 

@@ -143,20 +143,11 @@ class RtpReceiverStats:
     base_seq: int | None = None
     highest_seq: int | None = None
     delay_sum_s: float = 0.0
-    last_delay_s: float = 0.0
     #: where the current RTCP interval began, moved by the reporter
     interval_expected_base: int = 0
     interval_received_base: int = 0
     #: frame seqs reassembled, in order (the receiver's ``frames_done``)
     frames_done: deque[int] = field(default_factory=deque)
-
-    @property
-    def frames_received(self) -> int:
-        return len(self.frames_done)
-
-    @property
-    def delay_samples(self) -> int:
-        return self.packets_received
 
     @property
     def interval_received(self) -> int:
@@ -253,7 +244,6 @@ class RtpReceiver:
         self._prev_arrival = now
         self._prev_timestamp = timestamp
         delay = now - pkt.created_at
-        st.last_delay_s = delay
         st.delay_sum_s += delay
         if self.sim._tracing_detail:
             self.sim._tracer.emit(now, "rtp.recv", self.stream_id,

@@ -111,12 +111,6 @@ class UserAccount:
     def log(self, event: str, time: float, detail: str = "") -> None:
         self.history.append((event, time, detail))
 
-    def logins(self) -> list[float]:
-        return [t for e, t, _ in self.history if e == "login"]
-
-    def retrieved_documents(self) -> list[str]:
-        return [d for e, _, d in self.history if e == "retrieve"]
-
 
 def _credential_for(user_id: str, secret: str) -> str:
     return hashlib.sha256(f"{user_id}:{secret}".encode()).hexdigest()
@@ -140,7 +134,6 @@ class AccountRegistry:
         form: SubscriptionForm,
         secret: str,
         contract: str = "basic",
-        qos: QoSPreferences | None = None,
     ) -> UserAccount:
         """Register a new user; returns the account (with credential)."""
         if user_id in self._accounts:
@@ -152,7 +145,6 @@ class AccountRegistry:
             form=form,
             contract=CONTRACT_CLASSES[contract],
             credential=_credential_for(user_id, secret),
-            qos=qos if qos is not None else QoSPreferences(),
         )
         account.balance_due += account.contract.monthly_fee
         self._accounts[user_id] = account
@@ -179,6 +171,3 @@ class AccountRegistry:
         charge = minutes * account.contract.per_minute_fee
         account.balance_due += charge
         return charge
-
-    def users(self) -> list[str]:
-        return sorted(self._accounts)

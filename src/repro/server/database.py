@@ -94,9 +94,6 @@ class MultimediaDatabase:
         """The service's list of available topics (§5)."""
         return sorted({d.topic for d in self._docs.values()})
 
-    def by_topic(self, topic: str) -> list[str]:
-        return sorted(n for n, d in self._docs.items() if d.topic == topic)
-
     # -- search -----------------------------------------------------------
     def search(self, token: str) -> list[str]:
         """Documents whose title/headings/text contain the token.

@@ -214,10 +214,8 @@ class MultimediaServer:
     def topics(self) -> list[str]:
         return self.database.topics()
 
-    def list_documents(self, topic: str | None = None) -> list[str]:
-        if topic is None:
-            return self.database.names()
-        return self.database.by_topic(topic)
+    def list_documents(self) -> list[str]:
+        return self.database.names()
 
     def fetch_document(self, session_id: str, name: str) -> StoredDocument:
         """Retrieve ``name``, re-stating the session's demand as the
@@ -299,8 +297,8 @@ class MultimediaServer:
         return None
 
     # -- distributed search (§6.2.2) --------------------------------------------
-    def search(self, token: str, forward: bool = True) -> dict[str, list[str]]:
-        """Search this server and (optionally) every peer.
+    def search(self, token: str) -> dict[str, list[str]]:
+        """Search this server and every peer.
 
         Returns {server_name: [matching document names]}; only servers
         with matches appear — "only the lessons which contain the item
@@ -310,9 +308,8 @@ class MultimediaServer:
         own = self.database.search(token)
         if own:
             results[self.name] = own
-        if forward:
-            for peer in self.peers.values():
-                theirs = peer.database.search(token)
-                if theirs:
-                    results[peer.name] = theirs
+        for peer in self.peers.values():
+            theirs = peer.database.search(token)
+            if theirs:
+                results[peer.name] = theirs
         return results

@@ -77,7 +77,6 @@ class ServerQoSManager:
         self._clear_streak: dict[str, int] = {}
         self._last_degrade_at = -float("inf")
         self._last_upgrade_at = -float("inf")
-        self._rr_count = 0
         self.decisions: list[GradingDecision] = []
 
     # -- registration ------------------------------------------------------
@@ -110,7 +109,6 @@ class ServerQoSManager:
         """Entry point wired to the RTCP sink."""
         if report.stream_id not in self._converters:
             return
-        self._rr_count += 1
         p = self.policy
         congested = (
             report.fraction_lost >= p.degrade_loss
@@ -227,7 +225,3 @@ class ServerQoSManager:
 
     def upgrades(self) -> list[GradingDecision]:
         return [d for d in self.decisions if d.action == "upgrade"]
-
-    @property
-    def reports_seen(self) -> int:
-        return self._rr_count

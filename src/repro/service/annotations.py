@@ -66,10 +66,6 @@ class AnnotationStore:
     def for_document(self, document: str) -> list[Annotation]:
         return list(self._by_doc.get(document, []))
 
-    def for_element(self, document: str, element_id: str) -> list[Annotation]:
-        return [a for a in self._by_doc.get(document, [])
-                if a.element_id == element_id]
-
     def documents(self) -> list[str]:
         return sorted(d for d, anns in self._by_doc.items() if anns)
 

@@ -89,10 +89,10 @@ class ControlEndpoint:
         self.sent.append(msg)
         return msg
 
-    def request(self, msg_type: str, body: dict[str, Any] | None = None,
-                size_bytes: int | None = None) -> tuple[ControlMessage, Event]:
+    def request(self, msg_type: str, body: dict[str, Any] | None = None
+                ) -> tuple[ControlMessage, Event]:
         """Send and return an event that triggers on the reply."""
-        msg = self.send(msg_type, body, size_bytes=size_bytes)
+        msg = self.send(msg_type, body)
         ev = self.sim.event()
         self._pending[msg.req_id] = ev
         return msg, ev
@@ -151,10 +151,8 @@ class ControlChannel:
         client_node: str,
         server_node: str,
         base_port: int,
-        name: str = "",
     ) -> None:
-        cid = next(_channel_ids)
-        self.name = name or f"ctl-{cid}"
+        self.name = f"ctl-{next(_channel_ids)}"
         sim = network.sim
         self.client = ControlEndpoint(sim, f"{self.name}:client")
         self.server = ControlEndpoint(sim, f"{self.name}:server")

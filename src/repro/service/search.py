@@ -27,10 +27,6 @@ class SearchHit:
     server: str
     document: str
 
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.server}:{self.document}"
-
 
 class SearchClient:
     """Flattens and ranks distributed search results."""
@@ -47,10 +43,3 @@ class SearchClient:
             for doc in results[server]:
                 out.append(SearchHit(server=server, document=doc))
         return out
-
-    @staticmethod
-    def remote_hits(results: dict[str, list[str]],
-                    home_server: str) -> list[SearchHit]:
-        """Hits that would require a cross-server connection switch."""
-        return [h for h in SearchClient.hits(results, home_server)
-                if h.server != home_server]

@@ -432,8 +432,7 @@ class ClientSession:
                 self.fsm.fire(E.STREAM_RECOVERED, self.sim.now)
 
     # -- control RPC with optional retry --------------------------------------
-    def _rpc(self, msg_type: str, body: dict | None = None,
-             size_bytes: int | None = None) \
+    def _rpc(self, msg_type: str, body: dict | None = None) \
             -> Generator[Any, Any, ControlMessage]:
         """Send a request and wait for its reply.
 
@@ -446,14 +445,12 @@ class ClientSession:
         instead of hanging.
         """
         if self.retry is None:
-            _, ev = self.endpoint.request(msg_type, body,
-                                          size_bytes=size_bytes)
+            _, ev = self.endpoint.request(msg_type, body)
             resp: ControlMessage = yield ev
             return resp
         timeout_s = self.retry.timeout_s
         for attempt in range(self.retry.max_attempts):
-            _, ev = self.endpoint.request(msg_type, body,
-                                          size_bytes=size_bytes)
+            _, ev = self.endpoint.request(msg_type, body)
             yield self.sim.any_of([ev, self.sim.timeout(timeout_s)])
             if ev.triggered:
                 return ev.value

@@ -4,9 +4,10 @@
 The supervisor owns K worker processes and treats them as crashable:
 
 * **liveness** — workers heartbeat over their private pipes; a shard
-  whose heartbeats go stale (or whose optional wall-clock deadline
-  passes) is killed and handled like a crash. Slow is not dead: with
-  no deadline set, a shard may take as long as it keeps heartbeating;
+  whose heartbeats go stale (or whose wall-clock deadline,
+  :data:`SHARD_TIMEOUT_S`, passes) is killed and handled like a crash.
+  Slow is not dead: with no deadline set (the default), a shard may
+  take as long as it keeps heartbeating;
 * **retry** — a crashed/hung/timed-out shard is relaunched up to
   :data:`MAX_RETRIES` times with plain exponential backoff
   (:data:`BACKOFF_BASE_S`, doubling per retry). A retry re-runs the
@@ -32,8 +33,7 @@ shard gets a fresh pipe, so a lost attempt's stragglers cannot leak
 into the new attempt's stream.
 
 The policy is fixed: the module constants below are the one set of
-values every run uses (a drill monkeypatches them). Only the per-shard
-wall deadline is a per-run choice.
+values every run uses (a drill monkeypatches them).
 
 Everything here is wall-clock territory (real processes, real
 deadlines); determinism lives inside the cells and the merge.
@@ -65,6 +65,9 @@ HEARTBEAT_TIMEOUT_S = 15.0
 POLL_INTERVAL_S = 0.05
 #: the first retry's delay; each later retry doubles it
 BACKOFF_BASE_S = 0.25
+#: a per-attempt wall deadline; None: heartbeats alone decide liveness
+#: (a slow shard that still beats is healthy)
+SHARD_TIMEOUT_S: float | None = None
 
 
 class _Shard:
@@ -96,15 +99,11 @@ class ShardSupervisor:
         *,
         tolerate_failures: bool = False,
         tracer: Any | None = None,
-        shard_timeout_s: float | None = None,
     ) -> None:
         self.plan = plan
         self.workload = workload
         self.tolerate_failures = tolerate_failures
         self.tracer = tracer
-        #: optional per-attempt wall deadline; None = heartbeats alone
-        #: decide liveness (a slow shard that still beats is healthy)
-        self.shard_timeout_s = shard_timeout_s
         self._interrupted = False
         self._t0 = 0.0
         self._shards: list[_Shard] = []
@@ -127,8 +126,8 @@ class ShardSupervisor:
         shard.status.status = "running"
         now = time.monotonic()
         shard.last_hb = now
-        shard.deadline = (now + self.shard_timeout_s
-                          if self.shard_timeout_s is not None
+        shard.deadline = (now + SHARD_TIMEOUT_S
+                          if SHARD_TIMEOUT_S is not None
                           else float("inf"))
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(

@@ -3,10 +3,16 @@ clean fixture and the whole ``repro`` package lint clean."""
 
 import os
 
-from repro.analysis import PY_RULES, Severity, lint_file, lint_paths, lint_source
-from repro.analysis.runner import self_lint_root
+from repro.analysis import PY_RULES, Severity, load_program
+from repro.analysis.runner import lint_python_program, self_lint_root
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
+
+
+def lint_file(path):
+    """The determinism rules over one file, as ``repro lint`` parses it."""
+    program, diags = load_program([str(path)])
+    return diags + [d for mod in program.modules for d in PY_RULES.run(mod)]
 
 
 def fixture(name):
@@ -64,22 +70,25 @@ def test_line_pragma_suppresses():
     assert lint_file(fixture("suppressed.py")) == []
 
 
-def test_file_pragma_suppresses():
-    src = (
+def test_file_pragma_suppresses(tmp_path):
+    src = tmp_path / "inline.py"
+    src.write_text(
         "# lint: allow-file(det-wall-clock)\n"
         "import time\n"
         "def f():\n"
         "    return time.time()\n"
     )
-    assert lint_source("inline.py", src) == []
+    assert lint_file(src) == []
 
 
-def test_syntax_error_becomes_diagnostic():
-    diags = lint_source("broken.py", "def broken(:\n")
+def test_syntax_error_becomes_diagnostic(tmp_path):
+    broken = tmp_path / "broken.py"
+    broken.write_text("def broken(:\n")
+    diags = lint_file(broken)
     assert [d.rule_id for d in diags] == ["det-syntax"]
     assert diags[0].is_error
 
 
 def test_repro_package_self_lints_clean():
-    diags = lint_paths([self_lint_root()])
+    diags = lint_python_program([self_lint_root()], full=True)
     assert diags == [], [d.format() for d in diags]

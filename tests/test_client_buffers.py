@@ -1,9 +1,12 @@
 """Unit + property tests for media buffers and time-window sizing."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.client.buffers as buffers
 from repro.client import MediaBuffer, compute_time_window
 from repro.client.monitor import BufferAction, BufferMonitor, BufferState
 from repro.media.types import Frame, FrameKind
@@ -18,36 +21,42 @@ def frame(seq, ticks=TICKS):
 
 
 # ------------------------------------------------------------ time window
+def window(interval, jitter=buffers.EXPECTED_JITTER_S,
+           loss=buffers.EXPECTED_LOSS):
+    """The window sized for ``jitter`` and ``loss`` (the constants)."""
+    with mock.patch.object(buffers, "EXPECTED_JITTER_S", jitter), \
+            mock.patch.object(buffers, "EXPECTED_LOSS", loss):
+        return compute_time_window(interval)
+
+
 def test_time_window_floor_of_three_frames():
     # Negligible jitter: window still covers >= 3 frame intervals
     # (and the absolute minimum of 0.2 s dominates at 25 fps).
-    w = compute_time_window(0.04, expected_jitter_s=0.0, expected_loss=0.0)
+    w = window(0.04, jitter=0.0, loss=0.0)
     assert w >= 3 * 0.04
     assert w == pytest.approx(0.2)
 
 
 def test_time_window_grows_with_jitter():
-    w_low = compute_time_window(0.04, expected_jitter_s=0.01)
-    w_high = compute_time_window(0.04, expected_jitter_s=0.2)
+    w_low = window(0.04, jitter=0.01)
+    w_high = window(0.04, jitter=0.2)
     assert w_high > w_low
 
 
 def test_time_window_grows_with_loss():
-    w0 = compute_time_window(0.04, expected_jitter_s=0.1, expected_loss=0.0)
-    w1 = compute_time_window(0.04, expected_jitter_s=0.1, expected_loss=0.2)
+    w0 = window(0.04, jitter=0.1, loss=0.0)
+    w1 = window(0.04, jitter=0.1, loss=0.2)
     assert w1 > w0
 
 
 def test_time_window_capped():
-    w = compute_time_window(0.04, expected_jitter_s=100.0)
+    w = window(0.04, jitter=100.0)
     assert w == 8.0
 
 
 def test_time_window_validation():
     with pytest.raises(ValueError):
         compute_time_window(0.0)
-    with pytest.raises(ValueError):
-        compute_time_window(0.04, expected_loss=1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -57,8 +66,7 @@ def test_time_window_validation():
     loss=st.floats(min_value=0.0, max_value=0.9),
 )
 def test_property_time_window_bounds(interval, jitter, loss):
-    w = compute_time_window(interval, expected_jitter_s=jitter,
-                            expected_loss=loss)
+    w = window(interval, jitter=jitter, loss=loss)
     assert 0.2 <= w <= 8.0 or w >= 3 * interval
     assert w <= 8.0
 
@@ -66,7 +74,7 @@ def test_property_time_window_bounds(interval, jitter, loss):
 # ------------------------------------------------------------ buffer
 def test_buffer_occupancy_accounting():
     buf = MediaBuffer("v", CLOCK, time_window_s=1.0)
-    assert buf.is_empty and buf.occupancy_s == 0.0
+    assert len(buf) == 0 and buf.occupancy_s == 0.0
     for i in range(5):
         assert buf.push(frame(i))
     assert len(buf) == 5
@@ -79,9 +87,9 @@ def test_buffer_prefill_threshold():
     buf = MediaBuffer("v", CLOCK, time_window_s=0.2)
     for i in range(4):
         buf.push(frame(i))
-    assert not buf.prefilled  # 0.16 s < 0.2 s
+    assert buf.occupancy_s < buf.time_window_s  # 0.16 s < 0.2 s
     buf.push(frame(4))
-    assert buf.prefilled
+    assert buf.occupancy_s >= buf.time_window_s
 
 
 def test_buffer_overflow_drops_at_capacity():
@@ -105,7 +113,7 @@ def test_buffer_fifo_and_peek_drop_head():
     assert buf.drop_head().seq == 0
     assert buf.pop().seq == 1
     assert buf.clear() == 1
-    assert buf.is_empty
+    assert len(buf) == 0
     assert buf.drop_head() is None
     assert buf.peek() is None
 
@@ -117,13 +125,6 @@ def test_buffer_validation():
         MediaBuffer("v", CLOCK, time_window_s=0.0)
     with pytest.raises(ValueError):
         MediaBuffer("v", CLOCK, time_window_s=2.0, capacity_s=1.0)
-
-
-def test_buffer_occupancy_sampling():
-    buf = MediaBuffer("v", CLOCK, time_window_s=1.0)
-    buf.push(frame(0))
-    buf.sample_occupancy(now=1.5)
-    assert buf.stats.occupancy_trace == [(1.5, pytest.approx(0.04))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,11 +154,14 @@ def make_buf(n, window=0.4):
 
 def test_monitor_states():
     low = BufferMonitor(make_buf(1))  # 0.04/0.4 = 0.1 < 0.25
-    assert low.classify() is BufferState.LOW
+    low.check(0.0)
+    assert low.state is BufferState.LOW
     normal = BufferMonitor(make_buf(10))  # 0.4/0.4 = 1.0
-    assert normal.classify() is BufferState.NORMAL
+    normal.check(0.0)
+    assert normal.state is BufferState.NORMAL
     high = BufferMonitor(make_buf(20))  # 0.8/0.4 = 2.0 > 1.5
-    assert high.classify() is BufferState.HIGH
+    high.check(0.0)
+    assert high.state is BufferState.HIGH
 
 
 def test_monitor_recommendations():
@@ -194,4 +198,4 @@ def test_monitor_counts_state_entries():
 
 def test_monitor_validation():
     with pytest.raises(ValueError):
-        BufferMonitor(make_buf(1), low_watermark=2.0, high_watermark=1.0)
+        BufferMonitor(make_buf(1), max_consecutive_duplicates=0)

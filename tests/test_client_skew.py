@@ -72,20 +72,14 @@ def test_inactive_master_suspends_decisions():
     assert c.decide("V", now=0.0, frame_interval_s=0.04).action == "play"
 
 
-def test_validation():
-    with pytest.raises(ValueError):
-        controller(threshold_s=0.0)
-
-
 # ---------------------------------------------------------------- series
 def test_skew_series_statistics():
-    s = SkewSeries("g", threshold_s=0.08)
+    s = SkewSeries("g")  # the 80 ms threshold
     for t, v in [(0, 0.01), (1, -0.05), (2, 0.2), (3, -0.1)]:
         s.sample(t, v)
     assert s.max_abs_s == pytest.approx(0.2)
     assert s.mean_abs_s == pytest.approx((0.01 + 0.05 + 0.2 + 0.1) / 4)
     assert s.fraction_out_of_sync == pytest.approx(0.5)
-    assert s.percentile_abs_s(100) == pytest.approx(0.2)
 
 
 def test_skew_series_empty():
@@ -93,6 +87,3 @@ def test_skew_series_empty():
     assert s.max_abs_s == 0.0
     assert s.mean_abs_s == 0.0
     assert s.fraction_out_of_sync == 0.0
-    assert s.percentile_abs_s(50) == 0.0
-    with pytest.raises(ValueError):
-        SkewSeries("g", threshold_s=0)

@@ -4,6 +4,7 @@ from repro.client.metrics import PlayoutEventKind
 from repro.core import EngineConfig, ServiceEngine, SessionSpec, TrafficConfig
 from repro.hml.examples import figure2_markup
 from repro.hml import DocumentBuilder, serialize
+from tests.helpers import session_on
 
 
 def small_av_markup(duration=4.0):
@@ -102,7 +103,7 @@ def test_single_session_is_a_workload_of_one():
 
 def test_session_cut_by_the_horizon_is_not_completed():
     eng = engine_with_doc(small_av_markup())
-    result = eng.orchestrator.run_full_session("srv1", "doc1", horizon_s=2.0)
+    result = session_on(eng, "srv1", "doc1", horizon_s=2.0)
     assert not result.completed
     assert "score" in result.qoe
 

@@ -159,9 +159,6 @@ def test_client_nodes_validation():
         eng.client_nodes(0)
     with pytest.raises(ValueError):
         eng.orchestrator.run_workload([])
-    with pytest.raises(ValueError):
-        eng.orchestrator.run_concurrent_sessions("srv1", "doc", 2,
-                                                 client_nodes=["client1"])
 
 
 def test_port_exhaustion_is_explicit():

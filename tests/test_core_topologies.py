@@ -5,6 +5,7 @@ from repro.core import EngineConfig, ServiceEngine
 from repro.core.experiments import av_markup
 from repro.hml.examples import figure2_markup
 from repro.obs import RecordingTracer
+from tests.helpers import select
 
 
 def test_colocated_default_topology():
@@ -87,13 +88,13 @@ def test_a_composition_built_on_a_traced_engine_is_traced():
     for kind in ("playout.start", "playout.frame", "playout.pause",
                  "playout.resume", "playout.stop", "buffer.watermark"):
         assert counts.get(kind, 0) > 0, kind
-    frames = tracer.select(kind="playout.frame")
+    frames = select(tracer, kind="playout.frame")
     assert len(frames) == box["comp"].log.count(PlayoutEventKind.FRAME)
-    reports = tracer.select(kind="rtcp.report")
+    reports = select(tracer, kind="rtcp.report")
     assert reports
     for kind in ("playout.frame", "buffer.watermark", "buffer.push",
                  "rtcp.report"):
-        assert {e.session for e in tracer.select(kind=kind)} == \
+        assert {e.session for e in select(tracer, kind=kind)} == \
             {"sess-direct"}, kind
 
 

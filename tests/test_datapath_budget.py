@@ -163,7 +163,7 @@ def _profiled_run_and_client(tracer=None, sampler=False, duration_s=2.0):
     played = sum(s.frames_played for o in pop.outcomes
                  for s in o.result.streams.values())
     return ((calls, tuple(obs_calls),
-             eng.network.tap.count_by_protocol["RTP"], ticks,
+             sum(eng.network.tap.count_by_flow["RTP"].values()), ticks,
              eng.sim.events_fired),
             (client_calls, played))
 
@@ -203,7 +203,7 @@ def test_watching_costs_a_counted_number_of_calls():
     # 96 while the four frame pumps and the four playouts were processes:
     # their ``process.spawn`` / ``process.finish`` pairs (16 emits, 5
     # calls each) went with the generators
-    assert len(ring.events) == 80 and ring.dropped_events == 0
+    assert len(ring.events) == 80 == sum(ring.kind_counts().values())
     assert recorded[4] == fired  # it plans what the plain run plans
     per_event = (recorded[0] - plain) / len(ring.events)
     assert per_event <= RING_EVENT_BUDGET, (recorded, plain)
@@ -258,7 +258,7 @@ def test_the_tap_holds_nothing_that_grows_with_packets():
     pop = eng.orchestrator.run_population(2, "srv1", "doc", stagger_s=0.3)
     assert len(pop.completed()) == 2
     tap = eng.network.tap
-    packets = sum(tap.count_by_protocol.values())
+    packets = sum(sum(flows.values()) for flows in tap.count_by_flow.values())
     flows = sum(len(flows) for flows in tap.count_by_flow.values())
     entries = flows + len(tap.bytes_by_protocol) + len(eng.network.nodes)
     assert packets > 20 * entries

@@ -78,6 +78,7 @@ from repro.faults import population_digest
 from repro.faults.digest import canonical_json
 from repro.net import cdn_stack
 from repro.obs.bench import run_scenario
+from tests.helpers import select
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.qoe import score_session
 from repro.obs.tracer import RecordingTracer
@@ -224,7 +225,7 @@ def test_chaos_crash_kernel_counters_fell_by_the_link_machinery(tmp_path):
     # server that dies, from there on by the replica
     pumps, playouts = 16, 8
     finish_entries = pumps + playouts
-    (crash,) = recorder.select(kind="fault.crash")
+    (crash,) = select(recorder, kind="fault.crash")
     interrupt_wakeups = stopped_finished = crash.args["streams"]
     assert stopped_finished == 8
     superseded_rto_arms = 20

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import EngineConfig
 from repro.des import Simulator
 from repro.des.rng import RngRegistry
 from repro.faults import (
@@ -21,6 +22,7 @@ from repro.faults.plan import (
 )
 from repro.net import Network
 from repro.net.ports import PortAllocator
+from repro.obs.tracer import RecordingTracer
 from repro.service.messages import ControlChannel
 
 
@@ -52,15 +54,19 @@ def test_empty_plan_properties():
     assert plan.empty
     assert len(plan) == 0
     assert list(plan) == []
-    assert not plan.needs_control_state()
 
 
 def test_control_faults_require_control_state():
-    assert FaultPlan((ControlPartitionFault(at=0.0, duration_s=1.0),)) \
-        .needs_control_state()
-    assert not FaultPlan((LinkDownFault(src="a", dst="b", at=0.0,
-                                        duration_s=1.0),)) \
-        .needs_control_state()
+    from repro.core.engine import ServiceEngine
+
+    def control_state(*faults):
+        eng = ServiceEngine(EngineConfig(seed=1))
+        eng.add_server("srv1")
+        return eng.install_faults(FaultPlan(faults)).control_state
+
+    assert control_state(ControlPartitionFault(at=0.0, duration_s=1.0)) \
+        is not None
+    assert control_state() is None
 
 
 def test_plan_rejects_negative_schedule_time():
@@ -202,7 +208,7 @@ def test_clear_state_passes_without_touching_rng():
 
 def test_impaired_drop_and_delay():
     state = ControlFaultState(CountingRng([0.1, 0.9, 0.5]))
-    state.impair(drop_prob=0.2, delay_s=0.05, jitter_s=0.1)
+    state.impair(0.2, 0.05, 0.1)
     assert state.decide(0.0) == ("drop", 0.0)          # 0.1 < 0.2
     verdict, delay = state.decide(0.0)                 # 0.9, then 0.5
     assert verdict == "delay"
@@ -333,17 +339,16 @@ def test_heartbeat_monitor_detects_partition_and_recovery():
     channel.client.fault = state
     channel.server.fault = state
 
-    failures, recoveries = [], []
-    monitor = HeartbeatMonitor(
-        sim, channel.client, interval_s=0.5, timeout_s=0.3, miss_limit=2,
-        on_failure=lambda: failures.append(sim.now),
-        on_recovery=lambda: recoveries.append(sim.now),
-        name="t",
-    )
+    tracer = RecordingTracer()
+    sim.set_tracer(tracer)
+    # probes every 0.5 s, an ack awaited 0.4 s, two misses fail
+    monitor = HeartbeatMonitor(sim, channel.client, name="t")
     sim.call_later(2.0, lambda: setattr(state, "partitioned", True))
     sim.call_later(4.0, lambda: setattr(state, "partitioned", False))
     sim.run(until=sim.timeout(6.0))
     monitor.stop()
+    failures = [e.time for e in tracer.events if e.kind == "hb.fail"]
+    recoveries = [e.time for e in tracer.events if e.kind == "hb.ok"]
 
     assert len(failures) == 1
     assert 2.0 < failures[0] < 4.5

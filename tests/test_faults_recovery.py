@@ -17,6 +17,7 @@ from repro.obs.bench import SCENARIOS, run_scenario
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracer import RecordingTracer
 from repro.server.accounts import SubscriptionForm
+from tests.helpers import select
 
 #: the one checked-in reference store
 STORE = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
@@ -60,9 +61,9 @@ def test_time_to_recover_lands_in_metrics_and_trace():
     recorder = FlightRecorder()  # the control tier is enough
     run_scenario("crash", smoke=True, tracer=recorder)
     assert [e.args["t_detect_s"]
-            for e in recorder.select("recovery.detect")] == [0.5]
+            for e in select(recorder, "recovery.detect")] == [0.5]
     recovered = [e.args["t_recover_s"]
-                 for e in recorder.select("recovery.stream")]
+                 for e in select(recorder, "recovery.stream")]
     assert len(recovered) == 8
     assert sum(recovered) == recovery["time_to_recover_s"]["sum"]
 
@@ -337,7 +338,7 @@ def test_a_crashed_pump_finishes(shared_flows):
                                before_crash=grab)
         assert pumps and not any(pump.legs or pump.alive for pump in pumps)
         for pump in pumps:
-            assert pump.finished.processed
+            assert pump.finished.triggered
             assert pump.finished.value == pump.frames_sent > 0
         if not recovery:
             ms = eng.servers["srv1"].media_servers["media"]
@@ -346,7 +347,7 @@ def test_a_crashed_pump_finishes(shared_flows):
             kinds = tracer.kind_counts()
             assert (kinds["sflow.start"] == kinds["sflow.finish"]
                     >= len(pumps))
-            finishes = [e for e in tracer.select(kind="sflow.finish")
+            finishes = [e for e in select(tracer, kind="sflow.finish")
                         if e.time == 3.0]
             assert len(finishes) == len(pumps)
 
@@ -374,7 +375,7 @@ def test_crash_reaches_shared_and_unicast_streams_alike(shared_flows):
     # Each leg's replacement sender starts at its snapshot's next_seq:
     # across the switch, a frame's first packet follows the last sent.
     legs = {}
-    for e in tracer.select(kind="rtp.send"):
+    for e in select(tracer, kind="rtp.send"):
         legs.setdefault((e.session, e.name), []).append(
             (e.time, e.args["seq0"], e.args["packets"]))
     assert len(legs) == 8

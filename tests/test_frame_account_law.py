@@ -72,7 +72,7 @@ def test_each_frame_sent_has_exactly_one_terminal_at_its_receiver(
             assert rx.stats.frames_dropped_fragments == len(
                 rx.frames_stale) == sum(
                     ts in rx.frames_stale for ts in hits.values())
-            assert len(sent) == (rx.stats.frames_received
+            assert len(sent) == (len(rx.stats.frames_done)
                                  + rx.stats.frames_dropped_fragments
                                  + len(lost)), (session, sid)
             sent_total += len(sent)

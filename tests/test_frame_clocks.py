@@ -634,10 +634,9 @@ def _generated(cls, case):
             sim.call_later(slot * SLOT, sinks[sid], make(seq), slot * SLOT)
     monitors = {}
     if case["watermarks"] is not None:
-        low, high = case["watermarks"]
-        monitors = {sid: BufferMonitor(buf, low_watermark=low,
-                                       high_watermark=high)
-                    for sid, buf in buffers.items()}
+        monitors = {sid: BufferMonitor(buf) for sid, buf in buffers.items()}
+        for monitor in monitors.values():
+            monitor.low_watermark, monitor.high_watermark = case["watermarks"]
     gate = PauseGate(sim)
     ctrl = skew_controller(cls, "g", master_id="a") if case["pair"] \
         else None
@@ -909,7 +908,7 @@ def test_a_pump_finishes_once_however_often_it_is_stopped():
     studio.at(0.5, pump.stop)
     studio.at(0.7, pump.stop)
     studio.story()
-    assert pump.finished.processed and pump.finished.value == pump.frames_sent
+    assert pump.finished.triggered and pump.finished.value == pump.frames_sent
     # natural end, then a late stop
     studio = Studio(StreamHandler)
     studio.story()

@@ -15,6 +15,7 @@ from repro.net import (
     ReliableSender,
 )
 from repro.net import channel
+from tests.helpers import session_on
 
 
 # ----------------------------------------------------------- parser fuzz
@@ -142,7 +143,7 @@ def test_full_service_under_combined_impairments():
     )
     eng = ServiceEngine(cfg)
     eng.add_server("srv1", documents={"doc": (av_markup(12.0), "x")})
-    r = eng.orchestrator.run_full_session("srv1", "doc", horizon_s=120.0)
+    r = session_on(eng, "srv1", "doc", horizon_s=120.0)
     assert r.completed
     for s in r.streams.values():
         assert s.frames_played >= 0
@@ -170,6 +171,6 @@ def test_property_engine_never_deadlocks(seed):
                                               rate_bps=2e6)])
     eng = ServiceEngine(cfg)
     eng.add_server("srv1", documents={"doc": (av_markup(3.0), "x")})
-    r = eng.orchestrator.run_full_session("srv1", "doc", horizon_s=60.0)
+    r = session_on(eng, "srv1", "doc", horizon_s=60.0)
     assert r.completed
     assert eng.sim.now < 60.0

@@ -34,15 +34,19 @@ def test_lesson_builder_produces_valid_document():
 
 
 def test_lesson_builder_scenario_clock():
-    lb = (
+    lesson = (
         LessonBuilder("l1", "T", topic="x")
         .narrated_slide("m:/s.gif", "m:/n.au", duration=5.0)
-        .quiet_study(3.0)
         .video_segment("m:/v.mpg", "m:/a.au", duration=7.0)
+        .next_lesson("l2")
+        .build()
     )
-    assert lb.scenario_time == 15.0
-    with pytest.raises(ValueError):
-        lb.quiet_study(-1.0)
+    # each segment starts where the last ended; the link fires at the end
+    starts = [getattr(e, "startime", getattr(e, "audio_startime", None))
+              for e in lesson.document.elements]
+    assert [t for t in starts if t is not None] == [0.0, 0.0, 5.0]
+    (link,) = lesson.document.hyperlinks()
+    assert link.at_time == 12.0
 
 
 def test_make_course_links_sequentially():
@@ -157,7 +161,8 @@ def test_hermes_autoplay_whole_course():
         "hermes-a", "Unit A", ["alpha"],
         make_course("alpha", "alpha", n_lessons=3, segment_s=2.0),
     )
-    visits = svc.autoplay_course("hermes-a", "alpha-1")
+    visits = svc.engine.orchestrator.run_autoplay_sequence("hermes-a",
+                                                           "alpha-1")
     assert [v["document"] for v in visits] == \
         ["alpha-1", "alpha-2", "alpha-3"]
     assert all(v["frames"] > 50 for v in visits)

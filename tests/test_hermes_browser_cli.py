@@ -21,19 +21,19 @@ def test_browser_view_and_history(svc):
     r1 = b.view("x-1")
     assert r1.completed
     b.view("x-2")
-    assert b.current_lesson == "x-2"
+    assert b.history.current == "x-2"
     r_back = b.back()
-    assert b.current_lesson == "x-1"
+    assert b.history.current == "x-1"
     assert r_back.completed
     r_fwd = b.forward()
-    assert b.current_lesson == "x-2"
+    assert b.history.current == "x-2"
     assert r_fwd.completed
     assert b.history.entries() == ["x-1", "x-2"]
 
 
 def test_browser_resolves_server_from_catalogue(svc):
     b = HermesBrowser(svc, "alice")
-    b.view("x-1")  # no server given
+    b.view("x-1")  # on the server the catalogue picks
     with pytest.raises(KeyError):
         b.view("ghost-lesson")
 
@@ -47,8 +47,8 @@ def test_browser_annotations(svc):
                      presentation_time_s=4.0)
     assert ann.document == "x-1"
     assert ann.author == "alice"
-    assert b.notes_for("x-1") == [ann]
-    assert b.notes_for("x-2") == []
+    assert b.annotations.for_document("x-1") == [ann]
+    assert b.annotations.for_document("x-2") == []
 
 
 # ----------------------------------------------------------------- CLI

@@ -52,7 +52,7 @@ def test_heading_levels():
 
 def test_text_formatting_spans():
     doc = parse(DOC)
-    block = doc.text_blocks()[0]
+    block = next(e for e in doc.elements if isinstance(e, TextBlock))
     assert block.spans[0].text == "Welcome to the lesson."
     assert not block.spans[0].bold
     assert block.spans[1].text == "Important!"
@@ -159,7 +159,7 @@ def test_parse_errors(markup, match):
 
 def test_nested_bold_italic():
     doc = parse("<TITLE> t </TITLE><TEXT> <B> <I> both </I> </B> </TEXT>")
-    span = doc.text_blocks()[0].spans[0]
+    span = next(e for e in doc.elements if isinstance(e, TextBlock)).spans[0]
     assert span.bold and span.italic
 
 

@@ -36,6 +36,7 @@ from repro.net.link import Link, LinkStats
 from repro.net.packet import Packet
 from repro.net.topology import Network
 from repro.obs.tracer import RecordingTracer
+from tests.helpers import select
 
 RATE = 8192.0              # bit/s: a 32-byte packet takes 1/32 s
 TICK = 1 / 32
@@ -181,7 +182,7 @@ def _run(cls, offers, queue_packets, delay_s, windows=(), reads=(),
         t, fn, *args = actions[k]
         sim.call_later(t * TICK, fn, *args)
     sim.run()
-    depths = [e.args["depth"] for e in tracer.select(kind="link.enqueue")]
+    depths = [e.args["depth"] for e in select(tracer, kind="link.enqueue")]
     return arrivals, drops, depths, seen, link
 
 

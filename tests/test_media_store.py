@@ -26,7 +26,8 @@ def test_catalogue_basics(store):
     assert len(store) == 4
     assert "vid1" in store and "nope" not in store
     assert store.ids() == ["aud1", "img1", "txt1", "vid1"]
-    assert store.ids(MediaType.IMAGE) == ["img1"]
+    assert [o for o in store.ids()
+            if store.get(o).media_type is MediaType.IMAGE] == ["img1"]
     with pytest.raises(KeyError):
         store.get("nope")
 

@@ -50,22 +50,26 @@ def test_video_trace_gop_structure():
     assert np.mean(by_kind[FrameKind.P]) > np.mean(by_kind[FrameKind.B])
 
 
+def bitrate_bps(trace):
+    return trace.total_bytes * 8.0 / trace.duration_s
+
+
 def test_video_trace_mean_bitrate_on_target():
     tr = VideoTraceGenerator(MPEG, rng("rate")).generate("v", duration_s=120.0)
-    assert tr.mean_bitrate_bps == pytest.approx(1_500_000, rel=0.10)
+    assert bitrate_bps(tr) == pytest.approx(1_500_000, rel=0.10)
 
 
 def test_video_trace_grade_scales_bitrate():
     g0 = VideoTraceGenerator(MPEG, rng("a")).generate("v", 60.0, grade_index=0)
     g3 = VideoTraceGenerator(MPEG, rng("a")).generate("v", 60.0, grade_index=3)
-    assert g3.mean_bitrate_bps < 0.5 * g0.mean_bitrate_bps
+    assert bitrate_bps(g3) < 0.5 * bitrate_bps(g0)
 
 
 def test_video_trace_suspended_grade_is_empty():
     tr = VideoTraceGenerator(MPEG, rng()).generate("v", 10.0, grade_index=99)
     assert len(tr) == 0
     assert tr.duration_s == 0.0
-    assert tr.mean_bitrate_bps == 0.0
+    assert tr.total_bytes == 0
 
 
 def test_video_trace_reproducible():
@@ -85,14 +89,14 @@ def test_audio_trace_is_exact_cbr():
     assert len(tr) == 200  # 50 frames/s * 4 s
     sizes = {f.size_bytes for f in tr.frames}
     assert len(sizes) == 1
-    assert tr.mean_bitrate_bps == pytest.approx(64_000, rel=0.01)
+    assert bitrate_bps(tr) == pytest.approx(64_000, rel=0.01)
     assert all(f.kind is FrameKind.SAMPLE for f in tr.frames)
 
 
 def test_audio_trace_grades_follow_ladder():
     for grade, rate in [(0, 64_000), (1, 32_000), (2, 16_000)]:
         tr = AudioTraceGenerator(PCM).generate("a", 10.0, grade_index=grade)
-        assert tr.mean_bitrate_bps == pytest.approx(rate, rel=0.01)
+        assert bitrate_bps(tr) == pytest.approx(rate, rel=0.01)
 
 
 def test_audio_generator_rejects_video_codec():

@@ -54,12 +54,6 @@ def test_scenario_duration_open_ended_is_none():
     assert scenario_duration([]) == 0.0
 
 
-def test_buffer_key_binding():
-    doc = DocumentBuilder("t").audio("s", "A1", duration=1.0).build()
-    entry = build_playout_schedule(doc)[0]
-    assert entry.buffer_key == "buf:A1"
-
-
 def test_overlaps_semantics():
     a = PlayoutEntry("a", MediaType.AUDIO, "s", 0.0, 5.0)
     b = PlayoutEntry("b", MediaType.VIDEO, "s", 4.0, 5.0)

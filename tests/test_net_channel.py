@@ -11,6 +11,7 @@ from repro.net import (
     ReliableSender,
 )
 from repro.net import channel
+from repro.net.packet import Packet
 
 
 def build_net(loss_model=None, rate=2_000_000, delay=0.005):
@@ -26,9 +27,10 @@ def build_net(loss_model=None, rate=2_000_000, delay=0.005):
 def test_datagram_roundtrip():
     sim, net = build_net()
     got = []
-    DatagramSocket(net, "client", 6000, on_packet=lambda p: got.append(p.payload))
-    tx = DatagramSocket(net, "server", 6001)
-    tx.sendto("client", 6000, 500, payload="hello", flow_id="f")
+    net.node("client").bind(6000, lambda p: got.append(p.payload))
+    net.send(Packet(src="server", dst="client", size_bytes=500,
+                    protocol="UDP", flow_id="f", dst_port=6000,
+                    payload="hello"))
     sim.run()
     assert got == ["hello"]
     assert net.link("server", "client").stats.tx_packets == 1

@@ -83,7 +83,6 @@ def test_population_clients_attach_to_their_region_pop():
 def test_cdn_stack_end_to_end_shape():
     regions = cdn_stack(clients_per_region=2)
     assert regions == (RegionSpec("east", 2), RegionSpec("west", 2))
-    assert cdn_stack(("north",), 1) == (RegionSpec("north", 1),)
     # the regional link defaults are the ones cdn_stack always passed
     assert (regions[0].link_rate_bps, regions[0].link_delay_s,
             regions[0].queue_packets) == (100e6, 0.008, 500)

@@ -30,6 +30,7 @@ from repro.net.topology import Network
 from repro.net.traffic import OnOffTrafficSource, PoissonTrafficSource
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracer import RecordingTracer
+from tests.helpers import select
 
 SIZE = 128                 # bytes -> 1024 bits
 RATE = 8192.0              # bit/s -> 0.125 s per packet
@@ -134,9 +135,9 @@ def test_enqueue_depth_and_occupancy_count_waiting_packets_only():
     sim.call_later(0.0, lambda: [link.enqueue(_pkt(k)) for k in range(4)])
     sim.run()
     # the packet in service is not in the queue; the fourth is dropped
-    assert [e.args["depth"] for e in tracer.select(kind="link.enqueue")] \
+    assert [e.args["depth"] for e in select(tracer, kind="link.enqueue")] \
         == [0, 1, 2]
-    assert [e.args["reason"] for e in tracer.select(kind="link.drop")] \
+    assert [e.args["reason"] for e in select(tracer, kind="link.drop")] \
         == ["queue"]
     # links are not processes: nothing was spawned for this one
     assert "process.spawn" not in tracer.kind_counts()
@@ -285,7 +286,7 @@ def test_every_packet_a_source_sent_is_somewhere_at_the_horizon(traced):
     drops = sum(s.queue_drops + s.loss_drops + s.fault_drops for s in stats)
     if traced:
         dropped = Counter(e.args["flow"]
-                          for e in tracer.select(kind="link.drop"))
+                          for e in select(tracer, kind="link.drop"))
         assert sum(dropped.values()) == drops
         for src in sources:
             flow = src.flow_id

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -13,24 +12,22 @@ from repro.obs import read_jsonl
 from tests.test_cli_table import subcommands
 
 
-def test_reporter_text_mode_streams_tables():
-    out = io.StringIO()
-    rep = Reporter(json_mode=False, stream=out)
+def test_reporter_text_mode_streams_tables(capsys):
+    rep = Reporter(json_mode=False)
     rep.table("T", ["a", "b"], [[1, 2]])
     rep.value("k", 3)
     rep.close()
-    text = out.getvalue()
+    text = capsys.readouterr().out
     assert "T" in text and "a" in text and "k: 3" in text
 
 
-def test_reporter_json_mode_single_document():
-    out = io.StringIO()
-    rep = Reporter(json_mode=True, stream=out)
+def test_reporter_json_mode_single_document(capsys):
+    rep = Reporter(json_mode=True)
     rep.table("T", ["a"], [[1]])
     rep.text("note", "body")
     rep.value("k", 3)
     rep.close()
-    doc = json.loads(out.getvalue())
+    doc = json.loads(capsys.readouterr().out)
     assert doc["values"] == {"k": 3}
     assert doc["sections"][0] == {"title": "T", "headers": ["a"],
                                   "rows": [[1]]}

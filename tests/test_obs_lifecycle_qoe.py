@@ -32,7 +32,6 @@ from repro.obs import (
     hop_latency_summary,
     log_buckets,
     qoe_summary,
-    read_chrome_trace,
     read_jsonl,
     score_session,
     score_sessions,
@@ -348,9 +347,9 @@ def test_session_qoe_survives_its_dict():
     doc = json.loads(json.dumps(qoe.to_dict()))
     assert SessionQoE.from_dict(doc) == qoe
     assert SessionQoE.from_dict(doc).delivery_ratio == doc["delivery_ratio"]
-    # a document that does not name its session takes the caller's word
+    # a document that does not name its session loads unnamed
     del doc["session"]
-    assert SessionQoE.from_dict(doc, "s9").session == "s9"
+    assert SessionQoE.from_dict(doc).session == ""
 
 
 def test_score_sessions_and_summary_rollup():
@@ -440,15 +439,10 @@ def test_jsonl_rejects_foreign_schema(tmp_path):
 def test_chrome_trace_metadata_round_trip(tmp_path):
     path = tmp_path / "t.chrome.json"
     write_chrome_trace([TraceEvent(1.0, "kernel.event", "p")], path)
-    doc = read_chrome_trace(path)
+    doc = json.loads(path.read_text())
     assert doc["metadata"]["schema"] == TRACE_SCHEMA
     assert doc["metadata"]["version"] == TRACE_SCHEMA_VERSION
     assert doc["traceEvents"]
-
-    path.write_text(json.dumps({"metadata": {"schema": "nope"},
-                                "traceEvents": []}))
-    with pytest.raises(ValueError, match="schema"):
-        read_chrome_trace(path)
 
 
 # ---------------------------------------------------------------------------

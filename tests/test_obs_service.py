@@ -11,6 +11,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.faults.digest import canonical_json
+from repro.obs import metrics
 from repro.obs.bench import run_scenario
 from repro.obs.metrics import Histogram, log_buckets
 from repro.obs.service_metrics import merge_service_docs
@@ -127,9 +128,10 @@ def test_quantile_overflow_bucket_reports_observed_max():
     assert h.quantile(0.99) == pytest.approx(900.0)
 
 
-def test_percentiles_custom_quantiles_keys():
+def test_percentiles_custom_quantiles_keys(monkeypatch):
+    monkeypatch.setattr(metrics, "QUANTILES", (0.5, 0.9))
     h = _hist([1.0, 2.0, 3.0])
-    out = h.percentiles((0.5, 0.9))
+    out = h.percentiles()
     assert set(out) == {"p50", "p90"}
 
 

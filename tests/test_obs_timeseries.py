@@ -14,6 +14,7 @@ from repro.obs.timeseries import (
     merge_series_docs,
 )
 from repro.obs.tracer import RecordingTracer
+from tests.helpers import select
 
 
 # -- building -----------------------------------------------------------------
@@ -47,7 +48,8 @@ def test_late_column_zero_pads_back_to_tick_zero():
 
 
 def test_roundtrip_through_dict():
-    ts = TimeSeries(interval_s=0.5)
+    ts = TimeSeries()
+    ts.interval_s = 0.5
     ts.ensure_column("a", merge="sum")
     ts.ensure_column("b", merge="max")
     ts.tick({"a": 1.0, "b": 2.5})
@@ -112,7 +114,8 @@ def test_merge_with_empty_is_identity(vals):
 
 
 def test_merge_guards_interval_and_op_conflicts():
-    a, b = TimeSeries(interval_s=0.25), TimeSeries(interval_s=0.5)
+    a, b = TimeSeries(), TimeSeries()
+    b.interval_s = 0.5
     with pytest.raises(ValueError):
         _merge(a.to_dict(), b.to_dict())
     c = TimeSeries()
@@ -131,7 +134,7 @@ def _clean_run(n_clients, seed=11):
     eng = ServiceEngine(EngineConfig(seed=seed))
     eng.add_server("srv1",
                    documents={"doc": (av_markup(2.0, True), "t")})
-    eng.attach_timeseries(interval_s=0.25)
+    eng.attach_timeseries()
     pop = eng.orchestrator.run_population(n_clients, "srv1", "doc",
                                           stagger_s=0.3)
     return eng, pop
@@ -184,7 +187,7 @@ def test_one_sampler_process_however_telemetry_is_attached(calls):
     eng = ServiceEngine(EngineConfig(seed=3), tracer=tracer)
     samplers = {getattr(eng, call)() for call in calls}
     assert samplers == {eng.timeseries_sampler}
-    spawned = [e.name for e in tracer.select(kind="process.spawn")]
+    spawned = [e.name for e in select(tracer, kind="process.spawn")]
     assert spawned == ["timeseries-sampler"]
     # The one sampler yields both documents.
     eng.add_server("srv1",

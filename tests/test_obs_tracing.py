@@ -20,6 +20,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from tests.helpers import select
 
 
 def traced_engine(seed=7, tracer=None, **kw):
@@ -45,7 +46,7 @@ def test_recording_tracer_counts_every_emit():
     t.emit(2.0, "qos.grade", "v1", session="sess-1", action="degrade")
     assert len(t) == 3
     assert t.kind_counts() == {"link.drop": 2, "qos.grade": 1}
-    assert t.select(kind="link.drop") == t.events[:2]
+    assert select(t, kind="link.drop") == t.events[:2]
 
 
 def test_empty_recording_tracer_is_truthy():

@@ -127,7 +127,7 @@ def test_sparkline_shapes():
     assert sparkline([3.0, 3.0, 3.0]) == "▁▁▁"
     line = sparkline([0.0, 1.0, 2.0, 3.0])
     assert len(line) == 4 and line[0] == "▁" and line[-1] == "█"
-    assert len(sparkline(list(range(100)), width=24)) == 24
+    assert len(sparkline(list(range(100)))) == 24
 
 
 # -- the bench gate on the command line ---------------------------------------

@@ -9,14 +9,16 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.net import PortExhaustedError
 from repro.net.packet import Packet
-from repro.net.ports import DEFAULT_PORT_RANGES, PortAllocator
+from repro.net.ports import DEFAULT_PORT_RANGES
+from tests.helpers import port_allocator
 from repro.obs import RecordingTracer
+from tests.helpers import select
 
 
 # -- PortAllocator exhaustion -------------------------------------------------
 
 def test_exhaustion_error_names_node_range_and_bounds():
-    alloc = PortAllocator("clientX", ranges={"media": (100, 102)})
+    alloc = port_allocator("clientX", {"media": (100, 102)})
     alloc.allocate("media")
     alloc.allocate("media")
     with pytest.raises(PortExhaustedError) as exc:
@@ -30,7 +32,7 @@ def test_exhaustion_error_names_node_range_and_bounds():
 
 
 def test_exhaustion_from_next_free_block_and_claim():
-    alloc = PortAllocator("n", ranges={"r": (0, 4)})
+    alloc = port_allocator("n", {"r": (0, 4)})
     with pytest.raises(PortExhaustedError):
         alloc.allocate_block(5, "r")  # never fit
     alloc.allocate_block(4, "r")
@@ -41,7 +43,7 @@ def test_exhaustion_from_next_free_block_and_claim():
 
 
 def test_exhaustion_preserves_allocator_state():
-    alloc = PortAllocator("n", ranges={"r": (0, 2)})
+    alloc = port_allocator("n", {"r": (0, 2)})
     alloc.allocate("r")
     with pytest.raises(PortExhaustedError):
         alloc.allocate_block(2, "r")
@@ -66,7 +68,7 @@ def test_rx_discard_reaches_tap_session_result_and_trace():
     result = comp.collect_result("doc")
     assert result.rx_discarded == 1
     assert result.to_dict()["rx_discarded"] == 1
-    discards = tracer.select(kind="net.rx_discard")
+    discards = select(tracer, kind="net.rx_discard")
     assert len(discards) == 1
     assert discards[0].node == eng.CLIENT
     assert discards[0].args["port"] == 65_000

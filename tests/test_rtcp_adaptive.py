@@ -53,8 +53,7 @@ def test_adaptive_relaxes_when_clean():
 
 def test_adaptive_reports_early_on_congestion_onset():
     rng = RngRegistry(seed=21).stream("ge")
-    ge = GilbertElliottLoss(rng, p_gb=0.0, p_bg=0.0, loss_good=0.0,
-                            loss_bad=0.5)
+    ge = GilbertElliottLoss(rng, p_gb=0.0, p_bg=0.0, loss_bad=0.5)
     sim, net, tx, rx, sink = build(loss_model=ge)
     rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1,
                        interval_s=1.0, adaptive=True,

@@ -56,7 +56,6 @@ class CounterReceiver:
         self.cumulative_lost = 0
         self.delay_sum_s = 0.0
         self.delay_samples = 0
-        self.last_delay_s = 0.0
         self.interval_expected_base = 0
         self.interval_received = 0
         self.jitter = InterarrivalJitterEstimator(clock_rate)
@@ -102,9 +101,7 @@ class CounterReceiver:
             self.highest_seq = useq
         lost = self.highest_seq - self.base_seq + 1 - self.packets_received
         self.cumulative_lost = lost if lost > 0 else 0
-        delay = now - pkt.created_at
-        self.last_delay_s = delay
-        self.delay_sum_s += delay
+        self.delay_sum_s += now - pkt.created_at
         self.delay_samples += 1
         self.jitter.observe(now, timestamp)
         seen = self._frag_seen.get(timestamp, 0) + 1

@@ -67,8 +67,9 @@ def test_audit_trail():
     account.log("login", 12.5, "srv1")
     account.log("retrieve", 13.0, "lesson-1")
     account.log("retrieve", 14.0, "lesson-2")
-    assert account.logins() == [12.5]
-    assert account.retrieved_documents() == ["lesson-1", "lesson-2"]
+    assert [t for e, t, _ in account.history if e == "login"] == [12.5]
+    assert [d for e, _, d in account.history if e == "retrieve"] == \
+        ["lesson-1", "lesson-2"]
 
 
 def test_qos_preferences_validation():

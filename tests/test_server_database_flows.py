@@ -31,7 +31,8 @@ def db():
 def test_database_storage_and_topics(db):
     assert len(db) == 3
     assert db.topics() == ["literature", "networking"]
-    assert db.by_topic("networking") == ["atm", "intro"]
+    assert [n for n in db.names()
+            if db.get(n).topic == "networking"] == ["atm", "intro"]
     assert db.get("intro").topic == "networking"
     assert "intro" in db and "zzz" not in db
 

@@ -9,6 +9,8 @@ from repro.hml import DocumentBuilder, serialize
 from repro.obs.tracer import RecordingTracer
 from repro.server.accounts import SubscriptionForm
 from repro.service import AnnotationStore, NavigationHistory
+from tests.helpers import interval_of
+from tests.helpers import select
 
 
 # ------------------------------------------------------------- history
@@ -61,7 +63,8 @@ def test_annotation_store():
     assert store.documents() == ["doc1", "doc2"]
     assert [a.text for a in store.for_document("doc1")] == \
         ["interesting claim", "check later"]
-    assert store.for_element("doc1", "V") == [a1]
+    assert [a for a in store.for_document("doc1")
+            if a.element_id == "V"] == [a1]
     assert store.remove(a2.annotation_id)
     assert not store.remove(a2.annotation_id)
     assert len(store) == 2
@@ -145,7 +148,7 @@ def _check_disable_stream_end_to_end(shared_flows):
     v_frames = log.summary("V")["frames"]
     assert a_frames > 250  # ~6 s at 50 fps
     assert 0 < v_frames < 60  # ~<2.2 s at 25 fps
-    assert "V" in comp.scheduler.disabled_streams
+    assert "V" in comp.scheduler._disabled
     # Server stopped transmitting the stream: the leg is deregistered,
     # its pump stopped, its sender closed (the carrier relay with it
     # when the leg was the shared pump's last) and the ports are back
@@ -182,7 +185,7 @@ def test_disable_stream_leaves_the_other_shared_viewer_alone():
                  _viewer(eng, "u2", nodes[1], 4.0, boxes[1])]
         eng.sim.run(until=eng.sim.all_of(procs))
         stayed = [(e.args["frame"], e.args["bytes"], e.args["seq0"])
-                  for e in tracer.select(kind="rtp.send",
+                  for e in select(tracer, kind="rtp.send",
                                          session=boxes[1]["session_id"])
                   if e.name == "V"]
         return eng, boxes, stayed
@@ -221,13 +224,13 @@ def test_disable_before_start_skips_stream():
     from repro.media.types import Frame, FrameKind
 
     for i in range(101):
-        sched.deliver_frame("A", Frame("A", seq=i, media_time=i * 160,
-                                       duration=160, size_bytes=160,
-                                       kind=FrameKind.SAMPLE))
-    done = sched.start(initial_delay_s=0.0)
+        sched.buffer_for("A").push(Frame("A", seq=i, media_time=i * 160,
+                                         duration=160, size_bytes=160,
+                                         kind=FrameKind.SAMPLE))
+    done = sched.start()
     sim.run(until=done)
     assert sched.log.summary("V")["frames"] == 0
-    assert sched.renderer.interval_of("I") is None  # never shown
+    assert interval_of(sched.renderer, "I") is None  # never shown
     with pytest.raises(KeyError):
         sched.disable_stream("ZZ")
 

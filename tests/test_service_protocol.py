@@ -134,7 +134,8 @@ def test_document_request_and_markup_transfer():
     assert client.fsm.state is S.VIEWING
     assert "First Lesson" in client.last_markup
     # The account's audit trail recorded the retrieval.
-    assert server.accounts.get("ada").retrieved_documents() == ["doc1"]
+    assert [d for e, _, d in server.accounts.get("ada").history
+            if e == "retrieve"] == ["doc1"]
 
 
 def test_unknown_document_rejected():

@@ -27,6 +27,7 @@ import time
 import pytest
 
 from repro.faults.scenarios import SCENARIOS
+from repro.obs.tracer import RecordingTracer
 from repro.shard import ShardFailure, ShardPlan, ShardSupervisor
 from repro.shard import supervisor as supervisor_module
 from repro.shard import worker as worker_module
@@ -111,19 +112,32 @@ def reference():
 
 
 def test_supervision_policy_is_fixed():
-    """A run chooses only whether to tolerate lost shards, where its
-    lifecycle events go and an optional wall deadline; retries,
-    heartbeats, polling and backoff are the module's constants."""
+    """A run chooses only whether to tolerate lost shards and where its
+    lifecycle events go; retries, heartbeats, polling, backoff and the
+    wall deadline are the module's constants."""
     params = inspect.signature(ShardSupervisor).parameters.values()
     assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == [
-        "tolerate_failures", "tracer", "shard_timeout_s"]
+        "tolerate_failures", "tracer"]
     assert not [p for p in inspect.signature(run_sharded).parameters.values()
                 if p.kind is p.VAR_KEYWORD]
     assert (supervisor_module.MAX_RETRIES,
             supervisor_module.HEARTBEAT_INTERVAL_S,
             supervisor_module.HEARTBEAT_TIMEOUT_S,
             supervisor_module.POLL_INTERVAL_S,
-            supervisor_module.BACKOFF_BASE_S) == (2, 0.5, 15.0, 0.05, 0.25)
+            supervisor_module.BACKOFF_BASE_S,
+            supervisor_module.SHARD_TIMEOUT_S) == (2, 0.5, 15.0, 0.05, 0.25,
+                                                   None)
+
+
+def test_a_tracer_records_the_shard_lifecycle():
+    """``run_sharded(tracer=)`` is where a recorder for ``bench
+    --shards`` plugs in: one spawn and one exit per attempt, one merge."""
+    tracer = RecordingTracer()
+    assert _run(n_shards=2, tracer=tracer).ok
+    counts = tracer.kind_counts()
+    assert (counts["shard.spawn"], counts["shard.exit"],
+            counts["shard.merge"]) == (2, 2, 1)
+    assert "fault.shard" not in counts and "shard.retry" not in counts
 
 
 # -- runs ----------------------------------------------------------------------
@@ -188,14 +202,14 @@ def test_hung_worker_is_detected_and_retried(reference, monkeypatch):
 
 
 def test_wall_deadline_is_opt_in_and_enforced(monkeypatch):
-    """shard_timeout_s is None by default (slow is not dead — only
+    """SHARD_TIMEOUT_S is None by default (slow is not dead — only
     stale heartbeats kill); when set, an overrunning shard fails."""
     plan = ShardPlan(n_clients=N_CLIENTS, n_shards=2,
                      cell_clients=CELL, seed=SEED)
     _slow_cells(monkeypatch, 0.5)
-    _policy(monkeypatch, MAX_RETRIES=0)
-    result = ShardSupervisor(plan, _workload(), tolerate_failures=True,
-                             shard_timeout_s=0.3).run()
+    _policy(monkeypatch, MAX_RETRIES=0, SHARD_TIMEOUT_S=0.3)
+    result = ShardSupervisor(plan, _workload(),
+                             tolerate_failures=True).run()
     assert not result.ok
     assert any("timeout" in f for s in result.shards
                for f in s.failures)

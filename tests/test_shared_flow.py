@@ -18,6 +18,7 @@ from repro.net import cdn_stack
 from repro.obs.tracer import RecordingTracer
 from repro.server.flow_scheduler import FLOW_LEAD_S
 from repro.server.shared_flow import BATCH_WINDOW_S
+from tests.helpers import select, session_on, viewers_on
 
 
 DOC = {"doc": (av_markup(4.0), "demo")}
@@ -31,7 +32,7 @@ def _frame_log(tracer, session_id):
     frame sequence each stream delivers must not.
     """
     log = {}
-    for e in tracer.select(kind="rtp.send", session=session_id):
+    for e in select(tracer, kind="rtp.send", session=session_id):
         log.setdefault(e.name, []).append((e.args["frame"],
                                            e.args["bytes"]))
     return log
@@ -64,12 +65,10 @@ def test_shared_subscribers_get_byte_identical_frame_sequences():
     )
     eng.add_server("srv1", documents=DOC)
     nodes = eng.client_nodes(3)
-    results = eng.orchestrator.run_concurrent_sessions(
-        "srv1", "doc", 3, stagger_s=0.0, client_nodes=nodes
-    )
+    results = viewers_on(eng, "srv1", "doc", nodes)
     assert all(r.completed for r in results)
     sessions = sorted({e.session for e in
-                       shared_tracer.select(kind="rtp.send")})
+                       select(shared_tracer, kind="rtp.send")})
     assert len(sessions) == 3
     logs = [_frame_log(shared_tracer, s) for s in sessions]
     assert logs[0], "expected rtp.send events per subscriber"
@@ -83,9 +82,9 @@ def test_shared_subscribers_get_byte_identical_frame_sequences():
     ref = ServiceEngine(EngineConfig(seed=11), tracer=ref_tracer)
     ref.add_server("srv1", documents=DOC)
     node = ref.client_nodes(1)[0]
-    r = ref.orchestrator.run_full_session("srv1", "doc", client_node=node)
+    r = session_on(ref, "srv1", "doc", client_node=node)
     assert r.completed
-    (ref_session,) = {e.session for e in ref_tracer.select(kind="rtp.send")}
+    (ref_session,) = {e.session for e in select(ref_tracer, kind="rtp.send")}
     assert _frame_log(ref_tracer, ref_session) == logs[0]
 
 
@@ -96,9 +95,7 @@ def test_shared_flow_traces_and_metrics():
     )
     eng.add_server("srv1", documents=DOC)
     nodes = eng.client_nodes(2)
-    results = eng.orchestrator.run_concurrent_sessions(
-        "srv1", "doc", 2, stagger_s=0.0, client_nodes=nodes
-    )
+    results = viewers_on(eng, "srv1", "doc", nodes)
     assert all(r.completed for r in results)
     counts = tracer.kind_counts()
     # one open + one join per stream (A and V), one start each
@@ -115,9 +112,7 @@ def test_shared_flow_cuts_origin_egress():
         eng = ServiceEngine(EngineConfig(seed=7, shared_flows=shared))
         eng.add_server("srv1", documents=DOC)
         nodes = eng.client_nodes(4)
-        results = eng.orchestrator.run_concurrent_sessions(
-            "srv1", "doc", 4, stagger_s=0.0, client_nodes=nodes
-        )
+        results = viewers_on(eng, "srv1", "doc", nodes)
         assert all(r.completed for r in results)
         return sum(_egress_bytes(eng, host) for host in _media_hosts(eng))
 
@@ -149,8 +144,7 @@ def test_sessions_land_on_their_regions_replica():
     }
     assert srv.healthy_media_server("vidsrv", client_node="west-c1").name \
         == "vidsrv@west"
-    r = eng.orchestrator.run_full_session("srv1", "doc",
-                                          client_node="east-c1")
+    r = session_on(eng, "srv1", "doc", client_node="east-c1")
     assert r.completed
     served = {name for name in series.columns
               if name.startswith("streams.") and max(series.values(name)) > 0}
@@ -167,8 +161,7 @@ def test_replica_crash_fails_over_to_origin():
                          at=1.5),
     ))
     eng.install_faults(plan, recovery=True)
-    r = eng.orchestrator.run_full_session("srv1", "doc",
-                                          client_node="east-c1")
+    r = session_on(eng, "srv1", "doc", client_node="east-c1")
     assert r.completed
     watchdog = eng.watchdogs["srv1"]
     assert watchdog.detections >= 1
