@@ -96,7 +96,6 @@ class FunctionInfo:
     """One function/method definition plus its taint summary."""
 
     name: str
-    qualname: str  # "path.py::Class.method" / "path.py::func"
     module: PyModule
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_name: str | None = None
@@ -143,10 +142,8 @@ class PyProgram:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             cls = class_of.get(node)
-            qual = (f"{mod.path}::{cls}.{node.name}" if cls
-                    else f"{mod.path}::{node.name}")
-            info = FunctionInfo(name=node.name, qualname=qual, module=mod,
-                                node=node, class_name=cls)
+            info = FunctionInfo(name=node.name, module=mod, node=node,
+                                class_name=cls)
             self.functions.setdefault(node.name, []).append(info)
             if cls is None:
                 self._by_module.setdefault((mod.path, node.name), info)

@@ -53,14 +53,12 @@ class SourceSpan:
 
     ``file`` is a filesystem path for Python lint findings and a
     scenario/document name for HML findings; ``line`` is 1-based
-    (0 = whole file / whole document). ``snippet`` optionally carries
-    the offending source line for caret-free context rendering.
+    (0 = whole file / whole document).
     """
 
     file: str
     line: int = 0
     column: int = 0
-    snippet: str = ""
 
     def location(self) -> str:
         if self.line <= 0:
@@ -80,13 +78,6 @@ class Diagnostic:
     span: SourceSpan | None = None
     #: free-form subject (stream id, module name, scenario-set name)
     subject: str = ""
-
-    def format(self) -> str:
-        """``path:line: severity[rule-id] message`` — the grep-able
-        one-line rendering used by text output and test assertions."""
-        where = self.span.location() if self.span is not None else self.subject
-        prefix = f"{where}: " if where else ""
-        return f"{prefix}{self.severity.label}[{self.rule_id}] {self.message}"
 
     @property
     def is_error(self) -> bool:

@@ -102,7 +102,6 @@ class PyModule:
     path: str
     source: str
     tree: ast.AST
-    lines: list[str] = field(default_factory=list)
     parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
     pragma_lines: dict[int, set[str]] = field(default_factory=dict)
     pragma_file: set[str] = field(default_factory=set)
@@ -120,8 +119,7 @@ class PyModule:
             for child in ast.iter_child_nodes(node):
                 parents[child] = node
         per_line, whole_file = _parse_pragmas(source)
-        return cls(path=path, source=source, tree=tree,
-                   lines=source.splitlines(), parents=parents,
+        return cls(path=path, source=source, tree=tree, parents=parents,
                    pragma_lines=per_line, pragma_file=whole_file)
 
     # -- helpers rules share --------------------------------------------
@@ -143,13 +141,8 @@ class PyModule:
         return hit
 
     def span(self, node: ast.AST) -> SourceSpan:
-        line = getattr(node, "lineno", 0)
-        snippet = (self.lines[line - 1].strip()
-                   if 0 < line <= len(self.lines) else "")
-        return SourceSpan(
-            file=self.path, line=line,
-            column=getattr(node, "col_offset", 0) + 1, snippet=snippet,
-        )
+        return SourceSpan(file=self.path, line=getattr(node, "lineno", 0),
+                          column=getattr(node, "col_offset", 0) + 1)
 
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         cur = self.parents.get(node)

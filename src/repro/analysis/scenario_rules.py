@@ -104,8 +104,8 @@ class ScenarioContext:
     scenario_set: ScenarioSet
     schedule: list[PlayoutEntry] = field(default_factory=list)
 
-    def span(self, detail: str = "") -> SourceSpan:
-        return SourceSpan(file=self.doc_name, snippet=detail)
+    def span(self) -> SourceSpan:
+        return SourceSpan(file=self.doc_name)
 
 
 # ---------------------------------------------------------------- sync

@@ -30,7 +30,7 @@ class TrafficConfig:
             raise ValueError(f"unknown traffic kind {self.kind!r}")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class EngineConfig:
     """Knobs of a full-service simulation run."""
 

@@ -18,8 +18,7 @@ plus servers, documents, per-POP media replicas and (optionally) the
 shared-flow delivery machinery. Session *orchestration* — scripted
 runs, concurrent viewers, autoplay, multi-client populations — lives
 in :class:`~repro.core.orchestrator.SessionOrchestrator`
-(``engine.orchestrator``); only the ``run_population`` shorthand
-remains here.
+(``engine.orchestrator``).
 """
 
 from __future__ import annotations
@@ -431,10 +430,6 @@ class ServiceEngine:
     def tracer(self):
         """The tracer bound to this engine's simulator (``None`` off)."""
         return self.sim.tracer
-
-    def run_population(self, *args, **kwargs):
-        """Shorthand for ``engine.orchestrator.run_population``."""
-        return self.orchestrator.run_population(*args, **kwargs)
 
 
 class ClientComposition:

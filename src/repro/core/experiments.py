@@ -14,7 +14,7 @@ paper-claim vs. measured outcome. ``python -m repro list`` / ``run
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.client.metrics import PlayoutEventKind
@@ -90,8 +90,7 @@ def av_markup(duration: float = 10.0, with_images: bool = False) -> str:
 def _engine(config: EngineConfig, duration_s: float,
             seed: int) -> ServiceEngine:
     """A fresh engine serving one A/V document ``doc`` on ``srv1``."""
-    config.seed = seed
-    eng = ServiceEngine(config)
+    eng = ServiceEngine(replace(config, seed=seed))
     eng.add_server("srv1", documents={"doc": (av_markup(duration_s), "exp")})
     return eng
 

@@ -28,6 +28,9 @@ __all__ = [
     "SessionOrchestrator",
 ]
 
+#: the password every scripted viewer subscribes and logs in with
+SECRET = "pw"
+
 
 @dataclass(slots=True)
 class SessionSpec:
@@ -36,9 +39,7 @@ class SessionSpec:
     server: str
     document: str
     user_id: str = "user1"
-    secret: str = "pw"
     contract: str = "basic"
-    subscribe_first: bool = True
     start_at: float = 0.0
     #: viewer host; None means the engine's default single client
     client_node: str | None = None
@@ -136,7 +137,7 @@ class SessionOrchestrator:
     # -- the canonical session coroutine ------------------------------------
     def _session_script(self, client, handler, server, document: str,
                         result_box: dict[str, Any], contract: str,
-                        subscribe_first: bool, start_delay_s: float = 0.0,
+                        start_delay_s: float = 0.0,
                         client_node: str | None = None):
         """connect → request → view → disconnect, leaving artefacts in
         ``result_box``."""
@@ -156,7 +157,7 @@ class SessionOrchestrator:
                 node=node, document=document, user=user_id,
             )
         resp = yield from client.connect()
-        if resp.msg_type == "subscribe-required" and subscribe_first:
+        if resp.msg_type == "subscribe-required":
             form = SubscriptionForm(
                 real_name=user_id.title(), address="somewhere",
                 email=f"{user_id}@example.org",
@@ -304,14 +305,14 @@ class SessionOrchestrator:
         for i, spec in enumerate(specs):
             server = engine.servers[spec.server]
             client, handler = engine.open_session(
-                spec.server, spec.user_id, spec.secret,
+                spec.server, spec.user_id, SECRET,
                 client_node=spec.client_node,
             )
             box: dict[str, Any] = {}
             entries.append((spec, handler, box))
             procs.append(self.sim.process(
                 self._session_script(client, handler, server, spec.document,
-                                     box, spec.contract, spec.subscribe_first,
+                                     box, spec.contract,
                                      start_delay_s=spec.start_at,
                                      client_node=spec.client_node),
                 name=f"session-{i + 1}",

@@ -6,14 +6,14 @@ package makes *component failure* a schedulable, reproducible workload
 dimension on top of those mechanisms:
 
 * :mod:`repro.faults.plan` — declarative :class:`FaultPlan`: link
-  down/flap, media-server crash/restart, control-channel partition
+  down/flap, media-server crash, control-channel partition
   and impairment, all pinned to the DES clock;
 * :mod:`repro.faults.injector` — installs a plan on a
   :class:`~repro.core.engine.ServiceEngine` before a run;
 * :mod:`repro.faults.control` — control-path machinery: endpoint
   drop/delay state, RPC retry policy, heartbeat monitoring;
 * :mod:`repro.faults.recovery` — media-server failure detection and
-  stream failover to replicas (or the restarted primary);
+  stream failover to replicas;
 * :mod:`repro.faults.digest` — canonical result hashing for
   determinism assertions;
 * :mod:`repro.faults.scenarios` — the one scenario table

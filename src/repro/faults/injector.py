@@ -52,8 +52,6 @@ class FaultInjector:
             elif f.kind == "server-crash":
                 ms = self._resolve_media_server(f.server, f.media_server)
                 sim.call_later(f.at, ms.crash)
-                if f.restart_after_s is not None:
-                    sim.call_later(f.at + f.restart_after_s, ms.restart)
             elif f.kind == "control-partition":
                 state = self._ensure_control_state()
                 sim.call_later(f.at, self._partition, state, True)

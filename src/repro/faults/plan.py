@@ -30,7 +30,7 @@ class LinkDownFault:
     dst: str
     at: float
     duration_s: float
-    kind: str = "link-down"
+    kind: str = field(init=False, default="link-down")
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,19 +44,17 @@ class LinkFlapFault:
     period_s: float
     down_s: float
     count: int
-    kind: str = "link-flap"
+    kind: str = field(init=False, default="link-flap")
 
 
 @dataclass(frozen=True, slots=True)
 class ServerCrashFault:
-    """Fail-stop one media server; optionally restart it later."""
+    """Fail-stop one media server for the rest of the run."""
 
     server: str
     media_server: str
     at: float
-    #: None = never restarts
-    restart_after_s: float | None = None
-    kind: str = "server-crash"
+    kind: str = field(init=False, default="server-crash")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +65,7 @@ class ControlPartitionFault:
 
     at: float
     duration_s: float
-    kind: str = "control-partition"
+    kind: str = field(init=False, default="control-partition")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +79,7 @@ class ControlImpairFault:
     drop_prob: float = 0.0
     delay_s: float = 0.0
     jitter_s: float = 0.0
-    kind: str = "control-impair"
+    kind: str = field(init=False, default="control-impair")
 
 
 _FAULT_TYPES = {
@@ -148,9 +146,6 @@ class FaultPlan:
                 raise ValueError(
                     f"{f.kind}: drop_prob must be in [0, 1], "
                     f"got {f.drop_prob!r}: {f}")
-        elif isinstance(f, ServerCrashFault):
-            if f.restart_after_s is not None:
-                positive("restart_after_s", f.restart_after_s)
 
     def __len__(self) -> int:
         return len(self.faults)

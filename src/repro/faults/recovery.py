@@ -5,8 +5,7 @@ A :class:`MediaWatchdog` guards one multimedia server's media servers
 latency: a crash schedules a detection ``DETECT_DELAY_S`` later —
 standing in for the heartbeat round-trips a real monitor would need —
 after which every interrupted stream is failed over to the first
-healthy replica (or, if none exists, re-adopted when the primary
-restarts).
+healthy replica (a stream with none stays lost).
 
 Failover resumes each stream *realtime-aligned*: the replacement
 source fast-forwards past the outage window, so the client sees a
@@ -48,17 +47,10 @@ class MediaWatchdog:
     def attach(self, ms: MediaServer) -> None:
         """Start guarding one media server (idempotent)."""
         ms.on_crash = self._on_crash
-        ms.on_restart = self._on_restart
 
-    # -- crash / restart hooks ---------------------------------------------
+    # -- crash hook ----------------------------------------------------------
     def _on_crash(self, ms: MediaServer) -> None:
         self.sim.call_later(DETECT_DELAY_S, self._detect, ms)
-
-    def _on_restart(self, ms: MediaServer) -> None:
-        # The restarted server adopts whatever wreckage nobody else
-        # could take (no healthy replica at detection time).
-        if ms.wreckage:
-            self._recover(ms)
 
     def _detect(self, ms: MediaServer) -> None:
         self.detections += 1
@@ -104,9 +96,6 @@ class MediaWatchdog:
                     primary, client_node=snap.origin.client_node
                 )
                 if target is None:
-                    # Nowhere to go yet — keep the snapshot so a later
-                    # restart of this server can adopt it.
-                    ms.wreckage.append(snap)
                     if self.sim._tracing:
                         self.sim._tracer.emit(
                             self.sim.now, "recovery.failed",

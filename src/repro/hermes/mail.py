@@ -51,8 +51,8 @@ class MailMessage:
     body: str
     attachments: tuple[Attachment, ...] = ()
     in_reply_to: int | None = None
-    message_id: int = field(default_factory=lambda: next(_mail_ids))
-    sent_at: float = 0.0
+    message_id: int = field(init=False,
+                            default_factory=lambda: next(_mail_ids))
 
     @property
     def size_bytes(self) -> int:
@@ -119,13 +119,6 @@ class MailService:
         origin = self._homes.get(message.sender)
         if origin is None:
             raise KeyError(f"unknown sender {message.sender!r}")
-        message = MailMessage(
-            sender=message.sender, recipient=message.recipient,
-            subject=message.subject, body=message.body,
-            attachments=message.attachments,
-            in_reply_to=message.in_reply_to,
-            message_id=message.message_id, sent_at=self.sim.now,
-        )
         ports = self.network.node(origin).ports
         port = ports.allocate("media")
         tx = ReliableSender(

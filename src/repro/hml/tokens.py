@@ -34,7 +34,6 @@ class KeywordInfo:
 
     name: str
     description: str
-    category: str
     is_element: bool  # appears as a <TAG>
     is_attribute: bool  # appears as KEY=value inside an element body
 
@@ -46,53 +45,43 @@ class KeywordInfo:
 KEYWORDS: dict[str, KeywordInfo] = {
     k.name: k
     for k in [
-        KeywordInfo("TITLE", "Document title indicator", "structure", True, False),
-        KeywordInfo("H1", "Heading indicator (level 1)", "structure", True, False),
-        KeywordInfo("H2", "Heading indicator (level 2)", "structure", True, False),
-        KeywordInfo("H3", "Heading indicator (level 3)", "structure", True, False),
-        KeywordInfo("PAR", "Paragraph indicator", "structure", True, False),
-        KeywordInfo("SEP", "Separator indicator", "structure", True, False),
-        KeywordInfo("TEXT", "Media type indicator: text", "media", True, False),
-        KeywordInfo("IMG", "Media type indicator: image", "media", True, False),
-        KeywordInfo("AU", "Media type indicator: audio", "media", True, False),
-        KeywordInfo("VI", "Media type indicator: video", "media", True, False),
-        KeywordInfo(
-            "AU_VI", "Media type indicator: synchronized audio+video",
-            "media", True, False,
-        ),
-        KeywordInfo("SOURCE", "Media source indicator", "attribute", False, True),
-        KeywordInfo("ID", "Media id indicator", "attribute", False, True),
+        KeywordInfo("TITLE", "Document title indicator", True, False),
+        KeywordInfo("H1", "Heading indicator (level 1)", True, False),
+        KeywordInfo("H2", "Heading indicator (level 2)", True, False),
+        KeywordInfo("H3", "Heading indicator (level 3)", True, False),
+        KeywordInfo("PAR", "Paragraph indicator", True, False),
+        KeywordInfo("SEP", "Separator indicator", True, False),
+        KeywordInfo("TEXT", "Media type indicator: text", True, False),
+        KeywordInfo("IMG", "Media type indicator: image", True, False),
+        KeywordInfo("AU", "Media type indicator: audio", True, False),
+        KeywordInfo("VI", "Media type indicator: video", True, False),
+        KeywordInfo("AU_VI", "Media type indicator: synchronized audio+video",
+                    True, False),
+        KeywordInfo("SOURCE", "Media source indicator", False, True),
+        KeywordInfo("ID", "Media id indicator", False, True),
         KeywordInfo(
             "STARTIME", "Media time characteristics indicator: relative start time",
-            "time", False, True,
+            False, True,
         ),
         KeywordInfo(
             "DURATION", "Media time characteristics indicator: playout duration",
-            "time", False, True,
+            False, True,
         ),
-        KeywordInfo("B", "Boldface characters", "format", True, False),
-        KeywordInfo("I", "Italics characters", "format", True, False),
-        KeywordInfo("U", "Underline characters", "format", True, False),
-        KeywordInfo("NOTE", "Annotation indicator", "attribute", False, True),
-        KeywordInfo("HLINK", "Hyperlink indicator", "link", True, False),
-        KeywordInfo(
-            "AT", "Timed-activation indicator for hyperlinks", "link", False, True,
-        ),
-        KeywordInfo("HEIGHT", "Image height placement attribute", "layout",
+        KeywordInfo("B", "Boldface characters", True, False),
+        KeywordInfo("I", "Italics characters", True, False),
+        KeywordInfo("U", "Underline characters", True, False),
+        KeywordInfo("NOTE", "Annotation indicator", False, True),
+        KeywordInfo("HLINK", "Hyperlink indicator", True, False),
+        KeywordInfo("AT", "Timed-activation indicator for hyperlinks", False,
+                    True),
+        KeywordInfo("HEIGHT", "Image height placement attribute", False, True),
+        KeywordInfo("WIDTH", "Image width placement attribute", False, True),
+        KeywordInfo("WHERE", "Media placement (display coordinates) attribute",
                     False, True),
-        KeywordInfo("WIDTH", "Image width placement attribute", "layout", False, True),
-        KeywordInfo(
-            "WHERE", "Media placement (display coordinates) attribute",
-            "layout", False, True,
-        ),
-        KeywordInfo(
-            "KIND", "Hyperlink kind: sequential or explorational",
-            "link", False, True,
-        ),
-        KeywordInfo(
-            "REPEAT", "Media repetition (loop) indicator — §7 extension",
-            "time", False, True,
-        ),
+        KeywordInfo("KIND", "Hyperlink kind: sequential or explorational",
+                    False, True),
+        KeywordInfo("REPEAT", "Media repetition (loop) indicator — §7 extension",
+                    False, True),
     ]
 }
 

@@ -110,7 +110,6 @@ class Codec:
     clock_rate: int  # media ticks per second (RTP clock)
     ladder: tuple[QualityGrade, ...]
     payload_type: int  # RTP payload-type number
-    gradable: bool = True
 
     def __post_init__(self) -> None:
         if self.clock_rate <= 0:

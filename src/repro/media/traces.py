@@ -79,7 +79,6 @@ class MediaTrace:
     """A fully materialised frame sequence for one stream."""
 
     stream_id: str
-    codec_name: str
     clock_rate: int
     frames: list[Frame]
 
@@ -143,7 +142,7 @@ class VideoTraceGenerator:
     ) -> MediaTrace:
         grade = self.codec.grade(grade_index)
         if grade is SUSPENDED:
-            return MediaTrace(stream_id, self.codec.name, self.codec.clock_rate, [])
+            return MediaTrace(stream_id, self.codec.clock_rate, [])
         n = int(round(duration_s * grade.frame_rate))
         ticks = int(round(self.codec.clock_rate / grade.frame_rate))
         kinds = [GOP_PATTERN[i % len(GOP_PATTERN)] for i in range(n)]
@@ -163,7 +162,7 @@ class VideoTraceGenerator:
             )
             for i in range(n)
         ]
-        return MediaTrace(stream_id, self.codec.name, self.codec.clock_rate, frames)
+        return MediaTrace(stream_id, self.codec.clock_rate, frames)
 
 
 class AudioTraceGenerator:
@@ -182,7 +181,7 @@ class AudioTraceGenerator:
     ) -> MediaTrace:
         grade = self.codec.grade(grade_index)
         if grade is SUSPENDED:
-            return MediaTrace(stream_id, self.codec.name, self.codec.clock_rate, [])
+            return MediaTrace(stream_id, self.codec.clock_rate, [])
         n = int(round(duration_s * grade.frame_rate))
         ticks = int(round(self.codec.clock_rate / grade.frame_rate))
         size = max(1, int(round(grade.mean_frame_bytes)))
@@ -198,7 +197,7 @@ class AudioTraceGenerator:
             )
             for i in range(n)
         ]
-        return MediaTrace(stream_id, self.codec.name, self.codec.clock_rate, frames)
+        return MediaTrace(stream_id, self.codec.clock_rate, frames)
 
 
 class FrameSource:

@@ -12,7 +12,7 @@ Two families of media, following the paper's taxonomy:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -114,7 +114,6 @@ class ContinuousMediaObject(MediaObject):
     """
 
     duration_s: float = 0.0
-    trace_seed_name: str = field(default="")
 
     def __post_init__(self) -> None:
         MediaObject.__post_init__(self)
@@ -124,5 +123,8 @@ class ContinuousMediaObject(MediaObject):
             )
         if self.duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if not self.trace_seed_name:
-            self.trace_seed_name = f"trace:{self.object_id}"
+
+    @property
+    def trace_seed_name(self) -> str:
+        """The RNG stream this object's frame trace is drawn from."""
+        return f"trace:{self.object_id}"

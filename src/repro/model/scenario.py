@@ -51,7 +51,6 @@ class PresentationScenario:
 
     document: HmlDocument
     schedule: list[PlayoutEntry]
-    content: ContentIndex
     layout: DisplayLayout
     streams: list[StreamSpec] = field(default_factory=list)
 
@@ -68,8 +67,8 @@ class PresentationScenario:
             StreamSpec(entry=e, locator=content.get(e.stream_id))
             for e in schedule
         ]
-        return cls(document=doc, schedule=schedule, content=content,
-                   layout=layout, streams=streams)
+        return cls(document=doc, schedule=schedule, layout=layout,
+                   streams=streams)
 
     @classmethod
     def from_markup(cls, markup: str) -> "PresentationScenario":

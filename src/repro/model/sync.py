@@ -205,7 +205,7 @@ def bandwidth_profile(
     for entry in schedule:
         if entry.media_type.is_continuous:
             codec = registry.default_for(entry.media_type)
-            rate = float((codec.worst if degraded and codec.gradable
+            rate = float((codec.worst if degraded
                           else codec.best).bitrate_bps)
             deltas.append((entry.start_time, rate))
             if entry.duration is not None:

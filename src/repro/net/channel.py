@@ -70,7 +70,6 @@ class _PendingMessage:
     msg_id: int
     last_seq: int
     done: Event
-    meta: Any = None
 
 
 class ReliableSender:

@@ -35,6 +35,12 @@ ROUTER = "router"
 BACKBONE_RATE_BPS = 100e6
 BACKBONE_DELAY_S = 0.005
 BACKBONE_QUEUE_PACKETS = 500
+#: a client's access link, each direction
+ACCESS_DELAY_S = 0.010
+#: every POP's link pair to the core router
+REGION_LINK_RATE_BPS = 100e6
+REGION_LINK_DELAY_S = 0.008
+REGION_QUEUE_PACKETS = 500
 #: a cross-traffic host sits 1 ms behind the core router
 TRAFFIC_HOST_DELAY_S = 0.001
 
@@ -48,7 +54,6 @@ class AccessLinkSpec:
     """
 
     rate_bps: float = 10e6
-    delay_s: float = 0.010
     queue_packets: int = 60
     atm: bool = False
     loss_model: object | None = None
@@ -72,18 +77,12 @@ class RegionSpec:
     #: viewers ``{name}-c1`` .. ``{name}-c{n_clients}``, each on its own
     #: access link to the POP
     n_clients: int = 0
-    #: POP ↔ core regional link parameters
-    link_rate_bps: float = 100e6
-    link_delay_s: float = 0.008
-    queue_packets: int = 500
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("region name must be non-empty")
         if self.n_clients < 0:
             raise ValueError("n_clients must be >= 0")
-        if self.link_rate_bps <= 0:
-            raise ValueError("regional link rate must be positive")
 
     @property
     def pop_id(self) -> str:
@@ -124,8 +123,8 @@ class ServiceTopology:
             self.regions[spec.name] = spec
             network.add_node(spec.pop_id)
             network.add_duplex_link(
-                spec.pop_id, ROUTER, spec.link_rate_bps, spec.link_delay_s,
-                queue_packets=spec.queue_packets,
+                spec.pop_id, ROUTER, REGION_LINK_RATE_BPS,
+                REGION_LINK_DELAY_S, queue_packets=REGION_QUEUE_PACKETS,
             )
         for spec in regions:
             for i in range(1, spec.n_clients + 1):
@@ -164,12 +163,12 @@ class ServiceTopology:
             spec = self._access_spec_for(node_id)
         node = self.network.add_node(node_id)
         self.network.add_link(
-            attach, node_id, spec.rate_bps, spec.delay_s,
+            attach, node_id, spec.rate_bps, ACCESS_DELAY_S,
             queue_packets=spec.queue_packets, loss_model=spec.loss_model,
             atm=spec.atm,
         )
         self.network.add_link(
-            node_id, attach, spec.rate_bps, spec.delay_s,
+            node_id, attach, spec.rate_bps, ACCESS_DELAY_S,
             queue_packets=spec.queue_packets, atm=spec.atm,
         )
         self.clients.append(node_id)

@@ -187,7 +187,6 @@ _SPECS: tuple[KindSpec, ...] = (
           doc="link up/down transition"),
     _spec("fault.crash", required=("streams",),
           doc="media-server crash injected"),
-    _spec("fault.restart", doc="media-server restart"),
     _spec("fault.ctl_partition", required=("state",),
           doc="control partition opened / closed"),
     _spec("fault.ctl_drop", required=("msg_type", "req_id"),

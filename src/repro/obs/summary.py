@@ -113,7 +113,7 @@ def _lifecycle_table(events: list[TraceEvent]) -> list[list]:
     return rows
 
 
-FAULT_KINDS = ("fault.link", "fault.crash", "fault.restart",
+FAULT_KINDS = ("fault.link", "fault.crash",
                "fault.ctl_partition", "fault.ctl_drop", "fault.ctl_delay",
                "ctl.retry", "hb.miss", "hb.fail", "hb.ok",
                "recovery.detect", "recovery.stream", "recovery.failed")

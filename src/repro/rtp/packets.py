@@ -94,7 +94,6 @@ class RtcpReceiverReport:
     jitter_s: float
     mean_delay_s: float
     interval_received: int
-    sent_at: float
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.fraction_lost <= 1.0):

@@ -105,7 +105,6 @@ class RtcpReporter:
             jitter_s=self.receiver.jitter_s,
             mean_delay_s=st.mean_delay_s,
             interval_received=received,
-            sent_at=self.sim.now,
         )
 
     def _congested_now(self) -> bool:

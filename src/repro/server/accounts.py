@@ -90,7 +90,6 @@ class QoSPreferences:
     video_floor_grade: int = 4
     audio_floor_grade: int = 2
     allow_suspend: bool = True
-    target_startup_s: float = 2.0
 
     def __post_init__(self) -> None:
         if self.video_floor_grade < 0 or self.audio_floor_grade < 0:
@@ -103,7 +102,8 @@ class UserAccount:
     form: SubscriptionForm
     contract: PricingContract
     credential: str
-    qos: QoSPreferences = field(default_factory=QoSPreferences)
+    #: the quality the user asks for; a new account takes the defaults
+    qos: QoSPreferences = field(init=False, default_factory=QoSPreferences)
     #: audit trail: (event, time, detail)
     history: list[tuple[str, float, str]] = field(default_factory=list)
     balance_due: float = 0.0

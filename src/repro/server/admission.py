@@ -49,8 +49,6 @@ class AdmissionRequest:
     contract: PricingContract
     required_bw_bps: float
     min_bw_bps: float | None = None
-    jitter_tolerance_s: float = 0.08
-    loss_tolerance: float = 0.05
 
     def __post_init__(self) -> None:
         if self.required_bw_bps <= 0:

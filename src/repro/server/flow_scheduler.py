@@ -40,7 +40,6 @@ class FlowSpec:
     send_offset_s: float  # when to start sending, from session start
     duration_s: float | None
     initial_grade: int
-    nominal_rate_bps: float
     clock_rate: int
     frame_interval_s: float
 
@@ -138,7 +137,6 @@ class FlowScheduler:
                         send_offset_s=max(0.0, entry.start_time),
                         duration_s=entry.duration,
                         initial_grade=grade_idx,
-                        nominal_rate_bps=float(grade.bitrate_bps),
                         clock_rate=codec.clock_rate,
                         frame_interval_s=grade.frame_interval_s,
                     )
@@ -153,7 +151,6 @@ class FlowScheduler:
                         send_offset_s=0.0,  # fetch discrete media eagerly
                         duration_s=entry.duration,
                         initial_grade=0,
-                        nominal_rate_bps=0.0,
                         clock_rate=1,
                         frame_interval_s=0.0,
                     )

@@ -321,9 +321,8 @@ class MediaServer:
         self.failed = False
         self.crashed_at: float | None = None
         self.wreckage: list[StreamSnapshot] = []
-        #: recovery hooks (wired by a MediaWatchdog when installed)
+        #: recovery hook (wired by a MediaWatchdog when installed)
         self.on_crash = None
-        self.on_restart = None
 
     # -- fault injection ---------------------------------------------------
     def crash(self) -> None:
@@ -350,18 +349,6 @@ class MediaServer:
                                   node=self.node_id, streams=len(legs))
         if self.on_crash is not None:
             self.on_crash(self)
-
-    def restart(self) -> None:
-        """Bring a crashed server back (empty-handed: state was lost)."""
-        if not self.failed:
-            return
-        self.failed = False
-        self.crashed_at = None
-        if self.sim._tracing:
-            self.sim._tracer.emit(self.sim.now, "fault.restart", self.name,
-                                  node=self.node_id)
-        if self.on_restart is not None:
-            self.on_restart(self)
 
     # -- session gates -------------------------------------------------------
     def gate_for(self, session_id: str) -> PauseGate:

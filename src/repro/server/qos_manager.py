@@ -27,37 +27,35 @@ from repro.server.quality_converter import MediaStreamQualityConverter
 
 __all__ = ["GradingPolicy", "GradingDecision", "ServerQoSManager"]
 
+#: a report at or over either degrade threshold signals congestion; one
+#: at or under both upgrade thresholds is clear (each degrade threshold
+#: exceeds its upgrade one, so no report is both)
+DEGRADE_LOSS = 0.05
+UPGRADE_LOSS = 0.01
+DEGRADE_JITTER_S = 0.050
+UPGRADE_JITTER_S = 0.015
+#: clear reports every stream of a session needs before an upgrade
+HYSTERESIS_REPORTS = 3
+UPGRADE_COOLDOWN_S = 4.0
+
 
 @dataclass(frozen=True, slots=True)
 class GradingPolicy:
-    """Thresholds and ordering of the grading loop."""
+    """Ordering and pace of the grading loop."""
 
-    degrade_loss: float = 0.05  # fraction lost that signals congestion
-    upgrade_loss: float = 0.01
-    degrade_jitter_s: float = 0.050
-    upgrade_jitter_s: float = 0.015
-    hysteresis_reports: int = 3  # clear reports needed before upgrade
     degrade_cooldown_s: float = 2.0
-    upgrade_cooldown_s: float = 4.0
     order: str = "video-first"  # | "audio-first" | "proportional"
     enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.order not in ("video-first", "audio-first", "proportional"):
             raise ValueError(f"unknown grading order {self.order!r}")
-        if self.degrade_loss <= self.upgrade_loss:
-            raise ValueError("degrade_loss must exceed upgrade_loss")
-        if self.degrade_jitter_s <= self.upgrade_jitter_s:
-            raise ValueError("degrade_jitter_s must exceed upgrade_jitter_s")
-        if self.hysteresis_reports < 1:
-            raise ValueError("hysteresis_reports must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
 class GradingDecision:
     time: float
     action: str  # "degrade" | "upgrade"
-    trigger_stream: str
     target_stream: str
     old_grade: int
     new_grade: int
@@ -111,12 +109,12 @@ class ServerQoSManager:
             return
         p = self.policy
         congested = (
-            report.fraction_lost >= p.degrade_loss
-            or report.jitter_s >= p.degrade_jitter_s
+            report.fraction_lost >= DEGRADE_LOSS
+            or report.jitter_s >= DEGRADE_JITTER_S
         )
         clear = (
-            report.fraction_lost <= p.upgrade_loss
-            and report.jitter_s <= p.upgrade_jitter_s
+            report.fraction_lost <= UPGRADE_LOSS
+            and report.jitter_s <= UPGRADE_JITTER_S
         )
         if congested:
             self._clear_streak[report.stream_id] = 0
@@ -174,7 +172,7 @@ class ServerQoSManager:
         if conv.degrade(now, reason=reason):
             self._last_degrade_at = now
             self.decisions.append(
-                GradingDecision(now, "degrade", report.stream_id, target,
+                GradingDecision(now, "degrade", target,
                                 old, conv.grade_index, reason)
             )
             if self.sim._tracing:
@@ -187,13 +185,13 @@ class ServerQoSManager:
     def _try_upgrade(self, report: RtcpReceiverReport) -> None:
         now = self.sim.now
         p = self.policy
-        if now - self._last_upgrade_at < p.upgrade_cooldown_s:
+        if now - self._last_upgrade_at < UPGRADE_COOLDOWN_S:
             return
         if now - self._last_degrade_at < p.degrade_cooldown_s:
             return
         # All session streams must have a clear streak before upgrading.
         if any(
-            self._clear_streak[sid] < p.hysteresis_reports
+            self._clear_streak[sid] < HYSTERESIS_REPORTS
             for sid in self._converters
         ):
             return
@@ -205,11 +203,11 @@ class ServerQoSManager:
         target = self._ordered(candidates, degrade=False)[0]
         conv = self._converters[target]
         old = conv.grade_index
-        reason = f"clear x{p.hysteresis_reports} across session"
+        reason = f"clear x{HYSTERESIS_REPORTS} across session"
         if conv.upgrade(now, reason=reason):
             self._last_upgrade_at = now
             self.decisions.append(
-                GradingDecision(now, "upgrade", report.stream_id, target,
+                GradingDecision(now, "upgrade", target,
                                 old, conv.grade_index, reason)
             )
             if self.sim._tracing:

@@ -301,4 +301,4 @@ def test_github_annotations_escape_newlines():
 # -------------------------------------------------------------- self lint
 def test_whole_program_self_lint_is_clean():
     diags = lint_python_program([self_lint_root()], full=True)
-    assert diags == [], "\n".join(d.format() for d in diags)
+    assert diags == [], "\n".join(map(str, diags))

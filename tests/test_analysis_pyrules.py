@@ -91,4 +91,4 @@ def test_syntax_error_becomes_diagnostic(tmp_path):
 
 def test_repro_package_self_lints_clean():
     diags = lint_python_program([self_lint_root()], full=True)
-    assert diags == [], [d.format() for d in diags]
+    assert diags == [], diags

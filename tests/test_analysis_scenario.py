@@ -100,7 +100,7 @@ def test_shipped_scenarios_lint_clean():
             "service_operator", "distance_education"} <= set(sets)
     for sset in sets.values():
         errors = [d for d in analyze_set(sset) if d.is_error]
-        assert errors == [], [d.format() for d in errors]
+        assert errors == [], errors
 
 
 def test_analyze_document_defaults_to_open_singleton_set():

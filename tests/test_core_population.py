@@ -25,7 +25,7 @@ def engine(capacity_bps=100e6, access=8e6, seed=10, **kw):
 
 def test_population_runs_on_distinct_access_links():
     eng = engine()
-    pop = eng.run_population(4, "srv1", "doc", stagger_s=0.25)
+    pop = eng.orchestrator.run_population(4, "srv1", "doc", stagger_s=0.25)
     assert len(pop) == 4
     assert all(o.completed for o in pop)
     nodes = [o.client_node for o in pop]
@@ -45,7 +45,7 @@ def test_population_port_isolation():
     """No shared port namespace: every client draws media ports from
     its own node allocator, which session teardown fully returns."""
     eng = engine()
-    pop = eng.run_population(4, "srv1", "doc", stagger_s=0.1)
+    pop = eng.orchestrator.run_population(4, "srv1", "doc", stagger_s=0.1)
     assert all(o.completed for o in pop)
     probe_ports = []
     for o in pop:
@@ -64,7 +64,7 @@ def test_population_port_isolation():
 def test_population_admission_rejections_under_oversubscription():
     # Basic contracts see 70% of 6 Mb/s: two 2 Mb/s viewers fit.
     eng = engine(capacity_bps=6e6)
-    pop = eng.run_population(5, "srv1", "doc", stagger_s=0.1)
+    pop = eng.orchestrator.run_population(5, "srv1", "doc", stagger_s=0.1)
     assert len(pop.completed()) == 2
     assert len(pop.rejected()) == 3
     for o in pop.rejected():
@@ -74,7 +74,7 @@ def test_population_admission_rejections_under_oversubscription():
 def test_population_deterministic_under_fixed_seed():
     def digests(seed):
         eng = engine(seed=seed)
-        pop = eng.run_population(4, "srv1", "doc", stagger_s=0.25)
+        pop = eng.orchestrator.run_population(4, "srv1", "doc", stagger_s=0.25)
         return [
             (o.session_id, o.client_node,
              o.result.streams["V"].frames_played,
@@ -91,7 +91,8 @@ def test_population_deterministic_under_fixed_seed():
 def test_population_poisson_arrivals_reproducible():
     def starts():
         eng = engine()
-        pop = eng.run_population(4, "srv1", "doc", interarrival_mean_s=0.4)
+        pop = eng.orchestrator.run_population(4, "srv1", "doc",
+                                              interarrival_mean_s=0.4)
         return [o.start_at for o in pop]
 
     first, second = starts(), starts()
@@ -103,8 +104,9 @@ def test_population_poisson_arrivals_reproducible():
 def test_population_mixed_documents_and_contracts():
     eng = engine()
     eng.add_document("srv1", "doc2", av_markup(3.0), "y")
-    pop = eng.run_population(4, "srv1", ["doc", "doc2"],
-                             contract=["basic", "premium"], stagger_s=0.1)
+    pop = eng.orchestrator.run_population(
+        4, "srv1", ["doc", "doc2"], contract=["basic", "premium"],
+        stagger_s=0.1)
     assert [o.document for o in pop] == ["doc", "doc2", "doc", "doc2"]
     assert [o.contract for o in pop] == ["basic", "premium"] * 2
     assert all(o.completed for o in pop)
@@ -112,9 +114,11 @@ def test_population_mixed_documents_and_contracts():
 
 def test_population_reuses_clients_across_runs():
     eng = engine()
-    eng.run_population(3, "srv1", "doc", stagger_s=0.1, horizon_s=30.0)
+    eng.orchestrator.run_population(3, "srv1", "doc", stagger_s=0.1,
+                                    horizon_s=30.0)
     n_nodes = len(eng.network.nodes)
-    eng.run_population(3, "srv1", "doc", stagger_s=0.1, horizon_s=30.0)
+    eng.orchestrator.run_population(3, "srv1", "doc", stagger_s=0.1,
+                                    horizon_s=30.0)
     assert len(eng.network.nodes) == n_nodes, "no leaked client nodes"
 
 
@@ -130,7 +134,7 @@ def test_targeted_cross_traffic_hits_one_viewer():
     ))
     eng.add_server("srv1", documents={"doc": (av_markup(6.0), "x")})
     eng.client_nodes(3)  # create client1..client3 before traffic starts
-    pop = eng.run_population(3, "srv1", "doc", stagger_s=0.1)
+    pop = eng.orchestrator.run_population(3, "srv1", "doc", stagger_s=0.1)
     by_client = {o.client_node: o.result for o in pop}
     congested = by_client["client1"]
     clean_gaps = [by_client[c].total_gaps() for c in ("client2", "client3")]

@@ -33,8 +33,7 @@ def full_plan():
         LinkDownFault(src="a", dst="b", at=1.0, duration_s=0.5),
         LinkFlapFault(src="a", dst="b", at=2.0, period_s=1.0,
                       down_s=0.2, count=3),
-        ServerCrashFault(server="srv1", media_server="media", at=3.0,
-                         restart_after_s=2.0),
+        ServerCrashFault(server="srv1", media_server="media", at=3.0),
         ControlPartitionFault(at=4.0, duration_s=1.0),
         ControlImpairFault(at=5.0, duration_s=1.0, drop_prob=0.3,
                            delay_s=0.1, jitter_s=0.05),
@@ -114,14 +113,6 @@ def test_plan_rejects_bad_impair_parameters():
         with pytest.raises(ValueError, match=field):
             FaultPlan((ControlImpairFault(at=0.0, duration_s=1.0,
                                           **{field: bad}),))
-
-
-def test_plan_rejects_bad_restart():
-    with pytest.raises(ValueError, match="restart_after_s"):
-        FaultPlan((ServerCrashFault(server="s", media_server="m",
-                                    at=0.0, restart_after_s=-1.0),))
-    # None (never restarts) stays valid
-    FaultPlan((ServerCrashFault(server="s", media_server="m", at=0.0),))
 
 
 def test_install_rejects_unknown_crash_targets():

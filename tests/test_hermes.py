@@ -108,6 +108,7 @@ def test_mail_roundtrip_with_attachment():
     assert len(box.messages) == 1
     assert box.messages[0].subject == "Q"
     assert box.messages[0].size_bytes > 12_000
+    assert [a.filename for a in box.messages[0].attachments] == ["shot.gif"]
     assert "SMTP" in net.tap.bytes_by_protocol
 
 

@@ -42,10 +42,3 @@ def test_continuous_object_validation():
         ContinuousMediaObject("v2", MediaType.VIDEO, "MPEG", duration_s=0.0)
     with pytest.raises(ValueError):
         ContinuousMediaObject("t", MediaType.TEXT, "plain", duration_s=5.0)
-
-
-def test_continuous_object_custom_seed_name_kept():
-    obj = ContinuousMediaObject(
-        "v1", MediaType.VIDEO, "MPEG", duration_s=1.0, trace_seed_name="mine"
-    )
-    assert obj.trace_seed_name == "mine"

@@ -257,7 +257,8 @@ def test_negotiated_session_plans_degraded_flows():
     video = next(f for f in flow.continuous() if f.stream_id == "V")
     # grant_ratio 0.5 -> video starts at grade 2 (0.75 Mb/s).
     assert video.initial_grade == 2
-    assert video.nominal_rate_bps == 750_000
+    video_codec = default_registry().default_for(MediaType.VIDEO)
+    assert video_codec.grade(2).bitrate_bps == 750_000
 
 
 # ------------------------------------------------- the charge at request-doc

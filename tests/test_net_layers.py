@@ -29,7 +29,7 @@ def _network():
 def test_access_spec_has_usable_defaults():
     spec = AccessLinkSpec()
     assert spec.rate_bps > 0
-    assert spec.delay_s > 0
+    assert service_topology.ACCESS_DELAY_S > 0
     assert spec.queue_packets > 0
     assert spec.loss_model is None
 
@@ -39,8 +39,6 @@ def test_region_spec_validation():
         RegionSpec("")
     with pytest.raises(ValueError):
         RegionSpec("east", n_clients=-1)
-    with pytest.raises(ValueError):
-        RegionSpec("east", link_rate_bps=0)
 
 
 def test_duplicate_region_rejected():
@@ -83,11 +81,13 @@ def test_population_clients_attach_to_their_region_pop():
 def test_cdn_stack_end_to_end_shape():
     regions = cdn_stack(clients_per_region=2)
     assert regions == (RegionSpec("east", 2), RegionSpec("west", 2))
-    # the regional link defaults are the ones cdn_stack always passed
-    assert (regions[0].link_rate_bps, regions[0].link_delay_s,
-            regions[0].queue_packets) == (100e6, 0.008, 500)
     topo = ServiceTopology(_network(), regions)
     assert topo.clients == ["east-c1", "east-c2", "west-c1", "west-c2"]
+    # every POP link carries the values cdn_stack always passed
+    for pop in ("pop:east", "pop:west"):
+        link = topo.network.link(pop, "router")
+        assert (link.rate_bps, link.delay_s, link.queue_packets) \
+            == (100e6, 0.008, 500)
     # every region gets a replica of every media server, in order
     eng = ServiceEngine(layers=regions)
     srv = eng.add_server("srv1", documents=DOC)
@@ -136,8 +136,9 @@ def test_backbone_delay_is_one_constant_with_regions_too(monkeypatch):
     eng.add_server("srv1", documents=DOC)
     assert eng.network.link("host:srv1", "router").delay_s == 0.002
     assert eng.network.link("host:media@east", "pop:east").delay_s == 0.002
-    # ... and a region's own link parameters reach its POP link
-    eng = ServiceEngine(layers=(RegionSpec("north", 1, link_delay_s=0.003),))
+    # ... and the regional link's constants reach every POP link
+    monkeypatch.setattr(service_topology, "REGION_LINK_DELAY_S", 0.003)
+    eng = ServiceEngine(layers=(RegionSpec("north", 1),))
     assert eng.network.link("pop:north", "router").delay_s == 0.003
     assert eng.network.link("router", "pop:north").delay_s == 0.003
 
@@ -152,7 +153,7 @@ def test_default_cross_traffic_targets_the_first_regional_viewer():
                           layers=cdn_stack(clients_per_region=1))
     quiet.add_server("srv1", documents=DOC)
     for e in (eng, quiet):
-        pop = e.run_population(2, "srv1", "doc", stagger_s=0.3)
+        pop = e.orchestrator.run_population(2, "srv1", "doc", stagger_s=0.3)
         assert len(pop.completed()) == 2
     # the source's packets crossed east-c1's access link and no other
     sent = eng.network.link("xsrc1", "router").stats.tx_packets

@@ -272,8 +272,8 @@ def test_topology_builder_star(monkeypatch):
     sim = Simulator()
     net = Network(sim)
     tb = ServiceTopology(net)  # the core router is "router"
-    tb.add_client("c1", AccessLinkSpec(rate_bps=5e6, delay_s=0.01))
-    tb.add_client("c2", AccessLinkSpec(rate_bps=2e6, delay_s=0.02))
+    tb.add_client("c1", AccessLinkSpec(rate_bps=5e6))
+    tb.add_client("c2", AccessLinkSpec(rate_bps=2e6))
     tb.add_server_host("h1")
     tb.add_traffic_host("x1")
     assert tb.clients == ["c1", "c2"]

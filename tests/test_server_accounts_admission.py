@@ -23,6 +23,7 @@ def test_subscribe_then_authenticate():
     reg.subscribe("ada", form(), secret="pw", contract="premium")
     account = reg.authenticate("ada", "pw")
     assert account.contract.name == "premium"
+    assert account.form == form()
     assert "ada" in reg and len(reg) == 1
 
 

@@ -80,8 +80,12 @@ def test_flow_scenario_from_figure2():
     assert cont["V"].send_offset_s == 4.0
     assert cont["A2"].send_offset_s == 13.0
     # Rates come from the codecs' grade-0 rungs.
-    assert cont["V"].nominal_rate_bps == 1_500_000
-    assert cont["A1"].nominal_rate_bps == 64_000
+    codecs = default_registry()
+    assert cont["V"].initial_grade == cont["A1"].initial_grade == 0
+    assert codecs.default_for(cont["V"].media_type).grade(0).bitrate_bps \
+        == 1_500_000
+    assert codecs.default_for(cont["A1"].media_type).grade(0).bitrate_bps \
+        == 64_000
     # Discrete objects fetch eagerly.
     disc = {f.stream_id: f for f in flow.discrete()}
     assert set(disc) == {"I1", "I2"}

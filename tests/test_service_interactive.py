@@ -7,7 +7,7 @@ from repro.core import ServiceEngine
 from repro.core.config import EngineConfig
 from repro.hml import DocumentBuilder, serialize
 from repro.obs.tracer import RecordingTracer
-from repro.server.accounts import SubscriptionForm
+from repro.server.accounts import QoSPreferences, SubscriptionForm
 from repro.service import AnnotationStore, NavigationHistory
 from tests.helpers import interval_of
 from tests.helpers import select
@@ -124,6 +124,32 @@ def _viewer(eng, user, node, disable_at, box):
         yield from client.disconnect()
 
     return eng.sim.process(script())
+
+
+def test_a_users_qos_preferences_reach_the_streams_it_starts():
+    """§4: grading takes "the user's desired levels of presentation
+    quality" into account: the account's floor grade and its refusal of
+    suspension reach the converter of every stream the session starts."""
+    eng = _disable_engine(shared_flows=False)
+    server = eng.servers["srv1"]
+    account = server.accounts.subscribe("ada", SubscriptionForm(
+        real_name="Ada", address="x", email="ada@e.org"), secret="pw")
+    account.qos = QoSPreferences(video_floor_grade=2, audio_floor_grade=1,
+                                 allow_suspend=False)
+    client, handler = eng.open_session("srv1", "ada", "pw")
+
+    def script():
+        yield from client.connect()
+        resp = yield from client.request_document("doc")
+        comp = eng.build_client_composition(resp.body["markup"], server)
+        yield from client.send_ready(comp.rtp_ports, comp.discrete_ports)
+
+    eng.sim.run(until=eng.sim.process(script()))
+    video = handler.session.qos_manager.converters()["V"]
+    assert (video.floor_grade, video.allow_suspend) == (2, False)
+    while video.can_degrade:
+        video.degrade(eng.sim.now)
+    assert video.grade_index == 2 and not video.suspended
 
 
 def _disable_engine(shared_flows, tracer=None):
