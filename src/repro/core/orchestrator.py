@@ -156,6 +156,16 @@ class SessionOrchestrator:
                 self.sim.now, "session", session_id, session=session_id,
                 node=node, document=document, user=user_id,
             )
+
+        def fail(error: str, outcome: str) -> None:
+            result_box["error"] = error
+            result_box["end_s"] = self.sim.now
+            if tracing:
+                self.sim._tracer.span_end(
+                    self.sim.now, "session", session_id, session=session_id,
+                    outcome=outcome,
+                )
+
         resp = yield from client.connect()
         if resp.msg_type == "subscribe-required":
             form = SubscriptionForm(
@@ -164,23 +174,11 @@ class SessionOrchestrator:
             )
             resp = yield from client.subscribe(form, contract=contract)
         if resp.msg_type != "connect-ok":
-            result_box["error"] = resp.body.get("reason", "rejected")
-            result_box["end_s"] = self.sim.now
-            if tracing:
-                self.sim._tracer.span_end(
-                    self.sim.now, "session", session_id, session=session_id,
-                    outcome="rejected",
-                )
+            fail(resp.body.get("reason", "rejected"), "rejected")
             return
         resp = yield from client.request_document(document)
         if resp.msg_type != "scenario":
-            result_box["error"] = resp.body.get("reason", "no scenario")
-            result_box["end_s"] = self.sim.now
-            if tracing:
-                self.sim._tracer.span_end(
-                    self.sim.now, "session", session_id, session=session_id,
-                    outcome="no-scenario",
-                )
+            fail(resp.body.get("reason", "no scenario"), "no-scenario")
             return
         comp = self.engine.build_client_composition(
             resp.body["markup"], server, client_node=client_node,
@@ -189,13 +187,7 @@ class SessionOrchestrator:
         ready = yield from client.send_ready(comp.rtp_ports,
                                              comp.discrete_ports)
         if ready.msg_type != "streams-started":
-            result_box["error"] = ready.body.get("reason", ready.msg_type)
-            result_box["end_s"] = self.sim.now
-            if tracing:
-                self.sim._tracer.span_end(
-                    self.sim.now, "session", session_id, session=session_id,
-                    outcome="no-streams",
-                )
+            fail(ready.body.get("reason", ready.msg_type), "no-streams")
             return
         comp.attach_feedback(ready.body["rtcp_port"], server.node_id)
         done = comp.start()

@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` is a list of frozen fault records, each pinned to
 an absolute simulation time. Plans are pure data — they carry no
-behaviour — so they serialise to/from dicts for CLI flags, CI jobs and
-golden files, and two runs given the same seed and plan replay
-identically.
+behaviour — so a bench artifact records its plan as a dict
+(:meth:`FaultPlan.to_dict`), and two runs given the same seed and plan
+replay identically.
 """
 
 from __future__ import annotations
@@ -82,14 +82,6 @@ class ControlImpairFault:
     kind: str = field(init=False, default="control-impair")
 
 
-_FAULT_TYPES = {
-    "link-down": LinkDownFault,
-    "link-flap": LinkFlapFault,
-    "server-crash": ServerCrashFault,
-    "control-partition": ControlPartitionFault,
-    "control-impair": ControlImpairFault,
-}
-
 Fault = (LinkDownFault | LinkFlapFault | ServerCrashFault
          | ControlPartitionFault | ControlImpairFault)
 
@@ -159,16 +151,3 @@ class FaultPlan:
 
     def to_dict(self) -> dict:
         return {"faults": [asdict(f) for f in self.faults]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        faults = []
-        for item in data.get("faults", []):
-            item = dict(item)
-            kind = item.pop("kind")
-            try:
-                ftype = _FAULT_TYPES[kind]
-            except KeyError:
-                raise ValueError(f"unknown fault kind {kind!r}") from None
-            faults.append(ftype(**item))
-        return cls(faults=tuple(faults))

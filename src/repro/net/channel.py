@@ -10,7 +10,9 @@
   congestion control is out of scope (the paper treats TCP as a given
   black box); go-back-N reproduces the properties the service layer
   observes: reliability, ordering, and loss-induced extra latency. Its
-  segment size, window and timeouts are the module constants below.
+  segment size, window and timeouts are the module constants below. A
+  data packet carries its segment record (:class:`_Segment`) as its
+  payload; an ACK carries nothing, and its number is its ``seq``.
 """
 
 from __future__ import annotations
@@ -58,16 +60,19 @@ class DatagramSocket:
 
 @dataclass(slots=True)
 class _Segment:
+    """One data packet's payload: where its ACK goes, and on the last
+    segment of a message the message's size and payload (``msg_bytes``
+    is 0 on the others)."""
+
     seq: int
     size_bytes: int
-    msg_id: int
-    last_of_msg: bool
+    reply_to: tuple[str, int]
+    msg_bytes: int
     payload: Any
 
 
 @dataclass(slots=True)
 class _PendingMessage:
-    msg_id: int
     last_seq: int
     done: Event
 
@@ -99,7 +104,6 @@ class ReliableSender:
         self._base = 0  # oldest unacked seq
         self._next = 0  # next never-sent seq
         self._msgs: list[_PendingMessage] = []
-        self._msg_counter = 0
         self._timer_token = 0
         self.retransmissions = 0
         self._closed = False
@@ -113,26 +117,16 @@ class ReliableSender:
         if size_bytes <= 0:
             raise ValueError(f"message size must be positive, got {size_bytes}")
         n_segs = (size_bytes + MSS - 1) // MSS
-        self._msg_counter += 1
-        msg_id = self._msg_counter
         first_seq = len(self._segments)
-        remaining = size_bytes
-        for i in range(n_segs):
-            seg_size = min(MSS, remaining)
-            remaining -= seg_size
-            self._segments.append(
-                _Segment(
-                    seq=first_seq + i,
-                    size_bytes=seg_size,
-                    msg_id=msg_id,
-                    last_of_msg=(i == n_segs - 1),
-                    payload=payload if i == n_segs - 1 else None,
-                )
-            )
+        last_seq = first_seq + n_segs - 1
+        reply_to = (self.node_id, self.port)
+        self._segments.extend(_Segment(seq, MSS, reply_to, 0, None)
+                              for seq in range(first_seq, last_seq))
+        self._segments.append(_Segment(
+            last_seq, size_bytes - (n_segs - 1) * MSS, reply_to, size_bytes,
+            payload))
         done = self.sim.event()
-        self._msgs.append(
-            _PendingMessage(msg_id=msg_id, last_seq=first_seq + n_segs - 1, done=done)
-        )
+        self._msgs.append(_PendingMessage(last_seq, done))
         self._pump()
         return done
 
@@ -143,22 +137,10 @@ class ReliableSender:
 
     # -- internals --------------------------------------------------------
     def _transmit(self, seg: _Segment) -> None:
-        pkt = Packet(
-            src=self.node_id,
-            dst=self.dst,
-            size_bytes=seg.size_bytes + 40,  # TCP/IP header overhead
-            protocol=self.protocol,
-            flow_id=self.flow_id,
-            dst_port=self.dst_port,
-            payload={
-                "msg_id": seg.msg_id,
-                "last_of_msg": seg.last_of_msg,
-                "reply_to": (self.node_id, self.port),
-                "data": seg.payload,
-            },
-            seq=seg.seq,
-        )
-        self.network.send(pkt)
+        # a segment's packet adds 40 bytes of TCP/IP header
+        self.network.send(Packet(self.node_id, self.dst, seg.size_bytes + 40,
+                                 self.protocol, self.flow_id, self.dst_port,
+                                 seg, seg.seq))
 
     def _pump(self) -> None:
         while (
@@ -195,12 +177,9 @@ class ReliableSender:
         self._arm_timer()
 
     def _on_ack(self, pkt: Packet) -> None:
-        if self._closed:
+        if self._closed or pkt.seq < self._base:
             return
-        ack = pkt.payload.get("ack", -1) if isinstance(pkt.payload, dict) else -1
-        if ack < self._base:
-            return
-        self._base = ack + 1
+        self._base = pkt.seq + 1
         self.rto_s = RTO_S
         # Complete any messages whose last segment is now acked.
         while self._msgs and self._msgs[0].last_seq < self._base:
@@ -229,7 +208,6 @@ class ReliableReceiver:
         self.port = port
         self.on_message = on_message
         self._rcv_next: dict[str, int] = {}
-        self._msg_bytes: dict[str, int] = {}
         network.node(node_id).bind(port, self._on_data)
 
     def close(self) -> None:
@@ -237,34 +215,22 @@ class ReliableReceiver:
 
     def _on_data(self, pkt: Packet) -> None:
         flow = pkt.flow_id
+        seg: _Segment = pkt.payload
         expected = self._rcv_next.get(flow, 0)
-        payload = pkt.payload if isinstance(pkt.payload, dict) else {}
-        reply_node, reply_port = payload.get("reply_to", (None, None))
-        if pkt.seq == expected:
+        if seg.seq == expected:
             self._rcv_next[flow] = expected + 1
-            self._msg_bytes[flow] = self._msg_bytes.get(flow, 0) + (pkt.size_bytes - 40)
-            if payload.get("last_of_msg"):
-                size = self._msg_bytes.pop(flow, 0)
+            if seg.msg_bytes:
                 if self.sim._tracing:
                     self.sim._tracer.emit(self.sim.now, "channel.message",
                                           flow, node=self.node_id,
-                                          size_bytes=size)
+                                          size_bytes=seg.msg_bytes)
                 if self.on_message is not None:
-                    self.on_message(payload.get("data"), size, flow)
+                    self.on_message(seg.payload, seg.msg_bytes, flow)
             ack = expected
         else:
-            ack = self._rcv_next.get(flow, 0) - 1
-        if reply_node is None or ack < 0:
+            ack = expected - 1  # re-acknowledge the last in-order segment
+        if ack < 0:
             return
-        self.network.send(
-            Packet(
-                src=self.node_id,
-                dst=reply_node,
-                size_bytes=ACK_SIZE_BYTES,
-                protocol="TCP",
-                flow_id=flow,
-                dst_port=reply_port,
-                payload={"ack": ack},
-                seq=ack,
-            )
-        )
+        reply_node, reply_port = seg.reply_to
+        self.network.send(Packet(self.node_id, reply_node, ACK_SIZE_BYTES,
+                                 "TCP", flow, reply_port, seq=ack))

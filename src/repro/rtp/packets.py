@@ -8,7 +8,6 @@ delay, delay jitter and packet loss").
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -63,11 +62,6 @@ class RtpPacket(_RtpFields):
         return tuple.__new__(cls, (
             ssrc, payload_type, seq, timestamp, marker, payload_bytes,
             fragment_index, fragment_count, frame))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> "RtpPacket":
-        # _replace() builds through here: validate the copy as well.
-        return cls(*iterable)
 
     @property
     def size_bytes(self) -> int:

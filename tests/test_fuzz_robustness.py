@@ -88,6 +88,62 @@ def test_reliable_channel_survives_loss_each_direction(direction,
     assert all(s == 8_000 for _, s in got)
 
 
+SIZES = (8_000, 1, 2_500, 1_000, 12_345, 999)
+
+
+@pytest.mark.parametrize("direction", ["fwd", "rev", "both"])
+@pytest.mark.parametrize("seed", [3, 5, 9])
+def test_reliable_channel_law_under_loss(seed, direction, monkeypatch):
+    """Every message is delivered once, in order, with its size, and
+    acknowledged after that; every data packet and every ACK sent is
+    either delivered to its port or dropped on its link."""
+    monkeypatch.setattr(channel, "MSS", 1000)
+    monkeypatch.setattr(channel, "RTO_S", 0.05)
+    sim, net = lossy_net(seed=seed, p_gb=0.2, direction=direction)
+    log = []
+    rx = ReliableReceiver(
+        net, "b", 7000,
+        on_message=lambda d, s, f: log.append(("message", d, s)))
+    tx = ReliableSender(net, "a", 7001, "b", 7000, flow_id="f")
+
+    sent = {"a": 0, "b": 0}
+    send = net.send
+
+    def counted_send(pkt):
+        sent[pkt.src] += 1
+        return send(pkt)
+
+    net.send = counted_send
+    delivered = {7000: 0, 7001: 0}
+    for node, port, handler in (("b", 7000, rx._on_data),
+                                ("a", 7001, tx._on_ack)):
+        def counted(pkt, port=port, handler=handler):
+            delivered[port] += 1
+            handler(pkt)
+
+        net.node(node).unbind(port)
+        net.node(node).bind(port, counted)
+
+    for i, size in enumerate(SIZES):
+        tx.send_message(size, payload=i).callbacks.append(
+            lambda ev, i=i: log.append(("done", i, None)))
+    sim.run()
+
+    messages = [(d, s) for kind, d, s in log if kind == "message"]
+    assert messages == list(enumerate(SIZES))
+    for i in range(len(SIZES)):
+        assert [kind for kind, d, _ in log if d == i] == ["message", "done"]
+    # the lossy links really lost packets
+    assert (net.link("a", "b").stats.loss_drops > 0) == (direction != "rev")
+    assert (net.link("b", "a").stats.loss_drops > 0) == (direction != "fwd")
+    segments = sum(-(-size // 1000) for size in SIZES)
+    assert sent["a"] == segments + tx.retransmissions
+    for (src, dst), port in ((("a", "b"), 7000), (("b", "a"), 7001)):
+        stats = net.link(src, dst).stats
+        assert sent[src] == (delivered[port] + stats.queue_drops
+                             + stats.loss_drops + stats.fault_drops)
+
+
 def test_control_protocol_over_lossy_network():
     """The whole application protocol completes over a lossy path."""
     from repro.server import (
