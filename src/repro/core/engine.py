@@ -540,6 +540,7 @@ class ClientComposition:
                        grading_decisions: list | None = None,
                        grade_trajectories: dict | None = None
                        ) -> SessionResult:
+        self.network.catch_up()  # the tap and discards read below
         result = SessionResult(
             document=document,
             completed=True,

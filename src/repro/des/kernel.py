@@ -361,6 +361,13 @@ class Simulator:
         self._tracer = None
         self._tracing = False
         self._tracing_detail = False
+        #: catch-ups of work held off the heap under seqs it took
+        #: (:mod:`repro.net.link`'s fed links): each is called with
+        #: whether the run drained the heap, brings its work up to now
+        #: (all of it, drained) and returns the latest instant it
+        #: reached; :meth:`run` calls them as it returns and
+        #: :meth:`set_tracer` after the tracer changed
+        self._offheap: list[Callable[[bool], float]] = []
 
     @property
     def now(self) -> float:
@@ -369,7 +376,9 @@ class Simulator:
     @property
     def events_fired(self) -> int:
         """Heap entries fired so far: pushed minus still queued (nothing
-        leaves the heap except by firing, so no per-event counter)."""
+        leaves the heap except by firing, so no per-event counter). Work
+        held off the heap under a seq of its own (a packet fed to a
+        link) counts from when it took the seq."""
         return self._seq - len(self._heap)
 
     # -- observability -------------------------------------------------
@@ -396,6 +405,8 @@ class Simulator:
             raise RuntimeError("cannot change the tracer during run()")
         self._tracer = tracer
         self._tracing, self._tracing_detail = tracing_tiers(tracer)
+        for catch_up in self._offheap:
+            catch_up(False)
 
     # -- construction helpers -----------------------------------------
     def event(self) -> Event:
@@ -443,7 +454,9 @@ class Simulator:
         entry pushed when it was would have: a caller that planned work
         ahead of its instant (:mod:`repro.net.link`,
         :mod:`repro.net.traffic`) takes it back exactly, and the run
-        fires as many entries as one that never planned.
+        fires as many entries as one that never planned. Entries a
+        caller appended to ``_heap`` under seqs it took earlier (work it
+        held off the heap) take their places here too.
         """
         heap = self._heap
         for i, (time, seq, fn, args) in enumerate(heap):
@@ -503,6 +516,8 @@ class Simulator:
                     while heap and not until._processed:
                         self._now, self._firing, fn, args = pop(heap)
                         fn(*args)
+                if self._offheap:
+                    self._rest(False)
                 if not until._processed:
                     raise RuntimeError(
                         "event queue drained before `until` event triggered"
@@ -525,6 +540,18 @@ class Simulator:
                 # every entry up to the deadline has fired
                 self._now = max(self._now, deadline)
                 self._firing = self._seq
+            if self._offheap:
+                self._rest(until is None)
             return None
         finally:
             self._running = False
+
+    def _rest(self, drained: bool) -> None:
+        """Bring the work held off the heap up to now; a drained run
+        ends at the latest instant of that work, as it would have had
+        each piece been an entry."""
+        for catch_up in self._offheap:
+            last = catch_up(drained)
+            if last > self._now:
+                self._now = last
+                self._firing = self._seq

@@ -17,6 +17,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -100,10 +101,12 @@ class ReliableSender:
         self.protocol = protocol
         self.rto_s = RTO_S
 
+        #: the segments from the oldest unacked one (``_base``) on: an
+        #: ACK releases those it covers
         self._segments: list[_Segment] = []
         self._base = 0  # oldest unacked seq
         self._next = 0  # next never-sent seq
-        self._msgs: list[_PendingMessage] = []
+        self._msgs: deque[_PendingMessage] = deque()
         self._timer_token = 0
         self.retransmissions = 0
         self._closed = False
@@ -117,7 +120,7 @@ class ReliableSender:
         if size_bytes <= 0:
             raise ValueError(f"message size must be positive, got {size_bytes}")
         n_segs = (size_bytes + MSS - 1) // MSS
-        first_seq = len(self._segments)
+        first_seq = self._base + len(self._segments)
         last_seq = first_seq + n_segs - 1
         reply_to = (self.node_id, self.port)
         self._segments.extend(_Segment(seq, MSS, reply_to, 0, None)
@@ -143,11 +146,12 @@ class ReliableSender:
                                  seg, seg.seq))
 
     def _pump(self) -> None:
+        base = self._base
         while (
-            self._next < len(self._segments)
-            and self._next < self._base + WINDOW_SEGMENTS
+            self._next < base + len(self._segments)
+            and self._next < base + WINDOW_SEGMENTS
         ):
-            self._transmit(self._segments[self._next])
+            self._transmit(self._segments[self._next - base])
             self._next += 1
         if self._base < self._next:
             self._arm_timer()
@@ -160,9 +164,9 @@ class ReliableSender:
         self.sim.call_later(self.rto_s, self._on_timer, token)
 
     def _on_timer(self, token: int) -> None:
-        if token != self._timer_token or self._closed:
-            return
-        if self._base >= self._next:
+        # a stale token: an ACK re-armed or cancelled it since, or
+        # close() moved it on (so data is outstanding when it is current)
+        if token != self._timer_token:
             return
         # Go-back-N: resend the whole outstanding window with backoff.
         self.rto_s = min(self.rto_s * 2.0, MAX_RTO_S)
@@ -171,19 +175,22 @@ class ReliableSender:
                                   self.flow_id, node=self.node_id,
                                   window=self._next - self._base,
                                   rto_s=self.rto_s)
-        for seq in range(self._base, self._next):
+        segments = self._segments
+        for k in range(self._next - self._base):
             self.retransmissions += 1
-            self._transmit(self._segments[seq])
+            self._transmit(segments[k])
         self._arm_timer()
 
     def _on_ack(self, pkt: Packet) -> None:
-        if self._closed or pkt.seq < self._base:
+        # after close() the port is unbound: no ACK reaches this
+        if pkt.seq < self._base:
             return
+        del self._segments[:pkt.seq + 1 - self._base]
         self._base = pkt.seq + 1
         self.rto_s = RTO_S
         # Complete any messages whose last segment is now acked.
         while self._msgs and self._msgs[0].last_seq < self._base:
-            self._msgs.pop(0).done.succeed(self.sim.now)
+            self._msgs.popleft().done.succeed(self.sim.now)
         self._pump()
 
 

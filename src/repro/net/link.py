@@ -39,6 +39,10 @@ class LinkStats:
         return 0.0 if elapsed <= 0 else self.busy_time / elapsed
 
 
+def _keep(_time, _seq, _fn, _args) -> None:
+    """A rewrite that moves no entry: it only places appended ones."""
+
+
 class Link:
     """Unidirectional link ``src -> dst``.
 
@@ -73,6 +77,22 @@ class Link:
     back exactly (:meth:`_withdraw`) when either link goes down, when
     the routes change, and when anything is enqueued onto the next
     link, which ends the claim.
+
+    A traffic source (:mod:`repro.net.traffic`) may feed the router's
+    link to its target instead: it appends each planned packet to the
+    link's feed as ``(arrival here, seq, packet)`` under the seq its
+    entry here would have taken, and nothing is pushed. The link
+    catches up (:meth:`_catch_up`) before anything else touches it: an
+    :meth:`enqueue`, a loss draw in :meth:`_propagated`, a read of
+    :attr:`stats`, :meth:`set_up`, a port bound or unbound at ``dst``,
+    the network's readers of the tap and of ``rx_discarded``
+    (``Network.catch_up``) and the return from ``Simulator.run``. It
+    then admits the fed packets that arrived before, as ``enqueue``
+    would have, and delivers those that reached ``dst`` before, as
+    ``_propagated`` would have, to a port nothing is bound to. A link
+    that goes down, a port bound there, a tracer, a second source or a
+    route change turns the pending packets back into the entries they
+    replaced, under their seqs (:meth:`_unfeed`).
     """
 
     def __init__(
@@ -127,11 +147,22 @@ class Link:
         #: the traffic source (:mod:`repro.net.traffic`) or the link
         #: that plans across this link; False once anything else fed it
         self._owner = None
+        #: the traffic source that feeds this link (None: none does;
+        #: False: two tried, and none may): its packets wait in
+        #: ``_feed`` as ``(arrival at src, seq, packet)`` until admitted,
+        #: then in ``_far`` as ``(arrival at dst, seq, packet)`` until
+        #: delivered, in :meth:`_catch_up` (both made when a source
+        #: first feeds the link: most links are never fed)
+        self._feeder = None
+        self._feed: deque[tuple[float, int, Packet]] | None = None
+        self._far: deque[tuple[float, int, Packet]] | None = None
 
     def _settle(self) -> LinkStats:
         """Count the transmissions that ended before now and return the
         counters, so they read as if each were an event; one departing
         exactly now is still in service."""
+        if self._feeder:
+            self._catch_up(self.sim._now, self.sim._firing)
         departures, now = self._departures, self.sim._now
         stats = self._stats
         while departures and departures[0][0] < now:
@@ -157,6 +188,8 @@ class Link:
         """Administratively raise or cut the link (fault injection)."""
         if up == self.up:
             return
+        if self._feeder:
+            self._unfeed()
         if not up:
             # a packet planned past now meets the links as they are
             # then: the plans across this link, and its own across the
@@ -255,6 +288,90 @@ class Link:
         self._withdraw()
         self._owner = False
 
+    # -- packets a traffic source feeds -------------------------------------
+    def _catch_up(self, now: float, firing: int) -> float:
+        """Do what the entries the fed packets replaced would have done
+        before ``(now, firing)``; returns the latest instant done.
+
+        A fed packet is admitted at its arrival, in ``(time, seq)``
+        order, as :meth:`enqueue` would then: settle, drop-tail,
+        append. An admitted one reaches ``dst``, in FIFO order and
+        before any later packet's loss draw here, as :meth:`_propagated`
+        would: the loss draw, then the far node's tap and discard count
+        (its port has no handler: a bound one takes the feed back), in
+        one sum for the packets delivered. Its arrival there is ordered
+        by the seq it was fed under, taken before the seq its entry
+        there would have taken: a read at exactly that instant, from an
+        entry pushed in between, sees the delivery, where a run that
+        does not feed shows it to a later read.
+        """
+        last = 0.0
+        feed = self._feed
+        if feed:
+            departures = self._departures
+            stats = self._stats
+            far = self._far
+            limit, rate, delay = self.queue_packets, self.rate_bps, self.delay_s
+            while feed:
+                t, seq, pkt = feed[0]
+                if t > now or t == now and seq >= firing:
+                    break
+                feed.popleft()
+                last = t
+                while departures and departures[0][0] < t:
+                    _, ser, size = departures.popleft()
+                    stats.busy_time += ser
+                    stats.tx_packets += 1
+                    stats.tx_bytes += size
+                if len(departures) > limit:
+                    self._drop_queue(pkt)
+                    continue
+                size = pkt.size_bytes
+                ser = size * 8.0 / rate
+                departure = (departures[-1][0] if departures else t) + ser
+                departures.append((departure, ser, size))
+                far.append((departure + delay, seq, pkt))
+        far = self._far
+        if far:
+            loss = self._packet_loss
+            delivered = 0
+            while far:
+                arrival, seq, pkt = far[0]
+                if arrival > now or arrival == now and seq >= firing:
+                    break
+                far.popleft()
+                last = arrival
+                if loss is not None and loss.is_lost():
+                    self._stats.loss_drops += 1
+                    self.on_drop(pkt, "drop-loss")
+                else:
+                    delivered += 1
+            if delivered:
+                # one source's packets: one flow, one size, one port
+                node = self._feeder.network.nodes[self.dst]
+                node._tap_flows[pkt.protocol][pkt.flow_id] += delivered
+                node._tap_bytes[pkt.protocol] += delivered * pkt.size_bytes
+                node.rx_discarded += delivered
+        return last
+
+    def _unfeed(self) -> None:
+        """Turn the packets fed here and not yet delivered back into the
+        heap entries they replaced, under their seqs: one not yet
+        admitted into this link's ``enqueue`` at its arrival, one
+        admitted into ``_propagated`` at its arrival at ``dst``. The
+        link is fed no more until its source asks again."""
+        sim = self.sim
+        self._catch_up(sim._now, sim._firing)
+        del self._feeder.network._fed[self]
+        self._feeder = None
+        enqueue, propagated = self.enqueue, self._propagated
+        sim._heap += [(t, seq, enqueue, (pkt,)) for t, seq, pkt in self._feed]
+        sim._heap += [(arrival, seq, propagated, (pkt, None))
+                      for arrival, seq, pkt in self._far]
+        self._feed.clear()
+        self._far.clear()
+        sim.rewrite(_keep)
+
     # -- ingress ---------------------------------------------------------
     def enqueue(self, pkt: Packet) -> bool:
         """Offer a packet; returns False (and counts a drop) if full."""
@@ -265,10 +382,13 @@ class Link:
             self._disown()      # a link plans across this one
         sim = self.sim
         now = sim._now
+        if self._feeder:
+            self._catch_up(now, sim._firing)
         departures = self._departures
         stats = self._stats
         # `_settle`, here and for the next link below, and the admission
-        # after it (also in `_TrafficBase._plan`'s loop) are written out:
+        # after it (also in `_TrafficBase._plan`'s loop and in
+        # `_catch_up`, for fed packets) are written out:
         # these run per packet, and a shared method would cost a call per
         # packet, which tests/test_datapath_budget.py counts
         while departures and departures[0][0] < now:
@@ -340,22 +460,24 @@ class Link:
             self._drop_down(pkt)
             return
         loss = self._packet_loss
-        if loss is not None and (
-            loss.is_lost(flow=pkt.flow_id, seq=pkt.seq,
-                         session=pkt.session, frame=pkt.frame_seq)
-            if self.sim._tracing_detail
-            else loss.is_lost()
-        ):
-            self._stats.loss_drops += 1
-            if self.sim._tracing:
-                self.sim._tracer.emit(self.sim.now, "link.drop", self.name,
-                                      reason="loss", seq=pkt.seq,
-                                      flow=pkt.flow_id,
-                                      session=pkt.session,
-                                      frame=pkt.frame_seq)
-            if self.on_drop is not None:
-                self.on_drop(pkt, "drop-loss")
-            return
+        if loss is not None:
+            if self._feeder:
+                # the fed packets that arrived before draw first
+                self._catch_up(self.sim._now, self.sim._firing)
+            if (loss.is_lost(flow=pkt.flow_id, seq=pkt.seq,
+                             session=pkt.session, frame=pkt.frame_seq)
+                    if self.sim._tracing_detail
+                    else loss.is_lost()):
+                self._stats.loss_drops += 1
+                if self.sim._tracing:
+                    self.sim._tracer.emit(self.sim.now, "link.drop",
+                                          self.name, reason="loss",
+                                          seq=pkt.seq, flow=pkt.flow_id,
+                                          session=pkt.session,
+                                          frame=pkt.frame_seq)
+                if self.on_drop is not None:
+                    self.on_drop(pkt, "drop-loss")
+                return
         pkt.hops += 1
         dst = pkt.dst
         if dst == self.dst:

@@ -54,9 +54,13 @@ class Node:
     def bind(self, port: int, handler: Callable[[Packet], None]) -> None:
         if port in self._ports:
             raise ValueError(f"port {port} already bound on {self.node_id}")
+        if self.network._fed:
+            self.network._ports_change(self.node_id, port)
         self._ports[port] = handler
 
     def unbind(self, port: int) -> None:
+        if self.network._fed:
+            self.network._ports_change(self.node_id, port)
         self._ports.pop(port, None)
 
     def bound_ports(self) -> list[int]:
@@ -115,6 +119,10 @@ class Network:
         #: it forwards; all are emptied when the topology changes.
         self._out_links: dict[str, dict[str, Link]] = {}
         self._routed = False
+        #: the links a traffic source feeds (``Link._feeder``), as an
+        #: ordered set (catch-ups run in a fixed order): every reader of
+        #: what their packets change catches them up first
+        self._fed: dict[Link, None] = {}
 
     # -- construction ----------------------------------------------------
     def add_node(self, node_id: str) -> Node:
@@ -246,6 +254,40 @@ class Network:
         while path[-1] != src:
             path.append(prev[path[-1]])
         return path[::-1]
+
+    # -- fed links -----------------------------------------------------------
+    def catch_up(self) -> None:
+        """Bring every fed link up to now, before the tap or a node's
+        ``rx_discarded`` is read (a link's ``stats`` catches itself up)."""
+        now, firing = self.sim._now, self.sim._firing
+        for link in self._fed:
+            link._catch_up(now, firing)
+
+    def _rest(self, drained: bool) -> float:
+        """The simulator's catch-up (``Simulator._offheap``): every fed
+        link up to now, or to its last packet once the heap drained;
+        under a tracer each is unfed instead, so the traced run sees
+        every packet at an entry of its own."""
+        sim = self.sim
+        if sim._tracing:
+            for link in list(self._fed):
+                link._unfeed()
+            return sim._now
+        now, firing = (float("inf"), 0) if drained else (sim._now,
+                                                         sim._firing)
+        return max([link._catch_up(now, firing) for link in self._fed],
+                   default=sim._now)
+
+    def _ports_change(self, node_id: str, port: int) -> None:
+        """A port of ``node_id`` is bound or unbound: the links fed into
+        it catch up, and one whose packets go to that port is unfed."""
+        sim = self.sim
+        for link in list(self._fed):
+            if link.dst == node_id:
+                if port == link._feeder.port:
+                    link._unfeed()
+                else:
+                    link._catch_up(sim._now, sim._firing)
 
     # -- data plane ----------------------------------------------------------
     def send(self, pkt: Packet) -> bool:

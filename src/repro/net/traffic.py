@@ -22,13 +22,18 @@ A source owns the links out of its host when no other source sits there
 send on an owned link. The uplink's departures are then a pure function
 of the source's draws, so the source plans: it admits packets to the
 uplink ahead of their emission instants, exactly as
-:meth:`~repro.net.link.Link.enqueue` would at each instant, and
-schedules only each packet's arrival at the far end. There the packet
-enters the router's next link through that link's ``enqueue`` straight
-from its entry: the uplink's ``_propagated`` would do only that (the
-uplink draws no loss), so the packet is built with ``hops=1`` and the
-next link is looked up once per plan (routing the router's table if it
-is empty). A plan admits ``_BATCH`` packets, more if none of them
+:meth:`~repro.net.link.Link.enqueue` would at each instant. At the far
+end a packet enters the router's next link: the uplink's
+``_propagated`` would do only that (the uplink draws no loss), so the
+packet is built with ``hops=1`` and the next link is looked up once per
+plan (routing the router's table if it is empty). When that link ends
+at the target and the target's port is unbound, the source feeds it
+(``Link._feed``): each packet takes the seq its entry at the router
+would have and no entry, and the link admits it and discards it at the
+target in its catch-ups, before anything else reads or sends on it. A
+link another source feeds too, a bound port, a downed link or another
+path makes the packet an entry at the router that offers it to that
+link's ``enqueue``. A plan admits ``_BATCH`` packets, more if none of them
 reaches the router by the next emission, and its resume is the arrival
 entry of the latest one that does, so no heap entry marks an emission
 and no emission is admitted after its instant (nor seen before it: a
@@ -47,21 +52,30 @@ that instant; each is offered to the uplink at its own instant instead,
 and is in no plan until then. A planned packet in flight then, and
 every planned packet when the routes change, is handed back to the
 uplink's ``_propagated`` under its seq (``hops`` reset to 0), which
-checks the uplink and routes the packet as things are when it arrives.
+checks the uplink and routes the packet as things are when it arrives;
+the link this source feeds gives its packets back as entries first.
 
-One order differs from a source that does not plan. A packet's entry
+One order differs from a source that does not plan, and one more from
+one that does not feed. A packet's entry
 at the router takes its seq when its batch is planned, not at its
 emission instant: an entry at the router pushed in between, for exactly
 that packet's arrival, fires after the packet instead of before it. A
 batch plans ``_BATCH`` packets or more ahead, so such an entry may be
 pushed many emissions after the plan, and after its resume
 (``test_an_entry_at_the_router_for_a_batched_arrival_fires_in_the_plans_order``
-in ``tests/test_net_traffic_impairments.py`` holds the order).
+in ``tests/test_net_traffic_impairments.py`` holds the order). A fed
+packet keeps that order at the router, but its arrival at the target
+is ordered by the same seq, taken before the one its entry there would
+have taken: a read at exactly that arrival, from an entry pushed in
+between, sees it discarded where a source that does not feed shows it
+to a later read
+(``test_a_read_at_exactly_a_fed_packets_far_arrival_sees_it_delivered``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable
@@ -89,6 +103,9 @@ class _TrafficBase:
     #: subclass (drawn for Poisson, fixed inside an ON/OFF burst), so
     #: the planning loop enters no Python frame for it
     _next_gap: Callable[[], float]
+    #: the target's port the packets go to: nothing binds it, so they
+    #: are discarded there
+    port = 9
 
     def __init__(
         self,
@@ -116,9 +133,9 @@ class _TrafficBase:
         #: the packets of the latest plan, in seq order; those whose
         #: emission instant is after now are not sent yet
         self._planned: list[Packet] = []
-        #: the router's next link's ``enqueue`` that planned packets
-        #: enter by (None while no such entry can be pending)
-        self._direct: Callable[[Packet], bool] | None = None
+        #: the router's next link, which planned packets enter through
+        #: its ``enqueue`` or its feed (None while none can be pending)
+        self._nxt: Link | None = None
         #: triggers when the source has stopped for good; its heap entry
         #: is one of the events every pinned run counts
         self.done = self.sim.event()
@@ -159,8 +176,8 @@ class _TrafficBase:
         self._sent += 1
         link = self._out.get(self.dst) or self._uplink()
         link.enqueue(Packet(
-            self.src, self.dst, self.packet_bytes, "UDP", self.flow_id, 9,
-            seq=self._sent, created_at=self.sim._now))
+            self.src, self.dst, self.packet_bytes, "UDP", self.flow_id,
+            self.port, seq=self._sent, created_at=self.sim._now))
 
     def _plan(self, t: float, end: float, hand: Callable | None = None,
               pkt: Packet | None = None) -> None:
@@ -191,6 +208,7 @@ class _TrafficBase:
             ser = (link.serialization_delay(size) if link._ser_overridden
                    else size * 8.0 / link.rate_bps)
             delay = link.delay_s
+            feed = None
             if dst == link.dst or not link._plans_through:
                 hand, hops = link._propagated, 0
             else:
@@ -200,8 +218,12 @@ class _TrafficBase:
                 if nxt is None:
                     link._route(link.dst, dst)
                     nxt = link._next[dst]
-                hand = self._direct = nxt.enqueue
+                self._nxt = nxt
+                hand = nxt.enqueue
                 hops = 1
+                if nxt._feeder is self or self._feeds(nxt):
+                    feed = nxt._feed
+            port = self.port
             next_gap = self._next_gap
             until = min(end, self.stop_at)
             tail = departures[-1][0] if departures else t
@@ -222,7 +244,7 @@ class _TrafficBase:
                 sent += 1
                 # positional: (..., payload, seq, session, frame_seq,
                 # created_at, hops)
-                packets.append(Packet(src, dst, size, "UDP", flow_id, 9,
+                packets.append(Packet(src, dst, size, "UDP", flow_id, port,
                                       None, sent, "", -1, t, hops))
                 arrivals.append(tail + delay)
                 t = t + next_gap()
@@ -237,13 +259,48 @@ class _TrafficBase:
             if resume >= 0:
                 resume_at = arrivals.pop(resume)
                 last = packets.pop(resume)
-            call_at = sim.call_at
-            for arrival, pkt in zip(arrivals, packets):
-                call_at(arrival, hand, pkt)
+            if feed is not None:
+                # each takes the seq its entry at the router would have
+                seq = sim._seq
+                sim._seq += len(packets)
+                feed += zip(arrivals, range(seq + 1, sim._seq + 1), packets)
+            else:
+                for arrival, pkt in zip(arrivals, packets):
+                    sim.call_at(arrival, hand, pkt)
             if resume >= 0:
-                call_at(resume_at, self._plan, t, end, hand, last)
+                sim.call_at(resume_at, self._plan, t, end, hand, last)
                 return
         sim.call_at(t, self._tick, end)
+
+    def _feeds(self, nxt: Link) -> bool:
+        """Whether this source may feed ``nxt``, the router's next link,
+        which it does not feed yet; if so, it feeds it from now on.
+
+        It may when that link ends at the target, is a plain up link,
+        no other source fed it and the target's port is unbound (a
+        handler must see each packet at an entry of its own). The link
+        is disowned first: a packet another link planned across it
+        would be admitted ahead of the fed packets that reach it
+        before. A second source takes the first one's feed back, and
+        neither feeds the link again.
+        """
+        feeder = nxt._feeder
+        if feeder:
+            nxt._unfeed()
+            nxt._feeder = False
+            return False
+        network = self.network
+        if (feeder is False or nxt.dst != self.dst or type(nxt) is not Link
+                or not nxt.up or self.port in network.nodes[self.dst]._ports):
+            return False
+        nxt._disown()
+        if nxt._feed is None:
+            nxt._feed, nxt._far = deque(), deque()
+        nxt._feeder = self
+        network._fed[nxt] = None
+        if network._rest not in self.sim._offheap:
+            self.sim._offheap.append(network._rest)
+        return True
 
     def _withdraw(self) -> None:
         """Take back the packets planned past now (the uplink is going
@@ -274,11 +331,18 @@ class _TrafficBase:
         enters the router's next link directly to the uplink's
         ``_propagated`` at its arrival, which checks the uplink is up and
         routes the packet as it is then. ``hops`` is reset to 0 on both.
-        The network calls this alone when its routes change."""
-        direct = self._direct
-        if not later and direct is None:
+        A link this source feeds is unfed first, so its packets are
+        entries too. The network calls this alone when its routes
+        change."""
+        nxt = self._nxt
+        if not later and nxt is None:
             return
-        self._direct = None
+        self._nxt = None
+        direct = None
+        if nxt is not None:
+            if nxt._feeder is self:
+                nxt._unfeed()
+            direct = nxt.enqueue
         ids = set()
         for pkt in later:
             pkt.hops = 0

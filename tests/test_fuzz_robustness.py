@@ -144,6 +144,60 @@ def test_reliable_channel_law_under_loss(seed, direction, monkeypatch):
                              + stats.loss_drops + stats.fault_drops)
 
 
+@pytest.mark.parametrize("direction", ["fwd", "rev", "both"])
+@pytest.mark.parametrize("seed", [3, 5, 9])
+def test_a_drained_reliable_sender_holds_no_segment(seed, direction,
+                                                    monkeypatch):
+    """An ACK releases the segments it covers: once every message of the
+    law's lossy run is acknowledged, the sender holds none of them (27
+    were held there while every segment was kept for the sender's
+    life), and mid-run it holds only those from the oldest unacked."""
+    monkeypatch.setattr(channel, "MSS", 1000)
+    monkeypatch.setattr(channel, "RTO_S", 0.05)
+    sim, net = lossy_net(seed=seed, p_gb=0.2, direction=direction)
+    ReliableReceiver(net, "b", 7000)
+    tx = ReliableSender(net, "a", 7001, "b", 7000, flow_id="f")
+    held = []
+
+    def watch():
+        held.append((len(tx._segments), tx._base))
+        if tx._msgs:
+            sim.call_later(0.01, watch)
+
+    for i, size in enumerate(SIZES):
+        tx.send_message(size, payload=i)
+    total = sum(-(-size // 1000) for size in SIZES)
+    watch()
+    sim.run()
+    assert not tx._msgs
+    assert len(tx._segments) == 0 and tx._base == tx._next == total
+    assert all(n + base == total for n, base in held)
+    assert len(held) > 1 and held[-1][1] > held[0][1]
+
+
+def test_an_ack_after_close_is_discarded_at_the_unbound_port():
+    """close() unbinds the sender's port, so an ACK still in flight is
+    counted as a discard there and reaches no handler."""
+    sim, net = lossy_net(seed=3, p_gb=0.0, direction="neither")
+    ReliableReceiver(net, "b", 7000)
+    tx = ReliableSender(net, "a", 7001, "b", 7000, flow_id="f")
+    acks = []
+    on_ack = tx._on_ack
+    tx._on_ack = lambda pkt: (acks.append(pkt.seq), on_ack(pkt))
+    net.node("a").unbind(7001)
+    net.node("a").bind(7001, tx._on_ack)
+    tx.send_message(1000)
+    # the segment reaches b at 9 ms (4 ms on the wire, 5 ms of delay),
+    # its ACK a at about 14.2 ms: close between the two
+    sim.run(until=0.012)
+    tx.close()
+    sim.run()
+    assert acks == []
+    assert net.node("a").rx_discarded == 1
+    assert net.link("b", "a").stats.tx_packets == 1
+    assert tx._base == 0 and len(tx._segments) == 1
+
+
 def test_control_protocol_over_lossy_network():
     """The whole application protocol completes over a lossy path."""
     from repro.server import (

@@ -251,10 +251,14 @@ def test_every_packet_a_source_sent_is_somewhere_at_the_horizon(traced):
     (``LinkStats`` and the tap count drops by link and kind). A link
     schedules a packet's arrival when it accepts it, so every pending
     packet -- waiting, being serialised or propagating -- is the
-    argument of one heap entry. Untraced, each source plans across its
-    own uplink: a packet admitted ahead of its emission instant is in
-    the heap as well, but it is not sent yet, and ``packets_sent`` must
-    not count it."""
+    argument of one heap entry, or waits in the feed or far queue of a
+    link a source feeds (``Link._feed`` / ``_far``: the entries it
+    stands for were never pushed). Untraced, each source plans across
+    its own uplink: a packet admitted ahead of its emission instant is
+    in the heap (or a feed) as well, but it is not sent yet, and
+    ``packets_sent`` must not count it. Both sources try to feed
+    ``r -> y`` here; the second takes the first's feed back into the
+    heap, and neither feeds it after that."""
     tracer = RecordingTracer()
     sim = Simulator()
     if traced:
@@ -280,6 +284,8 @@ def test_every_packet_a_source_sent_is_somewhere_at_the_horizon(traced):
     delivered = net.tap.count_by_flow["UDP"]
     in_heap = [arg for _, _, _, args in sim._heap
                for arg in args if isinstance(arg, Packet)]
+    in_heap += [pkt for link in net.links.values() if link._feed is not None
+                for _, _, pkt in (*link._feed, *link._far)]
     pending = Counter(pkt.flow_id for pkt in in_heap
                       if pkt.created_at <= sim.now)
     stats = [link.stats for link in net.links.values()]
@@ -318,6 +324,7 @@ def test_every_packet_a_source_sent_is_somewhere_at_the_horizon(traced):
     assert sum(s.fault_drops for s in stats) == 0
     assert min(sum(s.queue_drops for s in stats),
                sum(s.loss_drops for s in stats)) > 0
+    assert net.link("r", "y")._feeder is (None if traced else False)
 
 
 # ---------------------------------------------------------------------------

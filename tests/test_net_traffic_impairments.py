@@ -9,10 +9,13 @@ must emit the same packets at the same instants, leave the same
 ``LinkStats`` (at the horizon and at every read in between) and fire
 one heap entry fewer per packet admitted to the uplink ahead of its
 emission instant. Beside that, on either side, a packet the uplink
-itself planned across ``r -> y`` fires no entry at ``r``.
+itself planned across ``r -> y`` fires no entry at ``r``. Where ``y``
+binds no port 9 a source feeds ``r -> y`` instead of pushing entries
+there, and the tap and ``y``'s discards must match too, read by read.
 """
 
 import dataclasses
+from collections import deque
 from typing import NamedTuple
 
 import pytest
@@ -228,20 +231,53 @@ class Run(NamedTuple):
     #: planned arrivals that enter a link out of ``r`` through its
     #: ``enqueue`` directly, and the queue drops of those links that
     #: ``enqueue`` did not make. A packet the uplink planned across one
-    #: fires none there unless it is dropped there
+    #: fires none there unless it is dropped there; a packet fed to
+    #: ``r -> y`` fires none there either, and none at ``y``
     entries_at_r: int
+    #: at the horizon: the tap's UDP deliveries by flow, its bytes by
+    #: protocol and ``y``'s discards (an unbound target's arrivals)
+    discards: tuple
+    #: packets fed to ``r -> y``, and those still in its feed or far
+    #: queue at the horizon (their seqs are taken, their entries never
+    #: pushed)
+    fed: int
+    pending_fed: int
+    #: the clock at the end of the run (the last entry's, drained)
+    now: float
+
+
+class _CountingFeed(deque):
+    """A link's feed that counts what sources append to it."""
+
+    added = 0
+
+    def __iadd__(self, items):
+        items = list(items)
+        self.added += len(items)
+        return super().__iadd__(items)
 
 
 def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
                     sources=1, read_every=0.0, flaps=(), traced=False,
-                    shortcut_at=None, **params):
+                    shortcut_at=None, unbound=False, bind_at=None,
+                    bottleneck_flaps=(), bottleneck_loss=False,
+                    second_host_at=None, r_sends_every=0.0, **params):
     """``x -> r -> y`` with a slow, short-queued second hop, so the
     links' statistics include drops: ``sources`` sources on host ``x``,
     ``uplink_queue`` packets of queue on ``x -> r`` and its ``flaps``
-    as ``(instant, up)``; every link's stats and each source's
-    ``packets_sent`` read each ``read_every`` seconds, under a detail
-    tracer if ``traced``; from ``shortcut_at`` on, ``r -> w -> y`` is a
-    faster way to ``y``."""
+    as ``(instant, up)``; every link's stats, each source's
+    ``packets_sent``, the tap and ``y``'s discards read each
+    ``read_every`` seconds, under a detail tracer if ``traced``; from
+    ``shortcut_at`` on, ``r -> w -> y`` is a faster way to ``y``.
+
+    ``y`` binds the sources' port 9 unless ``unbound``, then at
+    ``bind_at`` if that is set: until then the packets are discarded
+    there, and a source feeds them to ``r -> y``. ``bottleneck_flaps``
+    cut and raise ``r -> y``, ``bottleneck_loss`` gives it a
+    Gilbert-Elliott chain, and ``second_host_at`` starts one more
+    source then, on host ``v`` behind its own uplink to ``r``; ``r``
+    itself sends a packet to ``y`` each ``r_sends_every`` seconds. A
+    ``horizon`` of None drains the run."""
     sim = Simulator()
     tracer = RecordingTracer()
     if traced:
@@ -250,10 +286,22 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
     for node in "xry":
         net.add_node(node)
     uplink = net.add_link("x", "r", 10e6, 0.001, queue_packets=uplink_queue)
-    bottleneck = net.add_link("r", "y", 1.5e6, 0.002, queue_packets=4)
+    loss = (GilbertElliottLoss(RngRegistry(seed=29).stream("loss"),
+                               p_gb=0.05, p_bg=0.3, loss_bad=0.5)
+            if bottleneck_loss else None)
+    bottleneck = net.add_link("r", "y", 1.5e6, 0.002, queue_packets=4,
+                              loss_model=loss)
+    bottleneck._feed, bottleneck._far = _CountingFeed(), deque()
     seen = []
-    net.node("y").bind(
-        9, lambda pkt: seen.append((pkt.created_at, pkt.seq, sim.now)))
+
+    def bind():
+        net.node("y").bind(
+            9, lambda pkt: seen.append((pkt.created_at, pkt.seq, sim.now)))
+
+    if not unbound:
+        bind()
+    elif bind_at is not None:
+        sim.call_at(bind_at, bind)
     registry = RngRegistry(seed=23)
     counters = []
     calls = {"_emit": 0, "_replay": 0, "_propagated": 0, "refused": 0,
@@ -266,19 +314,26 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
             return method(*args)
         return call
 
-    for k in range(sources):
-        rng = registry.stream(f"traffic:x{k}")
+    hosts = ["x"] * sources
+    if second_host_at is not None:
+        net.add_node("v")
+        net.add_link("v", "r", 10e6, 0.003)
+        hosts.append("v")
+    for k, host in enumerate(hosts):
+        rng = registry.stream(f"traffic:{host}{k}")
+        kw = dict(params)
+        if host == "v":
+            kw["start_at"] = second_host_at
         if reference:
-            sent = _reference_source(net, "x", "y", rng, kind, port=9 + k,
-                                     **params)
+            sent = _reference_source(net, host, "y", rng, kind, port=9 + k,
+                                     **kw)
             counters.append(lambda sent=sent: sent[0])
             continue
         if kind == "poisson":
-            source = PoissonTrafficSource(net, "x", "y", rng, **params)
+            source = PoissonTrafficSource(net, host, "y", rng, **kw)
         else:
-            kw = dict(params)
             kw["peak_rate_bps"] = kw.pop("rate_bps")
-            source = OnOffTrafficSource(net, "x", "y", rng, **kw)
+            source = OnOffTrafficSource(net, host, "y", rng, **kw)
         source._emit = counted(source._emit)
         source._replay = counted(source._replay)
         counters.append(lambda source=source: source.packets_sent)
@@ -309,6 +364,21 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
     watch(bottleneck)
     for when, up in flaps:
         sim.call_at(when, uplink.set_up, up)
+    for when, up in bottleneck_flaps:
+        sim.call_at(when, bottleneck.set_up, up)
+
+    def r_sends():
+        net.send(Packet("r", "y", 200, "UDP", "r", 9))
+        sim.call_later(r_sends_every, r_sends)
+
+    if r_sends_every:
+        sim.call_later(r_sends_every, r_sends)
+
+    def discards():
+        net.catch_up()
+        return ({flow: n for flow, n in net.tap.count_by_flow["UDP"].items()},
+                dict(net.tap.bytes_by_protocol),
+                net.node("y").rx_discarded)
 
     def shortcut():
         net.add_node("w")
@@ -325,7 +395,7 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
     def read():
         reads.append(([dataclasses.asdict(link.stats)
                        for link in net.links.values()],
-                      [count() for count in counters]))
+                      [count() for count in counters], discards()))
         sim.call_later(read_every, read)
 
     if read_every:
@@ -341,7 +411,9 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
                         if link.src == "r") - calls["refused"]
     return Run(seen, stats, sent, sim.events_fired, reads, at_instant,
                calls["_replay"], rows,
-               calls["_propagated"] + calls["direct"] + planned_drops)
+               calls["_propagated"] + calls["direct"] + planned_drops,
+               discards(), bottleneck._feed.added,
+               len(bottleneck._feed) + len(bottleneck._far), sim.now)
 
 
 def _onoff_instants(**params):
@@ -438,6 +510,11 @@ def _poisson_stop_inside_a_batch():
     return (emitted[99] + emitted[100]) / 2
 
 
+def _bottleneck_flap(down_s):
+    """``r -> y`` down at 1.2 s for ``down_s``."""
+    return ((1.2, False), (1.2 + down_s, True))
+
+
 POISSON = dict(rate_bps=1.4e6)
 FAST_POISSON = dict(rate_bps=4e6)
 ONOFF = dict(rate_bps=4e6, on_mean_s=0.05, off_mean_s=0.05)
@@ -489,11 +566,51 @@ SOURCE_CASES = {
     "poisson_traced": ("poisson", 3.0, dict(rate_bps=1.4e6, traced=True)),
     "onoff_traced": (
         "onoff", 3.0, dict(ONOFF, flaps=_uplink_flaps(), traced=True)),
+    # y binds no port 9: the source feeds r -> y, and each read catches
+    # it up; the bottleneck's loss chain draws for the fed packets there
+    "poisson_unbound_read_mid_run": (
+        "poisson", 3.0, dict(FAST_POISSON, unbound=True, read_every=0.0037,
+                             bottleneck_loss=True)),
+    # r's own packets share r -> y and its loss chain with the fed ones
+    "poisson_unbound_beside_another_sender": (
+        "poisson", 3.0, dict(POISSON, unbound=True, read_every=0.0037,
+                             bottleneck_loss=True, r_sends_every=0.0029)),
+    "onoff_unbound_read_mid_run": (
+        "onoff", 3.0, dict(FAST_ONOFF, unbound=True, read_every=0.0011)),
+    "onoff_unbound_uplink_flapping": (
+        "onoff", 3.0, dict(ONOFF, unbound=True, flaps=_uplink_flaps(),
+                           read_every=0.0007)),
+    # r -> y down for less than a packet's flight on it (5.3 ms on the
+    # wire, 2 ms of delay): the packets in flight arrive after it is up
+    "poisson_unbound_fed_link_flap_shorter_than_a_flight": (
+        "poisson", 3.0, dict(FAST_POISSON, unbound=True, read_every=0.0037,
+                             bottleneck_loss=True,
+                             bottleneck_flaps=_bottleneck_flap(0.0005))),
+    "poisson_unbound_fed_link_flap_longer_than_a_flight": (
+        "poisson", 3.0, dict(FAST_POISSON, unbound=True, read_every=0.0037,
+                             bottleneck_loss=True,
+                             bottleneck_flaps=_bottleneck_flap(0.05))),
+    "poisson_unbound_routes_change_mid_run": (
+        "poisson", 3.0, dict(POISSON, unbound=True, shortcut_at=1.5,
+                             read_every=0.0037)),
+    "poisson_unbound_port_bound_mid_run": (
+        "poisson", 3.0, dict(FAST_POISSON, unbound=True, bind_at=1.5,
+                             read_every=0.0037, bottleneck_loss=True)),
+    # a second source on its own host feeds r -> y too: neither does
+    "poisson_unbound_two_hosts_feed_one_link": (
+        "poisson", 3.0, dict(POISSON, unbound=True, second_host_at=1.2,
+                             read_every=0.0037, bottleneck_loss=True)),
+    "poisson_unbound_drained": (
+        "poisson", None, dict(FAST_POISSON, unbound=True, stop_at=2.0,
+                              bottleneck_loss=True)),
 }
 #: cases where every packet is sent from an entry at its emission
 #: instant, as before sources planned
 NOTHING_PLANNED = {"poisson_never_starts", "onoff_two_sources_on_one_host",
                    "poisson_traced", "onoff_traced"}
+#: cases where a source feeds r -> y
+FED = {case for case, (_, _, params) in SOURCE_CASES.items()
+       if params.get("unbound")}
 
 
 @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
@@ -504,27 +621,44 @@ def test_sources_reproduce_the_generator_reference_exactly(case):
     assert got.seen == want.seen            # (emit, seq, arrival) at y
     assert got.stats == want.stats          # LinkStats of both links
     assert got.packets_sent == want.packets_sent
+    assert got.discards == want.discards    # the tap and y's discards
     assert got.reads == want.reads          # read by read, mid-run
     assert got.link_rows == want.link_rows  # detail rows, in order
+    assert got.now == want.now              # where the run ended
     # one heap entry fewer per packet admitted to the uplink ahead of
     # its emission instant, and on either side one fewer per packet the
     # uplink planned across r -> y (it fires no entry at r); the rest
-    # cost what the reference's did
+    # cost what the reference's did. A packet fed to r -> y counts from
+    # when it is fed: its seq stands for its entry at r, and it has none
+    # at y, where the reference's uplink planned it across r -> y and so
+    # fired one entry, at y, for it too. So the two agree but for the fed
+    # packets still in r -> y's feed or far queue at the horizon, whose
+    # entries the reference has not fired yet
     planned = got.packets_sent - got.sent_at_instant
-    assert (got.events_fired - got.entries_at_r
+    assert (got.events_fired - got.entries_at_r - got.pending_fed
             == want.events_fired - want.entries_at_r - planned)
+    assert want.fed == want.pending_fed == 0
     if case in NOTHING_PLANNED:
         assert planned == 0
     else:
         assert planned > 0
+    if case in FED:
+        assert got.fed > 0
+    elif case not in NOTHING_PLANNED:
         # the reference's uplink plans its packets across r -> y; the
         # sources' packets planned across the uplink reach r through its
         # ``_propagated`` and so end that claim
+        assert got.fed == 0
         assert want.entries_at_r < got.entries_at_r
     if kind == "poisson" and case not in NOTHING_PLANNED:
         assert planned == got.packets_sent
     if case != "poisson_never_starts":
-        assert got.packets_sent > len(got.seen) > 0  # some dropped
+        # some dropped: the tap counts the sources' packets that reached
+        # y, handled or discarded
+        delivered = sum(n for flow, n in got.discards[0].items()
+                        if flow.startswith("xtraffic:"))
+        assert got.packets_sent > delivered >= len(got.seen)
+        assert delivered > 0
         assert got.stats["r->y"]["queue_drops"] > 0
 
 
@@ -607,6 +741,80 @@ def test_an_entry_at_the_router_for_a_batched_arrival_fires_in_the_plans_order(
     unplanned = [("r", 0), ("x", 6)]
     assert len(order) == 9
     assert order[5:7] == (unplanned[::-1] if tracer is None else unplanned)
+
+
+@pytest.mark.parametrize("tracer", [None, FlightRecorder, RecordingTracer])
+def test_a_fed_packet_enters_the_router_link_in_the_plans_order(tracer):
+    """Fed, ``e[5]`` keeps the order of the entry it replaced (the test
+    above): ``y`` binds no port 9, so the source feeds ``r -> y``, and
+    ``r``'s packet to port 10, sent at ``e[5]``'s arrival at ``r`` from
+    an entry pushed in between, is admitted after it, where a run that
+    does not plan (under any tracer) admits it first; its arrival at
+    ``y`` tells which."""
+    sim = Simulator()
+    if tracer is not None:
+        sim.set_tracer(tracer())
+    net = Network(sim)
+    for node in "xry":
+        net.add_node(node)
+    net.add_link("x", "r", 2.0**20, 2.0**-4)
+    net.add_link("r", "y", 2.0**20, 2.0**-4)
+    arrived = []
+    net.node("y").bind(10, lambda pkt: arrived.append(sim.now))
+    OnOffTrafficSource(net, "x", "y", RngRegistry(seed=1).stream("s"),
+                       peak_rate_bps=8192.0, on_mean_s=1e6,
+                       packet_bytes=128, stop_at=1.0)
+    at_r = 5 * 0.125 + 2.0**-10 + 2.0**-4
+    sim.call_at(0.25, sim.call_at, at_r, net.send,
+                Packet("r", "y", 128, "UDP", "r", 10, seq=0))
+    sim.run()
+    queued = 2.0**-10 if tracer is None else 0.0  # behind e[5]
+    assert arrived == [at_r + queued + 2.0**-10 + 2.0**-4]
+    assert net.node("y").rx_discarded == 8
+
+
+@pytest.mark.parametrize("tracer", [None, FlightRecorder])
+def test_a_read_at_exactly_a_fed_packets_far_arrival_sees_it_delivered(
+        tracer):
+    """The one order feeding changes. ``y`` binds no port 9, so the
+    source feeds ``r -> y``: ``e[5]`` waits there under the seq it took
+    when its batch was planned, at the burst's start, and reaches ``y``
+    (the tap, ``rx_discarded``) in the catch-up of whoever reads next.
+    Its arrival at ``y`` is ordered by that seq, where a run that does
+    not feed (under any tracer) orders it by the seq of the entry that
+    ``r -> y`` pushes when it admits ``e[5]``. A read at exactly that
+    arrival, from an entry pushed in between, sees ``e[5]`` delivered
+    when fed and not otherwise; one pushed after the admission sees it
+    either way. Powers of two keep every instant exact."""
+    sim = Simulator()
+    if tracer is not None:
+        sim.set_tracer(tracer())
+    net = Network(sim)
+    for node in "xry":
+        net.add_node(node)
+    # 128-byte packets: 2**-10 s on each link, 0.125 s apart in the burst
+    net.add_link("x", "r", 2.0**20, 2.0**-4)
+    net.add_link("r", "y", 2.0**20, 2.0**-4)
+    source = OnOffTrafficSource(net, "x", "y", RngRegistry(seed=1).stream(
+        "s"), peak_rate_bps=8192.0, on_mean_s=1e6, packet_bytes=128,
+        stop_at=1.0)
+    at_r = 5 * 0.125 + 2.0**-10 + 2.0**-4
+    at_y = at_r + 2.0**-10 + 2.0**-4
+    reads = []
+
+    def read(label):
+        net.catch_up()
+        reads.append((label, net.node("y").rx_discarded))
+
+    sim.call_at(0.25, sim.call_at, at_y, read, "pushed before r admits")
+    sim.call_at((at_r + at_y) / 2, sim.call_at, at_y, read,
+                "pushed after")
+    sim.run()
+    fed = tracer is None
+    assert reads == [("pushed before r admits", 6 if fed else 5),
+                     ("pushed after", 6)]
+    assert net.node("y").rx_discarded == 8  # e[0] to e[7]
+    assert net.link("r", "y")._feeder is (source if fed else None)
 
 
 def test_onoff_stop_instants_fall_where_the_case_names_say():
