@@ -65,34 +65,35 @@ class Link:
     this link draws no loss, no detail tracer watches (control-tier
     emits on this path fire as they did), and the far node's table
     (routed when this link accepts the packet, if it is empty) routes
-    the packet to a next link that is up and that this link claimed
-    (the first planner claims a link nothing fed before, unless it is
-    the uplink of a traffic source that plans: see :meth:`_claim`),
+    the packet to a next link that is up and that this link claimed (the
+    first planner claims a link nothing fed before: see :meth:`_claim`),
     :meth:`enqueue` admits the packet there now, as that link's
     ``enqueue`` would at the arrival, and pushes one entry: the final
     arrival, or the queue drop at the arrival. Its seq is taken now, so
-    an entry pushed for the same final instant before the packet
-    reaches ``dst`` fires after it, where a run that does not plan
-    fires it first; every other tie keeps its order. A plan is taken
-    back exactly (:meth:`_withdraw`) when either link goes down, when
-    the routes change, and when anything is enqueued onto the next
-    link, which ends the claim.
+    an entry pushed for the same final instant before the packet reaches
+    ``dst`` fires after it, where a run that does not plan fires it
+    first; every other tie keeps its order. A plan is taken back exactly
+    (:meth:`_withdraw`) when either link goes down, when the routes
+    change, and when anything is enqueued onto the next link, which ends
+    the claim.
 
-    A traffic source (:mod:`repro.net.traffic`) may feed the router's
-    link to its target instead: it appends each planned packet to the
-    link's feed as ``(arrival here, seq, packet)`` under the seq its
-    entry here would have taken, and nothing is pushed. The link
-    catches up (:meth:`_catch_up`) before anything else touches it: an
-    :meth:`enqueue`, a loss draw in :meth:`_propagated`, a read of
-    :attr:`stats`, :meth:`set_up`, a port bound or unbound at ``dst``,
-    the network's readers of the tap and of ``rx_discarded``
-    (``Network.catch_up``) and the return from ``Simulator.run``. It
-    then admits the fed packets that arrived before, as ``enqueue``
-    would have, and delivers those that reached ``dst`` before, as
-    ``_propagated`` would have, to a port nothing is bound to. A link
-    that goes down, a port bound there, a tracer, a second source or a
-    route change turns the pending packets back into the entries they
-    replaced, under their seqs (:meth:`_unfeed`).
+    A traffic source (:mod:`repro.net.traffic`) plans across its own
+    uplink only to feed the router's link to its target: it appends each
+    planned packet to that link's feed as ``(arrival here, seq,
+    packet)`` under the seq its entry here would have taken, and nothing
+    is pushed (no entry ever names this link's :meth:`enqueue` for a
+    planned packet). The link catches up (:meth:`_catch_up`) before
+    anything else touches it: an :meth:`enqueue`, a loss draw in
+    :meth:`_propagated`, a read of :attr:`stats`, :meth:`set_up`, a port
+    bound or unbound at ``dst``, the network's readers of the tap and of
+    ``rx_discarded`` (``Network.catch_up``) and the return from
+    ``Simulator.run``. It then admits the fed packets that arrived
+    before, as ``enqueue`` would have, and delivers those that reached
+    ``dst`` before, as ``_propagated`` would have, to a port nothing is
+    bound to. A link that goes down, a port bound there, a tracer, a
+    second source or a route change turns the pending packets back into
+    the entries a source that does not feed leaves, under their seqs
+    (:meth:`_unfeed`).
     """
 
     def __init__(
@@ -265,19 +266,11 @@ class Link:
     def _claim(self, link: "Link") -> bool:
         """Let ``link``, the first to ask, plan across this unowned link
         unless something was enqueued onto it before: every enqueue
-        leaves a record or a count.
-
-        An uplink a planning traffic source owns is refused, and this
-        link stays unowned: the source hands its planned packets to this
-        link's ``enqueue`` itself, and the first of them would take the
-        claim back with a scan of the heap."""
+        leaves a record or a count."""
         stats = self._stats
         if (self._departures or stats.tx_packets or stats.queue_drops
                 or stats.fault_drops):
             self._owner = False
-            return False
-        owner = link._owner
-        if owner and not isinstance(owner, Link) and not self.sim._tracing:
             return False
         self._owner = link
         return True
@@ -356,17 +349,24 @@ class Link:
 
     def _unfeed(self) -> None:
         """Turn the packets fed here and not yet delivered back into the
-        heap entries they replaced, under their seqs: one not yet
-        admitted into this link's ``enqueue`` at its arrival, one
-        admitted into ``_propagated`` at its arrival at ``dst``. The
-        link is fed no more until its source asks again."""
+        heap entries a source that does not feed leaves, under their
+        seqs: one not yet admitted into its uplink's ``_propagated`` at
+        its arrival here, which finds the uplink and the routes as they
+        are then, and one admitted into this link's ``_propagated`` at
+        its arrival at ``dst``. The link is fed no more until its source
+        asks again."""
         sim = self.sim
         self._catch_up(sim._now, sim._firing)
-        del self._feeder.network._fed[self]
+        feeder = self._feeder
+        network = feeder.network
+        del network._fed[self]
         self._feeder = None
-        enqueue, propagated = self.enqueue, self._propagated
-        sim._heap += [(t, seq, enqueue, (pkt,)) for t, seq, pkt in self._feed]
-        sim._heap += [(arrival, seq, propagated, (pkt, None))
+        propagated = network.links[feeder.src, self.src]._propagated
+        sim._heap += [(t, seq, propagated, (pkt, None))
+                      for t, seq, pkt in self._feed]
+        for _, _, pkt in self._far:
+            pkt.hops = 1  # it crossed the uplink
+        sim._heap += [(arrival, seq, self._propagated, (pkt, None))
                       for arrival, seq, pkt in self._far]
         self._feed.clear()
         self._far.clear()

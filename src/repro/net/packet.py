@@ -37,7 +37,7 @@ class Packet:
     def __init__(self, src: str, dst: str, size_bytes: int, protocol: str,
                  flow_id: str, dst_port: int, payload: Any = None,
                  seq: int = 0, session: str = "", frame_seq: int = -1,
-                 created_at: float = 0.0, hops: int = 0) -> None:
+                 created_at: float = 0.0) -> None:
         if size_bytes <= 0:
             raise ValueError(f"size_bytes must be positive, got {size_bytes}")
         self.src = src
@@ -51,7 +51,8 @@ class Packet:
         self.session = session
         self.frame_seq = frame_seq
         self.created_at = created_at
-        self.hops = hops
+        #: links crossed so far, counted on arrival at each far end
+        self.hops = 0
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

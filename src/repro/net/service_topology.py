@@ -200,7 +200,9 @@ class ServiceTopology:
 
         The host's uplink belongs to the one source placed on it, which
         plans its packets across the link ahead of their emission
-        instants (:mod:`repro.net.traffic`); put nothing else there.
+        instants and feeds them to the router's link to its target
+        (:mod:`repro.net.traffic`); put nothing else there, and bind
+        nothing at the target's port 9.
         """
         return self._add_backbone_host(node_id, TRAFFIC_HOST_DELAY_S)
 

@@ -236,12 +236,13 @@ class Network:
         # being built there is nothing to clear.
         if self._routed:
             self._routed = False
-            # a plan across a link followed the far node's old route
+            # a plan across a link, and a feed, followed the far node's
+            # old route
             for link in self.links.values():
                 if isinstance(link._owner, Link):
                     link._withdraw()
-                elif link._owner:  # a traffic source's direct entries
-                    link._owner._take_back()
+            for link in list(self._fed):
+                link._unfeed()
             for table in self._out_links.values():
                 table.clear()
 

@@ -17,59 +17,66 @@ stream in blocks (:func:`~repro.des.rng.block_draws`: the stream must
 be the source's alone), each packet built here. A source only sends: it
 binds no port, and its packets are discarded at the target's port 9.
 
-A source owns the links out of its host when no other source sits there
-(the engine gives each source a host of its own), and nothing else may
-send on an owned link. The uplink's departures are then a pure function
-of the source's draws, so the source plans: it admits packets to the
-uplink ahead of their emission instants, exactly as
-:meth:`~repro.net.link.Link.enqueue` would at each instant. At the far
-end a packet enters the router's next link: the uplink's
-``_propagated`` would do only that (the uplink draws no loss), so the
-packet is built with ``hops=1`` and the next link is looked up once per
-plan (routing the router's table if it is empty). When that link ends
-at the target and the target's port is unbound, the source feeds it
-(``Link._feed``): each packet takes the seq its entry at the router
-would have and no entry, and the link admits it and discards it at the
+A source reaches its target in one of two ways.
+
+*Fed.* A source owns the links out of its host when no other source
+sits there (the engine gives each source a host of its own), and
+nothing else may send on an owned link. When its uplink is up, draws
+no loss and ends at a router whose link to the target is a plain link
+that is up, that no other source fed and whose target leaves port 9
+unbound (every engine run), the source feeds that link
+(``Link._feed``). The uplink's departures are a pure function of the
+source's draws, so the source plans: it admits a batch of packets to
+the uplink ahead of their emission instants, exactly as
+:meth:`~repro.net.link.Link.enqueue` would at each instant, and appends
+each to the router's link under the seq its entry at the router would
+have taken, with no entry; the link admits it and discards it at the
 target in its catch-ups, before anything else reads or sends on it. A
-link another source feeds too, a bound port, a downed link or another
-path makes the packet an entry at the router that offers it to that
-link's ``enqueue``. A plan admits ``_BATCH`` packets, more if none of them
-reaches the router by the next emission, and its resume is the arrival
-entry of the latest one that does, so no heap entry marks an emission
-and no emission is admitted after its instant (nor seen before it: a
-planned record departs after now, so reading the link settles none, and
-``packets_sent`` leaves out what is planned past now). Where a plan
-cannot be exact the source keeps an entry at each emission instant and
-sends through ``enqueue``, as a sender on a shared link must: under a
-tracer (its rows stay in time order; attach one before the run), on a
-link another source shares, while the uplink is down, and for a packet
-the uplink's queue would drop. ON/OFF bursts keep their start and end
-entries, and a batch ends at a burst's end or ``stop_at``.
+batch admits ``_BATCH`` packets, more if none of them reaches the
+router by the next emission, and its resume is an entry at the arrival
+of the latest one that does, so no heap entry marks an emission and no
+emission is admitted after its instant (nor seen before it: a planned
+record departs after now, so reading the link settles none, and
+``packets_sent`` leaves out what is planned past now). A batch also
+ends before a packet the uplink's queue would drop, at a burst's end
+or at ``stop_at``; ON/OFF bursts keep their start and end entries.
+
+*Sent at its instant.* Otherwise the source keeps an entry at each
+emission instant and sends through ``enqueue``, as any sender does:
+under a tracer (its rows stay in time order; attach one before the
+run), on an uplink another source shares, while the uplink is down,
+when the uplink draws loss or ends at the target, and when the
+router's link to the target cannot be fed (a bound port, a second
+source, the link down or the route elsewhere). The run then fires,
+entry for entry, what any sender of the same packets fires.
 
 The source keeps its packets planned and not yet emitted across
 resumes, so an uplink going down withdraws exactly those planned past
-that instant; each is offered to the uplink at its own instant instead,
-and is in no plan until then. A planned packet in flight then, and
-every planned packet when the routes change, is handed back to the
-uplink's ``_propagated`` under its seq (``hops`` reset to 0), which
-checks the uplink and routes the packet as things are when it arrives;
-the link this source feeds gives its packets back as entries first.
+that instant: each is offered to the uplink at its own instant
+instead, and is in no plan after that; planning resumes once the last
+of them was offered. Before that, and whenever the routes change, a
+port is bound at the target, the fed link goes down, a tracer is
+attached or a second source arrives, the fed link is unfed
+(``Link._unfeed``): each pending packet is the entry it replaced again,
+under its seq, the uplink's ``_propagated`` at the router, which finds
+the uplink and the routes as they are when it arrives, or the fed
+link's ``_propagated`` at the target.
 
-One order differs from a source that does not plan, and one more from
-one that does not feed. A packet's entry
-at the router takes its seq when its batch is planned, not at its
-emission instant: an entry at the router pushed in between, for exactly
-that packet's arrival, fires after the packet instead of before it. A
-batch plans ``_BATCH`` packets or more ahead, so such an entry may be
-pushed many emissions after the plan, and after its resume
-(``test_an_entry_at_the_router_for_a_batched_arrival_fires_in_the_plans_order``
-in ``tests/test_net_traffic_impairments.py`` holds the order). A fed
-packet keeps that order at the router, but its arrival at the target
-is ordered by the same seq, taken before the one its entry there would
-have taken: a read at exactly that arrival, from an entry pushed in
-between, sees it discarded where a source that does not feed shows it
-to a later read
+Two orders differ from a source that does not feed, both a fed
+packet's. Its entry at the router takes its seq when its batch is
+planned, not at its emission instant: an entry at the router pushed in
+between, for exactly that packet's arrival, fires after the packet
+instead of before it. A batch plans ``_BATCH`` packets or more ahead,
+so such an entry may be pushed many emissions after the plan, and
+after its resume
+(``test_a_fed_packet_enters_the_router_link_in_the_plans_order`` in
+``tests/test_net_traffic_impairments.py`` holds the order). Its arrival
+at the target is ordered by the same seq, taken before the one its
+entry there would have taken: a read at exactly that arrival, from an
+entry pushed in between, sees it discarded where a source that does
+not feed shows it to a later read
 (``test_a_read_at_exactly_a_fed_packets_far_arrival_sees_it_delivered``).
+A source that sends at its instants changes no order.
 """
 
 from __future__ import annotations
@@ -103,8 +110,8 @@ class _TrafficBase:
     #: subclass (drawn for Poisson, fixed inside an ON/OFF burst), so
     #: the planning loop enters no Python frame for it
     _next_gap: Callable[[], float]
-    #: the target's port the packets go to: nothing binds it, so they
-    #: are discarded there
+    #: the target's port the packets go to: while nothing binds it,
+    #: they are discarded there and the source may feed (:meth:`_feeds`)
     port = 9
 
     def __init__(
@@ -133,9 +140,6 @@ class _TrafficBase:
         #: the packets of the latest plan, in seq order; those whose
         #: emission instant is after now are not sent yet
         self._planned: list[Packet] = []
-        #: the router's next link, which planned packets enter through
-        #: its ``enqueue`` or its feed (None while none can be pending)
-        self._nxt: Link | None = None
         #: triggers when the source has stopped for good; its heap entry
         #: is one of the events every pinned run counts
         self.done = self.sim.event()
@@ -179,23 +183,33 @@ class _TrafficBase:
             self.src, self.dst, self.packet_bytes, "UDP", self.flow_id,
             self.port, seq=self._sent, created_at=self.sim._now))
 
-    def _plan(self, t: float, end: float, hand: Callable | None = None,
-              pkt: Packet | None = None) -> None:
+    def _plan(self, t: float, end: float) -> None:
         """Go on from the tick at ``t`` (not before now), inside a burst
-        ending at ``end``: admit a batch of emissions, then leave the
-        one entry that resumes the source.
-
-        ``pkt`` is the planned packet whose arrival at the uplink's far
-        end resumed planning, and ``hand`` where it enters there; it is
-        handed on first, as the link would.
-        """
-        if pkt is not None:
-            hand(pkt)
+        ending at ``end``: when this source feeds the router's link to
+        its target, admit a batch of emissions to the uplink, feed them
+        all to that link and leave the one entry that resumes the
+        source; otherwise leave the tick at ``t``."""
         # `_uplink` only when the route is missing, as in `_emit`: no
         # frame per plan
         link = self._out.get(self.dst) or self._uplink()
         sim = self.sim
-        if link._owner is self and link.up and not sim._tracing:
+        dst = self.dst
+        nxt = None
+        if (link._owner is self and link.up and not sim._tracing
+                and link._plans_through and dst != link.dst):
+            # the far node's next link, where the uplink's `_propagated`
+            # would offer each packet at its arrival
+            nxt = link._next.get(dst)
+            if nxt is None:
+                link._route(link.dst, dst)
+                nxt = link._next[dst]
+            if not (nxt._feeder is self or self._feeds(nxt)):
+                nxt = None
+        resume_at = None
+        if nxt is not None:
+            # once a batch, so that a fed link nothing else touches does
+            # not hold every packet fed to it until the run ends
+            nxt._catch_up(sim._now, sim._firing)
             planned = self._planned
             # what is emitted by now leaves the plan; the rest stays
             del planned[:bisect_right(planned, sim._now, key=_EMITTED)]
@@ -203,27 +217,11 @@ class _TrafficBase:
             link._settle()
             departures = link._departures
             limit = link.queue_packets
-            src, dst, flow_id = self.src, self.dst, self.flow_id
+            src, flow_id, port = self.src, self.flow_id, self.port
             size = self.packet_bytes
-            ser = (link.serialization_delay(size) if link._ser_overridden
-                   else size * 8.0 / link.rate_bps)
+            # a link that plans through has no cell layer
+            ser = size * 8.0 / link.rate_bps
             delay = link.delay_s
-            feed = None
-            if dst == link.dst or not link._plans_through:
-                hand, hops = link._propagated, 0
-            else:
-                # the far node's next link, where the uplink's
-                # `_propagated` would offer the packet at its arrival
-                nxt = link._next.get(dst)
-                if nxt is None:
-                    link._route(link.dst, dst)
-                    nxt = link._next[dst]
-                self._nxt = nxt
-                hand = nxt.enqueue
-                hops = 1
-                if nxt._feeder is self or self._feeds(nxt):
-                    feed = nxt._feed
-            port = self.port
             next_gap = self._next_gap
             until = min(end, self.stop_at)
             tail = departures[-1][0] if departures else t
@@ -231,7 +229,6 @@ class _TrafficBase:
             full = sent + _BATCH
             arrivals: list[float] = []
             packets: list[Packet] = []
-            resume = -1
             while t < until:
                 # `enqueue`'s admission at instant t (see the comment
                 # there); none of the records is settled early, so reads
@@ -243,34 +240,25 @@ class _TrafficBase:
                 departures.append((tail, ser, size))
                 sent += 1
                 # positional: (..., payload, seq, session, frame_seq,
-                # created_at, hops)
+                # created_at)
                 packets.append(Packet(src, dst, size, "UDP", flow_id, port,
-                                      None, sent, "", -1, t, hops))
+                                      None, sent, "", -1, t))
                 arrivals.append(tail + delay)
                 t = t + next_gap()
                 if sent >= full and arrivals[0] <= t:
                     # the latest arrival at or before t resumes planning
-                    resume = len(arrivals) - 1
-                    while arrivals[resume] > t:
-                        resume -= 1
+                    resume_at = arrivals[bisect_right(arrivals, t) - 1]
                     break
             self._sent = sent
             planned += packets
-            if resume >= 0:
-                resume_at = arrivals.pop(resume)
-                last = packets.pop(resume)
-            if feed is not None:
-                # each takes the seq its entry at the router would have
-                seq = sim._seq
-                sim._seq += len(packets)
-                feed += zip(arrivals, range(seq + 1, sim._seq + 1), packets)
-            else:
-                for arrival, pkt in zip(arrivals, packets):
-                    sim.call_at(arrival, hand, pkt)
-            if resume >= 0:
-                sim.call_at(resume_at, self._plan, t, end, hand, last)
-                return
-        sim.call_at(t, self._tick, end)
+            # each takes the seq its entry at the router would have
+            seq = sim._seq
+            sim._seq += len(packets)
+            nxt._feed += zip(arrivals, range(seq + 1, sim._seq + 1), packets)
+        if resume_at is None:
+            sim.call_at(t, self._tick, end)
+        else:
+            sim.call_at(resume_at, self._plan, t, end)
 
     def _feeds(self, nxt: Link) -> bool:
         """Whether this source may feed ``nxt``, the router's next link,
@@ -303,77 +291,53 @@ class _TrafficBase:
         return True
 
     def _withdraw(self) -> None:
-        """Take back the packets planned past now (the uplink is going
-        down, or another sender now shares it): the heap entry that was
-        to carry each to the far end fires at its emission instant
-        instead and offers it to the uplink then, so the run fires as
-        many entries as one that never planned. A packet withdrawn
-        earlier is in no plan: its entry waits for its instant already.
-        A packet in flight reaches the far end through the uplink's
-        ``_propagated`` again (:meth:`_take_back`)."""
-        now = self.sim._now
+        """Take back what is planned past now: the uplink is going down,
+        or another sender now shares it.
+
+        The link this source feeds is unfed first, so each packet it
+        holds is the uplink's ``_propagated`` entry at the router again,
+        which finds the uplink as it is then. A packet planned past now
+        leaves the uplink's records, and its entry moves, under its seq,
+        to its emission instant, where it is offered to the uplink as
+        any sender's would be (:meth:`_replay`); it is in no plan after
+        that. The resume moves to the last of them, so planning goes on
+        only once every withdrawn packet was offered, and the run fires
+        as many entries as one that never planned.
+        """
+        uplink = self._uplink()
+        nxt = uplink._next.get(self.dst)
+        if nxt is not None and nxt._feeder is self:
+            nxt._unfeed()
         planned = self._planned
-        emitted = bisect_right(planned, now, key=_EMITTED)
+        emitted = bisect_right(planned, self.sim._now, key=_EMITTED)
         later = planned[emitted:]
-        del planned[emitted:]
-        if later:
-            self._sent -= len(later)
-            # their records are the uplink's newest, none of them settled
-            departures = self._uplink()._departures
-            for _ in later:
-                departures.pop()
-        self._take_back(later)
-
-    def _take_back(self, later: list[Packet] | tuple = ()) -> None:
-        """Move the pending entries of this source's packets, under their
-        seqs: a packet in ``later`` to its emission instant, to be
-        offered to the uplink then (:meth:`_replay`); any other that
-        enters the router's next link directly to the uplink's
-        ``_propagated`` at its arrival, which checks the uplink is up and
-        routes the packet as it is then. ``hops`` is reset to 0 on both.
-        A link this source feeds is unfed first, so its packets are
-        entries too. The network calls this alone when its routes
-        change."""
-        nxt = self._nxt
-        if not later and nxt is None:
+        if not later:
             return
-        self._nxt = None
-        direct = None
-        if nxt is not None:
-            if nxt._feeder is self:
-                nxt._unfeed()
-            direct = nxt.enqueue
-        ids = set()
-        for pkt in later:
-            pkt.hops = 0
-            ids.add(id(pkt))
-        propagated = self._uplink()._propagated
-        plan, replay, src = self._plan, self._replay, self.src
+        del planned[emitted:]
+        self._sent -= len(later)
+        # their records are the uplink's newest, none of them settled
+        departures = uplink._departures
+        for _ in later:
+            departures.pop()
+        pending = set(later)
+        last = later[-1].created_at
+        plan, replay = self._plan, self._replay
+        propagated = uplink._propagated
 
-        def back(time, _seq, fn, args):
+        def back(_time, _seq, fn, args):
             if fn == plan:
-                t, end, hand, pkt = args
-                if id(pkt) in ids:
-                    return pkt.created_at, replay, ((t, end), pkt)
-                if hand == direct:
-                    pkt.hops = 0
-                    return time, plan, (t, end, propagated, pkt)
-            elif args and id(args[-1]) in ids:
-                return args[-1].created_at, replay, (None, args[-1])
-            elif fn == direct and args[0].src == src:
-                args[0].hops = 0
-                return time, propagated, args
+                return last, plan, args
+            if fn == propagated and args[0] in pending:
+                return args[0].created_at, replay, args[:1]
             return None
 
         self.sim.rewrite(back)
 
-    def _replay(self, resume: tuple | None, pkt: Packet) -> None:
+    def _replay(self, pkt: Packet) -> None:
         """A withdrawn packet's emission instant: offer it as any sender
-        would, then resume planning if its arrival was to."""
+        would."""
         self._sent += 1
         self._uplink().enqueue(pkt)
-        if resume is not None:
-            self._plan(*resume)
 
 
 class PoissonTrafficSource(_TrafficBase):

@@ -88,13 +88,16 @@ RING_EVENT_BUDGET = 5.5
 #: whoever samples.
 SAMPLER_TICK_BUDGET = 40.0
 #: Python calls one cross-traffic packet costs, from the source through
-#: two links to the discard at the target's port 9. 1.56 measured for
-#: Poisson (394 calls for 253 packets: the source plans a batch of
+#: two links to the discard at the target's port 9. 1.32 measured for
+#: Poisson (334 calls for 253 packets: the source plans a batch of
 #: packets across its own uplink per resume, builds each there, and
-#: feeds all but the resume's to the router's next link, which admits
-#: and discards them in its catch-ups, the tap and discard counts in
-#: one sum per catch-up) and 1.80 for ON/OFF (194 for 108: each burst
-#: starts and ends at an entry of its own). 6.17 (1,563) and 6.35
+#: feeds every one to the router's next link, which admits and
+#: discards them in its catch-ups, one per batch at least, the tap and
+#: discard counts in one sum per catch-up) and 1.65 for ON/OFF (178 for
+#: 108: each burst starts and ends at an entry of its own). 1.56 (394)
+#: and 1.80 (194) while each batch's resume carried one packet that
+#: entered the router's next link through its ``enqueue`` and reached
+#: the target through an entry of its own. 6.17 (1,563) and 6.35
 #: (687) while each packet entered the router's next link through its
 #: ``enqueue`` straight from an entry of its own and reached the
 #: target's port through another. 6.46 (699) for ON/OFF while the
@@ -116,7 +119,7 @@ SAMPLER_TICK_BUDGET = 40.0
 #: hop;
 #: 29.11 (7,364) while a source was a generator process with a
 #: ``Timeout`` per packet sending through a ``DatagramSocket``.
-XTRAFFIC_PACKET_BUDGET = 1.8
+XTRAFFIC_PACKET_BUDGET = 1.65
 
 _OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 _CLIENT_DIR = os.path.dirname(repro.client.__file__) + os.sep

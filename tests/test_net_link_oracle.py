@@ -253,18 +253,17 @@ def test_every_packet_a_source_sent_is_somewhere_at_the_horizon(traced):
     packet -- waiting, being serialised or propagating -- is the
     argument of one heap entry, or waits in the feed or far queue of a
     link a source feeds (``Link._feed`` / ``_far``: the entries it
-    stands for were never pushed). Untraced, each source plans across
+    stands for were never pushed). Untraced, each source feeds the
+    router's link to its own target, ``y`` or ``z``, and so plans across
     its own uplink: a packet admitted ahead of its emission instant is
     in the heap (or a feed) as well, but it is not sent yet, and
-    ``packets_sent`` must not count it. Both sources try to feed
-    ``r -> y`` here; the second takes the first's feed back into the
-    heap, and neither feeds it after that."""
+    ``packets_sent`` must not count it."""
     tracer = RecordingTracer()
     sim = Simulator()
     if traced:
         sim.set_tracer(tracer)
     net = Network(sim)
-    for node in ("xa", "xb", "r", "y"):
+    for node in ("xa", "xb", "r", "y", "z"):
         net.add_node(node)
     net.add_link("xa", "r", 10e6, 0.001)
     net.add_link("xb", "r", 10e6, 0.003)
@@ -272,10 +271,11 @@ def test_every_packet_a_source_sent_is_somewhere_at_the_horizon(traced):
     net.add_link("r", "y", 2e6, 0.005, queue_packets=6,
                  loss_model=GilbertElliottLoss(
                      rngs.stream("loss", private=True), p_gb=0.05, loss_bad=0.5))
+    net.add_link("r", "z", 2e6, 0.005, queue_packets=6)
     sources = [
         PoissonTrafficSource(net, "xa", "y", rngs.stream("a", private=True),
                              rate_bps=1.5e6),
-        OnOffTrafficSource(net, "xb", "y", rngs.stream("b", private=True),
+        OnOffTrafficSource(net, "xb", "z", rngs.stream("b", private=True),
                            peak_rate_bps=4e6, on_mean_s=0.05,
                            off_mean_s=0.05, start_at=0.1),
     ]
@@ -324,7 +324,8 @@ def test_every_packet_a_source_sent_is_somewhere_at_the_horizon(traced):
     assert sum(s.fault_drops for s in stats) == 0
     assert min(sum(s.queue_drops for s in stats),
                sum(s.loss_drops for s in stats)) > 0
-    assert net.link("r", "y")._feeder is (None if traced else False)
+    for src in sources:
+        assert net.link("r", src.dst)._feeder is (None if traced else src)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,18 @@
 
 The sources were generator processes drawing one numpy scalar per
 packet and sending through a ``DatagramSocket``; they are callback
-chains drawing in blocks now, planning packets across an uplink they
-own. The old loops are kept *here*, verbatim, as the reference
-(``_reference_source``): same topology, same seed, and the new sources
-must emit the same packets at the same instants, leave the same
-``LinkStats`` (at the horizon and at every read in between) and fire
-one heap entry fewer per packet admitted to the uplink ahead of its
-emission instant. Beside that, on either side, a packet the uplink
-itself planned across ``r -> y`` fires no entry at ``r``. Where ``y``
-binds no port 9 a source feeds ``r -> y`` instead of pushing entries
-there, and the tap and ``y``'s discards must match too, read by read.
+chains drawing in blocks now. The old loops are kept *here*,
+verbatim, as the reference (``_reference_source``): same topology, same
+seed, and the new sources must emit the same packets at the same
+instants, leave the same ``LinkStats`` (at the horizon and at every
+read in between), the same tap and the same discards at ``y``, read by
+read. Where ``y`` binds port 9 a source sends each packet at its
+instant, and the run fires what the reference's fires, entry for entry.
+Where ``y`` binds no port 9 a source feeds ``r -> y``: it plans its
+packets across the uplink it owns ahead of their emission instants and
+appends them to ``r -> y`` instead of pushing entries, and the run
+fires one heap entry fewer per packet planned, none at ``r`` for a fed
+packet, and one per batch that resumes the source.
 """
 
 import dataclasses
@@ -32,6 +34,7 @@ from repro.net import (
     PoissonTrafficSource,
 )
 from repro.net.packet import Packet
+from repro.net.traffic import _BATCH
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracer import RecordingTracer
 from tests.helpers import select
@@ -244,16 +247,27 @@ class Run(NamedTuple):
     pending_fed: int
     #: the clock at the end of the run (the last entry's, drained)
     now: float
+    #: entries that resumed a source's planning, each at the arrival of
+    #: a fed packet at ``r``; the reference has none
+    resumes: int
+    #: ``(emit instant, seq)`` of each packet sent from ``x`` by the
+    #: horizon, offered to the uplink or fed to ``r -> y``
+    sent: list
 
 
 class _CountingFeed(deque):
-    """A link's feed that counts what sources append to it."""
+    """A link's feed that counts and keeps what sources append to it."""
 
     added = 0
+
+    def __init__(self):
+        super().__init__()
+        self.packets = []
 
     def __iadd__(self, items):
         items = list(items)
         self.added += len(items)
+        self.packets.extend(pkt for _, _, pkt in items)
         return super().__iadd__(items)
 
 
@@ -305,8 +319,9 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
     registry = RngRegistry(seed=23)
     counters = []
     calls = {"_emit": 0, "_replay": 0, "_propagated": 0, "refused": 0,
-             "direct": 0}
+             "direct": 0, "resumes": 0}
     forwarding = []     # not empty while the uplink's _propagated runs
+    ticking = []        # not empty while a source's tick or cycle runs
 
     def counted(method):
         def call(*args):
@@ -336,6 +351,23 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
             source = OnOffTrafficSource(net, host, "y", rng, **kw)
         source._emit = counted(source._emit)
         source._replay = counted(source._replay)
+
+        def chained(method):
+            def call(*args):
+                ticking.append(True)
+                try:
+                    return method(*args)
+                finally:
+                    ticking.pop()
+            return call
+
+        def plan(*args, plan=source._plan):
+            calls["resumes"] += not ticking   # fired from its own entry
+            return plan(*args)
+
+        source._tick = chained(source._tick)
+        source._cycle = chained(source._cycle)
+        source._plan = plan
         counters.append(lambda source=source: source.packets_sent)
 
     def propagated(*args, deliver=uplink._propagated):
@@ -347,6 +379,13 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
             forwarding.pop()
 
     uplink._propagated = propagated
+    offered = {}    # id -> packet, each packet the sources on x sent
+
+    def offer(pkt, enqueue=uplink.enqueue):
+        offered[id(pkt)] = pkt
+        return enqueue(pkt)
+
+    uplink.enqueue = offer
 
     def watch(link):
         """Count the refusals of a link out of ``r``, and the offers an
@@ -413,7 +452,11 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
                calls["_replay"], rows,
                calls["_propagated"] + calls["direct"] + planned_drops,
                discards(), bottleneck._feed.added,
-               len(bottleneck._feed) + len(bottleneck._far), sim.now)
+               len(bottleneck._feed) + len(bottleneck._far), sim.now,
+               calls["resumes"], sorted(
+                   (pkt.created_at, pkt.seq) for pkt in dict.fromkeys(
+                       [*offered.values(), *bottleneck._feed.packets])
+                   if pkt.src == "x" and pkt.created_at <= sim.now))
 
 
 def _onoff_instants(**params):
@@ -455,14 +498,15 @@ def _uplink_flaps():
             (e[7] + 0.5 * gap, False), (e[8] + 0.5 * gap, True))
 
 
-def _fast_burst():
-    """The emission instants of the first 16 Mb/s burst of 20 to 200
-    packets: a packet every 0.5 ms, each 0.8 ms on the 10 Mb/s uplink,
-    too few to fill its queue. The uplink is idle when it starts."""
-    bursts, emitted = _onoff_instants(**FAST_ONOFF)
+def _long_burst(params):
+    """The emission instants of the first burst of 20 packets or more:
+    for ``FAST_ONOFF`` (16 Mb/s) 154 packets, one every 0.5 ms, each
+    0.8 ms on the 10 Mb/s uplink, too few to fill its queue. The uplink
+    is idle when it starts."""
+    bursts, emitted = _onoff_instants(**params)
     return next(burst for burst in (
         [t for t in emitted if start <= t < end] for start, end in bursts)
-        if 20 <= len(burst) <= 200)
+        if len(burst) >= 20)
 
 
 def _uplink_flaps_twice():
@@ -471,10 +515,34 @@ def _uplink_flaps_twice():
     after ``e[2]``, withdrawing ``e[3]`` to ``e[16]``, up after
     ``e[4]``; down again after ``e[6]``, while the withdrawn packets
     still wait for their instants, up after ``e[8]``."""
-    e = _fast_burst()
+    e = _long_burst(FAST_ONOFF)
     gap = e[1] - e[0]
     return ((e[2] + 0.5 * gap, False), (e[4] + 0.5 * gap, True),
             (e[6] + 0.5 * gap, False), (e[8] + 0.5 * gap, True))
+
+
+def _uplink_flap_before_a_mid_batch_resume():
+    """One down/up cycle of ``x -> r`` inside the fast burst, whose first
+    batch, ``e[1]`` to ``e[16]``, resumes on ``e[8]``: down after
+    ``e[2]``, withdrawing ``e[3]`` to ``e[16]``, ``e[8]`` among them, up
+    after ``e[4]``. A source that resumed at ``e[8]``'s instant would
+    admit ``e[17]`` on ahead of ``e[9]`` to ``e[16]``."""
+    e = _long_burst(FAST_ONOFF)
+    gap = e[1] - e[0]
+    return ((e[2] + 0.5 * gap, False), (e[4] + 0.5 * gap, True))
+
+
+def _uplink_flap_before_the_batch_ends():
+    """One down/up cycle of ``x -> r`` inside the first long burst at
+    36 Mb/s, a packet every 0.22 ms: its first batch, ``e[1]`` to
+    ``e[16]``, resumes at ``e[2]``'s arrival at ``r``, ``e[0] + 3 *
+    0.8 ms + 1 ms``, before ``e[16]`` is emitted. Down after ``e[2]``,
+    withdrawing ``e[3]`` to ``e[16]``, up after ``e[4]``: planning goes
+    on once ``e[16]`` was offered again, or ``e[17]`` would take its
+    seq and its place on the uplink."""
+    e = _long_burst(STEEP_ONOFF)
+    gap = e[1] - e[0]
+    return ((e[2] + 0.5 * gap, False), (e[4] + 0.5 * gap, True))
 
 
 def _uplink_flaps_past_a_resume():
@@ -485,7 +553,7 @@ def _uplink_flaps_past_a_resume():
     ``e[16]`` are in flight when it does. Down between ``a[8]`` and
     ``e[17]``, withdrawing the batch planned at ``a[8]``; up between
     ``a[11]`` and ``e[22]``."""
-    e = _fast_burst()
+    e = _long_burst(FAST_ONOFF)
     a = [e[0] + (i + 1) * 0.0008 + 0.001 for i in range(len(e))]
     return (((a[8] + e[17]) / 2, False), ((a[11] + e[22]) / 2, True))
 
@@ -520,6 +588,9 @@ FAST_POISSON = dict(rate_bps=4e6)
 ONOFF = dict(rate_bps=4e6, on_mean_s=0.05, off_mean_s=0.05)
 #: a 16 Mb/s peak into the 10 Mb/s uplink
 FAST_ONOFF = dict(ONOFF, rate_bps=16e6)
+#: a 36 Mb/s peak: the first batch of a burst resumes before its last
+#: packet is emitted
+STEEP_ONOFF = dict(ONOFF, rate_bps=36e6)
 BURSTS, EMITTED = _onoff_instants(**ONOFF)
 IN_BURST, IN_OFF = _onoff_stop_instants()
 
@@ -555,6 +626,10 @@ SOURCE_CASES = {
     "onoff_uplink_flapping_past_a_resume": (
         "onoff", 3.0, dict(FAST_ONOFF, flaps=_uplink_flaps_past_a_resume(),
                            read_every=0.0003)),
+    "onoff_uplink_flapping_once_before_a_mid_batch_resume": (
+        "onoff", 3.0, dict(FAST_ONOFF,
+                           flaps=_uplink_flap_before_a_mid_batch_resume(),
+                           read_every=0.0003)),
     # the packets in flight and those planned reach r -> w, as an
     # unplanned run's do
     "poisson_routes_change_mid_run": (
@@ -580,6 +655,25 @@ SOURCE_CASES = {
     "onoff_unbound_uplink_flapping": (
         "onoff", 3.0, dict(ONOFF, unbound=True, flaps=_uplink_flaps(),
                            read_every=0.0007)),
+    "onoff_unbound_uplink_flapping_twice_in_a_planned_burst": (
+        "onoff", 3.0, dict(FAST_ONOFF, unbound=True,
+                           flaps=_uplink_flaps_twice(), read_every=0.0003)),
+    "onoff_unbound_uplink_flapping_twice_before_a_resume": (
+        "onoff", 3.0, dict(ONOFF, unbound=True,
+                           flaps=_uplink_flaps_twice_before_a_resume(),
+                           read_every=0.0007)),
+    "onoff_unbound_uplink_flapping_past_a_resume": (
+        "onoff", 3.0, dict(FAST_ONOFF, unbound=True,
+                           flaps=_uplink_flaps_past_a_resume(),
+                           read_every=0.0003)),
+    "onoff_unbound_uplink_flapping_once_before_a_mid_batch_resume": (
+        "onoff", 3.0, dict(FAST_ONOFF, unbound=True,
+                           flaps=_uplink_flap_before_a_mid_batch_resume(),
+                           read_every=0.0003)),
+    "onoff_unbound_uplink_flapping_before_the_batch_ends": (
+        "onoff", 3.0, dict(STEEP_ONOFF, unbound=True,
+                           flaps=_uplink_flap_before_the_batch_ends(),
+                           read_every=0.0003)),
     # r -> y down for less than a packet's flight on it (5.3 ms on the
     # wire, 2 ms of delay): the packets in flight arrive after it is up
     "poisson_unbound_fed_link_flap_shorter_than_a_flight": (
@@ -604,13 +698,13 @@ SOURCE_CASES = {
         "poisson", None, dict(FAST_POISSON, unbound=True, stop_at=2.0,
                               bottleneck_loss=True)),
 }
-#: cases where every packet is sent from an entry at its emission
-#: instant, as before sources planned
-NOTHING_PLANNED = {"poisson_never_starts", "onoff_two_sources_on_one_host",
-                   "poisson_traced", "onoff_traced"}
-#: cases where a source feeds r -> y
+#: cases where a source feeds r -> y, and so plans; in every other one
+#: ``y`` binds port 9 (or nothing is sent) and each packet is sent from
+#: an entry at its emission instant, as before sources planned
 FED = {case for case, (_, _, params) in SOURCE_CASES.items()
        if params.get("unbound")}
+#: what makes a source that fed stop feeding r -> y for good or a while
+UNFEEDS = {"bind_at", "bottleneck_flaps", "shortcut_at", "second_host_at"}
 
 
 @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
@@ -625,33 +719,33 @@ def test_sources_reproduce_the_generator_reference_exactly(case):
     assert got.reads == want.reads          # read by read, mid-run
     assert got.link_rows == want.link_rows  # detail rows, in order
     assert got.now == want.now              # where the run ended
-    # one heap entry fewer per packet admitted to the uplink ahead of
-    # its emission instant, and on either side one fewer per packet the
-    # uplink planned across r -> y (it fires no entry at r); the rest
-    # cost what the reference's did. A packet fed to r -> y counts from
-    # when it is fed: its seq stands for its entry at r, and it has none
-    # at y, where the reference's uplink planned it across r -> y and so
-    # fired one entry, at y, for it too. So the two agree but for the fed
-    # packets still in r -> y's feed or far queue at the horizon, whose
-    # entries the reference has not fired yet
+    assert got.sent == want.sent            # (emit, seq) of every packet
+    assert want.fed == want.pending_fed == want.resumes == 0
     planned = got.packets_sent - got.sent_at_instant
-    assert (got.events_fired - got.entries_at_r - got.pending_fed
-            == want.events_fired - want.entries_at_r - planned)
-    assert want.fed == want.pending_fed == 0
-    if case in NOTHING_PLANNED:
-        assert planned == 0
+    if case not in FED:
+        # sent at its instants through the uplink's ``enqueue``, as the
+        # reference sends: the same entries, and the uplink plans
+        # across r -> y as the reference's does
+        assert planned == got.fed == got.resumes == 0
+        assert got.entries_at_r == want.entries_at_r
+        assert got.events_fired == want.events_fired
     else:
-        assert planned > 0
-    if case in FED:
-        assert got.fed > 0
-    elif case not in NOTHING_PLANNED:
-        # the reference's uplink plans its packets across r -> y; the
-        # sources' packets planned across the uplink reach r through its
-        # ``_propagated`` and so end that claim
-        assert got.fed == 0
-        assert want.entries_at_r < got.entries_at_r
-    if kind == "poisson" and case not in NOTHING_PLANNED:
-        assert planned == got.packets_sent
+        # one heap entry fewer per packet admitted to the uplink ahead
+        # of its emission instant, one more per batch that resumes the
+        # source, and on either side none at r for a packet the uplink
+        # planned across r -> y; the rest cost what the reference's did.
+        # A fed packet counts from when it is fed: its seq stands for
+        # its entry at r, and it has none at y, where the reference's
+        # uplink planned it across r -> y and so fired one entry, at y,
+        # for it too. So the two agree but for the fed packets still in
+        # r -> y's feed or far queue at the horizon, whose entries the
+        # reference has not fired yet
+        assert (got.events_fired - got.entries_at_r - got.pending_fed
+                - got.resumes
+                == want.events_fired - want.entries_at_r - planned)
+        assert got.fed > 0 and planned > 0 and got.resumes > 0
+        if kind == "poisson" and not UNFEEDS & params.keys():
+            assert planned == got.packets_sent  # fed from first to last
     if case != "poisson_never_starts":
         # some dropped: the tap counts the sources' packets that reached
         # y, handled or discarded
@@ -667,30 +761,48 @@ def test_the_new_cases_reach_what_their_names_say():
         "onoff_uplink_drops"][2])
     assert uplink.stats["x->r"]["queue_drops"] > 0
     assert uplink.sent_at_instant >= uplink.stats["x->r"]["queue_drops"]
+    # a source withdraws and replays only what it planned, so only where
+    # it feeds r -> y: the uplink flaps are read off the unbound twins,
+    # and a bound target's source replays nothing
     flapping = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
-        "onoff_uplink_flapping"][2])
+        "onoff_unbound_uplink_flapping"][2])
     # e[2] to e[16] were withdrawn; e[2], e[3] and e[8] dropped at
     # ingress, e[7] in flight
     assert flapping.replayed == 15
     assert flapping.stats["x->r"]["fault_drops"] == 4
+    assert _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
+        "onoff_uplink_flapping"][2]).replayed == 0
     # e[3] to e[16] were withdrawn once, at the first down; e[3], e[4],
     # e[7] and e[8] dropped at ingress, e[0] in flight at the first down
     # and e[2], planned and in flight then, at the second
     twice = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
-        "onoff_uplink_flapping_twice_in_a_planned_burst"][2])
+        "onoff_unbound_uplink_flapping_twice_in_a_planned_burst"][2])
     assert twice.replayed == 14
     assert twice.stats["x->r"]["fault_drops"] == 6
     # e[17] to e[32] were withdrawn; e[9] to e[11], planned past the
     # resume, lost in flight, e[17] to e[21] dropped at ingress
     past = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
-        "onoff_uplink_flapping_past_a_resume"][2])
+        "onoff_unbound_uplink_flapping_past_a_resume"][2])
     assert past.replayed == 16
     assert past.stats["x->r"]["fault_drops"] == 8
     # e[6] to e[16] were withdrawn at the first down only, e[16]'s
     # resume kept
     resumed = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
-        "onoff_uplink_flapping_twice_before_a_resume"][2])
+        "onoff_unbound_uplink_flapping_twice_before_a_resume"][2])
     assert resumed.replayed == 11
+    # e[3] to e[16] were withdrawn, e[8]'s resume among them; e[3] and
+    # e[4] dropped at ingress, e[2] in flight
+    once = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
+        "onoff_unbound_uplink_flapping_once_before_a_mid_batch_resume"][2])
+    assert once.replayed == 14
+    assert once.stats["x->r"]["fault_drops"] == 3
+    # e[3] to e[16] were withdrawn; e[3] and e[4] dropped at ingress;
+    # e[2], whose arrival was to resume planning, arrived with the
+    # uplink up again
+    steep = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
+        "onoff_unbound_uplink_flapping_before_the_batch_ends"][2])
+    assert steep.replayed == 14
+    assert steep.stats["x->r"]["fault_drops"] == 2
     rerouted = _bottleneck_run("poisson", False, 3.0, **SOURCE_CASES[
         "poisson_routes_change_mid_run"][2])
     assert rerouted.stats["r->w"]["tx_packets"] > 0
@@ -711,14 +823,13 @@ def test_the_new_cases_reach_what_their_names_say():
 @pytest.mark.parametrize("tracer", [None, FlightRecorder, RecordingTracer])
 def test_an_entry_at_the_router_for_a_batched_arrival_fires_in_the_plans_order(
         tracer):
-    """The one order batching changes. A burst's packets are planned in
-    one batch when it starts, so the entry that offers ``e[5]`` to
-    ``r -> y`` takes its seq then, four emissions and four arrivals
-    before ``e[5]``, where a source that does not plan takes it: a
-    packet ``r`` sends at that same instant from an entry pushed in
-    between enters the queue after ``e[5]``, where a run that does not
-    plan (under any tracer) puts it first. Powers of two keep every
-    instant exact."""
+    """Batching changes no order at a bound target. ``y`` binds port 9,
+    so the source cannot feed ``r -> y`` and plans nothing: the entry
+    that brings ``e[5]`` to ``r`` takes its seq at ``e[5]``'s emission,
+    and a packet ``r`` sends at that same arrival instant from an entry
+    pushed before enters the queue first, untraced as under any tracer
+    (only a fed packet keeps its batch's order at ``r``: the test
+    below). Powers of two keep every instant exact."""
     sim = Simulator()
     if tracer is not None:
         sim.set_tracer(tracer())
@@ -737,20 +848,21 @@ def test_an_entry_at_the_router_for_a_batched_arrival_fires_in_the_plans_order(
     sim.call_at(0.25, sim.call_at, at_r, net.send,
                 Packet("r", "y", 128, "UDP", "r", 9, seq=0))
     sim.run()
-    # e[0] to e[7], and r's packet beside e[5]
-    unplanned = [("r", 0), ("x", 6)]
+    # e[0] to e[7], and r's packet ahead of e[5]
     assert len(order) == 9
-    assert order[5:7] == (unplanned[::-1] if tracer is None else unplanned)
+    assert order[5:7] == [("r", 0), ("x", 6)]
 
 
 @pytest.mark.parametrize("tracer", [None, FlightRecorder, RecordingTracer])
 def test_a_fed_packet_enters_the_router_link_in_the_plans_order(tracer):
-    """Fed, ``e[5]`` keeps the order of the entry it replaced (the test
-    above): ``y`` binds no port 9, so the source feeds ``r -> y``, and
-    ``r``'s packet to port 10, sent at ``e[5]``'s arrival at ``r`` from
-    an entry pushed in between, is admitted after it, where a run that
-    does not plan (under any tracer) admits it first; its arrival at
-    ``y`` tells which."""
+    """The one order batching changes. ``y`` binds no port 9, so the
+    source feeds ``r -> y``: a burst's packets are planned and fed in
+    one batch when it starts, and ``e[5]`` takes the seq of its entry at
+    ``r`` then, four emissions before a source that does not plan takes
+    it. ``r``'s packet to port 10, sent at ``e[5]``'s arrival at ``r``
+    from an entry pushed in between, is admitted after it, where a run
+    that does not plan (under any tracer) admits it first; its arrival
+    at ``y`` tells which."""
     sim = Simulator()
     if tracer is not None:
         sim.set_tracer(tracer())
@@ -815,6 +927,30 @@ def test_a_read_at_exactly_a_fed_packets_far_arrival_sees_it_delivered(
                      ("pushed after", 6)]
     assert net.node("y").rx_discarded == 8  # e[0] to e[7]
     assert net.link("r", "y")._feeder is (source if fed else None)
+
+
+def test_a_fed_link_nothing_else_touches_holds_about_a_batch():
+    """A source catches up the link it feeds once a batch: with no
+    reader and no other sender on ``r -> y``, what waits in its feed
+    and far queue stays within two batches, not every packet fed since
+    the start. Read off the queues themselves, which catch nothing up."""
+    sim = Simulator()
+    net = Network(sim)
+    for node in "xry":
+        net.add_node(node)
+    net.add_link("x", "r", 10e6, 0.001)
+    link = net.add_link("r", "y", 10e6, 0.001)
+    source = PoissonTrafficSource(net, "x", "y",
+                                  RngRegistry(seed=3).stream("s"),
+                                  rate_bps=4e6)
+    held = []
+    for k in range(1, 30):
+        sim.call_at(k * 0.1, lambda: held.append(len(link._feed)
+                                                 + len(link._far)))
+    sim.run(until=3.0)
+    assert link._feeder is source
+    assert source.packets_sent > 40 * _BATCH
+    assert 0 < max(held) <= 2 * _BATCH
 
 
 def test_onoff_stop_instants_fall_where_the_case_names_say():

@@ -736,8 +736,11 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
 #: defaulted parameters plus configuration fields; it may only fall
 #: (parameters plus ``EngineConfig`` fields: 479 before the callables-
 #: and-keywords round, 383 after it; parameters plus configuration
-#: fields: 546 before the dataclass round, 520 after it)
-SETTABLE_VALUES = 520
+#: fields: 546 before the dataclass round, 520 after it, 519 once a
+#: store to ``rx_discarded`` matched that field by name; 515 once
+#: cross traffic lost its planned-entry path: ``Packet(hops=)``,
+#: ``_plan(hand=, pkt=)`` and ``_take_back(later=)``)
+SETTABLE_VALUES = 515
 
 
 def test_settable_values_do_not_grow():
