@@ -11,14 +11,16 @@ that two replays of the same run must agree on.
 This module closes that hole:
 
 * :class:`PyProgram` parses a whole tree of modules at once and
-  indexes every function/method definition. Program-scoped rule
-  families (trace schema, taint) take a ``PyProgram``
-  where the per-function determinism rules take a ``PyModule``.
-* :class:`CallGraph` resolves call expressions to definitions with a
-  deliberately conservative strategy: same-module names first, then
-  explicit ``from``-imports, then a program-unique bare-name match.
-  Unresolvable calls simply end the chain — the pass under-reports
-  rather than invent edges.
+  indexes every function, method and class. Program-scoped rule
+  families (trace schema, taint) and the state census take a
+  ``PyProgram`` where the per-function determinism rules take a
+  ``PyModule``.
+* :meth:`PyProgram.resolve_call` resolves call expressions to
+  definitions conservatively: same-module names, a method through the
+  MRO of a receiver the syntax types (:meth:`PyProgram.type_of`), a
+  function through an imported module, else a program-unique bare
+  name. Unresolvable calls simply end the chain — the pass
+  under-reports rather than invent edges.
 * The taint engine computes, per function, whether its *return value*
   derives from a nondeterminism source (wall clock, global RNG,
   ``os.environ``), propagates those summaries to a fixpoint over the
@@ -37,7 +39,8 @@ from __future__ import annotations
 import ast
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -54,6 +57,8 @@ from repro.analysis.pyrules import (
 
 __all__ = [
     "TAINT_RULES",
+    "ClassInfo",
+    "EXTERNAL",
     "FunctionInfo",
     "PyProgram",
     "TaintInfo",
@@ -98,15 +103,70 @@ class FunctionInfo:
     name: str
     module: PyModule
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    class_name: str | None = None
+    #: the class whose body defines it, None for a function
+    owner: ClassInfo | None = None
     #: taint of the return value, once the fixpoint has run
     returns: TaintInfo | None = None
 
     def label(self) -> str:
         where = os.path.basename(self.module.path)
-        name = (f"{self.class_name}.{self.name}"
-                if self.class_name else self.name)
+        name = (f"{self.owner.name}.{self.name}"
+                if self.owner is not None else self.name)
         return f"{name}() [{where}:{self.node.lineno}]"
+
+
+@dataclass(slots=True, eq=False)
+class ClassInfo:
+    """One class definition and the methods its body defines."""
+
+    name: str
+    module: PyModule
+    node: ast.ClassDef
+    methods: dict[str, FunctionInfo] = field(default_factory=dict)
+
+
+#: the class of a value the syntax places outside the program: a
+#: literal, a builtin, an instance of an imported library type
+EXTERNAL = ClassInfo("object", PyModule.parse("<builtins>", ""),
+                     ast.ClassDef("object", [], [], [], []))
+
+#: ``(class, item class)``: what the syntax says a value is, and what
+#: indexing or iterating it yields (``dict[str, Node]`` is
+#: ``(EXTERNAL, Node)``); None where it says nothing
+Type = tuple["ClassInfo | None", "ClassInfo | None"]
+UNKNOWN: Type = (None, None)
+
+#: builtins whose value, or whose call's value, is outside the program;
+#: the rebuilders' calls hold their argument's items
+_REBUILDERS = frozenset({"list", "tuple", "set", "frozenset", "sorted",
+                         "reversed"})
+_BUILTINS = _REBUILDERS | {
+    "int", "float", "str", "bytes", "bool", "dict", "len", "repr",
+    "round", "abs", "sum", "range", "enumerate", "zip", "format", "id",
+    "isinstance", "hasattr", "open", "any", "all"}
+#: ``X[T]`` annotations that annotate a ``T``
+_WRAPPERS = frozenset({"Optional", "ClassVar", "Final", "Union", "type"})
+
+
+def _agree(types: list[Type]) -> Type:
+    """The type every binding agrees on, part by part."""
+    if not types:
+        return UNKNOWN
+    first = types[0]
+    return (first[0] if all(t[0] is first[0] for t in types) else None,
+            first[1] if all(t[1] is first[1] for t in types) else None)
+
+
+def _union(types: list[Type]) -> Type:
+    """A union's type: its program class (``Node | None``,
+    ``Source | bool``), else what its known parts agree on."""
+    known = [t for t in types if t != UNKNOWN]
+    inside = [t for t in known if t[0] is not EXTERNAL or t[1] is not None]
+    return _agree(inside or known)
+
+
+def _is_none(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
 
 
 class PyProgram:
@@ -116,6 +176,13 @@ class PyProgram:
     ``--self`` run): program-completeness rules such as the unused
     trace-kind check only make sense there — an ad-hoc file lint
     legitimately emits only a handful of catalogue kinds.
+
+    The index holds every def and class. :meth:`type_of` types a value
+    where the syntax states it: ``self`` / ``cls``, an annotated
+    parameter, a name bound from ``C(...)`` or another typed value, an
+    attribute annotated in its class or assigned in ``__init__`` from a
+    typed value, a call's annotated return, an item of an annotated
+    container, and a literal, builtin or library value (``EXTERNAL``).
     """
 
     def __init__(self, modules: list[PyModule], full: bool = False) -> None:
@@ -123,59 +190,391 @@ class PyProgram:
         self.full = full
         #: bare function name -> every definition carrying it
         self.functions: dict[str, list[FunctionInfo]] = {}
+        #: class name -> every class carrying it
+        self.classes: dict[str, list[ClassInfo]] = {}
         #: (module path, bare name) for module-scope lookups
         self._by_module: dict[tuple[str, str], FunctionInfo] = {}
-        #: (module path, class, name) for method lookups
-        self._methods: dict[tuple[str, str, str], FunctionInfo] = {}
+        #: a module's (or a package's) name -> its file
+        self._named: dict[str, PyModule] = {}
+        self._info: dict[ast.AST, FunctionInfo] = {}
+        self._subclasses: dict[ClassInfo, list[ClassInfo]] = {}
+        # memos: each module's innermost def per node, each scope's
+        # bindings, each node's type, each class's MRO and attributes
+        self._enclosing: dict[str, dict[ast.AST, FunctionInfo]] = {}
+        self._scopes: dict[ast.AST, dict[str, list[tuple[str, Any]]]] = {}
+        self._types: dict[ast.AST, Type] = {}
+        self._mro: dict[ClassInfo, list[ClassInfo]] = {}
+        self._attrs: dict[ClassInfo, dict[str, list[tuple[str, Any]]]] = {}
         for mod in modules:
+            name = os.path.splitext(os.path.basename(mod.path))[0]
+            if name == "__init__":
+                name = os.path.basename(os.path.dirname(mod.path))
+            self._named.setdefault(name, mod)
             self._index_module(mod)
+        for found in self.classes.values():
+            for cls in found:
+                for base in self.mro(cls)[1:]:
+                    self._subclasses.setdefault(base, []).append(cls)
 
     def _index_module(self, mod: PyModule) -> None:
-        class_of: dict[ast.AST, str] = {}
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.ClassDef):
-                for child in ast.walk(node):
-                    if isinstance(child, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef)):
-                        class_of.setdefault(child, node.name)
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        def visit(node: ast.AST, owner: ClassInfo | None) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    cls = ClassInfo(child.name, mod, child)
+                    self.classes.setdefault(child.name, []).append(cls)
+                    visit(child, cls)
+                elif isinstance(child, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                    info = FunctionInfo(name=child.name, module=mod,
+                                        node=child, owner=owner)
+                    self.functions.setdefault(child.name, []).append(info)
+                    self._info[child] = info
+                    if owner is None:
+                        self._by_module.setdefault((mod.path, child.name),
+                                                   info)
+                    else:
+                        owner.methods.setdefault(child.name, info)
+                    visit(child, None)
+                else:
+                    visit(child, owner)
+
+        visit(mod.tree, None)
+
+    # -- classes ----------------------------------------------------------
+    def class_named(self, name: str, mod: PyModule | None) -> ClassInfo | None:
+        """``mod``'s own class ``name``, else the program's one."""
+        found = self.classes.get(name, [])
+        found = [cls for cls in found if cls.module is mod] or found
+        return found[0] if len(found) == 1 else None
+
+    def mro(self, cls: ClassInfo) -> list[ClassInfo]:
+        """The class, then its bases in the program, depth first."""
+        if cls not in self._mro:
+            self._mro[cls] = order = [cls]
+            for base in cls.node.bases:
+                found = self.class_named(
+                    _dotted(base).rpartition(".")[2], cls.module)
+                order += [k for k in (self.mro(found) if found else ())
+                          if k not in order]
+        return self._mro[cls]
+
+    def family(self, cls: ClassInfo) -> set[ClassInfo]:
+        """The class, its bases and its subclasses: every class whose
+        instance a value typed ``cls`` may be, or whose def it may run."""
+        return {*self.mro(cls), *self._subclasses.get(cls, ())}
+
+    def lookup(self, cls: ClassInfo, name: str) -> FunctionInfo | None:
+        """The def ``cls().name`` runs: the first in the class's MRO."""
+        return next((k.methods[name] for k in self.mro(cls)
+                     if name in k.methods), None)
+
+    # -- receiver typing --------------------------------------------------
+    def type_of(self, expr: ast.AST, mod: PyModule) -> Type:
+        """What the syntax says ``expr``, a node of ``mod``, is."""
+        if expr not in self._types:
+            self._types[expr] = UNKNOWN  # a cycle through it says nothing
+            self._types[expr] = self._type_of(expr, mod)
+        return self._types[expr]
+
+    def _type_of(self, expr: ast.AST, mod: PyModule) -> Type:
+        if isinstance(expr, ast.Name):
+            found = self._bindings(expr, mod)
+            declared = [b for b in found if b[0] == "ann"]
+            types = [self._bound(kind, what, mod)
+                     for kind, what in declared or found]
+            return (_agree(types) if types
+                    else (EXTERNAL, None) if expr.id in _BUILTINS
+                    else UNKNOWN)
+        if isinstance(expr, ast.Attribute):
+            owner = self.type_of(expr.value, mod)[0]
+            module = self.module_of(expr.value, mod)
+            return (self.attr_type(owner, expr.attr) if owner is not None
+                    else UNKNOWN if module is None
+                    else (self.class_named(expr.attr, None), None)
+                    if module in self._named else (EXTERNAL, None))
+        if isinstance(expr, ast.Call):
+            return self._call_type(expr, mod)
+        if isinstance(expr, ast.Subscript):
+            container = self.type_of(expr.value, mod)
+            return container if isinstance(expr.slice, ast.Slice) else (
+                container[1], None)
+        if isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
+            return (EXTERNAL, _agree([self.type_of(e, mod)
+                                      for e in expr.elts])[0])
+        if isinstance(expr, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                             ast.DictComp)):
+            elt = expr.value if isinstance(expr, ast.DictComp) else expr.elt
+            return (EXTERNAL, self.type_of(elt, mod)[0])
+        if isinstance(expr, (ast.Constant, ast.JoinedStr, ast.Dict)):
+            return (EXTERNAL, None)
+        parts = ([expr.body, expr.orelse] if isinstance(expr, ast.IfExp)
+                 else expr.values if isinstance(expr, ast.BoolOp)
+                 else [expr.value] if isinstance(expr, ast.NamedExpr)
+                 else [])
+        return _agree([self.type_of(e, mod) for e in parts
+                       if not _is_none(e)])
+
+    def _bound(self, kind: str, what: Any, mod: PyModule) -> Type:
+        """The type one binding (see :meth:`_scope_bindings`) gives."""
+        if kind in ("class", "external"):
+            return (what if kind == "class" else EXTERNAL, None)
+        if kind == "ann":
+            return self.annotation(what, mod)
+        if kind in ("value", "item"):
+            typ = self.type_of(what, mod)
+            return typ if kind == "value" else (typ[1], None)
+        return UNKNOWN
+
+    def _call_type(self, call: ast.Call, mod: PyModule) -> Type:
+        func = call.func
+        name = getattr(func, "id", "")
+        cls = self.class_of(func, mod)
+        if cls is not None:
+            return (cls, None)
+        if name == "super":
+            info = self.enclosing(mod, call)
+            bases = self.mro(info.owner)[1:] if info and info.owner else []
+            return (bases[0] if bases else None, None)
+        if name in ("replace", "cast") and call.args:
+            return (self.type_of(call.args[0], mod) if name == "replace"
+                    else self.annotation(call.args[0], mod))
+        if name in _REBUILDERS and call.args and not self._bindings(
+                func, mod):
+            return (EXTERNAL, self.type_of(call.args[0], mod)[1])
+        if name and self.type_of(func, mod)[0] is EXTERNAL:
+            return (EXTERNAL, None)  # a builtin or library callable
+        recv = (self.type_of(func.value, mod)
+                if isinstance(func, ast.Attribute) else UNKNOWN)
+        if recv[0] in (None, EXTERNAL) and recv[1] is not None:
+            if func.attr in ("get", "pop", "setdefault"):  # type: ignore
+                return (recv[1], None)
+            if func.attr in ("values", "copy"):  # type: ignore
+                return recv
+        callee = self.resolve_call(call, mod)
+        return (UNKNOWN if callee is None
+                else self.annotation(callee.node.returns, callee.module))
+
+    def class_of(self, func: ast.AST, mod: PyModule) -> ClassInfo | None:
+        """The class a call of ``func`` constructs: ``C(...)``,
+        ``mod.C(...)``, ``cls(...)``."""
+        cls = self.type_of(func, mod)[0]
+        name = getattr(func, "id", getattr(func, "attr", None))
+        return (cls if cls not in (None, EXTERNAL)
+                and name in (cls.name, "cls") else None)
+
+    def module_of(self, expr: ast.AST, mod: PyModule) -> str | None:
+        """The name of the module ``expr`` is bound to by an import."""
+        if isinstance(expr, ast.Attribute):
+            inner = self.module_of(expr.value, mod)
+            return expr.attr if inner and expr.attr in self._named else None
+        found = self._bindings(expr, mod) if isinstance(
+            expr, ast.Name) else []
+        return found[0][1] if found and all(
+            kind == "module" for kind, _ in found) else None
+
+    def attr_type(self, cls: ClassInfo, name: str) -> Type:
+        """The type of ``name`` on an instance of ``cls``, as the first
+        class of its MRO to state it does: by an annotation (in the class
+        body, on ``self.name`` in a method, a property's return), else by
+        what ``__init__`` assigns it."""
+        for owner in self.mro(cls):
+            if owner not in self._attrs:
+                self._attrs[owner] = self._attr_sources(owner)
+            found = self._attrs[owner].get(name)
+            if found:
+                anns = [what for kind, what in found if kind == "ann"]
+                return _agree([self._bound(kind, what, owner.module)
+                               for kind, what in found
+                               if not anns or what is anns[0]])
+        return UNKNOWN
+
+    def _attr_sources(self, cls: ClassInfo) -> dict[str, list[tuple[str,
+                                                                     Any]]]:
+        out: dict[str, list[tuple[str, Any]]] = {}
+        for stmt in cls.node.body:
+            if (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                out.setdefault(stmt.target.id, []).append(
+                    ("ann", stmt.annotation))
+        for method in cls.methods.values():
+            if any(_dotted(d).endswith("property")
+                   for d in method.node.decorator_list):
+                out.setdefault(method.name, []).append(
+                    ("ann", method.node.returns))
+            for node in ast.walk(method.node):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           and method.name == "__init__"
+                           and not _is_none(node.value)
+                           else [node.target]
+                           if isinstance(node, ast.AnnAssign) else [])
+                for target in targets:
+                    if (isinstance(target, ast.Attribute)
+                            and _dotted(target.value) == "self"):
+                        out.setdefault(target.attr, []).append(
+                            ("ann", node.annotation)
+                            if isinstance(node, ast.AnnAssign)
+                            else ("value", node.value))  # type: ignore
+        return out
+
+    def annotation(self, ann: ast.AST | None, mod: PyModule) -> Type:
+        """The type an annotation states, its names resolved in ``mod``."""
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            try:
+                ann = ast.parse(ann.value, mode="eval").body
+            except SyntaxError:
+                return UNKNOWN
+        if isinstance(ann, (ast.Name, ast.Attribute)):
+            cls = self.class_named(_dotted(ann).rpartition(".")[2], mod)
+            found = self._scope_bindings(mod.tree, mod).get(
+                _dotted(ann).partition(".")[0], [])
+            outside = all(kind == "external" or kind == "module"
+                          and what not in self._named for kind, what in found)
+            return (cls or (EXTERNAL if found and outside
+                            or not found and _dotted(ann) in _BUILTINS
+                            else None), None)
+        if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
+            return _union([self.annotation(p, mod)
+                           for p in (ann.left, ann.right)])
+        if not isinstance(ann, ast.Subscript):
+            return UNKNOWN
+        args = (list(ann.slice.elts) if isinstance(ann.slice, ast.Tuple)
+                else [ann.slice])
+        if _dotted(ann.value).rpartition(".")[2] in _WRAPPERS:
+            return _union([self.annotation(a, mod) for a in args])
+        container = self.annotation(ann.value, mod)[0]
+        if container is not EXTERNAL:
+            return (container, None)
+        if _dotted(ann.value) == "tuple":  # tuple[X, ...] holds Xs
+            if len(args) != 2 or getattr(args[1], "value", 0) is not Ellipsis:
+                return (EXTERNAL, None)
+            args = args[:1]
+        return (EXTERNAL, self.annotation(args[-1], mod)[0])
+
+    # -- scopes -----------------------------------------------------------
+    def _bindings(self, name: ast.Name,
+                  mod: PyModule) -> list[tuple[str, Any]]:
+        """How ``name`` is bound where it stands: in its def, else in the
+        defs around it, else in the module."""
+        info = self.enclosing(mod, name)
+        while True:
+            scope = info.node if info is not None else mod.tree
+            found = self._scope_bindings(scope, mod).get(name.id)
+            if found is not None or info is None:
+                return found or []
+            info = self.enclosing(mod, mod.parents[info.node])
+
+    def _scope_bindings(self, scope: ast.AST, mod: PyModule) -> dict[
+            str, list[tuple[str, Any]]]:
+        """Name -> how each statement of a def or module binds it:
+        ``class`` (a class object), ``ann`` (an annotation), ``value``
+        (an expression's value; None binds nothing, it is an optional's
+        empty case), ``item`` (an item of an expression), ``module`` (an
+        imported module), ``external`` (an import from outside the
+        program) or ``other``."""
+        if scope in self._scopes:
+            return self._scopes[scope]
+        out: dict[str, list[tuple[str, Any]]] = {}
+        self._scopes[scope] = out
+        done: set[ast.AST] = set()
+
+        def bind(target: ast.AST, kind: str, what: Any) -> None:
+            if isinstance(target, ast.Name):
+                out.setdefault(target.id, []).append((kind, what))
+                done.add(target)
+
+        info = self._info.get(scope)
+        if info is not None:
+            args = info.node.args
+            method = info.owner is not None and "staticmethod" not in {
+                _dotted(d) for d in info.node.decorator_list}
+            for index, arg in enumerate(
+                    [*args.posonlyargs, *args.args, *args.kwonlyargs]):
+                bind(ast.Name(arg.arg), "ann" if arg.annotation
+                     else "class" if index == 0 and method else "other",
+                     arg.annotation or info.owner)
+            for arg in filter(None, (args.vararg, args.kwarg)):
+                bind(ast.Name(arg.arg), "other", None)
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+                if isinstance(node, ast.ClassDef):
+                    bind(ast.Name(node.name), "class",
+                         self.class_named(node.name, mod))
+                elif not isinstance(node, ast.Lambda):
+                    bind(ast.Name(node.name), "other", None)
                 continue
-            cls = class_of.get(node)
-            info = FunctionInfo(name=node.name, module=mod, node=node,
-                                class_name=cls)
-            self.functions.setdefault(node.name, []).append(info)
-            if cls is None:
-                self._by_module.setdefault((mod.path, node.name), info)
-            else:
-                self._methods.setdefault((mod.path, cls, node.name), info)
+            todo.extend(ast.iter_child_nodes(node))
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target]):
+                    if isinstance(node, ast.Assign) and not _is_none(
+                            node.value):
+                        bind(target, "value", node.value)
+                    done.add(target)  # += keeps the type; None is empty
+            elif isinstance(node, ast.AnnAssign):
+                bind(node.target, "ann", node.annotation)
+            elif isinstance(node, ast.NamedExpr):
+                bind(node.target, "value", node.value)
+            elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                target, source = node.target, node.iter
+                pair = (isinstance(target, ast.Tuple) and len(target.elts) == 2
+                        and isinstance(source, ast.Call))
+                if pair and _dotted(source.func) == "enumerate":
+                    target, source = target.elts[1], source.args[0]
+                elif pair and getattr(source.func, "attr", "") == "items":
+                    target, source = target.elts[1], source.func.value
+                bind(target, "item", source)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    top = alias.name.partition(".")[0]
+                    bind(ast.Name(alias.asname or top), "module",
+                         alias.name.rpartition(".")[2] if alias.asname
+                         else top)
+            elif isinstance(node, ast.ImportFrom):
+                inside = node.level > 0 or (
+                    node.module or "").partition(".")[0] in self._named
+                for alias in node.names:
+                    cls = self.class_named(alias.name, None)
+                    kind = ("other" if alias.name in ("Any", "TypeVar",
+                                                      "cast")
+                            else "external" if not inside
+                            else "class" if cls is not None
+                            else "module" if alias.name in self._named
+                            else "other")
+                    bind(ast.Name(alias.asname or alias.name), kind,
+                         cls if kind == "class" else alias.name)
+            elif (isinstance(node, ast.Name) and node not in done
+                  and isinstance(node.ctx, ast.Store)):
+                bind(node, "other", None)  # unpacked, a with target
+        return out
 
     # -- call resolution ------------------------------------------------
-    def resolve_call(self, call: ast.Call, enclosing: FunctionInfo | None,
+    def resolve_call(self, call: ast.Call,
                      mod: PyModule) -> FunctionInfo | None:
         """Best-effort resolution of a call expression to a definition.
 
+        A method call on a typed receiver resolves through the type's
+        MRO; a call through an imported module, to that module's def.
         Unresolvable calls return None (the chain just ends there);
-        ambiguous bare names resolve only when the program holds
-        exactly one definition of that name.
+        other names resolve only when the program holds exactly one
+        definition of that name.
         """
         func = call.func
         if isinstance(func, ast.Name):
             local = self._by_module.get((mod.path, func.id))
-            if local is not None:
-                return local
-            return self._unique(func.id)
-        if isinstance(func, ast.Attribute):
-            recv = func.value
-            if (isinstance(recv, ast.Name) and recv.id in ("self", "cls")
-                    and enclosing is not None
-                    and enclosing.class_name is not None):
-                method = self._methods.get(
-                    (mod.path, enclosing.class_name, func.attr))
-                if method is not None:
-                    return method
-            return self._unique(func.attr)
-        return None
+            return local if local is not None else self._unique(func.id)
+        if not isinstance(func, ast.Attribute):
+            return None
+        owner = self.type_of(func.value, mod)[0]
+        module = self.module_of(func.value, mod)
+        if owner is EXTERNAL or module is not None and owner is None:
+            target = self._named.get(module or "")
+            return self._by_module.get((target.path, func.attr)) if (
+                target and owner is None) else None
+        return (owner and self.lookup(owner, func.attr)
+                or self._unique(func.attr))
 
     def _unique(self, name: str) -> FunctionInfo | None:
         infos = self.functions.get(name, [])
@@ -185,45 +584,30 @@ class PyProgram:
             tuple[PyModule, FunctionInfo | None, ast.Call]]:
         """Every call site in the program that resolves to ``target``."""
         for mod, enclosing, call in self.iter_calls():
-            if self.resolve_call(call, enclosing, mod) is target:
+            if self.resolve_call(call, mod) is target:
                 yield mod, enclosing, call
 
     def iter_calls(self) -> Iterator[
             tuple[PyModule, FunctionInfo | None, ast.Call]]:
         for mod in self.modules:
-            enclosing_of = self._enclosing_map(mod)
             for node in ast.walk(mod.tree):
                 if isinstance(node, ast.Call):
-                    yield mod, enclosing_of.get(node), node
+                    yield mod, self.enclosing(mod, node), node
 
-    def enclosing_function(self, mod: PyModule,
-                           node: ast.AST) -> FunctionInfo | None:
-        """The FunctionInfo whose body contains ``node`` (innermost)."""
-        cur = mod.parents.get(node)
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for info in self.functions.get(cur.name, []):
-                    if info.node is cur:
-                        return info
-                return None
-            cur = mod.parents.get(cur)
-        return None
-
-    def _enclosing_map(self, mod: PyModule) -> dict[ast.AST, FunctionInfo]:
-        out: dict[ast.AST, FunctionInfo] = {}
-        infos = {info.node: info
-                 for lst in self.functions.values() for info in lst
-                 if info.module is mod}
-
-        def fill(node: ast.AST, cur: FunctionInfo | None) -> None:
-            nxt = infos.get(node, cur)
-            if nxt is not None:
-                out[node] = nxt
-            for child in ast.iter_child_nodes(node):
-                fill(child, nxt)
-
-        fill(mod.tree, None)
-        return out
+    def enclosing(self, mod: PyModule, node: ast.AST) -> FunctionInfo | None:
+        """The innermost def that holds ``node`` (a def holds itself)."""
+        if mod.path not in self._enclosing:
+            out: dict[ast.AST, FunctionInfo] = {}
+            self._enclosing[mod.path] = out
+            todo: list[tuple[ast.AST, FunctionInfo | None]] = [
+                (mod.tree, None)]
+            while todo:
+                at, cur = todo.pop()
+                cur = self._info.get(at, cur)
+                if cur is not None:
+                    out[at] = cur
+                todo.extend((child, cur) for child in ast.iter_child_nodes(at))
+        return self._enclosing[mod.path].get(node)
 
 
 def load_program(paths: list[str],
@@ -306,7 +690,7 @@ class _FunctionTaint:
             src = _source_of(node, self.mod)
             if src is not None:
                 return src
-            callee = self.program.resolve_call(node, self.info, self.mod)
+            callee = self.program.resolve_call(node, self.mod)
             if callee is not None and callee.returns is not None:
                 return callee.returns.extended(callee.label())
             # taint rides through wrappers: round(wall_s), f(x)
@@ -404,7 +788,7 @@ def _check_taint(program: PyProgram) -> Iterator[Diagnostic]:
             sink = _sink_name(node)
             if sink is None:
                 continue
-            enclosing = program.enclosing_function(mod, node)
+            enclosing = program.enclosing(mod, node)
             analysis = _FunctionTaint(program, enclosing) \
                 if enclosing is not None else None
             if analysis is not None:

@@ -155,9 +155,8 @@ class RuleRegistry:
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self._rules
 
-    def run(self, ctx: object,
-            only: Sequence[str] | None = None) -> list[Diagnostic]:
-        """Run every rule (or the ``only`` subset) against ``ctx``.
+    def run(self, ctx: object) -> list[Diagnostic]:
+        """Run every rule against ``ctx``.
 
         Each yielded diagnostic is stamped with the rule's id and, when
         the checker left severity unset (``rule_id == ""`` sentinel is
@@ -167,8 +166,6 @@ class RuleRegistry:
         """
         out: list[Diagnostic] = []
         for rule in self:
-            if only is not None and rule.rule_id not in only:
-                continue
             for diag in rule.check(ctx):
                 if diag.rule_id != rule.rule_id:
                     diag = replace(diag, rule_id=rule.rule_id)

@@ -127,9 +127,3 @@ class MediaBuffer:
         frame = self._frames.popleft()
         self._ticks_buffered -= frame.duration
         return frame
-
-    def clear(self) -> int:
-        n = len(self._frames)
-        self._frames.clear()
-        self._ticks_buffered = 0
-        return n

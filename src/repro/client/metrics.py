@@ -166,17 +166,6 @@ class PlayoutEventLog:
     def gap_count(self, stream_id: str | None = None) -> int:
         return self.count(PlayoutEventKind.GAP, stream_id)
 
-    def grade_trajectory(self, stream_id: str) -> list[tuple[float, int]]:
-        """(time, grade) at each grade change observed during playout."""
-        out: list[tuple[float, int]] = []
-        last: int | None = None
-        for e in self.events:
-            if e.stream_id == stream_id and e.kind is PlayoutEventKind.FRAME:
-                if last is None or e.grade != last:
-                    out.append((e.time, e.grade))
-                    last = e.grade
-        return out
-
     def tally(self) -> PlayoutTally:
         """Everything result collection reads off the log, in one pass.
 

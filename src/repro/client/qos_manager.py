@@ -47,7 +47,6 @@ class ClientQoSManager:
         rtcp_port: int | None,
         server_node: str,
         server_rtcp_port: int,
-        ssrc: int,
     ) -> RtcpReporter:
         """Attach a stream and start its periodic receiver reports.
 
@@ -69,7 +68,7 @@ class ClientQoSManager:
                              session=receiver.session)
         reporter = RtcpReporter(
             self.network, receiver, self.node_id, rtcp_port,
-            server_node, server_rtcp_port, ssrc=ssrc,
+            server_node, server_rtcp_port,
             interval_s=self.report_interval_s,
             adaptive=self.adaptive,
             min_interval_s=min(0.25, self.report_interval_s),

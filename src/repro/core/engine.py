@@ -500,11 +500,9 @@ class ClientComposition:
     def attach_feedback(self, server_rtcp_port: int,
                         server_node: str) -> None:
         """Start RTCP receiver reports toward the server's sink."""
-        ssrc = 0
         for _sid, receiver in sorted(self.receivers.items()):
-            ssrc += 1
             self.qos.register_stream(receiver, None, server_node,
-                                     server_rtcp_port, ssrc=ssrc)
+                                     server_rtcp_port)
 
     def start(self):
         """Begin presentation; returns the all-finished event."""

@@ -130,13 +130,12 @@ class Event:
 class Timeout(Event):
     """An event that triggers ``delay`` seconds in the future."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(sim)
-        self.delay = delay
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap, (sim._now + delay, seq, self._fire, ()))
 
@@ -387,11 +386,6 @@ class Simulator:
         """The attached tracer, or ``None`` (tracing disabled)."""
         return self._tracer
 
-    @property
-    def tracing(self) -> bool:
-        """True when a tracer is attached and enabled."""
-        return self._tracing
-
     def set_tracer(self, tracer) -> None:
         """Attach (or detach, with ``None``) a structured tracer.
 
@@ -485,10 +479,6 @@ class Simulator:
         if self._tracing_detail:
             self._tracer.emit(time, "kernel.event", entry_kind(fn))
         fn(*args)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, a deadline, or an event triggers.

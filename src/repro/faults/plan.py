@@ -145,9 +145,5 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.faults)
 
-    @property
-    def empty(self) -> bool:
-        return not self.faults
-
     def to_dict(self) -> dict:
         return {"faults": [asdict(f) for f in self.faults]}

@@ -86,17 +86,10 @@ class MediaTrace:
         return len(self.frames)
 
     @property
-    def total_bytes(self) -> int:
-        return sum(f.size_bytes for f in self.frames)
-
-    @property
     def duration_s(self) -> float:
         if not self.frames:
             return 0.0
         return self.frames[-1].end_time / self.clock_rate
-
-    def sizes(self) -> np.ndarray:
-        return np.array([f.size_bytes for f in self.frames], dtype=np.int64)
 
 
 def _ar1_lognormal_multipliers(

@@ -16,6 +16,7 @@ from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.impairments import GilbertElliottLoss
+    from repro.net.traffic import _TrafficBase
 
 __all__ = ["Link", "LinkStats"]
 
@@ -34,9 +35,6 @@ class LinkStats:
     #: the link came back up is delivered)
     fault_drops: int = 0
     busy_time: float = 0.0
-
-    def utilisation(self, elapsed: float) -> float:
-        return 0.0 if elapsed <= 0 else self.busy_time / elapsed
 
 
 def _keep(_time, _seq, _fn, _args) -> None:
@@ -154,7 +152,7 @@ class Link:
         #: then in ``_far`` as ``(arrival at dst, seq, packet)`` until
         #: delivered, in :meth:`_catch_up` (both made when a source
         #: first feeds the link: most links are never fed)
-        self._feeder = None
+        self._feeder: _TrafficBase | bool | None = None
         self._feed: deque[tuple[float, int, Packet]] | None = None
         self._far: deque[tuple[float, int, Packet]] | None = None
 

@@ -39,8 +39,6 @@ class PortExhaustedError(RuntimeError):
             f"[{bounds[0]}, {bounds[1]}) exhausted"
         )
         self.node_id = node_id
-        self.range_name = range_name
-        self.bounds = bounds
 
 
 class PortAllocator:

@@ -192,12 +192,6 @@ class Network:
         except KeyError:
             raise KeyError(f"no node {node_id!r}") from None
 
-    def link(self, src: str, dst: str) -> Link:
-        try:
-            return self.links[(src, dst)]
-        except KeyError:
-            raise KeyError(f"no link {src}->{dst}") from None
-
     # -- routing -----------------------------------------------------------
     def _route(self, src: str, dst: str) -> dict[str, str]:
         """Fill ``src``'s table by one Dijkstra pass on propagation delay.
@@ -245,16 +239,6 @@ class Network:
                 link._unfeed()
             for table in self._out_links.values():
                 table.clear()
-
-    def path(self, src: str, dst: str) -> list[str]:
-        """The nodes a shortest path from ``src`` to ``dst`` visits."""
-        self.node(src)
-        self.node(dst)
-        prev = self._route(src, dst)
-        path = [dst]
-        while path[-1] != src:
-            path.append(prev[path[-1]])
-        return path[::-1]
 
     # -- fed links -----------------------------------------------------------
     def catch_up(self) -> None:

@@ -76,30 +76,27 @@ class FlightRecorder(RecordingTracer):
             self.dump(trigger=event.kind)
 
     # -- dumping -------------------------------------------------------------
-    def window(self, window_s: float | None = None) -> list[TraceEvent]:
-        """Ring contents from the trailing ``window_s`` sim-seconds."""
+    def window(self) -> list[TraceEvent]:
+        """Ring contents from the trailing ``WINDOW_S`` sim-seconds."""
         if not self.events:
             return []
-        span = WINDOW_S if window_s is None else window_s
         t_end = self.events[-1].time
-        return [e for e in self.events if e.time >= t_end - span]
+        return [e for e in self.events if e.time >= t_end - WINDOW_S]
 
-    def dump(self, path: str | None = None,
-             window_s: float | None = None,
-             trigger: str = "manual") -> str:
-        """Write the trailing window as trace-v3 JSONL; returns path."""
+    def dump(self, trigger: str = "manual") -> str:
+        """Write the trailing window to ``dump_path`` as trace-v3 JSONL;
+        returns the path."""
         from repro.obs.export import write_jsonl
 
-        target = path if path is not None else self.dump_path
-        if target is None:
+        if self.dump_path is None:
             raise ValueError("no dump path configured")
-        events = self.window(window_s)
-        write_jsonl(events, target)
+        events = self.window()
+        write_jsonl(events, self.dump_path)
         self.last_dump = {
-            "path": str(target),
+            "path": str(self.dump_path),
             "trigger": trigger,
             "events": len(events),
             "t_end": events[-1].time if events else 0.0,
-            "window_s": WINDOW_S if window_s is None else window_s,
+            "window_s": WINDOW_S,
         }
-        return str(target)
+        return str(self.dump_path)

@@ -70,24 +70,21 @@ class RtpPacket(_RtpFields):
 
 @dataclass(frozen=True, slots=True)
 class RtcpReceiverReport:
-    """Receiver report fed back to the Server QoS Manager.
+    """Receiver report fed back to the Server QoS Manager: what its
+    grading reads of an RFC 3550 report block.
 
-    ``fraction_lost`` covers the interval since the previous report;
-    ``cumulative_lost`` is connection lifetime. ``mean_delay_s`` and
-    ``jitter_s`` are the receiver's current estimates (simulated
+    ``fraction_lost`` covers the interval since the previous report.
+    ``mean_delay_s`` and ``jitter_s`` are the receiver's current
+    estimates (simulated
     clocks are synchronized, so one-way delay is directly
     observable — a luxury the 1996 testbed approximated from RTCP
     round trips).
     """
 
-    ssrc: int
     stream_id: str
     fraction_lost: float
-    cumulative_lost: int
-    highest_seq: int
     jitter_s: float
     mean_delay_s: float
-    interval_received: int
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.fraction_lost <= 1.0):

@@ -50,7 +50,6 @@ class RtcpReporter:
         port: int,
         dst: str,
         dst_port: int,
-        ssrc: int,
         interval_s: float = 1.0,
         adaptive: bool = False,
         min_interval_s: float = 0.25,
@@ -68,7 +67,6 @@ class RtcpReporter:
         self.node_id = node_id
         self.dst = dst
         self.dst_port = dst_port
-        self.ssrc = ssrc
         self.interval_s = interval_s
         self.adaptive = adaptive
         self.min_interval_s = min_interval_s
@@ -94,17 +92,12 @@ class RtcpReporter:
         return nxt
 
     def build_report(self) -> RtcpReceiverReport:
-        st = self.receiver.stats
-        fraction, received = self.receiver.snapshot_interval()
+        fraction, _received = self.receiver.snapshot_interval()
         return RtcpReceiverReport(
-            ssrc=self.ssrc,
             stream_id=self.receiver.stream_id,
             fraction_lost=fraction,
-            cumulative_lost=st.cumulative_lost,
-            highest_seq=st.highest_seq or 0,
             jitter_s=self.receiver.jitter_s,
-            mean_delay_s=st.mean_delay_s,
-            interval_received=received,
+            mean_delay_s=self.receiver.stats.mean_delay_s,
         )
 
     def _congested_now(self) -> bool:

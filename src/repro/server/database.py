@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.hml.ast import Heading, HmlDocument, TextBlock
 from repro.hml.parser import parse
-from repro.hml.serializer import serialize
 
 __all__ = ["StoredDocument", "MultimediaDatabase"]
 
@@ -46,15 +45,7 @@ class MultimediaDatabase:
     # -- storage ---------------------------------------------------------
     def add_markup(self, name: str, markup: str, topic: str = "general") -> None:
         """Store a document from markup text (parsed for indexing)."""
-        self._store(name, markup, parse(markup), topic)
-
-    def add_document(self, name: str, doc: HmlDocument,
-                     topic: str = "general") -> None:
-        """Store a document from an AST (serialized for the wire)."""
-        self._store(name, serialize(doc), doc, topic)
-
-    def _store(self, name: str, markup: str, doc: HmlDocument,
-               topic: str) -> None:
+        doc = parse(markup)
         if not name.strip():
             raise ValueError("document name must be non-empty")
         if name in self._docs:

@@ -40,8 +40,6 @@ class FlowSpec:
     send_offset_s: float  # when to start sending, from session start
     duration_s: float | None
     initial_grade: int
-    clock_rate: int
-    frame_interval_s: float
 
     @property
     def is_continuous(self) -> bool:
@@ -122,9 +120,10 @@ class FlowScheduler:
         for spec in scenario.streams:
             entry = spec.entry
             if spec.is_continuous:
-                codec = self.codecs.default_for(spec.media_type)
                 grade_idx = self._grade_for(spec, prefs, initial_grade)
-                grade = codec.grade(grade_idx)
+                # a media type with no codec, or a negative grade, fails
+                # here rather than when the stream starts
+                self.codecs.default_for(spec.media_type).grade(grade_idx)
                 flows.append(
                     FlowSpec(
                         stream_id=spec.stream_id,
@@ -137,8 +136,6 @@ class FlowScheduler:
                         send_offset_s=max(0.0, entry.start_time),
                         duration_s=entry.duration,
                         initial_grade=grade_idx,
-                        clock_rate=codec.clock_rate,
-                        frame_interval_s=grade.frame_interval_s,
                     )
                 )
             else:
@@ -151,8 +148,6 @@ class FlowScheduler:
                         send_offset_s=0.0,  # fetch discrete media eagerly
                         duration_s=entry.duration,
                         initial_grade=0,
-                        clock_rate=1,
-                        frame_interval_s=0.0,
                     )
                 )
         # Discrete objects fetch in presentation order.

@@ -319,7 +319,6 @@ class MediaServer:
         #: leaves snapshots of its interrupted streams in ``wreckage``
         #: for the recovery watchdog to fail over
         self.failed = False
-        self.crashed_at: float | None = None
         self.wreckage: list[StreamSnapshot] = []
         #: recovery hook (wired by a MediaWatchdog when installed)
         self.on_crash = None
@@ -330,7 +329,6 @@ class MediaServer:
         if self.failed:
             return
         self.failed = True
-        self.crashed_at = self.sim.now
         legs = sorted(self.streams.items())
         for key, pump in legs:
             leg = pump.legs[key]

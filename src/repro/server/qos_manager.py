@@ -216,10 +216,3 @@ class ServerQoSManager:
                     action="upgrade", old=old, new=conv.grade_index,
                     trigger=report.stream_id, reason=reason,
                 )
-
-    # -- reporting -----------------------------------------------------------
-    def degrades(self) -> list[GradingDecision]:
-        return [d for d in self.decisions if d.action == "degrade"]
-
-    def upgrades(self) -> list[GradingDecision]:
-        return [d for d in self.decisions if d.action == "upgrade"]

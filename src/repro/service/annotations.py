@@ -8,17 +8,13 @@ in both wall time and presentation time.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 __all__ = ["Annotation", "AnnotationStore"]
 
-_annotation_ids = itertools.count(1)
-
 
 @dataclass(frozen=True, slots=True)
 class Annotation:
-    annotation_id: int
     document: str
     text: str
     author: str
@@ -47,21 +43,12 @@ class AnnotationStore:
         presentation_time_s: float | None = None,
     ) -> Annotation:
         ann = Annotation(
-            annotation_id=next(_annotation_ids),
             document=document, text=text, author=self.author,
             created_at=now, element_id=element_id,
             presentation_time_s=presentation_time_s,
         )
         self._by_doc.setdefault(document, []).append(ann)
         return ann
-
-    def remove(self, annotation_id: int) -> bool:
-        for anns in self._by_doc.values():
-            for i, a in enumerate(anns):
-                if a.annotation_id == annotation_id:
-                    del anns[i]
-                    return True
-        return False
 
     def for_document(self, document: str) -> list[Annotation]:
         return list(self._by_doc.get(document, []))

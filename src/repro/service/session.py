@@ -10,7 +10,7 @@ process) that drive the Figure 4 state machine.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.des import Simulator
 from repro.media.types import MediaType
@@ -21,6 +21,9 @@ from repro.server.multimedia_server import MultimediaServer
 from repro.service.messages import ControlEndpoint, ControlMessage
 from repro.service.states import SessionEvent as E
 from repro.service.states import SessionState, SessionStateMachine
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.rtp.rtcp import RtcpSink
 
 __all__ = ["ServerSessionHandler", "ClientSession"]
 
@@ -43,7 +46,7 @@ class ServerSessionHandler:
         self.client_node = client_node
         self.suspend_grace_s = suspend_grace_s
         self.session = None  # ServedSession after admission
-        self.rtcp_sink = None
+        self.rtcp_sink: RtcpSink | None = None
         self._rtcp_port: int | None = None
         self._suspend_token = 0
         self.suspended = False

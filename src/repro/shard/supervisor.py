@@ -129,6 +129,7 @@ class ShardSupervisor:
         shard.deadline = (now + SHARD_TIMEOUT_S
                           if SHARD_TIMEOUT_S is not None
                           else float("inf"))
+        send_conn: mp_connection.Connection
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,

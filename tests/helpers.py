@@ -10,6 +10,44 @@ def interval_of(renderer, element_id):
                  if iv.element_id == element_id), None)
 
 
+def next_event_time(sim):
+    """Time of the simulator's next heap entry, or ``inf`` if none."""
+    return sim._heap[0][0] if sim._heap else float("inf")
+
+
+def add_document(db, name, doc, topic="general"):
+    """Store a document built as an AST in ``db``, as its markup."""
+    from repro.hml.serializer import serialize
+
+    db.add_markup(name, serialize(doc), topic)
+
+
+def grade_trajectory(log, stream_id):
+    """``(time, grade)`` at each grade change a ``PlayoutEventLog`` saw
+    in ``stream_id``'s presented frames."""
+    from repro.client.metrics import PlayoutEventKind
+
+    out, last = [], None
+    for e in log.events:
+        if e.stream_id == stream_id and e.kind is PlayoutEventKind.FRAME:
+            if last is None or e.grade != last:
+                out.append((e.time, e.grade))
+                last = e.grade
+    return out
+
+
+def path(net, src, dst):
+    """The nodes a shortest path from ``src`` to ``dst`` visits (filling
+    ``src``'s routing table as a first packet would)."""
+    net.node(src)
+    net.node(dst)
+    prev = net._route(src, dst)
+    nodes = [dst]
+    while nodes[-1] != src:
+        nodes.append(prev[nodes[-1]])
+    return nodes[::-1]
+
+
 def select(tracer, kind=None, session=None):
     """A recorder's events of one kind and/or session, in order."""
     return [e for e in tracer.events

@@ -25,6 +25,7 @@ from repro.server.admission import (
     AdmissionRequest,
 )
 from repro.media.encodings import default_registry
+from tests.helpers import add_document
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "hml")
 
@@ -115,7 +116,7 @@ def _server_charge(markup: str) -> float:
     """What a live server reserves for a session once it requested
     ``markup``, with capacity to spare."""
     db = MultimediaDatabase()
-    db.add_document("doc", parse(markup))
+    add_document(db, "doc", parse(markup))
     server = MultimediaServer(
         Simulator(), "srv1", "host:srv1", db, AccountRegistry(),
         default_registry(), {},

@@ -112,7 +112,7 @@ def test_buffer_fifo_and_peek_drop_head():
     assert buf.peek().seq == 0
     assert buf.drop_head().seq == 0
     assert buf.pop().seq == 1
-    assert buf.clear() == 1
+    assert buf.pop().seq == 2
     assert len(buf) == 0
     assert buf.drop_head() is None
     assert buf.peek() is None

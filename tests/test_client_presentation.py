@@ -9,7 +9,7 @@ from repro.hml import DocumentBuilder
 from repro.hml.examples import figure2_document
 from repro.media.types import Frame, FrameKind
 from repro.model import PresentationScenario
-from tests.helpers import interval_of
+from tests.helpers import grade_trajectory, interval_of
 
 AUDIO_CLOCK = 8_000
 VIDEO_CLOCK = 90_000
@@ -251,5 +251,5 @@ def test_event_log_summary_and_trajectory():
     assert s["duplicates"] == 1
     assert s["gap_ratio"] == pytest.approx(1 / 5)
     assert s["mean_grade"] == pytest.approx(2 / 3)
-    assert log.grade_trajectory("v") == [(0.0, 0), (0.12, 2)]
+    assert grade_trajectory(log, "v") == [(0.0, 0), (0.12, 2)]
     assert log.gap_count("v") * 0.04 == pytest.approx(0.04)

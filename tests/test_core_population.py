@@ -34,7 +34,7 @@ def test_population_runs_on_distinct_access_links():
     for node in nodes:
         assert (ServiceEngine.ROUTER, node) in eng.network.links
         assert (node, ServiceEngine.ROUTER) in eng.network.links
-        assert eng.network.link(ServiceEngine.ROUTER, node).stats.tx_packets > 0
+        assert eng.network.links[(ServiceEngine.ROUTER, node)].stats.tx_packets > 0
     # Each viewer streamed cleanly on its own 8 Mb/s link.
     for o in pop:
         assert o.result.total_gaps() == 0

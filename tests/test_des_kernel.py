@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import AllOf, AnyOf, Interrupt, Simulator
+from tests.helpers import next_event_time
 
 
 def test_clock_starts_at_zero():
@@ -293,12 +294,12 @@ def test_run_until_event_with_drained_queue_raises():
 
 def test_peek_reports_next_event_time():
     sim = Simulator()
-    assert sim.peek() == float("inf")
+    assert next_event_time(sim) == float("inf")
     sim.timeout(3.0)
     sim.timeout(1.0)
-    assert sim.peek() == 1.0  # timeouts enqueue at their fire time
+    assert next_event_time(sim) == 1.0  # timeouts enqueue at their fire time
     sim.run()
-    assert sim.peek() == float("inf")
+    assert next_event_time(sim) == float("inf")
 
 
 def test_deterministic_replay_of_interleaving():
@@ -418,7 +419,7 @@ def test_observers_cannot_attach_during_a_run():
     assert sim.tracer is None
     # between runs it attaches as before
     sim.set_tracer(_Tracer(detail=True))
-    assert sim.tracing
+    assert sim._tracing
 
 
 def test_call_later_ties_fire_in_schedule_order_with_events():

@@ -52,12 +52,10 @@ def test_plan_serialises_to_dict():
                                 "period_s": 1.0, "down_s": 0.2, "count": 3,
                                 "kind": "link-flap"}
     assert len(plan) == 5
-    assert not plan.empty
 
 
 def test_empty_plan_properties():
     plan = FaultPlan()
-    assert plan.empty
     assert len(plan) == 0
     assert list(plan) == []
 

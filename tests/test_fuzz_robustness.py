@@ -15,7 +15,7 @@ from repro.net import (
     ReliableSender,
 )
 from repro.net import channel
-from tests.helpers import session_on
+from tests.helpers import add_document, session_on
 
 
 # ----------------------------------------------------------- parser fuzz
@@ -134,12 +134,12 @@ def test_reliable_channel_law_under_loss(seed, direction, monkeypatch):
     for i in range(len(SIZES)):
         assert [kind for kind, d, _ in log if d == i] == ["message", "done"]
     # the lossy links really lost packets
-    assert (net.link("a", "b").stats.loss_drops > 0) == (direction != "rev")
-    assert (net.link("b", "a").stats.loss_drops > 0) == (direction != "fwd")
+    assert (net.links[("a", "b")].stats.loss_drops > 0) == (direction != "rev")
+    assert (net.links[("b", "a")].stats.loss_drops > 0) == (direction != "fwd")
     segments = sum(-(-size // 1000) for size in SIZES)
     assert sent["a"] == segments + tx.retransmissions
     for (src, dst), port in ((("a", "b"), 7000), (("b", "a"), 7001)):
-        stats = net.link(src, dst).stats
+        stats = net.links[(src, dst)].stats
         assert sent[src] == (delivered[port] + stats.queue_drops
                              + stats.loss_drops + stats.fault_drops)
 
@@ -194,7 +194,7 @@ def test_an_ack_after_close_is_discarded_at_the_unbound_port():
     sim.run()
     assert acks == []
     assert net.node("a").rx_discarded == 1
-    assert net.link("b", "a").stats.tx_packets == 1
+    assert net.links[("b", "a")].stats.tx_packets == 1
     assert tx._base == 0 and len(tx._segments) == 1
 
 
@@ -211,7 +211,7 @@ def test_control_protocol_over_lossy_network():
 
     sim, net = lossy_net(seed=9, p_gb=0.1, direction="both")
     db = MultimediaDatabase()
-    db.add_document("doc", DocumentBuilder("Lossy lesson")
+    add_document(db, "doc", DocumentBuilder("Lossy lesson")
                     .text("still works").build())
     server = MultimediaServer(sim, "s", "b", db, AccountRegistry(),
                               default_registry(), {},

@@ -315,7 +315,7 @@ def test_forwarding_is_the_link_itself():
     b = net.node("b")
     assert b.rx_discarded == 1
     assert net.tap.count_by_flow == {"UDP": {"f": 3}}
-    assert net.link("a", "r").stats.queue_drops == 2
+    assert net.links[("a", "r")].stats.queue_drops == 2
     assert sum(link.stats.queue_drops + link.stats.loss_drops
                + link.stats.fault_drops for link in net.links.values()) == 2
-    assert net.link("r", "b").on_arrival == b.deliver
+    assert net.links[("r", "b")].on_arrival == b.deliver

@@ -51,7 +51,7 @@ def test_video_trace_gop_structure():
 
 
 def bitrate_bps(trace):
-    return trace.total_bytes * 8.0 / trace.duration_s
+    return sum(f.size_bytes for f in trace.frames) * 8.0 / trace.duration_s
 
 
 def test_video_trace_mean_bitrate_on_target():
@@ -69,7 +69,7 @@ def test_video_trace_suspended_grade_is_empty():
     tr = VideoTraceGenerator(MPEG, rng()).generate("v", 10.0, grade_index=99)
     assert len(tr) == 0
     assert tr.duration_s == 0.0
-    assert tr.total_bytes == 0
+    assert sum(f.size_bytes for f in tr.frames) == 0
 
 
 def test_video_trace_reproducible():

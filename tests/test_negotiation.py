@@ -24,6 +24,7 @@ from repro.server.accounts import SubscriptionForm
 from repro.server.admission import TICKET_BPS
 from repro.service import ClientSession, ControlChannel, ServerSessionHandler
 
+from tests.helpers import add_document
 from tests.test_hml_roundtrip import documents
 
 BASIC = CONTRACT_CLASSES["basic"]
@@ -186,10 +187,10 @@ def build_service(capacity, extra=None):
     net.add_node("host:srv1")
     net.add_duplex_link("client", "host:srv1", 20e6, 0.005)
     db = MultimediaDatabase()
-    db.add_document("doc", ONE_PAIR)
-    db.add_document("two", TWO_PAIRS)
+    add_document(db, "doc", ONE_PAIR)
+    add_document(db, "two", TWO_PAIRS)
     if extra is not None:
-        db.add_document("extra", extra)
+        add_document(db, "extra", extra)
     server = MultimediaServer(
         sim, "srv1", "host:srv1", db, AccountRegistry(),
         default_registry(), {},

@@ -74,7 +74,7 @@ def test_full_service_over_atm_access():
     link — the paper's future-work deployment target."""
     eng = ServiceEngine(EngineConfig(atm_access=True))
     eng.add_server("srv1", documents={"doc": (av_markup(4.0), "demo")})
-    link = eng.network.link(ServiceEngine.ROUTER, ServiceEngine.CLIENT)
+    link = eng.network.links[(ServiceEngine.ROUTER, ServiceEngine.CLIENT)]
     assert isinstance(link, AtmLink)
     result = eng.orchestrator.run_full_session("srv1", "doc")
     assert result.completed

@@ -33,7 +33,7 @@ def test_datagram_roundtrip():
                     payload="hello"))
     sim.run()
     assert got == ["hello"]
-    assert net.link("server", "client").stats.tx_packets == 1
+    assert net.links[("server", "client")].stats.tx_packets == 1
 
 
 def test_datagram_close_unbinds():

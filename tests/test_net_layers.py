@@ -16,6 +16,7 @@ from repro.faults.scenarios import chaos_markup
 from repro.net import AccessLinkSpec, RegionSpec, ServiceTopology, cdn_stack
 from repro.net import service_topology
 from repro.net.topology import Network
+from tests.helpers import path
 
 DOC = {"doc": (chaos_markup(2.0), "t")}
 
@@ -85,7 +86,7 @@ def test_cdn_stack_end_to_end_shape():
     assert topo.clients == ["east-c1", "east-c2", "west-c1", "west-c2"]
     # every POP link carries the values cdn_stack always passed
     for pop in ("pop:east", "pop:west"):
-        link = topo.network.link(pop, "router")
+        link = topo.network.links[(pop, "router")]
         assert (link.rate_bps, link.delay_s, link.queue_packets) \
             == (100e6, 0.008, 500)
     # every region gets a replica of every media server, in order
@@ -110,7 +111,7 @@ def test_service_topology_stays_open_after_construction():
     assert ("pop:east", "c2") in net.links
     assert topo.region_of("c1") is None
     assert topo.region_of("h1") == "east"
-    assert net.path("c1", "h1") == ["c1", "router", "pop:east", "h1"]
+    assert path(net, "c1", "h1") == ["c1", "router", "pop:east", "h1"]
 
 
 def test_access_spec_for_stamps_each_viewer():
@@ -124,8 +125,8 @@ def test_access_spec_for_stamps_each_viewer():
                            access_spec_for=spec_for)
     topo.add_client("late")
     assert seen == ["east-c1", "late"]
-    assert topo.network.link("pop:east", "east-c1").rate_bps == 3e6
-    assert topo.network.link("late", "router").rate_bps == 3e6
+    assert topo.network.links[("pop:east", "east-c1")].rate_bps == 3e6
+    assert topo.network.links[("late", "router")].rate_bps == 3e6
 
 
 # -- one source for every link parameter --------------------------------------
@@ -134,13 +135,13 @@ def test_backbone_delay_is_one_constant_with_regions_too(monkeypatch):
     monkeypatch.setattr(service_topology, "BACKBONE_DELAY_S", 0.002)
     eng = ServiceEngine(layers=cdn_stack(clients_per_region=1))
     eng.add_server("srv1", documents=DOC)
-    assert eng.network.link("host:srv1", "router").delay_s == 0.002
-    assert eng.network.link("host:media@east", "pop:east").delay_s == 0.002
+    assert eng.network.links[("host:srv1", "router")].delay_s == 0.002
+    assert eng.network.links[("host:media@east", "pop:east")].delay_s == 0.002
     # ... and the regional link's constants reach every POP link
     monkeypatch.setattr(service_topology, "REGION_LINK_DELAY_S", 0.003)
     eng = ServiceEngine(layers=(RegionSpec("north", 1),))
-    assert eng.network.link("pop:north", "router").delay_s == 0.003
-    assert eng.network.link("router", "pop:north").delay_s == 0.003
+    assert eng.network.links[("pop:north", "router")].delay_s == 0.003
+    assert eng.network.links[("router", "pop:north")].delay_s == 0.003
 
 
 def test_default_cross_traffic_targets_the_first_regional_viewer():
@@ -156,12 +157,12 @@ def test_default_cross_traffic_targets_the_first_regional_viewer():
         pop = e.orchestrator.run_population(2, "srv1", "doc", stagger_s=0.3)
         assert len(pop.completed()) == 2
     # the source's packets crossed east-c1's access link and no other
-    sent = eng.network.link("xsrc1", "router").stats.tx_packets
+    sent = eng.network.links[("xsrc1", "router")].stats.tx_packets
     assert sent > 100
 
     def extra(src, dst):
-        return (eng.network.link(src, dst).stats.tx_packets
-                - quiet.network.link(src, dst).stats.tx_packets)
+        return (eng.network.links[(src, dst)].stats.tx_packets
+                - quiet.network.links[(src, dst)].stats.tx_packets)
 
     assert extra("pop:east", "east-c1") > sent // 2
     assert extra("pop:west", "west-c1") < 10

@@ -30,7 +30,7 @@ from repro.net.topology import Network
 from repro.net.traffic import OnOffTrafficSource, PoissonTrafficSource
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracer import RecordingTracer
-from tests.helpers import select
+from tests.helpers import path, select
 
 SIZE = 128                 # bytes -> 1024 bits
 RATE = 8192.0              # bit/s -> 0.125 s per packet
@@ -70,7 +70,6 @@ def test_burst_arrival_times_and_drop_tail(n, queue):
     assert stats.tx_packets == served
     assert stats.tx_bytes == served * SIZE
     assert stats.busy_time == served * SER
-    assert stats.utilisation(served * SER) == 1.0
     assert (stats.loss_drops, stats.fault_drops) == (0, 0)
 
 
@@ -83,7 +82,7 @@ def test_idle_gap_restarts_the_transmitter():
     assert arrivals == [(0, SER + DELAY), (1, 10.0 + SER + DELAY),
                         (2, 10.0 + 2 * SER + DELAY)]
     assert link.stats.busy_time == 3 * SER
-    assert link.stats.utilisation(sim.now) < 0.05
+    assert link.stats.busy_time / sim.now < 0.05
 
 
 def test_fifo_delay_matches_the_lindley_recursion():
@@ -230,7 +229,7 @@ def test_poisson_into_one_link_waits_as_pollaczek_khinchine_says(rho, seed):
     sim.run(until=1.1 * packets * service / rho)
     assert len(waits) >= packets and link.stats.queue_drops == 0
     assert min(waits) > -1e-9
-    assert link.stats.utilisation(sim.now) == pytest.approx(rho, rel=0.02)
+    assert link.stats.busy_time / sim.now == pytest.approx(rho, rel=0.02)
 
     batch_means = [sum(waits[k:k + BATCH]) / BATCH
                    for k in range(BATCH, packets, BATCH)]
@@ -325,7 +324,7 @@ def test_every_packet_a_source_sent_is_somewhere_at_the_horizon(traced):
     assert min(sum(s.queue_drops for s in stats),
                sum(s.loss_drops for s in stats)) > 0
     for src in sources:
-        assert net.link("r", src.dst)._feeder is (None if traced else src)
+        assert net.links[("r", src.dst)]._feeder is (None if traced else src)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +405,7 @@ def _tandem_run(offered, traced, flaps_x=(), flaps_y=(), rates=TANDEM,
     if routed:
         # r routes y before anything is sent; unrouted, x -> r routes it
         # when it accepts the first packet, and the runs are the same
-        net.path("r", "y")
+        path(net, "r", "y")
     arrivals, drops, hops = [], [], set()
 
     def deliver(pkt):
@@ -557,7 +556,7 @@ def test_a_link_fed_before_any_plan_is_never_planned_across():
 
 
 def test_an_unrouted_router_plans_from_its_first_packet():
-    """Without ``net.path("r", "y")``, ``r``'s table is filled when
+    """Without ``path(net, "r", "y")``, ``r``'s table is filled when
     ``x -> r`` accepts the first packet, so that packet is planned across
     ``r -> y`` already: the run fires what a routed one does, fewer
     entries than the traced run."""
@@ -586,7 +585,7 @@ def test_an_entry_for_a_planned_arrival_instant_fires_in_the_plans_order(
         net.add_node(node)
     net.add_link("x", "r", RATE, DELAY)
     net.add_link("r", "y", RATE, DELAY)
-    net.path("r", "y")
+    path(net, "r", "y")
     order = []
     net.node("y").bind(1, lambda pkt: order.append(("delivery", sim.now)))
     sim.call_at(0.0, net.send, Packet("x", "y", SIZE, "UDP", "f", 1, seq=0))

@@ -17,6 +17,7 @@ from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.des import Simulator
 from repro.net import Network, NoRouteError, Packet, cdn_stack
+from tests.helpers import path
 
 nx = pytest.importorskip("networkx")
 
@@ -45,17 +46,17 @@ def assert_routes_as_networkx(net):
     for node in net.nodes:
         for dst in net.nodes:
             if dst == node:
-                assert net.path(node, dst) == [node]
+                assert path(net, node, dst) == [node]
             elif dst in paths[node]:
                 assert next_hop(net, node, dst) == paths[node][dst][1], \
                     (node, dst)
-                assert net.path(node, dst) == nx.dijkstra_path(
+                assert path(net, node, dst) == nx.dijkstra_path(
                     graph, node, dst, weight="weight"), (node, dst)
             else:
                 with pytest.raises(NoRouteError):
                     next_hop(net, node, dst)
                 with pytest.raises(NoRouteError):
-                    net.path(node, dst)
+                    path(net, node, dst)
 
 
 def engine(**kwargs):
@@ -88,8 +89,8 @@ def test_links_added_after_the_first_packet_route_as_networkx():
     assert net.tap.count_by_flow["UDP"]["f"] == 1
     # a shortcut that ties with the two-hop path through the router
     # for some pairs and beats it for others
-    net.add_link(first, second, 10e6, net.link(first, eng.ROUTER).delay_s
-                 + net.link(eng.ROUTER, second).delay_s)
+    net.add_link(first, second, 10e6, net.links[(first, eng.ROUTER)].delay_s
+                 + net.links[(eng.ROUTER, second)].delay_s)
     net.add_node("annex")
     net.add_duplex_link("annex", second, 10e6, 0.0)
     assert_routes_as_networkx(net)

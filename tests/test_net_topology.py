@@ -14,7 +14,7 @@ from repro.net import (
     ServiceTopology,
 )
 from repro.net import service_topology
-from tests.helpers import port_allocator
+from tests.helpers import path, port_allocator
 
 
 def simple_net(rate=1_000_000, delay=0.01, queue=100):
@@ -67,7 +67,7 @@ def test_routing_prefers_low_delay_path():
     net.add_duplex_link("fast", "b", 10e6, 0.001)
     net.add_duplex_link("a", "slow", 10e6, 0.050)
     net.add_duplex_link("slow", "b", 10e6, 0.050)
-    assert net.path("a", "b") == ["a", "fast", "b"]
+    assert path(net, "a", "b") == ["a", "fast", "b"]
 
 
 def test_shorter_link_added_after_traffic_is_taken_by_later_packets():
@@ -89,7 +89,7 @@ def test_shorter_link_added_after_traffic_is_taken_by_later_packets():
 
     send()
     send()
-    assert net.link("r", "slow").stats.tx_packets == 2
+    assert net.links[("r", "slow")].stats.tx_packets == 2
     # Both the source's table and the mid-path router's are warm now,
     # each filled whole by the one pass its first packet paid for...
     assert set(net._out_links["a"]) == {"r", "slow", "b"}
@@ -101,13 +101,13 @@ def test_shorter_link_added_after_traffic_is_taken_by_later_packets():
     net.add_duplex_link("r", "fast", 10e6, 0.001)
     net.add_duplex_link("fast", "b", 10e6, 0.001)
     send()
-    assert net.link("r", "slow").stats.tx_packets == 2
-    assert net.link("r", "fast").stats.tx_packets == 1
+    assert net.links[("r", "slow")].stats.tx_packets == 2
+    assert net.links[("r", "fast")].stats.tx_packets == 1
     # A direct link beats both, and the source's own table follows.
     net.add_link("a", "b", 10e6, 0.0005)
     send()
-    assert net.link("a", "r").stats.tx_packets == 3
-    assert net.link("a", "b").stats.tx_packets == 1
+    assert net.links[("a", "r")].stats.tx_packets == 3
+    assert net.links[("a", "b")].stats.tx_packets == 1
     assert hops == [3, 3, 3, 1]
     # A node added later is routable from warm tables too.
     net.add_node("c")
@@ -127,12 +127,12 @@ def test_no_route_raises_at_the_hop_that_has_none():
         net.send(Packet(src="a", dst="island", size_bytes=100,
                         protocol="UDP", flow_id="f", dst_port=1))
     with pytest.raises(NoRouteError, match="no route a -> island"):
-        net.path("a", "island")
+        path(net, "a", "island")
     with pytest.raises(KeyError):
-        net.path("a", "nowhere")
+        path(net, "a", "nowhere")
     with pytest.raises(KeyError):
-        net.path("nowhere", "a")
-    assert net.path("a", "a") == ["a"]
+        path(net, "nowhere", "a")
+    assert path(net, "a", "a") == ["a"]
 
 
 def test_queue_overflow_drops_and_taps():
@@ -144,7 +144,7 @@ def test_queue_overflow_drops_and_taps():
         net.send(Packet(src="a", dst="b", size_bytes=1000, protocol="UDP",
                         flow_id="f", dst_port=1, seq=i))
     sim.run()
-    link = net.link("a", "b")
+    link = net.links[("a", "b")]
     assert link.stats.queue_drops > 0
     assert len(got) + link.stats.queue_drops == 10
     assert (link.stats.loss_drops, link.stats.fault_drops) == (0, 0)
@@ -203,7 +203,7 @@ def test_tap_record_views_of_deliveries_drops_and_a_discard():
     assert net.tap.bytes_by_protocol == {"RTCP": 40, "TCP": 1000, "RTP": 500}
     assert net.tap.count_by_flow == {
         "RTP": {"f1": 1}, "TCP": {"f0": 2}, "RTCP": {"loop": 1}}
-    assert net.link("a", "r").stats.queue_drops == 2
+    assert net.links[("a", "r")].stats.queue_drops == 2
     assert sum(link.stats.queue_drops + link.stats.loss_drops
                + link.stats.fault_drops for link in net.links.values()) == 2
     assert net.node("b").rx_discarded == 1
@@ -278,16 +278,16 @@ def test_topology_builder_star(monkeypatch):
     tb.add_traffic_host("x1")
     assert tb.clients == ["c1", "c2"]
     # Hosts ride the backbone parameters; a traffic host sits 1 ms out.
-    assert net.link("h1", "router").rate_bps == 50e6
-    assert net.link("h1", "router").delay_s == 0.002
-    assert net.link("x1", "router").delay_s == 0.001
+    assert net.links[("h1", "router")].rate_bps == 50e6
+    assert net.links[("h1", "router")].delay_s == 0.002
+    assert net.links[("x1", "router")].delay_s == 0.001
     # Per-client link parameters took effect, in both directions.
-    assert net.link("router", "c1").rate_bps == 5e6
-    assert net.link("c2", "router").rate_bps == 2e6
+    assert net.links[("router", "c1")].rate_bps == 5e6
+    assert net.links[("c2", "router")].rate_bps == 2e6
     # Everything routes through the star's router.
-    assert net.path("c1", "h1") == ["c1", "router", "h1"]
-    assert net.path("h1", "c2") == ["h1", "router", "c2"]
-    assert net.path("c1", "c2") == ["c1", "router", "c2"]
+    assert path(net, "c1", "h1") == ["c1", "router", "h1"]
+    assert path(net, "h1", "c2") == ["h1", "router", "c2"]
+    assert path(net, "c1", "c2") == ["c1", "router", "c2"]
 
 
 def test_access_link_spec_validation():
@@ -316,7 +316,7 @@ def test_gilbert_elliott_loss_on_link():
 
     sim.process(sender())
     sim.run()
-    link = net.link("a", "b")
+    link = net.links[("a", "b")]
     assert link.stats.loss_drops > 0
     assert len(got) + link.stats.loss_drops == 400
     # Stationary loss is ~50%; allow generous tolerance.
@@ -363,7 +363,7 @@ def test_link_utilisation_counter():
         net.send(Packet(src="a", dst="b", size_bytes=1250, protocol="UDP",
                         flow_id="f", dst_port=1, seq=i))
     sim.run()
-    link = net.link("a", "b")
+    link = net.links[("a", "b")]
     assert link.stats.tx_packets == 5
     assert link.stats.busy_time == pytest.approx(5 * 0.01)
 

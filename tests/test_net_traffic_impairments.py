@@ -926,7 +926,7 @@ def test_a_read_at_exactly_a_fed_packets_far_arrival_sees_it_delivered(
     assert reads == [("pushed before r admits", 6 if fed else 5),
                      ("pushed after", 6)]
     assert net.node("y").rx_discarded == 8  # e[0] to e[7]
-    assert net.link("r", "y")._feeder is (source if fed else None)
+    assert net.links[("r", "y")]._feeder is (source if fed else None)
 
 
 def test_a_fed_link_nothing_else_touches_holds_about_a_batch():

@@ -35,7 +35,8 @@ def test_window_keeps_trailing_span_only(monkeypatch):
     for t in (0.0, 5.0, 8.5, 9.0, 10.0):
         rec.emit(t, "session", "s")
     assert [e.time for e in rec.window()] == [8.5, 9.0, 10.0]
-    assert [e.time for e in rec.window(0.5)] == [10.0]
+    monkeypatch.setattr(flightrec, "WINDOW_S", 0.5)
+    assert [e.time for e in rec.window()] == [10.0]
 
 
 def test_standalone_recorder_stays_on_control_tier():
@@ -48,10 +49,10 @@ def test_standalone_recorder_stays_on_control_tier():
 
 
 def test_explicit_dump_roundtrips_through_trace_tooling(tmp_path):
-    rec = FlightRecorder()
+    rec = FlightRecorder(dump_path=str(tmp_path / "dump.jsonl"))
     rec.emit(1.0, "session", "open", session="s1")
     rec.emit(2.0, "admission.accept", "srv1", session="s1")
-    path = rec.dump(str(tmp_path / "dump.jsonl"))
+    path = rec.dump()
     events = read_jsonl(path)
     assert [e.kind for e in events] == ["session", "admission.accept"]
     assert any(summarize_trace(events))

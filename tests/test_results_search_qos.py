@@ -79,11 +79,11 @@ def test_qos_manager_registration_and_conditions():
     sim, net = build_net()
     mgr = ClientQoSManager(net, "cli", report_interval_s=0.5)
     rx = RtpReceiver(net, "cli", 5004, 90_000, "v")
-    mgr.register_stream(rx, 5006, "srv", 5008, ssrc=1)
+    mgr.register_stream(rx, 5006, "srv", 5008)
     assert mgr.streams() == ["v"]
     assert rx.stats.cumulative_lost == 0 and rx.jitter_s == 0.0
     with pytest.raises(ValueError):
-        mgr.register_stream(rx, 5007, "srv", 5008, ssrc=2)
+        mgr.register_stream(rx, 5007, "srv", 5008)
     with pytest.raises(ValueError):
         ClientQoSManager(net, "cli", report_interval_s=0)
 
@@ -95,7 +95,7 @@ def test_qos_manager_reports_and_stop():
     sink = RtcpSink(net, "srv", 5008)
     mgr = ClientQoSManager(net, "cli", report_interval_s=0.5)
     rx = RtpReceiver(net, "cli", 5004, 90_000, "v")
-    mgr.register_stream(rx, 5006, "srv", 5008, ssrc=1)
+    mgr.register_stream(rx, 5006, "srv", 5008)
     sim.run(until=2.2)
     assert mgr.reports_sent() == 4
     assert len(sink.reports_received) == 4

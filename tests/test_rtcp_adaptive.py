@@ -40,7 +40,7 @@ def send_stream(sim, tx, n=500):
 
 def test_adaptive_relaxes_when_clean():
     sim, net, tx, rx, sink = build()
-    rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1,
+    rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006,
                        interval_s=0.5, adaptive=True,
                        min_interval_s=0.25)
     send_stream(sim, tx, n=400)
@@ -55,7 +55,7 @@ def test_adaptive_reports_early_on_congestion_onset():
     rng = RngRegistry(seed=21).stream("ge")
     ge = GilbertElliottLoss(rng, p_gb=0.0, p_bg=0.0, loss_bad=0.5)
     sim, net, tx, rx, sink = build(loss_model=ge)
-    rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1,
+    rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006,
                        interval_s=1.0, adaptive=True,
                        min_interval_s=0.25)
     send_stream(sim, tx, n=400)
@@ -78,7 +78,7 @@ def test_adaptive_reports_early_on_congestion_onset():
 
 def test_fixed_mode_unaffected_by_adaptive_params():
     sim, net, tx, rx, sink = build()
-    rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1,
+    rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006,
                        interval_s=0.5, adaptive=False)
     send_stream(sim, tx, n=100)
     sim.run(until=4.2)
@@ -89,7 +89,7 @@ def test_fixed_mode_unaffected_by_adaptive_params():
 def test_adaptive_validation():
     sim, net, tx, rx, sink = build()
     with pytest.raises(ValueError):
-        RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1,
+        RtcpReporter(net, rx, "cli", 5007, "srv", 5006,
                      interval_s=1.0, adaptive=True,
                      min_interval_s=2.0)
 

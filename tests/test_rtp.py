@@ -240,7 +240,7 @@ def test_rtcp_reports_flow_back_to_sink():
     sim, net = build()
     tx, rx = endpoints(net)
     sink = RtcpSink(net, "srv", 5006)
-    RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1, interval_s=0.5)
+    RtcpReporter(net, rx, "cli", 5007, "srv", 5006, interval_s=0.5)
 
     def sender():
         for i in range(100):
@@ -262,7 +262,7 @@ def test_rtcp_fraction_lost_under_loss():
     sim, net = build(loss_model=ge)
     tx, rx = endpoints(net)
     sink = RtcpSink(net, "srv", 5006)
-    RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1, interval_s=1.0)
+    RtcpReporter(net, rx, "cli", 5007, "srv", 5006, interval_s=1.0)
 
     def sender():
         for i in range(250):
@@ -280,7 +280,7 @@ def test_rtcp_reporter_stop():
     sim, net = build()
     tx, rx = endpoints(net)
     RtcpSink(net, "srv", 5006)
-    rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1, interval_s=0.5)
+    rep = RtcpReporter(net, rx, "cli", 5007, "srv", 5006, interval_s=0.5)
     sim.run(until=1.2)
     rep.stop()
     count = rep.reports_sent
@@ -292,7 +292,7 @@ def test_rtcp_uses_rtcp_protocol_label():
     sim, net = build()
     tx, rx = endpoints(net)
     RtcpSink(net, "srv", 5006)
-    RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1, interval_s=0.5)
+    RtcpReporter(net, rx, "cli", 5007, "srv", 5006, interval_s=0.5)
     tx.send_frame(frame(0))
     sim.run(until=1.1)
     assert "RTCP" in net.tap.bytes_by_protocol
@@ -303,7 +303,7 @@ def test_rtcp_interval_validation():
     sim, net = build()
     tx, rx = endpoints(net)
     with pytest.raises(ValueError):
-        RtcpReporter(net, rx, "cli", 5007, "srv", 5006, ssrc=1, interval_s=0)
+        RtcpReporter(net, rx, "cli", 5007, "srv", 5006, interval_s=0)
 
 
 # ------------------------------------------------------------------ packets

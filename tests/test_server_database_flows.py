@@ -8,6 +8,7 @@ from repro.media import default_registry
 from repro.model import PresentationScenario, check_bandwidth
 from repro.server import FlowScheduler, MultimediaDatabase
 from repro.server.accounts import QoSPreferences
+from tests.helpers import add_document
 
 
 def lesson(title, text):
@@ -17,12 +18,12 @@ def lesson(title, text):
 @pytest.fixture
 def db():
     d = MultimediaDatabase()
-    d.add_document("intro", lesson("Introduction to Networks",
+    add_document(d, "intro", lesson("Introduction to Networks",
                                    "packets travel across links"),
                    topic="networking")
-    d.add_document("atm", lesson("ATM Networks", "cells and virtual circuits"),
+    add_document(d, "atm", lesson("ATM Networks", "cells and virtual circuits"),
                    topic="networking")
-    d.add_document("poetry", lesson("Greek Poetry", "verses and meters"),
+    add_document(d, "poetry", lesson("Greek Poetry", "verses and meters"),
                    topic="literature")
     return d
 
@@ -60,9 +61,9 @@ def test_database_markup_roundtrip(db):
 
 def test_database_duplicate_and_empty_rejected(db):
     with pytest.raises(ValueError):
-        db.add_document("intro", lesson("x", "y"))
+        add_document(db, "intro", lesson("x", "y"))
     with pytest.raises(ValueError):
-        db.add_document("  ", lesson("x", "y"))
+        add_document(db, "  ", lesson("x", "y"))
     with pytest.raises(KeyError):
         db.get("missing")
 

@@ -31,9 +31,8 @@ def audio_converter(floor=2, seed=1):
 
 def report(stream_id, loss=0.0, jitter=0.0):
     return RtcpReceiverReport(
-        ssrc=1, stream_id=stream_id, fraction_lost=loss, cumulative_lost=0,
-        highest_seq=100, jitter_s=jitter, mean_delay_s=0.02,
-        interval_received=25,
+        stream_id=stream_id, fraction_lost=loss, jitter_s=jitter,
+        mean_delay_s=0.02,
     )
 
 
@@ -96,7 +95,8 @@ def test_congestion_degrades_video_first():
     mgr.on_report(report("A", loss=0.2))  # audio suffering...
     assert vconv.grade_index == 1  # ...but video pays first
     assert aconv.grade_index == 0
-    assert mgr.degrades()[0].target_stream == "V"
+    assert mgr.decisions[0].action == "degrade"
+    assert mgr.decisions[0].target_stream == "V"
 
 
 def test_audio_first_policy_for_ablation():
@@ -140,7 +140,7 @@ def test_upgrade_requires_hysteresis_across_session(monkeypatch):
     mgr.on_report(report("A"))
     mgr.on_report(report("A"))
     assert vconv.grade_index == 0
-    assert mgr.upgrades()
+    assert any(d.action == "upgrade" for d in mgr.decisions)
 
 
 def test_congestion_resets_clear_streak(monkeypatch):

@@ -15,6 +15,7 @@ from repro.server import (
 from repro.media import default_registry
 from repro.service import ControlChannel, ClientSession, ServerSessionHandler
 from repro.service import SessionState as S
+from tests.helpers import add_document
 
 
 def simple_doc(title="Doc", link_to=None):
@@ -32,8 +33,8 @@ def build_service(grace=5.0, capacity=50e6):
     net.add_duplex_link("client", "host:srv1", 10e6, 0.005)
     accounts = AccountRegistry()
     db = MultimediaDatabase()
-    db.add_document("doc1", simple_doc("First Lesson"), topic="demo")
-    db.add_document("doc2", simple_doc("Second Lesson"), topic="demo")
+    add_document(db, "doc1", simple_doc("First Lesson"), topic="demo")
+    add_document(db, "doc2", simple_doc("Second Lesson"), topic="demo")
     server = MultimediaServer(
         sim, "srv1", "host:srv1", db, accounts, default_registry(), {},
         admission=AdmissionController(capacity),
