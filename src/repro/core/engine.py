@@ -80,8 +80,8 @@ class ServiceEngine:
         self.network = Network(self.sim)
         self.accounts = AccountRegistry()
         self.servers: dict[str, MultimediaServer] = {}
-        #: per-engine session ids — two engines in one process both
-        #: start at sess-1, so runs replay identically.
+        #: per-engine session numbers (sess-N, its channel ctl-N): two
+        #: engines in one process both start at 1, so runs replay alike.
         self._session_ids = itertools.count(1)
         self._traffic_nodes = 0
         self._population: list[str] = []
@@ -396,9 +396,10 @@ class ServiceEngine:
         base = max(cports.next_free("control"), sports.next_free("control"))
         cports.claim(base, 10, "control")
         sports.claim(base, 10, "control")
+        number = next(self._session_ids)
         channel = ControlChannel(self.network, client_node, server.node_id,
-                                 base_port=base)
-        session_id = f"sess-{next(self._session_ids)}"
+                                 base_port=base, name=f"ctl-{number}")
+        session_id = f"sess-{number}"
         handler = ServerSessionHandler(
             server, channel.server, session_id, client_node,
             suspend_grace_s=self.config.suspend_grace_s,

@@ -20,8 +20,8 @@ The kernel is intentionally small and deterministic:
 Nothing here knows about networks or media — higher layers build on
 :class:`Simulator` only through :meth:`Simulator.process`,
 :meth:`Simulator.timeout`, :meth:`Simulator.event`,
-:meth:`Simulator.call_later`, :meth:`Simulator.call_at` and
-:meth:`Simulator.rewrite`.
+:meth:`Simulator.call_later`, :meth:`Simulator.call_at`,
+:meth:`Simulator.rewrite` and :meth:`Simulator.restore`.
 """
 
 from __future__ import annotations
@@ -448,9 +448,7 @@ class Simulator:
         entry pushed when it was would have: a caller that planned work
         ahead of its instant (:mod:`repro.net.link`,
         :mod:`repro.net.traffic`) takes it back exactly, and the run
-        fires as many entries as one that never planned. Entries a
-        caller appended to ``_heap`` under seqs it took earlier (work it
-        held off the heap) take their places here too.
+        fires as many entries as one that never planned.
         """
         heap = self._heap
         for i, (time, seq, fn, args) in enumerate(heap):
@@ -458,6 +456,11 @@ class Simulator:
             if new is not None:
                 heap[i] = (new[0], seq, new[1], new[2])
         heapify(heap)
+
+    def restore(self, entries: list[tuple[float, int, Any, Any]]) -> None:
+        """Push entries held off the heap under seqs taken earlier."""
+        self._heap += entries
+        heapify(self._heap)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

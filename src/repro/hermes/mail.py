@@ -27,9 +27,6 @@ SUPPORTED_MIME = frozenset({
     "audio/basic", "audio/adpcm", "video/avi", "video/mpeg",
 })
 
-_mail_ids = itertools.count(1)
-
-
 @dataclass(frozen=True, slots=True)
 class Attachment:
     filename: str
@@ -43,7 +40,7 @@ class Attachment:
             raise ValueError("attachment size must be positive")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MailMessage:
     sender: str
     recipient: str
@@ -51,8 +48,8 @@ class MailMessage:
     body: str
     attachments: tuple[Attachment, ...] = ()
     in_reply_to: int | None = None
-    message_id: int = field(init=False,
-                            default_factory=lambda: next(_mail_ids))
+    #: numbered from 1 per :class:`MailService` as it sends (0 before)
+    message_id: int = field(init=False, default=0)
 
     @property
     def size_bytes(self) -> int:
@@ -92,6 +89,7 @@ class MailService:
         # Hub and submission ports come from their node's allocator, so
         # mail never collides with the control channels on a shared host.
         self._hub_port = network.node(hub_node).ports.allocate("media")
+        self._message_ids = itertools.count(1)
         ReliableReceiver(network, hub_node, self._hub_port,
                          on_message=self._on_delivery)
         self.delivered = 0
@@ -119,6 +117,7 @@ class MailService:
         origin = self._homes.get(message.sender)
         if origin is None:
             raise KeyError(f"unknown sender {message.sender!r}")
+        message.message_id = next(self._message_ids)
         ports = self.network.node(origin).ports
         port = ports.allocate("media")
         tx = ReliableSender(

@@ -37,10 +37,6 @@ class LinkStats:
     busy_time: float = 0.0
 
 
-def _keep(_time, _seq, _fn, _args) -> None:
-    """A rewrite that moves no entry: it only places appended ones."""
-
-
 class Link:
     """Unidirectional link ``src -> dst``.
 
@@ -71,21 +67,23 @@ class Link:
     an entry pushed for the same final instant before the packet reaches
     ``dst`` fires after it, where a run that does not plan fires it
     first; every other tie keeps its order. A plan is taken back exactly
-    (:meth:`_withdraw`) when either link goes down, when the routes
+    (:func:`take_back`) when either link goes down, when the routes
     change, and when anything is enqueued onto the next link, which ends
-    the claim.
+    the claim: one pass over the heap for every link each of those
+    touches, however many links an uplink ever planned across.
 
     A traffic source (:mod:`repro.net.traffic`) plans across its own
     uplink only to feed the router's link to its target: it appends each
     planned packet to that link's feed as ``(arrival here, seq,
     packet)`` under the seq its entry here would have taken, and nothing
     is pushed (no entry ever names this link's :meth:`enqueue` for a
-    planned packet). The link catches up (:meth:`_catch_up`) before
-    anything else touches it: an :meth:`enqueue`, a loss draw in
-    :meth:`_propagated`, a read of :attr:`stats`, :meth:`set_up`, a port
-    bound or unbound at ``dst``, the network's readers of the tap and of
-    ``rx_discarded`` (``Network.catch_up``) and the return from
-    ``Simulator.run``. It then admits the fed packets that arrived
+    planned packet); any other packet enqueued onto the uplink takes the
+    plan back and ends the claim. The fed link catches up
+    (:meth:`_catch_up`) before anything else touches it: an
+    :meth:`enqueue`, a loss draw in :meth:`_propagated`, a read of
+    :attr:`stats`, :meth:`set_up`, a port bound or unbound at ``dst``,
+    the network's readers of the tap and of ``rx_discarded``
+    (``Network.catch_up``) and the return from ``Simulator.run``. It then admits the fed packets that arrived
     before, as ``enqueue`` would have, and delivers those that reached
     ``dst`` before, as ``_propagated`` would have, to a port nothing is
     bound to. A link that goes down, a port bound there, a tracer, a
@@ -193,10 +191,8 @@ class Link:
             # a packet planned past now meets the links as they are
             # then: the plans across this link, and its own across the
             # next links
-            self._withdraw()
-            for nxt in dict.fromkeys(self._next.values()):
-                if nxt._owner is self:
-                    nxt._withdraw()
+            take_back([self, *(nxt for nxt in dict.fromkeys(
+                self._next.values()) if nxt._owner is self)])
         self.up = up
         if self.sim._tracing:
             self.sim._tracer.emit(self.sim.now, "fault.link", self.name,
@@ -224,43 +220,6 @@ class Link:
             self.on_drop(pkt, "drop-queue")
 
     # -- plans across this link --------------------------------------------
-    def _withdraw(self) -> None:
-        """Take back what is planned across this link past now.
-
-        A traffic source takes back its own plan. A plan of the link
-        that owns this one is the heap entry carrying the packet's
-        arrival here. If that is after now, or at now with a seq above
-        the firing entry's, the packet's record leaves this link (the
-        newest records are the plans') and its entry becomes, under the
-        same seq, the owner's ``_propagated`` at the arrival: what a
-        run that never planned holds. Any other plan stands.
-        """
-        owner = self._owner
-        if not isinstance(owner, Link):
-            if owner:
-                owner._withdraw()
-            return
-        sim = self.sim
-        now, firing = sim._now, sim._firing
-        propagated = owner._propagated
-        records = 0
-
-        def back(_time, seq, fn, args):
-            nonlocal records
-            if (len(args) == 2 and args[1] is not None
-                    and getattr(fn, "__self__", None) is self):
-                pkt, arrival = args
-                if arrival > now or arrival == now and seq > firing:
-                    records += fn.__func__ is not Link._drop_queue
-                    pkt.hops -= 1
-                    return arrival, propagated, (pkt,)
-            return None
-
-        sim.rewrite(back)
-        departures = self._departures
-        for _ in range(records):
-            departures.pop()
-
     def _claim(self, link: "Link") -> bool:
         """Let ``link``, the first to ask, plan across this unowned link
         unless something was enqueued onto it before: every enqueue
@@ -276,7 +235,7 @@ class Link:
     def _disown(self) -> None:
         """A second sender: take back what is planned across this link,
         and let nothing plan across it again."""
-        self._withdraw()
+        take_back([self])
         self._owner = False
 
     # -- packets a traffic source feeds -------------------------------------
@@ -360,15 +319,12 @@ class Link:
         del network._fed[self]
         self._feeder = None
         propagated = network.links[feeder.src, self.src]._propagated
-        sim._heap += [(t, seq, propagated, (pkt, None))
-                      for t, seq, pkt in self._feed]
-        for _, _, pkt in self._far:
-            pkt.hops = 1  # it crossed the uplink
-        sim._heap += [(arrival, seq, self._propagated, (pkt, None))
-                      for arrival, seq, pkt in self._far]
+        sim.restore([(t, seq, propagated, (pkt, None))
+                     for t, seq, pkt in self._feed]
+                    + [(arrival, seq, self._propagated, (pkt, None))
+                       for arrival, seq, pkt in self._far])
         self._feed.clear()
         self._far.clear()
-        sim.rewrite(_keep)
 
     # -- ingress ---------------------------------------------------------
     def enqueue(self, pkt: Packet) -> bool:
@@ -376,8 +332,12 @@ class Link:
         if not self.up:
             self._drop_down(pkt)
             return False
-        if self._owner and isinstance(self._owner, Link):
-            self._disown()      # a link plans across this one
+        owner = self._owner
+        if owner and (isinstance(owner, Link)
+                      or pkt.flow_id != owner.flow_id):
+            # a link, or a traffic source, plans across this one, and
+            # this packet is not the source's own
+            self._disown()
         sim = self.sim
         now = sim._now
         if self._feeder:
@@ -416,10 +376,9 @@ class Link:
             if nxt.up and (nxt._owner is self
                            or nxt._owner is None and nxt._claim(self)):
                 # the next link's `enqueue` at the arrival, made now:
-                # count the hop, settle, drop-tail over the records still
-                # there at the arrival, append
+                # settle, drop-tail over the records still there at the
+                # arrival, append
                 arrival = when
-                pkt.hops += 1
                 departures = nxt._departures
                 stats = nxt._stats
                 while departures and departures[0][0] < now:
@@ -476,7 +435,6 @@ class Link:
                 if self.on_drop is not None:
                     self.on_drop(pkt, "drop-loss")
                 return
-        pkt.hops += 1
         dst = pkt.dst
         if dst == self.dst:
             self.on_arrival(pkt)
@@ -485,3 +443,43 @@ class Link:
         if dst not in out:
             self._route(self.dst, dst)
         out[dst].enqueue(pkt)
+
+
+def take_back(links: list[Link]) -> None:
+    """Take back what is planned across ``links`` past now, in one pass.
+
+    A traffic source that owns one takes back its own plan. A plan of a
+    link that owns one is the heap entry carrying the packet's arrival
+    there: if that is after now, or at now with a seq above the firing
+    entry's, the packet's record leaves the owned link (the newest are
+    the plans') and the entry becomes, under its seq, the owner's
+    ``_propagated`` at the arrival, as in a run that never planned.
+    """
+    upstream: dict[Link, Callable[[Packet], None]] = {}
+    records: dict[Link, int] = {}
+    for link in links:
+        owner = link._owner
+        if isinstance(owner, Link):
+            upstream[link] = owner._propagated
+            records[link] = 0
+        elif owner:
+            owner._withdraw()
+    if not records:
+        return
+    sim: Simulator = links[0].sim
+    now, firing = sim._now, sim._firing
+
+    def back(_time, seq, fn, args):
+        if len(args) == 2 and args[1] is not None:
+            planned = getattr(fn, "__self__", None)
+            if isinstance(planned, Link) and planned in records:
+                pkt, arrival = args
+                if arrival > now or arrival == now and seq > firing:
+                    records[planned] += fn.__func__ is not Link._drop_queue
+                    return arrival, upstream[planned], (pkt,)
+        return None
+
+    sim.rewrite(back)
+    for link in links:
+        for _ in range(records.get(link, 0)):
+            link._departures.pop()

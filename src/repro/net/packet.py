@@ -32,7 +32,7 @@ class Packet:
 
     __slots__ = ("src", "dst", "size_bytes", "protocol", "flow_id",
                  "dst_port", "payload", "seq", "session", "frame_seq",
-                 "created_at", "hops")
+                 "created_at")
 
     def __init__(self, src: str, dst: str, size_bytes: int, protocol: str,
                  flow_id: str, dst_port: int, payload: Any = None,
@@ -51,8 +51,6 @@ class Packet:
         self.session = session
         self.frame_seq = frame_seq
         self.created_at = created_at
-        #: links crossed so far, counted on arrival at each far end
-        self.hops = 0
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

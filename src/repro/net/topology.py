@@ -22,7 +22,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro.des import Simulator
-from repro.net.link import Link
+from repro.net.link import Link, take_back
 from repro.net.packet import Packet, PacketTap
 from repro.net.ports import PortAllocator
 
@@ -74,8 +74,7 @@ class Node:
         sim = self._sim
         if sim._tracing_detail:
             sim._tracer.emit(sim.now, "net.deliver", node=self.node_id,
-                             port=pkt.dst_port, hops=pkt.hops,
-                             flow=pkt.flow_id, seq=pkt.seq,
+                             port=pkt.dst_port, flow=pkt.flow_id, seq=pkt.seq,
                              session=pkt.session, frame=pkt.frame_seq)
         handler = self._ports.get(pkt.dst_port)
         if handler is not None:
@@ -231,10 +230,9 @@ class Network:
         if self._routed:
             self._routed = False
             # a plan across a link, and a feed, followed the far node's
-            # old route
-            for link in self.links.values():
-                if isinstance(link._owner, Link):
-                    link._withdraw()
+            # old route: every plan is taken back in one pass
+            take_back([link for link in self.links.values()
+                       if isinstance(link._owner, Link)])
             for link in list(self._fed):
                 link._unfeed()
             for table in self._out_links.values():

@@ -39,9 +39,9 @@ __all__ = [
 TRACE_SCHEMA = "repro.trace"
 #: bumped on any incompatible change to the event dict layout.
 #: v3: shared-delivery and admission kinds (``sflow.*``,
-#: ``admission.*``) join the stream; readers accept 1..current, so
-#: v2 (and headerless v1) traces keep loading.
-TRACE_SCHEMA_VERSION = 3
+#: ``admission.*``) join the stream; v4: ``net.deliver`` drops ``hops``;
+#: readers accept 1..current, so older (and headerless v1) traces load.
+TRACE_SCHEMA_VERSION = 4
 
 
 def _validate_schema(header: dict, where: str) -> int:

@@ -11,7 +11,7 @@ in ``tests/test_datapath_budget.py``) because it declares
 ``detail = False`` — the per-packet firehose tier is never even
 constructed (see :mod:`repro.obs.tracer`).
 
-Dumps are ordinary trace-v3 JSONL windows ("everything in the ring
+Dumps are ordinary trace-v4 JSONL windows ("everything in the ring
 from the last ``WINDOW_S`` sim-seconds"), so ``repro trace``,
 lifecycle correlation and QoE tooling parse them unchanged. A dump
 fires on the first fault-injection event (``TRIGGER_KINDS``), on an
@@ -84,7 +84,7 @@ class FlightRecorder(RecordingTracer):
         return [e for e in self.events if e.time >= t_end - WINDOW_S]
 
     def dump(self, trigger: str = "manual") -> str:
-        """Write the trailing window to ``dump_path`` as trace-v3 JSONL;
+        """Write the trailing window to ``dump_path`` as trace-v4 JSONL;
         returns the path."""
         from repro.obs.export import write_jsonl
 

@@ -1,4 +1,4 @@
-"""The declared trace-v3 event catalogue.
+"""The declared trace-v4 event catalogue.
 
 Every ``tracer.emit`` / ``span_begin`` / ``span_end`` site in
 ``src/repro`` must conform to this catalogue: the kind must be
@@ -76,7 +76,7 @@ _SPECS: tuple[KindSpec, ...] = (
     _spec("link.drop", required=("flow", "frame", "reason", "seq"),
           doc="queue overflow / loss / down-link drop"),
     _spec("net.deliver", tier=TIER_DETAIL,
-          required=("flow", "frame", "hops", "port", "seq"),
+          required=("flow", "frame", "port", "seq"),
           doc="packet delivered to its destination node"),
     _spec("net.rx_discard", required=("flow", "frame", "port", "seq"),
           doc="delivered, but no handler bound on the port"),

@@ -20,7 +20,6 @@ from repro.net.topology import Network
 __all__ = ["ControlMessage", "ControlEndpoint", "ControlChannel"]
 
 _BASE_MESSAGE_BYTES = 200
-_channel_ids = itertools.count(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +142,7 @@ class ControlEndpoint:
 
 
 class ControlChannel:
-    """Duplex reliable control connection between two nodes."""
+    """Duplex reliable control connection ``name`` between two nodes."""
 
     def __init__(
         self,
@@ -151,8 +150,9 @@ class ControlChannel:
         client_node: str,
         server_node: str,
         base_port: int,
+        name: str,
     ) -> None:
-        self.name = f"ctl-{next(_channel_ids)}"
+        self.name = name
         sim = network.sim
         self.client = ControlEndpoint(sim, f"{self.name}:client")
         self.server = ControlEndpoint(sim, f"{self.name}:server")

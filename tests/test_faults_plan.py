@@ -274,7 +274,7 @@ def test_downed_link_drops_and_recovers():
 
 def control_pair():
     sim, net = build_net()
-    channel = ControlChannel(net, "a", "b", base_port=10_000)
+    channel = ControlChannel(net, "a", "b", base_port=10_000, name="ctl-1")
     return sim, channel
 
 

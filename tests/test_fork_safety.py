@@ -15,18 +15,27 @@ must also flag its known-bad fixture under ``tests/fixtures/lint``:
    that a later merge reads as truth;
 4. the supervisor's one ``Process(...)`` receives plain data and the
    worker's pipe end only: a lock, tracer or open handle does not
-   survive a fork coherently.
+   survive a fork coherently;
+5. no ``itertools.count()`` bound where an import runs it (module or
+   class scope) in ``src/repro``: a forked worker advances a module's
+   counter where the parent never sees it, and a name drawn from one
+   (a channel, a mail flow) depends on what ran before in the process.
+
+Each check reads the code through the linter's program index
+(:func:`repro.analysis.callgraph.load_program`), one parse per tree.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import importlib.util
 import os
 from multiprocessing.connection import Connection
 from types import SimpleNamespace
 
+from repro.analysis.callgraph import load_program
 from repro.obs.tracer import RecordingTracer
 from repro.shard import ShardPlan, ShardSupervisor
 from repro.shard import supervisor as supervisor_module
@@ -44,15 +53,18 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
+@functools.cache
+def _program(*roots):
+    program, problems = load_program(list(roots))
+    assert problems == []
+    return program
+
+
 def _modules(*roots):
-    """``(path, tree)`` of each Python file given or under a directory."""
-    for root in roots:
-        paths = [root] if root.endswith(".py") else sorted(
-            os.path.join(d, name) for d, _, names in os.walk(root)
-            for name in names if name.endswith(".py"))
-        for path in paths:
-            with open(path, encoding="utf-8") as fh:
-                yield path, ast.parse(fh.read(), filename=path)
+    """``(path, tree)`` of each Python file given or under a directory,
+    as the linter's program index parsed it."""
+    for module in _program(*roots).modules:
+        yield module.path, module.tree
 
 
 def _where(path, node, what):
@@ -224,3 +236,58 @@ def test_captured_handle_fixture_is_flagged(monkeypatch):
     module.launch(RecordingTracer())
     (args,) = recorder.spawned
     assert handles(args) == ["args[0]: RecordingTracer"]
+
+
+# -- 5. no module-scope counter -----------------------------------------------
+
+def _import_time(node):
+    """The nodes under ``node`` that run when its module is imported:
+    everything but the bodies of functions and lambdas."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _import_time(child)
+
+
+def _count_names(tree):
+    """The names a module binds to ``itertools`` and to its ``count``."""
+    modules, counts = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "itertools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            counts |= {alias.asname or alias.name for alias in node.names
+                       if alias.name == "count"}
+    return modules, counts
+
+
+def _is_count(call, modules, counts):
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return (func.attr == "count" and isinstance(func.value, ast.Name)
+                and func.value.id in modules)
+    return isinstance(func, ast.Name) and func.id in counts
+
+
+def module_counters(*roots):
+    """``itertools.count()`` calls that run at import time."""
+    found = []
+    for path, tree in _modules(*roots):
+        names = _count_names(tree)
+        found += [_where(path, node, "itertools.count()")
+                  for node in _import_time(tree)
+                  if isinstance(node, ast.Call) and _is_count(node, *names)]
+    return found
+
+
+def test_no_module_scope_counter_in_the_package():
+    assert module_counters(PACKAGE) == []
+
+
+def test_module_counter_fixture_is_flagged():
+    assert module_counters(fixture("bad_module_counter.py")) == [
+        "tests/fixtures/lint/bad_module_counter.py:6: itertools.count()",
+        "tests/fixtures/lint/bad_module_counter.py:10: itertools.count()",
+        "tests/fixtures/lint/bad_module_counter.py:11: itertools.count()"]

@@ -216,7 +216,7 @@ def test_control_protocol_over_lossy_network():
     server = MultimediaServer(sim, "s", "b", db, AccountRegistry(),
                               default_registry(), {},
                               admission=AdmissionController(10e6))
-    channel = ControlChannel(net, "a", "b", base_port=10_000)
+    channel = ControlChannel(net, "a", "b", base_port=10_000, name="ctl-1")
     ServerSessionHandler(server, channel.server, "sess", "a")
     client = ClientSession(sim, channel.client, "u", "pw")
 

@@ -125,6 +125,20 @@ def test_mail_threading():
     assert [m.subject for m in thread] == ["Re: Q"]
 
 
+def test_each_mail_service_numbers_its_own_messages():
+    """Mail ids, and so the ``mail-<id>`` flows, count per service: a
+    second service in the same process starts at 1 again."""
+    for _ in range(2):
+        sim, net, svc = build_mail()
+        msgs = [MailMessage(sender="alice", recipient="tutor", subject=s,
+                            body="?") for s in "QR"]
+        for msg in msgs:
+            svc.send(msg)
+        sim.run()
+        assert [m.message_id for m in msgs] == [1, 2]
+        assert set(net.tap.count_by_flow["SMTP"]) == {"mail-1", "mail-2"}
+
+
 def test_mail_validation():
     sim, net, svc = build_mail()
     with pytest.raises(KeyError):

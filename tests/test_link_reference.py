@@ -115,7 +115,6 @@ class TwoEntryLink:
             if self.on_drop is not None:
                 self.on_drop(pkt, "drop-loss")
             return
-        pkt.hops += 1
         self.on_arrival(pkt)
 
     def _lost(self, pkt):
@@ -276,15 +275,15 @@ CHAIN_TRACE = [
     (0.125, "link.enqueue", "r->b", "",
      {"depth": 1, "flow": "f", "seq": 1, "frame": -1}),
     (0.125, "net.deliver", "", "b",
-     {"port": 1, "hops": 2, "flow": "f", "seq": 0, "frame": -1}),
+     {"port": 1, "flow": "f", "seq": 0, "frame": -1}),
     (0.140625, "net.deliver", "", "b",
-     {"port": 404, "hops": 2, "flow": "f", "seq": 1, "frame": -1}),
+     {"port": 404, "flow": "f", "seq": 1, "frame": -1}),
     (0.140625, "net.rx_discard", "", "b",
      {"port": 404, "seq": 1, "flow": "f", "frame": -1}),
     (0.25, "link.enqueue", "r->b", "",
      {"depth": 0, "flow": "f", "seq": 2, "frame": -1}),
     (0.3125, "net.deliver", "", "b",
-     {"port": 1, "hops": 2, "flow": "f", "seq": 2, "frame": -1}),
+     {"port": 1, "flow": "f", "seq": 2, "frame": -1}),
 ]
 
 
@@ -302,12 +301,12 @@ def test_forwarding_is_the_link_itself():
     net.add_duplex_link("a", "r", RATE, TICK, queue_packets=2)
     net.add_duplex_link("r", "b", 2 * RATE, 0.0)
     got = []
-    net.node("b").bind(1, lambda p: got.append((p.seq, p.hops, sim.now)))
+    net.node("b").bind(1, lambda p: got.append((p.seq, sim.now)))
     for seq, (size, port) in enumerate(
             ((64, 1), (32, 404), (128, 1), (32, 1), (64, 1))):
         net.send(Packet("a", "b", size, "UDP", "f", port, seq=seq))
     sim.run()
-    assert got == [(0, 2, 4 * TICK), (2, 2, 10 * TICK)]
+    assert got == [(0, 4 * TICK), (2, 10 * TICK)]
     assert [(e.time, e.kind, e.name, e.node, e.args)
             for e in tracer.events
             if e.kind in ("link.enqueue", "net.deliver", "net.rx_discard")

@@ -196,7 +196,8 @@ def build_service(capacity, extra=None):
         default_registry(), {},
         admission=AdmissionController(capacity, open_fraction=1.0),
     )
-    channel = ControlChannel(net, "client", "host:srv1", base_port=10_000)
+    channel = ControlChannel(net, "client", "host:srv1", base_port=10_000,
+                             name="ctl-1")
     handler = ServerSessionHandler(server, channel.server, "sess-1", "client")
     client = ClientSession(sim, channel.client, "u", "pw")
     return sim, server, client, handler

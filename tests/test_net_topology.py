@@ -48,14 +48,13 @@ def test_multi_hop_forwarding():
     net.add_duplex_link("r1", "r2", 10e6, 0.002)
     net.add_duplex_link("r2", "b", 10e6, 0.003)
     got = []
-    net.node("b").bind(1, lambda p: got.append((sim.now, p.hops)))
+    net.node("b").bind(1, lambda p: got.append(sim.now))
     net.send(Packet(src="a", dst="b", size_bytes=1000, protocol="UDP",
                     flow_id="f", dst_port=1))
     sim.run()
-    assert len(got) == 1
-    assert got[0][1] == 3
-    # 3 serializations of 0.8 ms + 6 ms propagation.
-    assert got[0][0] == pytest.approx(3 * 0.0008 + 0.006, abs=1e-9)
+    assert path(net, "a", "b") == ["a", "r1", "r2", "b"]
+    # 3 serializations of 0.8 ms + 6 ms propagation: three hops.
+    assert got == [pytest.approx(3 * 0.0008 + 0.006, abs=1e-9)]
 
 
 def test_routing_prefers_low_delay_path():
@@ -79,8 +78,9 @@ def test_shorter_link_added_after_traffic_is_taken_by_later_packets():
     net.add_duplex_link("a", "r", 10e6, 0.001)
     net.add_duplex_link("r", "slow", 10e6, 0.050)
     net.add_duplex_link("slow", "b", 10e6, 0.050)
-    hops = []
-    net.node("b").bind(1, lambda p: hops.append(p.hops))
+    #: each packet's time from send to delivery: the path it took
+    latency = []
+    net.node("b").bind(1, lambda p: latency.append(sim.now - p.created_at))
 
     def send(dst="b"):
         net.send(Packet(src="a", dst=dst, size_bytes=1000, protocol="UDP",
@@ -108,13 +108,18 @@ def test_shorter_link_added_after_traffic_is_taken_by_later_packets():
     send()
     assert net.links[("a", "r")].stats.tx_packets == 3
     assert net.links[("a", "b")].stats.tx_packets == 1
-    assert hops == [3, 3, 3, 1]
+    # a -> r -> slow -> b twice, a -> r -> fast -> b, then a -> b: a
+    # serialization of 0.8 ms a hop plus the links' delays
+    assert latency == [pytest.approx(3 * 0.0008 + 0.101, abs=1e-9)] * 2 + [
+        pytest.approx(3 * 0.0008 + 0.003, abs=1e-9),
+        pytest.approx(0.0008 + 0.0005, abs=1e-9)]
     # A node added later is routable from warm tables too.
     net.add_node("c")
     net.add_duplex_link("b", "c", 10e6, 0.001)
-    net.node("c").bind(1, lambda p: hops.append(p.hops))
+    net.node("c").bind(1, lambda p: latency.append(sim.now - p.created_at))
     send("c")
-    assert hops[-1] == 2
+    # a -> b -> c
+    assert latency[-1] == pytest.approx(2 * 0.0008 + 0.0015, abs=1e-9)
 
 
 def test_no_route_raises_at_the_hop_that_has_none():

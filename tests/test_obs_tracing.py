@@ -9,6 +9,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
 from repro.core.experiments import av_markup
 from repro.des import Simulator
+from repro.faults.scenarios import SCENARIOS, populate
 from repro.net import Network, Packet
 from repro.obs import (
     RecordingTracer,
@@ -175,6 +176,21 @@ def test_tracing_does_not_perturb_the_simulation():
         seed=5, tracer=RecordingTracer()
     ).orchestrator.run_full_session("srv1", "doc")
     assert traced.to_dict() == base.to_dict()
+
+
+def test_two_identical_traced_runs_in_one_process_write_the_same_trace(
+        tmp_path):
+    """Nothing that names a flow counts across engines: the second run's
+    control channels are ``ctl-1..3`` again, not ``ctl-4..6``."""
+    written = []
+    for run in range(2):
+        tracer = RecordingTracer()
+        populate(SCENARIOS["population_clean"], 3, 7, tracer=tracer)
+        path = tmp_path / f"run{run}.jsonl"
+        write_jsonl(tracer.events, path)
+        written.append(path.read_bytes())
+    assert b'"ctl-1:c->s"' in written[0]
+    assert written[0] == written[1]
 
 
 def test_untraced_engine_has_tracing_off():

@@ -39,7 +39,8 @@ def build_service(grace=5.0, capacity=50e6):
         sim, "srv1", "host:srv1", db, accounts, default_registry(), {},
         admission=AdmissionController(capacity),
     )
-    channel = ControlChannel(net, "client", "host:srv1", base_port=10_000)
+    channel = ControlChannel(net, "client", "host:srv1", base_port=10_000,
+                             name="ctl-1")
     handler = ServerSessionHandler(server, channel.server, "sess-1",
                                    "client", suspend_grace_s=grace)
     client = ClientSession(sim, channel.client, "ada", "pw")
