@@ -237,10 +237,6 @@ class SkewSeries:
         self.times: list[float] = []
         self.skews: list[float] = []
 
-    def sample(self, time: float, skew_s: float) -> None:
-        self.times.append(time)
-        self.skews.append(skew_s)
-
     def __len__(self) -> int:
         return len(self.skews)
 

@@ -124,7 +124,7 @@ class SkewController:
         if master is None or slave is None:
             return _PLAY
         skew = slave - master
-        series = self.series  # SkewSeries.sample, inline
+        series = self.series  # one skew sample, appended inline
         series.times.append(now)
         series.skews.append(skew)
         stats = self.stats

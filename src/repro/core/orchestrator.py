@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.results import SessionResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.engine import ServiceEngine
 
 __all__ = [
     "SessionSpec",
@@ -130,7 +133,7 @@ class PopulationResult:
 class SessionOrchestrator:
     """Runs on-demand sessions against a built :class:`ServiceEngine`."""
 
-    def __init__(self, engine) -> None:
+    def __init__(self, engine: ServiceEngine) -> None:
         self.engine = engine
         self.sim = engine.sim
 

@@ -446,8 +446,8 @@ class Simulator:
 
         An entry keeps its seq, so at its new time it fires where an
         entry pushed when it was would have: a caller that planned work
-        ahead of its instant (:mod:`repro.net.link`,
-        :mod:`repro.net.traffic`) takes it back exactly, and the run
+        ahead of its instant (:mod:`repro.net.link`) takes it back
+        exactly, and the run
         fires as many entries as one that never planned.
         """
         heap = self._heap

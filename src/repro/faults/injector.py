@@ -9,8 +9,13 @@ subsystem (the inertness half of the determinism contract).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.faults.control import ControlFaultState, HeartbeatMonitor
 from repro.faults.plan import FaultPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.engine import ServiceEngine
 
 __all__ = ["FaultInjector"]
 
@@ -18,7 +23,7 @@ __all__ = ["FaultInjector"]
 class FaultInjector:
     """Schedules a plan's faults and wires per-session fault state."""
 
-    def __init__(self, engine, plan: FaultPlan, retry=None,
+    def __init__(self, engine: ServiceEngine, plan: FaultPlan, retry=None,
                  heartbeat: bool = False) -> None:
         self.engine = engine
         self.plan = plan
@@ -40,7 +45,7 @@ class FaultInjector:
 
     def _install(self) -> None:
         sim = self.engine.sim
-        for f in self.plan:
+        for f in self.plan.faults:
             if f.kind == "link-down":
                 self._check_link(f.src, f.dst)
                 self._schedule_outage(f.src, f.dst, f.at, f.duration_s)

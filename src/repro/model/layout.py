@@ -57,12 +57,6 @@ class Region:
     def y2(self) -> int:
         return self.y + self.height
 
-    def overlaps(self, other: "Region") -> bool:
-        return not (
-            self.x2 <= other.x or other.x2 <= self.x
-            or self.y2 <= other.y or other.y2 <= self.y
-        )
-
 
 @dataclass(slots=True)
 class DisplayLayout:

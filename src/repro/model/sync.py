@@ -66,14 +66,6 @@ class PlayoutEntry:
             return None
         return self.start_time + self.duration
 
-    def overlaps(self, other: "PlayoutEntry") -> bool:
-        """Do the two playout intervals intersect in scenario time?"""
-        a0, a1 = self.start_time, self.end_time
-        b0, b1 = other.start_time, other.end_time
-        if a1 is None or b1 is None:
-            return (b1 is None or a0 < b1) and (a1 is None or b0 < a1)
-        return a0 < b1 and b0 < a1
-
 
 def build_playout_schedule(doc: HmlDocument) -> list[PlayoutEntry]:
     """Extract the E_i structures, ordered by (t_i, stream id).

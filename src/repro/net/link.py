@@ -72,24 +72,24 @@ class Link:
     the claim: one pass over the heap for every link each of those
     touches, however many links an uplink ever planned across.
 
-    A traffic source (:mod:`repro.net.traffic`) plans across its own
-    uplink only to feed the router's link to its target: it appends each
-    planned packet to that link's feed as ``(arrival here, seq,
-    packet)`` under the seq its entry here would have taken, and nothing
-    is pushed (no entry ever names this link's :meth:`enqueue` for a
-    planned packet); any other packet enqueued onto the uplink takes the
-    plan back and ends the claim. The fed link catches up
-    (:meth:`_catch_up`) before anything else touches it: an
-    :meth:`enqueue`, a loss draw in :meth:`_propagated`, a read of
+    A traffic source (:mod:`repro.net.traffic`) may feed its uplink and
+    the router's link to its target (``_feeder``): it keeps no entry per
+    emission, and whoever touches either link first has it produce the
+    emissions before now (admitted to the uplink as :meth:`enqueue`
+    would have at each instant, and appended to the router link's feed
+    as ``(arrival here, seq, packet)`` under a seq taken then). A fed
+    link catches up (:meth:`_catch_up`) before anything else touches it:
+    an :meth:`enqueue`, a loss draw in :meth:`_propagated`, a read of
     :attr:`stats`, :meth:`set_up`, a port bound or unbound at ``dst``,
     the network's readers of the tap and of ``rx_discarded``
-    (``Network.catch_up``) and the return from ``Simulator.run``. It then admits the fed packets that arrived
-    before, as ``enqueue`` would have, and delivers those that reached
-    ``dst`` before, as ``_propagated`` would have, to a port nothing is
-    bound to. A link that goes down, a port bound there, a tracer, a
-    second source or a route change turns the pending packets back into
-    the entries a source that does not feed leaves, under their seqs
-    (:meth:`_unfeed`).
+    (``Network.catch_up``) and the return from ``Simulator.run``. It
+    then has the source produce what is due, admits the fed packets
+    that arrived before, as ``enqueue`` would have, and delivers those
+    that reached ``dst`` before, as ``_propagated`` would have, to a
+    port nothing is bound to. Either link going down, a port bound
+    there, a tracer, a second source or a route change turns the pending
+    packets back into the entries a source that does not feed leaves,
+    under their seqs, and the source ticks again (:meth:`_unfeed`).
     """
 
     def __init__(
@@ -141,15 +141,16 @@ class Link:
         #: the far node's next-link table and its router (set by a network)
         self._next: dict[str, Link] = {}
         self._route: Callable[[str, str], object] | None = None
-        #: the traffic source (:mod:`repro.net.traffic`) or the link
-        #: that plans across this link; False once anything else fed it
-        self._owner = None
-        #: the traffic source that feeds this link (None: none does;
-        #: False: two tried, and none may): its packets wait in
-        #: ``_feed`` as ``(arrival at src, seq, packet)`` until admitted,
-        #: then in ``_far`` as ``(arrival at dst, seq, packet)`` until
-        #: delivered, in :meth:`_catch_up` (both made when a source
-        #: first feeds the link: most links are never fed)
+        #: the link that plans across this link; False once anything
+        #: else fed it
+        self._owner: Link | bool | None = None
+        #: the traffic source that feeds this link, its uplink or the
+        #: router's link to its target (None: none does; False: two
+        #: tried, and none may). On the router's link its packets wait
+        #: in ``_feed`` as ``(arrival at src, seq, packet)`` until
+        #: admitted, then in ``_far`` as ``(arrival at dst, seq,
+        #: packet)`` until delivered, in :meth:`_catch_up` (both made
+        #: when a source first feeds the link: most links are never fed)
         self._feeder: _TrafficBase | bool | None = None
         self._feed: deque[tuple[float, int, Packet]] | None = None
         self._far: deque[tuple[float, int, Packet]] | None = None
@@ -243,88 +244,106 @@ class Link:
         """Do what the entries the fed packets replaced would have done
         before ``(now, firing)``; returns the latest instant done.
 
-        A fed packet is admitted at its arrival, in ``(time, seq)``
-        order, as :meth:`enqueue` would then: settle, drop-tail,
-        append. An admitted one reaches ``dst``, in FIFO order and
-        before any later packet's loss draw here, as :meth:`_propagated`
-        would: the loss draw, then the far node's tap and discard count
-        (its port has no handler: a bound one takes the feed back), in
-        one sum for the packets delivered. Its arrival there is ordered
-        by the seq it was fed under, taken before the seq its entry
-        there would have taken: a read at exactly that instant, from an
-        entry pushed in between, sees the delivery, where a run that
-        does not feed shows it to a later read.
+        The source first produces its steps before now, unless its next
+        step is not before ``now`` (compared here, so a catch-up with
+        nothing due costs no call). A fed packet is admitted at its
+        arrival, in ``(time, seq)`` order, as :meth:`enqueue` would then:
+        settle, drop-tail, append. An admitted one reaches ``dst``, in
+        FIFO order and before any later packet's loss draw here, as
+        :meth:`_propagated` would: the loss draw, then the far node's tap
+        and discard count (its port has no handler: a bound one takes the
+        feed back), in one sum for the packets delivered. Its arrival
+        there is ordered by the seq it took when it was produced: a read
+        at exactly that instant sees the delivery if its entry was pushed
+        after the production, where a run that does not feed orders the
+        arrival by the seq its entry here took.
         """
+        feeder: _TrafficBase = self._feeder
+        fed: Link = feeder._links[1]
+        if fed is not self:
+            # the source's uplink: its router link catches up for both
+            return fed._catch_up(now, firing)
         last = 0.0
-        feed = self._feed
-        if feed:
-            departures = self._departures
-            stats = self._stats
-            far = self._far
-            limit, rate, delay = self.queue_packets, self.rate_bps, self.delay_s
-            while feed:
-                t, seq, pkt = feed[0]
-                if t > now or t == now and seq >= firing:
-                    break
-                feed.popleft()
-                last = t
-                while departures and departures[0][0] < t:
-                    _, ser, size = departures.popleft()
-                    stats.busy_time += ser
-                    stats.tx_packets += 1
-                    stats.tx_bytes += size
-                if len(departures) > limit:
-                    self._drop_queue(pkt)
-                    continue
-                size = pkt.size_bytes
-                ser = size * 8.0 / rate
-                departure = (departures[-1][0] if departures else t) + ser
-                departures.append((departure, ser, size))
-                far.append((departure + delay, seq, pkt))
-        far = self._far
-        if far:
-            loss = self._packet_loss
-            delivered = 0
-            while far:
-                arrival, seq, pkt = far[0]
-                if arrival > now or arrival == now and seq >= firing:
-                    break
-                far.popleft()
-                last = arrival
-                if loss is not None and loss.is_lost():
-                    self._stats.loss_drops += 1
-                    self.on_drop(pkt, "drop-loss")
-                else:
-                    delivered += 1
-            if delivered:
-                # one source's packets: one flow, one size, one port
-                node = self._feeder.network.nodes[self.dst]
-                node._tap_flows[pkt.protocol][pkt.flow_id] += delivered
-                node._tap_bytes[pkt.protocol] += delivered * pkt.size_bytes
-                node.rx_discarded += delivered
+        feed, far = self._feed, self._far
+        more = True
+        while more:
+            # a production stops after a bounded number of packets, so
+            # a catch-up after a long quiet spell admits and delivers as
+            # it goes instead of holding the whole spell
+            more = feeder._at < now and feeder._produce()
+            if feed:
+                departures = self._departures
+                stats = self._stats
+                limit, rate = self.queue_packets, self.rate_bps
+                delay = self.delay_s
+                while feed:
+                    t, seq, pkt = feed[0]
+                    if t > now or t == now and seq >= firing:
+                        break
+                    feed.popleft()
+                    last = t
+                    while departures and departures[0][0] < t:
+                        _, ser, size = departures.popleft()
+                        stats.busy_time += ser
+                        stats.tx_packets += 1
+                        stats.tx_bytes += size
+                    if len(departures) > limit:
+                        self._drop_queue(pkt)
+                        continue
+                    size = pkt.size_bytes
+                    ser = size * 8.0 / rate
+                    departure = (departures[-1][0] if departures
+                                 else t) + ser
+                    departures.append((departure, ser, size))
+                    far.append((departure + delay, seq, pkt))
+            if far:
+                loss = self._packet_loss
+                delivered = 0
+                while far:
+                    arrival, seq, pkt = far[0]
+                    if arrival > now or arrival == now and seq >= firing:
+                        break
+                    far.popleft()
+                    last = arrival
+                    if loss is not None and loss.is_lost():
+                        self._stats.loss_drops += 1
+                        self.on_drop(pkt, "drop-loss")
+                    else:
+                        delivered += 1
+                if delivered:
+                    # one source's packets: one flow, one size, one port
+                    node = feeder.network.nodes[self.dst]
+                    node._tap_flows[pkt.protocol][pkt.flow_id] += delivered
+                    node._tap_bytes[pkt.protocol] += (delivered
+                                                      * pkt.size_bytes)
+                    node.rx_discarded += delivered
         return last
 
     def _unfeed(self) -> None:
-        """Turn the packets fed here and not yet delivered back into the
-        heap entries a source that does not feed leaves, under their
-        seqs: one not yet admitted into its uplink's ``_propagated`` at
-        its arrival here, which finds the uplink and the routes as they
-        are then, and one admitted into this link's ``_propagated`` at
-        its arrival at ``dst``. The link is fed no more until its source
-        asks again."""
+        """End the feed of this link's source, on its uplink and the
+        router's link both: turn the packets fed there and not yet
+        delivered back into the heap entries a source that does not feed
+        leaves, under their seqs: one not yet admitted into the uplink's
+        ``_propagated`` at its arrival at the router, which finds the
+        uplink and the routes as they are then, and one admitted into the
+        router link's ``_propagated`` at its arrival at the target. The
+        source ticks from its next step, and asks again there."""
         sim = self.sim
-        self._catch_up(sim._now, sim._firing)
-        feeder = self._feeder
-        network = feeder.network
-        del network._fed[self]
-        self._feeder = None
-        propagated = network.links[feeder.src, self.src]._propagated
+        source: _TrafficBase = self._feeder
+        uplink: Link
+        fed: Link
+        uplink, fed = source._links
+        fed._catch_up(sim._now, sim._firing)
+        del source.network._fed[fed]
+        uplink._feeder = fed._feeder = source._links = None
+        propagated = uplink._propagated
         sim.restore([(t, seq, propagated, (pkt, None))
-                     for t, seq, pkt in self._feed]
-                    + [(arrival, seq, self._propagated, (pkt, None))
-                       for arrival, seq, pkt in self._far])
-        self._feed.clear()
-        self._far.clear()
+                     for t, seq, pkt in fed._feed]
+                    + [(arrival, seq, fed._propagated, (pkt, None))
+                       for arrival, seq, pkt in fed._far])
+        fed._feed.clear()
+        fed._far.clear()
+        source._tick_on()
 
     # -- ingress ---------------------------------------------------------
     def enqueue(self, pkt: Packet) -> bool:
@@ -332,11 +351,8 @@ class Link:
         if not self.up:
             self._drop_down(pkt)
             return False
-        owner = self._owner
-        if owner and (isinstance(owner, Link)
-                      or pkt.flow_id != owner.flow_id):
-            # a link, or a traffic source, plans across this one, and
-            # this packet is not the source's own
+        if self._owner:
+            # a link plans across this one
             self._disown()
         sim = self.sim
         now = sim._now
@@ -345,8 +361,8 @@ class Link:
         departures = self._departures
         stats = self._stats
         # `_settle`, here and for the next link below, and the admission
-        # after it (also in `_TrafficBase._plan`'s loop and in
-        # `_catch_up`, for fed packets) are written out:
+        # after it (also in `_TrafficBase._produce` and in `_catch_up`,
+        # for fed packets) are written out:
         # these run per packet, and a shared method would cost a call per
         # packet, which tests/test_datapath_budget.py counts
         while departures and departures[0][0] < now:
@@ -448,22 +464,20 @@ class Link:
 def take_back(links: list[Link]) -> None:
     """Take back what is planned across ``links`` past now, in one pass.
 
-    A traffic source that owns one takes back its own plan. A plan of a
-    link that owns one is the heap entry carrying the packet's arrival
-    there: if that is after now, or at now with a seq above the firing
-    entry's, the packet's record leaves the owned link (the newest are
-    the plans') and the entry becomes, under its seq, the owner's
-    ``_propagated`` at the arrival, as in a run that never planned.
+    A plan of the link that owns one is the heap entry carrying the
+    packet's arrival there: if that is after now, or at now with a seq
+    above the firing entry's, the packet's record leaves the owned link
+    (the newest are the plans') and the entry becomes, under its seq,
+    the owner's ``_propagated`` at the arrival, as in a run that never
+    planned.
     """
     upstream: dict[Link, Callable[[Packet], None]] = {}
     records: dict[Link, int] = {}
     for link in links:
         owner = link._owner
-        if isinstance(owner, Link):
+        if owner:
             upstream[link] = owner._propagated
             records[link] = 0
-        elif owner:
-            owner._withdraw()
     if not records:
         return
     sim: Simulator = links[0].sim

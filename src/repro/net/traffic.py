@@ -17,74 +17,63 @@ stream in blocks (:func:`~repro.des.rng.block_draws`: the stream must
 be the source's alone), each packet built here. A source only sends: it
 binds no port, and its packets are discarded at the target's port 9.
 
-A source reaches its target in one of two ways.
+A source runs one of two ways, and nothing it sends exists before its
+emission instant in either.
 
-*Fed.* A source owns the links out of its host when no other source
-sits there (the engine gives each source a host of its own), and
-nothing else may send on an owned link. When its uplink is up, draws
-no loss and ends at a router whose link to the target is a plain link
-that is up, that no other source fed and whose target leaves port 9
-unbound (every engine run), the source feeds that link
-(``Link._feed``). The uplink's departures are a pure function of the
-source's draws, so the source plans: it admits a batch of packets to
-the uplink ahead of their emission instants, exactly as
-:meth:`~repro.net.link.Link.enqueue` would at each instant, and appends
-each to the router's link under the seq its entry at the router would
-have taken, with no entry; the link admits it and discards it at the
-target in its catch-ups, before anything else reads or sends on it. A
-batch admits ``_BATCH`` packets, more if none of them reaches the
-router by the next emission, and its resume is an entry at the arrival
-of the latest one that does, so no heap entry marks an emission and no
-emission is admitted after its instant (nor seen before it: a planned
-record departs after now, so reading the link settles none, and
-``packets_sent`` leaves out what is planned past now). A batch also
-ends before a packet the uplink's queue would drop, at a burst's end
-or at ``stop_at``; ON/OFF bursts keep their start and end entries.
+*Fed.* When its uplink is up, plans through and does not end at the
+target, the router's link to the target is a plain link that is up,
+the target leaves port 9 unbound (every engine run) and no other
+source feeds either link, the source feeds both (``Link._feeder``) and
+keeps no heap entry per step. Whoever touches either link first
+(:meth:`~repro.net.link.Link.enqueue`, a read of ``stats``, ``set_up``,
+the router link's loss draw or catch-up, ``packets_sent``, the return
+from ``Simulator.run``) has the source produce the steps before now
+(:meth:`_TrafficBase._produce`): each draw, in order, each emission
+admitted to the uplink at its instant with ``enqueue``'s settle /
+drop-tail / append, and its arrival at the router appended to that
+link's ``_feed`` under a seq taken then, which the link admits in its
+own catch-up, every ``_PRODUCED_AT_ONCE`` packets. A catch-up with
+nothing due compares the source's next step with now and calls
+nothing. A fed source with a finite ``stop_at`` keeps one entry there,
+which ends its feed, so its last steps (and ``done``) fire at entries
+of their own, where the generator loop it replaced fired them.
 
-*Sent at its instant.* Otherwise the source keeps an entry at each
-emission instant and sends through ``enqueue``, as any sender does:
-under a tracer (its rows stay in time order; attach one before the
-run), on an uplink another source shares, while the uplink is down,
-when the uplink draws loss or ends at the target, and when the
-router's link to the target cannot be fed (a bound port, a second
-source, the link down or the route elsewhere). The run then fires,
-entry for entry, what any sender of the same packets fires.
+*Ticking.* Otherwise the source keeps an entry at each step (each
+emission, and an ON/OFF source's burst ends and OFF periods) and sends
+through ``enqueue``, as any sender does: under a tracer, beside
+another source on either link, while either link is down, when the
+uplink draws loss or ends at the target, and when the port is bound or
+the route goes elsewhere. The run then fires, entry for entry, what
+the generator loop fired. At each step the source asks again whether
+it may feed from its next step on.
 
-The source keeps its packets planned and not yet emitted across
-resumes, so an uplink going down withdraws exactly those planned past
-that instant: each is offered to the uplink at its own instant
-instead, and is in no plan after that; planning resumes once the last
-of them was offered. Before that, and whenever the routes change, a
-port is bound at the target, the fed link goes down, a tracer is
-attached or a second source arrives, the fed link is unfed
-(``Link._unfeed``): each pending packet is the entry it replaced again,
-under its seq, the uplink's ``_propagated`` at the router, which finds
-the uplink and the routes as they are when it arrives, or the fed
-link's ``_propagated`` at the target.
+Either link going down, a route change, port 9 bound at the target, a
+tracer or a second source on either link end a feed
+(``Link._unfeed``): the source produces what is due, each packet
+pending on the router link is the entry it replaced again, under its
+seq (the uplink's ``_propagated`` at the router, which finds the
+uplink and the routes as they are when it arrives, or the router
+link's ``_propagated`` at the target), and the source ticks from its
+next step.
 
-Two orders differ from a source that does not feed, both a fed
-packet's. Its entry at the router takes its seq when its batch is
-planned, not at its emission instant: an entry at the router pushed in
-between, for exactly that packet's arrival, fires after the packet
-instead of before it. A batch plans ``_BATCH`` packets or more ahead,
-so such an entry may be pushed many emissions after the plan, and
-after its resume
-(``test_a_fed_packet_enters_the_router_link_in_the_plans_order`` in
-``tests/test_net_traffic_impairments.py`` holds the order). Its arrival
-at the target is ordered by the same seq, taken before the one its
-entry there would have taken: a read at exactly that arrival, from an
-entry pushed in between, sees it discarded where a source that does
-not feed shows it to a later read
-(``test_a_read_at_exactly_a_fed_packets_far_arrival_sees_it_delivered``).
-A source that sends at its instants changes no order.
+Two orders differ from a source that does not feed, both at exact
+ties. An emission at exactly now is produced only after every entry at
+now, where a ticking source sends it at an entry pushed at its
+previous step: a read at that instant from an entry pushed after that
+step sees it not yet sent. A fed packet takes its seq when it is
+produced, in the first catch-up after its emission instant, where a
+ticking source's entry at the router takes one at the emission: an
+entry at the router for exactly its arrival, pushed between the two,
+fires before it instead of after it, and its arrival at the target is
+ordered by the same seq (``tests/test_net_traffic_impairments.py``:
+``test_a_fed_step_is_ordered_where_it_is_produced``,
+``test_a_fed_arrival_is_ordered_by_its_production``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from itertools import repeat
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -98,21 +87,24 @@ from repro.net.topology import Network
 __all__ = ["PoissonTrafficSource", "OnOffTrafficSource"]
 
 _INF = float("inf")
-#: packets a plan admits before it may stop at the latest of them whose
-#: arrival comes at or before the next emission
-_BATCH = 16
-#: a packet's emission instant (a C callable, for bisecting a plan)
-_EMITTED = attrgetter("created_at")
+#: packets one production emits at most before the router link admits
+#: and delivers what is due (see ``Link._catch_up``), so a catch-up after
+#: a long quiet spell never holds that spell's packets at once
+_PRODUCED_AT_ONCE = 256
 
 
 class _TrafficBase:
     #: the time from one emission to the next, a C callable set by the
     #: subclass (drawn for Poisson, fixed inside an ON/OFF burst), so
-    #: the planning loop enters no Python frame for it
+    #: production enters no Python frame for it
     _next_gap: Callable[[], float]
     #: the target's port the packets go to: while nothing binds it,
     #: they are discarded there and the source may feed (:meth:`_feeds`)
     port = 9
+    #: the end of the burst the next step is in (a Poisson source is in
+    #: one burst), and whether that step ends an OFF period instead
+    _end = _INF
+    _off = False
 
     def __init__(
         self,
@@ -134,12 +126,16 @@ class _TrafficBase:
         self.flow_id = f"xtraffic:{src}->{dst}"
         self.start_at = start_at
         self.stop_at = stop_at
-        #: the last seq: packets emitted so far and those planned past
-        #: now; a withdrawn packet counts again at its emission instant
+        #: the last seq: packets emitted (and, fed, produced) so far
         self._sent = 0
-        #: the packets of the latest plan, in seq order; those whose
-        #: emission instant is after now are not sent yet
-        self._planned: list[Packet] = []
+        #: the instant of the next step: a ticking source's pending
+        #: entry, so never before now, or a fed source's next step to
+        #: produce; infinite before the start and after the stop
+        self._at = _INF
+        #: ``(uplink, router link)`` while this source feeds them
+        self._links: tuple[Link, Link] | None = None
+        #: whether the entry at ``stop_at`` that ends a feed is pushed
+        self._stopping = False
         #: triggers when the source has stopped for good; its heap entry
         #: is one of the events every pinned run counts
         self.done = self.sim.event()
@@ -147,20 +143,17 @@ class _TrafficBase:
         self._draw = block_draws(rng.standard_exponential)
         #: the node's next-link table, which the network edits in place
         self._out = network._out_links[src]
-        for link in network._adj[src].values():
-            if link._owner is None:
-                link._owner = self
-            else:
-                link._disown()
         self.sim.call_later(0.0, self._start)
 
     @property
     def packets_sent(self) -> int:
-        """Packets emitted so far; one planned for a later instant is
-        not sent yet."""
-        now = self.sim._now
-        return self._sent - sum(1 for pkt in self._planned
-                                if pkt.created_at > now)
+        """Packets emitted before now (fed, one at exactly now is
+        produced after every entry at now)."""
+        sim = self.sim
+        if self._at < sim._now:
+            fed: Link = self._links[1]
+            fed._catch_up(sim._now, sim._firing)
+        return self._sent
 
     def _start(self) -> None:
         if self.start_at > 0:
@@ -183,161 +176,134 @@ class _TrafficBase:
             self.src, self.dst, self.packet_bytes, "UDP", self.flow_id,
             self.port, seq=self._sent, created_at=self.sim._now))
 
-    def _plan(self, t: float, end: float) -> None:
-        """Go on from the tick at ``t`` (not before now), inside a burst
-        ending at ``end``: when this source feeds the router's link to
-        its target, admit a batch of emissions to the uplink, feed them
-        all to that link and leave the one entry that resumes the
-        source; otherwise leave the tick at ``t``."""
-        # `_uplink` only when the route is missing, as in `_emit`: no
-        # frame per plan
-        link = self._out.get(self.dst) or self._uplink()
-        sim = self.sim
-        dst = self.dst
-        nxt = None
-        if (link._owner is self and link.up and not sim._tracing
-                and link._plans_through and dst != link.dst):
-            # the far node's next link, where the uplink's `_propagated`
-            # would offer each packet at its arrival
-            nxt = link._next.get(dst)
-            if nxt is None:
-                link._route(link.dst, dst)
-                nxt = link._next[dst]
-            if not (nxt._feeder is self or self._feeds(nxt)):
-                nxt = None
-        resume_at = None
-        if nxt is not None:
-            # once a batch, so that a fed link nothing else touches does
-            # not hold every packet fed to it until the run ends
-            nxt._catch_up(sim._now, sim._firing)
-            planned = self._planned
-            # what is emitted by now leaves the plan; the rest stays
-            del planned[:bisect_right(planned, sim._now, key=_EMITTED)]
-            # settling what left before now bounds the queue
-            link._settle()
-            departures = link._departures
-            limit = link.queue_packets
-            src, flow_id, port = self.src, self.flow_id, self.port
-            size = self.packet_bytes
-            # a link that plans through has no cell layer
-            ser = size * 8.0 / link.rate_bps
-            delay = link.delay_s
-            next_gap = self._next_gap
-            until = min(end, self.stop_at)
-            tail = departures[-1][0] if departures else t
-            sent = self._sent
-            full = sent + _BATCH
-            arrivals: list[float] = []
-            packets: list[Packet] = []
-            while t < until:
-                # `enqueue`'s admission at instant t (see the comment
-                # there); none of the records is settled early, so reads
-                # of the link see no plan
-                if len(departures) > limit and sum(
-                        1 for d in departures if d[0] >= t) > limit:
-                    break  # a drop: it happens at its instant
-                tail = (tail if tail > t else t) + ser  # the departure
-                departures.append((tail, ser, size))
-                sent += 1
-                # positional: (..., payload, seq, session, frame_seq,
-                # created_at)
-                packets.append(Packet(src, dst, size, "UDP", flow_id, port,
-                                      None, sent, "", -1, t))
-                arrivals.append(tail + delay)
-                t = t + next_gap()
-                if sent >= full and arrivals[0] <= t:
-                    # the latest arrival at or before t resumes planning
-                    resume_at = arrivals[bisect_right(arrivals, t) - 1]
-                    break
-            self._sent = sent
-            planned += packets
-            # each takes the seq its entry at the router would have
-            seq = sim._seq
-            sim._seq += len(packets)
-            nxt._feed += zip(arrivals, range(seq + 1, sim._seq + 1), packets)
-        if resume_at is None:
-            sim.call_at(t, self._tick, end)
-        else:
-            sim.call_at(resume_at, self._plan, t, end)
+    def _finish(self) -> None:
+        """Stop for good: no step is left."""
+        self._at = _INF
+        self.done.succeed()
 
-    def _feeds(self, nxt: Link) -> bool:
-        """Whether this source may feed ``nxt``, the router's next link,
-        which it does not feed yet; if so, it feeds it from now on.
+    def _go(self) -> None:
+        """Go on to the step at ``_at``: produced when due if this source
+        may feed, else at an entry of its own."""
+        if not self._feeds():
+            self._tick_on()
 
-        It may when that link ends at the target, is a plain up link,
-        no other source fed it and the target's port is unbound (a
-        handler must see each packet at an entry of its own). The link
-        is disowned first: a packet another link planned across it
-        would be admitted ahead of the fed packets that reach it
-        before. A second source takes the first one's feed back, and
-        neither feeds the link again.
+    def _tick_on(self) -> None:
+        """Push the entry of the step at ``_at``."""
+        self.sim.call_at(self._at, self._cycle if self._off else self._tick)
+
+    def _feeds(self) -> bool:
+        """Whether this source may feed its uplink and the router's link
+        to its target from the step at ``_at`` on; if so, it does.
+
+        A link another source feeds is fed back into entries, and
+        neither source feeds it again. A link planned across is disowned
+        first: a packet planned across the uplink or the router link
+        would be admitted ahead of the produced packets that reach it
+        before.
         """
-        feeder = nxt._feeder
-        if feeder:
-            nxt._unfeed()
-            nxt._feeder = False
+        sim = self.sim
+        if sim._tracing or self._at >= self.stop_at:
             return False
+        dst = self.dst
+        # `_uplink` only when the route is missing, as in `_emit`
+        uplink = self._out.get(dst) or self._uplink()
+        if not (uplink.up and uplink._plans_through and dst != uplink.dst):
+            return False
+        nxt = uplink._next.get(dst)
+        if nxt is None:
+            uplink._route(uplink.dst, dst)
+            nxt = uplink._next[dst]
+        for link in (uplink, nxt):
+            if link._feeder:
+                link._unfeed()
+                link._feeder = False
         network = self.network
-        if (feeder is False or nxt.dst != self.dst or type(nxt) is not Link
-                or not nxt.up or self.port in network.nodes[self.dst]._ports):
+        if (uplink._feeder is False or nxt._feeder is False
+                or nxt.dst != dst or type(nxt) is not Link or not nxt.up
+                or self.port in network.nodes[dst]._ports):
             return False
+        uplink._disown()
         nxt._disown()
         if nxt._feed is None:
             nxt._feed, nxt._far = deque(), deque()
-        nxt._feeder = self
+        uplink._feeder = nxt._feeder = self
+        self._links = (uplink, nxt)
         network._fed[nxt] = None
-        if network._rest not in self.sim._offheap:
-            self.sim._offheap.append(network._rest)
+        if network._rest not in sim._offheap:
+            sim._offheap.append(network._rest)
+        if not self._stopping and self.stop_at < _INF:
+            self._stopping = True
+            sim.call_at(self.stop_at, self._stop)
         return True
 
-    def _withdraw(self) -> None:
-        """Take back what is planned past now: the uplink is going down,
-        or another sender now shares it.
+    def _stop(self) -> None:
+        """``stop_at``: a fed source ticks its last steps, which end
+        where the generator loop's did (``done`` among them)."""
+        if self._links is not None:
+            self._links[1]._unfeed()
 
-        The link this source feeds is unfed first, so each packet it
-        holds is the uplink's ``_propagated`` entry at the router again,
-        which finds the uplink as it is then. A packet planned past now
-        leaves the uplink's records, and its entry moves, under its seq,
-        to its emission instant, where it is offered to the uplink as
-        any sender's would be (:meth:`_replay`); it is in no plan after
-        that. The resume moves to the last of them, so planning goes on
-        only once every withdrawn packet was offered, and the run fires
-        as many entries as one that never planned.
-        """
-        uplink = self._uplink()
-        nxt = uplink._next.get(self.dst)
-        if nxt is not None and nxt._feeder is self:
-            nxt._unfeed()
-        planned = self._planned
-        emitted = bisect_right(planned, self.sim._now, key=_EMITTED)
-        later = planned[emitted:]
-        if not later:
-            return
-        del planned[emitted:]
-        self._sent -= len(later)
-        # their records are the uplink's newest, none of them settled
+    def _produce(self) -> bool:
+        """Take the steps before now, which no entry stood for: draw
+        each length, admit each emission to the uplink at its instant as
+        :meth:`~repro.net.link.Link.enqueue` would then (dropping it if
+        the queue is full), and append its arrival at the router to the
+        router link's feed under a seq taken now. A step at exactly now
+        waits for a later catch-up. Stops after ``_PRODUCED_AT_ONCE``
+        packets; returns whether steps before now are left."""
+        sim = self.sim
+        now = sim._now
+        uplink: Link
+        fed: Link
+        uplink, fed = self._links
+        t, end, off = self._at, self._end, self._off
         departures = uplink._departures
-        for _ in later:
-            departures.pop()
-        pending = set(later)
-        last = later[-1].created_at
-        plan, replay = self._plan, self._replay
-        propagated = uplink._propagated
-
-        def back(_time, _seq, fn, args):
-            if fn == plan:
-                return last, plan, args
-            if fn == propagated and args[0] in pending:
-                return args[0].created_at, replay, args[:1]
-            return None
-
-        self.sim.rewrite(back)
-
-    def _replay(self, pkt: Packet) -> None:
-        """A withdrawn packet's emission instant: offer it as any sender
-        would."""
-        self._sent += 1
-        self._uplink().enqueue(pkt)
+        stats = uplink._stats
+        limit = uplink.queue_packets
+        size = self.packet_bytes
+        # a link that plans through has no cell layer
+        ser = size * 8.0 / uplink.rate_bps
+        delay = uplink.delay_s
+        feed = fed._feed
+        next_gap, draw = self._next_gap, self._draw
+        src, dst, flow_id, port = self.src, self.dst, self.flow_id, self.port
+        sent = self._sent
+        last = sent + _PRODUCED_AT_ONCE
+        while t < now:
+            if t < end:
+                sent += 1
+                # positional: (..., payload, seq, session, frame_seq,
+                # created_at)
+                pkt = Packet(src, dst, size, "UDP", flow_id, port, None,
+                             sent, "", -1, t)
+                # `enqueue`'s settle, drop-tail and append at instant t
+                # (see the comment there)
+                while departures and departures[0][0] < t:
+                    _, s, b = departures.popleft()
+                    stats.busy_time += s
+                    stats.tx_packets += 1
+                    stats.tx_bytes += b
+                if len(departures) > limit:
+                    uplink._drop_queue(pkt)
+                else:
+                    departure = (departures[-1][0] if departures
+                                 else t) + ser
+                    departures.append((departure, ser, size))
+                    sim._seq = seq = sim._seq + 1
+                    feed.append((departure + delay, seq, pkt))
+                t = t + next_gap()
+                if sent == last:
+                    break
+            elif off:
+                # the OFF period is over: a burst starts, emitting at t
+                end = t + self.on_mean_s * draw()
+                off = False
+            else:
+                # the burst is over: an OFF period follows
+                t = t + self.off_mean_s * draw()
+                off = True
+        self._at, self._end, self._off = t, end, off
+        self._sent = sent
+        return t < now
 
 
 class PoissonTrafficSource(_TrafficBase):
@@ -354,25 +320,27 @@ class PoissonTrafficSource(_TrafficBase):
         """Start: draw the first arrival."""
         now = self.sim._now
         if now < self.stop_at:
-            self._plan(now + self._next_gap(), _INF)
+            self._at = now + self._next_gap()
+            self._go()
         else:
-            self.done.succeed()
+            self._finish()
 
-    def _tick(self, end: float) -> None:
+    def _tick(self) -> None:
         """Send the arrival that fell due, if it is before ``stop_at``,
         and draw the next."""
         now = self.sim._now
         if now < self.stop_at:
             self._emit()
-            self._plan(now + self._next_gap(), end)
+            self._at = now + self._next_gap()
+            self._go()
         else:
-            self.done.succeed()
+            self._finish()
 
 
 class OnOffTrafficSource(_TrafficBase):
     """Exponential ON/OFF source bursting at ``peak_rate_bps``.
 
-    Mean load is ``peak_rate_bps * on_mean / (on_mean + off_mean)``.
+    Mean load is ``peak_rate_bps * on_mean_s / (on_mean_s + off_mean_s)``.
     """
 
     def __init__(
@@ -397,19 +365,25 @@ class OnOffTrafficSource(_TrafficBase):
         self._next_gap = repeat(gap).__next__
 
     def _cycle(self) -> None:
+        """An OFF period ends: burst, emitting now, unless stopped."""
         now = self.sim._now
         if now < self.stop_at:
-            self._tick(now + self.on_mean_s * self._draw())
+            self._at = now
+            self._end = now + self.on_mean_s * self._draw()
+            self._off = False
+            if not self._feeds():
+                self._tick()
         else:
-            self.done.succeed()
+            self._finish()
 
-    def _tick(self, end: float) -> None:
-        """Send at peak rate until ``end`` or ``stop_at``, whichever is
-        first; an OFF period follows either way."""
-        sim = self.sim
-        now = sim._now
-        if now < end and now < self.stop_at:
+    def _tick(self) -> None:
+        """Send at peak rate until the burst's end or ``stop_at``,
+        whichever is first; an OFF period follows either way."""
+        now = self.sim._now
+        if now < self._end and now < self.stop_at:
             self._emit()
-            self._plan(now + self._next_gap(), end)
+            self._at = now + self._next_gap()
         else:
-            sim.call_later(self.off_mean_s * self._draw(), self._cycle)
+            self._at = now + self.off_mean_s * self._draw()
+            self._off = True
+        self._go()

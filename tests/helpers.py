@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 def interval_of(renderer, element_id):
     """The last closed display interval of ``element_id``, or None if
@@ -83,3 +85,43 @@ def viewers_on(eng, server, document, nodes, stagger_s=0.0):
                          client_node=node)
              for i, node in enumerate(nodes)]
     return [o.result for o in eng.orchestrator.run_workload(specs)]
+
+
+def skew_sample(series, time, skew_s):
+    """Append one skew sample to a ``SkewSeries``, as the controller
+    does inline."""
+    series.times.append(time)
+    series.skews.append(skew_s)
+
+
+def regions_overlap(a, b):
+    """Whether two display ``Region``s share a pixel."""
+    return not (a.x2 <= b.x or b.x2 <= a.x or a.y2 <= b.y or b.y2 <= a.y)
+
+
+def playouts_overlap(a, b):
+    """Whether two ``PlayoutEntry`` intervals intersect in scenario time
+    (an open-ended one runs on forever)."""
+    a0, a1 = a.start_time, a.end_time
+    b0, b1 = b.start_time, b.end_time
+    if a1 is None or b1 is None:
+        return (b1 is None or a0 < b1) and (a1 is None or b0 < a1)
+    return a0 < b1 and b0 < a1
+
+
+@contextmanager
+def never_planning(monkeypatch):
+    """Every link built inside plans nothing, and no traffic source
+    feeds (a source feeds only across an uplink that plans through):
+    the shortcut-free referee run."""
+    from repro.net.link import Link
+
+    init = Link.__init__
+
+    def plain(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._plans_through = False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Link, "__init__", plain)
+        yield

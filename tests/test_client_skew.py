@@ -4,6 +4,7 @@ import pytest
 
 from repro.client import SkewController
 from repro.client.metrics import SkewSeries
+from tests.helpers import skew_sample
 
 
 def controller(**kw):
@@ -76,7 +77,7 @@ def test_inactive_master_suspends_decisions():
 def test_skew_series_statistics():
     s = SkewSeries("g")  # the 80 ms threshold
     for t, v in [(0, 0.01), (1, -0.05), (2, 0.2), (3, -0.1)]:
-        s.sample(t, v)
+        skew_sample(s, t, v)
     assert s.max_abs_s == pytest.approx(0.2)
     assert s.mean_abs_s == pytest.approx((0.01 + 0.05 + 0.2 + 0.1) / 4)
     assert s.fraction_out_of_sync == pytest.approx(0.5)

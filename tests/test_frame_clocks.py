@@ -61,6 +61,7 @@ from repro.model.sync import PlayoutEntry
 from repro.net import Network
 from repro.server import MediaServer
 from repro.server.media_server import StreamHandler, StreamOrigin
+from tests.helpers import skew_sample
 
 CLOCK, TICKS, INTERVAL = 90_000, 3600, 0.04
 A_CLOCK, A_TICKS, A_INTERVAL = 8000, 160, 0.02
@@ -237,7 +238,7 @@ class ReferenceSkewController(SkewController):
         skew = self.skew_of(stream_id)
         if skew is None:
             return SkewDecision("play")
-        self.series.sample(now, skew)
+        skew_sample(self.series, now, skew)
         self.stats.decisions += 1
         if not self.enabled:
             return SkewDecision("play")

@@ -47,6 +47,7 @@ def test_browser_annotations(svc):
                      presentation_time_s=4.0)
     assert ann.document == "x-1"
     assert ann.author == "alice"
+    assert ann.created_at == svc.engine.sim.now  # the wall-time stamp
     assert (ann.element_id, ann.presentation_time_s) == ("LV2", 4.0)
     assert b.annotations.for_document("x-1") == [ann]
     assert b.annotations.for_document("x-2") == []

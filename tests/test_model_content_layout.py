@@ -6,6 +6,7 @@ from repro.hml import DocumentBuilder, TextSpan
 from repro.hml.examples import figure2_document
 from repro.media import MediaType
 from repro.model import ContentIndex, LayoutEngine, Region
+from tests.helpers import regions_overlap
 
 
 # ---------------------------------------------------------------- content
@@ -48,8 +49,8 @@ def test_content_unknown_id_raises():
 def test_region_geometry():
     r = Region(10, 20, 100, 50)
     assert r.x2 == 110 and r.y2 == 70
-    assert r.overlaps(Region(50, 40, 100, 100))
-    assert not r.overlaps(Region(110, 20, 10, 10))  # adjacent, not overlapping
+    assert regions_overlap(r, Region(50, 40, 100, 100))
+    assert not regions_overlap(r, Region(110, 20, 10, 10))  # adjacent, not overlapping
     with pytest.raises(ValueError):
         Region(0, 0, 0, 10)
 

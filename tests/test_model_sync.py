@@ -9,6 +9,7 @@ from repro.model import (
     build_playout_schedule,
     scenario_duration,
 )
+from tests.helpers import playouts_overlap
 
 
 def test_figure2_schedule_matches_paper_timeline():
@@ -59,11 +60,13 @@ def test_overlaps_semantics():
     b = PlayoutEntry("b", MediaType.VIDEO, "s", 4.0, 5.0)
     c = PlayoutEntry("c", MediaType.AUDIO, "s", 5.0, 5.0)
     open_ended = PlayoutEntry("o", MediaType.AUDIO, "s", 3.0, None)
-    assert a.overlaps(b) and b.overlaps(a)
-    assert not a.overlaps(c)  # touching intervals do not overlap
-    assert a.overlaps(open_ended) and open_ended.overlaps(a)
+    assert playouts_overlap(a, b) and playouts_overlap(b, a)
+    assert not playouts_overlap(a, c)  # touching intervals do not overlap
+    assert (playouts_overlap(a, open_ended)
+            and playouts_overlap(open_ended, a))
     early = PlayoutEntry("e", MediaType.AUDIO, "s", 0.0, 2.0)
-    assert not early.overlaps(PlayoutEntry("x", MediaType.AUDIO, "s", 2.0, None))
+    assert not playouts_overlap(
+        early, PlayoutEntry("x", MediaType.AUDIO, "s", 2.0, None))
 
 
 def test_ascii_timeline_shape():

@@ -1,19 +1,18 @@
 """Plans taken back: one heap pass per take-back, and the run that never
 planned as the referee.
 
-A link plans a packet across the next link it owns, and a traffic
-source across its uplink (``repro.net.link``, ``repro.net.traffic``).
-A plan comes back off the heap when a link goes down, when the routes
-change and when a second sender reaches an owned link. Each of those is
-one ``Simulator.rewrite`` over the heap whatever number of links it
-touches, and a fed link's pending packets go back with no Python pass
-at all. The referee of every path here is the same run with
-``_plans_through = False`` on every link, which plans nothing.
+A link plans a packet across the next link it owns
+(``repro.net.link``); a traffic source plans nothing past now
+(``repro.net.traffic``). A plan comes back off the heap when a link
+goes down, when the routes change and when a second sender reaches an
+owned link. Each of those is one ``Simulator.rewrite`` over the heap
+whatever number of links it touches, and a fed link's pending packets
+go back with no Python pass at all. The referee of every path here is
+the same run with ``_plans_through = False`` on every link, which plans
+nothing (``tests.helpers.never_planning``).
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import pytest
 
@@ -25,20 +24,7 @@ from repro.net.link import Link
 from repro.net.traffic import PoissonTrafficSource
 from repro.obs.bench import run_scenario
 from repro.shard.bench import shard_workload
-
-
-@contextmanager
-def _never_planning(monkeypatch):
-    """Every link built inside plans nothing: the referee run."""
-    init = Link.__init__
-
-    def plain(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self._plans_through = False
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Link, "__init__", plain)
-        yield
+from tests.helpers import never_planning
 
 
 def _count_rewrites(sim):
@@ -105,7 +91,7 @@ def test_a_flapped_population_is_the_run_that_never_plans(monkeypatch):
     cut, shipped = _flapped_population(8)
     assert cut["passes"] == 1 and cut["moved"] > 0
     flap = run_scenario("flap", smoke=True).digest
-    with _never_planning(monkeypatch):
+    with never_planning(monkeypatch):
         cut, referee = _flapped_population(8)
         assert cut["owned"] == cut["passes"] == 0
         assert run_scenario("flap", smoke=True).digest == flap
@@ -163,7 +149,7 @@ def test_a_route_change_takes_every_plan_back_in_one_heap_pass(
     shipped, change = _star_run(6, 0.0105)
     assert change["owned"] == 6
     assert change["passes"] == 1 and change["moved"] > 0
-    with _never_planning(monkeypatch):
+    with never_planning(monkeypatch):
         referee, change = _star_run(6, 0.0105)
     assert change["owned"] == change["passes"] == 0
     assert shipped and shipped == referee
@@ -171,9 +157,11 @@ def test_a_route_change_takes_every_plan_back_in_one_heap_pass(
 
 def _shared_uplink_run():
     """``x -> r -> y``, an 8 Mb/s Poisson source at ``x`` whose port 9
-    at ``y`` is unbound (so it feeds ``r -> y``), and 20 packets sent
-    from ``x`` to a port ``y`` binds, one each 13 ms from 0.5 s: (the
-    arrivals of the 20, heap passes)."""
+    at ``y`` is unbound (so it feeds ``x -> r`` and ``r -> y``), and 20
+    packets sent from ``x`` to a port ``y`` binds, one each 13 ms from
+    0.5 s: (the arrivals of the 20, heap passes, whether the source
+    feeds at the end, and the packets it sent at an entry of their
+    own)."""
     sim = Simulator()
     net = Network(sim)
     for node in "xry":
@@ -183,27 +171,38 @@ def _shared_uplink_run():
     counts = _count_rewrites(sim)
     got = []
     net.node("y").bind(1, lambda p: got.append((p.seq, sim.now)))
-    PoissonTrafficSource(net, "x", "y", RngRegistry(seed=5).stream("t"),
-                         rate_bps=8e6)
+    source = PoissonTrafficSource(net, "x", "y",
+                                  RngRegistry(seed=5).stream("t"),
+                                  rate_bps=8e6)
+    ticked = [0]
+    emit = source._emit
+
+    def counted():
+        ticked[0] += 1
+        emit()
+
+    source._emit = counted
     for seq in range(20):
         sim.call_at(0.5 + 0.013 * seq, net.send,
                     Packet("x", "y", 500, "UDP", "f", 1, seq=seq))
     sim.run(until=1.5)
-    return got, counts[0]
+    return got, counts[0], source._links is not None, ticked[0]
 
 
 def test_a_second_sender_on_a_sources_uplink_takes_its_plan_back(
         monkeypatch):
-    """The source plans its packets across ``x -> r`` ahead of their
-    instants; a packet someone else sends on that uplink takes the plan
-    back and is admitted where it would be in a run that never planned,
-    not behind the planned packets."""
-    shipped, passes = _shared_uplink_run()
-    with _never_planning(monkeypatch):
-        referee, referee_passes = _shared_uplink_run()
+    """The source plans nothing past now: a packet someone else sends on
+    its fed uplink has the source produce what it emitted before, and
+    is admitted behind that, where a run that never planned admits it,
+    with no heap pass. The source feeds on after the foreign packets,
+    every one of its packets produced, none sent at an entry."""
+    shipped, passes, feeds, ticked = _shared_uplink_run()
+    with never_planning(monkeypatch):
+        referee, referee_passes, referee_feeds, _ = _shared_uplink_run()
     assert len(shipped) == 20 and shipped == referee
-    # the source's own take-back, at the first foreign packet
-    assert passes == 1 and referee_passes == 0
+    assert passes == referee_passes == 0
+    assert feeds and ticked == 0
+    assert not referee_feeds
 
 
 def _fed_run(bind_at):
@@ -236,7 +235,7 @@ def test_a_fed_link_gives_its_packets_back_with_no_heap_pass(monkeypatch):
     what it sees in the run that never planned."""
     shipped, passes, restored = _fed_run(1.0)
     assert passes == 0 and restored > 0
-    with _never_planning(monkeypatch):
+    with never_planning(monkeypatch):
         referee, passes, restored = _fed_run(1.0)
     assert passes == restored == 0
     assert shipped and shipped == referee

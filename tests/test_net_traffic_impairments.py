@@ -9,18 +9,20 @@ instants, leave the same ``LinkStats`` (at the horizon and at every
 read in between), the same tap and the same discards at ``y``, read by
 read. Where ``y`` binds port 9 a source sends each packet at its
 instant, and the run fires what the reference's fires, entry for entry.
-Where ``y`` binds no port 9 a source feeds ``r -> y``: it plans its
-packets across the uplink it owns ahead of their emission instants and
-appends them to ``r -> y`` instead of pushing entries, and the run
-fires one heap entry fewer per packet planned, none at ``r`` for a fed
-packet, and one per batch that resumes the source.
+Where ``y`` binds no port 9 a source feeds its uplink and ``r -> y``:
+it keeps no entry per step, and whoever touches either link has it
+produce the packets emitted before then, admitted to the uplink and
+appended to ``r -> y``'s feed, so the run fires fewer heap entries.
 """
 
 import dataclasses
+import random
 from collections import deque
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
 from repro.core.engine import ServiceEngine
@@ -34,10 +36,9 @@ from repro.net import (
     PoissonTrafficSource,
 )
 from repro.net.packet import Packet
-from repro.net.traffic import _BATCH
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracer import RecordingTracer
-from tests.helpers import select
+from tests.helpers import never_planning, select
 
 
 def build_net():
@@ -224,10 +225,9 @@ class Run(NamedTuple):
     #: each mid-run read: every link's stats and each source's count
     reads: list
     #: packets offered to the uplink from an entry at their emission
-    #: instant (all of the reference's); the rest were planned ahead
+    #: instant (all of the reference's); the rest were produced by a fed
+    #: source
     sent_at_instant: int
-    #: withdrawn packets offered again at their emission instant
-    replayed: int
     #: the detail tracer's link rows, ``(time, kind, name, args)``
     link_rows: list
     #: entries fired at ``r``: the uplink's ``_propagated`` calls, the
@@ -247,9 +247,6 @@ class Run(NamedTuple):
     pending_fed: int
     #: the clock at the end of the run (the last entry's, drained)
     now: float
-    #: entries that resumed a source's planning, each at the arrival of
-    #: a fed packet at ``r``; the reference has none
-    resumes: int
     #: ``(emit instant, seq)`` of each packet sent from ``x`` by the
     #: horizon, offered to the uplink or fed to ``r -> y``
     sent: list
@@ -258,17 +255,18 @@ class Run(NamedTuple):
 class _CountingFeed(deque):
     """A link's feed that counts and keeps what sources append to it."""
 
-    added = 0
-
     def __init__(self):
         super().__init__()
         self.packets = []
 
-    def __iadd__(self, items):
-        items = list(items)
-        self.added += len(items)
-        self.packets.extend(pkt for _, _, pkt in items)
-        return super().__iadd__(items)
+    def append(self, item):
+        self.packets.append(item[2])
+        super().append(item)
+
+    def __iadd__(self, items):  # a batch at once
+        for item in items:
+            self.append(item)
+        return self
 
 
 def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
@@ -318,10 +316,8 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
         sim.call_at(bind_at, bind)
     registry = RngRegistry(seed=23)
     counters = []
-    calls = {"_emit": 0, "_replay": 0, "_propagated": 0, "refused": 0,
-             "direct": 0, "resumes": 0}
+    calls = {"_emit": 0, "_propagated": 0, "refused": 0, "direct": 0}
     forwarding = []     # not empty while the uplink's _propagated runs
-    ticking = []        # not empty while a source's tick or cycle runs
 
     def counted(method):
         def call(*args):
@@ -350,24 +346,6 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
             kw["peak_rate_bps"] = kw.pop("rate_bps")
             source = OnOffTrafficSource(net, host, "y", rng, **kw)
         source._emit = counted(source._emit)
-        source._replay = counted(source._replay)
-
-        def chained(method):
-            def call(*args):
-                ticking.append(True)
-                try:
-                    return method(*args)
-                finally:
-                    ticking.pop()
-            return call
-
-        def plan(*args, plan=source._plan):
-            calls["resumes"] += not ticking   # fired from its own entry
-            return plan(*args)
-
-        source._tick = chained(source._tick)
-        source._cycle = chained(source._cycle)
-        source._plan = plan
         counters.append(lambda source=source: source.packets_sent)
 
     def propagated(*args, deliver=uplink._propagated):
@@ -386,6 +364,13 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
         return enqueue(pkt)
 
     uplink.enqueue = offer
+
+    def drop(pkt, arrival=None, drop=uplink._drop_queue):
+        # a fed source's packet the full uplink drops at its instant
+        offered[id(pkt)] = pkt
+        return drop(pkt, arrival)
+
+    uplink._drop_queue = drop
 
     def watch(link):
         """Count the refusals of a link out of ``r``, and the offers an
@@ -443,21 +428,25 @@ def _bottleneck_run(kind, reference, horizon, *, uplink_queue=100,
     stats = {link.name: dataclasses.asdict(link.stats)
              for link in net.links.values()}
     sent = sum(count() for count in counters)
-    at_instant = sent if reference else calls["_emit"] + calls["_replay"]
+    at_instant = sent if reference else calls["_emit"]
     rows = [(e.time, e.kind, e.name, e.args) for e in tracer.events
             if e.kind.startswith("link.")]
     planned_drops = sum(link.stats.queue_drops for link in net.links.values()
                         if link.src == "r") - calls["refused"]
     return Run(seen, stats, sent, sim.events_fired, reads, at_instant,
-               calls["_replay"], rows,
-               calls["_propagated"] + calls["direct"] + planned_drops,
-               discards(), bottleneck._feed.added,
+               rows, calls["_propagated"] + calls["direct"] + planned_drops,
+               discards(), len(bottleneck._feed.packets),
                len(bottleneck._feed) + len(bottleneck._far), sim.now,
-               calls["resumes"], sorted(
+               sorted(
                    (pkt.created_at, pkt.seq) for pkt in dict.fromkeys(
                        [*offered.values(), *bottleneck._feed.packets])
                    if pkt.src == "x" and pkt.created_at <= sim.now))
 
+
+# The flap geometries below were placed around the batches a fed source
+# once planned ahead (16 packets, resumed at an arrival at r, withdrawn
+# by a flap); a source plans nothing past now, and each stays a geometry
+# the generated cases may not reach.
 
 def _onoff_instants(**params):
     """An ON/OFF case's bursts and emission instants, read off the
@@ -720,32 +709,23 @@ def test_sources_reproduce_the_generator_reference_exactly(case):
     assert got.link_rows == want.link_rows  # detail rows, in order
     assert got.now == want.now              # where the run ended
     assert got.sent == want.sent            # (emit, seq) of every packet
-    assert want.fed == want.pending_fed == want.resumes == 0
-    planned = got.packets_sent - got.sent_at_instant
+    assert want.fed == want.pending_fed == 0
+    produced = got.packets_sent - got.sent_at_instant
     if case not in FED:
         # sent at its instants through the uplink's ``enqueue``, as the
         # reference sends: the same entries, and the uplink plans
         # across r -> y as the reference's does
-        assert planned == got.fed == got.resumes == 0
+        assert produced == got.fed == 0
         assert got.entries_at_r == want.entries_at_r
         assert got.events_fired == want.events_fired
     else:
-        # one heap entry fewer per packet admitted to the uplink ahead
-        # of its emission instant, one more per batch that resumes the
-        # source, and on either side none at r for a packet the uplink
-        # planned across r -> y; the rest cost what the reference's did.
-        # A fed packet counts from when it is fed: its seq stands for
-        # its entry at r, and it has none at y, where the reference's
-        # uplink planned it across r -> y and so fired one entry, at y,
-        # for it too. So the two agree but for the fed packets still in
-        # r -> y's feed or far queue at the horizon, whose entries the
-        # reference has not fired yet
-        assert (got.events_fired - got.entries_at_r - got.pending_fed
-                - got.resumes
-                == want.events_fired - want.entries_at_r - planned)
-        assert got.fed > 0 and planned > 0 and got.resumes > 0
+        # a produced packet fires no entry at its emission instant, and
+        # none at r or y while it is fed; one it replaced takes its seq
+        # when it is produced
+        assert got.fed > 0 and produced > 0
+        assert got.events_fired < want.events_fired
         if kind == "poisson" and not UNFEEDS & params.keys():
-            assert planned == got.packets_sent  # fed from first to last
+            assert produced == got.packets_sent  # fed from first to last
     if case != "poisson_never_starts":
         # some dropped: the tap counts the sources' packets that reached
         # y, handled or discarded
@@ -761,47 +741,31 @@ def test_the_new_cases_reach_what_their_names_say():
         "onoff_uplink_drops"][2])
     assert uplink.stats["x->r"]["queue_drops"] > 0
     assert uplink.sent_at_instant >= uplink.stats["x->r"]["queue_drops"]
-    # a source withdraws and replays only what it planned, so only where
-    # it feeds r -> y: the uplink flaps are read off the unbound twins,
-    # and a bound target's source replays nothing
+    # the flaps fall where the geometries say, fed or not: a flap ends
+    # a feed, and the source sends at its instants until it may feed
+    # again
     flapping = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
         "onoff_unbound_uplink_flapping"][2])
-    # e[2] to e[16] were withdrawn; e[2], e[3] and e[8] dropped at
-    # ingress, e[7] in flight
-    assert flapping.replayed == 15
+    # e[2], e[3] and e[8] dropped at ingress, e[7] in flight
     assert flapping.stats["x->r"]["fault_drops"] == 4
-    assert _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
-        "onoff_uplink_flapping"][2]).replayed == 0
-    # e[3] to e[16] were withdrawn once, at the first down; e[3], e[4],
-    # e[7] and e[8] dropped at ingress, e[0] in flight at the first down
-    # and e[2], planned and in flight then, at the second
+    assert 0 < flapping.sent_at_instant < flapping.packets_sent
+    # e[3], e[4], e[7] and e[8] dropped at ingress, e[0] in flight at
+    # the first down and e[2] at the second
     twice = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
         "onoff_unbound_uplink_flapping_twice_in_a_planned_burst"][2])
-    assert twice.replayed == 14
     assert twice.stats["x->r"]["fault_drops"] == 6
-    # e[17] to e[32] were withdrawn; e[9] to e[11], planned past the
-    # resume, lost in flight, e[17] to e[21] dropped at ingress
+    # e[9] to e[11] lost in flight, e[17] to e[21] dropped at ingress
     past = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
         "onoff_unbound_uplink_flapping_past_a_resume"][2])
-    assert past.replayed == 16
     assert past.stats["x->r"]["fault_drops"] == 8
-    # e[6] to e[16] were withdrawn at the first down only, e[16]'s
-    # resume kept
-    resumed = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
-        "onoff_unbound_uplink_flapping_twice_before_a_resume"][2])
-    assert resumed.replayed == 11
-    # e[3] to e[16] were withdrawn, e[8]'s resume among them; e[3] and
-    # e[4] dropped at ingress, e[2] in flight
+    # e[3] and e[4] dropped at ingress, e[2] in flight
     once = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
         "onoff_unbound_uplink_flapping_once_before_a_mid_batch_resume"][2])
-    assert once.replayed == 14
     assert once.stats["x->r"]["fault_drops"] == 3
-    # e[3] to e[16] were withdrawn; e[3] and e[4] dropped at ingress;
-    # e[2], whose arrival was to resume planning, arrived with the
-    # uplink up again
+    # e[3] and e[4] dropped at ingress; e[2] arrived with the uplink up
+    # again
     steep = _bottleneck_run("onoff", False, 3.0, **SOURCE_CASES[
         "onoff_unbound_uplink_flapping_before_the_batch_ends"][2])
-    assert steep.replayed == 14
     assert steep.stats["x->r"]["fault_drops"] == 2
     rerouted = _bottleneck_run("poisson", False, 3.0, **SOURCE_CASES[
         "poisson_routes_change_mid_run"][2])
@@ -823,13 +787,13 @@ def test_the_new_cases_reach_what_their_names_say():
 @pytest.mark.parametrize("tracer", [None, FlightRecorder, RecordingTracer])
 def test_an_entry_at_the_router_for_a_batched_arrival_fires_in_the_plans_order(
         tracer):
-    """Batching changes no order at a bound target. ``y`` binds port 9,
-    so the source cannot feed ``r -> y`` and plans nothing: the entry
-    that brings ``e[5]`` to ``r`` takes its seq at ``e[5]``'s emission,
-    and a packet ``r`` sends at that same arrival instant from an entry
-    pushed before enters the queue first, untraced as under any tracer
-    (only a fed packet keeps its batch's order at ``r``: the test
-    below). Powers of two keep every instant exact."""
+    """A source that cannot feed changes no order. ``y`` binds port 9,
+    so the source ticks at each emission: the entry that brings
+    ``e[5]`` to ``r`` takes its seq at ``e[5]``'s emission, and a packet
+    ``r`` sends at that same arrival instant from an entry pushed before
+    enters the queue first, untraced as under any tracer (a fed packet's
+    orders: ``test_a_fed_step_is_ordered_where_it_is_produced``). Powers
+    of two keep every instant exact."""
     sim = Simulator()
     if tracer is not None:
         sim.set_tracer(tracer())
@@ -853,104 +817,210 @@ def test_an_entry_at_the_router_for_a_batched_arrival_fires_in_the_plans_order(
     assert order[5:7] == [("r", 0), ("x", 6)]
 
 
-@pytest.mark.parametrize("tracer", [None, FlightRecorder, RecordingTracer])
-def test_a_fed_packet_enters_the_router_link_in_the_plans_order(tracer):
-    """The one order batching changes. ``y`` binds no port 9, so the
-    source feeds ``r -> y``: a burst's packets are planned and fed in
-    one batch when it starts, and ``e[5]`` takes the seq of its entry at
-    ``r`` then, four emissions before a source that does not plan takes
-    it. ``r``'s packet to port 10, sent at ``e[5]``'s arrival at ``r``
-    from an entry pushed in between, is admitted after it, where a run
-    that does not plan (under any tracer) admits it first; its arrival
-    at ``y`` tells which."""
+def _tie_run(tracer):
+    """``x -> r -> y`` at 2**20 b/s and 2**-4 s each, and an ON/OFF
+    source at ``x`` emitting 128-byte packets (2**-10 s on each link)
+    every 0.125 s from 0 to 1 s, to port 9 at ``y``, which nothing
+    binds: so the source feeds both links, unless a tracer watches.
+    Powers of two keep every instant exact. Returns (network, source,
+    ``e5``, ``e5``'s arrival at ``r``, the same at ``y``)."""
     sim = Simulator()
     if tracer is not None:
         sim.set_tracer(tracer())
     net = Network(sim)
     for node in "xry":
         net.add_node(node)
-    net.add_link("x", "r", 2.0**20, 2.0**-4)
-    net.add_link("r", "y", 2.0**20, 2.0**-4)
-    arrived = []
-    net.node("y").bind(10, lambda pkt: arrived.append(sim.now))
-    OnOffTrafficSource(net, "x", "y", RngRegistry(seed=1).stream("s"),
-                       peak_rate_bps=8192.0, on_mean_s=1e6,
-                       packet_bytes=128, stop_at=1.0)
-    at_r = 5 * 0.125 + 2.0**-10 + 2.0**-4
-    sim.call_at(0.25, sim.call_at, at_r, net.send,
-                Packet("r", "y", 128, "UDP", "r", 10, seq=0))
-    sim.run()
-    queued = 2.0**-10 if tracer is None else 0.0  # behind e[5]
-    assert arrived == [at_r + queued + 2.0**-10 + 2.0**-4]
-    assert net.node("y").rx_discarded == 8
-
-
-@pytest.mark.parametrize("tracer", [None, FlightRecorder])
-def test_a_read_at_exactly_a_fed_packets_far_arrival_sees_it_delivered(
-        tracer):
-    """The one order feeding changes. ``y`` binds no port 9, so the
-    source feeds ``r -> y``: ``e[5]`` waits there under the seq it took
-    when its batch was planned, at the burst's start, and reaches ``y``
-    (the tap, ``rx_discarded``) in the catch-up of whoever reads next.
-    Its arrival at ``y`` is ordered by that seq, where a run that does
-    not feed (under any tracer) orders it by the seq of the entry that
-    ``r -> y`` pushes when it admits ``e[5]``. A read at exactly that
-    arrival, from an entry pushed in between, sees ``e[5]`` delivered
-    when fed and not otherwise; one pushed after the admission sees it
-    either way. Powers of two keep every instant exact."""
-    sim = Simulator()
-    if tracer is not None:
-        sim.set_tracer(tracer())
-    net = Network(sim)
-    for node in "xry":
-        net.add_node(node)
-    # 128-byte packets: 2**-10 s on each link, 0.125 s apart in the burst
     net.add_link("x", "r", 2.0**20, 2.0**-4)
     net.add_link("r", "y", 2.0**20, 2.0**-4)
     source = OnOffTrafficSource(net, "x", "y", RngRegistry(seed=1).stream(
         "s"), peak_rate_bps=8192.0, on_mean_s=1e6, packet_bytes=128,
         stop_at=1.0)
-    at_r = 5 * 0.125 + 2.0**-10 + 2.0**-4
-    at_y = at_r + 2.0**-10 + 2.0**-4
-    reads = []
+    e5 = 5 * 0.125
+    at_r = e5 + 2.0**-10 + 2.0**-4
+    return net, source, e5, at_r, at_r + 2.0**-10 + 2.0**-4
 
-    def read(label):
-        net.catch_up()
-        reads.append((label, net.node("y").rx_discarded))
 
-    sim.call_at(0.25, sim.call_at, at_y, read, "pushed before r admits")
-    sim.call_at((at_r + at_y) / 2, sim.call_at, at_y, read,
-                "pushed after")
+@pytest.mark.parametrize("tracer", [None, FlightRecorder, RecordingTracer])
+def test_a_fed_step_is_ordered_where_it_is_produced(tracer):
+    """The orders feeding changes. A fed emission at exactly now is
+    produced after every entry at now: a read of ``packets_sent`` at
+    ``e5`` from an entry pushed after ``e4`` (where a ticking source
+    pushes its entry for ``e5``) sees ``e5`` not yet sent, where any
+    tracer's run (the source ticks) sees it sent; one pushed before
+    ``e4`` sees it not sent either way. A fed packet takes its seq when
+    it is produced, in the first catch-up after its emission instant:
+    ``r``'s packet to port 10, sent at exactly ``e5``'s arrival at ``r``
+    from an entry pushed after ``e5`` and before anything caught the
+    links up, is admitted ahead of ``e5`` there, where a ticking source's
+    ``e5`` takes its seq at ``e5`` and is admitted first; its arrival at
+    ``y`` tells which."""
+    net, source, e5, at_r, _ = _tie_run(tracer)
+    sim = net.sim
+    arrived, reads = [], []
+    net.node("y").bind(10, lambda pkt: arrived.append(sim.now))
+    for pushed_at in (0.25, (e5 - 0.125 + e5) / 2):
+        sim.call_at(pushed_at, sim.call_at, e5,
+                    lambda: reads.append(source.packets_sent))
+    sim.call_at((e5 + at_r) / 2, sim.call_at, at_r, net.send,
+                Packet("r", "y", 128, "UDP", "r", 10, seq=0))
     sim.run()
     fed = tracer is None
-    assert reads == [("pushed before r admits", 6 if fed else 5),
-                     ("pushed after", 6)]
-    assert net.node("y").rx_discarded == 8  # e[0] to e[7]
-    assert net.links[("r", "y")]._feeder is (source if fed else None)
+    assert reads == [5, 5 if fed else 6]
+    queued = 0.0 if fed else 2.0**-10  # behind e5
+    assert arrived == [at_r + queued + 2.0**-10 + 2.0**-4]
+    assert net.node("y").rx_discarded == 8  # e0 to e7
 
 
-def test_a_fed_link_nothing_else_touches_holds_about_a_batch():
-    """A source catches up the link it feeds once a batch: with no
-    reader and no other sender on ``r -> y``, what waits in its feed
-    and far queue stays within two batches, not every packet fed since
-    the start. Read off the queues themselves, which catch nothing up."""
+@pytest.mark.parametrize("tracer", [None, FlightRecorder, RecordingTracer])
+def test_a_fed_arrival_is_ordered_by_its_production(tracer):
+    """A fed packet's arrival at ``y`` is ordered by the seq it took
+    when it was produced (here by a read of ``packets_sent`` at 0.65,
+    after ``e5``): a read at exactly that arrival from an entry pushed
+    before the production sees it not yet delivered, one pushed after
+    sees it delivered. A ticking source's ``e5`` reaches ``y`` at an
+    entry pushed at ``e5`` when the uplink plans it across ``r -> y``
+    (a control-tier tracer: both reads see it) or at its admission at
+    ``r`` when nothing plans (a detail tracer: neither does)."""
+    net, source, e5, _, at_y = _tie_run(tracer)
+    sim = net.sim
+    reads = []
+
+    def read():
+        net.catch_up()
+        reads.append(net.node("y").rx_discarded)
+
+    sim.call_at(0.64, sim.call_at, at_y, read)
+    sim.call_at(0.65, lambda: source.packets_sent)
+    sim.call_at(0.66, sim.call_at, at_y, read)
+    sim.run()
+    assert e5 < 0.64 < at_y
+    assert reads == {None: [5, 6], FlightRecorder: [6, 6],
+                     RecordingTracer: [5, 5]}[tracer]
+    assert net.node("y").rx_discarded == 8
+
+
+def test_a_fed_link_holds_only_packets_in_flight():
+    """A fed source produces nothing ahead of now, and its router link
+    admits and delivers what is due in every catch-up: after one, the
+    feed holds only packets still on their way over the uplink and the
+    far queue only packets on their way over ``r -> y``, however long
+    nothing read the links before. Read off the queues themselves."""
     sim = Simulator()
     net = Network(sim)
     for node in "xry":
         net.add_node(node)
-    net.add_link("x", "r", 10e6, 0.001)
+    uplink = net.add_link("x", "r", 10e6, 0.001)
     link = net.add_link("r", "y", 10e6, 0.001)
     source = PoissonTrafficSource(net, "x", "y",
                                   RngRegistry(seed=3).stream("s"),
                                   rate_bps=4e6)
     held = []
-    for k in range(1, 30):
-        sim.call_at(k * 0.1, lambda: held.append(len(link._feed)
-                                                 + len(link._far)))
-    sim.run(until=3.0)
-    assert link._feeder is source
-    assert source.packets_sent > 40 * _BATCH
-    assert 0 < max(held) <= 2 * _BATCH
+
+    def catch_up():
+        net.catch_up()
+        now = sim.now
+        assert source._at >= now
+        assert all(t >= now for t, _, _ in link._feed)
+        assert all(t >= now for t, _, _ in link._far)
+        # in flight on a link: its records not yet departed (settled by
+        # the read) and at most two propagating (1 ms of delay, 0.8 ms
+        # apart at least)
+        for queue, on in ((link._feed, uplink), (link._far, link)):
+            on.stats
+            assert len(queue) <= len(on._departures) + 2
+        held.append(len(link._feed) + len(link._far))
+
+    # gaps of 1 ms to 0.9 s since the last read
+    at = 0.0
+    for k in range(1, 31):
+        at += 0.001 * k * k
+        sim.call_at(at, catch_up)
+    sim.run(until=at)
+    assert link._feeder is uplink._feeder is source
+    assert source.packets_sent > 1000
+    assert 0 < max(held) <= 8
+
+
+def _flaps(rnd, cycles, horizon):
+    """``cycles`` down/up pairs of a link at continuous instants before
+    ``horizon``, each down for up to 30 ms."""
+    downs = sorted(rnd.uniform(0.02, horizon) for _ in range(cycles))
+    return tuple(step for down in downs for step in (
+        (down, False), (down + rnd.uniform(0.0001, 0.03), True)))
+
+
+@st.composite
+def _generated_cases(draw):
+    """One ``x -> r -> y`` case of :func:`_bottleneck_run`: the structure
+    from hypothesis, every instant and rate continuous (from a seeded
+    ``random.Random``), so no exact tie occurs. The draws lean toward
+    the geometries a uniform draw reaches rarely: a lossy bottleneck
+    shared with ``r``'s own sender under reads, and an unbound target
+    under several uplink flaps."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["poisson", "onoff"]))
+    drained = draw(st.integers(0, 9)) == 0
+    horizon = rnd.uniform(0.3, 1.2)
+    if kind == "poisson":
+        params = dict(rate_bps=rnd.uniform(0.5e6, 9e6))
+    else:
+        params = dict(rate_bps=rnd.uniform(2e6, 36e6),
+                      on_mean_s=rnd.uniform(0.01, 0.1),
+                      off_mean_s=rnd.uniform(0.01, 0.1))
+    if draw(st.booleans()):
+        params["start_at"] = rnd.uniform(0.0, 0.3)
+    if drained or draw(st.booleans()):
+        # a drained run ends only once the source stops
+        params["stop_at"] = rnd.uniform(0.1, horizon)
+    port = draw(st.sampled_from(["never", "never", "never", "from_start",
+                                 "at_instant"]))
+    params["unbound"] = port != "from_start"
+    if port == "at_instant":
+        params["bind_at"] = rnd.uniform(0.0, horizon)
+    params["flaps"] = _flaps(rnd, draw(st.sampled_from([0, 1, 2, 3, 3, 4])),
+                             horizon)
+    params["bottleneck_flaps"] = _flaps(
+        rnd, draw(st.sampled_from([0, 0, 1, 2])), horizon)
+    params["bottleneck_loss"] = draw(st.integers(0, 3)) > 0
+    if draw(st.integers(0, 3)) == 0:
+        params["uplink_queue"] = draw(st.integers(1, 8))
+    if draw(st.integers(0, 4)) == 0:
+        params["shortcut_at"] = rnd.uniform(0.0, horizon)
+    if draw(st.integers(0, 4)) == 0:
+        params["second_host_at"] = rnd.uniform(0.0, horizon)
+    if draw(st.integers(0, 5)) == 0:
+        params["sources"] = 2
+    params["traced"] = draw(st.integers(0, 7)) == 0
+    if not drained:
+        # r's sender and the reads never stop: only a cut run has them
+        if draw(st.integers(0, 3)) > 0:
+            params["r_sends_every"] = rnd.uniform(0.0005, 0.006)
+        if draw(st.integers(0, 3)) > 0:
+            params["read_every"] = rnd.uniform(0.0003, 0.01)
+    return kind, None if drained else horizon, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_generated_cases())
+def test_generated_cases_match_the_run_that_never_plans(case):
+    """The referee of every shortcut on the data path (ROADMAP 11(a)):
+    a generated case gives what the same case gives with
+    ``_plans_through = False`` on every link, which plans nothing across
+    a link and feeds nothing, in everything the hand cases compare but
+    the heap entries the shortcuts save."""
+    kind, horizon, params = case
+    got = _bottleneck_run(kind, False, horizon, **params)
+    with never_planning(pytest.MonkeyPatch):
+        want = _bottleneck_run(kind, False, horizon, **params)
+    assert want.fed == 0
+    assert got.seen == want.seen
+    assert got.stats == want.stats
+    assert got.packets_sent == want.packets_sent
+    assert got.discards == want.discards
+    assert got.reads == want.reads
+    assert got.link_rows == want.link_rows
+    assert got.now == want.now
+    assert got.sent == want.sent
 
 
 def test_onoff_stop_instants_fall_where_the_case_names_say():

@@ -10,6 +10,7 @@ from repro.net import Network
 from repro.rtp import RtpReceiver
 from repro.client import ClientQoSManager
 from repro.service.search import SearchClient
+from tests.helpers import skew_sample
 
 
 # ------------------------------------------------------------- results
@@ -23,8 +24,8 @@ def make_result():
                                   packets_received=90, packets_lost=10,
                                   mean_grade=2.0)
     s = SkewSeries("g")
-    s.sample(0.0, 0.05)
-    s.sample(1.0, -0.12)
+    skew_sample(s, 0.0, 0.05)
+    skew_sample(s, 1.0, -0.12)
     r.skew["g"] = s
     return r
 
